@@ -3,7 +3,6 @@ package ccp_test
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -373,31 +372,6 @@ func BenchmarkFig9bPathEnumEdges(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(dnf), "dnf-points")
-}
-
-func BenchmarkThroughput(b *testing.B) {
-	for _, conc := range []int{1, 4, 8} {
-		name := "serial"
-		if conc > 1 {
-			name = fmt.Sprintf("conc%d", conc)
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchCfg
-			cfg.Concurrency = conc
-			b.ReportAllocs()
-			var last experiments.ThroughputResult
-			for i := 0; i < b.N; i++ {
-				r, err := experiments.Throughput(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = r
-			}
-			b.ReportMetric(last.QueriesPerMinute, "queries/min")
-			b.ReportMetric(last.CacheHitRate*100, "cache-hit-%")
-			b.ReportMetric(last.SnapshotHitRate*100, "snapshot-hit-%")
-		})
-	}
 }
 
 // ---- ablation benches (design choices in DESIGN.md) ----

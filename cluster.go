@@ -26,14 +26,6 @@ type ClusterOptions struct {
 	// Concurrency is the number of batch queries ControlsBatch keeps in
 	// flight at once (<= 1 evaluates the batch serially).
 	Concurrency int
-	// DatalogSites enables the planned Datalog engine as an alternative
-	// local evaluator on in-process sites: a site storing the query source
-	// first tries to derive control(s,t) goal-directedly over its own
-	// partition, answering decided-True without a reduction when the
-	// derivation succeeds (sound: a partition is a subgraph of the global
-	// graph and control is monotone under edge addition). Negative local
-	// derivations fall back to the normal partial-evaluation path.
-	DatalogSites bool
 	// SiteTimeout bounds every individual site call with its own deadline,
 	// under whatever deadline the query's context already carries. A site
 	// missing it fails the query with a *DeadlineError naming the site.
@@ -220,9 +212,6 @@ func NewClusterFromPartitioning(pi *partition.Partitioning, opts ClusterOptions)
 		}
 		if opts.Logger != nil {
 			sites[i].SetLogger(opts.Logger)
-		}
-		if opts.DatalogSites {
-			sites[i].SetDatalogEvaluator(true)
 		}
 		clients[i] = &dist.LocalClient{Site: sites[i], MeasureBytes: true}
 	}

@@ -60,10 +60,6 @@ type Options struct {
 	// flight. <= 1 evaluates the batch serially, preserving the exact
 	// behavior (answers and byte accounting) of the serial coordinator.
 	Concurrency int
-	// FullRescan runs the coordinator-side merged reduction with the
-	// full-rescan engine (ablation abl-frontier). Site-side evaluations are
-	// switched independently via Site.SetFullRescan.
-	FullRescan bool
 	// SiteTimeout bounds each per-site call (evaluate, update, cross-in)
 	// with its own deadline, layered under whatever deadline the caller's
 	// context already carries. 0 means no per-call bound. A site missing the
@@ -202,9 +198,7 @@ type Coordinator struct {
 	mergeSets   sync.Pool
 }
 
-// Metric names shared with harnesses that read their own Observer's
-// registry back (ccpbench derives its latency percentiles from
-// MetricQuerySeconds).
+// Metric names, for callers that read their own Observer's registry back.
 const (
 	MetricQuerySeconds      = "ccp_query_seconds"
 	MetricQueryPhaseSeconds = "ccp_query_phase_seconds"
@@ -764,11 +758,10 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	x.Add(q.S)
 	x.Add(q.T)
 	res, err := control.ParallelReduction(ctx, mg, q, x, control.Options{
-		Workers:    c.reduceWorkers(),
-		Trust:      control.FullTrust,
-		FullRescan: c.opts.FullRescan,
-		Obs:        c.met.reduceObs,
-		Logger:     c.opts.Logger,
+		Workers: c.reduceWorkers(),
+		Trust:   control.FullTrust,
+		Obs:     c.met.reduceObs,
+		Logger:  c.opts.Logger,
 	})
 	c.mergeSets.Put(x)
 	c.mergeGraphs.Put(mg)

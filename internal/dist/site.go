@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"ccp/internal/control"
-	"ccp/internal/datalog"
 	"ccp/internal/graph"
 	"ccp/internal/obs"
 	"ccp/internal/obs/flight"
@@ -123,16 +122,6 @@ type Site struct {
 	// per-query exclusion sets. Both reach zero steady-state allocations.
 	scratch    sync.Pool
 	exclusions sync.Pool
-
-	fullRescan bool
-
-	// useDatalog enables the goal-directed Datalog evaluator as a local
-	// decision procedure: before reducing, the site tries to derive
-	// control(s,t) over its own partition. dlMu guards the per-epoch solver.
-	useDatalog bool
-	dlMu       sync.Mutex
-	dlSolver   *datalog.CCPSolver
-	dlEpoch    uint64
 
 	met siteMetrics
 	fr  *flight.Recorder
@@ -443,38 +432,6 @@ func (s *Site) StoreStats() (store.Stats, bool) {
 // number when a store is attached).
 func (s *Site) Epoch() uint64 { return s.epoch.Load() }
 
-// SetFullRescan selects the full-rescan reduction engine (ablation
-// abl-frontier) for all subsequent evaluations of this site.
-func (s *Site) SetFullRescan(v bool) { s.fullRescan = v }
-
-// SetDatalogEvaluator enables (or disables) the planned Datalog engine as an
-// alternative local evaluator. When the site stores the query source and its
-// partition contains the target, it first runs a goal-directed control(s,t)
-// derivation over the local graph; a positive local derivation is globally
-// sound — the partition is a subgraph of the company graph and control is
-// monotone under edge addition — so it is returned as a decided answer
-// without reducing. A negative local derivation decides nothing (control may
-// route through other partitions) and falls through to the partial path.
-// Call before the site starts serving.
-func (s *Site) SetDatalogEvaluator(v bool) { s.useDatalog = v }
-
-// datalogSolver returns the per-epoch goal-directed solver over the site's
-// snapshot, rebuilding it when the data moved. Solver queries are safe
-// concurrently; only the rebuild is serialized.
-func (s *Site) datalogSolver(sn *siteSnapshot) (*datalog.CCPSolver, error) {
-	s.dlMu.Lock()
-	defer s.dlMu.Unlock()
-	if s.dlSolver != nil && s.dlEpoch == sn.epoch {
-		return s.dlSolver, nil
-	}
-	solver, err := datalog.NewCCPSolver(sn.local)
-	if err != nil {
-		return nil, err
-	}
-	s.dlSolver, s.dlEpoch = solver, sn.epoch
-	return solver, nil
-}
-
 // reduce runs a reduction with a pooled Reducer (the shared control-layer
 // pool, so sites and the coordinator's batch workers draw from one scratch
 // surface). A cancelled context stops the reduction at the next round
@@ -482,7 +439,6 @@ func (s *Site) datalogSolver(sn *siteSnapshot) (*datalog.CCPSolver, error) {
 // resets all scratch state), so a cancelled query never poisons the site for
 // the queries after it.
 func (s *Site) reduce(ctx context.Context, g *graph.Graph, q control.Query, x graph.NodeSet, opt control.Options) (control.Result, error) {
-	opt.FullRescan = s.fullRescan
 	opt.Obs = s.met.robs
 	opt.Logger = s.log
 	r := control.GetReducer()
@@ -655,25 +611,6 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 			}
 			s.observeEval(pa, opts, "site.decide", false)
 			return pa, nil
-		}
-	}
-	if s.useDatalog && !opts.ForcePartial && holdsS && sn.local.Alive(q.T) {
-		// Goal-directed Datalog decision: derive control(s,t) over the local
-		// graph only. Positive answers are globally sound (monotonicity); a
-		// solver error or negative answer falls through to the reduce path.
-		if solver, err := s.datalogSolver(sn); err == nil {
-			if ok, derr := solver.Controls(q.S, q.T); derr == nil && ok {
-				pa := &PartialAnswer{
-					SiteID:  s.part.ID,
-					Ans:     control.True,
-					Elapsed: time.Since(start),
-					Epoch:   sn.epoch,
-				}
-				s.observeEval(pa, opts, "site.datalog", false)
-				return pa, nil
-			}
-		} else {
-			s.log.Debug("datalog evaluator unavailable", "site", s.part.ID, "err", err)
 		}
 	}
 	x := s.takeExclusion(sn.boundary, q)

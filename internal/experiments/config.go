@@ -29,15 +29,9 @@ type Config struct {
 	Workers int
 	// Repeats averages each timed point over this many runs (default 1).
 	Repeats int
-	// Concurrency is the number of batch queries the throughput experiment
-	// keeps in flight at once (<= 1 = serial, the pre-batch behavior).
-	Concurrency int
 	// PathBudget bounds each Figure 9 path-enumeration run (default
 	// DefaultPathBudget); crossing it marks the point DNF.
 	PathBudget time.Duration
-	// FullRescan runs every reduction with the full-rescan engine instead of
-	// the frontier engine (ablation abl-frontier; ccpbench -full-rescan).
-	FullRescan bool
 }
 
 func (c Config) withDefaults() Config {

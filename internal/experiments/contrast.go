@@ -69,7 +69,6 @@ func Contrast(cfg Config) ([]ContrastRow, error) {
 			control.ParallelReduction(context.Background(), g, q, x, control.Options{
 				Workers:            cfg.Workers,
 				DisableTermination: true,
-				FullRescan:         cfg.FullRescan,
 			})
 			row.ControlNodes += g.NumNodes()
 			row.ControlEdges += g.NumEdges()

@@ -168,29 +168,16 @@ func TestAblationsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 9 {
-		t.Fatalf("rows = %v", rows)
+	// The ablations table is the only home of abl-frontier ("full rescan")
+	// and of the Vadalog comparison (the two datalog rows against CBE).
+	have := make(map[string]bool, len(rows))
+	for _, r := range rows {
+		have[r.Variant] = true
 	}
-}
-
-func TestDatalogSmoke(t *testing.T) {
-	res, err := Datalog(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("rows = %v", res.Rows)
-	}
-	for _, r := range res.Rows {
-		if r.NsPerQuery <= 0 || r.Queries != 12 {
-			t.Fatalf("bad row: %+v", r)
+	for _, want := range []string{"full rescan", "datalog semi-naive", "datalog planned", "CBE worklist"} {
+		if !have[want] {
+			t.Fatalf("ablations lost the %q row: %v", want, rows)
 		}
-	}
-	if res.SpeedupPlannedVsSemiNaive <= 0 {
-		t.Fatalf("speedup = %v", res.SpeedupPlannedVsSemiNaive)
-	}
-	if res.GlobalTuples <= 0 || res.GoalTuples <= 0 || res.GoalTuples > res.GlobalTuples {
-		t.Fatalf("goal measurement: %d of %d", res.GoalTuples, res.GlobalTuples)
 	}
 }
 
@@ -231,28 +218,6 @@ func TestPickQueryPrefersNonTrivialEndpoints(t *testing.T) {
 	}
 }
 
-func TestThroughputSmoke(t *testing.T) {
-	r, err := Throughput(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Queries == 0 || r.QueriesPerMinute <= 0 {
-		t.Fatalf("result = %+v", r)
-	}
-	if r.CacheHitRate <= 0 {
-		t.Fatalf("no cache hits in a pre-cached run: %+v", r)
-	}
-	// The workload is built from cross-border pairs precisely so queries
-	// reach the coordinator's merge path; after the warmup batch the merged
-	// snapshot must be hitting.
-	if r.MergedQueries == 0 {
-		t.Fatalf("no queries reached the merge path: %+v", r)
-	}
-	if r.SnapshotHitRate <= 0 {
-		t.Fatalf("warmup did not warm the snapshot cache: %+v", r)
-	}
-}
-
 func TestContrastSmoke(t *testing.T) {
 	rows, err := Contrast(tiny)
 	if err != nil {
@@ -278,30 +243,6 @@ func TestUpdateLatencySmoke(t *testing.T) {
 	}
 }
 
-func TestStoreBenchSmoke(t *testing.T) {
-	res, err := StoreBench(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WAL.AppendsPerSecNoSync <= 0 || res.WAL.AppendsPerSecSync <= 0 {
-		t.Fatalf("wal rates = %+v", res.WAL)
-	}
-	if res.WAL.GroupCommitBatch < 1 {
-		t.Fatalf("group commit batched %.2f appends/fsync, want >= 1", res.WAL.GroupCommitBatch)
-	}
-	if len(res.Recovery) != 3 {
-		t.Fatalf("recovery rows = %+v", res.Recovery)
-	}
-	for _, r := range res.Recovery {
-		if r.Tail <= 0 || r.Millis <= 0 || r.RecordsPerSec <= 0 {
-			t.Fatalf("bad recovery row: %+v", r)
-		}
-	}
-	if res.Snapshot.MemoryQPS <= 0 || res.Snapshot.DurableQPS <= 0 || res.Snapshot.Ratio <= 0 {
-		t.Fatalf("snapshot measurement = %+v", res.Snapshot)
-	}
-}
-
 func TestRowStringers(t *testing.T) {
 	rows := []fmt.Stringer{
 		DistPoint{X: 4000, SiteTime: time.Millisecond, CoordTime: time.Millisecond, Total: 2 * time.Millisecond, Bytes: 100},
@@ -315,7 +256,6 @@ func TestRowStringers(t *testing.T) {
 		Fig9Point{X: 10, Paths: 5, DNF: true},
 		Fig9Point{X: 10, Series: "deg=2", Paths: 5},
 		ContrastRow{PartitionNodes: 10},
-		ThroughputResult{Queries: 5, Elapsed: time.Second, QueriesPerMinute: 300, CacheHitRate: 0.5},
 		UpdateLatencyResult{Warm: time.Millisecond, AfterUpdate: time.Millisecond, Recovered: time.Millisecond},
 	}
 	for i, r := range rows {

@@ -39,7 +39,6 @@ func buildEUCluster(cfg Config, countries, perCountry int, rate float64, degree 
 	clients := make([]dist.SiteClient, countries)
 	for i, p := range pi.Parts {
 		s := dist.NewSite(p, cfg.Workers)
-		s.SetFullRescan(cfg.FullRescan)
 		c.sites = append(c.sites, s)
 		clients[i] = &dist.LocalClient{Site: s, MeasureBytes: true}
 	}
@@ -52,7 +51,6 @@ func buildEUCluster(cfg Config, countries, perCountry int, rate float64, degree 
 		ForcePartial:    true,
 		SequentialSites: true,
 		Workers:         cfg.Workers,
-		FullRescan:      cfg.FullRescan,
 	})
 	return c, nil
 }
@@ -202,7 +200,6 @@ func timeReduction(cfg Config, g *graph.Graph, q control.Query) time.Duration {
 		control.ParallelReduction(context.Background(), clone, q, graph.NewNodeSet(q.S, q.T), control.Options{
 			Workers:            cfg.Workers,
 			DisableTermination: true,
-			FullRescan:         cfg.FullRescan,
 		})
 		total += time.Since(start)
 	}
@@ -234,7 +231,6 @@ func Fig8d(cfg Config) ([]ParPoint, error) {
 			control.ParallelReduction(context.Background(), clone, q, graph.NewNodeSet(q.S, q.T), control.Options{
 				Workers:            cores,
 				DisableTermination: true,
-				FullRescan:         cfg.FullRescan,
 				Meter:              meter,
 			})
 			meter.Stop()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -152,56 +153,77 @@ func (r AblationRow) String() string {
 
 // Ablations measures the design choices of the algorithm: phase separation,
 // early termination, representative-based contraction, and the solver
-// choice (reduction vs CBE vs naive serial).
+// choice (reduction vs CBE vs naive serial). A fast wrong engine is not an
+// ablation: every variant must give CBE's answer before it is timed, and any
+// error fails the experiment.
 func Ablations(cfg Config) ([]AblationRow, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := gen.Italian(gen.ItalianConfig{Nodes: cfg.scaled(60_000), Seed: cfg.Seed})
 	q := pickQuery(g, rng)
 	x := graph.NewNodeSet(q.S, q.T)
+	want := control.CBE(g, q)
 
-	variants := []struct {
+	var out []AblationRow
+	row := func(variant string, answer func() (bool, error)) error {
+		got, err := answer()
+		if err == nil && got != want {
+			err = fmt.Errorf("answers %v on control(%d,%d), CBE says %v", got, q.S, q.T, want)
+		}
+		elapsed := timeIt(cfg.Repeats, func() {
+			if _, terr := answer(); terr != nil && err == nil {
+				err = terr
+			}
+		})
+		if err != nil {
+			return fmt.Errorf("ablation %q: %w", variant, err)
+		}
+		out = append(out, AblationRow{Variant: variant, Elapsed: elapsed})
+		return nil
+	}
+
+	// DisableTermination only skips the per-round checks; the trust still
+	// lets the final check decide a false answer.
+	reductions := []struct {
 		name string
 		opts control.Options
 	}{
 		{"parallel (default)", control.Options{Workers: cfg.Workers, Trust: control.FullTrust}},
 		{"two-phase only", control.Options{Workers: cfg.Workers, Trust: control.FullTrust, TwoPhaseOnly: true}},
-		{"no early termination", control.Options{Workers: cfg.Workers, DisableTermination: true}},
+		{"no early termination", control.Options{Workers: cfg.Workers, Trust: control.FullTrust, DisableTermination: true}},
 		{"naive contraction", control.Options{Workers: cfg.Workers, Trust: control.FullTrust, NaiveContraction: true}},
 		{"full rescan", control.Options{Workers: cfg.Workers, Trust: control.FullTrust, FullRescan: true}},
 		{"single worker", control.Options{Workers: 1, Trust: control.FullTrust}},
 	}
-	var out []AblationRow
-	for _, v := range variants {
-		opts := v.opts
-		elapsed := timeIt(cfg.Repeats, func() {
-			clone := g.Clone()
-			control.ParallelReduction(context.Background(), clone, q, x, opts)
+	for _, v := range reductions {
+		err := row(v.name, func() (bool, error) {
+			res, err := control.ParallelReduction(context.Background(), g.Clone(), q, x, v.opts)
+			if err == nil && res.Ans == control.Unknown {
+				err = errors.New("reduction left the query undecided")
+			}
+			return res.Ans == control.True, err
 		})
-		out = append(out, AblationRow{Variant: v.name, Elapsed: elapsed})
+		if err != nil {
+			return nil, err
+		}
 	}
-	out = append(out, AblationRow{
-		Variant: "CBE worklist",
-		Elapsed: timeIt(cfg.Repeats, func() { control.CBE(g, q) }),
-	})
+	if err := row("CBE worklist", func() (bool, error) { return control.CBE(g, q), nil }); err != nil {
+		return nil, err
+	}
 	// The declarative evaluators: the semi-naive engine reloads the facts
 	// and reruns the fixpoint per query; the planned solver loads once and
 	// answers goal-directedly off cached plans (built outside the timing,
-	// like the reduction variants' graph construction above).
-	out = append(out, AblationRow{
-		Variant: "datalog semi-naive",
-		Elapsed: timeIt(cfg.Repeats, func() { datalog.Controls(g, q.S, q.T) }),
-	})
+	// like the reduction variants' graph construction above; the untimed
+	// cross-check is what warms its plan cache).
+	if err := row("datalog semi-naive", func() (bool, error) { return datalog.Controls(g, q.S, q.T) }); err != nil {
+		return nil, err
+	}
 	solver, err := datalog.NewCCPSolver(g)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := solver.Controls(q.S, q.T); err != nil { // warm the plan cache
+	if err := row("datalog planned", func() (bool, error) { return solver.Controls(q.S, q.T) }); err != nil {
 		return nil, err
 	}
-	out = append(out, AblationRow{
-		Variant: "datalog planned",
-		Elapsed: timeIt(cfg.Repeats, func() { solver.Controls(q.S, q.T) }),
-	})
 	return out, nil
 }

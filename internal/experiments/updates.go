@@ -50,14 +50,11 @@ func UpdateLatency(cfg Config) (UpdateLatencyResult, error) {
 	}
 	clients := make([]dist.SiteClient, len(pi.Parts))
 	for i, p := range pi.Parts {
-		s := dist.NewSite(p, cfg.Workers)
-		s.SetFullRescan(cfg.FullRescan)
-		clients[i] = &dist.LocalClient{Site: s}
+		clients[i] = &dist.LocalClient{Site: dist.NewSite(p, cfg.Workers)}
 	}
 	coord := dist.NewCoordinator(clients, dist.Options{
-		UseCache:   true,
-		Workers:    cfg.Workers,
-		FullRescan: cfg.FullRescan,
+		UseCache: true,
+		Workers:  cfg.Workers,
 	})
 	if err := coord.PrecomputeAll(context.Background()); err != nil {
 		return UpdateLatencyResult{}, err

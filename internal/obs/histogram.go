@@ -175,38 +175,6 @@ func layoutMismatch(s, o HistogramSnapshot) error {
 	return nil
 }
 
-// Sub returns the observations in s that are not in prev — the delta
-// between two snapshots of one cumulative histogram, from which per-window
-// quantiles can be derived (a sweep row's latency excluding its warmup).
-// prev must be an earlier snapshot of the same histogram; mismatched bucket
-// layouts return a *BucketMismatchError, and counts that appear to have run
-// backwards (never the case for snapshots taken in order) clamp to zero. A
-// zero prev subtracts as the identity.
-func (s HistogramSnapshot) Sub(prev HistogramSnapshot) (HistogramSnapshot, error) {
-	if prev.Bounds == nil && prev.Count == 0 {
-		return s, nil
-	}
-	if err := layoutMismatch(s, prev); err != nil {
-		return HistogramSnapshot{}, err
-	}
-	d := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]uint64, len(s.Counts)),
-	}
-	if s.Sum > prev.Sum {
-		d.Sum = s.Sum - prev.Sum
-	}
-	if s.Count > prev.Count {
-		d.Count = s.Count - prev.Count
-	}
-	for i := range s.Counts {
-		if s.Counts[i] > prev.Counts[i] {
-			d.Counts[i] = s.Counts[i] - prev.Counts[i]
-		}
-	}
-	return d, nil
-}
-
 // Quantile estimates the q-quantile by linear interpolation inside the
 // bucket holding the target rank — the same estimate Prometheus's
 // histogram_quantile produces. q outside (0, 1] is clamped (NaN reads as 1).

@@ -119,63 +119,6 @@ func TestHistogramMergeMismatch(t *testing.T) {
 	}
 }
 
-func TestHistogramSub(t *testing.T) {
-	bounds := []float64{0.001, 0.01, 0.1, 1}
-	h := NewHistogram(bounds)
-	for _, v := range []float64{0.0005, 0.05, 2} {
-		h.Observe(v)
-	}
-	warm := h.Snapshot()
-	for _, v := range []float64{0.005, 0.005, 0.5} {
-		h.Observe(v)
-	}
-	full := h.Snapshot()
-
-	d, err := full.Sub(warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Counts subtract exactly; the float sum only to rounding error.
-	want := snap(bounds, 0.005, 0.005, 0.5)
-	if d.Count != want.Count || math.Abs(d.Sum-want.Sum) > 1e-9 {
-		t.Fatalf("delta %+v does not equal the post-warmup observations", d)
-	}
-	for i := range want.Counts {
-		if d.Counts[i] != want.Counts[i] {
-			t.Fatalf("delta bucket %d = %d, want %d", i, d.Counts[i], want.Counts[i])
-		}
-	}
-	// Subtracting the delta's complement: full - full = zero counts.
-	z, err := full.Sub(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.Count != 0 || z.Sum != 0 {
-		t.Fatalf("self-subtraction left count=%d sum=%v", z.Count, z.Sum)
-	}
-	// The zero snapshot subtracts as the identity.
-	id, err := full.Sub(HistogramSnapshot{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eq(id, full) {
-		t.Fatal("zero snapshot is not the Sub identity")
-	}
-	// Mismatched layouts refuse, like Merge.
-	var mismatch *BucketMismatchError
-	if _, err := full.Sub(snap([]float64{1, 2}, 0.5)); !errors.As(err, &mismatch) {
-		t.Fatalf("Sub of mismatched snapshots returned %v", err)
-	}
-	// Sub must not mutate its inputs.
-	before := full.Counts[1]
-	if _, err := full.Sub(warm); err != nil {
-		t.Fatal(err)
-	}
-	if full.Counts[1] != before {
-		t.Fatal("Sub mutated its receiver")
-	}
-}
-
 func TestHistogramQuantile(t *testing.T) {
 	// 100 observations spread evenly through (0, 1] over ten 0.1-wide
 	// buckets: the q-quantile should land near q.

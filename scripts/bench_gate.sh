@@ -1,197 +1,9 @@
 #!/bin/sh
-# bench_gate.sh — the continuous perf-regression gate.
-#
-# Runs the ccpbench throughput concurrency sweep twice (baseline, then
-# current), gates current against baseline with a noise threshold, and
-# appends the outcome to BENCH_history.jsonl. Then runs the gate's own
-# negative self-test: the same comparison with -handicap 2 (a synthetic 2x
-# slowdown) must exit 3, proving the gate actually fails when performance
-# collapses — a gate that cannot fail guards nothing.
-#
-# Both sweeps run on the same tree, so a pass here means "the gate machinery
-# works and the measured tree is self-consistent". To gate a change against
-# its merge-base, run the baseline sweep on the base commit and export
-# BENCH_GATE_BASELINE to point at its output.
-#
-# The sweep rows carry speedup_vs_serial for the concurrent levels, and the
-# comparison gates those series too — so losing batch scaling (while keeping
-# absolute throughput) fails the gate just like a throughput drop. The
-# current sweep also records mutex/block contention profiles so a scaling
-# regression comes with the evidence of where the time went.
-#
-# The datalog planner gets the same treatment: the datalog experiment runs
-# twice (baseline, current), the planned-vs-semi-naive speedup and the
-# goal-directed fraction are gated, the BenchmarkDatalog* microbenchmarks
-# are smoke-run, and the comparison lands in the same history file.
-#
-# The durable store gets the same treatment too: the store experiment runs
-# twice, and the buffered WAL append rate, the longest-tail replay rate and
-# the durable-vs-memory query ratio are gated — at a wider threshold
-# (BENCH_GATE_STORE_THRESHOLD), because sub-100ms IO measurements on a
-# shared machine are noisier than the second-long query sweeps. An absolute
-# floor backs the relative gate: a durable site serving mixed
-# queries+updates below half the in-memory site's rate is broken at any
-# baseline.
-#
-# The elastic serving tier gets the same treatment: the fleet experiment
-# runs twice (real loopback replication — durable leader, WAL-tailing
-# follower, replica-aware routing over paced clients), and the 2-replica
-# read speedup is gated relatively plus held to an absolute 1.5x floor —
-# routing that cannot scale paced replicas is broken at any baseline.
-#
-# Tunables (env):
-#   BENCH_GATE_SCALE            graph scale factor          (default 0.25)
-#   BENCH_GATE_CONCURRENCY      sweep max concurrency       (default 4)
-#   BENCH_GATE_SEED             graph seed                  (default 11)
-#   BENCH_GATE_REPEATS          runs averaged per point     (default 2)
-#   BENCH_GATE_THRESHOLD        noise floor, fraction       (default 0.25)
-#   BENCH_GATE_STORE_THRESHOLD  store-series noise floor    (default 0.5)
-#   BENCH_GATE_BASELINE         pre-built baseline file     (default: run a sweep)
-#   BENCH_GATE_DATALOG_BASELINE pre-built datalog baseline  (default: run the experiment)
-#   BENCH_GATE_STORE_BASELINE   pre-built store baseline    (default: run the experiment)
-#   BENCH_GATE_FLEET_BASELINE   pre-built fleet baseline    (default: run the experiment)
-#   BENCH_GATE_HISTORY          history file to append to   (default BENCH_history.jsonl)
-#   BENCH_GATE_PROFILE_DIR      contention profile output   (default bench-profiles)
+# bench_gate.sh — the perf gate: the benchmark module's own tests, then
+# benchmark/run.sh -selfcheck, which runs every BENCHMARK.json workload twice
+# on one seed and once on the next and exits non-zero when a same-seed pair
+# leaves its bound or any answer disagrees with CBE. No tunables.
 set -eu
-
 cd "$(dirname "$0")/.."
-
-scale=${BENCH_GATE_SCALE:-0.25}
-conc=${BENCH_GATE_CONCURRENCY:-4}
-seed=${BENCH_GATE_SEED:-11}
-repeats=${BENCH_GATE_REPEATS:-2}
-threshold=${BENCH_GATE_THRESHOLD:-0.25}
-storethreshold=${BENCH_GATE_STORE_THRESHOLD:-0.5}
-history=${BENCH_GATE_HISTORY:-BENCH_history.jsonl}
-profiledir=${BENCH_GATE_PROFILE_DIR:-bench-profiles}
-
-workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT INT TERM
-
-echo "== build ccpbench =="
-go build -o "$workdir" ./cmd/ccpbench
-bench="$workdir/ccpbench"
-
-baseline=${BENCH_GATE_BASELINE:-}
-if [ -z "$baseline" ]; then
-    baseline="$workdir/baseline.json"
-    echo "== baseline sweep (scale $scale, concurrency $conc, seed $seed) =="
-    "$bench" -scale "$scale" -seed "$seed" -repeats "$repeats" \
-        -concurrency "$conc" -throughput-out "$baseline" throughput
-fi
-
-echo "== current sweep (with contention profiles -> $profiledir) =="
-mkdir -p "$profiledir"
-"$bench" -scale "$scale" -seed "$seed" -repeats "$repeats" \
-    -concurrency "$conc" -throughput-out "$workdir/current.json" \
-    -mutexprofile "$profiledir/mutex.pprof" -blockprofile "$profiledir/block.pprof" \
-    throughput
-for p in mutex block; do
-    [ -s "$profiledir/$p.pprof" ] \
-        || { echo "bench_gate: $p profile missing or empty" >&2; exit 1; }
-done
-
-echo "== workload sanity: every row must exercise the merge path =="
-# The sweep's queries are built to reach the coordinator's merge path and,
-# after warmup, to hit the merged-graph snapshot cache. A row reporting a
-# zero snapshot hit rate means the workload regressed into site-only
-# evaluation and the sweep no longer measures coordination at all.
-for bad in '"merged_queries": 0,' '"snapshot_hit_rate": 0,'; do
-    if grep -q "$bad" "$workdir/current.json"; then
-        echo "bench_gate: sweep row has $bad — merge path not exercised:" >&2
-        cat "$workdir/current.json" >&2
-        exit 1
-    fi
-done
-echo "  all rows merged queries and hit the snapshot cache"
-
-echo "== datalog: baseline and current runs =="
-dlbaseline=${BENCH_GATE_DATALOG_BASELINE:-}
-if [ -z "$dlbaseline" ]; then
-    dlbaseline="$workdir/datalog-baseline.json"
-    "$bench" -scale "$scale" -seed "$seed" -repeats "$repeats" \
-        -datalog-out "$dlbaseline" datalog
-fi
-"$bench" -scale "$scale" -seed "$seed" -repeats "$repeats" \
-    -datalog-out "$workdir/datalog-current.json" datalog
-
-echo "== datalog sanity: the planner must beat semi-naive re-evaluation =="
-# The speedup is also gated relatively below; this is the absolute floor —
-# a planner slower than the engine it plans for is broken at any baseline.
-grep -q '"speedup_planned_vs_seminaive"' "$workdir/datalog-current.json" \
-    || { echo "bench_gate: datalog file records no speedup" >&2; exit 1; }
-awk -F'[:,]' '/"speedup_planned_vs_seminaive"/ {
-    if ($2 + 0 < 2) { printf "bench_gate: planned speedup %.2fx below the 2x floor\n", $2; exit 1 }
-    printf "  planned datalog is %.1fx semi-naive\n", $2
-}' "$workdir/datalog-current.json"
-
-echo "== datalog microbenchmarks (smoke) =="
-go test -run '^$' -bench '^BenchmarkDatalog' -benchtime 1x ./internal/datalog
-
-echo "== store: baseline and current runs =="
-stbaseline=${BENCH_GATE_STORE_BASELINE:-}
-if [ -z "$stbaseline" ]; then
-    stbaseline="$workdir/store-baseline.json"
-    "$bench" -scale "$scale" -seed "$seed" -repeats "$repeats" \
-        -store-out "$stbaseline" store
-fi
-"$bench" -scale "$scale" -seed "$seed" -repeats "$repeats" \
-    -store-out "$workdir/store-current.json" store
-
-echo "== store sanity: durability must stay off the read path =="
-# The relative gate below holds the ratio steady run-over-run; this is the
-# absolute floor — a durable site serving the mixed workload at less than
-# half the in-memory rate means commits or snapshots landed on reads.
-grep -q '"durable_over_memory"' "$workdir/store-current.json" \
-    || { echo "bench_gate: store file records no durable/memory ratio" >&2; exit 1; }
-awk -F'[:,]' '/"durable_over_memory"/ {
-    if ($2 + 0 < 0.5) { printf "bench_gate: durable site at %.2fx of memory, below the 0.5x floor\n", $2; exit 1 }
-    printf "  durable site serves the mixed workload at %.2fx of memory\n", $2
-}' "$workdir/store-current.json"
-
-echo "== fleet: baseline and current runs =="
-flbaseline=${BENCH_GATE_FLEET_BASELINE:-}
-if [ -z "$flbaseline" ]; then
-    flbaseline="$workdir/fleet-baseline.json"
-    "$bench" -scale "$scale" -seed "$seed" -repeats "$repeats" \
-        -fleet-out "$flbaseline" fleet
-fi
-"$bench" -scale "$scale" -seed "$seed" -repeats "$repeats" \
-    -fleet-out "$workdir/fleet-current.json" fleet
-
-echo "== fleet sanity: two replicas must out-serve one =="
-# The speedup is also gated relatively below; this is the absolute floor —
-# the replicas are paced (fixed per-request service window), so a 2-replica
-# set below 1.5x of one replica means the routing tier, not the machine,
-# failed to spread the reads.
-grep -q '"speedup_vs_one_replica"' "$workdir/fleet-current.json" \
-    || { echo "bench_gate: fleet file records no replica speedup" >&2; exit 1; }
-awk -F'[:,]' '/"speedup_vs_one_replica"/ {
-    if ($2 + 0 < 1.5) { printf "bench_gate: 2-replica read speedup %.2fx below the 1.5x floor\n", $2; exit 1 }
-    printf "  2 replicas serve reads at %.2fx of one\n", $2
-}' "$workdir/fleet-current.json"
-
-echo "== gate: current vs baseline (threshold $threshold) =="
-"$bench" -compare "$baseline" -compare-with "$workdir/current.json" \
-    -gate-threshold "$threshold" -history "$history"
-"$bench" -compare "$dlbaseline" -compare-with "$workdir/datalog-current.json" \
-    -gate-threshold "$threshold" -history "$history"
-"$bench" -compare "$stbaseline" -compare-with "$workdir/store-current.json" \
-    -gate-threshold "$storethreshold" -history "$history"
-"$bench" -compare "$flbaseline" -compare-with "$workdir/fleet-current.json" \
-    -gate-threshold "$threshold" -history "$history"
-
-echo "== gate self-test: an injected 2x slowdown must fail =="
-status=0
-"$bench" -compare "$baseline" -compare-with "$workdir/current.json" \
-    -gate-threshold "$threshold" -handicap 2 >"$workdir/selftest.log" 2>&1 || status=$?
-if [ "$status" != 3 ]; then
-    echo "bench_gate: self-test expected exit 3 (regression), got $status:" >&2
-    cat "$workdir/selftest.log" >&2
-    exit 1
-fi
-grep -q "PERFORMANCE REGRESSION" "$workdir/selftest.log" \
-    || { echo "bench_gate: self-test exit 3 without the regression banner" >&2; exit 1; }
-echo "  self-test tripped the gate as expected (exit 3)"
-
-echo "ok: perf-regression gate passed (history appended to $history)"
+(cd benchmark && go vet . && go test .)
+bash benchmark/run.sh -selfcheck

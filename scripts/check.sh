@@ -4,8 +4,9 @@
 # Runs formatting, vet, build, the full test suite (shuffled, with an
 # explicit timeout so a hung transport test fails fast instead of stalling
 # CI), and the race detector over the packages that do parallel graph
-# surgery or concurrent transport work. CI and pre-commit hooks should call
-# exactly this script; if it passes, the change is shippable.
+# surgery or concurrent transport work, then the benchmark module's own
+# vet/tests and a quick, answers-only benchmark run. CI and pre-commit hooks
+# should call exactly this script; if it passes, the change is shippable.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,5 +41,14 @@ go test -race -shuffle=on -timeout 10m \
     ./internal/obs/... \
     ./internal/obs/audit/... \
     ./internal/obs/flight/...
+
+# The benchmark is its own module (replace ccp => ../), so ./... above never
+# sees it. -quick -selfcheck runs all four workloads (TCP and durable
+# included) on two seeds and fails on any answer that disagrees with CBE; it
+# checks no timing, so it cannot fail on a busy machine. (Bare -quick also
+# asserts a timing share in its traced pass, which a busy machine trips.)
+echo "== benchmark module: vet, test, quick run =="
+(cd benchmark && go vet . && go test .)
+bash benchmark/run.sh -quick -selfcheck
 
 echo "ok: all checks passed"
