@@ -153,10 +153,10 @@ func ControlsDeclarative(g *Graph, s, t NodeID) (bool, error) {
 	return datalog.Controls(g, s, t)
 }
 
-// DatalogSolver answers control queries through the planned Datalog engine:
-// the ownership facts are loaded once, each query is evaluated
-// goal-directedly (magic-sets rewriting seeds only the subgraph relevant to
-// the queried source), and compiled plans are cached across queries. Use it
+// DatalogSolver answers control queries goal-directedly on the embedded
+// Datalog engine: the ownership facts are loaded once, each query runs behind
+// the magic-sets rewrite (which seeds only the subgraph relevant to the
+// queried source), and compiled plans are cached across queries. Use it
 // instead of ControlsDeclarative when issuing many queries over one graph.
 // Queries are safe to issue concurrently.
 type DatalogSolver = datalog.CCPSolver

@@ -227,27 +227,11 @@ func NewClusterFromPartitioning(pi *partition.Partitioning, opts ClusterOptions)
 // breaker (see ClusterOptions.FailureThreshold / CircuitCooldown and
 // Cluster.Health).
 func ConnectCluster(ctx context.Context, addrs []string, opts ClusterOptions) (*Cluster, error) {
-	cfg := dist.ClientConfig{
-		DialTimeout:      opts.DialTimeout,
-		FailureThreshold: opts.FailureThreshold,
-		Cooldown:         opts.CircuitCooldown,
-		Observer:         opts.Observer,
-		Logger:           opts.Logger,
-	}
-	clients := make([]dist.SiteClient, len(addrs))
+	sites := make([][]string, len(addrs))
 	for i, addr := range addrs {
-		c, err := dist.DialConfig(ctx, addr, cfg)
-		if err != nil {
-			for _, prev := range clients[:i] {
-				prev.(*dist.RemoteClient).Close()
-			}
-			return nil, fmt.Errorf("ccp: connecting site %s: %w", addr, err)
-		}
-		clients[i] = c
+		sites[i] = []string{addr}
 	}
-	dopts := opts.distOptions()
-	coord := dist.NewCoordinator(clients, dopts)
-	return newCluster(coord, dopts, len(addrs), nil, clients), nil
+	return ConnectReplicatedCluster(ctx, sites, opts)
 }
 
 // ParseReplicaAddrs splits one -sites style spec into per-site replica
@@ -275,8 +259,8 @@ func ParseReplicaAddrs(spec string) [][]string {
 // with ccpd -replica-of). Reads are routed to the least-loaded healthy
 // replica and verified fresh against the site's write watermark (a stale or
 // failing follower falls back to the leader in the same call); writes go to
-// leaders only. A site given as a single address behaves exactly like a
-// ConnectCluster site.
+// leaders only. A site given as a single address is dialed directly, with no
+// replica routing in front of it.
 func ConnectReplicatedCluster(ctx context.Context, sites [][]string, opts ClusterOptions) (*Cluster, error) {
 	cfg := dist.ClientConfig{
 		DialTimeout:      opts.DialTimeout,

@@ -118,44 +118,24 @@ func cmdDoctor(args []string) error {
 // scrapeDoctorDoc fetches one process's /varz, /audit and /slo. /varz is
 // mandatory (without it the process is unexaminable — a red scrape
 // finding); /audit and /slo are optional so older processes still join the
-// report. /audit answers 500 while violated by design, so the body is
-// decoded regardless of status.
+// report. /audit answers 500 while violated by design, so that status is
+// decoded too.
 func scrapeDoctorDoc(client *http.Client, addr string) doctorDoc {
 	doc := doctorDoc{Addr: addr}
-	base := addr
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	base = strings.TrimSuffix(base, "/")
-
-	get := func(path string, into any) error {
-		resp, err := client.Get(base + path)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusNotFound {
-			return errNotFound
-		}
-		return json.NewDecoder(resp.Body).Decode(into)
-	}
-
-	if err := get("/varz", &doc.Varz); err != nil {
+	if err := opsGet(client, addr, "/varz", &doc.Varz); err != nil {
 		doc.Err = err.Error()
 		return doc
 	}
 	var rep audit.Report
-	if err := get("/audit", &rep); err == nil {
+	if err := opsGet(client, addr, "/audit", &rep, http.StatusInternalServerError); err == nil {
 		doc.Audit = &rep
 	}
 	var slo doctorSLOPayload
-	if err := get("/slo", &slo); err == nil {
+	if err := opsGet(client, addr, "/slo", &slo); err == nil {
 		doc.SLO = &slo
 	}
 	return doc
 }
-
-var errNotFound = fmt.Errorf("endpoint not served")
 
 // readDoctorDocs loads saved doctor documents — a single JSON object or an
 // array — from a file written by `ccpctl doctor -json`-adjacent tooling or

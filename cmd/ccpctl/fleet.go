@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"text/tabwriter"
 	"time"
 )
@@ -52,20 +51,9 @@ func cmdFleet(args []string) error {
 
 	var rows []fleetRow
 	for _, addr := range addrs {
-		url := addr
-		if !strings.Contains(url, "://") {
-			url = "http://" + url
-		}
-		resp, err := client.Get(strings.TrimSuffix(url, "/") + "/varz")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccpctl: fleet: %s unreachable: %v\n", addr, err)
-			continue
-		}
 		var doc varzDoc
-		err = json.NewDecoder(resp.Body).Decode(&doc)
-		resp.Body.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccpctl: fleet: %s: bad /varz payload: %v\n", addr, err)
+		if err := opsGet(client, addr, "/varz", &doc); err != nil {
+			fmt.Fprintf(os.Stderr, "ccpctl: fleet: %s: %v\n", addr, err)
 			continue
 		}
 		rows = append(rows, classifyFleet(addr, doc)...)

@@ -44,26 +44,11 @@ func cmdFlight(args []string) error {
 	var dumps []flight.Dump
 	client := &http.Client{Timeout: *timeout}
 	for _, addr := range splitList(*opsList) {
-		url := addr
-		if !strings.Contains(url, "://") {
-			url = "http://" + url
-		}
-		url = strings.TrimSuffix(url, "/") + "/debug/flight"
-		resp, err := client.Get(url)
-		if err != nil {
-			return fmt.Errorf("flight: fetching %s: %w", url, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return fmt.Errorf("flight: fetching %s: %s", url, resp.Status)
-		}
 		var d flight.Dump
-		err = json.NewDecoder(resp.Body).Decode(&d)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("flight: decoding %s: %w", url, err)
+		if err := opsGet(client, addr, "/debug/flight", &d); err != nil {
+			return fmt.Errorf("flight: %w", err)
 		}
-		logger.Debug("fetched flight dump", "url", url, "events", len(d.Events), "process", d.Process)
+		logger.Debug("fetched flight dump", "addr", addr, "events", len(d.Events), "process", d.Process)
 		dumps = append(dumps, d)
 	}
 	for _, path := range splitList(*inList) {

@@ -248,13 +248,7 @@ func cmdQuery(args []string) error {
 		}
 		ans = res.Controls
 	case "datalog":
-		if *explain {
-			// The planned evaluator computes the same global fixpoint and
-			// reports what it did; the plain path has nothing to explain.
-			ans, plan, err = queryDatalogGlobal(g, ccp.NodeID(*s), ccp.NodeID(*t))
-		} else {
-			ans, err = ccp.ControlsDeclarative(g, ccp.NodeID(*s), ccp.NodeID(*t))
-		}
+		ans, plan, err = queryDatalogGlobal(g, ccp.NodeID(*s), ccp.NodeID(*t))
 		if err != nil {
 			return err
 		}
@@ -283,8 +277,8 @@ func cmdQuery(args []string) error {
 	return nil
 }
 
-// queryDatalogGlobal answers via the control program's global fixpoint on
-// the planned evaluator, returning its explain record.
+// queryDatalogGlobal answers via the control program's bottom-up global
+// fixpoint, returning its explain record.
 func queryDatalogGlobal(g *ccp.Graph, s, t ccp.NodeID) (bool, *datalog.Explain, error) {
 	if s == t {
 		return true, &datalog.Explain{Goal: "control(s,s)? (reflexive)"}, nil
@@ -293,7 +287,7 @@ func queryDatalogGlobal(g *ccp.Graph, s, t ccp.NodeID) (bool, *datalog.Explain, 
 	if err != nil {
 		return false, nil, err
 	}
-	_, plan, err := e.RunPlanned()
+	_, plan, err := e.Run()
 	if err != nil {
 		return false, nil, err
 	}
@@ -436,7 +430,7 @@ func cmdDatalog(args []string) error {
 	s := fs.Int("s", -1, "source company (seeds source/1)")
 	t := fs.Int("t", -1, "optional target; omit to print the controlled count")
 	program := fs.String("program", "", "program file (default: the company control program)")
-	explain := fs.Bool("explain", false, "evaluate through the planner and print the plan and per-rule counts")
+	explain := fs.Bool("explain", false, "print the plan and per-rule counts")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -474,15 +468,9 @@ func cmdDatalog(args []string) error {
 		return err
 	}
 	start := time.Now()
-	var iters int
-	var plan *datalog.Explain
-	if *explain {
-		iters, plan, err = e.RunPlanned()
-		if err != nil {
-			return err
-		}
-	} else {
-		iters = e.Run()
+	iters, plan, err := e.Run()
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 	if *t >= 0 {
@@ -492,7 +480,7 @@ func cmdDatalog(args []string) error {
 		fmt.Printf("control(%d, _) has %d tuples  [%d iterations, %v]\n",
 			*s, e.Count("control"), iters, elapsed)
 	}
-	if plan != nil {
+	if *explain {
 		fmt.Print(plan.String())
 	}
 	return nil

@@ -43,20 +43,9 @@ func cmdStore(args []string) error {
 	var rows []storeRow
 	var memOnly []string
 	for _, addr := range addrs {
-		url := addr
-		if !strings.Contains(url, "://") {
-			url = "http://" + url
-		}
-		resp, err := client.Get(strings.TrimSuffix(url, "/") + "/varz")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccpctl: store: %s unreachable: %v\n", addr, err)
-			continue
-		}
 		var doc varzDoc
-		err = json.NewDecoder(resp.Body).Decode(&doc)
-		resp.Body.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ccpctl: store: %s: bad /varz payload: %v\n", addr, err)
+		if err := opsGet(client, addr, "/varz", &doc); err != nil {
+			fmt.Fprintf(os.Stderr, "ccpctl: store: %s: %v\n", addr, err)
 			continue
 		}
 		// Group the flat series by their label set; each label set with

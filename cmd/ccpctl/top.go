@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"ccp/internal/obs"
@@ -82,20 +80,8 @@ func cmdTop(args []string) error {
 	client := &http.Client{Timeout: *interval}
 
 	scrape := func(addr string) (*topSample, error) {
-		url := addr
-		if !strings.Contains(url, "://") {
-			url = "http://" + url
-		}
-		resp, err := client.Get(strings.TrimSuffix(url, "/") + "/varz")
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("%s", resp.Status)
-		}
 		var doc varzDoc
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		if err := opsGet(client, addr, "/varz", &doc); err != nil {
 			return nil, err
 		}
 		return &topSample{at: time.Now(), vars: doc.Metrics}, nil

@@ -85,24 +85,6 @@ func expand(g graph.Ownership, s graph.NodeID, visit func(graph.NodeID) bool) {
 	}
 }
 
-// SerialFixpoint answers q_c(s, t) with the naive quadratic formulation of
-// Algorithm 1, re-scanning every non-controlled node's predecessor list on
-// every round until the controlled set stops growing. This reproduces the
-// behaviour of the baseline serial algorithm used as the paper's performance
-// yardstick (Section VIII-D).
-func SerialFixpoint(g *graph.Graph, q Query) bool {
-	if q.S == q.T {
-		return true
-	}
-	return serialFixpointSet(g, q.S, q.T).Has(q.T)
-}
-
-// SerialFixpointSet computes the controlled set of s by naive fixpoint
-// iteration, the literal while-loop of Algorithm 1.
-func SerialFixpointSet(g *graph.Graph, s graph.NodeID) graph.NodeSet {
-	return serialFixpointSet(g, s, graph.None)
-}
-
 // SerialBaselineSet computes the controlled set of s with the literal
 // formulation of Algorithm 1: "while there is some u ∉ Controlled whose
 // controlled ownership exceeds 0.5, add u" — one node per while-iteration,
@@ -138,41 +120,4 @@ func SerialBaselineSet(g *graph.Graph, s graph.NodeID) graph.NodeSet {
 		}
 		controlled.Add(added)
 	}
-}
-
-func serialFixpointSet(g *graph.Graph, s, stopAt graph.NodeID) graph.NodeSet {
-	controlled := graph.NewNodeSet()
-	if !g.Alive(s) {
-		return controlled
-	}
-	controlled.Add(s)
-	if s == stopAt {
-		return controlled
-	}
-	for changed := true; changed; {
-		changed = false
-		done := false
-		g.EachNode(func(u graph.NodeID) {
-			if done || controlled.Has(u) {
-				return
-			}
-			var sum float64
-			g.EachIn(u, func(p graph.NodeID, w float64) {
-				if controlled.Has(p) {
-					sum += w
-				}
-			})
-			if graph.ExceedsControl(sum) {
-				controlled.Add(u)
-				changed = true
-				if u == stopAt {
-					done = true
-				}
-			}
-		})
-		if done {
-			break
-		}
-	}
-	return controlled
 }

@@ -1,10 +1,8 @@
 package control
 
 import (
-	"math/rand"
 	"testing"
 
-	"ccp/internal/gen"
 	"ccp/internal/graph"
 )
 
@@ -121,31 +119,6 @@ func TestControlledSet(t *testing.T) {
 	}
 	if s := ControlledSet(g, 99); len(s) != 0 {
 		t.Fatalf("ControlledSet of missing node = %v", s)
-	}
-}
-
-func TestSerialFixpointMatchesCBE(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(30)
-		g := gen.Random(n, rng.Intn(4*n), rng.Int63())
-		s := graph.NodeID(rng.Intn(n))
-		tt := graph.NodeID(rng.Intn(n))
-		q := Query{s, tt}
-		if CBE(g, q) != SerialFixpoint(g, q) {
-			t.Fatalf("trial %d: CBE and SerialFixpoint disagree on %v", trial, q)
-		}
-	}
-}
-
-func TestSerialFixpointSet(t *testing.T) {
-	g := diamond(t)
-	set := SerialFixpointSet(g, 0)
-	if len(set) != 4 {
-		t.Fatalf("set = %v", set)
-	}
-	if s := SerialFixpointSet(g, 42); len(s) != 0 {
-		t.Fatalf("missing source: %v", s)
 	}
 }
 

@@ -72,19 +72,6 @@ type Result struct {
 // of an explicitly reused Reducer.
 var reducerPool = sync.Pool{New: func() any { return NewReducer() }}
 
-// GetReducer borrows a Reducer from the shared pool. It is the scratch
-// surface for callers that interleave reduction with other work (the dist
-// coordinator's batch workers): borrow, Reduce any number of times, then
-// PutReducer. A borrowed Reducer must not be shared across goroutines.
-func GetReducer() *Reducer { return reducerPool.Get().(*Reducer) }
-
-// PutReducer returns a Reducer borrowed with GetReducer to the shared pool.
-func PutReducer(r *Reducer) {
-	if r != nil {
-		reducerPool.Put(r)
-	}
-}
-
 // ParallelReduction is the procedure parallelReduction of Section VI: it
 // reduces g in place with respect to query q, never removing nodes of the
 // exclusion set x, using parallel mark / clean / simplify steps.

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
@@ -206,6 +207,32 @@ func TestReductionShrinksGraph(t *testing.T) {
 	}
 	if res.Stats.Removed+res.Stats.Contracted != n0-g.NumNodes() {
 		t.Fatalf("stats inconsistent: %+v, removed %d", res.Stats, n0-g.NumNodes())
+	}
+}
+
+// TestBinarySizeAfterReduction: the reduced partial's O(1) BinarySize — what
+// the in-process transport reports as traffic — equals the bytes WriteBinary
+// emits, under the serial and the sharded batch mutators alike.
+func TestBinarySizeAfterReduction(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		n := 20 + rng.Intn(200)
+		g := gen.Random(n, rng.Intn(4*n), rng.Int63())
+		x := graph.NewNodeSet()
+		for i := 0; i < 1+n/8; i++ {
+			x.Add(graph.NodeID(rng.Intn(n)))
+		}
+		q := Query{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
+		x.Add(q.S)
+		x.Add(q.T)
+		res := mustReduce(t, g, q, x, Options{Workers: 1 + 3*(trial%2), DisableTermination: true})
+		var buf bytes.Buffer
+		if err := res.Reduced.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Reduced.BinarySize(); got != int64(buf.Len()) {
+			t.Fatalf("trial %d: BinarySize() = %d, WriteBinary wrote %d", trial, got, buf.Len())
+		}
 	}
 }
 

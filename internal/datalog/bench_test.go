@@ -27,10 +27,10 @@ func benchGraph(n int) (*graph.Graph, []control2) {
 
 type control2 struct{ s, t graph.NodeID }
 
-// BenchmarkDatalogSemiNaiveQuery is the baseline the planner is gated
-// against: each control(s,t)? answer rebuilds the engine and runs the
-// global semi-naive fixpoint — what datalog.Controls does today.
-func BenchmarkDatalogSemiNaiveQuery(b *testing.B) {
+// BenchmarkDatalogGlobalFixpointQuery is the baseline the goal-directed
+// path is compared against: each control(s,t)? answer rebuilds the engine
+// and runs the bottom-up global fixpoint — what datalog.Controls does.
+func BenchmarkDatalogGlobalFixpointQuery(b *testing.B) {
 	g, pairs := benchGraph(300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -63,9 +63,9 @@ func BenchmarkDatalogPlannedRepeatedQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkDatalogRunSemiNaive and BenchmarkDatalogRunPlanned compare the
-// two evaluators on the same global fixpoint (all-sources control program).
-func BenchmarkDatalogRunSemiNaive(b *testing.B) {
+// BenchmarkDatalogRun measures the bottom-up global fixpoint of the
+// all-sources control program, engine build included.
+func BenchmarkDatalogRun(b *testing.B) {
 	g, _ := benchGraph(300)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,19 +73,7 @@ func BenchmarkDatalogRunSemiNaive(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		solver.Engine().Run()
-	}
-}
-
-func BenchmarkDatalogRunPlanned(b *testing.B) {
-	g, _ := benchGraph(300)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		solver, err := NewCCPSolver(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := solver.Engine().RunPlanned(); err != nil {
+		if _, _, err := solver.Engine().Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,12 +4,12 @@ import (
 	"ccp/internal/graph"
 )
 
-// ControlProgram builds an engine loaded with the company control program of
-// Section III over the ownership graph g, seeded with source company s:
+// controlEngine declares the company control program of Section III and
+// loads g's ownership edges as own facts; callers assert the source facts:
 //
 //	control(x,x) :- source(x).
 //	control(x,z) :- control(x,y), own(y,z,w), msum(w,<y>) > 0.5.
-func ControlProgram(g *graph.Graph, s graph.NodeID) (*Engine, error) {
+func controlEngine(g *graph.Graph) (*Engine, error) {
 	e := NewEngine()
 	if err := e.Relation("own", 2, true); err != nil {
 		return nil, err
@@ -30,11 +30,6 @@ func ControlProgram(g *graph.Graph, s graph.NodeID) (*Engine, error) {
 	})
 	if addErr != nil {
 		return nil, addErr
-	}
-	if g.Alive(s) {
-		if err := e.AddFact("source", 0, Value(s)); err != nil {
-			return nil, err
-		}
 	}
 	if err := e.AddRule(Rule{
 		Head: Atom{Pred: "control", Terms: []Term{V("x"), V("x")}},
@@ -55,8 +50,24 @@ func ControlProgram(g *graph.Graph, s graph.NodeID) (*Engine, error) {
 	return e, nil
 }
 
-// Controls answers q_c(s, t) by running the logic program to fixpoint — the
-// declarative reference implementation of the company control problem.
+// ControlProgram builds an engine loaded with the control program over the
+// ownership graph g, seeded with source company s.
+func ControlProgram(g *graph.Graph, s graph.NodeID) (*Engine, error) {
+	e, err := controlEngine(g)
+	if err != nil {
+		return nil, err
+	}
+	if g.Alive(s) {
+		if err := e.AddFact("source", 0, Value(s)); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+// Controls answers q_c(s, t) by running the logic program bottom-up to
+// fixpoint — the declarative reference implementation of the company control
+// problem.
 func Controls(g *graph.Graph, s, t graph.NodeID) (bool, error) {
 	if s == t {
 		return true, nil
@@ -65,7 +76,9 @@ func Controls(g *graph.Graph, s, t graph.NodeID) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	e.Run()
+	if _, _, err := e.Run(); err != nil {
+		return false, err
+	}
 	return e.Has("control", Value(s), Value(t)), nil
 }
 
@@ -75,7 +88,9 @@ func ControlledSet(g *graph.Graph, s graph.NodeID) (graph.NodeSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.Run()
+	if _, _, err := e.Run(); err != nil {
+		return nil, err
+	}
 	set := graph.NewNodeSet()
 	for _, tup := range e.Facts("control") {
 		set.Add(graph.NodeID(tup[1]))
@@ -87,23 +102,17 @@ func ControlledSet(g *graph.Graph, s graph.NodeID) (graph.NodeSet, error) {
 // Unlike Controls, which rebuilds an engine and runs the global fixpoint per
 // call, the solver loads the ownership facts once — with source(v) for every
 // alive node, so any company can be a query source — and answers each query
-// through the planned engine: the magic-sets rewrite seeds only the
-// subgraph reachable from the queried source, and the compiled plan is
-// cached across queries. Queries are safe to issue from multiple goroutines.
+// through Engine.Query: the magic-sets rewrite seeds only the subgraph
+// reachable from the queried source, and the compiled plan is cached across
+// queries. Queries are safe to issue from multiple goroutines.
 type CCPSolver struct {
 	e *Engine
 }
 
 // NewCCPSolver builds a solver over g.
 func NewCCPSolver(g *graph.Graph) (*CCPSolver, error) {
-	e := NewEngine()
-	if err := e.Relation("own", 2, true); err != nil {
-		return nil, err
-	}
-	if err := e.Relation("source", 1, false); err != nil {
-		return nil, err
-	}
-	if err := e.Relation("control", 2, false); err != nil {
+	e, err := controlEngine(g)
+	if err != nil {
 		return nil, err
 	}
 	var addErr error
@@ -111,30 +120,9 @@ func NewCCPSolver(g *graph.Graph) (*CCPSolver, error) {
 		if err := e.AddFact("source", 0, Value(v)); err != nil && addErr == nil {
 			addErr = err
 		}
-		g.EachOut(v, func(u graph.NodeID, w float64) {
-			if err := e.AddFact("own", w, Value(v), Value(u)); err != nil && addErr == nil {
-				addErr = err
-			}
-		})
 	})
 	if addErr != nil {
 		return nil, addErr
-	}
-	if err := e.AddRule(Rule{
-		Head: Atom{Pred: "control", Terms: []Term{V("x"), V("x")}},
-		Body: []Atom{{Pred: "source", Terms: []Term{V("x")}}},
-	}); err != nil {
-		return nil, err
-	}
-	if err := e.AddRule(Rule{
-		Head: Atom{Pred: "control", Terms: []Term{V("x"), V("z")}},
-		Body: []Atom{
-			{Pred: "control", Terms: []Term{V("x"), V("y")}},
-			{Pred: "own", Terms: []Term{V("y"), V("z")}, WeightVar: "w"},
-		},
-		Agg: &MSum{WeightVar: "w", ContribVar: "y", Threshold: graph.ControlThreshold + graph.ControlEps},
-	}); err != nil {
-		return nil, err
 	}
 	return &CCPSolver{e: e}, nil
 }

@@ -12,6 +12,11 @@
 // crosses a threshold. msum is monotone, so the semi-naive strategy stays
 // sound: every (group, contributor) pair is counted exactly once, and fired
 // heads are never retracted.
+//
+// There is one evaluator: rules compile to slot plans (plan.go) that one
+// streaming fixpoint loop runs (eval.go). Run evaluates the program as
+// written — the bottom-up reference — and Query puts the magic-sets rewrite
+// (magic.go) in front of the same loop.
 package datalog
 
 import (
@@ -137,16 +142,10 @@ func (r *relation) has(t []Value) bool {
 	return ok
 }
 
-// Engine holds relations and rules and runs the fixpoint.
+// Engine holds relations and rules; Run and Query evaluate them.
 type Engine struct {
 	rels  map[string]*relation
 	rules []Rule
-
-	// aggregate state, per rule index: group key -> accumulated sum,
-	// and group|contrib key -> seen. The maps are pooled across Run calls on
-	// a reused engine: Run clears them instead of reallocating.
-	aggSum  []map[string]float64
-	aggSeen []map[string]bool
 
 	// version counts schema changes (relations, rules); compiled plans are
 	// keyed by it, so a schema change invalidates the plan cache.
@@ -293,214 +292,4 @@ func (e *Engine) Count(name string) int {
 		return 0
 	}
 	return len(r.list)
-}
-
-// binding is a variable assignment during rule evaluation.
-type binding struct {
-	vars    map[string]Value
-	weights map[string]float64
-}
-
-// Run evaluates all rules to fixpoint with semi-naive iteration and returns
-// the number of iterations performed.
-func (e *Engine) Run() int {
-	// The per-rule aggregate maps are reused across runs: clearing keeps the
-	// allocated buckets, so repeated evaluations on one engine (the
-	// plan-cache hit path) do not rebuild aggregate state from scratch.
-	if len(e.aggSum) != len(e.rules) {
-		e.aggSum = make([]map[string]float64, len(e.rules))
-		e.aggSeen = make([]map[string]bool, len(e.rules))
-	}
-	for i := range e.rules {
-		if e.aggSum[i] == nil {
-			e.aggSum[i] = make(map[string]float64)
-			e.aggSeen[i] = make(map[string]bool)
-		} else {
-			clear(e.aggSum[i])
-			clear(e.aggSeen[i])
-		}
-	}
-	// delta[pred] holds the tuple indices that are new since the previous
-	// iteration. Initially everything is new.
-	delta := make(map[string][2]int) // pred -> [from, to) index range
-	for name, r := range e.rels {
-		delta[name] = [2]int{0, len(r.list)}
-	}
-	iterations := 0
-	for {
-		iterations++
-		// Remember current sizes: anything appended this round is the next
-		// delta.
-		before := make(map[string]int, len(e.rels))
-		for name, r := range e.rels {
-			before[name] = len(r.list)
-		}
-		for ri, rule := range e.rules {
-			e.evalRule(ri, rule, delta)
-		}
-		changed := false
-		next := make(map[string][2]int, len(e.rels))
-		for name, r := range e.rels {
-			next[name] = [2]int{before[name], len(r.list)}
-			if len(r.list) > before[name] {
-				changed = true
-			}
-		}
-		delta = next
-		if !changed {
-			return iterations
-		}
-	}
-}
-
-// evalRule joins the rule body in every semi-naive configuration: for each
-// body position p, delta(p) ⋈ full(other positions). Aggregate rules route
-// the join results through the msum state instead of asserting directly.
-func (e *Engine) evalRule(ri int, rule Rule, delta map[string][2]int) {
-	for p := range rule.Body {
-		dr := delta[rule.Body[p].Pred]
-		if dr[0] == dr[1] {
-			continue // no new tuples for this position
-		}
-		b := binding{vars: map[string]Value{}, weights: map[string]float64{}}
-		e.join(ri, rule, p, 0, b, dr)
-	}
-}
-
-// join extends bindings over body atoms left to right; atom deltaPos is
-// restricted to the delta range.
-func (e *Engine) join(ri int, rule Rule, deltaPos, atomIdx int, b binding, dr [2]int) {
-	if atomIdx == len(rule.Body) {
-		e.fire(ri, rule, b)
-		return
-	}
-	atom := rule.Body[atomIdx]
-	rel := e.rels[atom.Pred]
-	lo, hi := 0, len(rel.list)
-	if atomIdx == deltaPos {
-		lo, hi = dr[0], dr[1]
-	}
-	// Prefer an index lookup on the first position bound by the current
-	// bindings or a constant; otherwise scan the range directly instead of
-	// materializing a candidate slice.
-	if idxs, ok := e.candidates(rel, atom, b, lo, hi); ok {
-		for _, ti := range idxs {
-			nb, ok := match(atom, rel.list[ti], rel.weights[ti], b)
-			if !ok {
-				continue
-			}
-			e.join(ri, rule, deltaPos, atomIdx+1, nb, dr)
-		}
-		return
-	}
-	for ti := lo; ti < hi; ti++ {
-		nb, ok := match(atom, rel.list[ti], rel.weights[ti], b)
-		if !ok {
-			continue
-		}
-		e.join(ri, rule, deltaPos, atomIdx+1, nb, dr)
-	}
-}
-
-// candidates returns tuple indices of rel within [lo, hi) worth matching
-// against atom under bindings b, using a positional index when possible. The
-// returned slice aliases the index postings — postings are appended in
-// ascending tuple order, so the [lo, hi) restriction is a binary-searched
-// subslice, never a filtered copy. ok is false when no position is bound and
-// the caller should scan the range itself.
-func (e *Engine) candidates(rel *relation, atom Atom, b binding, lo, hi int) ([]int, bool) {
-	for pos, t := range atom.Terms {
-		var v Value
-		var bound bool
-		if t.Var == "" {
-			v, bound = t.Const, true
-		} else if bv, ok := b.vars[t.Var]; ok {
-			v, bound = bv, true
-		}
-		if !bound {
-			continue
-		}
-		return clipRange(rel.index[pos][v], lo, hi), true
-	}
-	return nil, false
-}
-
-// clipRange restricts an ascending postings slice to tuple indices in
-// [lo, hi) by binary search, returning a subslice of the original.
-func clipRange(idxs []int, lo, hi int) []int {
-	if len(idxs) == 0 {
-		return idxs
-	}
-	if lo <= idxs[0] && idxs[len(idxs)-1] < hi {
-		return idxs
-	}
-	from := sort.SearchInts(idxs, lo)
-	to := sort.SearchInts(idxs, hi)
-	return idxs[from:to]
-}
-
-// match unifies atom against tuple, extending b; it returns the extended
-// binding and whether unification succeeded. b is not mutated. w is the
-// tuple's weight, bound when the atom names a weight variable.
-func match(atom Atom, tuple []Value, w float64, b binding) (binding, bool) {
-	nb := binding{
-		vars:    make(map[string]Value, len(b.vars)+len(tuple)),
-		weights: b.weights,
-	}
-	for k, v := range b.vars {
-		nb.vars[k] = v
-	}
-	for i, t := range atom.Terms {
-		if t.Var == "" {
-			if tuple[i] != t.Const {
-				return b, false
-			}
-			continue
-		}
-		if v, ok := nb.vars[t.Var]; ok {
-			if v != tuple[i] {
-				return b, false
-			}
-			continue
-		}
-		nb.vars[t.Var] = tuple[i]
-	}
-	if atom.WeightVar != "" {
-		nw := make(map[string]float64, len(b.weights)+1)
-		for k, v := range b.weights {
-			nw[k] = v
-		}
-		nw[atom.WeightVar] = w
-		nb.weights = nw
-	}
-	return nb, true
-}
-
-// fire processes one complete body binding: plain rules assert the head;
-// msum rules accumulate and assert when the threshold is crossed.
-func (e *Engine) fire(ri int, rule Rule, b binding) {
-	head := make([]Value, len(rule.Head.Terms))
-	for i, t := range rule.Head.Terms {
-		if t.Var == "" {
-			head[i] = t.Const
-		} else {
-			head[i] = b.vars[t.Var]
-		}
-	}
-	rel := e.rels[rule.Head.Pred]
-	if rule.Agg == nil {
-		rel.insert(head, 0)
-		return
-	}
-	group := encode(head)
-	contrib := b.vars[rule.Agg.ContribVar]
-	key := group + "\x00" + encode([]Value{contrib})
-	if e.aggSeen[ri][key] {
-		return // msum counts each contributor once
-	}
-	e.aggSeen[ri][key] = true
-	e.aggSum[ri][group] += b.weights[rule.Agg.WeightVar]
-	if e.aggSum[ri][group] > rule.Agg.Threshold {
-		rel.insert(head, 0)
-	}
 }

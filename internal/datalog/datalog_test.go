@@ -91,7 +91,7 @@ func TestTransitiveClosure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	iters := e.Run()
+	iters := mustRun(t, e)
 	if iters < 2 {
 		t.Fatalf("iterations = %d", iters)
 	}
@@ -104,7 +104,7 @@ func TestTransitiveClosure(t *testing.T) {
 	}
 	// Re-running is a no-op fixpoint.
 	before := e.Count("path")
-	e.Run()
+	mustRun(t, e)
 	if e.Count("path") != before {
 		t.Fatal("fixpoint not stable")
 	}
@@ -129,7 +129,7 @@ func TestConstantsInRules(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.Run()
+	mustRun(t, e)
 	if e.Count("fromZero") != 2 || !e.Has("fromZero", 1) || !e.Has("fromZero", 2) {
 		t.Fatalf("fromZero = %v", e.Facts("fromZero"))
 	}
@@ -173,7 +173,7 @@ func TestMSumCountsContributorsOnce(t *testing.T) {
 	if err := e.AddFact("own", 0.4, 1, 8); err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	mustRun(t, e)
 	if !e.Has("ctl", 9) {
 		t.Fatal("0.3+0.3 > 0.5 not derived")
 	}

@@ -41,10 +41,11 @@ func dyadicGraph(rng *rand.Rand) *graph.Graph {
 	return g
 }
 
-// TestDifferential500Seeds cross-checks three implementations of q_c(s,t)
-// over 500 random graphs: the CBE algorithm, the semi-naive Datalog
-// reference, and the planned goal-directed engine. Any divergence is a
-// correctness bug in one of them.
+// TestDifferential500Seeds checks the evaluator against CBE — the only
+// independent implementation of q_c(s,t) — over 500 random graphs, once
+// bottom-up (Controls, the program as written) and once behind the
+// magic-sets rewrite (CCPSolver.Controls). Any divergence from CBE is a bug
+// in the evaluator or in the rewrite.
 func TestDifferential500Seeds(t *testing.T) {
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -58,17 +59,17 @@ func TestDifferential500Seeds(t *testing.T) {
 			s := graph.NodeID(rng.Intn(n))
 			tgt := graph.NodeID(rng.Intn(n))
 			cbe := control.CBE(g, control.Query{S: s, T: tgt})
-			semi, err := Controls(g, s, tgt)
+			bottomUp, err := Controls(g, s, tgt)
 			if err != nil {
-				t.Fatalf("seed %d: semi-naive: %v", seed, err)
+				t.Fatalf("seed %d: bottom-up: %v", seed, err)
 			}
-			planned, err := solver.Controls(s, tgt)
+			magic, err := solver.Controls(s, tgt)
 			if err != nil {
-				t.Fatalf("seed %d: planned: %v", seed, err)
+				t.Fatalf("seed %d: magic: %v", seed, err)
 			}
-			if semi != cbe || planned != cbe {
-				t.Fatalf("seed %d: control(%d,%d): cbe=%v semi-naive=%v planned=%v",
-					seed, s, tgt, cbe, semi, planned)
+			if bottomUp != cbe || magic != cbe {
+				t.Fatalf("seed %d: control(%d,%d): cbe=%v bottom-up=%v magic=%v",
+					seed, s, tgt, cbe, bottomUp, magic)
 			}
 		}
 	}
@@ -105,22 +106,22 @@ func TestExactThresholdBoundary(t *testing.T) {
 		want bool
 	}{{3, false}, {4, true}} {
 		cbe := control.CBE(g, control.Query{S: 0, T: tc.tgt})
-		semi, err := Controls(g, 0, tc.tgt)
+		bottomUp, err := Controls(g, 0, tc.tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned, err := solver.Controls(0, tc.tgt)
+		magic, err := solver.Controls(0, tc.tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cbe != tc.want || semi != tc.want || planned != tc.want {
-			t.Fatalf("control(0,%d): cbe=%v semi-naive=%v planned=%v, want %v",
-				tc.tgt, cbe, semi, planned, tc.want)
+		if cbe != tc.want || bottomUp != tc.want || magic != tc.want {
+			t.Fatalf("control(0,%d): cbe=%v bottom-up=%v magic=%v, want %v",
+				tc.tgt, cbe, bottomUp, magic, tc.want)
 		}
 	}
 }
 
-// TestSelfControl pins the reflexive case across all three implementations.
+// TestSelfControl pins the reflexive case in all three columns.
 func TestSelfControl(t *testing.T) {
 	g := graph.New(3)
 	if err := g.AddEdge(0, 1, 0.9); err != nil {
@@ -132,16 +133,16 @@ func TestSelfControl(t *testing.T) {
 	}
 	for s := graph.NodeID(0); s < 3; s++ {
 		cbe := control.CBE(g, control.Query{S: s, T: s})
-		semi, err := Controls(g, s, s)
+		bottomUp, err := Controls(g, s, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned, err := solver.Controls(s, s)
+		magic, err := solver.Controls(s, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !cbe || !semi || !planned {
-			t.Fatalf("control(%d,%d): cbe=%v semi-naive=%v planned=%v, want all true", s, s, cbe, semi, planned)
+		if !cbe || !bottomUp || !magic {
+			t.Fatalf("control(%d,%d): cbe=%v bottom-up=%v magic=%v, want all true", s, s, cbe, bottomUp, magic)
 		}
 	}
 }
@@ -160,7 +161,7 @@ func TestGoalDirectedDerivesFewerTuples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		global.Engine().Run()
+		mustRun(t, global.Engine())
 		globalTuples := global.Engine().Count("control")
 
 		solver, err := NewCCPSolver(g)

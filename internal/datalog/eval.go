@@ -194,6 +194,22 @@ func (ev *planEval) step(ri int, rp *rulePlan, order []atomStep, i int, dr [2]in
 	}
 }
 
+// clipRange restricts an ascending postings slice to tuple indices in
+// [lo, hi) by binary search, returning a subslice of the original — index
+// postings are appended in ascending tuple order, so the delta window is
+// never a filtered copy.
+func clipRange(idxs []int, lo, hi int) []int {
+	if len(idxs) == 0 {
+		return idxs
+	}
+	if lo <= idxs[0] && idxs[len(idxs)-1] < hi {
+		return idxs
+	}
+	from := sort.SearchInts(idxs, lo)
+	to := sort.SearchInts(idxs, hi)
+	return idxs[from:to]
+}
+
 // tryTuple matches one tuple against order[i]'s ops, binding slots on first
 // occurrences. Stale slot values from backtracking are harmless: a slot is
 // only ever read (opCheck, head, agg) at points that come strictly after its
@@ -311,10 +327,11 @@ func (e *Engine) planFor(key string, build func(p *planner) error) (*planProgram
 	return prog, false, nil
 }
 
-// RunPlanned evaluates all rules to fixpoint like Run, but through the
-// compiled plan: slot bindings, static index selection, and streaming delta
-// joins. It returns the number of rounds and the evaluation explain record.
-func (e *Engine) RunPlanned() (int, *Explain, error) {
+// Run evaluates all rules to fixpoint bottom-up, deriving into the engine's
+// own relations, and returns the number of semi-naive rounds and the
+// evaluation explain record. The program is compiled as written — no
+// goal-directed rewrite — so this is the reference Query is checked against.
+func (e *Engine) Run() (int, *Explain, error) {
 	prog, hit, err := e.planFor("run", func(p *planner) error {
 		for _, r := range e.rules {
 			if err := p.compileRule(r); err != nil {

@@ -21,7 +21,7 @@ source(0).
 	if err := e.Load(src); err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	mustRun(t, e)
 	for _, want := range [][2]Value{{0, 0}, {0, 1}, {0, 2}, {0, 3}} {
 		if !e.Has("control", want[0], want[1]) {
 			t.Fatalf("control%v not derived", want)
@@ -65,7 +65,7 @@ func TestLoadMatchesStructAPI(t *testing.T) {
 		if err := e.AddFact("source", 0, Value(s)); err != nil {
 			t.Fatal(err)
 		}
-		e.Run()
+		mustRun(t, e)
 		got := e.Has("control", Value(s), Value((int64(s)+1)%int64(n)))
 		if got != want {
 			t.Fatalf("trial %d: text program %v, struct program %v", trial, got, want)
@@ -85,7 +85,7 @@ edge(2, 3).
 	if err := e.Load(src); err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	mustRun(t, e)
 	if !e.Has("path", 1, 3) {
 		t.Fatal("closure via text program failed")
 	}
@@ -96,7 +96,7 @@ func TestLoadNegativeConstants(t *testing.T) {
 	if err := e.Load(`f(-3). g(x) :- f(x).`); err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	mustRun(t, e)
 	if !e.Has("g", -3) {
 		t.Fatal("negative constant lost")
 	}
@@ -141,7 +141,7 @@ func TestLoadIntoPredeclaredEngine(t *testing.T) {
 	if err := e.Load(`path(x, y) :- edge(x, y).`); err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	mustRun(t, e)
 	if !e.Has("path", 5, 6) {
 		t.Fatal("pre-declared relation not joined")
 	}

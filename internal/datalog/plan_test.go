@@ -37,6 +37,16 @@ func buildClosure(t *testing.T) *Engine {
 	return e
 }
 
+// mustRun runs e to fixpoint and returns the number of rounds.
+func mustRun(t *testing.T, e *Engine) int {
+	t.Helper()
+	iters, _, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return iters
+}
+
 func mustRule(t *testing.T, e *Engine, r Rule) {
 	t.Helper()
 	if err := e.AddRule(r); err != nil {
@@ -44,106 +54,98 @@ func mustRule(t *testing.T, e *Engine, r Rule) {
 	}
 }
 
-func sameFacts(t *testing.T, a, b *Engine, rel string) {
+// wantFacts asserts that rel holds exactly the given tuples (sorted).
+func wantFacts(t *testing.T, e *Engine, rel string, want [][]Value) {
 	t.Helper()
-	fa, fb := a.Facts(rel), b.Facts(rel)
-	if len(fa) != len(fb) {
-		t.Fatalf("%s: %d tuples vs %d", rel, len(fa), len(fb))
+	got := e.Facts(rel)
+	if len(got) != len(want) {
+		t.Fatalf("%s = %v, want %v", rel, got, want)
 	}
-	for i := range fa {
-		if !valuesEqual(fa[i], fb[i]) {
-			t.Fatalf("%s tuple %d: %v vs %v", rel, i, fa[i], fb[i])
+	for i := range want {
+		if !valuesEqual(got[i], want[i]) {
+			t.Fatalf("%s = %v, want %v", rel, got, want)
 		}
 	}
 }
 
 func TestRunPlannedMatchesRunClosure(t *testing.T) {
-	semi := buildClosure(t)
-	planned := buildClosure(t)
-	semi.Run()
-	if _, _, err := planned.RunPlanned(); err != nil {
-		t.Fatal(err)
+	e := buildClosure(t)
+	mustRun(t, e)
+	// The closure of a 4-cycle is every ordered pair.
+	var want [][]Value
+	for x := Value(0); x < 4; x++ {
+		for y := Value(0); y < 4; y++ {
+			want = append(want, []Value{x, y})
+		}
 	}
-	sameFacts(t, semi, planned, "path")
-	if planned.Count("path") != 16 {
-		t.Fatalf("path count = %d, want 16", planned.Count("path"))
-	}
+	wantFacts(t, e, "path", want)
 }
 
 func TestRunPlannedMatchesRunMSum(t *testing.T) {
-	build := func() *Engine {
-		e := NewEngine()
-		if err := e.Relation("own", 2, true); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Relation("source", 1, false); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Relation("control", 2, false); err != nil {
-			t.Fatal(err)
-		}
-		mustRule(t, e, Rule{
-			Head: Atom{Pred: "control", Terms: []Term{V("x"), V("x")}},
-			Body: []Atom{{Pred: "source", Terms: []Term{V("x")}}},
-		})
-		mustRule(t, e, Rule{
-			Head: Atom{Pred: "control", Terms: []Term{V("x"), V("z")}},
-			Body: []Atom{
-				{Pred: "control", Terms: []Term{V("x"), V("y")}},
-				{Pred: "own", Terms: []Term{V("y"), V("z")}, WeightVar: "w"},
-			},
-			Agg: &MSum{WeightVar: "w", ContribVar: "y", Threshold: 0.5},
-		})
-		// Diamond: 1 owns 2 and 3 at 0.5 each; 2 and 3 each own half of 4.
-		for _, f := range []struct {
-			u, v Value
-			w    float64
-		}{{1, 2, 0.6}, {1, 3, 0.6}, {2, 4, 0.25}, {3, 4, 0.26}} {
-			if err := e.AddFact("own", f.w, f.u, f.v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.AddFact("source", 0, 1); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	semi, planned := build(), build()
-	semi.Run()
-	if _, _, err := planned.RunPlanned(); err != nil {
+	e := NewEngine()
+	if err := e.Relation("own", 2, true); err != nil {
 		t.Fatal(err)
 	}
-	sameFacts(t, semi, planned, "control")
-	if !planned.Has("control", 1, 4) {
-		t.Fatal("msum head missing under planned evaluation")
+	if err := e.Relation("source", 1, false); err != nil {
+		t.Fatal(err)
 	}
+	if err := e.Relation("control", 2, false); err != nil {
+		t.Fatal(err)
+	}
+	mustRule(t, e, Rule{
+		Head: Atom{Pred: "control", Terms: []Term{V("x"), V("x")}},
+		Body: []Atom{{Pred: "source", Terms: []Term{V("x")}}},
+	})
+	mustRule(t, e, Rule{
+		Head: Atom{Pred: "control", Terms: []Term{V("x"), V("z")}},
+		Body: []Atom{
+			{Pred: "control", Terms: []Term{V("x"), V("y")}},
+			{Pred: "own", Terms: []Term{V("y"), V("z")}, WeightVar: "w"},
+		},
+		Agg: &MSum{WeightVar: "w", ContribVar: "y", Threshold: 0.5},
+	})
+	// Diamond: 1 owns 2 and 3 at 0.6 each; 2 and 3 together own 0.51 of 4,
+	// 0.5 of 5 (exactly the threshold: no control) and 3 alone 0.4 of 6.
+	for _, f := range []struct {
+		u, v Value
+		w    float64
+	}{{1, 2, 0.6}, {1, 3, 0.6}, {2, 4, 0.25}, {3, 4, 0.26}, {2, 5, 0.25}, {3, 5, 0.25}, {3, 6, 0.4}} {
+		if err := e.AddFact("own", f.w, f.u, f.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.AddFact("source", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, e)
+	wantFacts(t, e, "control", [][]Value{{1, 1}, {1, 2}, {1, 3}, {1, 4}})
 }
 
 func TestRunPlannedPlanCacheAndReuse(t *testing.T) {
 	e := buildClosure(t)
-	_, x1, err := e.RunPlanned()
+	_, x1, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if x1.CacheHit {
-		t.Fatal("first RunPlanned reported a cache hit")
+		t.Fatal("first Run reported a cache hit")
 	}
 	count := e.Count("path")
-	_, x2, err := e.RunPlanned()
+	_, x2, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !x2.CacheHit {
-		t.Fatal("second RunPlanned missed the plan cache")
+		t.Fatal("second Run missed the plan cache")
 	}
 	if e.Count("path") != count {
-		t.Fatal("re-running planned fixpoint changed the result")
+		t.Fatal("re-running the fixpoint changed the result")
 	}
 	// A schema change must invalidate the cached plan.
 	if err := e.Relation("other", 1, false); err != nil {
 		t.Fatal(err)
 	}
-	_, x3, err := e.RunPlanned()
+	_, x3, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestQueryGoalDirectedChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	globalEngine.Engine().Run()
+	mustRun(t, globalEngine.Engine())
 	globalTuples := globalEngine.Engine().Count("control")
 	if globalTuples != 55 {
 		t.Fatalf("global fixpoint derived %d tuples, want 55", globalTuples)

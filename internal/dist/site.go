@@ -432,19 +432,16 @@ func (s *Site) StoreStats() (store.Stats, bool) {
 // number when a store is attached).
 func (s *Site) Epoch() uint64 { return s.epoch.Load() }
 
-// reduce runs a reduction with a pooled Reducer (the shared control-layer
-// pool, so sites and the coordinator's batch workers draw from one scratch
-// surface). A cancelled context stops the reduction at the next round
-// boundary; the Reducer is returned to the pool either way (its next use
-// resets all scratch state), so a cancelled query never poisons the site for
-// the queries after it.
+// reduce runs a reduction on the control layer's pooled Reducers (sites and
+// the coordinator's batch workers draw from one scratch surface). A
+// cancelled context stops the reduction at the next round boundary; the
+// Reducer goes back to the pool either way (its next use resets all scratch
+// state), so a cancelled query never poisons the site for the queries after
+// it.
 func (s *Site) reduce(ctx context.Context, g *graph.Graph, q control.Query, x graph.NodeSet, opt control.Options) (control.Result, error) {
 	opt.Obs = s.met.robs
 	opt.Logger = s.log
-	r := control.GetReducer()
-	res, err := r.Reduce(ctx, g, q, x, opt)
-	control.PutReducer(r)
-	return res, err
+	return control.ParallelReduction(ctx, g, q, x, opt)
 }
 
 // ID returns the partition id this site serves.

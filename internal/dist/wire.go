@@ -221,24 +221,15 @@ func decodePartial(resp *response, pool *sync.Pool) (*PartialAnswer, error) {
 	return pa, nil
 }
 
-// LocalClient drives a Site in-process. Payload bytes are still accounted by
-// serializing the reduced graph, so local runs report the same traffic
-// numbers a TCP deployment would. Contexts pass straight through to the
-// site, so cancellation and deadlines behave exactly as they would across a
-// real transport (minus the wire). It is safe for concurrent use.
+// LocalClient drives a Site in-process. Payload bytes are still accounted —
+// as the CCPG1 size of the reduced graph — so local runs report the same
+// traffic numbers a TCP deployment would. Contexts pass straight through to
+// the site, so cancellation and deadlines behave exactly as they would across
+// a real transport (minus the wire). It is safe for concurrent use.
 type LocalClient struct {
 	Site *Site
-	// MeasureBytes disables payload serialization when false (faster, but
-	// Bytes will read 0).
+	// MeasureBytes turns payload accounting on; when false Bytes reads 0.
 	MeasureBytes bool
-
-	// mu guards the memoized payload size below. Cached partial answers
-	// return the same *graph.Graph until the site's epoch moves, so the
-	// counting WriteBinary pass runs once per cache generation instead of
-	// once per query.
-	mu        sync.Mutex
-	lastGraph *graph.Graph
-	lastBytes int64
 }
 
 // SiteID implements SiteClient.
@@ -260,38 +251,9 @@ func (c *LocalClient) Evaluate(ctx context.Context, q control.Query, opts EvalOp
 	}
 	var n int64
 	if c.MeasureBytes && pa.Reduced != nil {
-		var err error
-		if n, err = c.payloadBytes(pa.Reduced, pa.FromCache); err != nil {
-			return nil, 0, &SiteError{SiteID: c.Site.ID(), Op: "evaluate", Msg: err.Error()}
-		}
+		n = pa.Reduced.BinarySize()
 	}
 	return pa, n, nil
-}
-
-// payloadBytes counts the CCPG1 size of g in a single pass. Cached partial
-// answers (fromCache) keep one stable *Graph per epoch, so their size is
-// memoized and across a batch only the first hit pays the serialization;
-// live evaluations produce a fresh graph per query and are always counted.
-func (c *LocalClient) payloadBytes(g *graph.Graph, fromCache bool) (int64, error) {
-	if fromCache {
-		c.mu.Lock()
-		if g == c.lastGraph {
-			n := c.lastBytes
-			c.mu.Unlock()
-			return n, nil
-		}
-		c.mu.Unlock()
-	}
-	var cw countWriter
-	if err := g.WriteBinary(&cw); err != nil {
-		return 0, err
-	}
-	if fromCache {
-		c.mu.Lock()
-		c.lastGraph, c.lastBytes = g, cw.n
-		c.mu.Unlock()
-	}
-	return cw.n, nil
 }
 
 // Update implements SiteClient.
@@ -322,12 +284,4 @@ func (c *LocalClient) Epoch(ctx context.Context) (uint64, error) {
 		return 0, ctxError(c.Site.ID(), "info", err)
 	}
 	return c.Site.Epoch(), nil
-}
-
-// countWriter counts bytes written to it.
-type countWriter struct{ n int64 }
-
-func (w *countWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
 }

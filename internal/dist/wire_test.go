@@ -1,14 +1,17 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ccp/internal/control"
+	"ccp/internal/gen"
 	"ccp/internal/graph"
 	"ccp/internal/partition"
 )
@@ -170,5 +173,63 @@ func TestLocalClientWithoutByteMeasuring(t *testing.T) {
 	}
 	if lc.SiteID() != 0 {
 		t.Fatalf("site id = %d", lc.SiteID())
+	}
+}
+
+// writeCountingClient is a LocalClient that also sizes every partial the
+// slow way — a full WriteBinary pass — and totals the result.
+type writeCountingClient struct {
+	*LocalClient
+	mu      sync.Mutex
+	written int64
+}
+
+func (c *writeCountingClient) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) (*PartialAnswer, int64, error) {
+	pa, n, err := c.LocalClient.Evaluate(ctx, q, opts)
+	if err == nil && pa.Reduced != nil {
+		var buf bytes.Buffer
+		if werr := pa.Reduced.WriteBinary(&buf); werr != nil {
+			return nil, 0, werr
+		}
+		c.mu.Lock()
+		c.written += int64(buf.Len())
+		c.mu.Unlock()
+	}
+	return pa, n, err
+}
+
+// TestLocalClientBytesEqualSerializedSize pins Metrics.Bytes of an
+// in-process cross-site query — the figure behind the network-traffic table
+// — to what serializing every shipped partial actually writes, live and
+// cached partials alike.
+func TestLocalClientBytesEqualSerializedSize(t *testing.T) {
+	g := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 500, InterconnectRate: 0.02, Seed: 31}).G
+	pi, err := partition.ByContiguous(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counting := make([]*writeCountingClient, len(pi.Parts))
+	clients := make([]SiteClient, len(pi.Parts))
+	for i, p := range pi.Parts {
+		counting[i] = &writeCountingClient{LocalClient: &LocalClient{Site: NewSite(p, 2), MeasureBytes: true}}
+		clients[i] = counting[i]
+	}
+	coord := NewCoordinator(clients, Options{UseCache: true, ForcePartial: true, Workers: 2})
+	// s in the first country, t in the last: two live partials, two cached.
+	q := control.Query{S: 7, T: graph.NodeID(g.Cap() - 7)}
+	_, m, err := coord.Answer(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var written int64
+	for _, c := range counting {
+		written += c.written
+	}
+	if m.CacheHits == 0 {
+		t.Fatalf("no cached partial in the mix: %+v", m)
+	}
+	if m.Bytes == 0 || m.Bytes != written {
+		t.Fatalf("Metrics.Bytes = %d, WriteBinary wrote %d over %d partials (cache hits %d)",
+			m.Bytes, written, len(counting), m.CacheHits)
 	}
 }

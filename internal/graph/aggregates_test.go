@@ -100,7 +100,7 @@ func TestAggregatesUnderRandomMutations(t *testing.T) {
 				for i := 0; i < 3; i++ {
 					dead[rng.Intn(g.Cap())] = true
 				}
-				g.ParallelRemove(dead, 1+rng.Intn(4))
+				g.ParallelRemoveMetered(nil, dead, 1+rng.Intn(4))
 				check("ParallelRemove")
 			default:
 				g.AddNode()
@@ -123,7 +123,7 @@ func TestAggregatesUnderRandomMutations(t *testing.T) {
 		for _, v := range victims {
 			isVictim[v] = true
 		}
-		g.ParallelContract(rep, 3)
+		g.ParallelContractMetered(nil, rep, 3)
 		check("ParallelContract")
 	}
 }

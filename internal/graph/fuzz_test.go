@@ -2,9 +2,21 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 )
+
+// edgelessPayload encodes a CCPG1 payload of the given capacity with the
+// live-id list exactly as passed — sorted or not — and no edges.
+func edgelessPayload(capacity uint32, ids ...uint32) []byte {
+	p := binary.LittleEndian.AppendUint32([]byte(binaryMagic), capacity)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(ids)))
+	for _, id := range ids {
+		p = binary.LittleEndian.AppendUint32(p, id)
+	}
+	return binary.LittleEndian.AppendUint32(p, 0)
+}
 
 // FuzzReadBinary throws mutated byte streams at the binary decoder: it must
 // reject or accept, never panic, and anything it accepts must re-encode.
@@ -23,10 +35,27 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte{})
+	f.Add(edgelessPayload(4, 1, 1)) // repeated live id: must be rejected
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
+		d, derr := DecodeBinary(data)
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("ReadBinary err=%v, DecodeBinary err=%v", err, derr)
+		}
 		if err != nil {
 			return
+		}
+		if !Equal(g, d, 0) {
+			t.Fatal("ReadBinary and DecodeBinary decoded different graphs")
+		}
+		live := 0
+		for v := 0; v < g.Cap(); v++ {
+			if g.Alive(NodeID(v)) {
+				live++
+			}
+		}
+		if g.NumNodes() != live {
+			t.Fatalf("NumNodes() = %d, %d ids alive", g.NumNodes(), live)
 		}
 		// Accepted graphs must round-trip.
 		var buf bytes.Buffer

@@ -185,15 +185,6 @@ func (g *Graph) AddNode() NodeID {
 	return id
 }
 
-// AddNodes appends n live nodes and returns the id of the first.
-func (g *Graph) AddNodes(n int) NodeID {
-	first := NodeID(len(g.alive))
-	for i := 0; i < n; i++ {
-		g.AddNode()
-	}
-	return first
-}
-
 // Revive marks id as live, extending the id space if necessary. It is used
 // when assembling a graph from serialized node lists that preserve global
 // ids.
@@ -443,13 +434,6 @@ func (g *Graph) EachNode(fn func(v NodeID)) {
 			fn(NodeID(i))
 		}
 	}
-}
-
-// Nodes returns the ids of all live nodes in increasing order.
-func (g *Graph) Nodes() []NodeID {
-	ids := make([]NodeID, 0, g.nAlive)
-	g.EachNode(func(v NodeID) { ids = append(ids, v) })
-	return ids
 }
 
 // Successors returns the successor ids of v in unspecified order.

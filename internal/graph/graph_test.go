@@ -162,9 +162,13 @@ func TestAddNodeAndRevive(t *testing.T) {
 	if id != 1 || g.NumNodes() != 2 {
 		t.Fatalf("AddNode = %d, nodes = %d", id, g.NumNodes())
 	}
-	first := g.AddNodes(3)
-	if first != 2 || g.NumNodes() != 5 {
-		t.Fatalf("AddNodes = %d, nodes = %d", first, g.NumNodes())
+	for want := NodeID(2); want < 5; want++ {
+		if id := g.AddNode(); id != want {
+			t.Fatalf("AddNode = %d, want %d", id, want)
+		}
+	}
+	if g.NumNodes() != 5 {
+		t.Fatalf("nodes = %d, want 5", g.NumNodes())
 	}
 	g.RemoveNode(1)
 	g.Revive(1)
@@ -283,9 +287,10 @@ func TestEqual(t *testing.T) {
 func TestNodesAndIteration(t *testing.T) {
 	g := build(t, 4, Edge{0, 1, 0.6}, Edge{2, 1, 0.2})
 	g.RemoveNode(3)
-	nodes := g.Nodes()
+	var nodes []NodeID
+	g.EachNode(func(v NodeID) { nodes = append(nodes, v) })
 	if len(nodes) != 3 || nodes[0] != 0 || nodes[1] != 1 || nodes[2] != 2 {
-		t.Fatalf("Nodes() = %v", nodes)
+		t.Fatalf("EachNode visited %v", nodes)
 	}
 	succ := g.Successors(0)
 	if len(succ) != 1 || succ[0] != 1 {

@@ -102,68 +102,20 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinary deserializes a graph written by WriteBinary.
+// BinarySize returns the number of bytes WriteBinary emits for g: the
+// magic and three counts, 4 bytes per live id, 16 per edge.
+func (g *Graph) BinarySize() int64 {
+	return int64(len(binaryMagic)) + 12 + 4*int64(g.nAlive) + 16*int64(g.nEdges)
+}
+
+// ReadBinary deserializes a graph written by WriteBinary. It reads r to the
+// end and decodes with DecodeBinaryInto, the one CCPG1 decoder.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, errors.New("graph: bad magic, not a CCPG1 file")
-	}
-	var buf [8]byte
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(buf[:4]), nil
-	}
-	capacity, err := readU32()
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graph: reading CCPG1 payload: %w", err)
 	}
-	nAlive, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	if nAlive > capacity {
-		return nil, fmt.Errorf("graph: live count %d exceeds capacity %d", nAlive, capacity)
-	}
-	g := newShell(int(capacity))
-	for i := uint32(0); i < nAlive; i++ {
-		id, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if id >= capacity {
-			return nil, fmt.Errorf("graph: node id %d out of range", id)
-		}
-		g.alive[id] = true
-		g.nAlive++
-	}
-	nEdges, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nEdges; i++ {
-		from, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		to, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, err
-		}
-		w := math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-		if err := g.AddEdge(NodeID(from), NodeID(to), w); err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
+	return DecodeBinaryInto(nil, data)
 }
 
 // DecodeBinary parses a CCPG1 payload held wholly in memory, as produced by
@@ -174,10 +126,11 @@ func DecodeBinary(data []byte) (*Graph, error) {
 }
 
 // DecodeBinaryInto parses a CCPG1 payload into dst, reusing dst's slices and
-// edge maps; a nil dst allocates a fresh graph. Like ReadBinary it ignores
-// trailing bytes. On error the destination's contents are unspecified and it
-// must not be returned to a pool. A pooled dst cycling through same-shaped
-// payloads decodes without allocating.
+// edge maps; a nil dst allocates a fresh graph. Trailing bytes are ignored;
+// a live-id list that is not strictly ascending is rejected. On error the
+// destination's contents are unspecified and it must not be returned to a
+// pool. A pooled dst cycling through same-shaped payloads decodes without
+// allocating.
 func DecodeBinaryInto(dst *Graph, data []byte) (*Graph, error) {
 	if len(data) < len(binaryMagic) || string(data[:len(binaryMagic)]) != binaryMagic {
 		return nil, errors.New("graph: bad magic, not a CCPG1 payload")
@@ -209,7 +162,7 @@ func DecodeBinaryInto(dst *Graph, data []byte) (*Graph, error) {
 		g.sizeTo(int(capacity))
 		g.Reset()
 	}
-	for i := uint32(0); i < nAlive; i++ {
+	for i, prev := uint32(0), uint32(0); i < nAlive; i++ {
 		id, err := u32()
 		if err != nil {
 			return nil, err
@@ -217,10 +170,14 @@ func DecodeBinaryInto(dst *Graph, data []byte) (*Graph, error) {
 		if id >= capacity {
 			return nil, fmt.Errorf("graph: node id %d out of range", id)
 		}
-		if !g.alive[id] {
-			g.alive[id] = true
-			g.nAlive++
+		// The format lists live ids sorted; a repeat would leave nAlive
+		// above the number of live nodes.
+		if i > 0 && id <= prev {
+			return nil, fmt.Errorf("graph: live id %d after %d, not ascending", id, prev)
 		}
+		prev = id
+		g.alive[id] = true
+		g.nAlive++
 	}
 	nEdges, err := u32()
 	if err != nil {

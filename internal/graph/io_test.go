@@ -76,6 +76,49 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestBinaryRejectsRepeatedLiveIDs: a live-id list that repeats or descends
+// used to decode (through ReadBinary) into a graph whose NumNodes exceeded
+// its live nodes and whose re-encoding no longer decoded.
+func TestBinaryRejectsRepeatedLiveIDs(t *testing.T) {
+	for name, payload := range map[string][]byte{
+		"repeated":   edgelessPayload(4, 1, 1),
+		"descending": edgelessPayload(4, 2, 1),
+	} {
+		if g, err := ReadBinary(bytes.NewReader(payload)); err == nil {
+			t.Errorf("%s: ReadBinary accepted it with NumNodes()=%d", name, g.NumNodes())
+		}
+		if _, err := DecodeBinary(payload); err == nil {
+			t.Errorf("%s: DecodeBinary accepted it", name)
+		}
+	}
+}
+
+// TestBinarySizeMatchesWriteBinary pins the O(1) size formula to the bytes
+// WriteBinary emits, with dead ids and after node removals.
+func TestBinarySizeMatchesWriteBinary(t *testing.T) {
+	check := func(g *Graph, what string) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := g.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := g.BinarySize(); got != int64(buf.Len()) {
+			t.Fatalf("%s: BinarySize() = %d, WriteBinary wrote %d", what, got, buf.Len())
+		}
+	}
+	check(New(0), "empty")
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(80)
+		g := randomGraph(rng, n, rng.Intn(250))
+		check(g, "random")
+		for i := 0; i < n/3; i++ {
+			g.RemoveNode(NodeID(rng.Intn(n)))
+		}
+		check(g, "after RemoveNode")
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	g := New(5)
 	for _, e := range []Edge{{0, 1, 0.6}, {1, 2, 0.25}, {3, 2, 0.5}} {

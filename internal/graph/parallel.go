@@ -170,16 +170,11 @@ func (g *Graph) killList(m *par.Meter, victims []NodeID, workers int) (int, int)
 	return nodes, edges
 }
 
-// ParallelRemove removes every node v with dead[v] set, together with all its
-// incident edges — the parallel clean step applying rules R1/R2 to a whole
-// batch of nodes at once. dead must have length Cap(). It returns the number
-// of nodes removed.
-func (g *Graph) ParallelRemove(dead []bool, workers int) int {
-	return g.ParallelRemoveMetered(nil, dead, workers)
-}
-
-// ParallelRemoveMetered is ParallelRemove with its parallel steps recorded
-// into m (which may be nil).
+// ParallelRemoveMetered removes every node v with dead[v] set, together with
+// all its incident edges — the parallel clean step applying rules R1/R2 to a
+// whole batch of nodes at once. dead must have length Cap(). Its parallel
+// steps are recorded into m (which may be nil). It returns the number of
+// nodes removed.
 func (g *Graph) ParallelRemoveMetered(m *par.Meter, dead []bool, workers int) int {
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
@@ -227,9 +222,9 @@ func (sc *BatchScratch) touchedSet(t []NodeID) [][]NodeID {
 }
 
 // RemoveBatchMetered removes exactly the listed nodes together with all
-// their incident edges — the frontier-engine form of ParallelRemove, whose
-// per-round cost is proportional to the victims and their edges rather than
-// the whole id space. victims must be duplicate-free and sorted ascending
+// their incident edges — the frontier-engine form of ParallelRemoveMetered,
+// whose per-round cost is proportional to the victims and their edges rather
+// than the whole id space. victims must be duplicate-free and sorted ascending
 // (ascending order keeps the per-shard mutation streams identical to the
 // full-scan path, so label merges round identically); isVictim must have
 // length Cap with isVictim[v] set exactly for the victims. It returns the
@@ -414,21 +409,16 @@ func (g *Graph) removeBatchSerial(victims []NodeID, isVictim []bool, sc *BatchSc
 	return nodes, sc.touchedSet(t)
 }
 
-// ParallelContract applies reduction rule R3 to every node v whose rep[v] is
-// a node different from v: v is removed, its incoming edges are deleted, and
-// its outgoing edges are transferred to rep[v] with parallel-edge labels
-// merged and self loops dropped.
+// ParallelContractMetered applies reduction rule R3 to every node v whose
+// rep[v] is a node different from v: v is removed, its incoming edges are
+// deleted, and its outgoing edges are transferred to rep[v] with
+// parallel-edge labels merged and self loops dropped.
 //
 // rep must have length Cap(). rep[v] == None means v is untouched;
 // rep[v] == v means v survives this round (it is the collapse point of a
 // cycle of directly-controlled nodes). Every contracted node's rep must be a
-// node that survives the round. It returns the number of nodes contracted.
-func (g *Graph) ParallelContract(rep []NodeID, workers int) int {
-	return g.ParallelContractMetered(nil, rep, workers)
-}
-
-// ParallelContractMetered is ParallelContract with its parallel steps
-// recorded into m (which may be nil).
+// node that survives the round. Its parallel steps are recorded into m
+// (which may be nil). It returns the number of nodes contracted.
 func (g *Graph) ParallelContractMetered(m *par.Meter, rep []NodeID, workers int) int {
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
@@ -474,13 +464,13 @@ func (g *Graph) ParallelContractMetered(m *par.Meter, rep []NodeID, workers int)
 }
 
 // ContractBatchMetered applies rule R3 to exactly the listed nodes — the
-// frontier-engine form of ParallelContract. victims must be duplicate-free,
-// sorted ascending, and satisfy rep[v] != None && rep[v] != v for every
-// entry; rep must have length Cap and follow the ParallelContract contract
-// for every node id (None for untouched nodes). It returns the number of
-// nodes contracted and the per-shard touched sets: surviving neighbors whose
-// edges were deleted, representatives that received transferred edges, and
-// transfer targets. sc may be nil.
+// frontier-engine form of ParallelContractMetered. victims must be
+// duplicate-free, sorted ascending, and satisfy rep[v] != None && rep[v] != v
+// for every entry; rep must have length Cap and follow the
+// ParallelContractMetered contract for every node id (None for untouched
+// nodes). It returns the number of nodes contracted and the per-shard touched
+// sets: surviving neighbors whose edges were deleted, representatives that
+// received transferred edges, and transfer targets. sc may be nil.
 func (g *Graph) ContractBatchMetered(m *par.Meter, victims []NodeID, rep []NodeID, workers int, sc *BatchScratch) (int, [][]NodeID) {
 	if workers <= 0 {
 		workers = par.DefaultWorkers()

@@ -48,7 +48,7 @@ func TestParallelRemoveMatchesSequential(t *testing.T) {
 		removeSequential(want, dead)
 		for _, workers := range []int{1, 2, 3, 7} {
 			got := g.Clone()
-			removed := got.ParallelRemove(dead, workers)
+			removed := got.ParallelRemoveMetered(nil, dead, workers)
 			if !Equal(want, got, 0) {
 				t.Fatalf("trial %d workers %d: parallel removal differs", trial, workers)
 			}
@@ -127,7 +127,7 @@ func TestParallelContractMatchesSequential(t *testing.T) {
 		contractSequential(want, rep)
 		for _, workers := range []int{1, 2, 5} {
 			got := g.Clone()
-			got.ParallelContract(rep, workers)
+			got.ParallelContractMetered(nil, rep, workers)
 			if !Equal(want, got, 1e-12) {
 				t.Fatalf("trial %d workers %d: parallel contraction differs", trial, workers)
 			}
@@ -142,7 +142,7 @@ func TestParallelContractSelfLoopDrop(t *testing.T) {
 	// 0 -0.6-> 1 -0.4-> 0 : contracting 1 into 0 must drop the back edge.
 	g := build(t, 2, Edge{0, 1, 0.6}, Edge{1, 0, 0.4})
 	rep := []NodeID{None, 0}
-	g.ParallelContract(rep, 2)
+	g.ParallelContractMetered(nil, rep, 2)
 	if g.Alive(1) || g.NumEdges() != 0 || g.NumNodes() != 1 {
 		t.Fatalf("after contraction: %v", g)
 	}
@@ -152,7 +152,7 @@ func TestParallelContractMergesLabels(t *testing.T) {
 	// Fig 3 (3): w -0.6-> v -n-> u and w -m-> u : edge labels merge to m+n.
 	g := build(t, 3, Edge{0, 1, 0.6}, Edge{1, 2, 0.3}, Edge{0, 2, 0.4})
 	rep := []NodeID{None, 0, None}
-	g.ParallelContract(rep, 2)
+	g.ParallelContractMetered(nil, rep, 2)
 	if w, ok := g.Label(0, 2); !ok || w != 0.7 {
 		t.Fatalf("merged label = %g, %v; want 0.7", w, ok)
 	}
@@ -166,7 +166,7 @@ func TestParallelContractChain(t *testing.T) {
 	// the edge 2->3 must land on 0; intermediate edges vanish.
 	g := build(t, 4, Edge{0, 1, 0.9}, Edge{1, 2, 0.8}, Edge{2, 3, 0.7})
 	rep := []NodeID{None, 0, 0, None}
-	g.ParallelContract(rep, 3)
+	g.ParallelContractMetered(nil, rep, 3)
 	if w, ok := g.Label(0, 3); !ok || w != 0.7 {
 		t.Fatalf("label(0,3) = %g,%v", w, ok)
 	}
@@ -184,7 +184,7 @@ func TestQuickParallelRemoveCounters(t *testing.T) {
 		for i := range dead {
 			dead[i] = rng.Float64() < 0.3
 		}
-		g.ParallelRemove(dead, 1+int(workers%8))
+		g.ParallelRemoveMetered(nil, dead, 1+int(workers%8))
 		// Recount from scratch and compare with maintained counters.
 		nodes, edges := 0, 0
 		for i := 0; i < g.Cap(); i++ {

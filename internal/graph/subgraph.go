@@ -68,22 +68,3 @@ func (g *Graph) Merge(other *Graph) {
 		}
 	})
 }
-
-// CompactCopy returns a copy of g where live nodes are renumbered densely
-// 0..NumNodes-1, together with the mapping old id -> new id. It is used when
-// shipping heavily reduced graphs whose id space would otherwise be sparse.
-func (g *Graph) CompactCopy() (*Graph, map[NodeID]NodeID) {
-	remap := make(map[NodeID]NodeID, g.nAlive)
-	next := NodeID(0)
-	g.EachNode(func(v NodeID) {
-		remap[v] = next
-		next++
-	})
-	c := New(int(next))
-	g.EachNode(func(v NodeID) {
-		for u, w := range g.out[v] {
-			c.setEdge(remap[v], remap[u], w)
-		}
-	})
-	return c, remap
-}

@@ -111,23 +111,3 @@ func TestMergeReconstructsPartitionedGraph(t *testing.T) {
 		t.Fatal("merge of partitions does not reconstruct the original graph")
 	}
 }
-
-func TestCompactCopy(t *testing.T) {
-	g := build(t, 6, Edge{0, 5, 0.6}, Edge{5, 3, 0.2})
-	g.RemoveNode(1)
-	g.RemoveNode(2)
-	g.RemoveNode(4)
-	c, remap := g.CompactCopy()
-	if c.Cap() != 3 || c.NumNodes() != 3 {
-		t.Fatalf("compact = %v", c)
-	}
-	if len(remap) != 3 {
-		t.Fatalf("remap = %v", remap)
-	}
-	if w, ok := c.Label(remap[0], remap[5]); !ok || w != 0.6 {
-		t.Fatalf("edge lost in compaction: %g %v", w, ok)
-	}
-	if w, ok := c.Label(remap[5], remap[3]); !ok || w != 0.2 {
-		t.Fatalf("edge lost in compaction: %g %v", w, ok)
-	}
-}

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -83,5 +84,29 @@ func TestReadPartitionRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := ReadPartition(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated accepted")
+	}
+}
+
+// TestReadPartitionRejectsRepeatedLiveIDs: the local graph goes through the
+// one CCPG1 decoder, so a live-id list that repeats is refused here too (as
+// it is for checkpoints and bootstrap images, which load via ReadPartition).
+func TestReadPartitionRejectsRepeatedLiveIDs(t *testing.T) {
+	pi, err := ByHash(gen.Random(10, 15, 1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pi.Parts[0]
+	var buf bytes.Buffer
+	if err := p.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Swap the trailing local graph for cap=4, nAlive=2, ids=[1,1], edges=0.
+	bad := buf.Bytes()[:int64(buf.Len())-p.Local.BinarySize()]
+	bad = append(bad, "CCPG1\n"...)
+	for _, x := range []uint32{4, 2, 1, 1, 0} {
+		bad = binary.LittleEndian.AppendUint32(bad, x)
+	}
+	if _, err := ReadPartition(bytes.NewReader(bad)); err == nil {
+		t.Fatal("partition with a repeated live id accepted")
 	}
 }
