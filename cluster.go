@@ -350,9 +350,9 @@ func (c *Cluster) Controls(ctx context.Context, s, t NodeID) (bool, QueryMetrics
 }
 
 // ControlsTraced is Controls plus the stitched cross-site trace of the
-// query: the coordinator's merge/reduce spans, one transport envelope span
-// per contacted site, and every site's own evaluation spans re-based onto
-// the coordinator's timeline. Render it with QueryTrace.WriteTable. The
+// query: the coordinator's merge and reduce layers, one wire.rpc envelope
+// per site that replied, and every site's own events re-based onto the
+// coordinator's timeline. Print it with QueryTrace.WriteTimeline. The
 // trace is returned even when the query failed (it shows how far the query
 // got); it is nil only when the cluster itself rejected the call.
 func (c *Cluster) ControlsTraced(ctx context.Context, s, t NodeID) (bool, QueryMetrics, *QueryTrace, error) {

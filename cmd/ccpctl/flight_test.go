@@ -31,11 +31,11 @@ func TestCmdFlightMergesFilesAndOps(t *testing.T) {
 	dir := t.TempDir()
 	coord := dumpFile(t, dir, "coord",
 		flight.Event{TS: 100, Trace: 7, Type: flight.QueryStart, Site: -1},
-		flight.Event{TS: 400, Trace: 7, Type: flight.QueryEnd, Site: -1})
+		flight.Event{TS: 400, Trace: 7, Type: flight.CoordAnswer, Site: -1})
 
 	// A live "site" process behind an ops endpoint.
 	rec := flight.New("site-0", 64)
-	rec.Record(flight.SiteEval, 0, 7, 1000, 0)
+	rec.Record(flight.Event{Type: flight.SiteEvaluate, Site: 0, Trace: 7, A1: 1000, A2: 0})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/debug/flight" {
 			http.NotFound(w, r)

@@ -296,8 +296,8 @@ func queryDatalogGlobal(g *ccp.Graph, s, t ccp.NodeID) (bool, *datalog.Explain, 
 
 // queryDist answers one query over an in-process cluster of k contiguous
 // partitions — the distributed solver without the TCP deployment. With
-// verbose it prints the stitched cross-site trace and a per-site span
-// summary.
+// verbose it prints the query's stitched cross-site trace — the same
+// timeline `ccpctl flight -trace` shows for a deployed cluster.
 func queryDist(g *ccp.Graph, s, t ccp.NodeID, parts int, verbose bool) error {
 	observer := ccp.NewObserver(ccp.ObserverConfig{})
 	ccp.RegisterBuildInfo(observer.Registry(), "ctl")
@@ -318,39 +318,7 @@ func queryDist(g *ccp.Graph, s, t ccp.NodeID, parts int, verbose bool) error {
 	fmt.Printf("site-max=%v coord=%v traffic=%dB partial=%d+%dn merged=%d+%dn\n",
 		m.MaxSiteTime, m.CoordinatorTime, m.BytesTransferred,
 		m.PartialNodes, m.PartialEdges, m.MergedNodes, m.MergedEdges)
-	if _, err := tr.WriteTable(os.Stdout); err != nil {
-		return err
-	}
-	// Per-site rollup of the stitched spans: how much wall time and payload
-	// each contacted site contributed.
-	type rollup struct {
-		spans int
-		dur   time.Duration
-		bytes int64
-	}
-	perSite := map[int32]*rollup{}
-	var order []int32
-	for _, sp := range tr.Spans {
-		r := perSite[sp.Site]
-		if r == nil {
-			r = &rollup{}
-			perSite[sp.Site] = r
-			order = append(order, sp.Site)
-		}
-		r.spans++
-		r.dur += time.Duration(sp.DurNS)
-		r.bytes += sp.Bytes
-	}
-	fmt.Println("per-site summary:")
-	for _, id := range order {
-		who := "coord"
-		if id >= 0 {
-			who = fmt.Sprintf("site %d", id)
-		}
-		r := perSite[id]
-		fmt.Printf("  %-8s spans=%-3d busy=%-12v bytes=%d\n", who, r.spans, r.dur, r.bytes)
-	}
-	return nil
+	return tr.WriteTimeline(os.Stdout)
 }
 
 func cmdExplain(args []string) error {

@@ -2,7 +2,6 @@ package control
 
 import (
 	"context"
-	"log/slog"
 	"sync"
 
 	"ccp/internal/graph"
@@ -49,11 +48,6 @@ type Options struct {
 	// removed by R1/R2, nodes contracted by R3, frontier widths — into an
 	// obs metrics registry. Nil costs one pointer check per round.
 	Obs *obs.ReducerObs
-
-	// Logger, when non-nil and debug-enabled, receives a one-line summary
-	// per reduction (answer, rounds, removals, contractions). Nil or a
-	// higher level costs one Enabled check per reduction.
-	Logger *slog.Logger
 }
 
 // Result is the outcome of ParallelReduction: the answer to q_c(s, t) if the

@@ -2,7 +2,6 @@ package control
 
 import (
 	"context"
-	"log/slog"
 	"slices"
 
 	"ccp/internal/graph"
@@ -101,19 +100,6 @@ func (r *Reducer) reset(g *graph.Graph, x graph.NodeSet) {
 // is a per-query clone everywhere this engine runs) and r itself stays fully
 // reusable — the next Reduce call resets all scratch state.
 func (r *Reducer) Reduce(ctx context.Context, g *graph.Graph, q Query, x graph.NodeSet, opt Options) (Result, error) {
-	res, err := r.reduce(ctx, g, q, x, opt)
-	// One Enabled check keeps the summary free for the (default) non-debug
-	// level; attribute construction only happens when someone is listening.
-	if opt.Logger != nil && opt.Logger.Enabled(ctx, slog.LevelDebug) {
-		opt.Logger.Debug("reduction finished",
-			"ans", res.Ans.String(), "rounds", res.Stats.Iterations,
-			"removed", res.Stats.Removed, "contracted", res.Stats.Contracted,
-			"nodes", g.NumNodes(), "err", err)
-	}
-	return res, err
-}
-
-func (r *Reducer) reduce(ctx context.Context, g *graph.Graph, q Query, x graph.NodeSet, opt Options) (Result, error) {
 	if opt.FullRescan {
 		return fullRescanReduction(ctx, g, q, x, opt)
 	}

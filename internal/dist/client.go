@@ -47,12 +47,11 @@ type ClientConfig struct {
 	Dialer func(ctx context.Context, addr string) (net.Conn, error)
 	// Observer, when non-nil, registers per-site transport metrics
 	// (redials, retries, circuit transitions, bytes in/out, circuit state)
-	// on its registry, labeled by the site's dial address, and feeds
-	// transport events (retries, redials, circuit transitions) into its
-	// flight recorder.
+	// on its registry, labeled by the site's dial address, and receives the
+	// client's transport events (retry, redial, circuit).
 	Observer *obs.Observer
-	// Logger receives the client's structured transport diagnostics
-	// (redials, dial failures, circuit transitions). Nil discards them.
+	// Logger receives the client's structured transport diagnostics (dial
+	// failures, and the transport events as slog lines). Nil discards them.
 	Logger *slog.Logger
 }
 
@@ -143,14 +142,10 @@ func (cw countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// clientMetrics are a RemoteClient's registered series — zero-valued (all
-// nil) on an unobserved client, where every update is a nil-check no-op.
+// clientMetrics are the byte counters a RemoteClient's connections feed —
+// nil on an unobserved client, where every update is a nil-check no-op.
 type clientMetrics struct {
-	redials, retries  *obs.Counter
 	bytesIn, bytesOut *obs.Counter
-	circuitOpened     *obs.Counter
-	circuitHalfOpened *obs.Counter
-	circuitClosed     *obs.Counter
 }
 
 // rpcResult is one routed response plus the bytes it occupied on the wire.
@@ -282,8 +277,7 @@ type RemoteClient struct {
 	lastErr     error
 
 	met clientMetrics
-	fr  *flight.Recorder
-	log *slog.Logger
+	ev  obs.Emitter
 
 	// graphs recycles the decode targets of live partial answers: each
 	// evaluate decodes its reduced graph into a pooled arena instead of a
@@ -301,19 +295,20 @@ func Dial(ctx context.Context, addr string) (*RemoteClient, error) {
 // DialConfig is Dial with explicit lifecycle configuration.
 func DialConfig(ctx context.Context, addr string, cfg ClientConfig) (*RemoteClient, error) {
 	c := &RemoteClient{addr: addr, cfg: cfg.withDefaults(), siteID: -1}
-	c.fr = c.cfg.Observer.Flight()
-	c.log = obs.LoggerOr(c.cfg.Logger)
+	c.ev.Attach(c.cfg.Observer)
+	c.ev.SetLogger(c.cfg.Logger)
 	if reg := c.cfg.Observer.Registry(); reg != nil {
 		l := obs.Label{Key: "site_addr", Value: addr}
 		c.met = clientMetrics{
-			redials:           reg.Counter("ccp_client_redials_total", "Connections re-established after a transport failure.", l),
-			retries:           reg.Counter("ccp_client_retries_total", "Per-call transport retries of idempotent ops.", l),
-			bytesIn:           reg.Counter("ccp_client_bytes_in_total", "Bytes received from the site.", l),
-			bytesOut:          reg.Counter("ccp_client_bytes_out_total", "Bytes sent to the site.", l),
-			circuitOpened:     reg.Counter("ccp_client_circuit_transitions_total", "Circuit-breaker state transitions, by direction.", l, obs.Label{Key: "to", Value: "open"}),
-			circuitHalfOpened: reg.Counter("ccp_client_circuit_transitions_total", "Circuit-breaker state transitions, by direction.", l, obs.Label{Key: "to", Value: "half_open"}),
-			circuitClosed:     reg.Counter("ccp_client_circuit_transitions_total", "Circuit-breaker state transitions, by direction.", l, obs.Label{Key: "to", Value: "closed"}),
+			bytesIn:  reg.Counter("ccp_client_bytes_in_total", "Bytes received from the site.", l),
+			bytesOut: reg.Counter("ccp_client_bytes_out_total", "Bytes sent to the site.", l),
 		}
+		c.ev.Bind(flight.Redial, obs.Series{Count: reg.Counter("ccp_client_redials_total", "Connections re-established after a transport failure.", l)})
+		c.ev.Bind(flight.Retry, obs.Series{Count: reg.Counter("ccp_client_retries_total", "Per-call transport retries of idempotent ops.", l)})
+		to := func(pos string) *obs.Counter {
+			return reg.Counter("ccp_client_circuit_transitions_total", "Circuit-breaker state transitions, by direction.", l, obs.Label{Key: "to", Value: pos})
+		}
+		c.ev.Bind(flight.Circuit, obs.Series{ByA2: []*obs.Counter{circuitClosed: to("closed"), circuitOpen: to("open"), circuitHalfOpen: to("half_open")}})
 		reg.GaugeFunc("ccp_client_circuit_state",
 			"Circuit-breaker position: 0 closed, 1 open, 2 half-open.",
 			c.circuitState, l)
@@ -385,8 +380,7 @@ func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 				return nil, fmt.Errorf("%w until %s (after: %v)", ErrCircuitOpen, until.Format(time.RFC3339Nano), err)
 			}
 			c.circuit = time.Time{} // cooldown over: half-open, probe below
-			c.met.circuitHalfOpened.Inc()
-			c.fr.Record(flight.Circuit, int32(c.siteID), 0, 2, int64(c.consecFails))
+			c.ev.Emit(flight.Circuit, int32(c.siteID), 0, int64(c.consecFails), circuitHalfOpen)
 		}
 		wait := time.Until(c.nextDialAt)
 		done := make(chan struct{})
@@ -408,7 +402,7 @@ func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 			}
 			c.nextDialAt = time.Now().Add(c.backoff)
 			c.mu.Unlock()
-			c.log.Warn("dial failed", "site_addr", c.addr, "err", err)
+			c.ev.Log().Warn("dial failed", "site_addr", c.addr, "err", err)
 			return nil, err
 		}
 		if c.closed {
@@ -419,19 +413,12 @@ func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 		c.conn = mc
 		c.backoff = 0
 		c.nextDialAt = time.Time{}
-		redialed := false
 		if c.dialed {
 			c.redials++
-			c.met.redials.Inc()
-			c.fr.Record(flight.Redial, int32(c.siteID), 0, c.redials, 0)
-			redialed = true
+			c.ev.Emit(flight.Redial, int32(c.siteID), 0, c.redials, 0)
 		}
 		c.dialed = true
-		site, redials := c.siteID, c.redials
 		c.mu.Unlock()
-		if redialed {
-			c.log.Info("reconnected to site", "site", site, "site_addr", c.addr, "redials", redials)
-		}
 		go func() {
 			err := mc.readLoop()
 			c.dropConn(mc, err)
@@ -481,10 +468,8 @@ func (c *RemoteClient) noteFailureLocked(err error) {
 	if c.consecFails >= c.cfg.FailureThreshold && c.circuit.IsZero() {
 		c.circuit = time.Now().Add(c.cfg.Cooldown)
 		c.tripped = true
-		c.met.circuitOpened.Inc()
-		c.fr.Record(flight.Circuit, int32(c.siteID), 0, 1, int64(c.consecFails))
-		c.log.Warn("circuit opened", "site", c.siteID, "site_addr", c.addr,
-			"consecutive_failures", c.consecFails, "cooldown", c.cfg.Cooldown, "err", err)
+		c.ev.Emit(flight.Circuit, int32(c.siteID), 0, int64(c.consecFails), circuitOpen)
+		c.ev.Log().Warn("circuit opened", "site_addr", c.addr, "cooldown", c.cfg.Cooldown, "err", err)
 		if c.conn != nil {
 			// A site that times out call after call is stalled, not slow:
 			// tear the generation down so the probe after cooldown starts
@@ -513,27 +498,32 @@ func (c *RemoteClient) noteSuccess() {
 		// A success after a trip closes the circuit (the half-open probe
 		// worked).
 		c.tripped = false
-		c.met.circuitClosed.Inc()
-		c.fr.Record(flight.Circuit, int32(c.siteID), 0, 0, 0)
-		c.log.Info("circuit closed", "site", c.siteID, "site_addr", c.addr)
+		c.ev.Emit(flight.Circuit, int32(c.siteID), 0, 0, circuitClosed)
 	}
 	c.lastErr = nil
 	c.mu.Unlock()
 }
 
-// circuitState samples the breaker position for the scrape-time gauge:
-// 0 closed, 1 open (calls fail fast), 2 half-open (cooldown over, awaiting
-// a successful probe).
+// Circuit-breaker positions: the scrape-time gauge's values and the A2 of a
+// circuit event. Open fails calls fast; half-open means the cooldown is over
+// and a probe has yet to succeed.
+const (
+	circuitClosed = iota
+	circuitOpen
+	circuitHalfOpen
+)
+
+// circuitState samples the breaker position for the scrape-time gauge.
 func (c *RemoteClient) circuitState() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch {
 	case !c.circuit.IsZero() && time.Now().Before(c.circuit):
-		return 1
+		return circuitOpen
 	case c.tripped:
-		return 2
+		return circuitHalfOpen
 	default:
-		return 0
+		return circuitClosed
 	}
 }
 
@@ -600,8 +590,8 @@ func (c *RemoteClient) Evaluate(ctx context.Context, q control.Query, opts EvalO
 		ForcePartial: opts.ForcePartial,
 		IfEpoch:      opts.IfEpoch,
 		HasIfEpoch:   opts.HasIfEpoch,
-		TraceID:      opts.TraceID,
-		FlightID:     opts.FlightID,
+		QueryID:      opts.QueryID,
+		Trace:        opts.Trace,
 	})
 	if err != nil {
 		return nil, 0, err
@@ -708,9 +698,8 @@ func (c *RemoteClient) roundTrip(ctx context.Context, req *request) (*response, 
 			c.mu.Lock()
 			c.retries++
 			c.mu.Unlock()
-			c.met.retries.Inc()
-			c.fr.Record(flight.Retry, int32(c.SiteID()), req.FlightID, int64(attempt), 0)
-			c.log.Debug("retrying call", "site", c.SiteID(), "op", opname, "attempt", attempt, "err", lastErr)
+			c.ev.Emit(flight.Retry, int32(c.SiteID()), req.QueryID, int64(attempt), 0)
+			c.ev.Log().Debug("retrying call", "site", c.SiteID(), "op", opname, "err", lastErr)
 		}
 		if err := ctx.Err(); err != nil {
 			c.noteDegraded(err)
@@ -734,18 +723,25 @@ func (c *RemoteClient) roundTrip(ctx context.Context, req *request) (*response, 
 // (transport-level, outcome unknown but op idempotent-safe to resend).
 func (c *RemoteClient) try(ctx context.Context, req *request) (*response, int64, error, bool) {
 	opname := opName(req.Op)
-	mc, err := c.acquireConn(ctx)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, 0, ctxError(c.SiteID(), opname, cerr), false
-		}
-		return nil, 0, &TransportError{SiteID: c.SiteID(), Op: opname, Err: err}, true
-	}
-
 	ch := make(chan rpcResult, 1)
-	id, err := mc.register(ch)
-	if err != nil {
-		return nil, 0, &TransportError{SiteID: c.SiteID(), Op: opname, Err: err}, true
+	var mc *muxConn
+	var id uint64
+	for {
+		var err error
+		if mc, err = c.acquireConn(ctx); err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return nil, 0, ctxError(c.SiteID(), opname, cerr), false
+			}
+			return nil, 0, &TransportError{SiteID: c.SiteID(), Op: opname, Err: err}, true
+		}
+		if id, err = mc.register(ch); err == nil {
+			break
+		}
+		// The generation's reader has failed it but not yet retired it, so
+		// acquireConn handed out a corpse. Retire it here and dial again:
+		// nothing was sent, so this is no retry and any op may go again. ctx
+		// and the circuit breaker dropConn feeds bound the loop.
+		c.dropConn(mc, err)
 	}
 	req.ID = id
 	req.DeadlineNS = 0
@@ -763,7 +759,7 @@ func (c *RemoteClient) try(ctx context.Context, req *request) (*response, int64,
 	}
 
 	mc.encMu.Lock()
-	err = mc.enc.Encode(req)
+	err := mc.enc.Encode(req)
 	mc.encMu.Unlock()
 	if err != nil {
 		mc.deregister(id)

@@ -74,12 +74,13 @@ type Options struct {
 	AdmissionGate AdmissionGate
 	// Observer, when non-nil, streams coordinator metrics (latency
 	// histograms, per-phase timings, cache hit/miss counters) into its
-	// registry, records flight events for every query, and, when its
-	// slow-query log is enabled, traces every query so slow ones can be
+	// registry, receives the coordinator's events for every query, and, when
+	// its slow-query log is enabled, traces every query so slow ones can be
 	// captured. Nil runs uninstrumented.
 	Observer *obs.Observer
 	// Logger receives the coordinator's structured diagnostics (query
-	// failures, update errors). Nil discards them.
+	// failures, update errors, and its events as slog lines). Nil discards
+	// them.
 	Logger *slog.Logger
 }
 
@@ -177,8 +178,7 @@ type Coordinator struct {
 	clients []SiteClient
 	opts    Options
 	met     coordMetrics
-	fr      *flight.Recorder
-	log     *slog.Logger
+	ev      obs.Emitter
 
 	// slots maps each site id to its index in pcache. The map is fixed at
 	// construction and only read afterwards, so the per-site cache needs no
@@ -204,60 +204,66 @@ const (
 	MetricQueryPhaseSeconds = "ccp_query_phase_seconds"
 )
 
-// coordMetrics are the coordinator's registered series — zero-valued (all
-// nil) without an Observer, where every update is a nil-check no-op.
+// coordMetrics are the coordinator's series that are not an event's sink:
+// per-query totals published as the query ends, and the snapshot counters the
+// conservation probe reads back. Zero-valued (all nil) without an Observer,
+// where every update is a nil-check no-op.
 type coordMetrics struct {
-	queries, queryErrors                *obs.Counter
-	shedQueries                         *obs.Counter
-	querySeconds                        *obs.Histogram
-	phaseSites, phaseMerge, phaseReduce *obs.Histogram
-	cacheHits, cacheMisses              *obs.Counter
-	coordCacheHits, snapshotHits        *obs.Counter
-	snapshotBuilds, snapshotEvictions   *obs.Counter
-	snapshotMisses                      *obs.Counter
-	shardWaits, mergedQueries           *obs.Counter
-	payloadBytes                        *obs.Counter
-	batchInflight                       *obs.Gauge
-	reduceObs                           *obs.ReducerObs
+	phaseSites                    *obs.Histogram
+	cacheHits, cacheMisses        *obs.Counter
+	coordCacheHits, mergedQueries *obs.Counter
+	snapshotHits, snapshotBuilds  *obs.Counter
+	snapshotMisses                *obs.Counter
+	batchInflight                 *obs.Gauge
+	reduceObs                     *obs.ReducerObs
 }
 
-func newCoordMetrics(o *obs.Observer) coordMetrics {
+// observe registers the coordinator's series on o's registry and binds each
+// event type to the series it feeds.
+func (c *Coordinator) observe(o *obs.Observer) {
 	reg := o.Registry()
 	phase := func(name string) *obs.Histogram {
 		return reg.Histogram(MetricQueryPhaseSeconds,
 			"Query latency by coordinator phase (sites fan-out, merge, final reduction).",
 			obs.DefaultLatencyBuckets, obs.Label{Key: "phase", Value: name})
 	}
-	return coordMetrics{
-		queries:      reg.Counter("ccp_queries_total", "Distributed queries answered, including failed ones."),
-		queryErrors:  reg.Counter("ccp_query_errors_total", "Distributed queries that failed."),
-		shedQueries:  reg.Counter("ccp_queries_shed_total", "Queries rejected by the admission gate before starting."),
-		querySeconds: reg.Histogram(MetricQuerySeconds, "End-to-end distributed query latency in seconds.", obs.DefaultLatencyBuckets),
-		phaseSites:   phase("sites"),
-		phaseMerge:   phase("merge"),
-		phaseReduce:  phase("reduce"),
+	c.met = coordMetrics{
+		phaseSites: phase("sites"),
 		cacheHits: reg.Counter("ccp_coord_cache_hits_total",
 			"Per-site partial answers served from a query-independent cache."),
 		cacheMisses: reg.Counter("ccp_coord_cache_misses_total",
 			"Per-site partial answers that needed a live site evaluation."),
 		coordCacheHits: reg.Counter("ccp_coord_revalidations_total",
 			"Partial answers served from the coordinator's own copy after an epoch revalidation (no payload shipped)."),
+		mergedQueries: reg.Counter("ccp_coord_merged_queries_total",
+			"Queries that reached the coordinator merge path (no site decided them early)."),
 		snapshotHits: reg.Counter("ccp_coord_snapshot_hits_total",
 			"Queries whose cached partials merged via a reusable merged-graph snapshot."),
 		snapshotBuilds: reg.Counter("ccp_coord_snapshot_builds_total",
 			"Merged-graph snapshots built and published for reuse."),
-		snapshotEvictions: reg.Counter("ccp_coord_snapshot_evictions_total",
-			"Merged-graph snapshots evicted when a cache shard filled up."),
 		snapshotMisses: reg.Counter("ccp_coord_snapshot_misses_total",
 			"Merged queries with too few cached partials for a reusable skeleton."),
-		shardWaits: reg.Counter("ccp_coord_shard_waits_total",
-			"Snapshot-cache shard lock acquisitions that found the shard already locked."),
-		mergedQueries: reg.Counter("ccp_coord_merged_queries_total",
-			"Queries that reached the coordinator merge path (no site decided them early)."),
-		payloadBytes:  reg.Counter("ccp_coord_payload_bytes_total", "Payload bytes returned by sites."),
 		batchInflight: reg.Gauge("ccp_batch_inflight_queries", "Batch queries currently in flight."),
 		reduceObs:     obs.NewReducerObs(reg, "coord"),
 	}
+	c.ev.Attach(o)
+	c.ev.SetLogger(c.opts.Logger)
+	c.ev.Bind(flight.CoordAnswer, obs.Series{
+		Seconds: reg.Histogram(MetricQuerySeconds, "End-to-end distributed query latency in seconds.", obs.DefaultLatencyBuckets),
+		Count:   reg.Counter("ccp_queries_total", "Distributed queries answered, including failed ones."),
+		ByA2:    []*obs.Counter{1: reg.Counter("ccp_query_errors_total", "Distributed queries that failed.")},
+	})
+	c.ev.Bind(flight.QueryShed, obs.Series{Count: reg.Counter("ccp_queries_shed_total", "Queries rejected by the admission gate before starting.")})
+	c.ev.Bind(flight.WireRPC, obs.Series{Sum: reg.Counter("ccp_coord_payload_bytes_total", "Payload bytes returned by sites.")})
+	c.ev.Bind(flight.GraphMerge, obs.Series{Seconds: phase("merge")})
+	c.ev.Bind(flight.MergeReduce, obs.Series{Seconds: phase("reduce")})
+	c.ev.Bind(flight.SnapHit, obs.Series{Count: c.met.snapshotHits})
+	c.ev.Bind(flight.SnapBuild, obs.Series{Count: c.met.snapshotBuilds})
+	c.ev.Bind(flight.SnapMiss, obs.Series{Count: c.met.snapshotMisses})
+	c.ev.Bind(flight.SnapEvict, obs.Series{Sum: reg.Counter("ccp_coord_snapshot_evictions_total",
+		"Merged-graph snapshots evicted when a cache shard filled up.")})
+	c.ev.Bind(flight.ShardWait, obs.Series{Count: reg.Counter("ccp_coord_shard_waits_total",
+		"Snapshot-cache shard lock acquisitions that found the shard already locked.")})
 }
 
 // coordCached is the coordinator's copy of one site's partial answer.
@@ -305,14 +311,13 @@ func snapShardOf(key string) int {
 	return int(h % numSnapShards)
 }
 
-// lockShard takes a shard lock, recording the cases where the lock was
+// lockShard takes a shard lock, reporting the cases where the lock was
 // already held — the contention the striping is meant to make rare.
-func (c *Coordinator) lockShard(sh *snapShard, shard int, fid uint64) {
+func lockShard(sh *snapShard, shard int, sc *obs.Scope) {
 	if sh.mu.TryLock() {
 		return
 	}
-	c.met.shardWaits.Inc()
-	c.fr.Record(flight.ShardWait, -1, fid, int64(shard), 0)
+	sc.Emit(flight.ShardWait, -1, int64(shard), 0)
 	sh.mu.Lock()
 }
 
@@ -321,9 +326,6 @@ func NewCoordinator(clients []SiteClient, opts Options) *Coordinator {
 	c := &Coordinator{
 		clients: clients,
 		opts:    opts,
-		met:     newCoordMetrics(opts.Observer),
-		fr:      opts.Observer.Flight(),
-		log:     obs.LoggerOr(opts.Logger),
 		slots:   make(map[int]int, len(clients)),
 	}
 	for _, cl := range clients {
@@ -335,6 +337,7 @@ func NewCoordinator(clients []SiteClient, opts Options) *Coordinator {
 	for i := range c.snaps {
 		c.snaps[i].entries = make(map[string]*mergedSnapshot, maxSnapshotsPerShard)
 	}
+	c.observe(opts.Observer)
 	c.observeCache(opts.Observer)
 	return c
 }
@@ -398,7 +401,7 @@ func (c *Coordinator) dropSnapshotsFor(touched []int) {
 		sh.mu.Unlock()
 	}
 	if dropped > 0 {
-		c.fr.Record(flight.SnapDrop, int32(touched[0]), 0, int64(dropped), int64(len(touched)))
+		c.ev.Emit(flight.SnapDrop, int32(touched[0]), 0, int64(dropped), 0)
 	}
 }
 
@@ -461,93 +464,71 @@ func (c *Coordinator) Answer(ctx context.Context, q control.Query) (bool, *Metri
 	return ans, m, err
 }
 
-// AnswerTraced is Answer plus the stitched cross-site trace of the query:
-// the coordinator's phase spans, one envelope span per contacted site, and
-// every site's own spans re-based onto the coordinator's timeline. The
-// returned trace is owned by the caller. It is non-nil even when the query
-// failed (the trace shows how far the query got).
+// AnswerTraced is Answer plus the query's stitched cross-site trace: every
+// event the coordinator emitted for it — one wire.rpc envelope per site that
+// replied, the merge and reduce layers — and every site's own events re-based
+// onto the coordinator's timeline. The returned trace is owned by the caller.
+// It is non-nil even when the query failed (the trace shows how far the query
+// got, the failing site's envelope included).
 func (c *Coordinator) AnswerTraced(ctx context.Context, q control.Query) (bool, *Metrics, *obs.Trace, error) {
 	return c.answer(ctx, q, true, true)
 }
 
-// answer wraps one query evaluation with the coordinator's observability:
-// a flight id (every query flies, traced or not), trace allocation (when
-// explicitly requested or needed by the slow-query log), top-level counters
-// and latency histograms, flight events, and slow-log capture. withHealth
-// attaches a per-site transport-health snapshot to the metrics; batch
-// workers pass false and the batch snapshots health once at the end.
+// answer wraps one query evaluation with the coordinator's observability: a
+// query id (every query gets one, traced or not), a trace (when explicitly
+// requested or needed by the slow-query log), the query.start and
+// coord.answer events, the per-query cache totals, and slow-log promotion.
+// withHealth attaches a per-site transport-health snapshot to the metrics;
+// batch workers pass false and the batch snapshots health once at the end.
 func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace, withHealth bool) (bool, *Metrics, *obs.Trace, error) {
 	// Admission runs before anything is allocated or timed: a shed query
-	// costs one counter and one flight event, and never pollutes the latency
-	// histograms with sub-microsecond "queries".
+	// costs one event, and never pollutes the latency histograms with
+	// sub-microsecond "queries".
 	if g := c.opts.AdmissionGate; g != nil {
 		release, err := g.Admit(ctx)
 		if err != nil {
-			c.met.shedQueries.Inc()
-			c.fr.Record(flight.QueryShed, -1, 0, int64(q.S), int64(q.T))
+			c.ev.Emit(flight.QueryShed, -1, 0, int64(q.S), int64(q.T))
 			return false, &Metrics{DecidedBy: -1}, nil, err
 		}
 		defer release()
 	}
 	start := time.Now()
-	// The flight id correlates this query's events across coordinator and
-	// sites; when the query is traced the trace id doubles as the flight id,
-	// so timelines and stitched traces line up.
-	fid := obs.NewTraceID()
-	var tr *obs.Trace
-	if wantTrace || c.opts.Observer.TraceEnabled() {
-		tr = obs.GetTrace()
-		tr.TraceID = fid
-		tr.Query = fmt.Sprintf("controls(%d,%d)", q.S, q.T)
-		tr.Start = start
-	}
-	c.fr.Record(flight.QueryStart, -1, fid, int64(q.S), int64(q.T))
-	ans, m, err := c.eval(ctx, q, start, fid, tr, withHealth)
+	// The id goes to the sites with every request, so one query's events
+	// correlate across the flight rings of every process it touched. A
+	// slow-query log can only threshold on what was kept, so with one
+	// configured every query is traced, not just the ones asked for.
+	sc := c.ev.Query(obs.NewTraceID(), wantTrace || c.opts.Observer.SlowLog() != nil, time.Time{})
+	sc.Emit(flight.QueryStart, -1, int64(q.S), int64(q.T))
+	ans, m, err := c.eval(ctx, q, start, &sc, withHealth)
 	dur := time.Since(start)
-	c.met.queries.Inc()
-	c.met.querySeconds.Observe(dur.Seconds())
 	errFlag := int64(0)
 	if err != nil {
-		c.met.queryErrors.Inc()
 		errFlag = 1
-		c.log.Warn("query failed", "s", q.S, "t", q.T, "dur", dur, "err", err,
-			obs.TraceIDAttr(fid))
+		c.ev.Log().Warn("query failed", "s", q.S, "t", q.T, "dur", dur, "err", err,
+			obs.TraceIDAttr(sc.ID))
 	}
-	c.fr.Record(flight.QueryEnd, -1, fid, dur.Nanoseconds(), errFlag)
+	sc.Emit(flight.CoordAnswer, -1, int64(dur), errFlag)
 	c.met.cacheHits.Add(int64(m.CacheHits))
 	c.met.cacheMisses.Add(int64(m.SitesQueried - m.CacheHits))
 	c.met.coordCacheHits.Add(int64(m.CoordCacheHits))
-	c.met.snapshotHits.Add(int64(m.SnapshotHits))
-	c.met.snapshotBuilds.Add(int64(m.SnapshotBuilds))
-	c.met.snapshotMisses.Add(int64(m.SnapshotMisses))
-	c.met.mergedQueries.Add(int64(m.MergedQueries))
-	c.met.payloadBytes.Add(m.Bytes)
-	if tr == nil {
+	if !sc.Traced {
 		return ans, m, nil, err
 	}
-	tr.DurNS = dur.Nanoseconds()
+	tr := &obs.Trace{TraceID: sc.ID, Query: fmt.Sprintf("controls(%d,%d)", q.S, q.T),
+		Start: start, DurNS: dur.Nanoseconds(), Events: sc.Events}
 	if err != nil {
 		tr.Err = err.Error()
 	}
-	if c.opts.Observer.ObserveTrace(tr) {
-		c.fr.Record(flight.SlowQuery, -1, fid, tr.DurNS, 0)
-		c.log.Info("slow query captured", "s", q.S, "t", q.T, "dur", dur,
-			obs.TraceIDAttr(fid))
+	c.ev.Promote(tr)
+	if !wantTrace {
+		tr = nil
 	}
-	if wantTrace {
-		// The caller keeps the trace; it never returns to the pool.
-		return ans, m, tr, err
-	}
-	obs.PutTrace(tr)
-	return ans, m, nil, err
+	return ans, m, tr, err
 }
 
 // eval runs one query: fan out to the sites, collect partial answers, merge
-// and reduce. fid is the query's flight id, carried to the sites so their
-// flight events correlate with the coordinator's. When tr is non-nil it
-// accumulates spans for every step; site span buffers are released here
-// after stitching.
-func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Time, fid uint64, tr *obs.Trace, withHealth bool) (bool, *Metrics, error) {
+// and reduce, reporting every step through the query's scope.
+func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Time, sc *obs.Scope, withHealth bool) (bool, *Metrics, error) {
 	m := &Metrics{DecidedBy: -1}
 	if withHealth {
 		defer func() { m.Health = c.Health() }()
@@ -569,9 +550,10 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		bytes  int64
 		err    error
 		siteID int
-		// startNS/durNS bracket the whole site call on the coordinator's
-		// clock (the envelope the site's own spans are re-based onto).
-		startNS, durNS int64
+		// start/dur bracket the whole site call on the coordinator's clock
+		// (the envelope the site's own events are re-based onto).
+		start time.Time
+		dur   time.Duration
 	}
 	// Buffered to len(clients): after a fail-fast return the remaining
 	// evaluations deposit their (cancelled) replies without blocking, so no
@@ -581,25 +563,22 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		opts := EvalOptions{
 			UseCache:     c.opts.UseCache,
 			ForcePartial: c.opts.ForcePartial,
-			FlightID:     fid,
+			QueryID:      sc.ID,
+			Trace:        sc.Traced,
 		}
 		if c.opts.UseCache {
 			if epoch, ok := c.cachedEpoch(cl.SiteID()); ok {
 				opts.IfEpoch, opts.HasIfEpoch = epoch, true
 			}
 		}
-		if tr != nil {
-			opts.TraceID = tr.TraceID
-		}
-		// The envelope is timed unconditionally: the flight recorder wants
-		// every site call, not just traced ones, and two clock reads cost
-		// far less than the call they bracket.
-		t0 := int64(time.Since(qstart))
+		// The envelope is timed unconditionally: the flight ring wants every
+		// site call, not just traced ones, and two clock reads cost far less
+		// than the call they bracket.
+		t0 := time.Now()
 		ectx, cancel := c.siteCtx(qctx)
 		pa, n, err := cl.Evaluate(ectx, q, opts)
 		cancel()
-		d := int64(time.Since(qstart)) - t0
-		replies <- reply{pa, n, err, cl.SiteID(), t0, d}
+		replies <- reply{pa, n, err, cl.SiteID(), t0, time.Since(t0)}
 	}
 	for _, cl := range c.clients {
 		if c.opts.SequentialSites {
@@ -614,11 +593,18 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	decidedBy := -1
 	for range c.clients {
 		r := <-replies
-		c.fr.Record(flight.SiteRPC, int32(r.siteID), fid, r.durNS, r.bytes)
+		// One call per reply, failed or not: the envelope goes to the ring,
+		// the payload counter and the trace, and the site's own events are
+		// stitched in behind it.
+		var remote []flight.Event
+		if r.pa != nil {
+			remote = r.pa.Events
+		}
+		sc.RPC(int32(r.siteID), r.start, r.dur, r.bytes, remote)
 		if r.err != nil {
 			cancelQuery()
-			c.log.Debug("site evaluation failed", "site", r.siteID, "err", r.err,
-				obs.TraceIDAttr(fid))
+			c.ev.Log().Debug("site evaluation failed", "site", r.siteID, "err", r.err,
+				obs.TraceIDAttr(sc.ID))
 			releasePartials(partials)
 			return false, m, fmt.Errorf("dist: site evaluation: %w", r.err)
 		}
@@ -627,28 +613,6 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		m.SiteElapsedSum += r.pa.Elapsed
 		if r.pa.Elapsed > m.SiteElapsedMax {
 			m.SiteElapsedMax = r.pa.Elapsed
-		}
-		if tr != nil {
-			// Stitch: the envelope span is measured on the coordinator's
-			// clock; the site's own spans are offsets from its request start
-			// and are re-based onto the envelope, so the assembled timeline
-			// is exact per process and off by at most one network flight
-			// across processes.
-			tr.Spans = append(tr.Spans, obs.Span{
-				Name:    "site.rpc",
-				Site:    int32(r.pa.SiteID),
-				StartNS: r.startNS,
-				DurNS:   r.durNS,
-				Bytes:   r.bytes,
-			})
-			for _, sp := range r.pa.Spans {
-				sp.StartNS += r.startNS
-				tr.Spans = append(tr.Spans, sp)
-			}
-		}
-		if r.pa.Spans != nil {
-			obs.PutSpans(r.pa.Spans)
-			r.pa.Spans = nil
 		}
 		if r.pa.FromCache {
 			m.CacheHits++
@@ -718,14 +682,17 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	}
 	scratch, _ := c.mergeGraphs.Get().(*graph.Graph)
 	var mg *graph.Graph
+	// Every merged query is one of snapshot hit, build or miss; the merged
+	// counter moves right behind that event so the conservation probe never
+	// sees the two apart for longer than a few instructions.
 	if len(cached) >= 2 {
-		snap, hit := c.snapshotFor(cached, fid)
+		snap, hit := c.snapshotFor(cached, sc)
+		c.met.mergedQueries.Inc()
 		mg = snap.skeleton.CloneInto(scratch)
 		m.PartialNodes += snap.nodes
 		m.PartialEdges += snap.edges
 		if hit {
 			m.SnapshotHits++
-			c.fr.Record(flight.SnapHit, -1, fid, int64(snap.nodes), int64(snap.edges))
 		} else {
 			m.SnapshotBuilds++
 		}
@@ -737,7 +704,8 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 			mg = scratch
 		}
 		m.SnapshotMisses++
-		c.fr.Record(flight.SnapMiss, -1, fid, int64(len(cached)), 0)
+		sc.Emit(flight.SnapMiss, -1, int64(len(cached)), 0)
+		c.met.mergedQueries.Inc()
 		rest = append(cached, rest...)
 	}
 	for _, pa := range rest {
@@ -748,7 +716,7 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	releasePartials(partials)
 	m.MGraphNodes = mg.NumNodes()
 	m.MGraphEdges = mg.NumEdges()
-	reduceStart := time.Now()
+	reduceStart := sc.Span(flight.GraphMerge, -1, start, int64(m.MGraphEdges))
 	x, _ := c.mergeSets.Get().(graph.NodeSet)
 	if x == nil {
 		x = graph.NewNodeSet()
@@ -761,22 +729,12 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		Workers: c.reduceWorkers(),
 		Trust:   control.FullTrust,
 		Obs:     c.met.reduceObs,
-		Logger:  c.opts.Logger,
 	})
 	c.mergeSets.Put(x)
 	c.mergeGraphs.Put(mg)
 	m.CoordElapsed = time.Since(start)
-	c.fr.Record(flight.ReduceRound, -1, fid,
-		int64(res.Stats.Iterations), int64(res.Stats.Removed+res.Stats.Contracted))
-	c.met.phaseMerge.Observe(reduceStart.Sub(start).Seconds())
-	c.met.phaseReduce.Observe(time.Since(reduceStart).Seconds())
-	if tr != nil {
-		tr.Spans = append(tr.Spans,
-			obs.Span{Name: "coord.merge", Site: -1,
-				StartNS: int64(start.Sub(qstart)), DurNS: int64(reduceStart.Sub(start))},
-			obs.Span{Name: "coord.reduce", Site: -1,
-				StartNS: int64(reduceStart.Sub(qstart)), DurNS: int64(time.Since(reduceStart))})
-	}
+	sc.Span(flight.MergeReduce, -1, reduceStart,
+		flight.PackReduce(res.Stats.Iterations, res.Stats.Removed+res.Stats.Contracted))
 	m.Stats.Add(res.Stats)
 	if err != nil {
 		return false, m, ctxError(-1, "merge", err)
@@ -789,10 +747,11 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 
 // snapshotFor returns the merged skeleton for the given cached partials,
 // building and memoizing it keyed by their (site, epoch) vector, and
-// reports whether the skeleton was already cached (a hit) or had to be
-// built. Concurrent queries may race to build the same skeleton; the first
-// published copy wins so later queries clone one shared skeleton.
-func (c *Coordinator) snapshotFor(cached []*PartialAnswer, fid uint64) (*mergedSnapshot, bool) {
+// reports — to the caller and as a snap.hit or snap.build event — whether
+// the skeleton was already cached or had to be built. Concurrent queries may
+// race to build the same skeleton; the first published copy wins so later
+// queries clone one shared skeleton.
+func (c *Coordinator) snapshotFor(cached []*PartialAnswer, sc *obs.Scope) (*mergedSnapshot, bool) {
 	sort.Slice(cached, func(i, j int) bool { return cached[i].SiteID < cached[j].SiteID })
 	key := make([]byte, 0, 16*len(cached))
 	for _, pa := range cached {
@@ -804,10 +763,11 @@ func (c *Coordinator) snapshotFor(cached []*PartialAnswer, fid uint64) (*mergedS
 	k := string(key)
 	shard := snapShardOf(k)
 	sh := &c.snaps[shard]
-	c.lockShard(sh, shard, fid)
+	lockShard(sh, shard, sc)
 	snap := sh.entries[k]
 	sh.mu.Unlock()
 	if snap != nil {
+		sc.Emit(flight.SnapHit, -1, int64(snap.nodes), int64(snap.edges))
 		return snap, true
 	}
 	buildStart := time.Now()
@@ -821,22 +781,20 @@ func (c *Coordinator) snapshotFor(cached []*PartialAnswer, fid uint64) (*mergedS
 		sk.Merge(pa.Reduced)
 	}
 	snap = &mergedSnapshot{skeleton: sk, nodes: nodes, edges: edges, sites: sites}
-	c.fr.Record(flight.SnapBuild, -1, fid, time.Since(buildStart).Nanoseconds(), int64(edges))
-	c.lockShard(sh, shard, fid)
+	lockShard(sh, shard, sc)
 	if have := sh.entries[k]; have != nil {
 		// Another query built and published the same skeleton first; adopt
 		// it (this build still counts as one: the merge work happened).
-		sh.mu.Unlock()
-		return have, false
+		snap = have
+	} else {
+		if len(sh.entries) >= maxSnapshotsPerShard {
+			sc.Emit(flight.SnapEvict, -1, int64(shard), int64(len(sh.entries)))
+			clear(sh.entries)
+		}
+		sh.entries[k] = snap
 	}
-	if len(sh.entries) >= maxSnapshotsPerShard {
-		droppedN := len(sh.entries)
-		clear(sh.entries)
-		c.met.snapshotEvictions.Add(int64(droppedN))
-		c.fr.Record(flight.SnapEvict, -1, fid, int64(droppedN), int64(shard))
-	}
-	sh.entries[k] = snap
 	sh.mu.Unlock()
+	sc.Emit(flight.SnapBuild, -1, time.Since(buildStart).Nanoseconds(), int64(edges))
 	return snap, false
 }
 

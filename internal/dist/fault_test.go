@@ -324,6 +324,47 @@ func TestNonIdempotentUpdateNotRetried(t *testing.T) {
 	}
 }
 
+// TestDeadGenerationStillInstalledIsRetired pins the interleaving behind the
+// two tests above failing once in a few hundred -race runs: a generation's
+// reader marks it failed a moment before it retires it, so a call can be
+// handed a corpse that is still installed. Nothing of that call was sent, so
+// it must retire the corpse and go out on a fresh connection — without
+// spending a retry, and even when the op is one that is never retried.
+func TestDeadGenerationStillInstalledIsRetired(t *testing.T) {
+	c, err := DialConfig(context.Background(), startServer(t, testSite(t)), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Fail the live generation by hand exactly as far as readLoop has got
+	// when the race strikes: err set, still c.conn.
+	c.mu.Lock()
+	corpse := c.conn
+	c.mu.Unlock()
+	corpse.mu.Lock()
+	corpse.err = errors.New("EOF")
+	corpse.mu.Unlock()
+	defer corpse.fail(nil) // closes the socket; its reader exits
+
+	res, err := c.Update(context.Background(), StakeUpdate{Owner: 2, Owned: 3, Weight: 0.6})
+	if err != nil {
+		t.Fatalf("update handed a dead generation: %v", err)
+	}
+	if !res.Stored || !res.Changed {
+		t.Fatalf("update result = %+v", res)
+	}
+	if h := c.Health(); h.Retries != 0 || h.Redials != 1 || !h.Connected {
+		t.Fatalf("health after the redial = %+v, want 0 retries, 1 redial, connected", h)
+	}
+	c.mu.Lock()
+	fresh := c.conn
+	c.mu.Unlock()
+	if fresh == corpse {
+		t.Fatal("the dead generation is still installed")
+	}
+}
+
 // TestWriteFailureRetiresGeneration: a write error poisons the gob stream,
 // so the whole generation must be retired and the (idempotent) call retried
 // on a fresh connection.

@@ -315,9 +315,6 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, encMu *sync.Mutex, req 
 		conn.Close()
 	}
 	encMu.Unlock()
-	// The spans are on the wire (or lost with the conn); either way the
-	// pooled buffer is free to reuse.
-	obs.PutSpans(resp.Spans)
 }
 
 // serve executes one decoded request against the site.
@@ -341,8 +338,8 @@ func (s *Server) serve(ctx context.Context, req *request) *response {
 			ForcePartial: req.ForcePartial,
 			IfEpoch:      req.IfEpoch,
 			HasIfEpoch:   req.HasIfEpoch,
-			TraceID:      req.TraceID,
-			FlightID:     req.FlightID,
+			QueryID:      req.QueryID,
+			Trace:        req.Trace,
 		})
 		if err != nil {
 			return errResponse(siteID, err)

@@ -52,11 +52,10 @@ type PartialAnswer struct {
 	// NotModified reports that the coordinator's copy (requested via
 	// EvalOptions.IfEpoch) is still valid; Reduced is nil.
 	NotModified bool
-	// Spans are the site-local trace spans of a traced evaluation
-	// (EvalOptions.TraceID != 0), with StartNS relative to the start of
-	// this evaluation. The slice is pooled: whoever serializes or stitches
-	// it releases it with obs.PutSpans.
-	Spans []obs.Span
+	// Events are the events the site emitted while serving a traced
+	// evaluation (EvalOptions.Trace), with TS as an offset from the start of
+	// this evaluation; nil when the query is not traced.
+	Events []flight.Event
 
 	// pool, when non-nil, owns Reduced: the graph is pooled scratch, valid
 	// until Release. Cached partials (FromCache) are never pooled — their
@@ -123,9 +122,8 @@ type Site struct {
 	scratch    sync.Pool
 	exclusions sync.Pool
 
-	met siteMetrics
-	fr  *flight.Recorder
-	log *slog.Logger
+	robs *obs.ReducerObs
+	ev   obs.Emitter
 }
 
 // siteSnapshot is one immutable copy-on-write view of the partition: the
@@ -201,48 +199,44 @@ func (s *Site) takeScratch() *graph.Graph {
 	return g
 }
 
-// siteMetrics are the site's registered series — zero-valued (all nil) on
-// an unobserved site, where every update is a nil-check no-op.
-type siteMetrics struct {
-	evalSeconds *obs.Histogram
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-	robs        *obs.ReducerObs
-}
-
 // Observe registers the site's metrics — evaluation latency, cache
 // hits/misses, reduction-engine telemetry — on o's registry, labeled with
-// the partition id. Call once, before the site starts serving.
+// the partition id, and points the site's events at o. Call once, before the
+// site starts serving.
 func (s *Site) Observe(o *obs.Observer) {
 	reg := o.Registry()
 	id := strconv.Itoa(s.part.ID)
 	l := obs.Label{Key: "site", Value: id}
-	s.met.evalSeconds = reg.Histogram("ccp_site_evaluate_seconds",
-		"Site-side evaluation latency in seconds.", obs.DefaultLatencyBuckets, l)
-	s.met.cacheHits = reg.Counter("ccp_site_cache_hits_total",
+	hits := reg.Counter("ccp_site_cache_hits_total",
 		"Evaluations served from the query-independent cache.", l)
-	s.met.cacheMisses = reg.Counter("ccp_site_cache_misses_total",
+	misses := reg.Counter("ccp_site_cache_misses_total",
 		"Evaluations answered by a live reduction or local decision.", l)
-	s.met.robs = obs.NewReducerObs(reg, "site-"+id)
+	s.ev.Attach(o)
+	s.ev.Bind(flight.SiteEvaluate, obs.Series{
+		Seconds: reg.Histogram("ccp_site_evaluate_seconds",
+			"Site-side evaluation latency in seconds.", obs.DefaultLatencyBuckets, l),
+		ByA2: []*obs.Counter{flight.EvalLive: misses, flight.EvalCached: hits,
+			flight.EvalDecided: misses, flight.EvalRevalidated: hits},
+	})
+	s.robs = obs.NewReducerObs(reg, "site-"+id)
 	reg.GaugeFunc("ccp_site_snapshot_pins",
 		"Evaluations currently holding the site's epoch snapshot.",
 		func() float64 { return float64(s.pins.Load()) }, l)
 	reg.GaugeFunc("ccp_site_epoch",
 		"The site's data epoch (the durable WAL sequence number when a store is attached).",
 		func() float64 { return float64(s.epoch.Load()) }, l)
-	s.fr = o.Flight()
 	if s.store != nil {
 		s.store.Observe(o, s.part.ID)
 	}
 }
 
-// SetLogger routes the site's structured diagnostics (and the reducer's
-// debug summaries) to l. Call before the site starts serving; nil discards.
-func (s *Site) SetLogger(l *slog.Logger) { s.log = obs.LoggerOr(l) }
+// SetLogger routes the site's structured diagnostics and the slog lines of
+// its events to l. Call before the site starts serving; nil discards.
+func (s *Site) SetLogger(l *slog.Logger) { s.ev.SetLogger(l) }
 
 // NewSite wraps a partition. workers <= 0 means GOMAXPROCS.
 func NewSite(p *partition.Partition, workers int) *Site {
-	return &Site{part: p, workers: workers, cacheEpoch: ^uint64(0), log: obs.Discard()}
+	return &Site{part: p, workers: workers, cacheEpoch: ^uint64(0)}
 }
 
 // OpenDurableSite builds a site backed by the durable store in dir:
@@ -439,8 +433,7 @@ func (s *Site) Epoch() uint64 { return s.epoch.Load() }
 // state), so a cancelled query never poisons the site for the queries after
 // it.
 func (s *Site) reduce(ctx context.Context, g *graph.Graph, q control.Query, x graph.NodeSet, opt control.Options) (control.Result, error) {
-	opt.Obs = s.met.robs
-	opt.Logger = s.log
+	opt.Obs = s.robs
 	return control.ParallelReduction(ctx, g, q, x, opt)
 }
 
@@ -468,7 +461,7 @@ func (s *Site) Invalidate() {
 			s.epoch.Store(seq)
 			return
 		}
-		s.log.Warn("invalidation mark not durable", "site", s.part.ID)
+		s.ev.Log().Warn("invalidation mark not durable", "site", s.part.ID)
 	}
 	s.epoch.Add(1)
 }
@@ -527,15 +520,14 @@ type EvalOptions struct {
 	// coordinator-side cache of Figure 6.
 	IfEpoch    uint64
 	HasIfEpoch bool
-	// TraceID, when non-zero, makes the site record spans for this
-	// evaluation and return them in PartialAnswer.Spans. Zero (the
-	// default) keeps the hot path span-free.
-	TraceID uint64
-	// FlightID correlates the site's flight-recorder events with the
-	// coordinator's for this query. Unlike TraceID it is set on every query
-	// (flight recording is always on and allocation-free), so it must not
-	// enable span recording.
-	FlightID uint64
+	// QueryID is the coordinator's id for the query; the site stamps it on
+	// every event it emits while serving, so the flight rings of all the
+	// processes a query touched correlate. Set on every query.
+	QueryID uint64
+	// Trace asks the site to also send its events back, in
+	// PartialAnswer.Events. Off (the default) nothing extra is kept or
+	// shipped.
+	Trace bool
 }
 
 // Evaluate computes the partial answer to q (Algorithm 2, line 6). With
@@ -546,6 +538,7 @@ type EvalOptions struct {
 // stay fully usable for subsequent queries.
 func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) (*PartialAnswer, error) {
 	start := time.Now()
+	sc := s.ev.Query(opts.QueryID, opts.Trace, start)
 	holdsS := s.part.Members.Has(q.S)
 	holdsT := s.part.Members.Has(q.T)
 
@@ -554,33 +547,20 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 			return nil, err
 		}
 		s.mu.Lock()
-		cached := s.cache
-		st := s.cacheStats
-		epoch := s.cacheEpoch
-		s.mu.Unlock()
-		if opts.HasIfEpoch && opts.IfEpoch == epoch {
-			pa := &PartialAnswer{
-				SiteID:      s.part.ID,
-				Ans:         control.Unknown,
-				Elapsed:     time.Since(start),
-				FromCache:   true,
-				Epoch:       epoch,
-				NotModified: true,
-			}
-			s.observeEval(pa, opts, "site.revalidate", true)
-			return pa, nil
-		}
 		pa := &PartialAnswer{
 			SiteID:    s.part.ID,
 			Ans:       control.Unknown,
-			Reduced:   cached,
-			Stats:     st,
-			Elapsed:   time.Since(start),
+			Reduced:   s.cache,
+			Stats:     s.cacheStats,
 			FromCache: true,
-			Epoch:     epoch,
+			Epoch:     s.cacheEpoch,
 		}
-		s.observeEval(pa, opts, "site.cache", true)
-		return pa, nil
+		s.mu.Unlock()
+		if opts.HasIfEpoch && opts.IfEpoch == pa.Epoch {
+			pa.Reduced, pa.Stats, pa.NotModified = nil, control.Stats{}, true
+			return s.served(&sc, pa, start, flight.EvalRevalidated), nil
+		}
+		return s.served(&sc, pa, start, flight.EvalCached), nil
 	}
 
 	// Live evaluation, entirely off the immutable epoch snapshot: no lock is
@@ -600,28 +580,13 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 		// partition copy entirely. Same trust, same answer, same (zero)
 		// stats as the reducer's round-0 exit.
 		if a := control.CheckTermination(sn.local, q, trust); a != control.Unknown {
-			pa := &PartialAnswer{
-				SiteID:  s.part.ID,
-				Ans:     a,
-				Elapsed: time.Since(start),
-				Epoch:   sn.epoch,
-			}
-			s.observeEval(pa, opts, "site.decide", false)
-			return pa, nil
+			pa := &PartialAnswer{SiteID: s.part.ID, Ans: a, Epoch: sn.epoch}
+			return s.served(&sc, pa, start, flight.EvalDecided), nil
 		}
 	}
 	x := s.takeExclusion(sn.boundary, q)
 	g := sn.local.CloneInto(s.takeScratch())
-	var spans []obs.Span
-	var reduceStart time.Time
-	if opts.TraceID != 0 {
-		reduceStart = time.Now()
-		spans = append(obs.GetSpans(), obs.Span{
-			Name:  "site.snapshot",
-			Site:  int32(s.part.ID),
-			DurNS: int64(reduceStart.Sub(start)),
-		})
-	}
+	reduceStart := sc.Span(flight.GraphClone, int32(s.part.ID), start, int64(g.NumNodes()))
 	copts := control.Options{
 		Workers: s.workers,
 		Trust:   trust,
@@ -633,15 +598,15 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 	s.putExclusion(x)
 	if err != nil {
 		s.scratch.Put(g)
-		obs.PutSpans(spans)
 		return nil, err
 	}
+	sc.Span(flight.SiteReduce, int32(s.part.ID), reduceStart,
+		flight.PackReduce(res.Stats.Iterations, res.Stats.Removed+res.Stats.Contracted))
 	pa := &PartialAnswer{
-		SiteID:  s.part.ID,
-		Ans:     res.Ans,
-		Stats:   res.Stats,
-		Elapsed: time.Since(start),
-		Epoch:   sn.epoch,
+		SiteID: s.part.ID,
+		Ans:    res.Ans,
+		Stats:  res.Stats,
+		Epoch:  sn.epoch,
 	}
 	if opts.ForcePartial {
 		pa.Ans = control.Unknown
@@ -652,42 +617,16 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 	} else {
 		s.scratch.Put(g)
 	}
-	if opts.TraceID != 0 {
-		pa.Spans = append(spans, obs.Span{
-			Name:    "site.reduce",
-			Site:    int32(s.part.ID),
-			StartNS: int64(reduceStart.Sub(start)),
-			DurNS:   int64(time.Since(reduceStart)),
-		})
-	}
-	s.met.cacheMisses.Inc()
-	s.met.evalSeconds.Observe(pa.Elapsed.Seconds())
-	s.fr.Record(flight.ReduceRound, int32(s.part.ID), opts.FlightID,
-		int64(res.Stats.Iterations), int64(res.Stats.Removed+res.Stats.Contracted))
-	s.fr.Record(flight.SiteEval, int32(s.part.ID), opts.FlightID, int64(pa.Elapsed), 0)
-	return pa, nil
+	return s.served(&sc, pa, start, flight.EvalLive), nil
 }
 
-// observeEval stamps metrics and a flight event for a single-step
-// evaluation outcome and, when traced, attaches a one-span trace covering
-// the whole step.
-func (s *Site) observeEval(pa *PartialAnswer, opts EvalOptions, span string, cacheHit bool) {
-	if cacheHit {
-		s.met.cacheHits.Inc()
-	} else {
-		s.met.cacheMisses.Inc()
-	}
-	s.met.evalSeconds.Observe(pa.Elapsed.Seconds())
-	hitFlag := int64(0)
-	if cacheHit {
-		hitFlag = 1
-	}
-	s.fr.Record(flight.SiteEval, int32(pa.SiteID), opts.FlightID, int64(pa.Elapsed), hitFlag)
-	if opts.TraceID != 0 {
-		pa.Spans = append(obs.GetSpans(), obs.Span{
-			Name:  span,
-			Site:  int32(pa.SiteID),
-			DurNS: int64(pa.Elapsed),
-		})
-	}
+// served finishes an evaluation: it stamps pa with the elapsed time, makes
+// the exit's one emission — site.evaluate, which feeds the latency histogram
+// and the hit/miss counters by how the answer was served — and hands a
+// traced query its events.
+func (s *Site) served(sc *obs.Scope, pa *PartialAnswer, start time.Time, how int64) *PartialAnswer {
+	pa.Elapsed = time.Since(start)
+	sc.Emit(flight.SiteEvaluate, int32(pa.SiteID), int64(pa.Elapsed), how)
+	pa.Events = sc.Events
+	return pa
 }

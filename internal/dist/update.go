@@ -96,7 +96,7 @@ func (s *Site) ApplyEdgeUpdate(up StakeUpdate) (UpdateResult, error) {
 		return res, err
 	}
 	res.Seq = seq
-	s.fr.Record(flight.Update, int32(s.part.ID), 0, int64(up.Owner), int64(up.Owned))
+	s.ev.Emit(flight.Update, int32(s.part.ID), 0, int64(up.Owner), int64(up.Owned))
 	return res, nil
 }
 
@@ -118,11 +118,11 @@ func (s *Site) AdjustCrossIn(v graph.NodeID, delta int) bool {
 	rec := store.Record{Kind: store.KindCrossIn, Owned: int32(v), Delta: int32(delta)}
 	if changed {
 		if _, err := s.commit(rec); err != nil {
-			s.log.Warn("cross-in update not durable", "site", s.part.ID, "err", err)
+			s.ev.Log().Warn("cross-in update not durable", "site", s.part.ID, "err", err)
 		}
 	} else if s.store != nil {
 		if _, err := s.store.Append(rec); err != nil {
-			s.log.Warn("cross-in update not durable", "site", s.part.ID, "err", err)
+			s.ev.Log().Warn("cross-in update not durable", "site", s.part.ID, "err", err)
 		}
 	}
 	return true
@@ -144,14 +144,14 @@ func (c *Coordinator) ApplyUpdate(ctx context.Context, up StakeUpdate) error {
 	// skeletons over untouched sites stay hot for the next batch.
 	var touched []int
 	defer func() { c.dropSnapshotsFor(touched) }()
-	c.fr.Record(flight.Update, -1, 0, int64(up.Owner), int64(up.Owned))
+	c.ev.Emit(flight.Update, -1, 0, int64(up.Owner), int64(up.Owned))
 	var applied *UpdateResult
 	for _, cl := range c.clients {
 		uctx, cancel := c.siteCtx(ctx)
 		res, err := cl.Update(uctx, up)
 		cancel()
 		if err != nil {
-			c.log.Warn("update failed", "owner", up.Owner, "owned", up.Owned,
+			c.ev.Log().Warn("update failed", "owner", up.Owner, "owned", up.Owned,
 				"site", cl.SiteID(), "err", err)
 			return err
 		}

@@ -10,7 +10,7 @@ import (
 
 	"ccp/internal/control"
 	"ccp/internal/graph"
-	"ccp/internal/obs"
+	"ccp/internal/obs/flight"
 )
 
 func durationNS(ns int64) time.Duration { return time.Duration(ns) }
@@ -79,14 +79,11 @@ type request struct {
 	// server-side (context deadline on the evaluation, write deadline on the
 	// response).
 	DeadlineNS int64
-	// TraceID, when non-zero, asks the site to record spans for this
-	// request and return them in the response; zero (the default) keeps the
-	// evaluation entirely untraced.
-	TraceID uint64
-	// FlightID correlates the site's flight-recorder events with the
-	// coordinator's; unlike TraceID it is set on every query and does not
-	// enable span recording.
-	FlightID uint64
+	// QueryID is the coordinator's id for the query this request belongs to
+	// (the site stamps it on the events it emits); Trace asks the site to
+	// send those events back in the response.
+	QueryID uint64
+	Trace   bool
 	// opUpdate / opCrossIn payloads.
 	Update StakeUpdate
 	Delta  int
@@ -124,10 +121,10 @@ type response struct {
 	// Epoch and NotModified support the coordinator-side cache.
 	Epoch       uint64
 	NotModified bool
-	// Spans are the site-local trace spans of a traced evaluate request
-	// (request.TraceID != 0), with StartNS relative to the site's own
-	// request start; the coordinator re-bases them when stitching.
-	Spans []obs.Span
+	// Events are the site's events for a traced evaluate request
+	// (request.Trace), with TS as an offset from the site's own request
+	// start; the coordinator re-bases them when stitching.
+	Events []flight.Event
 	// Replication payloads. Records is a frame-encoded WAL record batch
 	// (store.EncodeRecords); Snapshot a CCPP1 partition image covering
 	// SnapSeq. DurableSeq is the site's durable sequence number at answer
@@ -171,7 +168,7 @@ func encodePartial(pa *PartialAnswer) (*response, error) {
 		FromCache:   pa.FromCache,
 		Epoch:       pa.Epoch,
 		NotModified: pa.NotModified,
-		Spans:       pa.Spans,
+		Events:      pa.Events,
 	}
 	if pa.Reduced != nil {
 		var buf bytes.Buffer
@@ -197,7 +194,7 @@ func decodePartial(resp *response, pool *sync.Pool) (*PartialAnswer, error) {
 		FromCache:   resp.FromCache,
 		Epoch:       resp.Epoch,
 		NotModified: resp.NotModified,
-		Spans:       resp.Spans,
+		Events:      resp.Events,
 	}
 	if len(resp.GraphBytes) > 0 {
 		if pool != nil && !resp.FromCache {

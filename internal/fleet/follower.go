@@ -58,15 +58,6 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 	return c
 }
 
-// followerMetrics are the follower's registered series — zero-valued (all
-// nil) without an Observer, where every update is a nil-check no-op.
-type followerMetrics struct {
-	pulls      *obs.Counter
-	applied    *obs.Counter
-	bootstraps *obs.Counter
-	truncated  *obs.Counter
-}
-
 // Follower is a read replica of one durable leader site: it bootstraps from
 // the leader's consistent snapshot image, then tails the leader's WAL over
 // the normal site transport (long-polled pulls), applying each record
@@ -98,9 +89,7 @@ type Follower struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	met followerMetrics
-	fr  *flight.Recorder
-	log *slog.Logger
+	ev obs.Emitter
 }
 
 // StartFollower dials the leader, bootstraps a replica of its site, starts
@@ -115,34 +104,29 @@ func StartFollower(ctx context.Context, leaderAddr string, cfg FollowerConfig) (
 	if cfg.Client.Logger == nil {
 		cfg.Client.Logger = cfg.Logger
 	}
-	f := &Follower{
-		cfg:  cfg,
-		fr:   cfg.Observer.Flight(),
-		log:  obs.LoggerOr(cfg.Logger),
-		done: make(chan struct{}),
-	}
+	f := &Follower{cfg: cfg, done: make(chan struct{})}
+	f.ev.Attach(cfg.Observer)
+	f.ev.SetLogger(cfg.Logger)
 	leader, err := dist.DialConfig(ctx, leaderAddr, cfg.Client)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: dialing leader %s: %w", leaderAddr, err)
 	}
 	f.leader = leader
+	reg := cfg.Observer.Registry()
+	l := obs.Label{Key: "site", Value: strconv.Itoa(leader.SiteID())}
+	f.ev.Bind(flight.ReplPull, obs.Series{Count: reg.Counter("ccp_fleet_pulls_total",
+		"Replication pulls completed against the leader.", l)})
+	f.ev.Bind(flight.ReplApply, obs.Series{Sum: reg.Counter("ccp_fleet_records_applied_total",
+		"Leader WAL records applied on this follower.", l)})
+	f.ev.Bind(flight.ReplBootstrap, obs.Series{Count: reg.Counter("ccp_fleet_bootstraps_total",
+		"Snapshot bootstraps (initial and truncation-forced).", l)})
+	f.ev.Bind(flight.ReplTruncated, obs.Series{Count: reg.Counter("ccp_fleet_truncations_total",
+		"Pulls answered 'truncated': the leader checkpointed past records this follower still needed.", l)})
 	if err := f.bootstrap(ctx); err != nil {
 		leader.Close()
 		return nil, err
 	}
-	if reg := cfg.Observer.Registry(); reg != nil {
-		l := obs.Label{Key: "site", Value: strconv.Itoa(leader.SiteID())}
-		f.met = followerMetrics{
-			pulls: reg.Counter("ccp_fleet_pulls_total",
-				"Replication pulls completed against the leader.", l),
-			applied: reg.Counter("ccp_fleet_records_applied_total",
-				"Leader WAL records applied on this follower.", l),
-			bootstraps: reg.Counter("ccp_fleet_bootstraps_total",
-				"Snapshot bootstraps (initial and truncation-forced).", l),
-			truncated: reg.Counter("ccp_fleet_truncations_total",
-				"Pulls answered 'truncated': the leader checkpointed past records this follower still needed.", l),
-		}
-		f.met.bootstraps.Inc() // the initial bootstrap above
+	if reg != nil {
 		reg.GaugeFunc("ccp_fleet_applied_seq",
 			"Last leader WAL sequence number applied on this follower.",
 			func() float64 { return float64(f.applied.Load()) }, l)
@@ -201,9 +185,7 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	f.applied.Store(snapSeq)
 	f.leaderSeq.Store(leaderSeq)
 	f.boots.Add(1)
-	f.fr.Record(flight.ReplBootstrap, int32(p.ID), 0, int64(snapSeq), int64(len(img)))
-	f.log.Info("follower bootstrapped", "site", p.ID, "snap_seq", snapSeq,
-		"leader_seq", leaderSeq, "image_bytes", len(img))
+	f.ev.Emit(flight.ReplBootstrap, int32(p.ID), 0, int64(snapSeq), int64(len(img)))
 	return nil
 }
 
@@ -220,7 +202,7 @@ func (f *Follower) serveOn(ln net.Listener, site *dist.Site) {
 	f.mu.Unlock()
 	go func() {
 		if err := srv.Serve(ln); err != nil {
-			f.log.Warn("follower serve stopped", "err", err)
+			f.ev.Log().Warn("follower serve stopped", "err", err)
 		}
 	}()
 }
@@ -241,7 +223,6 @@ func (f *Follower) rebootstrap(ctx context.Context) error {
 	if err := f.bootstrap(ctx); err != nil {
 		return err
 	}
-	f.met.bootstraps.Inc()
 	if f.addr != "" {
 		ln, err := net.Listen("tcp", f.addr)
 		if err != nil {
@@ -265,21 +246,18 @@ func (f *Follower) run(ctx context.Context) {
 			if ctx.Err() != nil {
 				return
 			}
-			f.log.Warn("replication pull failed", "site", siteID, "err", err)
+			f.ev.Log().Warn("replication pull failed", "site", siteID, "err", err)
 			if !sleepCtx(ctx, f.cfg.RetryInterval) {
 				return
 			}
 			continue
 		}
 		f.leaderSeq.Store(leaderSeq)
-		f.met.pulls.Inc()
-		f.fr.Record(flight.ReplPull, siteID, 0, int64(leaderSeq), int64(len(recs)))
+		f.ev.Emit(flight.ReplPull, siteID, 0, int64(leaderSeq), int64(len(recs)))
 		if truncated {
-			f.met.truncated.Inc()
-			f.log.Info("leader truncated records this follower needs; re-bootstrapping",
-				"site", siteID, "applied", f.applied.Load(), "leader_seq", leaderSeq)
+			f.ev.Emit(flight.ReplTruncated, siteID, 0, int64(f.applied.Load()), int64(leaderSeq))
 			if err := f.rebootstrap(ctx); err != nil {
-				f.log.Error("re-bootstrap failed", "site", siteID, "err", err)
+				f.ev.Log().Error("re-bootstrap failed", "site", siteID, "err", err)
 				if !sleepCtx(ctx, f.cfg.RetryInterval) {
 					return
 				}
@@ -296,10 +274,10 @@ func (f *Follower) run(ctx context.Context) {
 				// A record the replica cannot apply means it diverged from
 				// the leader (or the image raced something it should not
 				// have); a fresh bootstrap is the safe recovery.
-				f.log.Error("replicated record failed to apply; re-bootstrapping",
+				f.ev.Log().Error("replicated record failed to apply; re-bootstrapping",
 					"site", siteID, "seq", rec.Seq, "err", err)
 				if rerr := f.rebootstrap(ctx); rerr != nil {
-					f.log.Error("re-bootstrap failed", "site", siteID, "err", rerr)
+					f.ev.Log().Error("re-bootstrap failed", "site", siteID, "err", rerr)
 				}
 				bad = true
 				break
@@ -309,8 +287,7 @@ func (f *Follower) run(ctx context.Context) {
 		if bad {
 			continue
 		}
-		f.met.applied.Add(int64(len(recs)))
-		f.fr.Record(flight.ReplApply, siteID, 0, int64(f.applied.Load()), int64(len(recs)))
+		f.ev.Emit(flight.ReplApply, siteID, 0, int64(f.applied.Load()), int64(len(recs)))
 	}
 }
 

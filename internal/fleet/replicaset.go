@@ -10,6 +10,7 @@ import (
 	"ccp/internal/dist"
 	"ccp/internal/graph"
 	"ccp/internal/obs"
+	"ccp/internal/obs/flight"
 )
 
 // ReplicaSetConfig tunes one site's replica-aware routing.
@@ -28,7 +29,6 @@ type replicaSetMetrics struct {
 	leaderReads   *obs.Counter
 	followerReads *obs.Counter
 	fallbacks     *obs.Counter
-	staleReads    *obs.Counter
 }
 
 // epochFetcher is the optional client capability the set uses to refresh
@@ -61,7 +61,7 @@ type ReplicaSet struct {
 	epochFloor atomic.Uint64
 
 	met replicaSetMetrics
-	log *slog.Logger
+	ev  obs.Emitter
 }
 
 // NewReplicaSet wraps a leader client and its follower clients into one
@@ -73,8 +73,9 @@ func NewReplicaSet(leader dist.SiteClient, followers []dist.SiteClient, cfg Repl
 		leader:   leader,
 		members:  members,
 		inflight: make([]atomic.Int64, len(members)),
-		log:      obs.LoggerOr(cfg.Logger),
 	}
+	r.ev.Attach(cfg.Observer)
+	r.ev.SetLogger(cfg.Logger)
 	if reg := cfg.Observer.Registry(); reg != nil {
 		l := obs.Label{Key: "site", Value: strconv.Itoa(leader.SiteID())}
 		reads := func(role string) *obs.Counter {
@@ -87,9 +88,9 @@ func NewReplicaSet(leader dist.SiteClient, followers []dist.SiteClient, cfg Repl
 			followerReads: reads("follower"),
 			fallbacks: reg.Counter("ccp_replica_fallbacks_total",
 				"Follower evaluations that failed and were retried on the leader.", l),
-			staleReads: reg.Counter("ccp_replica_stale_reads_total",
-				"Follower answers older than the write watermark, re-issued to the leader.", l),
 		}
+		r.ev.Bind(flight.StaleRead, obs.Series{Count: reg.Counter("ccp_replica_stale_reads_total",
+			"Follower answers older than the write watermark, re-issued to the leader.", l)})
 	}
 	return r
 }
@@ -135,16 +136,14 @@ func (r *ReplicaSet) Evaluate(ctx context.Context, q control.Query, opts dist.Ev
 			// already committed — epoch revalidation caught it; the leader
 			// serves the query instead. (NotModified replies carry the
 			// follower's cache epoch, so they are checked the same way.)
-			r.met.staleReads.Inc()
-			r.log.Debug("stale follower answer, re-issuing to leader",
-				"site", r.SiteID(), "answer_epoch", pa.Epoch, "floor", r.epochFloor.Load())
+			r.ev.Emit(flight.StaleRead, int32(r.SiteID()), opts.QueryID, int64(pa.Epoch), int64(r.epochFloor.Load()))
 			pa.Release()
 		case ctx.Err() != nil:
 			// The caller's budget is gone; a leader retry cannot succeed.
 			return nil, 0, err
 		default:
 			r.met.fallbacks.Inc()
-			r.log.Debug("follower evaluation failed, falling back to leader",
+			r.ev.Log().Debug("follower evaluation failed, falling back to leader",
 				"site", r.SiteID(), "err", err)
 		}
 	}
@@ -168,7 +167,7 @@ func (r *ReplicaSet) Precompute(ctx context.Context) error {
 			if ctx.Err() != nil {
 				return err
 			}
-			r.log.Debug("follower precompute skipped", "site", r.SiteID(), "err", err)
+			r.ev.Log().Debug("follower precompute skipped", "site", r.SiteID(), "err", err)
 		}
 	}
 	return nil

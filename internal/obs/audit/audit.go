@@ -191,7 +191,7 @@ func (a *Auditor) run(st *probeState) ProbeReport {
 		st.viols.Inc()
 		if !st.breached {
 			st.breached = true
-			a.o.Flight().Record(flight.AuditViolation, -1, 0, int64(st.idx), st.viols.Value())
+			a.o.Flight().Record(flight.Event{Type: flight.AuditViolation, Site: -1, A1: int64(st.idx), A2: st.viols.Value()})
 		}
 	}
 	st.mu.Unlock()

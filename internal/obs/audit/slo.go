@@ -161,7 +161,7 @@ func (s *SLO) advance(o *obs.Observer, now time.Time) {
 	s.mu.Unlock()
 	if fire {
 		s.breaches.Inc()
-		o.Flight().Record(flight.SLOBreach, -1, 0, idx, fastMil)
+		o.Flight().Record(flight.Event{Type: flight.SLOBreach, Site: -1, A1: idx, A2: fastMil})
 	}
 }
 

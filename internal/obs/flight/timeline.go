@@ -4,11 +4,15 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"time"
 )
 
 // TimelineEntry is one event of a merged cross-process timeline, tagged with
-// the process that recorded it.
+// the process that recorded it. An entry without one (an event of a query's
+// stitched trace) prints under the process its site names: "coord",
+// "site-3"; a wire.rpc envelope names the site it called but ran at the
+// coordinator.
 type TimelineEntry struct {
 	Process string
 	Event
@@ -63,8 +67,20 @@ func WriteTimeline(w io.Writer, entries []TimelineEntry) error {
 		if e.Trace != 0 {
 			trace = fmt.Sprintf("%016x", e.Trace)
 		}
-		if _, err := fmt.Fprintf(w, "  +%-14v %-10s %-13s %-16s %s\n",
-			time.Duration(e.TS-base), e.Process, e.Type, trace, e.Detail()); err != nil {
+		proc, detail := e.Process, e.Detail()
+		site := strconv.Itoa(int(e.Site))
+		if proc == "" {
+			if proc = "coord"; e.Site >= 0 && e.Type != WireRPC {
+				proc = "site-" + site
+			}
+		}
+		if e.Site >= 0 && proc != "site-"+site {
+			// An event about a site recorded elsewhere (the coordinator's
+			// wire.rpc, a client's retry): say which site.
+			detail += " site=" + site
+		}
+		if _, err := fmt.Fprintf(w, "  +%-14v %-10s %-20s %-16s %s\n",
+			time.Duration(e.TS-base), proc, e.Type, trace, detail); err != nil {
 			return err
 		}
 	}

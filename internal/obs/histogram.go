@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 )
@@ -92,8 +91,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is a point-in-time copy of a Histogram, safe to merge,
-// serialize, and derive quantiles from.
+// HistogramSnapshot is a point-in-time copy of a Histogram, safe to
+// serialize and derive quantiles from.
 type HistogramSnapshot struct {
 	// Bounds are the bucket upper bounds; Counts has one extra entry for
 	// the +Inf overflow bucket.
@@ -101,78 +100,6 @@ type HistogramSnapshot struct {
 	Counts []uint64  `json:"counts"`
 	Sum    float64   `json:"sum"`
 	Count  uint64    `json:"count"`
-}
-
-// BucketMismatchError reports an attempt to merge histogram snapshots whose
-// bucket layouts disagree — different bound sets, or a count slice whose
-// length does not match its bounds (a corrupted or hand-built snapshot).
-// Summing such buckets would silently misattribute observations, so Merge
-// refuses instead.
-type BucketMismatchError struct {
-	// Reason says which invariant broke ("bound count", "bound value",
-	// "count length").
-	Reason string
-	// A and B describe the two layouts (lengths or differing values).
-	A, B string
-}
-
-func (e *BucketMismatchError) Error() string {
-	return fmt.Sprintf("obs: cannot merge histograms: %s mismatch (%s vs %s)", e.Reason, e.A, e.B)
-}
-
-// Merge combines two snapshots taken over the same bucket bounds into a new
-// one. Merging is commutative and associative (bucket counts add), so any
-// merge order over a set of shards produces the same aggregate. A zero
-// snapshot merges as the identity; snapshots with mismatched bucket layouts
-// return a *BucketMismatchError and the zero snapshot.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) (HistogramSnapshot, error) {
-	if s.Bounds == nil && s.Count == 0 {
-		return o, nil
-	}
-	if o.Bounds == nil && o.Count == 0 {
-		return s, nil
-	}
-	if err := layoutMismatch(s, o); err != nil {
-		return HistogramSnapshot{}, err
-	}
-	m := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]uint64, len(s.Counts)),
-		Sum:    s.Sum + o.Sum,
-		Count:  s.Count + o.Count,
-	}
-	for i := range s.Counts {
-		m.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return m, nil
-}
-
-// layoutMismatch checks that two snapshots share one bucket layout.
-func layoutMismatch(s, o HistogramSnapshot) error {
-	if len(s.Bounds) != len(o.Bounds) {
-		return &BucketMismatchError{
-			Reason: "bound count",
-			A:      fmt.Sprintf("%d bounds", len(s.Bounds)),
-			B:      fmt.Sprintf("%d bounds", len(o.Bounds)),
-		}
-	}
-	for i := range s.Bounds {
-		if s.Bounds[i] != o.Bounds[i] {
-			return &BucketMismatchError{
-				Reason: "bound value",
-				A:      fmt.Sprintf("bounds[%d]=%v", i, s.Bounds[i]),
-				B:      fmt.Sprintf("bounds[%d]=%v", i, o.Bounds[i]),
-			}
-		}
-	}
-	if len(s.Counts) != len(o.Counts) {
-		return &BucketMismatchError{
-			Reason: "count length",
-			A:      fmt.Sprintf("%d counts", len(s.Counts)),
-			B:      fmt.Sprintf("%d counts", len(o.Counts)),
-		}
-	}
-	return nil
 }
 
 // Quantile estimates the q-quantile by linear interpolation inside the

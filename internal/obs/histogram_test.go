@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"errors"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -14,18 +12,6 @@ func snap(bounds []float64, vals ...float64) HistogramSnapshot {
 		h.Observe(v)
 	}
 	return h.Snapshot()
-}
-
-func eq(a, b HistogramSnapshot) bool {
-	if a.Count != b.Count || a.Sum != b.Sum || len(a.Counts) != len(b.Counts) {
-		return false
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != b.Counts[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestHistogramBucketBoundaries(t *testing.T) {
@@ -43,79 +29,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	if math.Abs(s.Sum-23.5001) > 1e-9 {
 		t.Errorf("sum = %v, want 23.5001", s.Sum)
-	}
-}
-
-// merge is the test-side Merge wrapper: mismatches are fatal.
-func merge(t *testing.T, a, b HistogramSnapshot) HistogramSnapshot {
-	t.Helper()
-	m, err := a.Merge(b)
-	if err != nil {
-		t.Fatalf("merge failed: %v", err)
-	}
-	return m
-}
-
-func TestHistogramMergeCommutativeAssociative(t *testing.T) {
-	bounds := []float64{0.001, 0.01, 0.1, 1}
-	a := snap(bounds, 0.0005, 0.05, 2)
-	b := snap(bounds, 0.005, 0.005, 0.5)
-	c := snap(bounds, 3, 0.0001)
-
-	if !eq(merge(t, a, b), merge(t, b, a)) {
-		t.Error("merge is not commutative")
-	}
-	if !eq(merge(t, merge(t, a, b), c), merge(t, a, merge(t, b, c))) {
-		t.Error("merge is not associative")
-	}
-
-	m := merge(t, merge(t, a, b), c)
-	if m.Count != 8 {
-		t.Errorf("merged count = %d, want 8", m.Count)
-	}
-	var total uint64
-	for _, n := range m.Counts {
-		total += n
-	}
-	if total != m.Count {
-		t.Errorf("bucket totals %d != count %d", total, m.Count)
-	}
-
-	// The zero snapshot is the identity in both positions.
-	if !eq(merge(t, a, HistogramSnapshot{}), a) || !eq(merge(t, HistogramSnapshot{}, a), a) {
-		t.Error("zero snapshot is not the merge identity")
-	}
-
-	// Merging must not alias or mutate its inputs.
-	before := a.Counts[0]
-	merge(t, a, b)
-	if a.Counts[0] != before {
-		t.Error("merge mutated its receiver")
-	}
-}
-
-func TestHistogramMergeMismatch(t *testing.T) {
-	var mismatch *BucketMismatchError
-	check := func(name string, a, b HistogramSnapshot) {
-		t.Helper()
-		m, err := a.Merge(b)
-		if err == nil {
-			t.Fatalf("%s: merge of mismatched snapshots succeeded", name)
-		}
-		if !errors.As(err, &mismatch) {
-			t.Fatalf("%s: error %T is not *BucketMismatchError", name, err)
-		}
-		if m.Count != 0 || m.Counts != nil {
-			t.Fatalf("%s: failed merge returned non-zero snapshot %+v", name, m)
-		}
-	}
-	check("bound value", snap([]float64{1, 2}, 0.5), snap([]float64{1, 3}, 0.5))
-	check("bound count", snap([]float64{1, 2}, 0.5), snap([]float64{1, 2, 3}, 0.5))
-	corrupt := snap([]float64{1, 2}, 0.5)
-	corrupt.Counts = corrupt.Counts[:2] // JSON from a buggy writer
-	check("count length", snap([]float64{1, 2}, 0.5), corrupt)
-	if msg := mismatch.Error(); !strings.Contains(msg, "mismatch") {
-		t.Fatalf("error text %q does not name the mismatch", msg)
 	}
 }
 

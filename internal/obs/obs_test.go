@@ -2,7 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"ccp/internal/obs/flight"
+	"encoding/json"
 	"fmt"
+	"log/slog"
 	"regexp"
 	"strings"
 	"sync"
@@ -89,14 +92,26 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var o *Observer
-	if o.Registry() != nil || o.SlowLog() != nil || o.TraceEnabled() {
+	if o.Registry() != nil || o.SlowLog() != nil || o.Flight() != nil {
 		t.Fatal("nil observer should expose nil parts and no tracing")
 	}
-	o.ObserveTrace(&Trace{})
+	var em Emitter // the zero emitter, attached to nothing
+	em.Attach(o)
+	em.Emit(flight.Retry, 1, 0, 1, 0)
+	sc := em.Query(7, false, time.Time{})
+	sc.Emit(flight.QueryStart, -1, 1, 2)
+	sc.RPC(0, time.Now(), time.Millisecond, 0, []flight.Event{{Type: flight.SiteEvaluate}})
+	if !sc.Span(flight.GraphMerge, -1, time.Now(), 0).IsZero() || sc.Events != nil {
+		t.Fatal("a scope with nothing listening must read no clock and keep nothing")
+	}
+	if em.Promote(&Trace{DurNS: int64(time.Hour)}) {
+		t.Fatal("promotion without a slow log")
+	}
+	em.Log().Info("discarded")
 
 	var l *SlowLog
 	l.Record(&Trace{DurNS: int64(time.Hour)})
-	if l.Len() != 0 || l.Total() != 0 || l.Snapshot() != nil || l.Threshold() != 0 {
+	if l.Total() != 0 || l.Snapshot() != nil {
 		t.Fatal("nil slow log should be empty")
 	}
 
@@ -189,13 +204,13 @@ func TestEscapeLabel(t *testing.T) {
 func TestSlowLogBoundedCapacity(t *testing.T) {
 	l := NewSlowLog(4, time.Millisecond)
 	l.Record(&Trace{TraceID: 99, DurNS: int64(time.Microsecond)}) // under threshold
-	if l.Len() != 0 {
+	if len(l.Snapshot()) != 0 {
 		t.Fatal("under-threshold trace must not be recorded")
 	}
 	for i := 1; i <= 10; i++ {
 		l.Record(&Trace{TraceID: uint64(i), DurNS: int64(time.Second)})
 	}
-	if got := l.Len(); got != 4 {
+	if got := len(l.Snapshot()); got != 4 {
 		t.Fatalf("Len = %d, want capacity 4", got)
 	}
 	if got := l.Total(); got != 10 {
@@ -211,37 +226,45 @@ func TestSlowLogBoundedCapacity(t *testing.T) {
 
 func TestSlowLogCopiesTraces(t *testing.T) {
 	l := NewSlowLog(2, 0)
-	tr := &Trace{TraceID: 1, DurNS: 10, Spans: []Span{{Name: "x"}}}
+	tr := &Trace{TraceID: 1, DurNS: 10, Events: []flight.Event{{Type: flight.WireRPC}}}
 	l.Record(tr)
 	// The recorder keeps ownership: mutating (or pooling) the original must
 	// not reach the log's copy.
-	tr.Spans[0].Name = "mutated"
+	tr.Events[0].Type = flight.Retry
 	tr.TraceID = 42
 	got := l.Snapshot()[0]
-	if got.TraceID != 1 || got.Spans[0].Name != "x" {
+	if got.TraceID != 1 || got.Events[0].Type != flight.WireRPC {
 		t.Fatalf("slow log shares memory with the recorded trace: %+v", got)
 	}
 }
 
-func TestTraceWriteTable(t *testing.T) {
+func TestTraceWriteTimeline(t *testing.T) {
+	ms := int64(time.Millisecond)
 	tr := &Trace{
 		TraceID: 0xabc,
 		Query:   "controls(1,2)",
-		DurNS:   int64(3 * time.Millisecond),
-		Spans: []Span{
-			{Name: "site.rpc", Site: 1, DurNS: int64(time.Millisecond), Bytes: 512},
-			{Name: "coord.merge", Site: -1, StartNS: int64(time.Millisecond), DurNS: int64(2 * time.Millisecond)},
+		DurNS:   3 * ms,
+		Err:     "site 1 stalled",
+		Events: []flight.Event{
+			{TS: 3 * ms, Trace: 0xabc, Type: flight.GraphMerge, Site: -1, A1: 2 * ms, A2: 40},
+			{TS: 1 * ms, Trace: 0xabc, Type: flight.WireRPC, Site: 1, A1: ms, A2: 512},
+			{TS: ms / 2, Trace: 0xabc, Type: flight.SiteEvaluate, Site: 1, A1: ms / 2, A2: flight.EvalCached},
 		},
 	}
 	var b strings.Builder
-	if _, err := tr.WriteTable(&b); err != nil {
+	if err := tr.WriteTimeline(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"0000000000000abc", "controls(1,2)", "site 1", "coord", "bytes=512", "spans=2"} {
+	for _, want := range []string{"0000000000000abc", "controls(1,2)", "total=3ms", "ERROR site 1 stalled",
+		" site-1 ", " coord ", "wire.rpc", "dur=1ms bytes=512", "cached", "graph.merge"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q in:\n%s", want, out)
+			t.Errorf("timeline missing %q in:\n%s", want, out)
 		}
+	}
+	if strings.Index(out, "site.evaluate") > strings.Index(out, "wire.rpc") ||
+		strings.Index(out, "wire.rpc") > strings.Index(out, "graph.merge") {
+		t.Errorf("timeline not in time order:\n%s", out)
 	}
 }
 
@@ -257,20 +280,6 @@ func TestNewTraceIDNeverZeroAndUnique(t *testing.T) {
 		}
 		seen[id] = true
 	}
-}
-
-func TestSpanPoolRoundTrip(t *testing.T) {
-	s := GetSpans()
-	if len(s) != 0 {
-		t.Fatal("pooled span buffer not empty")
-	}
-	s = append(s, Span{Name: "a"}, Span{Name: "b"}, Span{Name: "c"}, Span{Name: "d"})
-	PutSpans(s)
-	s2 := GetSpans()
-	if len(s2) != 0 {
-		t.Fatal("recycled span buffer not reset")
-	}
-	PutSpans(nil) // must not panic
 }
 
 func TestReducerObsCounts(t *testing.T) {
@@ -301,16 +310,79 @@ func TestReducerObsCounts(t *testing.T) {
 }
 
 func TestObserverTraceEnabled(t *testing.T) {
-	if NewObserver(ObserverConfig{}).TraceEnabled() {
+	// A configured slow log is what makes the coordinator trace every query.
+	if NewObserver(ObserverConfig{}).SlowLog() != nil {
 		t.Fatal("no slow log configured: always-on tracing should be off")
 	}
 	o := NewObserver(ObserverConfig{SlowQueryThreshold: time.Nanosecond, SlowLogCapacity: 2})
-	if !o.TraceEnabled() {
+	if o.SlowLog() == nil {
 		t.Fatal("slow log configured: tracing should be on")
 	}
-	o.ObserveTrace(&Trace{TraceID: 1, DurNS: int64(time.Second)})
-	if o.SlowLog().Len() != 1 {
+	var em Emitter
+	em.Attach(o)
+	if !em.Promote(&Trace{TraceID: 1, DurNS: int64(time.Second)}) || o.SlowLog().Total() != 1 {
 		t.Fatal("over-threshold trace should land in the slow log")
+	}
+	// The call that promotes is the call that reports the promotion.
+	evs := o.Flight().Snapshot().Events
+	if len(evs) != 1 || evs[0].Type != flight.SlowQuery || evs[0].Trace != 1 || evs[0].A1 != int64(time.Second) {
+		t.Fatalf("promotion left %+v in the ring, want one slow.query", evs)
+	}
+}
+
+// TestEmitFansOutToEverySink drives the one emission call with every sink
+// attached and checks they were handed the same event: the bound series, the
+// ring, the traced query's buffer and the slog line.
+func TestEmitFansOutToEverySink(t *testing.T) {
+	o := NewObserver(ObserverConfig{})
+	reg := o.Registry()
+	var logged strings.Builder
+	logger, err := NewLogger(&logged, slog.LevelDebug, "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var em Emitter
+	em.Attach(o)
+	em.SetLogger(logger)
+	hist := reg.Histogram("rpc_seconds", "", DefaultLatencyBuckets)
+	bytes := reg.Counter("rpc_bytes_total", "")
+	em.Bind(flight.WireRPC, Series{Seconds: hist, Sum: bytes})
+
+	// A site's scope hands its events back as offsets from the request
+	// start; the coordinator's RPC call re-bases them onto its envelope.
+	siteStart := time.Now()
+	site := em.Query(9, true, siteStart)
+	site.Span(flight.GraphClone, 2, siteStart, 100)
+	// (Wall-clock TS against monotonic A1: equal to within clock jitter.)
+	if len(site.Events) != 1 || site.Events[0].Trace != 9 ||
+		time.Duration(site.Events[0].TS-site.Events[0].A1).Abs() > time.Millisecond {
+		t.Fatalf("site scope kept %+v, want one event ending A1 past the base", site.Events)
+	}
+	coord := em.Query(9, true, time.Time{})
+	envStart := time.Unix(1000, 0)
+	coord.RPC(2, envStart, 5*time.Millisecond, 64, site.Events)
+	if len(coord.Events) != 2 {
+		t.Fatalf("coordinator scope kept %d events, want envelope + 1 stitched", len(coord.Events))
+	}
+	rpc, clone := coord.Events[0], coord.Events[1]
+	if rpc.Type != flight.WireRPC || rpc.TS-rpc.A1 != envStart.UnixNano() || rpc.A2 != 64 {
+		t.Errorf("envelope = %+v, want a wire.rpc starting at the envelope start", rpc)
+	}
+	if clone.TS != envStart.UnixNano()+site.Events[0].TS {
+		t.Errorf("stitched event TS = %d, want envelope start + its offset %d", clone.TS, site.Events[0].TS)
+	}
+
+	ring := o.Flight().Snapshot().Events
+	if len(ring) != 2 { // graph.clone from the site, wire.rpc from the coordinator; stitching re-emits nothing
+		t.Fatalf("ring holds %d events, want 2: %+v", len(ring), ring)
+	}
+	if hist.Snapshot().Count != 1 || bytes.Value() != 64 {
+		t.Errorf("series: %d observations, %d bytes; want 1 and 64", hist.Snapshot().Count, bytes.Value())
+	}
+	for _, want := range []string{"msg=wire.rpc", "msg=graph.clone", "site=2", "trace=0000000000000009", "bytes=64", "nodes=100"} {
+		if !strings.Contains(logged.String(), want) {
+			t.Errorf("slog sink missing %q in:\n%s", want, logged.String())
+		}
 	}
 }
 
@@ -339,12 +411,12 @@ func TestVarSnapshotJSON(t *testing.T) {
 	if snap[1].Hist == nil || snap[1].Hist.Count != 1 {
 		t.Errorf("histogram series missing its snapshot: %+v", snap[1])
 	}
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
+	b, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), `"a_total"`) {
-		t.Errorf("JSON missing series name: %s", b.String())
+	if !strings.Contains(string(b), `"a_total"`) {
+		t.Errorf("JSON missing series name: %s", b)
 	}
 }
 

@@ -98,7 +98,7 @@ func TestOpsHealthzEndpoint(t *testing.T) {
 func TestOpsVarzEndpoint(t *testing.T) {
 	o := NewObserver(ObserverConfig{SlowQueryThreshold: time.Nanosecond})
 	o.Registry().Gauge("ccp_inflight", "In flight.").Set(2)
-	o.ObserveTrace(&Trace{TraceID: 7, Query: "controls(1,2)", DurNS: int64(time.Second)})
+	o.SlowLog().Record(&Trace{TraceID: 7, Query: "controls(1,2)", DurNS: int64(time.Second)})
 	base := startTestOps(t, o, nil)
 
 	resp, body := get(t, base+"/varz")

@@ -11,7 +11,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -383,11 +382,4 @@ func (r *Registry) Snapshot() []VarSnapshot {
 		}
 	}
 	return out
-}
-
-// WriteJSON renders the Snapshot as indented JSON (the /varz payload body).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

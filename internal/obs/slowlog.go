@@ -3,11 +3,13 @@ package obs
 import (
 	"sync"
 	"time"
+
+	"ccp/internal/obs/flight"
 )
 
 // SlowLog is a bounded ring buffer of stitched traces whose end-to-end
-// latency crossed a threshold. Recording copies the trace (callers pool
-// theirs), overwriting the oldest entry once the ring is full, so memory is
+// latency crossed a threshold. Recording copies the trace (its events
+// included), overwriting the oldest entry once the ring is full, so memory is
 // bounded no matter how bad a day the cluster is having. All methods are
 // nil-safe.
 type SlowLog struct {
@@ -15,25 +17,16 @@ type SlowLog struct {
 
 	mu    sync.Mutex
 	ring  []*Trace
-	next  int   // ring index the next record lands in
-	total int64 // lifetime recorded count (>= len(ring))
+	total int64 // lifetime recorded count; the next record lands at total % cap
 }
 
-// NewSlowLog builds a slow-query log holding the last capacity traces over
-// threshold.
+// NewSlowLog builds a slow-query log holding the last capacity (default 64)
+// traces over threshold.
 func NewSlowLog(capacity int, threshold time.Duration) *SlowLog {
 	if capacity <= 0 {
 		capacity = 64
 	}
 	return &SlowLog{threshold: threshold, ring: make([]*Trace, 0, capacity)}
-}
-
-// Threshold returns the slow-query latency threshold (0 for a nil log).
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.threshold
 }
 
 // Record stores an owned copy of t if it is at or over threshold, reporting
@@ -42,27 +35,17 @@ func (l *SlowLog) Record(t *Trace) bool {
 	if l == nil || t == nil || time.Duration(t.DurNS) < l.threshold {
 		return false
 	}
-	c := t.clone()
+	c := *t
+	c.Events = append([]flight.Event(nil), t.Events...)
 	l.mu.Lock()
 	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, c)
+		l.ring = append(l.ring, &c)
 	} else {
-		l.ring[l.next] = c
+		l.ring[l.total%int64(cap(l.ring))] = &c
 	}
-	l.next = (l.next + 1) % cap(l.ring)
 	l.total++
 	l.mu.Unlock()
 	return true
-}
-
-// Len reports how many traces the log currently holds.
-func (l *SlowLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ring)
 }
 
 // Total reports how many traces have ever been recorded (recorded-total
@@ -85,8 +68,8 @@ func (l *SlowLog) Snapshot() []*Trace {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	out := make([]*Trace, 0, len(l.ring))
-	for i := 1; i <= len(l.ring); i++ {
-		out = append(out, l.ring[(l.next-i+cap(l.ring))%cap(l.ring)])
+	for i := int64(1); i <= int64(len(l.ring)); i++ {
+		out = append(out, l.ring[(l.total-i)%int64(cap(l.ring))])
 	}
 	return out
 }

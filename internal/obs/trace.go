@@ -3,143 +3,56 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"ccp/internal/obs/flight"
 )
 
-// Span is one timed step of a distributed query. Sites record their spans
-// against their own clock, as offsets from the start of the request they
-// are serving; the coordinator re-bases them onto the envelope span it
-// measured around the site call when it stitches the trace, so a stitched
-// timeline is exact per process and approximate (one network flight) across
-// processes. The fields are exported so spans travel in wire responses.
-type Span struct {
-	// Name identifies the step ("site.reduce", "coord.merge", ...).
-	Name string
-	// Site is the partition id the span ran at, or -1 for the coordinator.
-	Site int32
-	// StartNS is the span's start as nanoseconds since the trace (after
-	// stitching) or the site-local request (before stitching) began.
-	StartNS int64
-	// DurNS is the span's duration in nanoseconds.
-	DurNS int64
-	// Bytes annotates transport spans with the payload size, 0 elsewhere.
-	Bytes int64
-}
-
-// Trace is a stitched cross-site query trace: the coordinator's own phase
-// spans plus every contacted site's spans, on one timeline.
+// Trace is one query's stitched cross-site record: every flight.Event the
+// coordinator emitted for the query plus every contacted site's events, on
+// one timeline. Sites send theirs back as offsets from the start of the
+// request they served and the coordinator re-bases them onto the wire.rpc
+// envelope it measured around the call, so the timeline is exact per process
+// and off by at most one network flight across processes, whatever the
+// clocks say. A timed layer's event carries its end (TS) and duration (A1);
+// read as a span it began at TS − A1.
 type Trace struct {
+	// TraceID is the query's id — the Trace field of every event below and
+	// of the same query's events in each process's flight ring.
 	TraceID uint64
 	Query   string
 	Start   time.Time
 	// DurNS is the end-to-end query latency in nanoseconds.
-	DurNS int64
-	Spans []Span
+	DurNS  int64
+	Events []flight.Event
 	// Err records the failure for traces of failed queries, empty on
 	// success.
 	Err string
 }
 
-// Dur returns the trace's total duration.
-func (t *Trace) Dur() time.Duration { return time.Duration(t.DurNS) }
-
-// WriteTable renders the trace as an aligned per-span table, sites in
-// stitched timeline order — the ccpctl -verbose and slow-log dump format.
-func (t *Trace) WriteTable(w io.Writer) (int64, error) {
-	var n int64
-	line := func(format string, args ...any) error {
-		m, err := fmt.Fprintf(w, format, args...)
-		n += int64(m)
-		return err
-	}
+// WriteTimeline prints a one-line summary and then the events in the flight
+// timeline format — what `ccpctl query -solver dist -verbose` shows, and the
+// same lines `ccpctl flight -trace <id>` prints for the query.
+func (t *Trace) WriteTimeline(w io.Writer) error {
 	status := ""
 	if t.Err != "" {
 		status = "  ERROR " + t.Err
 	}
-	if err := line("trace %016x %s total=%v spans=%d%s\n",
-		t.TraceID, t.Query, t.Dur(), len(t.Spans), status); err != nil {
-		return n, err
+	if _, err := fmt.Fprintf(w, "trace %016x %s total=%v%s\n", t.TraceID, t.Query, time.Duration(t.DurNS), status); err != nil {
+		return err
 	}
-	for _, s := range t.Spans {
-		who := "coord"
-		if s.Site >= 0 {
-			who = fmt.Sprintf("site %d", s.Site)
-		}
-		extra := ""
-		if s.Bytes > 0 {
-			extra = fmt.Sprintf("  bytes=%d", s.Bytes)
-		}
-		if err := line("  %-8s %-18s start=%-12v dur=%-12v%s\n",
-			who, s.Name, time.Duration(s.StartNS), time.Duration(s.DurNS), extra); err != nil {
-			return n, err
-		}
-	}
-	return n, nil
+	return flight.WriteTimeline(w, flight.MergeTimeline(flight.Dump{Events: t.Events}))
 }
 
-// clone deep-copies the trace (the slow log stores owned copies, never
-// pooled ones).
-func (t *Trace) clone() *Trace {
-	c := *t
-	c.Spans = append([]Span(nil), t.Spans...)
-	return &c
-}
-
-// tracePool recycles Trace objects (and their span slices) across queries,
-// so a traced query that does not end up in the slow log costs no
-// steady-state trace allocations at the coordinator.
-var tracePool = sync.Pool{New: func() any { return new(Trace) }}
-
-// GetTrace borrows a cleared Trace from the pool.
-func GetTrace() *Trace {
-	t := tracePool.Get().(*Trace)
-	t.TraceID, t.Query, t.Start, t.DurNS, t.Err = 0, "", time.Time{}, 0, ""
-	t.Spans = t.Spans[:0]
-	return t
-}
-
-// PutTrace returns a borrowed Trace. The caller must not retain it (the
-// slow log copies before storing).
-func PutTrace(t *Trace) {
-	if t != nil {
-		tracePool.Put(t)
-	}
-}
-
-// spanPool recycles span slices used to accumulate a site's spans during
-// one evaluation.
-var spanPool sync.Pool
-
-// GetSpans borrows an empty span buffer.
-func GetSpans() []Span {
-	if v := spanPool.Get(); v != nil {
-		return (*v.(*[]Span))[:0]
-	}
-	return make([]Span, 0, 8)
-}
-
-// PutSpans recycles a span buffer once its contents have been copied or
-// encoded. Safe on nil/foreign slices.
-func PutSpans(s []Span) {
-	if cap(s) < 4 {
-		return
-	}
-	s = s[:0]
-	spanPool.Put(&s)
-}
-
-// globalTraceIDs backs NewTraceID for callers without an Observer. Seeded
-// from the clock so ids differ across process restarts.
+// globalTraceIDs backs NewTraceID. Seeded from the clock so ids differ
+// across process restarts.
 var globalTraceIDs atomic.Uint64
 
 func init() { globalTraceIDs.Store(uint64(time.Now().UnixNano())) }
 
-// NewTraceID allocates a process-unique, never-zero trace id (zero on the
-// wire means "not traced").
+// NewTraceID allocates a process-unique, never-zero query id (zero marks an
+// event outside any query).
 func NewTraceID() uint64 {
 	id := globalTraceIDs.Add(1)
 	for id == 0 {
@@ -165,11 +78,12 @@ type ObserverConfig struct {
 	Process string
 }
 
-// Observer bundles what the instrumented layers need: the metrics registry
-// and the slow-query log. One Observer is shared by a whole process
-// (coordinator + clients, or server + site). All methods are nil-safe, so
-// a component holding a nil Observer runs uninstrumented at the cost of a
-// nil check.
+// Observer is where a process's events land: the metrics registry, the
+// flight ring and the slow-query log. One Observer is shared by a whole
+// process (coordinator + clients, or server + site); components reach it
+// through the Emitter they attach to it. All methods are nil-safe, so a
+// component holding a nil Observer runs uninstrumented at the cost of a nil
+// check.
 type Observer struct {
 	reg    *Registry
 	slow   *SlowLog
@@ -182,11 +96,7 @@ type Observer struct {
 func NewObserver(cfg ObserverConfig) *Observer {
 	o := &Observer{reg: NewRegistry()}
 	if cfg.SlowQueryThreshold > 0 {
-		capacity := cfg.SlowLogCapacity
-		if capacity <= 0 {
-			capacity = 64
-		}
-		o.slow = NewSlowLog(capacity, cfg.SlowQueryThreshold)
+		o.slow = NewSlowLog(cfg.SlowLogCapacity, cfg.SlowQueryThreshold)
 	}
 	if cfg.FlightEvents >= 0 {
 		o.flight = flight.New(cfg.Process, cfg.FlightEvents)
@@ -219,23 +129,6 @@ func (o *Observer) SlowLog() *SlowLog {
 		return nil
 	}
 	return o.slow
-}
-
-// TraceEnabled reports whether the coordinator should trace every query
-// (the slow log needs a stitched trace to threshold on).
-func (o *Observer) TraceEnabled() bool {
-	return o != nil && o.slow != nil
-}
-
-// ObserveTrace offers a finished stitched trace to the slow log, which
-// stores an owned copy if it is over threshold. The caller keeps ownership
-// of t. Reports whether the trace was promoted into the slow log, so the
-// caller can flag the promotion in the flight recorder.
-func (o *Observer) ObserveTrace(t *Trace) bool {
-	if o == nil || o.slow == nil || t == nil {
-		return false
-	}
-	return o.slow.Record(t)
 }
 
 // ReducerObs is the reduction engine's telemetry bundle: built once by the

@@ -77,8 +77,7 @@ type Store struct {
 	dir  string
 	opts Options
 	wal  *wal
-	log  *slog.Logger
-	fr   *flight.Recorder
+	ev   obs.Emitter
 	site int32
 
 	// ckMu serializes checkpoint builds (background loop vs Close vs an
@@ -110,7 +109,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, log: obs.LoggerOr(opts.Logger), site: -1}
+	s := &Store{dir: dir, opts: opts, site: -1}
+	s.ev.SetLogger(opts.Logger)
 
 	cks, err := listCheckpoints(dir)
 	if err != nil {
@@ -121,7 +121,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		if err != nil {
 			// Delete it so the retention window (newest two) never counts a
 			// checkpoint that cannot be recovered from.
-			s.log.Warn("checkpoint invalid, falling back", "path", ck.path, "err", err)
+			s.ev.Log().Warn("checkpoint invalid, falling back", "path", ck.path, "err", err)
 			os.Remove(ck.path)
 			continue
 		}
@@ -169,15 +169,8 @@ func (s *Store) Replay(apply func(Record) error) error {
 	})
 	s.replayed = n
 	s.base = nil
-	s.fr.Record(flight.RecoverReplay, s.site, 0, int64(n), int64(time.Since(start)))
-	if err != nil {
-		return err
-	}
-	if n > 0 || s.ckptSeq > 0 {
-		s.log.Info("store recovered", "dir", s.dir,
-			"checkpoint_seq", s.ckptSeq, "replayed", n, "elapsed", time.Since(start))
-	}
-	return nil
+	s.ev.Emit(flight.RecoverReplay, s.site, 0, int64(n), int64(time.Since(start)))
+	return err
 }
 
 // Append durably logs rec and returns its sequence number — the site's new
@@ -191,7 +184,7 @@ func (s *Store) Append(rec Record) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.fr.Record(flight.WALAppend, s.site, 0, int64(seq), frameLen)
+	s.ev.Emit(flight.WALAppend, s.site, 0, int64(seq), frameLen)
 	return seq, nil
 }
 
@@ -255,7 +248,7 @@ func (s *Store) run(every time.Duration, bytes int64) {
 			continue
 		}
 		if err := s.Checkpoint(); err != nil && err != ErrClosed {
-			s.log.Warn("background checkpoint failed", "dir", s.dir, "err", err)
+			s.ev.Log().Warn("background checkpoint failed", "dir", s.dir, "err", err)
 		}
 	}
 }
@@ -313,11 +306,9 @@ func (s *Store) checkpointLocked() error {
 		}
 	}
 	if err := s.wal.dropCoveredBy(prev); err != nil {
-		s.log.Warn("wal segment cleanup failed", "err", err)
+		s.ev.Log().Warn("wal segment cleanup failed", "err", err)
 	}
-	s.fr.Record(flight.CkptBuild, s.site, 0, int64(time.Since(start)), size)
-	s.log.Debug("checkpoint written", "dir", s.dir, "seq", seq,
-		"bytes", size, "elapsed", time.Since(start))
+	s.ev.Emit(flight.CkptBuild, s.site, 0, int64(time.Since(start)), size)
 	return nil
 }
 
@@ -391,11 +382,11 @@ func (s *Store) Stats() Stats {
 }
 
 // Observe registers the store's gauges and counters on o's registry,
-// labeled with the site id, and routes flight events (wal.append,
-// ckpt.build, recover.replay) to o's recorder. Call once, before serving.
+// labeled with the site id, and points the store's events (wal.append,
+// ckpt.build) at o. Call once, before serving.
 func (s *Store) Observe(o *obs.Observer, site int) {
 	s.site = int32(site)
-	s.fr = o.Flight()
+	s.ev.Attach(o)
 	reg := o.Registry()
 	l := obs.Label{Key: "site", Value: strconv.Itoa(site)}
 	reg.GaugeFunc("ccp_store_durable_seq",

@@ -10,16 +10,24 @@ import (
 
 // The observability surface of a deployment. One Observer is shared by a
 // whole process and threaded into its components: ClusterOptions.Observer
-// on the coordinator side, SiteServer.Observe on the worker side. The
-// observer's registry collects every metric the instrumented layers emit
-// (query latency histograms, per-phase timings, cache hit/miss counters,
-// circuit-breaker state, reduction telemetry), and StartOpsServer exposes
+// on the coordinator side, SiteServer.Observe on the worker side. Every
+// component reports what happens through one call that emits a FlightEvent
+// — a fixed-size record of when, which query, which site, what, and two
+// operands — and the observer is where those events land: the metrics
+// registry (each event type feeds the series bound to it: query latency
+// histograms, per-phase timings, cache hit/miss counters, circuit
+// transitions), the always-on flight ring, the query's QueryTrace when the
+// query is traced, and the slow-query log. Timed layers (coord.answer,
+// wire.rpc, site.evaluate, graph.clone, control.site_reduce, graph.merge,
+// control.merge_reduce) are events whose first operand is their duration,
+// named after the benchmark's per-layer rows. StartOpsServer exposes all of
 // it over HTTP:
 //
-//	/metrics      Prometheus text exposition (version 0.0.4)
-//	/healthz      200/503 + JSON detail from a HealthFunc
-//	/varz         JSON snapshot of every series plus the slow-query log
-//	/debug/pprof  the standard Go profiling handlers
+//	/metrics       Prometheus text exposition (version 0.0.4)
+//	/healthz       200/503 + JSON detail from a HealthFunc
+//	/varz          JSON snapshot of every series plus the slow-query log
+//	/debug/flight  the flight ring as a FlightDump (merge with `ccpctl flight`)
+//	/debug/pprof   the standard Go profiling handlers
 //
 // All instrumentation is nil-safe: components holding no Observer run
 // uninstrumented at the cost of pointer checks on the hot path.
@@ -33,11 +41,10 @@ type (
 	// Observer, exposed for custom series and direct Prometheus/JSON
 	// rendering.
 	MetricsRegistry = obs.Registry
-	// QueryTrace is a stitched cross-site trace of one distributed query;
-	// WriteTable renders its per-span table.
+	// QueryTrace is the stitched cross-site trace of one distributed query:
+	// its FlightEvents from the coordinator and every contacted site on one
+	// timeline; WriteTimeline prints it.
 	QueryTrace = obs.Trace
-	// TraceSpan is one timed step of a QueryTrace.
-	TraceSpan = obs.Span
 	// SlowQueryLog is the bounded ring buffer of over-threshold traces.
 	SlowQueryLog = obs.SlowLog
 	// OpsServer is the operational HTTP endpoint started by StartOpsServer.
@@ -49,7 +56,8 @@ type (
 	// an Observer carries; dump it via /debug/flight, SIGQUIT, or
 	// FlightRecorder.Snapshot.
 	FlightRecorder = flight.Recorder
-	// FlightEvent is one recorded flight event.
+	// FlightEvent is the one event type: what the flight ring, a QueryTrace
+	// and the slow-query log all hold.
 	FlightEvent = flight.Event
 	// FlightDump is a point-in-time snapshot of a process's flight recorder,
 	// the JSON shape served by /debug/flight and merged by `ccpctl flight`.

@@ -31,18 +31,18 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if ans != want {
 		t.Fatalf("traced answer %v != single-machine %v", ans, want)
 	}
-	if tr == nil || len(tr.Spans) == 0 {
-		t.Fatalf("no trace spans: %+v", tr)
+	if tr == nil || len(tr.Events) == 0 {
+		t.Fatalf("no trace events: %+v", tr)
 	}
 	if !strings.Contains(tr.Query, "controls(0,100)") {
 		t.Errorf("trace query = %q", tr.Query)
 	}
 	var b strings.Builder
-	if _, err := tr.WriteTable(&b); err != nil {
+	if err := tr.WriteTimeline(&b); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "site.rpc") {
-		t.Errorf("trace table missing rpc spans:\n%s", b.String())
+	if !strings.Contains(b.String(), "wire.rpc") {
+		t.Errorf("trace timeline missing the rpc envelopes:\n%s", b.String())
 	}
 	_ = m
 
@@ -92,7 +92,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("/varz = %d %.120s", code, varz)
 	}
 	// The 1ns slow threshold captures the traced query in the slow log.
-	if o.SlowLog().Len() == 0 {
+	if len(o.SlowLog().Snapshot()) == 0 {
 		t.Error("slow log empty after an over-threshold query")
 	}
 }

@@ -38,9 +38,7 @@ go test -race -shuffle=on -timeout 10m \
     ./internal/dist/... \
     ./internal/fleet/... \
     ./internal/store/... \
-    ./internal/obs/... \
-    ./internal/obs/audit/... \
-    ./internal/obs/flight/...
+    ./internal/obs/...
 
 # The benchmark is its own module (replace ccp => ../), so ./... above never
 # sees it. -quick -selfcheck runs all four workloads (TCP and durable

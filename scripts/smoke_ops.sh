@@ -78,16 +78,16 @@ for i in $(seq 1 200); do
     if [ -z "$coord_metrics" ]; then
         coord_metrics=$(curl -sf "http://127.0.0.1:$coord_ops_port/metrics" 2>/dev/null) || coord_metrics=""
     fi
-    if [ -z "$coord_varz" ]; then
-        coord_varz=$(curl -sf "http://127.0.0.1:$coord_ops_port/varz" 2>/dev/null) || coord_varz=""
-    fi
-    if [ -n "$coord_metrics" ] && [ -n "$coord_varz" ]; then
-        break
-    fi
+    # Keep re-scraping /varz until it has caught a slow query (with a 1ns
+    # threshold every query is one): the event-model check below needs its id.
+    case "$coord_varz" in
+    *'"TraceID"'*) [ -n "$coord_metrics" ] && break ;;
+    *) coord_varz=$(curl -sf "http://127.0.0.1:$coord_ops_port/varz" 2>/dev/null) || coord_varz="" ;;
+    esac
     if ! kill -0 "$coord_pid" 2>/dev/null; then
         break
     fi
-    sleep 0.05
+    sleep 0.02
 done
 wait "$coord_pid" || { echo "ccpcoord failed" >&2; cat "$workdir/ccpcoord.log" >&2; exit 1; }
 tail -2 "$workdir/ccpcoord.log"
@@ -181,6 +181,26 @@ for proc in coord site-0 site-1; do
 done
 grep -q "query.start" "$workdir/timeline.txt" \
     || { echo "merged timeline has no query.start event:" >&2; cat "$workdir/timeline.txt" >&2; exit 1; }
+
+echo "== one event model: a /varz slow query and its flight timeline name the same layers =="
+# The newest slow query /varz served mid-run, and the same query filtered out
+# of the merged flight rings by its id, are two views of the same events.
+layers='coord\.answer|wire\.rpc|site\.evaluate|control\.site_reduce|graph\.clone|graph\.merge|control\.merge_reduce'
+slow_id=$(printf '%s\n' "$coord_varz" | awk '/"TraceID":/ {gsub(/[^0-9]/, "", $2); print $2; exit}')
+[ -n "$slow_id" ] \
+    || { echo "the coordinator /varz never served a slow query" >&2; exit 1; }
+printf '%s\n' "$coord_varz" \
+    | awk -v id="$slow_id" '$1 == "\"trace\":" { on = ($2 == id ",") } on && $1 == "\"type\":" { print $2 }' \
+    | grep -oE "$layers" | sort -u >"$workdir/varz_layers.txt"
+"$workdir/ccpctl" flight -trace "$(printf '%x' "$slow_id")" \
+    -ops "127.0.0.1:$site0_ops_port,127.0.0.1:$site1_ops_port" \
+    -in "$workdir/coord_flight.json" \
+    | grep -oE "$layers" | sort -u >"$workdir/flight_layers.txt"
+[ -s "$workdir/varz_layers.txt" ] && cmp -s "$workdir/varz_layers.txt" "$workdir/flight_layers.txt" \
+    || { echo "slow query $slow_id: /varz and ccpctl flight -trace disagree on its layers:" >&2
+         echo "/varz:" >&2; cat "$workdir/varz_layers.txt" >&2
+         echo "flight:" >&2; cat "$workdir/flight_layers.txt" >&2; exit 1; }
+echo "slow query $(printf '%x' "$slow_id"): $(tr '\n' ' ' <"$workdir/varz_layers.txt")"
 
 echo "== ccpctl doctor: healthy cluster is green =="
 "$workdir/ccpctl" doctor -ops "127.0.0.1:$site0_ops_port,127.0.0.1:$site1_ops_port" \
