@@ -32,7 +32,7 @@ func TestSerialBaselineSetMatchesCBE(t *testing.T) {
 
 func TestNaiveContractionPureCycle(t *testing.T) {
 	// Every C3 node's controller is itself C3 (one pure cycle): the naive
-	// contraction must still make progress via ensureProgress.
+	// contraction must still make progress via resolveFrontier's fallback.
 	g := build(t, 5,
 		graph.Edge{From: 0, To: 1, Weight: 0.9}, // s controls a
 		graph.Edge{From: 1, To: 2, Weight: 0.6},

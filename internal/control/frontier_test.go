@@ -20,9 +20,12 @@ func mustReduce(t *testing.T, g *graph.Graph, q Query, x graph.NodeSet, opt Opti
 	return res
 }
 
-// requireSameReduction runs the frontier engine and the full-rescan engine
-// on clones of g and requires identical answers, statistics, round counts
-// and reduced graphs (node-exact, edge-exact, label-bit-exact).
+// requireSameReduction runs the reducer under both re-mark policies — the
+// touched frontier and Options.FullRescan — on clones of g and requires
+// identical answers, statistics, round counts and reduced graphs
+// (node-exact, edge-exact, label-bit-exact). Because both policies share the
+// reducer's code, it then holds the frontier run to oracles that do not (see
+// requireSound).
 func requireSameReduction(t *testing.T, seed int64, g *graph.Graph, q Query, x graph.NodeSet, opt Options) {
 	t.Helper()
 	gFrontier, gFull := g.Clone(), g.Clone()
@@ -60,14 +63,61 @@ func requireSameReduction(t *testing.T, seed int64, g *graph.Graph, q Query, x g
 			}
 		})
 	}
+	requireSound(t, seed, g, gFrontier, q, x, opt, rf.Ans)
+}
+
+// requireSound checks one reduction of orig against oracles that share no
+// code with the reducer: a decided answer equals CBE on orig — and under
+// FullTrust (only ever paired with X = {s, t}) the answer must be decided —
+// and CBE on the
+// reduced graph equals CBE on orig for every ordered pair of X.
+func requireSound(t *testing.T, seed int64, orig, reduced *graph.Graph, q Query, x graph.NodeSet, opt Options, ans Answer) {
+	t.Helper()
+	want := CBE(orig, q)
+	if ans == Unknown && opt.Trust == FullTrust {
+		t.Fatalf("seed %d %v opts %+v: centralized reduction left the query undecided", seed, q, opt)
+	}
+	if ans != Unknown && ans.Bool() != want {
+		t.Fatalf("seed %d %v opts %+v: answered %v, CBE says %v", seed, q, opt, ans, want)
+	}
+	for a := range x {
+		for b := range x {
+			if a == b {
+				continue
+			}
+			p := Query{S: a, T: b}
+			if got, want := CBE(reduced, p), CBE(orig, p); got != want {
+				t.Fatalf("seed %d %v opts %+v: CBE %v on the reduced graph %v, on the original %v",
+					seed, q, opt, p, got, want)
+			}
+		}
+	}
+}
+
+// requireExhausted runs the reduction to exhaustion — no early termination,
+// phases looping until no rule applies — and requires a plain ClassOf scan
+// of the result to find no live non-excluded C1/C2/C3 node.
+func requireExhausted(t *testing.T, seed int64, g *graph.Graph, q Query, x graph.NodeSet, opt Options) {
+	t.Helper()
+	opt.DisableTermination, opt.TwoPhaseOnly = true, false
+	reduced := g.Clone()
+	res := mustReduce(t, reduced, q, x, opt)
+	reduced.EachNode(func(v graph.NodeID) {
+		switch c := reduced.ClassOf(v, x.Has(v)); c {
+		case graph.C1, graph.C2, graph.C3:
+			t.Fatalf("seed %d %v opts %+v: exhausted reduction left node %d in %v", seed, q, opt, v, c)
+		}
+	})
+	requireSound(t, seed, g, reduced, q, x, opt, res.Ans)
 }
 
 // TestFrontierMatchesFullRescan is the equivalence property test of the
-// frontier engine: across ~1k random graphs — scale-free and uniform, with
-// plain {s,t} exclusion sets and with boundary-node exclusion sets plus
-// partial termination trust, under every option variant — the frontier and
-// full-rescan engines must agree on the answer, the statistics and the
-// reduced graph.
+// reducer: across ~1k random graphs — scale-free and uniform, with plain
+// {s,t} exclusion sets and with boundary-node exclusion sets plus partial
+// termination trust, under every option variant — the frontier and
+// full-rescan re-mark policies must agree on the answer, the statistics and
+// the reduced graph, and every seed is checked against CBE and for
+// exhaustion.
 func TestFrontierMatchesFullRescan(t *testing.T) {
 	seeds := 1000
 	if testing.Short() {
@@ -94,6 +144,7 @@ func TestFrontierMatchesFullRescan(t *testing.T) {
 		opt := variants[seed%int64(len(variants))]
 		opt.Trust = FullTrust
 		requireSameReduction(t, seed, g, q, x, opt)
+		requireExhausted(t, seed, g, q, x, opt)
 
 		// Same graph with a boundary-style exclusion set: extra protected
 		// nodes and only partially trusted termination, as in a partial
@@ -105,13 +156,14 @@ func TestFrontierMatchesFullRescan(t *testing.T) {
 		optb := opt
 		optb.Trust = TerminationTrust{T1: rng.Intn(2) == 0, T2: false}
 		requireSameReduction(t, seed, g, q, xb, optb)
+		requireExhausted(t, seed, g, q, xb, optb)
 	}
 }
 
 // TestReducerReuseAcrossQueries checks that one Reducer instance can serve
-// many queries over graphs of different capacities and still match the
-// full-rescan engine — guarding the buffer-reset logic that zero-allocation
-// reuse depends on.
+// many queries over graphs of different capacities and still match a fresh
+// Reducer running the full-rescan policy — guarding the buffer-reset logic
+// that zero-allocation reuse depends on.
 func TestReducerReuseAcrossQueries(t *testing.T) {
 	r := NewReducer()
 	for seed := int64(0); seed < 60; seed++ {
@@ -128,7 +180,7 @@ func TestReducerReuseAcrossQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		ref, err := fullRescanReduction(context.Background(), gf, q, x, optFull)
+		ref, err := NewReducer().Reduce(context.Background(), gf, q, x, optFull)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -137,5 +189,35 @@ func TestReducerReuseAcrossQueries(t *testing.T) {
 			t.Fatalf("seed %d: reused reducer diverged: %+v vs %+v (%v vs %v)",
 				seed, res, ref, gr, gf)
 		}
+	}
+}
+
+// TestInlineReduceAllocs pins the inline path — a reused Reducer with one
+// worker and no Meter, the configuration every benchmark site runs — on the
+// 3000-round R3 cascade of BenchmarkReductionRounds: steady-state rounds
+// allocate nothing, and a whole Reduce allocates once (markAll's parallel-for
+// closure).
+func TestInlineReduceAllocs(t *testing.T) {
+	const k = 3000
+	g := deepChain(t, k)
+	q := Query{S: 0, T: graph.NodeID(k + 1)}
+	x := graph.NewNodeSet(q.S, q.T)
+	opt := Options{Workers: 1, DisableTermination: true}
+	const runs = 20
+	clones := make([]*graph.Graph, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range clones {
+		clones[i] = g.Clone()
+	}
+	r := NewReducer()
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		res, err := r.Reduce(context.Background(), clones[next], q, x, opt)
+		next++
+		if err != nil || res.Phase2Rounds < k {
+			t.Fatalf("cascade: %d rounds, err %v", res.Phase2Rounds, err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("inline Reduce of the %d-round cascade allocates %v times, want <= 1", k, allocs)
 	}
 }

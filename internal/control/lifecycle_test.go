@@ -85,7 +85,7 @@ func TestReduceCancelledMidReduction(t *testing.T) {
 		t.Fatalf("reused reducer collapsed the cascade in %d rounds, want %d", full.Phase2Rounds, k)
 	}
 
-	// Same contract for the full-rescan engine.
+	// Same contract under the full-rescan re-mark policy.
 	optFull := opt
 	optFull.FullRescan = true
 	if _, err := r.Reduce(newCountdownCtx(5), g.Clone(), q, x, optFull); !errors.Is(err, context.Canceled) {

@@ -13,21 +13,21 @@ import (
 // classification is an O(1) aggregate lookup).
 const parallelRemarkMin = 2048
 
-// Reducer runs the frontier-based incremental reduction engine and owns
-// every scratch buffer it needs — labels, candidate lists, dirty sets,
+// Reducer runs the reduction engine of Section VI and owns every scratch
+// buffer it needs — labels, candidate lists, dirty sets,
 // representative and walk state — so that repeated reductions (the per-query
 // path of dist.Site, ControlledSet bulk loops, benchmark harnesses) run with
 // near-zero steady-state allocations. A Reducer may be reused for any number
 // of sequential Reduce calls but is not safe for concurrent use; pool
 // Reducers to share them across goroutines.
 //
-// The engine computes exactly the same reduction as the full-rescan
-// procedure of Section VI (Options.FullRescan): round 1 classifies all
-// nodes, and every later round re-classifies only the touched set returned
-// by the sharded mutators — the surviving neighbors of removed nodes and the
-// targets of transferred edges. This is sound because a node's class depends
-// only on its own adjacency, and every adjacency change lands its owner in
-// the touched set; classes of untouched nodes cannot have changed. Class
+// Round 1 classifies all nodes, and every later round re-classifies only the
+// touched set returned by the batch mutators — the surviving neighbors of
+// removed nodes and the targets of transferred edges — unless
+// Options.FullRescan asks for a full re-mark. Both policies compute the same
+// reduction: a node's class depends only on its own adjacency, and every
+// adjacency change lands its owner in the touched set, so classes of
+// untouched nodes cannot have changed. Class
 // tallies are kept as running counters updated by transition deltas, and the
 // c12/c3 candidate lists are supersets (they may hold stale or duplicate
 // entries, filtered against the current labels when a round consumes them),
@@ -90,9 +90,7 @@ func (r *Reducer) reset(g *graph.Graph, x graph.NodeSet) {
 }
 
 // Reduce reduces g in place with respect to query q, never removing nodes of
-// the exclusion set x. It is equivalent to ParallelReduction — identical
-// answers, reduced graphs and statistics — but reuses r's buffers and, unless
-// opt.FullRescan is set, re-marks only the dirty frontier each round.
+// the exclusion set x. It is ParallelReduction on r's buffers.
 //
 // ctx is checked at every round boundary: once it is cancelled or past its
 // deadline the reduction returns ctx.Err() promptly instead of burning cores
@@ -100,9 +98,6 @@ func (r *Reducer) reset(g *graph.Graph, x graph.NodeSet) {
 // is a per-query clone everywhere this engine runs) and r itself stays fully
 // reusable — the next Reduce call resets all scratch state.
 func (r *Reducer) Reduce(ctx context.Context, g *graph.Graph, q Query, x graph.NodeSet, opt Options) (Result, error) {
-	if opt.FullRescan {
-		return fullRescanReduction(ctx, g, q, x, opt)
-	}
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
@@ -163,7 +158,7 @@ func (r *Reducer) Reduce(ctx context.Context, g *graph.Graph, q Query, x graph.N
 				res.Stats.Removed += removed
 				res.Stats.Iterations++
 				res.Phase1Rounds++
-				r.remark(g, opt.Meter, workers, touched)
+				r.remark(g, opt, workers, touched)
 				if check() {
 					return res, nil
 				}
@@ -186,7 +181,7 @@ func (r *Reducer) Reduce(ctx context.Context, g *graph.Graph, q Query, x graph.N
 		res.Stats.Contracted += contracted
 		res.Stats.Iterations++
 		res.Phase2Rounds++
-		r.remark(g, opt.Meter, workers, touched)
+		r.remark(g, opt, workers, touched)
 		r.finishContractRound(g)
 		if check() {
 			return res, nil
@@ -202,7 +197,7 @@ func (r *Reducer) Reduce(ctx context.Context, g *graph.Graph, q Query, x graph.N
 func (r *Reducer) markAll(g *graph.Graph, m *par.Meter, workers int) {
 	n := r.n
 	labels, excluded := r.labels, r.excluded
-	par.MeteredFor(m, n, workers, func(lo, hi int) {
+	par.For(m, n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := graph.NodeID(i)
 			if !g.Alive(v) {
@@ -230,10 +225,14 @@ func (r *Reducer) markAll(g *graph.Graph, m *par.Meter, workers int) {
 	}
 }
 
-// remark re-classifies exactly the touched nodes of the round that just
-// mutated the graph, folding label transitions into the tallies and
-// candidate lists.
-func (r *Reducer) remark(g *graph.Graph, m *par.Meter, workers int, touched [][]graph.NodeID) {
+// remark re-classifies the touched nodes of the round that just mutated the
+// graph, folding label transitions into the tallies and candidate lists — or,
+// under opt.FullRescan, every node via markAll.
+func (r *Reducer) remark(g *graph.Graph, opt Options, workers int, touched [][]graph.NodeID) {
+	if opt.FullRescan {
+		r.markAll(g, opt.Meter, workers)
+		return
+	}
 	d := r.dirty[:0]
 	for _, shard := range touched {
 		for _, v := range shard {
@@ -247,7 +246,7 @@ func (r *Reducer) remark(g *graph.Graph, m *par.Meter, workers int, touched [][]
 	if len(d) >= parallelRemarkMin {
 		nl := resize(r.nlBuf, len(d))
 		r.nlBuf = nl
-		par.MeteredForBlocks(m, len(d), workers, func(b, lo, hi int) {
+		par.For(opt.Meter, len(d), workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				nl[i] = g.ClassOf(d[i], r.excluded[d[i]])
 			}
@@ -290,9 +289,9 @@ func (r *Reducer) applyLabel(v graph.NodeID, nl graph.Class) {
 }
 
 // collectC12Victims filters the c12 candidate list down to the current live
-// C1/C2 nodes, deduped and sorted ascending (matching the id-order scan of
-// the full-rescan engine, which keeps the sharded mutation streams — and
-// therefore merged float labels — bit-identical).
+// C1/C2 nodes, deduped and sorted ascending (id order fixes the sharded
+// mutation streams — and therefore merged float labels — whatever order the
+// candidates were found in).
 func (r *Reducer) collectC12Victims(g *graph.Graph) []graph.NodeID {
 	vs := r.victims[:0]
 	for _, v := range r.c12 {
@@ -347,9 +346,7 @@ func (r *Reducer) resolveFrontier(g *graph.Graph, naive bool) []graph.NodeID {
 		if len(vs) == 0 {
 			// Every C3 node's controller is itself C3 (the C3 nodes form only
 			// cycles): contract the lowest-id one with a controller, mirroring
-			// a single sequential R3 application. Unlike the full-rescan
-			// ensureProgress this reuses the candidate list instead of
-			// re-walking all of rep and labels.
+			// a single sequential R3 application.
 			for _, v := range cand {
 				wdc := g.DirectController(v)
 				if wdc == graph.None {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"ccp/internal/par"
 )
 
 // checkAggregates recomputes every cached per-node aggregate from the
@@ -58,8 +60,9 @@ func checkAggregates(g *Graph) error {
 }
 
 // TestAggregatesUnderRandomMutations drives every mutator — including the
-// sharded batch ones — with random operations and validates the cached
-// aggregates against a from-scratch recomputation after each step.
+// batch ones in both application modes — with random operations and
+// validates the cached aggregates against a from-scratch recomputation after
+// each step.
 func TestAggregatesUnderRandomMutations(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -100,8 +103,8 @@ func TestAggregatesUnderRandomMutations(t *testing.T) {
 				for i := 0; i < 3; i++ {
 					dead[rng.Intn(g.Cap())] = true
 				}
-				g.ParallelRemoveMetered(nil, dead, 1+rng.Intn(4))
-				check("ParallelRemove")
+				g.RemoveBatchMetered(randomMeter(rng), victimsOf(dead), dead, 1+rng.Intn(4), nil)
+				check("RemoveBatchMetered")
 			default:
 				g.AddNode()
 				check("AddNode")
@@ -119,126 +122,15 @@ func TestAggregatesUnderRandomMutations(t *testing.T) {
 				victims = append(victims, v)
 			}
 		}
-		isVictim := make([]bool, g.Cap())
-		for _, v := range victims {
-			isVictim[v] = true
-		}
-		g.ParallelContractMetered(nil, rep, 3)
-		check("ParallelContract")
+		g.ContractBatchMetered(randomMeter(rng), victims, rep, 1+rng.Intn(4), nil)
+		check("ContractBatchMetered")
 	}
 }
 
-// TestBatchMatchesFullScan checks that the victim-list batch mutators
-// produce the same graph as the full-scan mark-array mutators.
-func TestBatchMatchesFullScan(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(1000 + seed))
-		const n = 60
-		g := New(n)
-		for i := 0; i < 150; i++ {
-			_ = g.MergeEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), rng.Float64()*0.4+0.05)
-		}
-		for i := 0; i < 10; i++ {
-			_ = g.MergeEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)), 0.7)
-		}
-		workers := 1 + rng.Intn(4)
-
-		// Removal: same victim set via mark array and via sorted list.
-		dead := make([]bool, n)
-		victims := make([]NodeID, 0, 8)
-		for v := NodeID(0); v < n; v++ {
-			if rng.Intn(6) == 0 {
-				dead[v] = true
-				victims = append(victims, v)
-			}
-		}
-		full := g.Clone()
-		batch := g.Clone()
-		removedFull := full.ParallelRemoveMetered(nil, dead, workers)
-		removedBatch, touched := batch.RemoveBatchMetered(nil, victims, dead, workers, nil)
-		if removedFull != removedBatch {
-			t.Fatalf("seed %d: removed %d (full) vs %d (batch)", seed, removedFull, removedBatch)
-		}
-		requireEqualGraphs(t, seed, "remove", full, batch)
-		if err := checkAggregates(batch); err != nil {
-			t.Fatalf("seed %d after batch remove: %v", seed, err)
-		}
-		requireTouchedCoversNeighbors(t, seed, g, victims, touched)
-
-		// Contraction: contract layer-1 C3 nodes (controller not itself contracted).
-		rep := make([]NodeID, n)
-		cvict := make([]NodeID, 0, 8)
-		for i := range rep {
-			rep[i] = None
-		}
-		for v := NodeID(0); v < n; v++ {
-			c := batch.DirectController(v)
-			if c != None && batch.DirectController(c) == None {
-				rep[v] = c
-				cvict = append(cvict, v)
-			}
-		}
-		fullC := batch.Clone()
-		batchC := batch.Clone()
-		contractedFull := fullC.ParallelContractMetered(nil, rep, workers)
-		contractedBatch, _ := batchC.ContractBatchMetered(nil, cvict, rep, workers, nil)
-		if contractedFull != contractedBatch {
-			t.Fatalf("seed %d: contracted %d (full) vs %d (batch)", seed, contractedFull, contractedBatch)
-		}
-		requireEqualGraphs(t, seed, "contract", fullC, batchC)
-		if err := checkAggregates(batchC); err != nil {
-			t.Fatalf("seed %d after batch contract: %v", seed, err)
-		}
+// randomMeter returns nil or a fresh Meter with equal odds.
+func randomMeter(rng *rand.Rand) *par.Meter {
+	if rng.Intn(2) == 0 {
+		return nil
 	}
-}
-
-func requireEqualGraphs(t *testing.T, seed int64, op string, a, b *Graph) {
-	t.Helper()
-	if a.NumNodes() != b.NumNodes() || a.NumEdges() != b.NumEdges() {
-		t.Fatalf("seed %d %s: %v vs %v", seed, op, a, b)
-	}
-	for v := NodeID(0); int(v) < a.Cap(); v++ {
-		if a.Alive(v) != b.Alive(v) {
-			t.Fatalf("seed %d %s: node %d alive mismatch", seed, op, v)
-		}
-		for u, w := range a.out[v] {
-			if bw, ok := b.out[v][u]; !ok || bw != w {
-				t.Fatalf("seed %d %s: edge (%d,%d) label %g vs %g (exists=%v)", seed, op, v, u, w, bw, ok)
-			}
-		}
-		if len(a.out[v]) != len(b.out[v]) || len(a.in[v]) != len(b.in[v]) {
-			t.Fatalf("seed %d %s: node %d degree mismatch", seed, op, v)
-		}
-	}
-}
-
-// requireTouchedCoversNeighbors checks the frontier contract: every surviving
-// neighbor of a removed node appears in the touched set.
-func requireTouchedCoversNeighbors(t *testing.T, seed int64, orig *Graph, victims []NodeID, touched [][]NodeID) {
-	t.Helper()
-	isVictim := make(map[NodeID]bool, len(victims))
-	for _, v := range victims {
-		isVictim[v] = true
-	}
-	got := make(map[NodeID]bool)
-	for _, shard := range touched {
-		for _, v := range shard {
-			got[v] = true
-		}
-	}
-	for _, v := range victims {
-		if !orig.Alive(v) {
-			continue
-		}
-		for u := range orig.in[v] {
-			if !isVictim[u] && !got[u] {
-				t.Fatalf("seed %d: predecessor %d of removed %d missing from touched set", seed, u, v)
-			}
-		}
-		for u := range orig.out[v] {
-			if !isVictim[u] && !got[u] {
-				t.Fatalf("seed %d: successor %d of removed %d missing from touched set", seed, u, v)
-			}
-		}
-	}
+	return par.NewMeter()
 }

@@ -12,93 +12,176 @@ const ControlEps = 1e-9
 // than half, with rounding slack.
 func ExceedsControl(x float64) bool { return x > ControlThreshold+ControlEps }
 
-// mutKind tags a sharded adjacency mutation.
+// mutKind tags an adjacency mutation.
 type mutKind uint8
 
 const (
-	delOut mutKind = iota // delete out[Owner][Other]
-	delIn                 // delete in[Owner][Other]
+	delOut mutKind = iota // delete out[Owner][Other], whose label is W
+	delIn                 // delete in[Owner][Other], whose label is W
 	addOut                // out[Owner][Other] += W (edge-count +1 if new)
 	addIn                 // in[Owner][Other]  += W
 )
 
-// mutation is one adjacency-map update routed to the shard owning Owner.
+// mutation is one adjacency-map update; it writes only Owner's maps and
+// cached aggregates, so mutations routed to Owner's shard never race. A
+// deletion carries the label it deletes: every edge's label is mirrored in
+// one out map and one in map, and each edge is deleted by exactly one
+// mutation per batch, so the entry is known to exist.
 type mutation struct {
 	Owner, Other NodeID
 	W            float64
 	Kind         mutKind
 }
 
-// shardOf routes node ids to shards.
-func shardOf(v NodeID, shards int) int { return int(v) % shards }
+// batch is one round of the reduction's clean or simplify step: the victims
+// retired together, and either the removal marks (R1/R2, rep == nil) or the
+// representatives that absorb the victims' outgoing edges (R3).
+type batch struct {
+	victims  []NodeID
+	isVictim []bool
+	rep      []NodeID
+}
 
-// applyMutations executes sharded mutations; each shard's maps and cached
-// aggregates are touched by exactly one goroutine (every write is indexed by
-// the mutation's Owner, and owners are routed to shards by id). It returns
-// the net edge-count delta (counted on the out side only, since every edge
-// lives in one out map and one in map) plus the per-shard touched sets: the
-// owners of applied mutations, i.e. the surviving nodes whose adjacency —
-// and therefore possibly class — changed. Touched lists may contain
-// duplicates (consecutive ones are folded); callers dedup with a bitset.
-func (g *Graph) applyMutations(m *par.Meter, ops par.Buckets[mutation]) (int, [][]NodeID) {
-	deltas := make([]int, ops.Shards())
-	touched := make([][]NodeID, ops.Shards())
-	par.MeteredRunSharded(m, ops, func(s int, items []mutation) {
-		d := 0
-		t := make([]NodeID, 0, len(items))
-		last := None
-		note := func(v NodeID) {
-			if v != last {
-				t = append(t, v)
-				last = v
-			}
-		}
-		for _, mu := range items {
-			switch mu.Kind {
-			case delOut:
-				if w, ok := g.out[mu.Owner][mu.Other]; ok {
-					delete(g.out[mu.Owner], mu.Other)
-					g.accountOut(mu.Owner, w, 0)
-					d--
-					note(mu.Owner)
-				}
-			case delIn:
-				if w, ok := g.in[mu.Owner][mu.Other]; ok {
-					delete(g.in[mu.Owner], mu.Other)
-					g.accountIn(mu.Other, mu.Owner, w, 0)
-					note(mu.Owner)
-				}
-			case addOut:
-				old, ok := g.out[mu.Owner][mu.Other]
-				if !ok {
-					d++
-					if g.out[mu.Owner] == nil {
-						g.out[mu.Owner] = make(map[NodeID]float64)
-					}
-				}
-				nw := clampLabel(old + mu.W)
-				g.out[mu.Owner][mu.Other] = nw
-				g.accountOut(mu.Owner, old, nw)
-				note(mu.Owner)
-			case addIn:
-				old := g.in[mu.Owner][mu.Other]
-				if g.in[mu.Owner] == nil {
-					g.in[mu.Owner] = make(map[NodeID]float64)
-				}
-				nw := clampLabel(old + mu.W)
-				g.in[mu.Owner][mu.Other] = nw
-				g.accountIn(mu.Other, mu.Owner, old, nw)
-				note(mu.Owner)
-			}
-		}
-		deltas[s] = d
-		touched[s] = t
-	})
-	total := 0
-	for _, d := range deltas {
-		total += d
+// dies reports whether u is retired by the batch.
+func (bt batch) dies(u NodeID) bool {
+	if bt.rep == nil {
+		return bt.isVictim[u]
 	}
-	return total, touched
+	r := bt.rep[u]
+	return r != None && r != u
+}
+
+// emitVictim streams the mutations that retire victim v: the deletion of
+// every edge between v and a surviving neighbor and, under R3, the transfer
+// of each surviving out-edge (v, u) to rep[v], merged into any parallel edge.
+// Every mutation is owned by a survivor, so v's own maps — read here — are
+// never written during a batch, whatever order the mutations apply in.
+func (g *Graph) emitVictim(bt batch, v NodeID, emit sink) {
+	for p, w := range g.in[v] {
+		if !bt.dies(p) {
+			emit.put(mutation{Owner: p, Other: v, W: w, Kind: delOut})
+		}
+	}
+	r := None
+	if bt.rep != nil {
+		r = bt.rep[v]
+	}
+	for u, w := range g.out[v] {
+		if bt.dies(u) {
+			continue // u dies this batch; the edge vanishes with it
+		}
+		emit.put(mutation{Owner: u, Other: v, W: w, Kind: delIn})
+		if r == None || u == r {
+			continue // removal, or a self loop R3 excludes
+		}
+		emit.put(mutation{Owner: r, Other: u, W: w, Kind: addOut})
+		emit.put(mutation{Owner: u, Other: r, W: w, Kind: addIn})
+	}
+}
+
+// sink receives emitted mutations: the inline mode applies each at once, the
+// sharded mode buckets it by owner shard. It is a struct rather than a func
+// value so the inline mode's per-mutation apply is a direct call.
+type sink struct {
+	a    *applier
+	emit func(shard int, mu mutation)
+}
+
+func (s sink) put(mu mutation) {
+	if s.a != nil {
+		s.a.apply(mu)
+	} else {
+		s.emit(int(mu.Owner), mu)
+	}
+}
+
+// applier applies mutations to its graph in order, tallying the edge-count
+// delta (counted on the out side only, since every edge lives in one out map
+// and one in map) and the touched set: the owners whose adjacency — and
+// therefore possibly class — changed, consecutive duplicates folded.
+type applier struct {
+	g       *Graph
+	delta   int
+	touched []NodeID
+	last    NodeID
+}
+
+func (a *applier) note(v NodeID) {
+	if v != a.last {
+		a.touched = append(a.touched, v)
+		a.last = v
+	}
+}
+
+func (a *applier) apply(mu mutation) {
+	g := a.g
+	switch mu.Kind {
+	case delOut:
+		delete(g.out[mu.Owner], mu.Other)
+		g.accountOut(mu.Owner, mu.W, 0)
+		a.delta--
+	case delIn:
+		delete(g.in[mu.Owner], mu.Other)
+		g.accountIn(mu.Other, mu.Owner, mu.W, 0)
+	case addOut:
+		old, ok := g.out[mu.Owner][mu.Other]
+		if !ok {
+			a.delta++
+			if g.out[mu.Owner] == nil {
+				g.out[mu.Owner] = make(map[NodeID]float64)
+			}
+		}
+		nw := clampLabel(old + mu.W)
+		g.out[mu.Owner][mu.Other] = nw
+		g.accountOut(mu.Owner, old, nw)
+	case addIn:
+		old := g.in[mu.Owner][mu.Other]
+		if g.in[mu.Owner] == nil {
+			g.in[mu.Owner] = make(map[NodeID]float64)
+		}
+		nw := clampLabel(old + mu.W)
+		g.in[mu.Owner][mu.Other] = nw
+		g.accountIn(mu.Other, mu.Owner, old, nw)
+	}
+	a.note(mu.Owner)
+}
+
+// scan is the mass-removal form of a removal batch over the survivors with
+// ids in [lo, hi): instead of applying per-victim mutations it walks each
+// survivor's adjacency and deletes victim entries in place, which is
+// proportional to what remains rather than to what dies. It writes only maps
+// and aggregates of its own ids. Deletion order within a map follows map
+// iteration, so cached in-sums may differ from the emission path in the last
+// bits — well inside ControlEps.
+func (a *applier) scan(isVictim []bool, lo, hi int) {
+	g := a.g
+	d := 0
+	for i := lo; i < hi; i++ {
+		if !g.alive[i] || isVictim[i] {
+			continue
+		}
+		u := NodeID(i)
+		hit := false
+		for v, w := range g.out[u] {
+			if isVictim[v] {
+				delete(g.out[u], v)
+				g.accountOut(u, w, 0)
+				d--
+				hit = true
+			}
+		}
+		for p, w := range g.in[u] {
+			if isVictim[p] {
+				delete(g.in[u], p)
+				g.accountIn(p, u, w, 0)
+				hit = true
+			}
+		}
+		if hit {
+			a.note(u)
+		}
+	}
+	a.delta += d
 }
 
 func clampLabel(w float64) float64 {
@@ -108,498 +191,159 @@ func clampLabel(w float64) float64 {
 	return w
 }
 
-// killMarked clears the adjacency of every node with dead[v], marks it not
-// alive, and returns (nodesRemoved, outEdgesCleared). Runs in parallel
-// blocks; each block only writes state of its own ids.
-func (g *Graph) killMarked(m *par.Meter, dead []bool, workers int) (int, int) {
-	type delta struct{ nodes, edges int }
-	n := len(g.alive)
-	blocks := make([]delta, par.Blocks(n, workers))
-	par.MeteredForBlocks(m, n, workers, func(b, lo, hi int) {
-		var d delta
-		for i := lo; i < hi; i++ {
-			if !dead[i] || !g.alive[i] {
-				continue
-			}
-			d.nodes++
-			d.edges += len(g.out[i])
-			g.out[i] = nil
-			g.in[i] = nil
-			g.alive[i] = false
-			g.resetAggregates(NodeID(i))
+// kill clears the adjacency of every listed live node, marks it dead and
+// returns (nodesRemoved, outEdgesCleared).
+func (g *Graph) kill(victims []NodeID) (nodes, edges int) {
+	for _, v := range victims {
+		if !g.alive[v] {
+			continue
 		}
-		blocks[b] = d
-	})
-	var nodes, edges int
-	for _, d := range blocks {
-		nodes += d.nodes
-		edges += d.edges
+		nodes++
+		edges += len(g.out[v])
+		g.out[v] = nil
+		g.in[v] = nil
+		g.alive[v] = false
+		g.resetAggregates(v)
 	}
 	return nodes, edges
 }
 
-// killList is killMarked driven by an explicit victim list instead of a
-// full-capacity mark array: only the listed nodes are visited. Each block of
-// the victim list writes only the state of its own victims, so duplicate ids
-// in the list are not allowed.
-func (g *Graph) killList(m *par.Meter, victims []NodeID, workers int) (int, int) {
-	type delta struct{ nodes, edges int }
-	n := len(victims)
-	blocks := make([]delta, par.Blocks(n, workers))
-	par.MeteredForBlocks(m, n, workers, func(b, lo, hi int) {
-		var d delta
-		for i := lo; i < hi; i++ {
-			v := victims[i]
-			if !g.alive[v] {
-				continue
-			}
-			d.nodes++
-			d.edges += len(g.out[v])
-			g.out[v] = nil
-			g.in[v] = nil
-			g.alive[v] = false
-			g.resetAggregates(v)
-		}
-		blocks[b] = d
-	})
-	var nodes, edges int
-	for _, d := range blocks {
-		nodes += d.nodes
-		edges += d.edges
-	}
-	return nodes, edges
-}
-
-// ParallelRemoveMetered removes every node v with dead[v] set, together with
-// all its incident edges — the parallel clean step applying rules R1/R2 to a
-// whole batch of nodes at once. dead must have length Cap(). Its parallel
-// steps are recorded into m (which may be nil). It returns the number of
-// nodes removed.
-func (g *Graph) ParallelRemoveMetered(m *par.Meter, dead []bool, workers int) int {
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
-	n := len(g.alive)
-	ops := par.MeteredCollect(m, n, workers, func(i int, emit func(int, mutation)) {
-		v := NodeID(i)
-		if !dead[i] || !g.alive[i] {
-			return
-		}
-		for p := range g.in[v] {
-			if !dead[p] {
-				emit(shardOf(p, workers), mutation{Owner: p, Other: v, Kind: delOut})
-			}
-		}
-		for u := range g.out[v] {
-			if !dead[u] {
-				emit(shardOf(u, workers), mutation{Owner: u, Other: v, Kind: delIn})
-			}
-		}
-	})
-	edgeDelta, _ := g.applyMutations(m, ops)
-	nodes, cleared := g.killMarked(m, dead, workers)
-	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
-	return nodes
-}
-
-// BatchScratch owns the reusable buffers of the single-worker batch-mutator
-// paths, so that steady-state rounds of a reduction allocate nothing. The
-// zero value is ready to use; pass nil to let each call allocate afresh. The
-// touched sets returned by a batch call share the scratch's buffers and are
-// valid only until the next batch call using the same scratch. Not safe for
-// concurrent use.
+// BatchScratch owns the reusable buffers of the inline batch path, so that
+// steady-state rounds of a reduction allocate nothing. The zero value is
+// ready to use; pass nil to let each call allocate afresh. The touched sets
+// returned by a batch call share the scratch's buffers and are valid only
+// until the next batch call using the same scratch. Not safe for concurrent
+// use.
 type BatchScratch struct {
 	t  []NodeID
 	tt [][]NodeID
 }
 
-// touchedSet stores t as the scratch's single touched shard and returns it.
-func (sc *BatchScratch) touchedSet(t []NodeID) [][]NodeID {
-	sc.t = t
-	sc.tt = append(sc.tt[:0], t)
-	return sc.tt
-}
-
 // RemoveBatchMetered removes exactly the listed nodes together with all
-// their incident edges — the frontier-engine form of ParallelRemoveMetered,
-// whose per-round cost is proportional to the victims and their edges rather
-// than the whole id space. victims must be duplicate-free and sorted ascending
-// (ascending order keeps the per-shard mutation streams identical to the
-// full-scan path, so label merges round identically); isVictim must have
-// length Cap with isVictim[v] set exactly for the victims. It returns the
-// number of nodes removed and the per-shard touched sets (surviving
-// neighbors whose adjacency changed). sc may be nil.
+// their incident edges — the parallel clean step applying rules R1/R2 to a
+// whole batch of nodes at once, at a cost proportional to the victims and
+// their edges rather than the whole id space. victims must be duplicate-free
+// and sorted ascending (ascending order fixes the per-shard mutation
+// streams, so label merges round identically run to run); isVictim must have
+// length Cap with isVictim[v] set exactly for the victims. Parallel steps are
+// recorded into m (which may be nil). It returns the number of nodes removed
+// and the per-shard touched sets (surviving neighbors whose adjacency
+// changed). sc may be nil.
 func (g *Graph) RemoveBatchMetered(m *par.Meter, victims []NodeID, isVictim []bool, workers int, sc *BatchScratch) (int, [][]NodeID) {
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
-	if m == nil && workers == 1 {
-		// Single worker, nothing to meter: apply the deletions inline in
-		// emission order. The sequence of map writes and aggregate updates is
-		// exactly the one the 1-shard collect path would produce (victims'
-		// own maps are never written during a round, so inline application
-		// cannot change what later victims emit), without the goroutine and
-		// bucket machinery.
-		return g.removeBatchSerial(victims, isVictim, sc)
-	}
-	if 2*len(victims) >= g.nAlive {
-		// Mass-removal round: most live nodes die. The per-victim emission
-		// below pays a map-iterator setup for every victim only to discover
-		// that most neighbors are victims too; scanning the few survivors'
-		// maps directly is proportional to what actually remains.
-		return g.removeBatchScan(m, victims, isVictim, workers)
-	}
-	ops := par.MeteredCollect(m, len(victims), workers, func(i int, emit func(int, mutation)) {
-		v := victims[i]
-		if !g.Alive(v) {
-			return
-		}
-		for p := range g.in[v] {
-			if !isVictim[p] {
-				emit(shardOf(p, workers), mutation{Owner: p, Other: v, Kind: delOut})
-			}
-		}
-		for u := range g.out[v] {
-			if !isVictim[u] {
-				emit(shardOf(u, workers), mutation{Owner: u, Other: v, Kind: delIn})
-			}
-		}
-	})
-	edgeDelta, touched := g.applyMutations(m, ops)
-	nodes, cleared := g.killList(m, victims, workers)
-	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
-	return nodes, touched
+	return g.retire(m, batch{victims: victims, isVictim: isVictim}, workers, sc)
 }
 
-// removeBatchScan is the mass-removal path of RemoveBatchMetered: instead of
-// emitting per-victim mutations it walks every surviving node's adjacency in
-// parallel id blocks and deletes victim entries in place. Each block writes
-// only maps and aggregates indexed by its own ids (the victims' maps are
-// untouched here and cleared afterwards by killList), so the pass is
-// race-free without sharded routing. Deletion order within a map follows map
-// iteration, so cached in-sums may differ from the emission path in the last
-// bits — well inside ControlEps.
-func (g *Graph) removeBatchScan(m *par.Meter, victims []NodeID, isVictim []bool, workers int) (int, [][]NodeID) {
-	n := len(g.alive)
-	nb := par.Blocks(n, workers)
-	deltas := make([]int, nb)
-	touched := make([][]NodeID, nb)
-	par.MeteredForBlocks(m, n, workers, func(b, lo, hi int) {
-		d := 0
-		var t []NodeID
-		for i := lo; i < hi; i++ {
-			if !g.alive[i] || isVictim[i] {
-				continue
-			}
-			u := NodeID(i)
-			hit := false
-			for v, w := range g.out[u] {
-				if isVictim[v] {
-					delete(g.out[u], v)
-					g.accountOut(u, w, 0)
-					d--
-					hit = true
-				}
-			}
-			for p, w := range g.in[u] {
-				if isVictim[p] {
-					delete(g.in[u], p)
-					g.accountIn(p, u, w, 0)
-					hit = true
-				}
-			}
-			if hit {
-				t = append(t, u)
-			}
-		}
-		deltas[b] = d
-		touched[b] = t
-	})
-	edgeDelta := 0
-	for _, d := range deltas {
-		edgeDelta += d
-	}
-	nodes, cleared := g.killList(m, victims, workers)
-	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
-	return nodes, touched
-}
-
-// removeBatchSerial is the single-worker path of RemoveBatchMetered: the
-// same deletions and aggregate updates, applied inline in emission order
-// with no sharding machinery and no allocations beyond the scratch.
-func (g *Graph) removeBatchSerial(victims []NodeID, isVictim []bool, sc *BatchScratch) (int, [][]NodeID) {
-	if sc == nil {
-		sc = &BatchScratch{}
-	}
-	t := sc.t[:0]
-	last := None
-	note := func(v NodeID) {
-		if v != last {
-			t = append(t, v)
-			last = v
-		}
-	}
-	edgeDelta := 0
-	if 2*len(victims) >= g.nAlive {
-		// Mass removal: scan the few survivors instead (see removeBatchScan).
-		for i := range g.alive {
-			if !g.alive[i] || isVictim[i] {
-				continue
-			}
-			u := NodeID(i)
-			hit := false
-			for v, w := range g.out[u] {
-				if isVictim[v] {
-					delete(g.out[u], v)
-					g.accountOut(u, w, 0)
-					edgeDelta--
-					hit = true
-				}
-			}
-			for p, w := range g.in[u] {
-				if isVictim[p] {
-					delete(g.in[u], p)
-					g.accountIn(p, u, w, 0)
-					hit = true
-				}
-			}
-			if hit {
-				t = append(t, u)
-			}
-		}
-	} else {
-		for _, v := range victims {
-			if !g.Alive(v) {
-				continue
-			}
-			for p, w := range g.in[v] {
-				if !isVictim[p] {
-					delete(g.out[p], v)
-					g.accountOut(p, w, 0)
-					edgeDelta--
-					note(p)
-				}
-			}
-			for u, w := range g.out[v] {
-				if !isVictim[u] {
-					delete(g.in[u], v)
-					g.accountIn(v, u, w, 0)
-					note(u)
-				}
-			}
-		}
-	}
-	nodes, cleared := 0, 0
-	for _, v := range victims {
-		if !g.Alive(v) {
-			continue
-		}
-		nodes++
-		cleared += len(g.out[v])
-		g.out[v] = nil
-		g.in[v] = nil
-		g.alive[v] = false
-		g.resetAggregates(v)
-	}
-	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
-	return nodes, sc.touchedSet(t)
-}
-
-// ParallelContractMetered applies reduction rule R3 to every node v whose
-// rep[v] is a node different from v: v is removed, its incoming edges are
-// deleted, and its outgoing edges are transferred to rep[v] with
-// parallel-edge labels merged and self loops dropped.
-//
-// rep must have length Cap(). rep[v] == None means v is untouched;
-// rep[v] == v means v survives this round (it is the collapse point of a
-// cycle of directly-controlled nodes). Every contracted node's rep must be a
-// node that survives the round. Its parallel steps are recorded into m
-// (which may be nil). It returns the number of nodes contracted.
-func (g *Graph) ParallelContractMetered(m *par.Meter, rep []NodeID, workers int) int {
-	if workers <= 0 {
-		workers = par.DefaultWorkers()
-	}
-	contracted := func(v NodeID) bool {
-		r := rep[v]
-		return r != None && r != v
-	}
-	n := len(g.alive)
-	dead := make([]bool, n)
-	ops := par.MeteredCollect(m, n, workers, func(i int, emit func(int, mutation)) {
-		v := NodeID(i)
-		if !g.alive[i] || !contracted(v) {
-			return
-		}
-		dead[i] = true
-		r := rep[v]
-		for p := range g.in[v] {
-			if !contracted(p) {
-				emit(shardOf(p, workers), mutation{Owner: p, Other: v, Kind: delOut})
-			}
-		}
-		for u, w := range g.out[v] {
-			if contracted(u) {
-				// u dies this round; the edge vanishes with it.
-				continue
-			}
-			emit(shardOf(u, workers), mutation{Owner: u, Other: v, Kind: delIn})
-			if u == r {
-				// Transferring (v, r) to r would create a self loop; R3
-				// excludes it.
-				continue
-			}
-			emit(shardOf(r, workers), mutation{Owner: r, Other: u, W: w, Kind: addOut})
-			emit(shardOf(u, workers), mutation{Owner: u, Other: r, W: w, Kind: addIn})
-		}
-	})
-	edgeDelta, _ := g.applyMutations(m, ops)
-	nodes, cleared := g.killMarked(m, dead, workers)
-	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
-	return nodes
-}
-
-// ContractBatchMetered applies rule R3 to exactly the listed nodes — the
-// frontier-engine form of ParallelContractMetered. victims must be
-// duplicate-free, sorted ascending, and satisfy rep[v] != None && rep[v] != v
-// for every entry; rep must have length Cap and follow the
-// ParallelContractMetered contract for every node id (None for untouched
-// nodes). It returns the number of nodes contracted and the per-shard touched
-// sets: surviving neighbors whose edges were deleted, representatives that
-// received transferred edges, and transfer targets. sc may be nil.
+// ContractBatchMetered applies rule R3 to exactly the listed nodes: each
+// victim v is removed, its incoming edges are deleted, and its outgoing
+// edges are transferred to rep[v] with parallel-edge labels merged and self
+// loops dropped. victims must be duplicate-free, sorted ascending, and
+// satisfy rep[v] != None && rep[v] != v; rep must have length Cap, with
+// rep[u] == None for untouched nodes and rep[u] == u for a node that
+// survives the round (the collapse point of a cycle of directly-controlled
+// nodes). Every victim's rep must survive the round. It returns the number
+// of nodes contracted and the per-shard touched sets: surviving neighbors
+// whose edges were deleted, representatives that received transferred
+// edges, and transfer targets. sc may be nil.
 func (g *Graph) ContractBatchMetered(m *par.Meter, victims []NodeID, rep []NodeID, workers int, sc *BatchScratch) (int, [][]NodeID) {
+	return g.retire(m, batch{victims: victims, rep: rep}, workers, sc)
+}
+
+// retire executes one batch in one of two application modes. With one
+// worker and nothing to meter it is inline: each mutation applies as it is
+// emitted, with no goroutine, bucket or allocation. The inline mode calls
+// the shared bodies (emitVictim, applier, kill) directly rather than through
+// par, because a closure handed to a function that may start goroutines
+// escapes to the heap — an allocation per round. Otherwise the mutations are
+// bucketed by owner shard and applied shard-parallel. A removal batch that
+// kills at least half the live nodes scans the survivors instead of
+// emitting per victim (see applier.scan).
+func (g *Graph) retire(m *par.Meter, bt batch, workers int, sc *BatchScratch) (int, [][]NodeID) {
 	if workers <= 0 {
 		workers = par.DefaultWorkers()
 	}
+	mass := bt.rep == nil && 2*len(bt.victims) >= g.nAlive
+	var nodes, cleared, delta int
+	var touched [][]NodeID
 	if m == nil && workers == 1 {
-		return g.contractBatchSerial(victims, rep, sc)
+		if sc == nil {
+			sc = &BatchScratch{}
+		}
+		a := applier{g: g, touched: sc.t[:0], last: None}
+		if mass {
+			a.scan(bt.isVictim, 0, len(g.alive))
+		} else {
+			for _, v := range bt.victims {
+				if g.alive[v] {
+					g.emitVictim(bt, v, sink{a: &a})
+				}
+			}
+		}
+		nodes, cleared = g.kill(bt.victims)
+		delta, sc.t = a.delta, a.touched
+		sc.tt = append(sc.tt[:0], a.touched)
+		touched = sc.tt
+	} else {
+		if mass {
+			delta, touched = g.scanSharded(m, bt.isVictim, workers)
+		} else {
+			ops := par.Collect(m, len(bt.victims), workers, func(i int, emit func(int, mutation)) {
+				if v := bt.victims[i]; g.alive[v] {
+					g.emitVictim(bt, v, sink{emit: emit})
+				}
+			})
+			delta, touched = g.applySharded(m, ops)
+		}
+		nodes, cleared = g.killSharded(m, bt.victims, workers)
 	}
-	contracted := func(v NodeID) bool {
-		r := rep[v]
-		return r != None && r != v
-	}
-	ops := par.MeteredCollect(m, len(victims), workers, func(i int, emit func(int, mutation)) {
-		v := victims[i]
-		if !g.Alive(v) || !contracted(v) {
-			return
-		}
-		r := rep[v]
-		for p := range g.in[v] {
-			if !contracted(p) {
-				emit(shardOf(p, workers), mutation{Owner: p, Other: v, Kind: delOut})
-			}
-		}
-		for u, w := range g.out[v] {
-			if contracted(u) {
-				// u dies this round; the edge vanishes with it.
-				continue
-			}
-			emit(shardOf(u, workers), mutation{Owner: u, Other: v, Kind: delIn})
-			if u == r {
-				// Transferring (v, r) to r would create a self loop; R3
-				// excludes it.
-				continue
-			}
-			emit(shardOf(r, workers), mutation{Owner: r, Other: u, W: w, Kind: addOut})
-			emit(shardOf(u, workers), mutation{Owner: u, Other: r, W: w, Kind: addIn})
-		}
-	})
-	edgeDelta, touched := g.applyMutations(m, ops)
-	nodes, cleared := g.killList(m, victims, workers)
 	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
+	g.nEdges += delta - cleared
 	return nodes, touched
 }
 
-// contractBatchSerial is the single-worker path of ContractBatchMetered: the
-// same edge deletions, transfers and label merges, applied inline in
-// emission order. Inline application is sound for the same reason as in
-// removeBatchSerial — every write of a contraction round lands in a
-// survivor's maps, so the victims' adjacency read by later iterations is
-// exactly what the collect phase would have seen.
-func (g *Graph) contractBatchSerial(victims []NodeID, rep []NodeID, sc *BatchScratch) (int, [][]NodeID) {
-	if sc == nil {
-		sc = &BatchScratch{}
-	}
-	contracted := func(v NodeID) bool {
-		r := rep[v]
-		return r != None && r != v
-	}
-	t := sc.t[:0]
-	last := None
-	note := func(v NodeID) {
-		if v != last {
-			t = append(t, v)
-			last = v
+// applySharded applies bucketed mutations, one goroutine per shard; each
+// shard's maps and cached aggregates are touched by exactly that goroutine.
+// It returns the summed edge-count delta and the per-shard touched sets.
+func (g *Graph) applySharded(m *par.Meter, ops par.Buckets[mutation]) (int, [][]NodeID) {
+	deltas := make([]int, ops.Shards())
+	touched := make([][]NodeID, ops.Shards())
+	par.RunSharded(m, ops, func(s int, items []mutation) {
+		a := applier{g: g, touched: make([]NodeID, 0, len(items)), last: None}
+		for _, mu := range items {
+			a.apply(mu)
 		}
+		deltas[s], touched[s] = a.delta, a.touched
+	})
+	return sum(deltas), touched
+}
+
+// scanSharded runs applier.scan over the id space in parallel blocks.
+func (g *Graph) scanSharded(m *par.Meter, isVictim []bool, workers int) (int, [][]NodeID) {
+	n := len(g.alive)
+	deltas := make([]int, par.Blocks(n, workers))
+	touched := make([][]NodeID, len(deltas))
+	par.ForBlocks(m, n, workers, func(b, lo, hi int) {
+		a := applier{g: g, last: None}
+		a.scan(isVictim, lo, hi)
+		deltas[b], touched[b] = a.delta, a.touched
+	})
+	return sum(deltas), touched
+}
+
+// killSharded runs kill over the victim list in parallel blocks; each block
+// writes only the state of its own victims.
+func (g *Graph) killSharded(m *par.Meter, victims []NodeID, workers int) (int, int) {
+	nb := par.Blocks(len(victims), workers)
+	nodes, edges := make([]int, nb), make([]int, nb)
+	par.ForBlocks(m, len(victims), workers, func(b, lo, hi int) {
+		nodes[b], edges[b] = g.kill(victims[lo:hi])
+	})
+	return sum(nodes), sum(edges)
+}
+
+func sum(xs []int) int {
+	t := 0
+	for _, x := range xs {
+		t += x
 	}
-	edgeDelta := 0
-	for _, v := range victims {
-		if !g.Alive(v) || !contracted(v) {
-			continue
-		}
-		r := rep[v]
-		for p, w := range g.in[v] {
-			if !contracted(p) {
-				delete(g.out[p], v)
-				g.accountOut(p, w, 0)
-				edgeDelta--
-				note(p)
-			}
-		}
-		for u, w := range g.out[v] {
-			if contracted(u) {
-				// u dies this round; the edge vanishes with it.
-				continue
-			}
-			if iw, ok := g.in[u][v]; ok {
-				delete(g.in[u], v)
-				g.accountIn(v, u, iw, 0)
-				note(u)
-			}
-			if u == r {
-				// Transferring (v, r) to r would create a self loop; R3
-				// excludes it.
-				continue
-			}
-			old, ok := g.out[r][u]
-			if !ok {
-				edgeDelta++
-				if g.out[r] == nil {
-					g.out[r] = make(map[NodeID]float64)
-				}
-			}
-			nw := clampLabel(old + w)
-			g.out[r][u] = nw
-			g.accountOut(r, old, nw)
-			note(r)
-			oldIn := g.in[u][r]
-			if g.in[u] == nil {
-				g.in[u] = make(map[NodeID]float64)
-			}
-			nwIn := clampLabel(oldIn + w)
-			g.in[u][r] = nwIn
-			g.accountIn(r, u, oldIn, nwIn)
-			note(u)
-		}
-	}
-	nodes, cleared := 0, 0
-	for _, v := range victims {
-		if !g.Alive(v) {
-			continue
-		}
-		nodes++
-		cleared += len(g.out[v])
-		g.out[v] = nil
-		g.in[v] = nil
-		g.alive[v] = false
-		g.resetAggregates(v)
-	}
-	g.nAlive -= nodes
-	g.nEdges += edgeDelta - cleared
-	return nodes, sc.touchedSet(t)
+	return t
 }

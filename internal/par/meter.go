@@ -81,51 +81,3 @@ func (m *Meter) SimulatedElapsed() time.Duration {
 	}
 	return serial + m.critical
 }
-
-// MeteredFor is For with per-block timing recorded into m (which may be
-// nil, making it exactly For).
-func MeteredFor(m *Meter, n, workers int, fn func(lo, hi int)) {
-	if m == nil {
-		For(n, workers, fn)
-		return
-	}
-	if n <= 0 {
-		return
-	}
-	workers = clamp(workers, n)
-	blocks := make([]time.Duration, 0, workers)
-	var mu sync.Mutex
-	For(n, workers, func(lo, hi int) {
-		start := time.Now()
-		fn(lo, hi)
-		d := time.Since(start)
-		mu.Lock()
-		blocks = append(blocks, d)
-		mu.Unlock()
-	})
-	m.record(blocks)
-}
-
-// MeteredRunSharded is RunSharded with per-shard timing recorded into m.
-func MeteredRunSharded[T any](m *Meter, b Buckets[T], fn func(shard int, items []T)) {
-	if m == nil {
-		RunSharded(b, fn)
-		return
-	}
-	blocks := make([]time.Duration, 0, len(b))
-	var mu sync.Mutex
-	RunSharded(b, func(shard int, items []T) {
-		start := time.Now()
-		fn(shard, items)
-		d := time.Since(start)
-		mu.Lock()
-		blocks = append(blocks, d)
-		mu.Unlock()
-	})
-	m.record(blocks)
-}
-
-// MeteredCollect is Collect with each generation block metered.
-func MeteredCollect[T any](m *Meter, n, shards int, gen func(i int, emit func(shard int, item T))) Buckets[T] {
-	return collect(m, n, shards, gen)
-}

@@ -3,6 +3,9 @@
 // and a sharded executor for the mutation steps (clean, simplify), in which
 // every shard of the node-id space is mutated by exactly one goroutine —
 // the same ownership discipline Pregel enforces through message routing.
+//
+// Every construct takes a *Meter that records its per-block timings; nil
+// records nothing.
 package par
 
 import (
@@ -15,98 +18,64 @@ import (
 // workers <= 0: the number of usable CPUs.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// clamp normalizes a worker count against the size of the work.
-func clamp(workers, n int) int {
+// split returns the block size and block count ForBlocks uses for [0, n).
+func split(n, workers int) (block, blocks int) {
+	if n <= 0 {
+		return 0, 0
+	}
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	workers = min(workers, n)
+	block = (n + workers - 1) / workers
+	return block, (n + block - 1) / block
 }
 
-// For splits [0, n) into at most `workers` contiguous blocks and runs fn on
-// each block concurrently, blocking until all complete.
-func For(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers = clamp(workers, n)
-	if workers == 1 {
+// Blocks returns the number of contiguous blocks For and ForBlocks split
+// [0, n) into for the given worker count.
+func Blocks(n, workers int) int {
+	_, nb := split(n, workers)
+	return nb
+}
+
+// For splits [0, n) into at most `workers` contiguous blocks (<= 0 means
+// GOMAXPROCS) and runs fn on each block concurrently, blocking until all
+// complete.
+func For(m *Meter, n, workers int, fn func(lo, hi int)) {
+	if m == nil && Blocks(n, workers) == 1 {
 		fn(0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	block := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += block {
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ForEach runs fn(i) for every i in [0, n) using For.
-func ForEach(n, workers int, fn func(i int)) {
-	For(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
-// Blocks returns the number of contiguous blocks For (and ForBlocks) will
-// split [0, n) into for the given worker count.
-func Blocks(n, workers int) int {
-	if n <= 0 {
-		return 0
-	}
-	workers = clamp(workers, n)
-	block := (n + workers - 1) / workers
-	return (n + block - 1) / block
+	ForBlocks(m, n, workers, func(_, lo, hi int) { fn(lo, hi) })
 }
 
 // ForBlocks is For with a dense block index passed to fn, so callers can
 // accumulate per-block partial results in a slice of length Blocks(n,
-// workers) instead of length n.
-func ForBlocks(n, workers int, fn func(b, lo, hi int)) {
-	MeteredForBlocks(nil, n, workers, fn)
-}
-
-// MeteredForBlocks is ForBlocks with per-block timing recorded into m
-// (which may be nil).
-func MeteredForBlocks(m *Meter, n, workers int, fn func(b, lo, hi int)) {
-	if n <= 0 {
+// workers) instead of length n. A single block runs on the caller's
+// goroutine.
+func ForBlocks(m *Meter, n, workers int, fn func(b, lo, hi int)) {
+	block, nb := split(n, workers)
+	if nb == 0 {
 		return
 	}
-	workers = clamp(workers, n)
-	block := (n + workers - 1) / workers
-	nb := (n + block - 1) / block
+	if nb == 1 {
+		start := time.Now()
+		fn(0, 0, n)
+		m.record([]time.Duration{time.Since(start)})
+		return
+	}
 	times := make([]time.Duration, nb)
 	var wg sync.WaitGroup
 	for b := 0; b < nb; b++ {
 		lo := b * block
-		hi := lo + block
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+block, n)
 		wg.Add(1)
-		go func(b, lo, hi int) {
+		go func() {
 			defer wg.Done()
 			start := time.Now()
 			fn(b, lo, hi)
 			times[b] = time.Since(start)
-		}(b, lo, hi)
+		}()
 	}
 	wg.Wait()
 	m.record(times)
@@ -117,81 +86,40 @@ func MeteredForBlocks(m *Meter, n, workers int, fn func(b, lo, hi int)) {
 // worker s in RunSharded, so no locking is needed anywhere.
 type Buckets[T any] [][]T
 
-// NewBuckets returns empty buckets for `shards` shards.
-func NewBuckets[T any](shards int) Buckets[T] {
-	return make(Buckets[T], shards)
-}
-
 // Shards returns the number of shards.
 func (b Buckets[T]) Shards() int { return len(b) }
 
 // Add appends item to shard s. Not safe for concurrent use on the same s.
 func (b Buckets[T]) Add(s int, item T) { b[s] = append(b[s], item) }
 
-// Len returns the total number of buffered items.
-func (b Buckets[T]) Len() int {
-	n := 0
-	for _, s := range b {
-		n += len(s)
-	}
-	return n
-}
-
 // Collect produces sharded buckets in parallel: gen is run over [0, n) split
-// in blocks, and emits items with an explicit destination shard. Items are
-// first gathered in per-worker local buckets (no contention) and merged
-// after the barrier.
-func Collect[T any](n, shards int, gen func(i int, emit func(shard int, item T))) Buckets[T] {
-	return collect(nil, n, shards, gen)
-}
-
-func collect[T any](m *Meter, n, shards int, gen func(i int, emit func(shard int, item T))) Buckets[T] {
-	if shards < 1 {
-		shards = 1
-	}
-	workers := clamp(0, n)
-	locals := make([]Buckets[T], workers)
-	blockTimes := make([]time.Duration, workers)
-	var wg sync.WaitGroup
-	block := 0
-	if n > 0 {
-		block = (n + workers - 1) / workers
-	}
-	idx := 0
-	for lo := 0; lo < n; lo += block {
-		hi := lo + block
-		if hi > n {
-			hi = n
+// in blocks across `shards` workers, and emits items with an explicit
+// destination shard (reduced mod shards). Items are first gathered in
+// per-block local buckets (no contention) and merged shard-parallel after the
+// barrier; each shard keeps the emission order of [0, n).
+func Collect[T any](m *Meter, n, shards int, gen func(i int, emit func(shard int, item T))) Buckets[T] {
+	shards = max(shards, 1)
+	locals := make([]Buckets[T], Blocks(n, shards))
+	ForBlocks(m, n, shards, func(b, lo, hi int) {
+		local := make(Buckets[T], shards)
+		emit := func(s int, item T) { local.Add(s%shards, item) }
+		for i := lo; i < hi; i++ {
+			gen(i, emit)
 		}
-		locals[idx] = NewBuckets[T](shards)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			start := time.Now()
-			emit := func(shard int, item T) { locals[w].Add(shard%shards, item) }
-			for i := lo; i < hi; i++ {
-				gen(i, emit)
-			}
-			blockTimes[w] = time.Since(start)
-		}(idx, lo, hi)
-		idx++
-	}
-	wg.Wait()
-	m.record(blockTimes[:idx])
-	// Merge per-worker buckets shard-parallel: shard s is assembled by one
-	// goroutine reading every worker's local bucket s.
-	merged := NewBuckets[T](shards)
-	MeteredFor(m, shards, shards, func(lo, hi int) {
+		locals[b] = local
+	})
+	merged := make(Buckets[T], shards)
+	For(m, shards, shards, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			total := 0
-			for _, l := range locals[:idx] {
+			for _, l := range locals {
 				total += len(l[s])
 			}
 			if total == 0 {
 				continue
 			}
 			out := make([]T, 0, total)
-			for _, l := range locals[:idx] {
+			for _, l := range locals {
 				out = append(out, l[s]...)
 			}
 			merged[s] = out
@@ -202,17 +130,10 @@ func collect[T any](m *Meter, n, shards int, gen func(i int, emit func(shard int
 
 // RunSharded executes fn(s, items) for every non-empty shard s concurrently.
 // fn for shard s is the only goroutine allowed to touch state owned by s.
-func RunSharded[T any](b Buckets[T], fn func(shard int, items []T)) {
-	var wg sync.WaitGroup
-	for s := range b {
-		if len(b[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
+func RunSharded[T any](m *Meter, b Buckets[T], fn func(shard int, items []T)) {
+	ForBlocks(m, len(b), len(b), func(s, _, _ int) {
+		if len(b[s]) > 0 {
 			fn(s, b[s])
-		}(s)
-	}
-	wg.Wait()
+		}
+	})
 }

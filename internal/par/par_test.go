@@ -1,16 +1,27 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+// items counts the buffered items of b.
+func items[T any](b Buckets[T]) int {
+	n := 0
+	for _, s := range b {
+		n += len(s)
+	}
+	return n
+}
 
 func TestForCoversRangeOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 3, 16, 100} {
 		n := 1000
 		seen := make([]int32, n)
-		For(n, workers, func(lo, hi int) {
+		For(nil, n, workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&seen[i], 1)
 			}
@@ -25,41 +36,84 @@ func TestForCoversRangeOnce(t *testing.T) {
 
 func TestForEmpty(t *testing.T) {
 	called := false
-	For(0, 4, func(lo, hi int) { called = true })
-	For(-3, 4, func(lo, hi int) { called = true })
+	For(nil, 0, 4, func(lo, hi int) { called = true })
+	For(nil, -3, 4, func(lo, hi int) { called = true })
+	ForBlocks(NewMeter(), 0, 4, func(b, lo, hi int) { called = true })
 	if called {
 		t.Fatal("For called fn on empty range")
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum int64
-	ForEach(100, 7, func(i int) { atomic.AddInt64(&sum, int64(i)) })
-	if sum != 4950 {
-		t.Fatalf("sum = %d", sum)
-	}
-}
-
 func TestBuckets(t *testing.T) {
-	b := NewBuckets[int](3)
-	if b.Shards() != 3 || b.Len() != 0 {
-		t.Fatalf("fresh buckets: %d shards, %d items", b.Shards(), b.Len())
+	b := make(Buckets[int], 3)
+	if b.Shards() != 3 || items(b) != 0 {
+		t.Fatalf("fresh buckets: %d shards, %d items", b.Shards(), items(b))
 	}
 	b.Add(0, 10)
 	b.Add(2, 20)
 	b.Add(2, 21)
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d", b.Len())
+	if items(b) != 3 || len(b[2]) != 2 {
+		t.Fatalf("items = %d, shard 2 holds %d", items(b), len(b[2]))
+	}
+}
+
+// TestSingleBlockRunsInline checks that one block runs on the caller's
+// goroutine and, unmetered, allocates nothing inside par.
+func TestSingleBlockRunsInline(t *testing.T) {
+	var calls int
+	fn := func(b, lo, hi int) {
+		if b != 0 || lo != 0 || hi != 10 {
+			t.Fatalf("block (%d, %d, %d), want (0, 0, 10)", b, lo, hi)
+		}
+		calls++ // unsynchronized: -race fails if this ran on another goroutine
+	}
+	if a := testing.AllocsPerRun(100, func() { ForBlocks(nil, 10, 1, fn) }); a != 0 {
+		t.Fatalf("single unmetered block allocates %v times", a)
+	}
+	m := NewMeter()
+	ForBlocks(m, 10, 1, fn)
+	For(m, 10, 1, func(lo, hi int) { calls++ })
+	if calls != 103 {
+		t.Fatalf("fn ran %d times, want 103", calls)
+	}
+}
+
+// TestCollectSplitsByShards is the regression test for Collect ignoring the
+// caller's worker count: generation must run in one block per shard, not in
+// GOMAXPROCS blocks. Every gen call waits until all eight are in flight at
+// once, which only eight concurrent blocks can satisfy — at any GOMAXPROCS,
+// since a sleeping goroutine needs no thread.
+func TestCollectSplitsByShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const n = 8
+	var inFlight atomic.Int32
+	var stuck atomic.Bool
+	deadline := time.Now().Add(5 * time.Second)
+	b := Collect(NewMeter(), n, n, func(i int, emit func(int, int)) {
+		inFlight.Add(1)
+		for inFlight.Load() < n && !stuck.Load() {
+			if time.Now().After(deadline) {
+				stuck.Store(true)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		emit(i, i)
+	})
+	if stuck.Load() {
+		t.Fatalf("Collect(m, %d, %d, ...) never ran its %d items concurrently", n, n, n)
+	}
+	if items(b) != n {
+		t.Fatalf("collected %d items, want %d", items(b), n)
 	}
 }
 
 func TestCollectRoutesToShards(t *testing.T) {
 	n, shards := 500, 7
-	b := Collect(n, shards, func(i int, emit func(int, int)) {
+	b := Collect(nil, n, shards, func(i int, emit func(int, int)) {
 		emit(i, i) // shard chosen by value; Collect reduces mod shards
 	})
-	if b.Len() != n {
-		t.Fatalf("collected %d items, want %d", b.Len(), n)
+	if items(b) != n {
+		t.Fatalf("collected %d items, want %d", items(b), n)
 	}
 	for s := range b {
 		for _, item := range b[s] {
@@ -71,16 +125,16 @@ func TestCollectRoutesToShards(t *testing.T) {
 }
 
 func TestCollectZeroItems(t *testing.T) {
-	b := Collect(100, 4, func(i int, emit func(int, string)) {})
-	if b.Len() != 0 {
-		t.Fatalf("Len = %d", b.Len())
+	b := Collect(nil, 100, 4, func(i int, emit func(int, string)) {})
+	if items(b) != 0 {
+		t.Fatalf("collected %d items", items(b))
 	}
-	RunSharded(b, func(s int, items []string) { t.Fatal("fn called for empty shard") })
+	RunSharded(NewMeter(), b, func(s int, items []string) { t.Fatal("fn called for empty shard") })
 }
 
 func TestRunShardedIsExclusivePerShard(t *testing.T) {
 	shards := 8
-	b := NewBuckets[int](shards)
+	b := make(Buckets[int], shards)
 	for s := 0; s < shards; s++ {
 		for i := 0; i < 1000; i++ {
 			b.Add(s, 1)
@@ -89,7 +143,7 @@ func TestRunShardedIsExclusivePerShard(t *testing.T) {
 	// Unsynchronized per-shard counters: the test fails under -race if two
 	// goroutines ever process the same shard.
 	counts := make([]int, shards)
-	RunSharded(b, func(s int, items []int) {
+	RunSharded(nil, b, func(s int, items []int) {
 		for range items {
 			counts[s]++
 		}
@@ -111,10 +165,10 @@ func TestQuickCollectPreservesItems(t *testing.T) {
 	f := func(n uint16, shards uint8) bool {
 		nn := int(n % 2000)
 		ss := 1 + int(shards%16)
-		b := Collect(nn, ss, func(i int, emit func(int, int)) {
+		b := Collect(nil, nn, ss, func(i int, emit func(int, int)) {
 			emit(i*7, i)
 		})
-		if b.Len() != nn {
+		if items(b) != nn {
 			return false
 		}
 		seen := make([]bool, nn)
