@@ -12,8 +12,8 @@ import (
 // accounting) and service-level objectives, the auditor re-checks them on a
 // background interval, exports ccp_audit_* / ccp_slo_* series, records
 // violations and budget breaches into the flight recorder, and serves the
-// /audit and /slo ops endpoints that `ccpctl doctor` joins into a
-// cluster-wide report.
+// /audit ops endpoint (probe verdicts and SLO budgets in one report) that
+// `ccpctl doctor` joins into a cluster-wide report.
 type (
 	// Auditor is the per-process audit engine; build with NewAuditor, wire
 	// probes with Register / RegisterSLO, start the loop with Start, and
@@ -25,15 +25,16 @@ type (
 	AuditProbe = audit.Probe
 	// AuditResult is one probe evaluation.
 	AuditResult = audit.Result
-	// AuditReport is the /audit payload: every probe re-run on demand.
+	// AuditReport is the /audit payload: every probe re-run on demand and
+	// every SLO read.
 	AuditReport = audit.Report
 	// SLOConfig declares one objective (availability or latency target)
 	// over a cumulative (good, total) series pair.
 	SLOConfig = audit.SLOConfig
-	// SLOReport is the /slo view of one objective.
+	// SLOReport is the /audit view of one objective.
 	SLOReport = audit.SLOReport
 	// OpsEndpoint mounts an extra handler on StartOpsServer's mux (the
-	// auditor's /audit and /slo).
+	// auditor's /audit).
 	OpsEndpoint = obs.Endpoint
 	// StoreScrubResult reports one scrub pass over a durable site's
 	// on-disk state.

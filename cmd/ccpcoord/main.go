@@ -53,7 +53,7 @@ func main() {
 	workers := flag.Int("workers", 0, "coordinator reduction parallelism")
 	concurrency := flag.Int("concurrency", 1, "batch queries kept in flight at once (>1 answers the trailing queries as one concurrent batch)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline, enforced at the sites (0 = none)")
-	opsAddr := flag.String("ops-addr", "", "ops HTTP address serving /metrics, /healthz, /varz, /audit, /slo, /debug/flight, /debug/pprof (empty = disabled)")
+	opsAddr := flag.String("ops-addr", "", "ops HTTP address serving "+cli.OpsEndpoints+" (empty = disabled)")
 	sloAvail := flag.Float64("slo-availability", 0.999, "availability SLO objective (fraction of queries answered without error)")
 	sloLatency := flag.Float64("slo-latency", 0.99, "latency SLO objective (fraction of queries under -slo-latency-target)")
 	sloTarget := flag.Duration("slo-latency-target", 250*time.Millisecond, "latency SLO target per query")
@@ -118,15 +118,31 @@ func main() {
 	// cache, admission accounting) on a background interval and tracks the
 	// query SLOs: availability over the error-free fraction, latency over
 	// the fraction under the target. Both burn multi-window error budgets
-	// exported as ccp_slo_* and served on /slo.
-	auditor := ccp.NewAuditor(ccp.AuditConfig{Observer: observer})
-	for _, p := range cluster.AuditProbes() {
-		auditor.Register(p)
+	// exported as ccp_slo_* and reported on /audit.
+	//
+	// Healthy means every site is reachable right now: connected with a
+	// closed circuit. Degraded (503) surfaces the first broken transport to
+	// an external prober; the JSON detail carries the full per-site health
+	// table either way.
+	ops, err := cli.StartOps(*opsAddr, observer, func() (bool, any) {
+		health := cluster.Health()
+		ok := true
+		for _, h := range health {
+			if !h.Connected || h.CircuitOpen {
+				ok = false
+				break
+			}
+		}
+		return ok, health
+	}, logger, cluster.AuditProbes()...)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	defer ops.Close(context.Background())
 	reg := observer.Registry()
 	qTotal := reg.Counter("ccp_queries_total", "Distributed queries answered, including failed ones.")
 	qErrors := reg.Counter("ccp_query_errors_total", "Distributed queries that failed.")
-	auditor.RegisterSLO(ccp.SLOConfig{
+	ops.Auditor.RegisterSLO(ccp.SLOConfig{
 		Name:      "query_availability",
 		Objective: *sloAvail,
 		Source: func() (good, total float64) {
@@ -137,7 +153,7 @@ func main() {
 	latencyHist := reg.Histogram("ccp_query_seconds",
 		"End-to-end distributed query latency in seconds.", nil)
 	target := sloTarget.Seconds()
-	auditor.RegisterSLO(ccp.SLOConfig{
+	ops.Auditor.RegisterSLO(ccp.SLOConfig{
 		Name:      "query_latency",
 		Objective: *sloLatency,
 		Source: func() (good, total float64) {
@@ -152,32 +168,6 @@ func main() {
 			return float64(under), float64(s.Count)
 		},
 	})
-	auditor.Start()
-	defer auditor.Close()
-
-	if *opsAddr != "" {
-		// Healthy means every site is reachable right now: connected with a
-		// closed circuit. Degraded (503) surfaces the first broken transport
-		// to an external prober; the JSON detail carries the full per-site
-		// health table either way.
-		ops, err := ccp.StartOpsServer(*opsAddr, observer, func() (bool, any) {
-			health := cluster.Health()
-			ok := true
-			for _, h := range health {
-				if !h.Connected || h.CircuitOpen {
-					ok = false
-					break
-				}
-			}
-			return ok, health
-		}, auditor.Endpoints()...)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer ops.Shutdown(context.Background())
-		logger.Info("ops endpoints up", "url", "http://"+ops.Addr(),
-			"endpoints", "/metrics /healthz /varz /audit /slo /debug/flight /debug/pprof")
-	}
 
 	// queryCtx derives one query's context, carrying the -timeout deadline.
 	queryCtx := func() (context.Context, context.CancelFunc) {

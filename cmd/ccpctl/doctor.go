@@ -12,23 +12,65 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"ccp/internal/obs"
 	"ccp/internal/obs/audit"
 )
 
-// doctorDoc is one process's joined ops state: its /varz, /audit and /slo
-// payloads under one address. `ccpctl doctor` scrapes one per -ops endpoint
-// (or reads them from -in files) and cross-checks the set.
-type doctorDoc struct {
-	Addr  string            `json:"addr"`
-	Err   string            `json:"err,omitempty"` // scrape failure; all payloads empty
-	Varz  varzDoc           `json:"varz"`
-	Audit *audit.Report     `json:"audit,omitempty"`
-	SLO   *doctorSLOPayload `json:"slo,omitempty"`
+// varzDoc is the /varz payload shape (the slow-query fields are ignored).
+type varzDoc struct {
+	Metrics []obs.VarSnapshot `json:"metrics"`
 }
 
-// doctorSLOPayload is the /slo response shape.
-type doctorSLOPayload struct {
-	SLOs []audit.SLOReport `json:"slos"`
+// sum totals a (possibly labeled) counter/gauge family.
+func (d varzDoc) sum(name string) (total float64, found bool) {
+	for _, v := range d.Metrics {
+		if v.Name == name && v.Hist == nil {
+			total += v.Value
+			found = true
+		}
+	}
+	return total, found
+}
+
+// hist returns the first histogram of the family (the query-latency series
+// is registered once, unlabeled).
+func (d varzDoc) hist(name string) *obs.HistogramSnapshot {
+	for _, v := range d.Metrics {
+		if v.Name == name && v.Hist != nil {
+			return v.Hist
+		}
+	}
+	return nil
+}
+
+// groups buckets the counter and gauge series by label set: label set ->
+// series name -> value. A label set is one thing behind the endpoint — a
+// site (`site="0"`), a circuit (`site_addr="..."`), a shed reason.
+func (d varzDoc) groups() map[string]map[string]float64 {
+	out := map[string]map[string]float64{}
+	for _, v := range d.Metrics {
+		if v.Hist != nil {
+			continue
+		}
+		m := out[v.Labels]
+		if m == nil {
+			m = map[string]float64{}
+			out[v.Labels] = m
+		}
+		m[v.Name] += v.Value
+	}
+	return out
+}
+
+// doctorDoc is one process's joined ops state: its /varz and /audit
+// payloads under one address. Every `ccpctl doctor` view renders a list of
+// these, scraped one per -ops endpoint or read from -in files.
+type doctorDoc struct {
+	Addr  string        `json:"addr"`
+	Err   string        `json:"err,omitempty"` // scrape failure; all payloads empty
+	Varz  varzDoc       `json:"varz"`
+	Audit *audit.Report `json:"audit,omitempty"`
+	at    time.Time     // scrape time, for the top view's rates
 }
 
 // doctorFinding is one row of the doctor's verdict table.
@@ -45,20 +87,37 @@ const (
 	statusRed    = "red"
 )
 
-// cmdDoctor joins every process's /varz, /audit and /slo into one
-// cluster-wide health report: per-process invariant probes and SLO budgets,
-// plus the cross-process checks no single process can run alone —
-// leader/follower epoch agreement, coordinator cached-partial epochs never
-// ahead of their site, admission arithmetic, build skew. It prints a
-// green/yellow/red table and exits nonzero if anything is red.
+// doctorViews renders the collected documents; prev is the previous -watch
+// round's, for rates.
+var doctorViews = map[string]func(docs, prev []doctorDoc, asJSON bool) error{
+	"checks": viewChecks,
+	"fleet":  viewFleet,
+	"store":  viewStore,
+	"top":    viewTop,
+}
+
+// cmdDoctor collects every process's ops document and renders one view of
+// the set. The default view, checks, is the cluster-wide health report:
+// per-process invariant probes and SLO budgets, plus the cross-process
+// checks no single process can run alone — leader/follower epoch agreement,
+// coordinator cached-partial epochs never ahead of their site, admission
+// arithmetic, build skew. It prints a green/yellow/red table and exits
+// nonzero if anything is red. fleet, store and top render the replication
+// topology, the durable stores, and load and latency.
 func cmdDoctor(args []string) error {
 	fs := flag.NewFlagSet("doctor", flag.ExitOnError)
 	opsList := fs.String("ops", "", "comma-separated ops addresses (host:port or URL) to examine")
 	inList := fs.String("in", "", "comma-separated files holding saved doctor documents (JSON object or array) to examine instead of or alongside -ops")
+	view := fs.String("view", "checks", "checks (verdict table), fleet (replication topology), store (durable stores) or top (load and latency)")
+	watch := fs.Duration("watch", 0, "re-collect and re-render at this interval until interrupted (0 = once)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-endpoint scrape timeout")
-	asJSON := fs.Bool("json", false, "emit the findings as JSON instead of the table")
+	asJSON := fs.Bool("json", false, "emit JSON instead of the table (checks, fleet, store)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	render := doctorViews[*view]
+	if render == nil {
+		return fmt.Errorf("doctor: unknown -view %q (checks, fleet, store, top)", *view)
 	}
 	addrs := splitList(*opsList)
 	files := splitList(*inList)
@@ -66,22 +125,84 @@ func cmdDoctor(args []string) error {
 		return fmt.Errorf("doctor: -ops or -in is required")
 	}
 
-	var docs []doctorDoc
 	client := &http.Client{Timeout: *timeout}
+	var prev []doctorDoc
+	for {
+		docs, err := collect(client, addrs, files, *view == "checks")
+		if err != nil {
+			return err
+		}
+		err = render(docs, prev, *asJSON)
+		if *watch <= 0 {
+			return err
+		}
+		prev = docs
+		time.Sleep(*watch)
+		fmt.Print("\033[2J\033[H") // clear + home between refreshes
+	}
+}
+
+// collect is the one scraper: each -ops address's /varz, plus its /audit
+// when withAudit, then the documents saved in each -in file. /varz is
+// mandatory (without it the process is unexaminable — a red scrape
+// finding); /audit is optional so older processes still join. /audit
+// re-runs every probe, store scrubs included, so only the checks view asks
+// for it; it answers 500 while violated by design, so that status is
+// decoded too.
+func collect(client *http.Client, addrs, files []string, withAudit bool) ([]doctorDoc, error) {
+	var docs []doctorDoc
 	for _, addr := range addrs {
-		docs = append(docs, scrapeDoctorDoc(client, addr))
+		doc := doctorDoc{Addr: addr}
+		if err := opsGet(client, addr, "/varz", &doc.Varz); err != nil {
+			doc.Err = err.Error()
+		} else if withAudit {
+			var rep audit.Report
+			if err := opsGet(client, addr, "/audit", &rep, http.StatusInternalServerError); err == nil {
+				doc.Audit = &rep
+			}
+		}
+		doc.at = time.Now()
+		docs = append(docs, doc)
 	}
 	for _, path := range files {
 		fd, err := readDoctorDocs(path)
 		if err != nil {
-			return fmt.Errorf("doctor: %s: %w", path, err)
+			return nil, fmt.Errorf("doctor: %s: %w", path, err)
 		}
 		docs = append(docs, fd...)
 	}
+	return docs, nil
+}
 
+// readDoctorDocs loads saved doctor documents — a single JSON object or an
+// array — from a file written by `ccpctl doctor -json`-adjacent tooling or
+// a test harness.
+func readDoctorDocs(path string) ([]doctorDoc, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	trimmed := strings.TrimSpace(string(data))
+	if strings.HasPrefix(trimmed, "[") {
+		var docs []doctorDoc
+		if err := json.Unmarshal(data, &docs); err != nil {
+			return nil, err
+		}
+		return docs, nil
+	}
+	var doc doctorDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, err
+	}
+	return []doctorDoc{doc}, nil
+}
+
+// viewChecks prints the verdict table (or -json findings) and a summary
+// line, and fails if any check is red.
+func viewChecks(docs, _ []doctorDoc, asJSON bool) error {
 	findings := runDoctor(docs)
 
-	if *asJSON {
+	if asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(findings); err != nil {
@@ -115,51 +236,6 @@ func cmdDoctor(args []string) error {
 	return nil
 }
 
-// scrapeDoctorDoc fetches one process's /varz, /audit and /slo. /varz is
-// mandatory (without it the process is unexaminable — a red scrape
-// finding); /audit and /slo are optional so older processes still join the
-// report. /audit answers 500 while violated by design, so that status is
-// decoded too.
-func scrapeDoctorDoc(client *http.Client, addr string) doctorDoc {
-	doc := doctorDoc{Addr: addr}
-	if err := opsGet(client, addr, "/varz", &doc.Varz); err != nil {
-		doc.Err = err.Error()
-		return doc
-	}
-	var rep audit.Report
-	if err := opsGet(client, addr, "/audit", &rep, http.StatusInternalServerError); err == nil {
-		doc.Audit = &rep
-	}
-	var slo doctorSLOPayload
-	if err := opsGet(client, addr, "/slo", &slo); err == nil {
-		doc.SLO = &slo
-	}
-	return doc
-}
-
-// readDoctorDocs loads saved doctor documents — a single JSON object or an
-// array — from a file written by `ccpctl doctor -json`-adjacent tooling or
-// a test harness.
-func readDoctorDocs(path string) ([]doctorDoc, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "[") {
-		var docs []doctorDoc
-		if err := json.Unmarshal(data, &docs); err != nil {
-			return nil, err
-		}
-		return docs, nil
-	}
-	var doc doctorDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, err
-	}
-	return []doctorDoc{doc}, nil
-}
-
 // runDoctor evaluates every per-process and cross-process check over the
 // joined documents. Pure: no I/O, deterministic order — the unit doctor_test
 // drives it directly.
@@ -177,47 +253,37 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 			continue
 		}
 		add(doc.Addr, "scrape", statusGreen, fmt.Sprintf("%d series", len(doc.Varz.Metrics)))
-		if doc.Audit != nil {
-			for _, p := range doc.Audit.Probes {
-				switch {
-				case !p.OK:
-					add(doc.Addr, "probe:"+p.Probe, statusRed, p.Detail)
-				case p.Violations > 0:
-					add(doc.Addr, "probe:"+p.Probe, statusYellow,
-						fmt.Sprintf("passing now, %d past violation(s): %s", p.Violations, p.Detail))
-				default:
-					add(doc.Addr, "probe:"+p.Probe, statusGreen, p.Detail)
-				}
+		if doc.Audit == nil {
+			continue
+		}
+		for _, p := range doc.Audit.Probes {
+			switch {
+			case !p.OK:
+				add(doc.Addr, "probe:"+p.Probe, statusRed, p.Detail)
+			case p.Violations > 0:
+				add(doc.Addr, "probe:"+p.Probe, statusYellow,
+					fmt.Sprintf("passing now, %d past violation(s): %s", p.Violations, p.Detail))
+			default:
+				add(doc.Addr, "probe:"+p.Probe, statusGreen, p.Detail)
 			}
 		}
-		if doc.SLO != nil {
-			for _, s := range doc.SLO.SLOs {
-				detail := fmt.Sprintf("burn fast %.2fx slow %.2fx, budget %.1f%% left (%.0f/%.0f good)",
-					s.FastBurnRate, s.SlowBurnRate, 100*s.BudgetRemaining, s.Good, s.Total)
-				switch {
-				case s.BudgetRemaining <= 0:
-					add(doc.Addr, "slo:"+s.SLO, statusRed, "error budget exhausted: "+detail)
-				case s.Breached:
-					add(doc.Addr, "slo:"+s.SLO, statusYellow, "burn-rate alert: "+detail)
-				default:
-					add(doc.Addr, "slo:"+s.SLO, statusGreen, detail)
-				}
+		for _, s := range doc.Audit.SLOs {
+			detail := fmt.Sprintf("burn fast %.2fx slow %.2fx, budget %.1f%% left (%.0f/%.0f good)",
+				s.FastBurnRate, s.SlowBurnRate, 100*s.BudgetRemaining, s.Good, s.Total)
+			switch {
+			case s.BudgetRemaining <= 0:
+				add(doc.Addr, "slo:"+s.SLO, statusRed, "error budget exhausted: "+detail)
+			case s.Breached:
+				add(doc.Addr, "slo:"+s.SLO, statusYellow, "burn-rate alert: "+detail)
+			default:
+				add(doc.Addr, "slo:"+s.SLO, statusGreen, detail)
 			}
 		}
 	}
 
 	// Cross-process state, assembled from every reachable /varz.
-	type siteState struct {
-		leaderAddr  string
-		leaderEpoch float64
-		hasLeader   bool
-	}
-	sites := map[string]*siteState{}
-	type followerState struct {
-		addr, site string
-		epoch, lag float64
-	}
-	var followers []followerState
+	leaders := map[string]siteRow{} // site -> its leader
+	var followers []siteRow
 	type cachedEpoch struct {
 		coordAddr, site string
 		epoch           float64
@@ -228,37 +294,20 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 		if doc.Err != "" {
 			continue
 		}
-		for _, row := range classifyFleet(doc.Addr, doc.Varz) {
-			switch row.role {
-			case "leader":
-				st := sites[row.site]
-				if st == nil {
-					st = &siteState{}
-					sites[row.site] = st
-				}
-				st.leaderAddr, st.leaderEpoch, st.hasLeader = doc.Addr, row.epoch, true
-			case "follower":
-				followers = append(followers, followerState{addr: doc.Addr, site: row.site, epoch: row.epoch, lag: row.lag})
+		rows, _ := classifyFleet(doc.Addr, doc.Varz)
+		for _, row := range rows {
+			if row.replicaState != nil {
+				followers = append(followers, row)
+			} else {
+				leaders[row.Site] = row
 			}
 		}
-		var offered, settled float64
-		var hasGate bool
-		for _, v := range doc.Varz.Metrics {
-			if v.Hist != nil {
-				continue
+		for labels, m := range doc.Varz.groups() {
+			if epoch := m["ccp_coord_cached_epoch"]; epoch > 0 {
+				cached = append(cached, cachedEpoch{coordAddr: doc.Addr, site: labelValue(labels, "site"), epoch: epoch})
 			}
-			switch v.Name {
-			case "ccp_coord_cached_epoch":
-				if v.Value > 0 {
-					cached = append(cached, cachedEpoch{coordAddr: doc.Addr, site: labelValue(v.Labels, "site"), epoch: v.Value})
-				}
-			case "ccp_admission_offered_total":
-				hasGate = true
-				offered += v.Value
-			case "ccp_admission_admitted_total", "ccp_admission_shed_total":
-				settled += v.Value
-			case "ccp_build_info":
-				ver := labelValue(v.Labels, "version")
+			if _, ok := m["ccp_build_info"]; ok {
+				ver := labelValue(labels, "version")
 				versions[ver] = append(versions[ver], doc.Addr)
 			}
 		}
@@ -267,9 +316,12 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 		// legitimately lead settled by the queries in flight, which /varz
 		// does not export — the in-process gate.accounting probe owns the
 		// exact equality.)
-		if hasGate && settled > offered {
+		offered, hasGate := doc.Varz.sum("ccp_admission_offered_total")
+		admitted, _ := doc.Varz.sum("ccp_admission_admitted_total")
+		shed, _ := doc.Varz.sum("ccp_admission_shed_total")
+		if hasGate && admitted+shed > offered {
 			add(doc.Addr, "gate", statusRed,
-				fmt.Sprintf("admitted+shed %.0f exceeds offered %.0f", settled, offered))
+				fmt.Sprintf("admitted+shed %.0f exceeds offered %.0f", admitted+shed, offered))
 		}
 	}
 
@@ -278,31 +330,31 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 	// silently diverged. Behind while lagging is just replication in
 	// progress.
 	sort.Slice(followers, func(i, j int) bool {
-		if followers[i].site != followers[j].site {
-			return followers[i].site < followers[j].site
+		if followers[i].Site != followers[j].Site {
+			return followers[i].Site < followers[j].Site
 		}
-		return followers[i].addr < followers[j].addr
+		return followers[i].Addr < followers[j].Addr
 	})
 	for _, f := range followers {
-		st := sites[f.site]
+		l, ok := leaders[f.Site]
 		scope := "cluster"
-		check := "epoch:site" + f.site
+		check := "epoch:site" + f.Site
 		switch {
-		case st == nil || !st.hasLeader:
+		case !ok:
 			add(scope, check, statusYellow,
-				fmt.Sprintf("follower %s has no leader for site %s among the examined processes", f.addr, f.site))
-		case f.epoch > st.leaderEpoch:
+				fmt.Sprintf("follower %s has no leader for site %s among the examined processes", f.Addr, f.Site))
+		case f.Epoch > l.Epoch:
 			add(scope, check, statusRed,
-				fmt.Sprintf("follower %s epoch %.0f ahead of leader %s epoch %.0f", f.addr, f.epoch, st.leaderAddr, st.leaderEpoch))
-		case f.epoch < st.leaderEpoch && f.lag == 0:
+				fmt.Sprintf("follower %s epoch %.0f ahead of leader %s epoch %.0f", f.Addr, f.Epoch, l.Addr, l.Epoch))
+		case f.Epoch < l.Epoch && f.Lag == 0:
 			add(scope, check, statusRed,
-				fmt.Sprintf("follower %s epoch %.0f behind leader %s epoch %.0f at zero lag", f.addr, f.epoch, st.leaderAddr, st.leaderEpoch))
-		case f.epoch < st.leaderEpoch:
+				fmt.Sprintf("follower %s epoch %.0f behind leader %s epoch %.0f at zero lag", f.Addr, f.Epoch, l.Addr, l.Epoch))
+		case f.Epoch < l.Epoch:
 			add(scope, check, statusYellow,
-				fmt.Sprintf("follower %s epoch %.0f behind leader %s epoch %.0f, catching up (lag %.0f)", f.addr, f.epoch, st.leaderAddr, st.leaderEpoch, f.lag))
+				fmt.Sprintf("follower %s epoch %.0f behind leader %s epoch %.0f, catching up (lag %.0f)", f.Addr, f.Epoch, l.Addr, l.Epoch, f.Lag))
 		default:
 			add(scope, check, statusGreen,
-				fmt.Sprintf("follower %s converged with leader %s at epoch %.0f", f.addr, st.leaderAddr, f.epoch))
+				fmt.Sprintf("follower %s converged with leader %s at epoch %.0f", f.Addr, l.Addr, f.Epoch))
 		}
 	}
 
@@ -316,31 +368,26 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 		return siteLess(cached[i].site, cached[j].site)
 	})
 	for _, c := range cached {
-		st := sites[c.site]
+		l, ok := leaders[c.site]
 		check := "cache-epoch:site" + c.site
 		switch {
-		case st == nil || !st.hasLeader:
+		case !ok:
 			add("cluster", check, statusYellow,
 				fmt.Sprintf("coordinator %s caches site %s at epoch %.0f but no leader for the site was examined", c.coordAddr, c.site, c.epoch))
-		case c.epoch > st.leaderEpoch:
+		case c.epoch > l.Epoch:
 			add("cluster", check, statusRed,
-				fmt.Sprintf("coordinator %s cached epoch %.0f ahead of site %s leader epoch %.0f", c.coordAddr, c.epoch, c.site, st.leaderEpoch))
+				fmt.Sprintf("coordinator %s cached epoch %.0f ahead of site %s leader epoch %.0f", c.coordAddr, c.epoch, c.site, l.Epoch))
 		default:
 			add("cluster", check, statusGreen,
-				fmt.Sprintf("coordinator %s cached epoch %.0f <= site %s leader epoch %.0f", c.coordAddr, c.epoch, c.site, st.leaderEpoch))
+				fmt.Sprintf("coordinator %s cached epoch %.0f <= site %s leader epoch %.0f", c.coordAddr, c.epoch, c.site, l.Epoch))
 		}
 	}
 
 	// Build skew: mixed versions deploy fine mid-rollout but are worth a
 	// yellow glance.
 	if len(versions) > 1 {
-		var vs []string
-		for v := range versions {
-			vs = append(vs, v)
-		}
-		sort.Strings(vs)
 		var parts []string
-		for _, v := range vs {
+		for _, v := range sortedKeys(versions) {
 			parts = append(parts, fmt.Sprintf("%s (%s)", v, strings.Join(versions[v], " ")))
 		}
 		add("cluster", "build", statusYellow, "mixed build versions: "+strings.Join(parts, ", "))
@@ -362,4 +409,25 @@ func siteLess(a, b string) bool {
 		return ai < bi
 	}
 	return a < b
+}
+
+// labelValue extracts one label's value from the canonical exposition form
+// `{k="v",k2="v2"}`.
+func labelValue(labels, key string) string {
+	rest := strings.Trim(labels, "{}")
+	for _, part := range strings.Split(rest, ",") {
+		if k, v, ok := strings.Cut(part, "="); ok && k == key {
+			return strings.Trim(v, `"`)
+		}
+	}
+	return "?"
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -266,7 +266,7 @@ func TestRunDoctorCrossChecks(t *testing.T) {
 		}
 	})
 	t.Run("slo budget exhaustion is red, breach yellow", func(t *testing.T) {
-		doc := doctorDoc{Addr: "coord:1", SLO: &doctorSLOPayload{SLOs: []audit.SLOReport{
+		doc := doctorDoc{Addr: "coord:1", Audit: &audit.Report{OK: true, SLOs: []audit.SLOReport{
 			{SLO: "avail", BudgetRemaining: -0.2, Breached: true},
 			{SLO: "latency", BudgetRemaining: 0.6, Breached: true},
 			{SLO: "calm", BudgetRemaining: 0.9},

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"ccp/internal/obs"
 	"ccp/internal/obs/flight"
 )
 
@@ -73,58 +72,5 @@ func TestCmdFlightErrors(t *testing.T) {
 	}
 	if err := cmdFlight([]string{"-ops", "127.0.0.1:1"}); err == nil {
 		t.Fatal("unreachable ops endpoint accepted")
-	}
-}
-
-func TestCmdTop(t *testing.T) {
-	hist := obs.NewHistogram(nil)
-	hist.Observe(0.01)
-	hs := hist.Snapshot()
-	doc := varzDoc{Metrics: []obs.VarSnapshot{
-		{Name: "ccp_queries_total", Type: "counter", Value: 42},
-		{Name: "ccp_query_seconds", Type: "histogram", Hist: &hs},
-		{Name: "ccp_coord_cache_hits_total", Type: "counter", Value: 30},
-		{Name: "ccp_coord_cache_misses_total", Type: "counter", Value: 10},
-		{Name: "ccp_client_circuit_state", Type: "gauge", Labels: `site_addr="a"`, Value: 0},
-		{Name: "ccp_client_circuit_state", Type: "gauge", Labels: `site_addr="b"`, Value: 1},
-		{Name: "ccp_reduce_rounds_total", Type: "counter", Value: 99},
-	}}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/varz" {
-			http.NotFound(w, r)
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]any{"metrics": doc.Metrics})
-	}))
-	defer srv.Close()
-
-	if err := cmdTop([]string{"-ops", srv.URL, "-n", "2", "-interval", "10ms"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdTop(nil); err == nil {
-		t.Fatal("missing -ops accepted")
-	}
-	// An unreachable endpoint is reported inline, not fatal: top keeps
-	// refreshing the others.
-	if err := cmdTop([]string{"-ops", "127.0.0.1:1", "-n", "1"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTopSampleHelpers(t *testing.T) {
-	s := &topSample{vars: []obs.VarSnapshot{
-		{Name: "c", Value: 1, Labels: `x="a"`},
-		{Name: "c", Value: 2, Labels: `x="b"`},
-		{Name: "ccp_client_circuit_state", Value: 2},
-	}}
-	if total, ok := s.sum("c"); !ok || total != 3 {
-		t.Fatalf("sum = %v, %v", total, ok)
-	}
-	if _, ok := s.sum("missing"); ok {
-		t.Fatal("missing series found")
-	}
-	closed, open, half := s.circuitCounts()
-	if closed != 0 || open != 0 || half != 1 {
-		t.Fatalf("circuits = %d/%d/%d", closed, open, half)
 	}
 }

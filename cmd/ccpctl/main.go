@@ -64,12 +64,6 @@ func main() {
 		err = cmdDatalog(args[1:])
 	case "flight":
 		err = cmdFlight(args[1:])
-	case "top":
-		err = cmdTop(args[1:])
-	case "store":
-		err = cmdStore(args[1:])
-	case "fleet":
-		err = cmdFleet(args[1:])
 	case "doctor":
 		err = cmdDoctor(args[1:])
 	default:
@@ -95,16 +89,14 @@ func usage() {
                                                       (evaluate the logic program)
   ccpctl flight  [-ops host:port,...] [-in dump.json,...] [-trace hex]
                                                       (merged cross-process flight timeline)
-  ccpctl top     -ops host:port[,...] [-interval d] [-n count]
-                                                      (refresh-loop cluster health view)
-  ccpctl store   -ops host:port[,...] [-json]         (durable-store state per site: epoch,
-                                                      durable/checkpoint seq, WAL backlog)
-  ccpctl fleet   -ops host:port[,...] [-json]         (replication topology: leader/follower
-                                                      roles, replica lag, circuits, shed counts)
-  ccpctl doctor  -ops host:port[,...] [-in file,...] [-json]
-                                                      (cluster-wide audit: joins /varz, /audit,
-                                                      /slo; cross-checks epochs, caches, gates;
-                                                      exits nonzero on any red check)
+  ccpctl doctor  -ops host:port[,...] [-in file,...] [-view checks|fleet|store|top] [-watch d] [-json]
+                                                      (cluster ops views over each process's
+                                                      /varz + /audit. checks: probes, SLOs and
+                                                      cross-process epoch/cache/gate checks,
+                                                      exits nonzero on any red; fleet: roles,
+                                                      replica lag, circuits, sheds; store:
+                                                      epoch, durable/checkpoint seq, WAL
+                                                      backlog; top: load, latency, caches)
 global flags (before the subcommand): -log-level debug|info|warn|error, -log-format text|json`)
 }
 

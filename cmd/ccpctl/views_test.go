@@ -1,0 +1,234 @@
+package main
+
+import (
+	"encoding/json"
+	"net/http/httptest"
+	"reflect"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+
+	"ccp/internal/obs"
+	"ccp/internal/obs/audit"
+)
+
+// fixture is a saved four-process cluster: a durable leader of site 0, its
+// follower at lag 0, an in-memory site 1, and a coordinator with gate,
+// circuit, replica-routing and cache series.
+const fixture = "testdata/cluster.json"
+
+// doctorOut runs `ccpctl doctor -in fixture` with extra args and returns
+// stdout, failing the test on an error.
+func doctorOut(t *testing.T, args ...string) string {
+	t.Helper()
+	var err error
+	out := captureStdout(t, func() { err = cmdDoctor(append([]string{"-in", fixture}, args...)) })
+	if err != nil {
+		t.Fatalf("doctor %v: %v\n%s", args, err, out)
+	}
+	return out
+}
+
+// wantColumns asserts the first line of a table is exactly the header.
+func wantColumns(t *testing.T, out string, header ...string) {
+	t.Helper()
+	first, _, _ := strings.Cut(out, "\n")
+	if got, want := strings.Fields(first), strings.Fields(strings.Join(header, " ")); !reflect.DeepEqual(got, want) {
+		t.Fatalf("header %q, want columns %q", first, header)
+	}
+}
+
+// wantLines asserts every substring appears in out, comparing with runs of
+// spaces collapsed (table cells pad to their column).
+func wantLines(t *testing.T, out string, subs ...string) {
+	t.Helper()
+	squash := regexp.MustCompile(` +`)
+	norm := squash.ReplaceAllString(out, " ")
+	for _, s := range subs {
+		if !strings.Contains(norm, squash.ReplaceAllString(s, " ")) {
+			t.Fatalf("output missing %q:\n%s", s, out)
+		}
+	}
+}
+
+// jsonKeys decodes one JSON object per line and returns each one's sorted
+// key set alongside the decoded object.
+func jsonKeys(t *testing.T, out string) ([][]string, []map[string]any) {
+	t.Helper()
+	var keys [][]string
+	var objs []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		var obj map[string]any
+		if err := json.Unmarshal([]byte(line), &obj); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		var ks []string
+		for k := range obj {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		keys, objs = append(keys, ks), append(objs, obj)
+	}
+	return keys, objs
+}
+
+func sorted(ks ...string) []string {
+	sort.Strings(ks)
+	return ks
+}
+
+func TestDoctorViewsRenderFixture(t *testing.T) {
+	t.Run("checks", func(t *testing.T) {
+		out := doctorOut(t)
+		wantColumns(t, out, "SCOPE", "CHECK", "STATUS", "DETAIL")
+		wantLines(t, out, "probe:store.scrub", "probe:fleet.divergence", "probe:gate.accounting",
+			"slo:query_availability", "epoch:site0", "cache-epoch:site0", "cache-epoch:site1",
+			"all processes at v1", "doctor: 4 processes", "0 red, 0 yellow")
+
+		var findings []map[string]any
+		if err := json.Unmarshal([]byte(strings.SplitN(doctorOut(t, "-json"), "\ndoctor:", 2)[0]), &findings); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range findings {
+			var ks []string
+			for k := range f {
+				ks = append(ks, k)
+			}
+			if sort.Strings(ks); !reflect.DeepEqual(ks, sorted("scope", "check", "status", "detail")) {
+				t.Fatalf("finding keys %v", ks)
+			}
+		}
+	})
+
+	t.Run("fleet", func(t *testing.T) {
+		out := doctorOut(t, "-view", "fleet")
+		wantColumns(t, out, "SITE", "ROLE", "ADDR", "EPOCH", "APPLIED", "LEADER SEQ", "LAG", "PULLS", "BOOTSTRAPS", "TRUNCS")
+		lines := strings.Split(out, "\n")
+		if !strings.HasPrefix(lines[1], "0") || !strings.Contains(lines[1], "leader") ||
+			!strings.Contains(lines[2], "follower") || !strings.HasPrefix(lines[3], "1") {
+			t.Fatalf("site rows not ordered by site, leader first:\n%s", out)
+		}
+		if got := strings.Fields(lines[2]); !reflect.DeepEqual(got, strings.Fields("0 follower lead0r:8101 42 42 42 0 9 1 0")) {
+			t.Fatalf("follower row %q", lines[2])
+		}
+		wantLines(t, out, "coordinator coord:8003:",
+			"circuit lead0:7001", "closed", "circuit lead0r:7101", "open", "circuit site1:7002", "half-open",
+			"queries shed (admission) 3", "gate shed queue_full", "gate shed queue_wait",
+			"replica reads leader=50 follower=150 fallbacks=4 stale=2")
+
+		out = doctorOut(t, "-view", "fleet", "-json")
+		keys, objs := jsonKeys(t, out)
+		site := []string{"addr", "role", "site", "epoch"}
+		want := map[string][]string{
+			"coordinator": sorted("addr", "role", "circuits", "queries_shed", "gate_sheds", "replica_reads", "fallbacks", "stale_reads"),
+			"leader":      sorted(site...),
+			"follower":    sorted(append(site, "applied_seq", "leader_seq", "lag_records", "pulls", "bootstraps", "truncations")...),
+		}
+		if len(objs) != 4 {
+			t.Fatalf("%d fleet objects, want 4:\n%s", len(objs), out)
+		}
+		for i, obj := range objs {
+			if role := obj["role"].(string); !reflect.DeepEqual(keys[i], want[role]) {
+				t.Fatalf("%s keys %v, want %v", role, keys[i], want[role])
+			}
+		}
+		wantLines(t, out, `"lag_records":0`, `"truncations":0`,
+			`"circuits":{"lead0:7001":"closed","lead0r:7101":"open","site1:7002":"half-open"}`,
+			`"gate_sheds":{"queue_full":2,"queue_wait":1}`)
+	})
+
+	t.Run("store", func(t *testing.T) {
+		out := doctorOut(t, "-view", "store")
+		wantColumns(t, out, "SITE", "ADDR", "EPOCH", "DURABLE", "CKPT", "WAL TAIL", "CKPT AGE",
+			"APPENDS", "FSYNCS", "CKPTS", "REPLAYED", "PINS")
+		row := strings.Split(out, "\n")[1]
+		if got := strings.Fields(row); !reflect.DeepEqual(got, strings.Fields("0 lead0:8001 42 42 40 2.0KiB 1m15s 42 10 2 3 1")) {
+			t.Fatalf("store row %q", row)
+		}
+		for _, addr := range []string{"lead0r:8101", "site1:8002", "coord:8003"} {
+			wantLines(t, out, addr+" (in-memory, no durable store)")
+		}
+
+		keys, _ := jsonKeys(t, doctorOut(t, "-view", "store", "-json"))
+		want := sorted("addr", "site", "epoch", "durable_seq", "checkpoint_seq", "wal_bytes",
+			"checkpoint_age_seconds", "snapshot_pins", "appends", "fsyncs", "checkpoints", "recovered_records")
+		if len(keys) != 1 || !reflect.DeepEqual(keys[0], want) {
+			t.Fatalf("store keys %v, want one row of %v", keys, want)
+		}
+	})
+
+	t.Run("top", func(t *testing.T) {
+		out := doctorOut(t, "-view", "top")
+		wantLines(t, out, "ccp top — 4 endpoint(s)",
+			"== lead0:8001 ==", "served 120 reqs -", "site-cache 7 hits -", "reduce 30 rounds -",
+			"== coord:8003 ==", "queries 200 total -", "latency   p50=", "p95=", "p99=", "(n=200)",
+			"coord-cache  75.0% (30/40) hit", "circuits  1 closed, 1 open, 1 half-open")
+		if err := cmdDoctor([]string{"-in", fixture, "-view", "top", "-json"}); err == nil {
+			t.Fatal("-view top -json accepted")
+		}
+	})
+
+	if err := cmdDoctor([]string{"-in", fixture, "-view", "nope"}); err == nil {
+		t.Fatal("unknown view accepted")
+	}
+}
+
+// TestTopViewSkipsAudit: a top refresh reads /varz only — it must not
+// re-run the probes (a store scrub each) the way the checks view does. Two
+// rounds against a live endpoint also give per-second rates.
+func TestTopViewSkipsAudit(t *testing.T) {
+	observer := obs.NewObserver(obs.ObserverConfig{})
+	served := observer.Registry().Counter("ccp_server_requests_total", "Requests served.")
+	auditor := audit.New(audit.Config{Observer: observer})
+	auditor.Register(audit.Probe{Name: "p", Check: func() audit.Result { return audit.OK("") }})
+	defer auditor.Close()
+	srv := httptest.NewServer(obs.Handler(observer, nil, auditor.Endpoints()...))
+	defer srv.Close()
+	runs := func() float64 {
+		n, _ := varzDoc{Metrics: observer.Registry().Snapshot()}.sum("ccp_audit_probe_runs_total")
+		return n
+	}
+
+	before := runs()
+	out := captureStdout(t, func() {
+		if err := cmdDoctor([]string{"-ops", srv.URL, "-view", "top"}); err != nil {
+			t.Error(err)
+		}
+	})
+	if after := runs(); after != before {
+		t.Fatalf("a top refresh ran probes: runs %v -> %v", before, after)
+	}
+	wantLines(t, out, "== "+srv.URL+" ==", "served 0 reqs -")
+
+	client := srv.Client()
+	prev, err := collect(client, []string{srv.URL}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served.Add(10)
+	cur, err := collect(client, []string{srv.URL}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = captureStdout(t, func() { viewTop(cur, prev, false) })
+	if !regexp.MustCompile(`served +10 reqs +[0-9.]+/s`).MatchString(out) {
+		t.Fatalf("second round shows no rate:\n%s", out)
+	}
+	if after := runs(); after != before {
+		t.Fatalf("top rounds ran probes: runs %v -> %v", before, after)
+	}
+
+	captureStdout(t, func() { cmdDoctor([]string{"-ops", srv.URL}) })
+	if after := runs(); after != before+1 {
+		t.Fatalf("checks view ran probes %v times, want 1", after-before)
+	}
+
+	// An unreachable endpoint is reported inline, not fatal.
+	out = captureStdout(t, func() {
+		if err := cmdDoctor([]string{"-ops", "127.0.0.1:1", "-view", "top"}); err != nil {
+			t.Error(err)
+		}
+	})
+	wantLines(t, out, "unreachable")
+}

@@ -57,7 +57,7 @@ func main() {
 	replicaOf := flag.String("replica-of", "", "run as a follower replica of the durable site at this address (no partition/graph flags needed)")
 	noSync := flag.Bool("store-no-sync", false, "with -data-dir: skip fsync on commit (faster, loses the last updates on power failure)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-	opsAddr := flag.String("ops-addr", "", "ops HTTP address serving /metrics, /healthz, /varz, /audit, /slo, /debug/flight, /debug/pprof (empty = disabled)")
+	opsAddr := flag.String("ops-addr", "", "ops HTTP address serving "+cli.OpsEndpoints+" (empty = disabled)")
 	maxLag := flag.Uint64("max-lag", 100000, "with -replica-of: replication-lag ceiling in records; /healthz turns 503 and the divergence probe fires beyond it (0 = no ceiling)")
 	lf := cli.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
@@ -156,21 +156,11 @@ func main() {
 	// pass re-checks checkpoint CRCs and a rotating budget of WAL segments,
 	// so silent on-disk corruption surfaces as a probe violation instead of
 	// a failed recovery months later.
-	auditor := ccp.NewAuditor(ccp.AuditConfig{Observer: observer})
-	auditor.Register(srv.StoreScrubProbe(4))
-	auditor.Start()
-	defer auditor.Close()
-
-	var ops *ccp.OpsServer
-	if *opsAddr != "" {
-		ops, err = ccp.StartOpsServer(*opsAddr, observer, func() (bool, any) {
-			return true, srv.Stats()
-		}, auditor.Endpoints()...)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		logger.Info("ops endpoints up", "url", "http://"+ops.Addr(),
-			"endpoints", "/metrics /healthz /varz /audit /slo /debug/flight /debug/pprof")
+	ops, err := cli.StartOps(*opsAddr, observer, func() (bool, any) {
+		return true, srv.Stats()
+	}, logger, srv.StoreScrubProbe(4))
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	serveErr := make(chan error, 1)
@@ -181,9 +171,7 @@ func main() {
 		stop() // a second signal kills immediately
 		dctx, cancel := context.WithTimeout(context.Background(), *drain)
 		err := srv.Shutdown(dctx)
-		if ops != nil {
-			ops.Shutdown(dctx)
-		}
+		ops.Close(dctx)
 		cancel()
 		<-serveErr
 		// Close the store only after the drain: a final checkpoint covers
@@ -235,46 +223,34 @@ func runFollower(leaderAddr, listen string, workers int, drain time.Duration, op
 	logger.Info("follower serving", "site", fs.SiteID(), "addr", fs.Addr(),
 		"leader", leaderAddr, "applied_seq", applied, "leader_seq", leaderSeq)
 
+	// /healthz on a follower reports the replication role and lag, and
+	// turns 503 once the replica falls more than maxLag records behind —
+	// load balancers stop routing reads to a stale replica.
+	health := func() (bool, any) {
+		applied, leaderSeq := fs.Lag()
+		lag := leaderSeq - applied
+		return maxLag == 0 || lag <= maxLag, map[string]any{
+			"role":        "follower",
+			"site":        fs.SiteID(),
+			"applied_seq": applied,
+			"leader_seq":  leaderSeq,
+			"lag_records": lag,
+			"max_lag":     maxLag,
+		}
+	}
 	// The auditor watches the replication watermarks: divergence from the
 	// leader (applied ahead of the leader's head, epoch ahead of applied, a
 	// rewind without a re-bootstrap) or lag beyond the ceiling fires the
 	// fleet.divergence probe.
-	auditor := ccp.NewAuditor(ccp.AuditConfig{Observer: observer})
-	auditor.Register(fs.DivergenceProbe(maxLag))
-	auditor.Start()
-	defer auditor.Close()
-
-	var ops *ccp.OpsServer
-	if opsAddr != "" {
-		// /healthz on a follower reports the replication role and lag, and
-		// turns 503 once the replica falls more than maxLag records behind —
-		// load balancers stop routing reads to a stale replica.
-		health := func() (bool, any) {
-			applied, leaderSeq := fs.Lag()
-			lag := leaderSeq - applied
-			return maxLag == 0 || lag <= maxLag, map[string]any{
-				"role":        "follower",
-				"site":        fs.SiteID(),
-				"applied_seq": applied,
-				"leader_seq":  leaderSeq,
-				"lag_records": lag,
-				"max_lag":     maxLag,
-			}
-		}
-		ops, err = ccp.StartOpsServer(opsAddr, observer, health, auditor.Endpoints()...)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		logger.Info("ops endpoints up", "url", "http://"+ops.Addr(),
-			"endpoints", "/metrics /healthz /varz /audit /slo /debug/flight /debug/pprof")
+	ops, err := cli.StartOps(opsAddr, observer, health, logger, fs.DivergenceProbe(maxLag))
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	<-ctx.Done()
 	stop() // a second signal kills immediately
 	sctx, cancel := context.WithTimeout(context.Background(), drain)
-	if ops != nil {
-		ops.Shutdown(sctx)
-	}
+	ops.Close(sctx)
 	cancel()
 	if err := fs.Close(); err != nil {
 		logger.Error("follower close failed", "err", err)

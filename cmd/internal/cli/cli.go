@@ -1,8 +1,10 @@
 // Package cli holds the plumbing every ccp command shares: the standard
-// -log-level / -log-format flags and the SIGQUIT flight-dump handler.
+// -log-level / -log-format flags, the SIGQUIT flight-dump handler, and the
+// daemons' auditor + ops-listener wiring.
 package cli
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"log/slog"
@@ -12,6 +14,48 @@ import (
 
 	"ccp"
 )
+
+// OpsEndpoints lists what a daemon's -ops-addr listener serves.
+const OpsEndpoints = "/metrics /healthz /varz /audit /debug/flight /debug/pprof"
+
+// Ops is a daemon's running ops surface: the auditor re-checking its probes
+// in the background and, when an address was given, the listener serving
+// OpsEndpoints.
+type Ops struct {
+	Auditor *ccp.Auditor
+	server  *ccp.OpsServer
+}
+
+// StartOps starts an auditor over probes and, when addr is non-empty, binds
+// the ops listener with the auditor's /audit mounted and logs its URL. The
+// caller may register SLOs on the returned Auditor.
+func StartOps(addr string, o *ccp.Observer, health ccp.HealthFunc, logger *slog.Logger, probes ...ccp.AuditProbe) (*Ops, error) {
+	a := ccp.NewAuditor(ccp.AuditConfig{Observer: o})
+	for _, p := range probes {
+		a.Register(p)
+	}
+	a.Start()
+	ops := &Ops{Auditor: a}
+	if addr == "" {
+		return ops, nil
+	}
+	srv, err := ccp.StartOpsServer(addr, o, health, a.Endpoints()...)
+	if err != nil {
+		a.Close()
+		return nil, err
+	}
+	ops.server = srv
+	logger.Info("ops endpoints up", "url", "http://"+srv.Addr(), "endpoints", OpsEndpoints)
+	return ops, nil
+}
+
+// Close shuts the listener down within ctx, then stops the auditor.
+func (ops *Ops) Close(ctx context.Context) {
+	if ops.server != nil {
+		ops.server.Shutdown(ctx)
+	}
+	ops.Auditor.Close()
+}
 
 // LogFlags are the parsed values of the standard logging flags.
 type LogFlags struct {

@@ -455,37 +455,6 @@ func TestGateQueueWaitSheds(t *testing.T) {
 	wantOverload(t, err, "queue wait")
 }
 
-// TestGateShedsOnP99OverTarget: with the rolling p99 past target, arrivals
-// that would queue are shed immediately — queueing behind a slow tier only
-// deepens the tail.
-func TestGateShedsOnP99OverTarget(t *testing.T) {
-	g := fleet.NewGate(fleet.GateConfig{
-		MaxInFlight: 1, MaxQueue: 8,
-		MaxQueueWait: 5 * time.Second,
-		TargetP99:    time.Nanosecond,
-	})
-	ctx := context.Background()
-	// One completed query seeds the latency window well past the 1ns target.
-	release, err := g.Admit(ctx)
-	if err != nil {
-		t.Fatalf("seed admit: %v", err)
-	}
-	time.Sleep(time.Millisecond)
-	release()
-
-	release, err = g.Admit(ctx)
-	if err != nil {
-		t.Fatalf("slot-holding admit: %v", err)
-	}
-	defer release()
-	start := time.Now()
-	_, err = g.Admit(ctx)
-	wantOverload(t, err, "p99")
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("p99 shed took %v — it queued instead of shedding immediately", waited)
-	}
-}
-
 // TestGateCtxCancelWhileQueued: a caller abandoning the wait is shed, not
 // left holding queue state.
 func TestGateCtxCancelWhileQueued(t *testing.T) {

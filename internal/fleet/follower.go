@@ -26,17 +26,12 @@ type FollowerConfig struct {
 	Listen string
 	// Workers is the replica site's reduction parallelism (0 = GOMAXPROCS).
 	Workers int
-	// PullMax is the record-batch cap per replication pull. Default 2048.
-	PullMax int
 	// PullWait is the long-poll budget per pull: how long the leader holds
 	// an empty pull open waiting for new records. Default 200ms.
 	PullWait time.Duration
 	// RetryInterval is the pause after a failed pull (leader unreachable)
 	// before the loop tries again. Default 100ms.
 	RetryInterval time.Duration
-	// Client tunes the transport to the leader (dial timeout, retries,
-	// circuit breaker). The zero value selects the production defaults.
-	Client dist.ClientConfig
 	// Observer, when non-nil, registers the follower's metrics (applied and
 	// leader sequence numbers, lag, pulls, bootstraps) on its registry and
 	// records replication flight events.
@@ -45,10 +40,10 @@ type FollowerConfig struct {
 	Logger *slog.Logger
 }
 
+// pullMax is the record-batch cap per replication pull.
+const pullMax = 2048
+
 func (c FollowerConfig) withDefaults() FollowerConfig {
-	if c.PullMax <= 0 {
-		c.PullMax = 2048
-	}
 	if c.PullWait <= 0 {
 		c.PullWait = 200 * time.Millisecond
 	}
@@ -98,16 +93,10 @@ type Follower struct {
 // runs until Close.
 func StartFollower(ctx context.Context, leaderAddr string, cfg FollowerConfig) (*Follower, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Client.Observer == nil {
-		cfg.Client.Observer = cfg.Observer
-	}
-	if cfg.Client.Logger == nil {
-		cfg.Client.Logger = cfg.Logger
-	}
 	f := &Follower{cfg: cfg, done: make(chan struct{})}
 	f.ev.Attach(cfg.Observer)
 	f.ev.SetLogger(cfg.Logger)
-	leader, err := dist.DialConfig(ctx, leaderAddr, cfg.Client)
+	leader, err := dist.DialConfig(ctx, leaderAddr, dist.ClientConfig{Observer: cfg.Observer, Logger: cfg.Logger})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: dialing leader %s: %w", leaderAddr, err)
 	}
@@ -241,7 +230,7 @@ func (f *Follower) run(ctx context.Context) {
 	siteID := int32(f.leader.SiteID())
 	for ctx.Err() == nil {
 		recs, leaderSeq, truncated, err := f.leader.ReplPull(ctx,
-			f.applied.Load(), f.cfg.PullMax, f.cfg.PullWait)
+			f.applied.Load(), pullMax, f.cfg.PullWait)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
@@ -320,11 +309,6 @@ func (f *Follower) Site() *dist.Site { return f.site.Load() }
 
 // SiteID returns the partition id this follower replicates.
 func (f *Follower) SiteID() int { return f.leader.SiteID() }
-
-// Bootstraps reports how many snapshot bootstraps this follower has done
-// (at least 1: the initial one). The divergence probe uses it to tell a
-// legitimate watermark reset (re-bootstrap) from a rewind.
-func (f *Follower) Bootstraps() uint64 { return f.boots.Load() }
 
 // Addr is the follower's read-serving address ("" when not serving).
 func (f *Follower) Addr() string { return f.addr }

@@ -14,7 +14,6 @@ package fleet
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,12 +34,8 @@ type GateConfig struct {
 	// MaxQueueWait bounds how long one arrival waits for a slot before it is
 	// shed. Default 50ms.
 	MaxQueueWait time.Duration
-	// TargetP99, when set, sheds arrivals that would have to queue while the
-	// rolling p99 of recent query service times exceeds it — queueing behind
-	// a slow tier only makes the tail worse. 0 disables the latency signal.
-	TargetP99 time.Duration
 	// Observer, when non-nil, registers the gate's metrics (admissions,
-	// sheds by reason, queue depth/wait, rolling p99) on its registry.
+	// sheds by reason, queue depth/wait) on its registry.
 	Observer *obs.Observer
 }
 
@@ -57,14 +52,9 @@ func (c GateConfig) withDefaults() GateConfig {
 	return c
 }
 
-// latencyWindow holds the service times of the most recent admitted queries
-// for the rolling-p99 overload signal.
-const latencyWindow = 128
-
 // Gate is a coordinator-side admission controller implementing
-// dist.AdmissionGate: a fixed pool of execution slots, a bounded wait queue
-// in front of it, and a rolling-latency signal that stops the queue from
-// growing when the tier is already slow. Safe for concurrent use.
+// dist.AdmissionGate: a fixed pool of execution slots and a bounded wait
+// queue in front of it. Safe for concurrent use.
 type Gate struct {
 	cfg   GateConfig
 	slots chan struct{}
@@ -72,11 +62,6 @@ type Gate struct {
 	queued   atomic.Int64
 	inflight atomic.Int64
 	pending  atomic.Int64 // arrivals currently inside Admit (counted in offered, outcome open)
-
-	lmu    sync.Mutex
-	window [latencyWindow]time.Duration
-	wn     int // samples recorded (caps at latencyWindow)
-	wi     int // next write index
 
 	met gateMetrics
 }
@@ -90,7 +75,6 @@ type gateMetrics struct {
 	admitted  *obs.Counter
 	shedFull  *obs.Counter
 	shedWait  *obs.Counter
-	shedP99   *obs.Counter
 	queueWait *obs.Histogram
 }
 
@@ -103,7 +87,6 @@ func NewGate(cfg GateConfig) *Gate {
 		admitted: &obs.Counter{},
 		shedFull: &obs.Counter{},
 		shedWait: &obs.Counter{},
-		shedP99:  &obs.Counter{},
 	}
 	if reg := cfg.Observer.Registry(); reg != nil {
 		shed := func(reason string) *obs.Counter {
@@ -118,7 +101,6 @@ func NewGate(cfg GateConfig) *Gate {
 				"Queries admitted by the admission gate."),
 			shedFull: shed("queue_full"),
 			shedWait: shed("queue_wait"),
-			shedP99:  shed("p99_over_target"),
 			queueWait: reg.Histogram("ccp_admission_queue_wait_seconds",
 				"Time admitted queries spent waiting for an execution slot.",
 				obs.DefaultLatencyBuckets),
@@ -129,9 +111,6 @@ func NewGate(cfg GateConfig) *Gate {
 		reg.GaugeFunc("ccp_admission_queued",
 			"Arrivals currently waiting for an execution slot.",
 			func() float64 { return float64(g.queued.Load()) })
-		reg.GaugeFunc("ccp_admission_p99_seconds",
-			"Rolling p99 of recent admitted-query service times.",
-			func() float64 { return g.p99().Seconds() })
 	}
 	return g
 }
@@ -139,8 +118,7 @@ func NewGate(cfg GateConfig) *Gate {
 // Admit implements dist.AdmissionGate: it returns a release func once the
 // caller holds an execution slot, or a *dist.OverloadError when the query
 // should be shed. A free slot admits immediately; otherwise the arrival
-// queues up to MaxQueueWait unless the queue is full or the rolling p99 is
-// already past target.
+// queues up to MaxQueueWait unless the queue is full.
 func (g *Gate) Admit(ctx context.Context) (func(), error) {
 	g.met.offered.Inc()
 	g.pending.Add(1)
@@ -148,14 +126,8 @@ func (g *Gate) Admit(ctx context.Context) (func(), error) {
 	select {
 	case g.slots <- struct{}{}:
 		g.met.admitted.Inc()
-		return g.release(time.Now()), nil
+		return g.release(), nil
 	default:
-	}
-	// No free slot: the arrival must queue. Queueing while the tier is
-	// already past its latency target only deepens the tail, so shed first.
-	if g.cfg.TargetP99 > 0 && g.p99() > g.cfg.TargetP99 {
-		g.met.shedP99.Inc()
-		return nil, g.overloaded("rolling p99 over target")
 	}
 	if q := g.queued.Add(1); int(q) > g.cfg.MaxQueue {
 		g.queued.Add(-1)
@@ -170,7 +142,7 @@ func (g *Gate) Admit(ctx context.Context) (func(), error) {
 	case g.slots <- struct{}{}:
 		g.met.queueWait.Observe(time.Since(waitStart).Seconds())
 		g.met.admitted.Inc()
-		return g.release(time.Now()), nil
+		return g.release(), nil
 	case <-t.C:
 		g.met.shedWait.Inc()
 		return nil, g.overloaded("queue wait exceeded")
@@ -189,48 +161,16 @@ func (g *Gate) overloaded(reason string) error {
 	}
 }
 
-// release hands back the slot exactly once and feeds the query's service
-// time into the rolling-latency window.
-func (g *Gate) release(start time.Time) func() {
+// release hands back the slot exactly once.
+func (g *Gate) release() func() {
 	g.inflight.Add(1)
 	var once sync.Once
 	return func() {
 		once.Do(func() {
 			g.inflight.Add(-1)
 			<-g.slots
-			g.observeLatency(time.Since(start))
 		})
 	}
-}
-
-func (g *Gate) observeLatency(d time.Duration) {
-	g.lmu.Lock()
-	g.window[g.wi] = d
-	g.wi = (g.wi + 1) % latencyWindow
-	if g.wn < latencyWindow {
-		g.wn++
-	}
-	g.lmu.Unlock()
-}
-
-// p99 computes the rolling 99th percentile of recent service times. It runs
-// only off the hot path (queueing arrivals and metric scrapes), so a copy
-// and sort of at most 128 samples is fine.
-func (g *Gate) p99() time.Duration {
-	g.lmu.Lock()
-	n := g.wn
-	buf := make([]time.Duration, n)
-	copy(buf, g.window[:n])
-	g.lmu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	idx := (n*99 + 99) / 100
-	if idx >= n {
-		idx = n - 1
-	}
-	return buf[idx]
 }
 
 var _ dist.AdmissionGate = (*Gate)(nil)

@@ -65,7 +65,6 @@ type GateAccounting struct {
 	Admitted int64 `json:"admitted"`
 	ShedFull int64 `json:"shed_queue_full"`
 	ShedWait int64 `json:"shed_queue_wait"`
-	ShedP99  int64 `json:"shed_p99"`
 	Pending  int64 `json:"pending"`
 }
 
@@ -76,7 +75,6 @@ func (g *Gate) Accounting() GateAccounting {
 		Admitted: g.met.admitted.Value(),
 		ShedFull: g.met.shedFull.Value(),
 		ShedWait: g.met.shedWait.Value(),
-		ShedP99:  g.met.shedP99.Value(),
 		Pending:  g.pending.Load(),
 	}
 }
@@ -92,15 +90,15 @@ func (g *Gate) AccountingProbe() audit.Probe {
 		Check: func() audit.Result {
 			return audit.CheckStable(0, func() ([]int64, audit.Result) {
 				a := g.Accounting()
-				vals := []int64{a.Offered, a.Admitted, a.ShedFull, a.ShedWait, a.ShedP99, a.Pending}
-				settled := a.Admitted + a.ShedFull + a.ShedWait + a.ShedP99 + a.Pending
+				vals := []int64{a.Offered, a.Admitted, a.ShedFull, a.ShedWait, a.Pending}
+				settled := a.Admitted + a.ShedFull + a.ShedWait + a.Pending
 				if a.Offered != settled {
 					return vals, audit.Violation(
 						"offered %d != admitted %d + shed %d + pending %d",
-						a.Offered, a.Admitted, a.ShedFull+a.ShedWait+a.ShedP99, a.Pending)
+						a.Offered, a.Admitted, a.ShedFull+a.ShedWait, a.Pending)
 				}
 				return vals, audit.OK("offered %d = admitted %d + shed %d + pending %d",
-					a.Offered, a.Admitted, a.ShedFull+a.ShedWait+a.ShedP99, a.Pending)
+					a.Offered, a.Admitted, a.ShedFull+a.ShedWait, a.Pending)
 			})
 		},
 	}

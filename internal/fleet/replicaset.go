@@ -218,19 +218,6 @@ func (r *ReplicaSet) Health() dist.SiteHealth {
 	return dist.SiteHealth{SiteID: r.leader.SiteID(), Connected: true}
 }
 
-// MemberHealth snapshots every member's transport health, leader first.
-func (r *ReplicaSet) MemberHealth() []dist.SiteHealth {
-	out := make([]dist.SiteHealth, 0, len(r.members))
-	for _, m := range r.members {
-		if h, ok := m.(dist.HealthReporter); ok {
-			out = append(out, h.Health())
-		} else {
-			out = append(out, dist.SiteHealth{SiteID: m.SiteID(), Connected: true})
-		}
-	}
-	return out
-}
-
 // Close releases every member connection that has one.
 func (r *ReplicaSet) Close() error {
 	var first error

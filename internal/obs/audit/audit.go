@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,7 +81,7 @@ func CheckStable(attempts int, read func() (vals []int64, r Result)) Result {
 		if r.OK {
 			return r
 		}
-		if prev != nil && equalVals(prev, vals) {
+		if prev != nil && slices.Equal(prev, vals) {
 			return r
 		}
 		prev, last = vals, r
@@ -91,25 +92,11 @@ func CheckStable(attempts int, read func() (vals []int64, r Result)) Result {
 	return Result{OK: true, Detail: "transient (counters moving): " + last.Detail}
 }
 
-func equalVals(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Config configures an Auditor.
 type Config struct {
 	// Observer supplies the metrics registry and flight recorder. May be
 	// nil (probes still run; nothing is exported).
 	Observer *obs.Observer
-	// Interval is the background re-check period; <= 0 selects 5s.
-	Interval time.Duration
 }
 
 // probeState is one registered probe plus its exported series.
@@ -121,16 +108,14 @@ type probeState struct {
 	okG   *obs.Gauge
 
 	mu       sync.Mutex
-	last     Result
-	lastAt   time.Time
 	breached bool // currently in violation (edge-triggers the flight event)
 }
 
 // Auditor is the per-process audit engine: the probe registry, the SLO
-// engine, the background loop, and the /audit and /slo handlers.
+// engine, the background loop, and the /audit handler.
 type Auditor struct {
 	o        *obs.Observer
-	interval time.Duration
+	interval time.Duration // background re-check period
 
 	mu     sync.Mutex
 	probes []*probeState
@@ -144,13 +129,9 @@ type Auditor struct {
 // New builds an Auditor. Call Register / RegisterSLO during process wiring,
 // then Start to begin the background loop.
 func New(cfg Config) *Auditor {
-	iv := cfg.Interval
-	if iv <= 0 {
-		iv = 5 * time.Second
-	}
 	return &Auditor{
 		o:        cfg.Observer,
-		interval: iv,
+		interval: 5 * time.Second,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -182,7 +163,6 @@ func (a *Auditor) run(st *probeState) ProbeReport {
 	r := st.probe.Check()
 	st.runs.Inc()
 	st.mu.Lock()
-	st.last, st.lastAt = r, time.Now()
 	if r.OK {
 		st.okG.Set(1)
 		st.breached = false
@@ -213,14 +193,16 @@ type ProbeReport struct {
 	Violations int64  `json:"violations"`
 }
 
-// Report is the /audit JSON payload.
+// Report is the /audit JSON payload: every probe's verdict and every SLO's
+// budget. OK covers the probes only.
 type Report struct {
 	OK     bool          `json:"ok"`
 	Probes []ProbeReport `json:"probes"`
+	SLOs   []SLOReport   `json:"slos,omitempty"`
 }
 
-// RunAll evaluates every registered probe now and returns the joined report.
-// Nil-safe (reports trivially OK).
+// RunAll evaluates every registered probe now and returns their report,
+// without the SLOs. Nil-safe (reports trivially OK).
 func (a *Auditor) RunAll() Report {
 	rep := Report{OK: true}
 	if a == nil {
@@ -240,7 +222,7 @@ func (a *Auditor) RunAll() Report {
 	return rep
 }
 
-// Start launches the background loop: every Interval, re-run all probes and
+// Start launches the background loop: every 5s, re-run all probes and
 // advance every SLO's sample ring. Idempotent; nil-safe.
 func (a *Auditor) Start() {
 	if a == nil {
@@ -255,9 +237,11 @@ func (a *Auditor) Start() {
 				select {
 				case <-a.stop:
 					return
-				case <-t.C:
+				case now := <-t.C:
 					a.RunAll()
-					a.sampleSLOs(time.Now())
+					for _, s := range a.sloList() {
+						s.advance(a.o, now)
+					}
 				}
 			}
 		}()
@@ -280,12 +264,14 @@ func (a *Auditor) Close() {
 	<-a.done
 }
 
-// AuditHandler serves /audit: re-runs every probe and writes the report.
-// 200 when every probe passes, 500 when any is in violation (so a plain
-// HTTP check can gate on it).
+// AuditHandler serves /audit: re-runs every probe, reads every SLO and
+// writes the joined report. 200 when every probe passes, 500 when any is in
+// violation (so a plain HTTP check can gate on it); SLO budgets do not move
+// the status.
 func (a *Auditor) AuditHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rep := a.RunAll()
+		rep.SLOs = a.SLOStatus()
 		w.Header().Set("Content-Type", "application/json")
 		if !rep.OK {
 			w.WriteHeader(http.StatusInternalServerError)
@@ -299,8 +285,5 @@ func (a *Auditor) AuditHandler() http.Handler {
 // Endpoints returns the ops endpoints this auditor serves, ready to hand to
 // obs.StartOps.
 func (a *Auditor) Endpoints() []obs.Endpoint {
-	return []obs.Endpoint{
-		{Path: "/audit", Handler: a.AuditHandler()},
-		{Path: "/slo", Handler: a.SLOHandler()},
-	}
+	return []obs.Endpoint{{Path: "/audit", Handler: a.AuditHandler()}}
 }

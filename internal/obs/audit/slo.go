@@ -1,9 +1,8 @@
 package audit
 
 import (
-	"encoding/json"
 	"math"
-	"net/http"
+	"sort"
 	"sync"
 	"time"
 
@@ -21,21 +20,29 @@ type SLOConfig struct {
 	// (0, 1) clamp to 0.999.
 	Objective float64
 	// Source reads the cumulative good and total event counts. Called on
-	// every sample tick and on every /slo request; must be cheap.
+	// every sample tick and on every /audit request; must be cheap.
 	Source func() (good, total float64)
-	// FastWindow / SlowWindow are the two burn-rate windows (multi-window
-	// alerting: both must burn to count as a breach). Defaults 5m / 1h.
-	FastWindow, SlowWindow time.Duration
-	// FastBurn / SlowBurn are the burn-rate thresholds for the two windows.
-	// Defaults 14.4 / 6 (the classic page-tier pair: 14.4x burns a 30-day
-	// budget in 2 days; 6x in 5 days).
-	FastBurn, SlowBurn float64
-	// BudgetWindow is the horizon the error budget is measured over.
-	// Default 24h. The engine keeps at most maxSamples samples, so with
-	// very short sample intervals the effective horizon is the available
-	// history.
-	BudgetWindow time.Duration
 }
+
+// The burn-rate policy every SLO shares. A breach needs both windows
+// burning past their thresholds (multi-window alerting) or the budget
+// exhausted; 14.4x / 6x is the classic page-tier pair (14.4x burns a 30-day
+// budget in 2 days, 6x in 5 days).
+const (
+	fastWindow   = 5 * time.Minute
+	slowWindow   = time.Hour
+	fastBurn     = 14.4
+	slowBurn     = 6
+	budgetWindow = 24 * time.Hour
+)
+
+// maxSamples bounds each SLO's ring. Ticks closer than sampleSpacing to the
+// newest retained sample are not retained, so the ring spans the whole
+// budget window whatever the tick interval.
+const (
+	maxSamples    = 4096
+	sampleSpacing = budgetWindow / maxSamples
+)
 
 // sample is one ring entry: the cumulative counts at a tick.
 type sample struct {
@@ -43,23 +50,18 @@ type sample struct {
 	good, total float64
 }
 
-// maxSamples bounds each SLO's ring (24h at the default 5s interval would
-// be 17k samples; 4096 keeps memory flat and still covers the slow window
-// at any sane interval).
-const maxSamples = 4096
-
-// SLO is one objective's live state: the sample ring, current burn rates,
-// and breach edge state.
+// SLO is one objective's live state: the sample ring, the burn rates of the
+// last tick, and breach edge state.
 type SLO struct {
 	cfg      SLOConfig
 	idx      int
 	breaches *obs.Counter
 
 	mu       sync.Mutex
-	ring     []sample // time-ordered; bounded by maxSamples
-	fast     float64  // last computed burn rates
+	ring     []sample // time-ordered, >= sampleSpacing apart, one sample at or before the budget window
+	fast     float64  // last tick's burn rates
 	slow     float64
-	budget   float64 // last computed budget remaining, 1 = untouched
+	budget   float64 // last tick's budget remaining, 1 = untouched
 	breached bool
 }
 
@@ -71,21 +73,6 @@ func (a *Auditor) RegisterSLO(cfg SLOConfig) *SLO {
 	}
 	if !(cfg.Objective > 0 && cfg.Objective < 1) {
 		cfg.Objective = 0.999
-	}
-	if cfg.FastWindow <= 0 {
-		cfg.FastWindow = 5 * time.Minute
-	}
-	if cfg.SlowWindow <= 0 {
-		cfg.SlowWindow = time.Hour
-	}
-	if cfg.FastBurn <= 0 {
-		cfg.FastBurn = 14.4
-	}
-	if cfg.SlowBurn <= 0 {
-		cfg.SlowBurn = 6
-	}
-	if cfg.BudgetWindow <= 0 {
-		cfg.BudgetWindow = 24 * time.Hour
 	}
 	reg := a.o.Registry()
 	lbl := obs.Label{Key: "slo", Value: cfg.Name}
@@ -129,33 +116,29 @@ func (s *SLO) read(now time.Time) sample {
 	return sample{at: now, good: good, total: total}
 }
 
-// sampleSLOs advances every SLO ring; called from the auditor loop.
-func (a *Auditor) sampleSLOs(now time.Time) {
+func (a *Auditor) sloList() []*SLO {
 	a.mu.Lock()
-	slos := make([]*SLO, len(a.slos))
-	copy(slos, a.slos)
-	a.mu.Unlock()
-	for _, s := range slos {
-		s.advance(a.o, now)
-	}
+	defer a.mu.Unlock()
+	return append([]*SLO(nil), a.slos...)
 }
 
-// advance appends a sample, recomputes burn rates and budget, and
-// edge-triggers the breach counter and flight event.
+// advance is one tick: it retains the sample if it is sampleSpacing past the
+// newest one, drops samples the budget window no longer needs, recomputes
+// the exported burn rates and budget, and edge-triggers the breach counter
+// and flight event.
 func (s *SLO) advance(o *obs.Observer, now time.Time) {
 	cur := s.read(now)
 	s.mu.Lock()
-	s.ring = append(s.ring, cur)
-	if len(s.ring) > maxSamples {
-		s.ring = s.ring[len(s.ring)-maxSamples:]
+	if now.Sub(s.ring[len(s.ring)-1].at) >= sampleSpacing {
+		s.ring = append(s.ring, cur)
 	}
-	s.fast = s.burnLocked(cur, now.Add(-s.cfg.FastWindow))
-	s.slow = s.burnLocked(cur, now.Add(-s.cfg.SlowWindow))
-	s.budget = s.budgetLocked(cur, now)
-	breach := s.fast >= s.cfg.FastBurn && s.slow >= s.cfg.SlowBurn
-	exhausted := s.budget <= 0
-	fire := (breach || exhausted) && !s.breached
-	s.breached = breach || exhausted
+	for len(s.ring) > 1 && !s.ring[1].at.After(now.Add(-budgetWindow)) {
+		s.ring = s.ring[1:]
+	}
+	s.fast, s.slow, s.budget = s.evalLocked(cur)
+	breach := breached(s.fast, s.slow, s.budget)
+	fire := breach && !s.breached
+	s.breached = breach
 	fastMil := int64(s.fast * 1000)
 	idx := int64(s.idx)
 	s.mu.Unlock()
@@ -165,53 +148,35 @@ func (s *SLO) advance(o *obs.Observer, now time.Time) {
 	}
 }
 
+// evalLocked evaluates cur against the ring: the fast and slow burn rates
+// and the budget remaining (1 - the burn over the budget window).
+func (s *SLO) evalLocked(cur sample) (fast, slow, budget float64) {
+	return s.burnLocked(cur, fastWindow), s.burnLocked(cur, slowWindow), 1 - s.burnLocked(cur, budgetWindow)
+}
+
 // burnLocked computes the burn rate between cur and the newest sample at or
-// before since (falling back to the oldest retained sample): the window's
-// error rate divided by the budget rate (1 - objective). 0 when the window
-// saw no events.
-func (s *SLO) burnLocked(cur sample, since time.Time) float64 {
-	base := s.ring[0]
-	for i := len(s.ring) - 1; i >= 0; i-- {
-		if !s.ring[i].at.After(since) {
-			base = s.ring[i]
-			break
-		}
-	}
+// before the window's start (falling back to the oldest retained sample):
+// the window's error rate divided by the budget rate (1 - objective). 0 when
+// the window saw no events.
+func (s *SLO) burnLocked(cur sample, window time.Duration) float64 {
+	since := cur.at.Add(-window)
+	i := sort.Search(len(s.ring), func(i int) bool { return s.ring[i].at.After(since) })
+	base := s.ring[max(i-1, 0)]
 	total := cur.total - base.total
 	if total <= 0 {
 		return 0
 	}
-	bad := (cur.total - cur.good) - (base.total - base.good)
-	if bad < 0 {
-		bad = 0
-	}
+	bad := max((cur.total-cur.good)-(base.total-base.good), 0)
 	return (bad / total) / (1 - s.cfg.Objective)
 }
 
-// budgetLocked computes the remaining error-budget fraction over the budget
-// window: 1 - bad/(total * (1-objective)). 1 when the window saw no events.
-func (s *SLO) budgetLocked(cur sample, now time.Time) float64 {
-	since := now.Add(-s.cfg.BudgetWindow)
-	base := s.ring[0]
-	for i := len(s.ring) - 1; i >= 0; i-- {
-		if !s.ring[i].at.After(since) {
-			base = s.ring[i]
-			break
-		}
-	}
-	total := cur.total - base.total
-	if total <= 0 {
-		return 1
-	}
-	bad := (cur.total - cur.good) - (base.total - base.good)
-	if bad < 0 {
-		bad = 0
-	}
-	allowed := total * (1 - s.cfg.Objective)
-	return 1 - bad/allowed
+// breached is the alert policy: both windows over threshold, or the budget
+// exhausted.
+func breached(fast, slow, budget float64) bool {
+	return fast >= fastBurn && slow >= slowBurn || budget <= 0
 }
 
-// SLOReport is the /slo JSON view of one objective.
+// SLOReport is the /audit JSON view of one objective.
 type SLOReport struct {
 	SLO             string  `json:"slo"`
 	Objective       float64 `json:"objective"`
@@ -226,46 +191,34 @@ type SLOReport struct {
 	Total           float64 `json:"total"`
 }
 
-// SLOStatus recomputes every SLO from a fresh sample and returns the
-// reports — the /slo payload. Nil-safe.
+// SLOStatus evaluates every SLO on a fresh read of its source against the
+// ring. A read is not a tick: the ring, the exported gauges and the breach
+// edge state are left as the last tick set them. Nil-safe.
 func (a *Auditor) SLOStatus() []SLOReport {
 	if a == nil {
 		return nil
 	}
 	now := time.Now()
-	a.mu.Lock()
-	slos := make([]*SLO, len(a.slos))
-	copy(slos, a.slos)
-	a.mu.Unlock()
+	slos := a.sloList()
 	out := make([]SLOReport, 0, len(slos))
 	for _, s := range slos {
-		s.advance(a.o, now)
+		cur := s.read(now)
 		s.mu.Lock()
-		cur := s.ring[len(s.ring)-1]
+		fast, slow, budget := s.evalLocked(cur)
+		s.mu.Unlock()
 		out = append(out, SLOReport{
 			SLO:             s.cfg.Name,
 			Objective:       s.cfg.Objective,
-			FastWindow:      s.cfg.FastWindow.String(),
-			SlowWindow:      s.cfg.SlowWindow.String(),
-			FastBurnRate:    s.fast,
-			SlowBurnRate:    s.slow,
-			BudgetRemaining: s.budget,
-			Breached:        s.breached,
+			FastWindow:      fastWindow.String(),
+			SlowWindow:      slowWindow.String(),
+			FastBurnRate:    fast,
+			SlowBurnRate:    slow,
+			BudgetRemaining: budget,
+			Breached:        breached(fast, slow, budget),
 			Breaches:        s.breaches.Value(),
 			Good:            cur.good,
 			Total:           cur.total,
 		})
-		s.mu.Unlock()
 	}
 	return out
-}
-
-// SLOHandler serves /slo: a fresh sample of every objective.
-func (a *Auditor) SLOHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(map[string]any{"slos": a.SLOStatus()})
-	})
 }

@@ -17,7 +17,7 @@ import (
 type HealthFunc func() (ok bool, detail any)
 
 // Endpoint mounts one extra handler on the ops mux — how subsystems that obs
-// must not import (the audit engine's /audit and /slo) expose themselves on
+// must not import (the audit engine's /audit) expose themselves on
 // the same listener as /metrics and /healthz.
 type Endpoint struct {
 	// Path is the mux pattern ("/audit").
@@ -33,7 +33,7 @@ type Endpoint struct {
 //	/varz         JSON snapshot of every series (+ slow-query traces)
 //	/debug/pprof  the standard Go profiling handlers
 //
-// plus any extra Endpoints (the audit engine mounts /audit and /slo).
+// plus any extra Endpoints (the audit engine mounts /audit).
 // It binds eagerly (so a bad -ops-addr fails at startup, not at first
 // scrape) and shuts down gracefully alongside the process's main drain.
 type OpsServer struct {

@@ -14,14 +14,15 @@
 #   - the follower actually serves: before the kill the replica answers read
 #     traffic (its server request counter moves), it is not a warm spare;
 #   - re-convergence: a restarted follower re-bootstraps from the leader and
-#     reports zero replication lag through `ccpctl fleet`;
-#   - the fleet view renders: `ccpctl fleet` shows the leader/follower roles
-#     and lag from the live /varz endpoints, in table and JSON form;
+#     reports zero replication lag through `ccpctl doctor -view fleet`;
+#   - the fleet view renders: `ccpctl doctor -view fleet` shows the
+#     leader/follower roles and lag from the live /varz endpoints, in table
+#     and JSON form;
 #   - the follower's /healthz reports its role and replication lag as JSON
 #     (the -max-lag ceiling is plumbed through and echoed back);
 #   - the audit surface holds: the coordinator exports ccp_slo_* burn-rate
-#     series mid-batch, and `ccpctl doctor` joins every process's /varz,
-#     /audit and /slo into a green cluster-wide verdict — including the
+#     series mid-batch, and `ccpctl doctor` joins every process's /varz and
+#     /audit into a green cluster-wide verdict — including the
 #     store scrubber over the leader's real WAL and the cross-process
 #     leader/follower epoch agreement no single process can check;
 #   - clean shutdown: leaders and the follower drain and exit 0 on SIGTERM.
@@ -119,10 +120,10 @@ served=$(curl -sf "http://127.0.0.1:$repl_ops/metrics" \
     || { echo "follower served no requests (got '$served') — routing never used the replica" >&2; exit 1; }
 echo "  follower answered $served requests"
 
-echo "== ccpctl fleet renders the topology =="
-"$workdir/ccpctl" fleet -ops "127.0.0.1:$lead0_ops,127.0.0.1:$repl_ops,127.0.0.1:$site1_ops" \
+echo "== ccpctl doctor -view fleet renders the topology =="
+"$workdir/ccpctl" doctor -view fleet -ops "127.0.0.1:$lead0_ops,127.0.0.1:$repl_ops,127.0.0.1:$site1_ops" \
     >"$workdir/fleet.txt" 2>&1 \
-    || { echo "ccpctl fleet failed" >&2; cat "$workdir/fleet.txt" >&2; exit 1; }
+    || { echo "ccpctl doctor -view fleet failed" >&2; cat "$workdir/fleet.txt" >&2; exit 1; }
 grep -q "leader" "$workdir/fleet.txt" && grep -q "follower" "$workdir/fleet.txt" \
     || { echo "fleet table is missing a role:" >&2; cat "$workdir/fleet.txt" >&2; exit 1; }
 
@@ -149,7 +150,7 @@ echo "== restart the follower; it must re-bootstrap and re-converge =="
 start_follower
 converged=""
 for i in $(seq 1 50); do
-    if "$workdir/ccpctl" fleet -ops "127.0.0.1:$repl_ops" -json 2>/dev/null \
+    if "$workdir/ccpctl" doctor -view fleet -ops "127.0.0.1:$repl_ops" -json 2>/dev/null \
         | grep -q '"lag_records":0'; then
         converged=yes
         break

@@ -6,9 +6,10 @@
 # recorder on exit), then validates the observability surface from outside
 # the processes: /metrics parses as Prometheus text exposition format with
 # the load-bearing series present, /healthz answers 200, /varz and
-# /debug/flight round-trip as JSON through their real consumers (ccpctl top
-# and ccpctl flight), and `ccpctl flight` merges the coordinator and both
-# site recorders into one cross-process timeline. It ends with the audit
+# /debug/flight round-trip as JSON through their real consumers (ccpctl
+# doctor -view top and ccpctl flight), and `ccpctl flight` merges the
+# coordinator and both site recorders into one cross-process timeline.
+# It ends with the audit
 # surface: the coordinator's /varz must carry ccp_slo_* burn-rate series
 # mid-run, `ccpctl doctor` must judge the healthy fleet green, and a
 # deliberately diverged replica document must turn it red.
@@ -153,15 +154,15 @@ require_series "$workdir/coord_metrics.txt" ccp_build_info
 printf '%s\n' "$coord_varz" | grep -q '"ccp_slo_burn_rate"' \
     || { echo "coordinator /varz has no SLO burn-rate series" >&2; exit 1; }
 
-echo "== /varz round-trips through its real consumer (ccpctl top) =="
-"$workdir/ccpctl" top \
-    -ops "127.0.0.1:$site0_ops_port,127.0.0.1:$site1_ops_port" -n 1 \
+echo "== /varz round-trips through its real consumer (ccpctl doctor -view top) =="
+"$workdir/ccpctl" doctor -view top \
+    -ops "127.0.0.1:$site0_ops_port,127.0.0.1:$site1_ops_port" \
     >"$workdir/top.txt" 2>&1 \
-    || { echo "ccpctl top failed" >&2; cat "$workdir/top.txt" >&2; exit 1; }
+    || { echo "ccpctl doctor -view top failed" >&2; cat "$workdir/top.txt" >&2; exit 1; }
 grep -qE 'served +[0-9]+ reqs' "$workdir/top.txt" \
-    || { echo "ccpctl top did not render site stats:" >&2; cat "$workdir/top.txt" >&2; exit 1; }
+    || { echo "ccpctl doctor -view top did not render site stats:" >&2; cat "$workdir/top.txt" >&2; exit 1; }
 if grep -q "unreachable" "$workdir/top.txt"; then
-    echo "ccpctl top could not decode a /varz payload:" >&2
+    echo "ccpctl doctor -view top could not decode a /varz payload:" >&2
     cat "$workdir/top.txt" >&2
     exit 1
 fi
