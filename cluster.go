@@ -12,6 +12,7 @@ import (
 	"ccp/internal/fleet"
 	"ccp/internal/obs"
 	"ccp/internal/partition"
+	"ccp/internal/store"
 )
 
 // ClusterOptions configures a distributed deployment.
@@ -26,22 +27,6 @@ type ClusterOptions struct {
 	// Concurrency is the number of batch queries ControlsBatch keeps in
 	// flight at once (<= 1 evaluates the batch serially).
 	Concurrency int
-	// SiteTimeout bounds every individual site call with its own deadline,
-	// under whatever deadline the query's context already carries. A site
-	// missing it fails the query with a *DeadlineError naming the site.
-	// 0 means no per-call bound.
-	SiteTimeout time.Duration
-	// DialTimeout bounds each connection attempt to a remote site
-	// (ConnectCluster only). 0 selects the transport default (5s).
-	DialTimeout time.Duration
-	// FailureThreshold is the number of consecutive failed calls to one
-	// remote site after which its circuit breaker opens: calls to that site
-	// fail fast without touching the network until CircuitCooldown passes,
-	// then a single probe call is let through. 0 selects the default (4).
-	FailureThreshold int
-	// CircuitCooldown is how long an open circuit rejects calls before
-	// probing the site again. 0 selects the default (1s).
-	CircuitCooldown time.Duration
 	// MaxInFlight, when > 0, enables coordinator-side admission control:
 	// at most this many queries execute at once, up to MaxQueuedQueries
 	// arrivals wait (each at most MaxQueueWait) for a slot, and everything
@@ -186,7 +171,6 @@ func (o ClusterOptions) distOptions() dist.Options {
 		UseCache:    o.UseCache,
 		Workers:     o.CoordinatorWorkers,
 		Concurrency: o.Concurrency,
-		SiteTimeout: o.SiteTimeout,
 		Observer:    o.Observer,
 		Logger:      o.Logger,
 	}
@@ -224,8 +208,7 @@ func NewClusterFromPartitioning(pi *partition.Partitioning, opts ClusterOptions)
 // ServeSite or the ccpd command) at the given addresses. ctx bounds the
 // connection handshakes. A site that later becomes unreachable is redialed
 // with capped exponential backoff; repeated failures trip its circuit
-// breaker (see ClusterOptions.FailureThreshold / CircuitCooldown and
-// Cluster.Health).
+// breaker (see Cluster.Health).
 func ConnectCluster(ctx context.Context, addrs []string, opts ClusterOptions) (*Cluster, error) {
 	sites := make([][]string, len(addrs))
 	for i, addr := range addrs {
@@ -262,13 +245,7 @@ func ParseReplicaAddrs(spec string) [][]string {
 // leaders only. A site given as a single address is dialed directly, with no
 // replica routing in front of it.
 func ConnectReplicatedCluster(ctx context.Context, sites [][]string, opts ClusterOptions) (*Cluster, error) {
-	cfg := dist.ClientConfig{
-		DialTimeout:      opts.DialTimeout,
-		FailureThreshold: opts.FailureThreshold,
-		Cooldown:         opts.CircuitCooldown,
-		Observer:         opts.Observer,
-		Logger:           opts.Logger,
-	}
+	cfg := dist.ClientConfig{Observer: opts.Observer, Logger: opts.Logger}
 	var clients []dist.SiteClient
 	closeAll := func() {
 		for _, cl := range clients {
@@ -403,8 +380,8 @@ func (c *Cluster) Invalidate(site int) error {
 	if site < 0 || site >= len(c.sites) {
 		return fmt.Errorf("ccp: no site %d", site)
 	}
-	c.sites[site].Invalidate()
-	return nil
+	_, err := c.sites[site].Apply(store.Record{Kind: store.KindMark})
+	return err
 }
 
 // Sites returns the number of worker sites.

@@ -107,23 +107,26 @@ func TestSiteErrorOverWire(t *testing.T) {
 	}
 	c := startTCPSite(t, pi.Parts[0])
 
-	// Weight 1.5 is outside (0,1]: the site is reachable but must reject the
-	// stake, and the failure must surface as a typed SiteError.
-	_, err = c.Update(context.Background(), StakeUpdate{Owner: 0, Owned: 1, Weight: 1.5})
-	var se *SiteError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %v (%T), want *SiteError", err, err)
-	}
-	if se.SiteID != 0 || se.Op != "update" {
-		t.Fatalf("SiteError = %+v, want site 0 op update", se)
-	}
-	var te *TransportError
-	if errors.As(err, &te) {
-		t.Fatalf("site failure classified as transport failure: %v", err)
-	}
-	// The connection survives a site error: the next call succeeds.
-	if _, _, err := c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{}); err != nil {
-		t.Fatalf("connection dead after site error: %v", err)
+	// Weight 1.5 is outside (0,1] and -1 is no company: the site is
+	// reachable but must reject the stake, the failure must surface as a
+	// typed SiteError, and the site must keep serving.
+	for _, up := range []StakeUpdate{{Owner: 0, Owned: 1, Weight: 1.5}, {Owner: 0, Owned: -1, Weight: 0.2}} {
+		_, err = c.Apply(context.Background(), up.record())
+		var se *SiteError
+		if !errors.As(err, &se) {
+			t.Fatalf("%+v: err = %v (%T), want *SiteError", up, err, err)
+		}
+		if se.SiteID != 0 || se.Op != "apply" {
+			t.Fatalf("%+v: SiteError = %+v, want site 0 op apply", up, se)
+		}
+		var te *TransportError
+		if errors.As(err, &te) {
+			t.Fatalf("%+v: site failure classified as transport failure: %v", up, err)
+		}
+		// The connection survives a site error: the next call succeeds.
+		if _, _, err := c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{}); err != nil {
+			t.Fatalf("%+v: connection dead after site error: %v", up, err)
+		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ccp/internal/control"
-	"ccp/internal/graph"
 	"ccp/internal/obs"
 	"ccp/internal/obs/flight"
 	"ccp/internal/store"
@@ -26,8 +25,8 @@ type ClientConfig struct {
 	DialTimeout time.Duration
 	// MaxRetries is how many additional attempts an idempotent call
 	// (evaluate, precompute, info) makes after a transport failure before
-	// giving up; each attempt redials if needed. Non-idempotent calls
-	// (update, cross-in) are never retried. Default 2.
+	// giving up; each attempt redials if needed. Writes (apply) are never
+	// retried. Default 2.
 	MaxRetries int
 	// BaseBackoff is the redial delay after the first consecutive dial
 	// failure; it doubles per failure up to MaxBackoff and resets on
@@ -603,33 +602,14 @@ func (c *RemoteClient) Evaluate(ctx context.Context, q control.Query, opts EvalO
 	return pa, n, nil
 }
 
-// Update implements SiteClient.
-func (c *RemoteClient) Update(ctx context.Context, up StakeUpdate) (UpdateResult, error) {
-	resp, _, err := c.roundTrip(ctx, &request{Op: opUpdate, Update: up})
+// Apply implements SiteClient. It is never retried: a lost response leaves
+// the write's outcome unknown.
+func (c *RemoteClient) Apply(ctx context.Context, rec store.Record) (UpdateResult, error) {
+	resp, _, err := c.roundTrip(ctx, &request{Op: opApply, Record: rec})
 	if err != nil {
 		return UpdateResult{}, err
 	}
 	return resp.UpdateRes, nil
-}
-
-// AdjustCrossIn implements SiteClient.
-func (c *RemoteClient) AdjustCrossIn(ctx context.Context, v graph.NodeID, delta int) (bool, error) {
-	resp, _, err := c.roundTrip(ctx, &request{Op: opCrossIn, S: int32(v), Delta: delta})
-	if err != nil {
-		return false, err
-	}
-	return resp.Acted, nil
-}
-
-// Epoch fetches the site's current data epoch with an info round trip —
-// the cheap way for a routing tier to refresh its staleness watermark after
-// a write whose response carries no sequence number.
-func (c *RemoteClient) Epoch(ctx context.Context) (uint64, error) {
-	resp, _, err := c.roundTrip(ctx, &request{Op: opInfo})
-	if err != nil {
-		return 0, err
-	}
-	return resp.DurableSeq, nil
 }
 
 // ReplSnapshot fetches the site's consistent bootstrap image for follower
@@ -670,9 +650,8 @@ func (c *RemoteClient) ReplPull(ctx context.Context, from uint64, max int, wait 
 }
 
 // idempotent reports whether an operation may safely be retried after a
-// transport failure whose outcome is unknown. Updates and cross-in deltas
-// mutate site state and must not be replayed; the replication reads are
-// pure reads.
+// transport failure whose outcome is unknown. A write mutates site state
+// and must not be replayed; the replication reads are pure reads.
 func idempotent(o op) bool {
 	switch o {
 	case opEvaluate, opPrecompute, opInfo, opReplSnapshot, opReplPull:

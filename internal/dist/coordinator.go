@@ -14,6 +14,7 @@ import (
 	"ccp/internal/graph"
 	"ccp/internal/obs"
 	"ccp/internal/obs/flight"
+	"ccp/internal/store"
 )
 
 // SiteClient is the coordinator's handle to one worker site, local or
@@ -32,10 +33,9 @@ type SiteClient interface {
 	// Precompute asks the site to build its query-independent reduction
 	// offline.
 	Precompute(ctx context.Context) error
-	// Update offers the edge half of a stake update to the site.
-	Update(ctx context.Context, up StakeUpdate) (UpdateResult, error)
-	// AdjustCrossIn offers an in-node bookkeeping adjustment to the site.
-	AdjustCrossIn(ctx context.Context, v graph.NodeID, delta int) (bool, error)
+	// Apply offers rec to the site as a new write (its Seq is ignored); see
+	// Site.Apply.
+	Apply(ctx context.Context, rec store.Record) (UpdateResult, error)
 }
 
 // Options configures one distributed query evaluation.
@@ -60,11 +60,6 @@ type Options struct {
 	// flight. <= 1 evaluates the batch serially, preserving the exact
 	// behavior (answers and byte accounting) of the serial coordinator.
 	Concurrency int
-	// SiteTimeout bounds each per-site call (evaluate, update, cross-in)
-	// with its own deadline, layered under whatever deadline the caller's
-	// context already carries. 0 means no per-call bound. A site missing the
-	// deadline fails the query with a *DeadlineError naming the site.
-	SiteTimeout time.Duration
 	// AdmissionGate, when non-nil, is consulted before every query starts:
 	// an admitted query holds its slot until it finishes, a shed query fails
 	// immediately with an *OverloadError and never reaches the sites. Shed
@@ -446,15 +441,6 @@ func (c *Coordinator) PrecomputeAll(ctx context.Context) error {
 	return nil
 }
 
-// siteCtx derives the context for one per-site call, layering the
-// configured SiteTimeout (if any) under the caller's own deadline.
-func (c *Coordinator) siteCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.opts.SiteTimeout > 0 {
-		return context.WithTimeout(ctx, c.opts.SiteTimeout)
-	}
-	return context.WithCancel(ctx)
-}
-
 // Answer evaluates q_c(s, t) over the distributed graph. Degradation is
 // fail-fast: the first site failure (typed *SiteError, *TransportError,
 // *DeadlineError or *CancelledError) cancels the evaluations still in
@@ -575,9 +561,7 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		// site call, not just traced ones, and two clock reads cost far less
 		// than the call they bracket.
 		t0 := time.Now()
-		ectx, cancel := c.siteCtx(qctx)
-		pa, n, err := cl.Evaluate(ectx, q, opts)
-		cancel()
+		pa, n, err := cl.Evaluate(qctx, q, opts)
 		replies <- reply{pa, n, err, cl.SiteID(), t0, time.Since(t0)}
 	}
 	for _, cl := range c.clients {

@@ -11,6 +11,7 @@ import (
 	"ccp/internal/gen"
 	"ccp/internal/graph"
 	"ccp/internal/partition"
+	"ccp/internal/store"
 )
 
 // localCluster builds an in-process coordinator over k hash partitions of g.
@@ -110,7 +111,9 @@ func TestCacheHitsAndInvalidate(t *testing.T) {
 		t.Fatalf("cache hits = %d, want 2 (metrics %+v)", m.CacheHits, m)
 	}
 	// After invalidation the site recomputes; answers stay correct.
-	sites[1].Invalidate()
+	if _, err := sites[1].Apply(store.Record{Kind: store.KindMark}); err != nil {
+		t.Fatal(err)
+	}
 	got2, m2, err := coord.Answer(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)

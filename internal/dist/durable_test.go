@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -86,10 +88,131 @@ func sameSiteState(t *testing.T, seedTag string, want, got *partition.Partition)
 	}
 }
 
-// TestDurableSiteRestartEquivalence kills a durable site mid-stream at a
-// random point, recovers from disk, and requires the recovered partition to
-// be bit-equal to an in-memory twin that applied the same updates — across
-// many seeds, with and without an intervening checkpoint.
+// randomRecord draws one record for the site of shard 0 of a 2-way hash
+// partitioning over nodes ids: mostly stakes (divesting a missing stake is
+// a no-op), then cross-in ticks (on an in-node already referenced they only
+// move a count; on a foreign id nothing acts), clamping stakes (every repeat
+// is a no-op), marks, and records Apply must reject — among them a stake
+// to a fresh foreign company, which must not leave a virtual stub behind.
+// valid is false for the rejected ones.
+func randomRecord(rng *rand.Rand, nodes int) (rec store.Record, valid bool) {
+	switch r := rng.Intn(20); {
+	case r < 3:
+		delta := int32(1)
+		if rng.Intn(3) == 0 {
+			delta = -1
+		}
+		return store.Record{Kind: store.KindCrossIn, Owned: int32(rng.Intn(nodes)), Delta: delta}, true
+	case r < 4:
+		return store.Record{Kind: store.KindMark}, true
+	case r < 5:
+		return store.Record{Kind: store.KindStake, Owner: 0, Owned: int32(2 + 2*rng.Intn(2)), Weight: 1}, true
+	case r < 7:
+		fresh := int32(nodes + 1 + 2*rng.Intn(4))
+		return []store.Record{
+			{Kind: store.KindStake, Owner: 0, Owned: fresh, Weight: 1.5},
+			{Kind: store.KindStake, Owner: 0, Owned: fresh, Weight: math.NaN()},
+			{Kind: store.KindStake, Owner: 0, Owned: -1, Weight: 0.2},
+			{Kind: store.KindStake, Owner: 2, Owned: 2, Weight: 0.3},
+			{Kind: store.KindCrossIn, Owned: 2, Delta: 2},
+			{Kind: 9, Owned: 2},
+		}[rng.Intn(6)], false
+	}
+	return randomStake(rng, nodes, 0).record(), true
+}
+
+// partBytes serializes the site's partition — the state a recovered site or
+// a follower must reproduce byte for byte.
+func partBytes(t *testing.T, s *Site) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	s.mu.Lock()
+	err := s.part.WriteBinary(&buf)
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// sameAsLeader requires c, built from an image covering seq image (a
+// checkpoint, a replication snapshot; 0 for none) plus the records past it,
+// to hold exactly the leader's partition bytes and epoch. The one latitude
+// is by design: an image stamped past the leader's last change (trailing
+// count-only ticks) starts c's epoch at the image's seq.
+func sameAsLeader(t *testing.T, tag string, leader, c *Site, image uint64) {
+	t.Helper()
+	if !bytes.Equal(partBytes(t, leader), partBytes(t, c)) {
+		t.Fatalf("%s: partition bytes differ from the leader's", tag)
+	}
+	if want := max(leader.Epoch(), image); c.Epoch() != want {
+		t.Fatalf("%s: epoch %d, want %d (leader epoch %d, image seq %d)", tag, c.Epoch(), want, leader.Epoch(), image)
+	}
+}
+
+// testFollower is replication without the transport: a read-only site
+// bootstrapped from the leader's ReplicationSnapshot and fed its WAL
+// records through ReadRecords → Apply.
+type testFollower struct {
+	site           *Site
+	image, applied uint64 // the bootstrap image's seq; the last applied seq
+}
+
+func (f *testFollower) bootstrap(t *testing.T, leader *Site) {
+	t.Helper()
+	seq, img, err := leader.ReplicationSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := partition.ReadPartition(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.site, f.image, f.applied = NewSite(p, 1), seq, seq
+	f.site.SetReadOnly(true)
+	if seq > 0 {
+		if _, err := f.site.Apply(store.Record{Kind: store.KindMark, Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// catchUp applies every record past the follower's watermark, re-
+// bootstrapping if checkpointing already deleted some of them.
+func (f *testFollower) catchUp(t *testing.T, leader *Site) {
+	t.Helper()
+	for {
+		recs, err := leader.ReadRecords(f.applied, 8)
+		var trunc *store.TruncatedError
+		if errors.As(err, &trunc) {
+			f.bootstrap(t, leader)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			return
+		}
+		for _, rec := range recs {
+			if _, err := f.site.Apply(rec); err != nil {
+				t.Fatalf("follower applying seq %d: %v", rec.Seq, err)
+			}
+			f.applied = rec.Seq
+		}
+	}
+}
+
+// TestDurableSiteRestartEquivalence is the differential for the one write
+// path. Each seed drives a durable leader through a random record stream
+// (stakes, no-op stakes, count-only cross-in ticks, marks, rejected
+// records) while a follower tails it through ReadRecords → Apply and
+// re-bootstraps once mid-stream from ReplicationSnapshot; at every checked
+// seq the follower must equal the leader in partition bytes and epoch. Then
+// the leader is killed at that point and recovered from disk — with and
+// without an intervening checkpoint — and the recovered site must equal
+// both the leader and an in-memory twin that applied the same updates
+// straight through the partition methods.
 func TestDurableSiteRestartEquivalence(t *testing.T) {
 	seeds := 1000
 	if testing.Short() {
@@ -108,34 +231,51 @@ func TestDurableSiteRestartEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var f testFollower
+		f.bootstrap(t, s)
 
 		rng := rand.New(rand.NewSource(int64(seed) * 31))
 		n := 5 + rng.Intn(25)
+		rebootAt := rng.Intn(n)
 		for i := 0; i < n; i++ {
-			if rng.Intn(10) == 0 {
-				v := graph.NodeID(rng.Intn(nodes/2) * 2)
-				delta := 1
-				if rng.Intn(3) == 0 {
-					delta = -1
+			rec, valid := randomRecord(rng, nodes)
+			before, epoch := partBytes(t, s), s.Epoch()
+			res, err := s.Apply(rec)
+			if err == nil && res.Changed && (res.Seq != s.LeaderSeq() || s.Epoch() != res.Seq) {
+				t.Fatalf("%s: %+v moved the epoch to %d (reported %d), want its WAL seq %d",
+					seedTag, rec, s.Epoch(), res.Seq, s.LeaderSeq())
+			}
+			switch {
+			case !valid && err == nil:
+				t.Fatalf("%s: Apply accepted %+v", seedTag, rec)
+			case !valid:
+				if !bytes.Equal(before, partBytes(t, s)) || s.Epoch() != epoch {
+					t.Fatalf("%s: rejected %+v changed the site", seedTag, rec)
 				}
-				s.AdjustCrossIn(v, delta)
-				twin.AdjustCrossIn(v, delta)
-				continue
-			}
-			up := randomStake(rng, nodes, 0)
-			if _, err := s.ApplyEdgeUpdate(up); err != nil {
-				t.Fatalf("%s: ApplyEdgeUpdate: %v", seedTag, err)
-			}
-			if _, err := twin.ApplyStake(up.Owner, up.Owned, up.Weight, up.Remove); err != nil {
-				t.Fatalf("%s: twin ApplyStake: %v", seedTag, err)
+			case err != nil:
+				t.Fatalf("%s: Apply %+v: %v", seedTag, rec, err)
+			case rec.Kind == store.KindStake:
+				if _, err := twin.ApplyStake(graph.NodeID(rec.Owner), graph.NodeID(rec.Owned), rec.Weight, rec.Remove); err != nil {
+					t.Fatalf("%s: twin ApplyStake: %v", seedTag, err)
+				}
+			case rec.Kind == store.KindCrossIn:
+				twin.AdjustCrossIn(graph.NodeID(rec.Owned), int(rec.Delta))
 			}
 			if i == n/2 && seed%3 == 0 {
 				if err := s.store.Checkpoint(); err != nil {
 					t.Fatalf("%s: Checkpoint: %v", seedTag, err)
 				}
 			}
+			if i == rebootAt {
+				f.bootstrap(t, s)
+			}
+			if rng.Intn(3) == 0 {
+				f.catchUp(t, s)
+				sameAsLeader(t, fmt.Sprintf("%s: follower after op %d", seedTag, i), s, f.site, f.image)
+			}
 		}
-		preEpoch := s.Epoch()
+		f.catchUp(t, s)
+		sameAsLeader(t, seedTag+": follower", s, f.site, f.image)
 		if err := s.store.Kill(); err != nil {
 			t.Fatalf("%s: Kill: %v", seedTag, err)
 		}
@@ -144,9 +284,8 @@ func TestDurableSiteRestartEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recovery: %v", seedTag, err)
 		}
-		if r.Epoch() != preEpoch {
-			t.Fatalf("%s: recovered epoch %d, want pre-kill %d", seedTag, r.Epoch(), preEpoch)
-		}
+		st, _ := r.StoreStats()
+		sameAsLeader(t, seedTag+": recovered site", s, r, st.CheckpointSeq)
 		sameSiteState(t, seedTag, twin, r.part)
 		if err := r.CloseStore(); err != nil {
 			t.Fatalf("%s: CloseStore: %v", seedTag, err)
@@ -213,11 +352,20 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 			if res.Stored || res.Changed {
 				t.Fatalf("no-op divest: %+v", res)
 			}
+			// A rejected stake to a fresh foreign company changes nothing
+			// either: no virtual stub, no byte of the partition.
+			before := partBytes(t, s)
+			if _, err = s.ApplyEdgeUpdate(StakeUpdate{Owner: 0, Owned: 9, Weight: 1.5}); err == nil {
+				t.Fatal("weight 1.5 accepted")
+			}
+			if !bytes.Equal(before, partBytes(t, s)) || s.part.Virtual.Has(9) {
+				t.Fatal("rejected stake changed the partition")
+			}
 			if got := s.Epoch(); got != epoch {
-				t.Fatalf("epoch moved %d -> %d on no-op updates", epoch, got)
+				t.Fatalf("epoch moved %d -> %d on no-op or rejected updates", epoch, got)
 			}
 			if s.snapshot() != sn {
-				t.Fatal("snapshot rebuilt after no-op updates")
+				t.Fatal("snapshot rebuilt after no-op or rejected updates")
 			}
 
 			// A real change still moves everything.

@@ -299,7 +299,7 @@ func TestNonIdempotentUpdateNotRetried(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, err = c.Update(context.Background(), StakeUpdate{Owner: 0, Owned: 1, Weight: 0.4})
+	_, err = c.Apply(context.Background(), StakeUpdate{Owner: 0, Owned: 1, Weight: 0.4}.record())
 	var te *TransportError
 	if !errors.As(err, &te) {
 		t.Fatalf("err = %v (%T), want *TransportError", err, err)
@@ -312,7 +312,7 @@ func TestNonIdempotentUpdateNotRetried(t *testing.T) {
 	}
 
 	// Not sticky: the follow-up update rides a fresh connection.
-	res, err := c.Update(context.Background(), StakeUpdate{Owner: 0, Owned: 1, Weight: 0.4})
+	res, err := c.Apply(context.Background(), StakeUpdate{Owner: 0, Owned: 1, Weight: 0.4}.record())
 	if err != nil {
 		t.Fatalf("update after conn loss: %v", err)
 	}
@@ -347,7 +347,7 @@ func TestDeadGenerationStillInstalledIsRetired(t *testing.T) {
 	corpse.mu.Unlock()
 	defer corpse.fail(nil) // closes the socket; its reader exits
 
-	res, err := c.Update(context.Background(), StakeUpdate{Owner: 2, Owned: 3, Weight: 0.6})
+	res, err := c.Apply(context.Background(), StakeUpdate{Owner: 2, Owned: 3, Weight: 0.6}.record())
 	if err != nil {
 		t.Fatalf("update handed a dead generation: %v", err)
 	}

@@ -17,33 +17,24 @@ import (
 	"ccp/internal/store"
 )
 
-// ServerConfig tunes a site server's connection lifecycle. The zero value
-// selects production defaults.
+// ServerConfig configures a site server.
 type ServerConfig struct {
-	// IdleTimeout closes a connection that carries no request for this long
-	// (0 = never; the coordinator keeps connections open between batches).
-	IdleTimeout time.Duration
-	// WriteTimeout bounds writing one response, so a stalled client cannot
-	// wedge the shared encoder and starve every other in-flight response on
-	// the connection. Default 30s.
-	WriteTimeout time.Duration
-	// DrainTimeout bounds the graceful drain of the ctx-driven Serve
-	// convenience function. Default 10s.
-	DrainTimeout time.Duration
 	// Logger receives the server's structured diagnostics (connection
 	// lifecycle, shutdown progress, write failures). Nil discards them.
 	Logger *slog.Logger
 }
 
-func (c ServerConfig) withDefaults() ServerConfig {
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
-	}
-	return c
-}
+const (
+	// writeTimeout bounds writing one response, so a stalled client cannot
+	// wedge the shared encoder and starve every other in-flight response on
+	// the connection. Connections carry no idle timeout: the coordinator
+	// keeps them open between batches.
+	writeTimeout = 30 * time.Second
+	// drainTimeout bounds the graceful drain of the ctx-driven Serve.
+	drainTimeout = 10 * time.Second
+	// replPollInterval is the long-poll recheck cadence of opReplPull.
+	replPollInterval = 2 * time.Millisecond
+)
 
 // ServerStats is a snapshot of a site server's lifetime counters, the
 // numbers the cmds print in their one-line shutdown summary.
@@ -62,8 +53,8 @@ type ServerStats struct {
 // new requests stop being read, in-flight requests finish and their
 // responses are written, then connections close.
 type Server struct {
-	site *Site
-	cfg  ServerConfig
+	// site is the served site; SetSite swaps it while connections stay up.
+	site atomic.Pointer[Site]
 	log  *slog.Logger
 
 	// baseCtx parents every request handler; forceCancel fires when a
@@ -92,22 +83,29 @@ type Server struct {
 // NewServer builds a server for one site.
 func NewServer(site *Site, cfg ServerConfig) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
-		site:        site,
-		cfg:         cfg.withDefaults(),
+	s := &Server{
 		log:         obs.LoggerOr(cfg.Logger),
 		baseCtx:     ctx,
 		forceCancel: cancel,
 		listeners:   make(map[net.Listener]struct{}),
 		conns:       make(map[net.Conn]struct{}),
 	}
+	s.site.Store(site)
+	return s
 }
+
+// SetSite swaps the served site: requests read after the call go to site,
+// requests in flight finish on the site they started on, and every
+// connection stays open. A follower re-bootstrap replaces its replica this
+// way instead of changing a live site's partition, which Evaluate reads
+// without a lock.
+func (s *Server) SetSite(site *Site) { s.site.Store(site) }
 
 // SetLogger replaces the server's and its site's logger (nil discards).
 // Call before Serve.
 func (s *Server) SetLogger(l *slog.Logger) {
 	s.log = obs.LoggerOr(l)
-	s.site.SetLogger(l)
+	s.site.Load().SetLogger(l)
 }
 
 // Observe exposes the server's existing lifetime counters as scrape-time
@@ -127,7 +125,7 @@ func (s *Server) Observe(o *obs.Observer) {
 	reg.GaugeFunc("ccp_server_inflight_requests",
 		"Requests currently being served.",
 		func() float64 { return float64(s.inflight.Load()) })
-	s.site.Observe(o)
+	s.site.Load().Observe(o)
 }
 
 // Stats snapshots the server's lifetime counters.
@@ -193,7 +191,7 @@ func (s *Server) StopAccepting() {
 	for l := range s.listeners {
 		l.Close()
 	}
-	s.log.Info("server stopped accepting", "site", s.site.ID(), "conns_open", len(s.conns))
+	s.log.Info("server stopped accepting", "site", s.site.Load().ID(), "conns_open", len(s.conns))
 }
 
 // Shutdown stops the server gracefully: listeners close, blocked request
@@ -202,7 +200,7 @@ func (s *Server) StopAccepting() {
 // exits. If ctx expires first, in-flight handlers are cancelled and the
 // remaining connections force-closed; ctx.Err() is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.log.Info("server shutting down", "site", s.site.ID(), "inflight", s.inflight.Load())
+	s.log.Info("server shutting down", "site", s.site.Load().ID(), "inflight", s.inflight.Load())
 	s.mu.Lock()
 	already := s.shutdown
 	s.shutdown = true
@@ -227,10 +225,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.log.Info("server drained", "site", s.site.ID(), "conns_drained", s.drained.Load())
+		s.log.Info("server drained", "site", s.site.Load().ID(), "conns_drained", s.drained.Load())
 		return nil
 	case <-ctx.Done():
-		s.log.Warn("server drain deadline expired, force-closing", "site", s.site.ID())
+		s.log.Warn("server drain deadline expired, force-closing", "site", s.site.Load().ID())
 		s.forceCancel()
 		s.mu.Lock()
 		for conn := range s.conns {
@@ -244,10 +242,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // serveConn runs one connection: a single reader decodes requests and hands
 // each to its own handler goroutine, so a long evaluation never blocks the
-// requests multiplexed behind it. The loop exits when the peer hangs up,
-// the idle timeout fires, or Shutdown kicks the read deadline — in every
-// case the in-flight handlers are drained (their responses written) before
-// the connection closes.
+// requests multiplexed behind it. The loop exits when the peer hangs up or
+// Shutdown kicks the read deadline — either way the in-flight handlers are
+// drained (their responses written) before the connection closes.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.connWG.Done()
 	s.mu.Lock()
@@ -270,9 +267,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	var encMu sync.Mutex // serializes response writes; gob encoders are not concurrent-safe
 	var reqWG sync.WaitGroup
 	for {
-		if s.cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
 		req := new(request)
 		if err := dec.Decode(req); err != nil {
 			reqWG.Wait() // in-flight responses finish before the conn closes
@@ -300,40 +294,39 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, encMu *sync.Mutex, req 
 	if req.DeadlineNS > 0 {
 		ctx, cancel = context.WithTimeout(ctx, durationNS(req.DeadlineNS))
 	}
-	resp := s.serve(ctx, req)
+	site := s.site.Load()
+	resp := s.serve(ctx, site, req)
 	cancel()
 	resp.ID = req.ID
 
 	encMu.Lock()
-	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	// A write failure is unrecoverable for the whole connection (the gob
 	// stream is positional); closing it fails the client's pending calls and
 	// lets it redial.
 	if err := enc.Encode(resp); err != nil {
 		s.log.Warn("response write failed, closing connection",
-			"site", s.site.ID(), "op", opName(req.Op), "err", err)
+			"site", site.ID(), "op", opName(req.Op), "err", err)
 		conn.Close()
 	}
 	encMu.Unlock()
 }
 
-// serve executes one decoded request against the site.
-func (s *Server) serve(ctx context.Context, req *request) *response {
-	siteID := s.site.ID()
+// serve executes one decoded request against site.
+func (s *Server) serve(ctx context.Context, site *Site, req *request) *response {
+	siteID := site.ID()
 	switch req.Op {
 	case opInfo:
-		// DurableSeq doubles as the site's current epoch, so a routing tier
-		// can refresh its staleness watermark with a plain info round trip.
-		return &response{SiteID: siteID, DurableSeq: s.site.Epoch()}
+		return &response{SiteID: siteID}
 	case opPrecompute:
-		stats, err := s.site.Precompute(ctx)
+		stats, err := site.Precompute(ctx)
 		if err != nil {
 			return errResponse(siteID, err)
 		}
 		return &response{SiteID: siteID, Stats: stats}
 	case opEvaluate:
 		q := control.Query{S: graph.NodeID(req.S), T: graph.NodeID(req.T)}
-		pa, err := s.site.Evaluate(ctx, q, EvalOptions{
+		pa, err := site.Evaluate(ctx, q, EvalOptions{
 			UseCache:     req.UseCache,
 			ForcePartial: req.ForcePartial,
 			IfEpoch:      req.IfEpoch,
@@ -352,38 +345,34 @@ func (s *Server) serve(ctx context.Context, req *request) *response {
 			return errResponse(siteID, err)
 		}
 		return resp
-	case opUpdate:
-		res, err := s.site.ApplyEdgeUpdate(req.Update)
+	case opApply:
+		rec := req.Record
+		rec.Seq = 0
+		res, err := site.Apply(rec)
 		if err != nil {
 			return errResponse(siteID, err)
 		}
 		return &response{SiteID: siteID, UpdateRes: res}
-	case opCrossIn:
-		return &response{SiteID: siteID, Acted: s.site.AdjustCrossIn(graph.NodeID(req.S), req.Delta)}
 	case opReplSnapshot:
-		seq, img, err := s.site.ReplicationSnapshot()
+		seq, img, err := site.ReplicationSnapshot()
 		if err != nil {
 			return errResponse(siteID, err)
 		}
-		return &response{SiteID: siteID, Snapshot: img, SnapSeq: seq, DurableSeq: s.site.LeaderSeq()}
+		return &response{SiteID: siteID, Snapshot: img, SnapSeq: seq, DurableSeq: site.LeaderSeq()}
 	case opReplPull:
-		return s.serveReplPull(ctx, req)
+		return serveReplPull(ctx, site, req)
 	default:
 		return errResponse(siteID, fmt.Errorf("unknown op %d", req.Op))
 	}
 }
-
-// replPollInterval is the long-poll recheck cadence of opReplPull; a
-// variable so tests can tighten it.
-var replPollInterval = 2 * time.Millisecond
 
 // serveReplPull answers one record-pull request. With WaitNS set and no
 // records past FromSeq yet, it long-polls — rechecking the WAL head until
 // records land, the wait budget runs out, or the request is cancelled — so
 // an idle leader costs the follower one outstanding request instead of a
 // tight poll loop over the wire.
-func (s *Server) serveReplPull(ctx context.Context, req *request) *response {
-	siteID := s.site.ID()
+func serveReplPull(ctx context.Context, site *Site, req *request) *response {
+	siteID := site.ID()
 	max := req.MaxRecords
 	if max <= 0 || max > 8192 {
 		max = 8192
@@ -393,10 +382,10 @@ func (s *Server) serveReplPull(ctx context.Context, req *request) *response {
 		deadline = time.Now().Add(durationNS(req.WaitNS))
 	}
 	for {
-		recs, err := s.site.ReadRecords(req.FromSeq, max)
+		recs, err := site.ReadRecords(req.FromSeq, max)
 		var trunc *store.TruncatedError
 		if errors.As(err, &trunc) {
-			return &response{SiteID: siteID, Truncated: true, DurableSeq: s.site.LeaderSeq()}
+			return &response{SiteID: siteID, Truncated: true, DurableSeq: site.LeaderSeq()}
 		}
 		if err != nil {
 			return errResponse(siteID, err)
@@ -405,7 +394,7 @@ func (s *Server) serveReplPull(ctx context.Context, req *request) *response {
 			return &response{
 				SiteID:     siteID,
 				Records:    store.EncodeRecords(nil, recs),
-				DurableSeq: s.site.LeaderSeq(),
+				DurableSeq: site.LeaderSeq(),
 			}
 		}
 		select {
@@ -417,10 +406,9 @@ func (s *Server) serveReplPull(ctx context.Context, req *request) *response {
 }
 
 // Serve serves site on l until ctx is cancelled, then shuts down gracefully
-// (bounded by ServerConfig's default DrainTimeout) and returns nil. A
-// listener error surfaces as a non-nil error. It is the one-call server used
-// by ServeSite and the tests; cmds that want the shutdown summary build a
-// Server themselves.
+// (bounded by drainTimeout) and returns nil. A listener error surfaces as a
+// non-nil error. It is the one-call server used by ServeSite and the tests;
+// cmds that want the shutdown summary build a Server themselves.
 func Serve(ctx context.Context, l net.Listener, site *Site) error {
 	srv := NewServer(site, ServerConfig{})
 	watcherDone := make(chan struct{})
@@ -429,7 +417,7 @@ func Serve(ctx context.Context, l net.Listener, site *Site) error {
 		defer close(watcherDone)
 		select {
 		case <-ctx.Done():
-			sctx, cancel := context.WithTimeout(context.Background(), srv.cfg.DrainTimeout)
+			sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 			defer cancel()
 			srv.Shutdown(sctx)
 		case <-serveDone:

@@ -112,8 +112,7 @@ type Site struct {
 	// is the WAL sequence number — a version that survives restarts.
 	store *store.Store
 
-	// readOnly marks a follower replica: state changes arrive only through
-	// ApplyReplicated, and the direct mutation paths are refused so a
+	// readOnly marks a follower replica: Apply refuses new writes, so a
 	// misrouted write cannot fork the replica from its leader.
 	readOnly atomic.Bool
 
@@ -241,10 +240,10 @@ func NewSite(p *partition.Partition, workers int) *Site {
 
 // OpenDurableSite builds a site backed by the durable store in dir:
 // recovery loads the newest valid checkpoint and replays the WAL tail
-// through the normal mutation path, then the site starts logging every
-// effective update and checkpointing in the background. On a fresh (or
-// empty) directory the partition comes from seed — typically the
-// partition file the deployment was provisioned with.
+// through Apply, the path live writes take; then the site logs every
+// effective update and checkpoints in the background. On a fresh (or empty)
+// directory the partition comes from seed — typically the partition file
+// the deployment was provisioned with.
 //
 // After recovery the site's epoch is the durable WAL sequence number it had
 // before the restart, so coordinator caches versioned by epoch vectors
@@ -263,26 +262,22 @@ func OpenDurableSite(dir string, seed func() (*partition.Partition, error), work
 	}
 	s := NewSite(p, workers)
 	s.store = st
-	// The epoch is the sequence number of the last record that changed
-	// observable state — exactly what the live site would have had.
-	// Reference-count-only records (and an image that includes them) may
-	// push it past the pre-crash value; that only costs one spurious cache
-	// refetch, it can never alias two different states to one number.
-	epoch := ckptSeq
-	if err := st.Replay(func(rec store.Record) error {
-		changed, err := s.applyRecord(rec)
-		if err != nil {
-			return err
-		}
-		if changed {
-			epoch = rec.Seq
-		}
-		return nil
-	}); err != nil {
+	// The epoch starts at the image's sequence number and moves with every
+	// replayed record that changes observable state, exactly as it moved on
+	// the live site. An image that covers trailing count-only ticks may put
+	// it a few numbers past the pre-crash value; that costs one spurious
+	// cache refetch and can never alias two different states to one number.
+	replay := func(rec store.Record) error {
+		_, err := s.Apply(rec)
+		return err
+	}
+	if ckptSeq > 0 {
+		_ = replay(store.Record{Kind: store.KindMark, Seq: ckptSeq}) // a replayed mark cannot be refused
+	}
+	if err := st.Replay(replay); err != nil {
 		st.Close()
 		return nil, fmt.Errorf("dist: site %d replaying wal: %w", p.ID, err)
 	}
-	s.epoch.Store(epoch)
 	st.Start(func() (uint64, *partition.Partition) {
 		// The image must cover every record applied so far — including
 		// count-only ticks past the epoch — or replay would double-apply
@@ -294,57 +289,13 @@ func OpenDurableSite(dir string, seed func() (*partition.Partition, error), work
 	return s, nil
 }
 
-// applyRecord replays one WAL record through the same partition mutations
-// the live update path uses, reporting whether observable state changed.
-// Called during recovery, before the site serves.
-func (s *Site) applyRecord(rec store.Record) (bool, error) {
-	switch rec.Kind {
-	case store.KindStake:
-		res, err := s.part.ApplyStake(graph.NodeID(rec.Owner), graph.NodeID(rec.Owned), rec.Weight, rec.Remove)
-		if err != nil {
-			return false, err
-		}
-		return res.Changed, nil
-	case store.KindCrossIn:
-		_, changed := s.part.AdjustCrossIn(graph.NodeID(rec.Owned), int(rec.Delta))
-		return changed, nil
-	case store.KindMark:
-		return true, nil
-	}
-	return false, fmt.Errorf("dist: unknown wal record kind %d", rec.Kind)
-}
-
-// SetReadOnly marks the site as a follower replica: ApplyEdgeUpdate and
-// AdjustCrossIn are refused (writes belong on the leader), and state changes
-// arrive only through ApplyReplicated.
+// SetReadOnly marks the site as a follower replica: Apply refuses new writes
+// (they belong on the leader), and state changes arrive only as records
+// replicated with their leader-assigned sequence numbers.
 func (s *Site) SetReadOnly(v bool) { s.readOnly.Store(v) }
 
 // ReadOnly reports whether the site refuses direct writes.
 func (s *Site) ReadOnly() bool { return s.readOnly.Load() }
-
-// ApplyReplicated applies one WAL record shipped from this site's leader,
-// through the same mutation path recovery replay uses. Records must arrive
-// in sequence order. The epoch moves to the record's sequence number exactly
-// when observable state changed — reproducing the leader's epoch assignment
-// bit for bit, which is what makes follower answers interchangeable with the
-// leader's (same fragment, same version number).
-func (s *Site) ApplyReplicated(rec store.Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	changed, err := s.applyRecord(rec)
-	if err != nil {
-		return fmt.Errorf("dist: site %d applying replicated record %d: %w", s.part.ID, rec.Seq, err)
-	}
-	if changed {
-		s.cache = nil
-		s.epoch.Store(rec.Seq)
-	}
-	return nil
-}
-
-// SeedEpoch initializes the site's epoch from a replication bootstrap image
-// covering seq. Call once, before the site serves.
-func (s *Site) SeedEpoch(seq uint64) { s.epoch.Store(seq) }
 
 // ReplicationSnapshot captures a consistent bootstrap image for a follower:
 // the partition serialized in CCPP1 format, plus the WAL sequence number it
@@ -445,26 +396,6 @@ func (s *Site) Members() int { return len(s.part.Members) }
 
 // HoldsMember reports whether v is stored at this site (not just virtual).
 func (s *Site) HoldsMember(v graph.NodeID) bool { return s.part.Members.Has(v) }
-
-// Invalidate marks the site's data as changed, dropping the cached
-// query-independent reduction. The evaluation snapshot is replaced lazily —
-// the next evaluation sees the epoch moved and rebuilds. With a store
-// attached the bump burns a real WAL sequence number (a mark record):
-// epochs must stay unique per observable state across restarts, and a
-// counter bump that is not in the log would be forgotten by recovery.
-func (s *Site) Invalidate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cache = nil
-	if s.store != nil {
-		if seq, err := s.store.Mark(); err == nil {
-			s.epoch.Store(seq)
-			return
-		}
-		s.ev.Log().Warn("invalidation mark not durable", "site", s.part.ID)
-	}
-	s.epoch.Add(1)
-}
 
 // Precompute builds (or refreshes) the query-independent reduction: the
 // partition reduced with only the boundary nodes excluded. This is the

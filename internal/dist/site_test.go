@@ -8,6 +8,7 @@ import (
 	"ccp/internal/gen"
 	"ccp/internal/graph"
 	"ccp/internal/partition"
+	"ccp/internal/store"
 )
 
 func TestSiteAccessors(t *testing.T) {
@@ -71,8 +72,10 @@ func TestPrecomputeIsIdempotentAndEpochAware(t *testing.T) {
 	if !pa2.NotModified || pa2.Reduced != nil {
 		t.Fatalf("partial = %+v", pa2)
 	}
-	// Invalidation bumps the epoch; the conditional fetch ships again.
-	s.Invalidate()
+	// Invalidation (a mark) bumps the epoch; the conditional fetch ships again.
+	if _, err := s.Apply(store.Record{Kind: store.KindMark}); err != nil {
+		t.Fatal(err)
+	}
 	pa3, err := s.Evaluate(context.Background(), control.Query{S: 900, T: 950},
 		EvalOptions{UseCache: true, HasIfEpoch: true, IfEpoch: epoch1})
 	if err != nil {

@@ -147,6 +147,9 @@ func TestApplyUpdateErrors(t *testing.T) {
 	if err := coord.ApplyUpdate(context.Background(), StakeUpdate{Owner: 0, Owned: 0, Weight: 0.2}); err == nil {
 		t.Fatal("self stake accepted")
 	}
+	if err := coord.ApplyUpdate(context.Background(), StakeUpdate{Owner: 0, Owned: -1, Weight: 0.2}); err == nil {
+		t.Fatal("negative company id accepted")
+	}
 }
 
 func TestUpdatesOverTCP(t *testing.T) {

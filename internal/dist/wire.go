@@ -11,6 +11,7 @@ import (
 	"ccp/internal/control"
 	"ccp/internal/graph"
 	"ccp/internal/obs/flight"
+	"ccp/internal/store"
 )
 
 func durationNS(ns int64) time.Duration { return time.Duration(ns) }
@@ -29,8 +30,8 @@ const (
 	opEvaluate op = iota + 1
 	opPrecompute
 	opInfo
-	opUpdate
-	opCrossIn
+	// opApply carries one store.Record to the site's one write path.
+	opApply
 	// opReplSnapshot fetches a consistent (seq, partition image) pair for
 	// follower bootstrap; opReplPull fetches a batch of WAL records past a
 	// sequence number. Both are served only by sites with a durable store.
@@ -47,10 +48,8 @@ func opName(o op) string {
 		return "precompute"
 	case opInfo:
 		return "info"
-	case opUpdate:
-		return "update"
-	case opCrossIn:
-		return "cross-in"
+	case opApply:
+		return "apply"
 	case opReplSnapshot:
 		return "repl-snapshot"
 	case opReplPull:
@@ -84,9 +83,9 @@ type request struct {
 	// send those events back in the response.
 	QueryID uint64
 	Trace   bool
-	// opUpdate / opCrossIn payloads.
-	Update StakeUpdate
-	Delta  int
+	// opApply payload. The server clears its Seq, so a write from the wire
+	// can never pose as a replicated one.
+	Record store.Record
 	// opReplPull payload: return up to MaxRecords WAL records with sequence
 	// numbers strictly greater than FromSeq. WaitNS > 0 asks the site to
 	// long-poll that long for new records before answering empty.
@@ -115,9 +114,8 @@ type response struct {
 	Stats     control.Stats
 	ElapsedNS int64
 	FromCache bool
-	// UpdateRes and Acted answer opUpdate and opCrossIn.
+	// UpdateRes answers opApply.
 	UpdateRes UpdateResult
-	Acted     bool
 	// Epoch and NotModified support the coordinator-side cache.
 	Epoch       uint64
 	NotModified bool
@@ -253,32 +251,17 @@ func (c *LocalClient) Evaluate(ctx context.Context, q control.Query, opts EvalOp
 	return pa, n, nil
 }
 
-// Update implements SiteClient.
-func (c *LocalClient) Update(ctx context.Context, up StakeUpdate) (UpdateResult, error) {
+// Apply implements SiteClient: rec is offered as a new write, whatever its
+// Seq.
+func (c *LocalClient) Apply(ctx context.Context, rec store.Record) (UpdateResult, error) {
 	if err := ctx.Err(); err != nil {
-		return UpdateResult{}, ctxError(c.Site.ID(), "update", err)
+		return UpdateResult{}, ctxError(c.Site.ID(), "apply", err)
 	}
-	return c.Site.ApplyEdgeUpdate(up)
-}
-
-// AdjustCrossIn implements SiteClient.
-func (c *LocalClient) AdjustCrossIn(ctx context.Context, v graph.NodeID, delta int) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, ctxError(c.Site.ID(), "cross-in", err)
-	}
-	return c.Site.AdjustCrossIn(v, delta), nil
+	rec.Seq = 0
+	return c.Site.Apply(rec)
 }
 
 // Health implements HealthReporter: an in-process site is always reachable.
 func (c *LocalClient) Health() SiteHealth {
 	return SiteHealth{SiteID: c.Site.ID(), Connected: true}
-}
-
-// Epoch returns the site's current data epoch — the in-process counterpart
-// of RemoteClient.Epoch, so routing tiers can treat both uniformly.
-func (c *LocalClient) Epoch(ctx context.Context) (uint64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, ctxError(c.Site.ID(), "info", err)
-	}
-	return c.Site.Epoch(), nil
 }

@@ -110,7 +110,7 @@ func TestRemoteSiteErrorPropagates(t *testing.T) {
 	}
 	defer c.Close()
 	// A self stake is rejected at the site; the error must travel back.
-	if _, err := c.Update(context.Background(), StakeUpdate{Owner: 0, Owned: 0, Weight: 0.2}); err == nil {
+	if _, err := c.Apply(context.Background(), StakeUpdate{Owner: 0, Owned: 0, Weight: 0.2}.record()); err == nil {
 		t.Fatal("remote site error lost")
 	}
 	// The client survives and can still evaluate.

@@ -161,7 +161,8 @@ func TestFollowerBootstrapRacesLiveAppends(t *testing.T) {
 // commits a burst the follower never sees, and checkpoints so the WAL
 // records the follower needs are deleted. When the leader comes back, the
 // follower's pull must come back "truncated" and trigger a fresh snapshot
-// bootstrap — converging again instead of erroring out.
+// bootstrap — converging again instead of erroring out, and without cutting
+// the connections of the clients reading from it.
 func TestLeaderTruncationForcesRebootstrap(t *testing.T) {
 	const nodes = 400
 	tc := newCluster(t, nodes, 17, manualCheckpoint)
@@ -175,6 +176,7 @@ func TestLeaderTruncationForcesRebootstrap(t *testing.T) {
 	}
 	ob := obs.NewObserver(obs.ObserverConfig{})
 	f, err := fleet.StartFollower(ctx, tc.addr, fleet.FollowerConfig{
+		Listen:        "127.0.0.1:0",
 		Observer:      ob,
 		PullWait:      10 * time.Millisecond,
 		RetryInterval: 5 * time.Millisecond,
@@ -184,6 +186,21 @@ func TestLeaderTruncationForcesRebootstrap(t *testing.T) {
 	}
 	defer f.Close()
 	waitConverged(t, f, tc.leader.LeaderSeq())
+	reader, err := dist.Dial(ctx, f.Addr())
+	if err != nil {
+		t.Fatalf("dialing follower: %v", err)
+	}
+	defer reader.Close()
+	read := func() uint64 {
+		t.Helper()
+		pa, _, err := reader.Evaluate(ctx, control.Query{S: 1, T: 2}, dist.EvalOptions{ForcePartial: true})
+		if err != nil {
+			t.Fatalf("reading from the follower: %v", err)
+		}
+		pa.Release()
+		return pa.Epoch
+	}
+	read()
 
 	// Leader outage: the server goes away, the site and its WAL live on.
 	sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
@@ -227,6 +244,14 @@ func TestLeaderTruncationForcesRebootstrap(t *testing.T) {
 	if n := counterWith(ob, "ccp_fleet_bootstraps_total", ""); n < 2 {
 		t.Fatalf("expected a second (truncation-forced) bootstrap, counted %v", n)
 	}
+	// The re-bootstrap swapped the replica behind the same server: the
+	// reader's connection carries on and sees the new replica.
+	if e := read(); e != tc.leader.Epoch() {
+		t.Fatalf("reader saw epoch %d after re-bootstrap, leader is at %d", e, tc.leader.Epoch())
+	}
+	if h := reader.Health(); h.Redials != 0 {
+		t.Fatalf("reader redialed %d times across the re-bootstrap, want 0", h.Redials)
+	}
 }
 
 // TestStaleFollowerReadFallsBackToLeader freezes a replica at a pre-write
@@ -248,11 +273,20 @@ func TestStaleFollowerReadFallsBackToLeader(t *testing.T) {
 	}
 	defer leader.CloseStore()
 
-	// A replica frozen before the write: same image, same epoch seed, no
-	// replication loop to catch it up.
+	// A replica frozen before the write: same image, same epoch, no
+	// replication loop to catch it up. A replicated mark at the leader's
+	// epoch moves the replica's epoch there.
 	replica := dist.NewSite(pi.Parts[0].Snapshot(), 2)
-	replica.SeedEpoch(leader.Epoch())
 	replica.SetReadOnly(true)
+	seedEpoch := func() {
+		t.Helper()
+		if e := leader.Epoch(); e > 0 {
+			if _, err := replica.Apply(store.Record{Kind: store.KindMark, Seq: e}); err != nil {
+				t.Fatalf("seeding the replica epoch: %v", err)
+			}
+		}
+	}
+	seedEpoch()
 
 	ob := obs.NewObserver(obs.ObserverConfig{})
 	rs := fleet.NewReplicaSet(
@@ -261,7 +295,7 @@ func TestStaleFollowerReadFallsBackToLeader(t *testing.T) {
 		fleet.ReplicaSetConfig{Observer: ob})
 
 	ctx := context.Background()
-	res, err := rs.Update(ctx, dist.StakeUpdate{Owner: 1, Owned: 2, Weight: 0.4})
+	res, err := rs.Apply(ctx, store.Record{Kind: store.KindStake, Owner: 1, Owned: 2, Weight: 0.4})
 	if err != nil || !res.Stored || res.Seq == 0 {
 		t.Fatalf("write through the set did not commit durably: %+v, %v", res, err)
 	}
@@ -287,7 +321,7 @@ func TestStaleFollowerReadFallsBackToLeader(t *testing.T) {
 
 	// Once the replica's epoch catches up to the watermark, reads return to
 	// it — staleness routing is per-answer, not a permanent demotion.
-	replica.SeedEpoch(leader.Epoch())
+	seedEpoch()
 	pa, _, err = rs.Evaluate(ctx, control.Query{S: 1, T: 2}, dist.EvalOptions{ForcePartial: true})
 	if err != nil {
 		t.Fatalf("read after catch-up: %v", err)

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,6 +14,7 @@ import (
 	"ccp/internal/obs"
 	"ccp/internal/obs/flight"
 	"ccp/internal/partition"
+	"ccp/internal/store"
 )
 
 // FollowerConfig tunes a follower replica. The zero value selects the
@@ -56,7 +56,7 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 // Follower is a read replica of one durable leader site: it bootstraps from
 // the leader's consistent snapshot image, then tails the leader's WAL over
 // the normal site transport (long-polled pulls), applying each record
-// through the same mutation path recovery replay uses — so its epoch tracks
+// through Site.Apply — the path recovery replay takes — so its epoch tracks
 // the leader's exactly. When the leader's checkpointing truncates records
 // the follower still needs, it falls back to a fresh snapshot bootstrap
 // instead of erroring. With Listen set it serves the read half of the site
@@ -66,20 +66,15 @@ type Follower struct {
 	leader *dist.RemoteClient
 	addr   string // resolved serving address, "" when not serving
 
-	// site is the current replica site; re-bootstrap replaces it (and the
-	// server wrapping it) wholesale, which is what makes the swap safe: the
-	// old site keeps serving its in-flight evaluations untouched.
+	// site is the current replica site. A re-bootstrap builds a new one and
+	// swaps it behind srv, the follower's one read server: evaluations in
+	// flight on the old site finish untouched, and no connection is cut.
 	site atomic.Pointer[dist.Site]
+	srv  *dist.Server
 
 	applied   atomic.Uint64 // last WAL seq applied (or covered by bootstrap)
 	leaderSeq atomic.Uint64 // leader's head seq at the last exchange
 	boots     atomic.Uint64 // lifetime bootstraps (initial + truncation-forced)
-
-	mu  sync.Mutex
-	srv *dist.Server
-	// servedBase carries the request totals of retired server generations,
-	// so the exported counter survives re-bootstrap server swaps.
-	servedBase int64
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -115,6 +110,7 @@ func StartFollower(ctx context.Context, leaderAddr string, cfg FollowerConfig) (
 		leader.Close()
 		return nil, err
 	}
+	f.srv = dist.NewServer(f.site.Load(), dist.ServerConfig{Logger: cfg.Logger})
 	if reg != nil {
 		reg.GaugeFunc("ccp_fleet_applied_seq",
 			"Last leader WAL sequence number applied on this follower.",
@@ -131,12 +127,9 @@ func StartFollower(ctx context.Context, leaderAddr string, cfg FollowerConfig) (
 		reg.GaugeFunc("ccp_fleet_epoch",
 			"The follower site's data epoch (tracks the leader's under replication).",
 			func() float64 { return float64(f.site.Load().Epoch()) }, l)
-		// The follower cannot use Server.Observe (register-once, but the
-		// server is replaced on every re-bootstrap); this counter folds all
-		// server generations together instead.
 		reg.CounterFunc("ccp_server_requests_total",
 			"Requests served by the follower's read server (all ops, across re-bootstraps).",
-			f.servedTotal)
+			func() float64 { return float64(f.srv.Stats().Requests) })
 	}
 	if cfg.Listen != "" {
 		ln, err := net.Listen("tcp", cfg.Listen)
@@ -144,10 +137,12 @@ func StartFollower(ctx context.Context, leaderAddr string, cfg FollowerConfig) (
 			leader.Close()
 			return nil, fmt.Errorf("fleet: follower cannot bind %s: %w", cfg.Listen, err)
 		}
-		// Pin the resolved address so a re-bootstrap restart reclaims the
-		// same port (":0" must not wander).
 		f.addr = ln.Addr().String()
-		f.serveOn(ln, f.site.Load())
+		go func() {
+			if err := f.srv.Serve(ln); err != nil {
+				f.ev.Log().Warn("follower serve stopped", "err", err)
+			}
+		}()
 	}
 	rctx, cancel := context.WithCancel(context.Background())
 	f.cancel = cancel
@@ -168,8 +163,14 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	}
 	site := dist.NewSite(p, f.cfg.Workers)
 	site.SetLogger(f.cfg.Logger)
-	site.SeedEpoch(snapSeq)
 	site.SetReadOnly(true)
+	if snapSeq > 0 {
+		// The image covers snapSeq: a mark replicated at that seq starts the
+		// replica's epoch there.
+		if _, err := site.Apply(store.Record{Kind: store.KindMark, Seq: snapSeq}); err != nil {
+			return fmt.Errorf("fleet: seeding the bootstrap epoch: %w", err)
+		}
+	}
 	f.site.Store(site)
 	f.applied.Store(snapSeq)
 	f.leaderSeq.Store(leaderSeq)
@@ -178,47 +179,13 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	return nil
 }
 
-// serveOn starts (or restarts) the follower's read server for site on ln,
-// replacing any previous server. The old server, if any, is shut down first
-// — it drains its in-flight evaluations against the old site.
-func (f *Follower) serveOn(ln net.Listener, site *dist.Site) {
-	srv := dist.NewServer(site, dist.ServerConfig{Logger: f.cfg.Logger})
-	f.mu.Lock()
-	if f.srv != nil {
-		f.servedBase += f.srv.Stats().Requests
-	}
-	f.srv = srv
-	f.mu.Unlock()
-	go func() {
-		if err := srv.Serve(ln); err != nil {
-			f.ev.Log().Warn("follower serve stopped", "err", err)
-		}
-	}()
-}
-
 // rebootstrap replaces the replica with a fresh snapshot of the leader —
-// the truncation fallback. When serving, the old server is drained and a
-// new one takes over the same address, so the outage window is one listen
-// round-trip; routing health covers the gap.
+// the truncation fallback — and swaps it behind the read server.
 func (f *Follower) rebootstrap(ctx context.Context) error {
-	f.mu.Lock()
-	old := f.srv
-	f.mu.Unlock()
-	if old != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		old.Shutdown(sctx)
-		cancel()
-	}
 	if err := f.bootstrap(ctx); err != nil {
 		return err
 	}
-	if f.addr != "" {
-		ln, err := net.Listen("tcp", f.addr)
-		if err != nil {
-			return fmt.Errorf("fleet: follower cannot rebind %s: %w", f.addr, err)
-		}
-		f.serveOn(ln, f.site.Load())
-	}
+	f.srv.SetSite(f.site.Load())
 	return nil
 }
 
@@ -259,7 +226,7 @@ func (f *Follower) run(ctx context.Context) {
 		site := f.site.Load()
 		bad := false
 		for _, rec := range recs {
-			if err := site.ApplyReplicated(rec); err != nil {
+			if _, err := site.Apply(rec); err != nil {
 				// A record the replica cannot apply means it diverged from
 				// the leader (or the image raced something it should not
 				// have); a fresh bootstrap is the safe recovery.
@@ -278,17 +245,6 @@ func (f *Follower) run(ctx context.Context) {
 		}
 		f.ev.Emit(flight.ReplApply, siteID, 0, int64(f.applied.Load()), int64(len(recs)))
 	}
-}
-
-// servedTotal sums requests served across every server generation.
-func (f *Follower) servedTotal() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	n := f.servedBase
-	if f.srv != nil {
-		n += f.srv.Stats().Requests
-	}
-	return float64(n)
 }
 
 // sleepCtx pauses for d, reporting false if ctx ended first.
@@ -342,13 +298,8 @@ func (f *Follower) WaitForSeq(ctx context.Context, seq uint64) error {
 func (f *Follower) Close() error {
 	f.cancel()
 	<-f.done
-	f.mu.Lock()
-	srv := f.srv
-	f.mu.Unlock()
-	if srv != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(sctx)
-	}
+	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	f.srv.Shutdown(sctx)
 	return f.leader.Close()
 }

@@ -12,6 +12,7 @@ import (
 	"ccp/internal/dist"
 	"ccp/internal/gen"
 	"ccp/internal/partition"
+	"ccp/internal/store"
 )
 
 func TestGateAccountingProbeBalances(t *testing.T) {
@@ -108,7 +109,9 @@ func TestDivergenceProbeEpochAheadOfApplied(t *testing.T) {
 	f := testFollower(t)
 	f.applied.Store(50)
 	f.leaderSeq.Store(100)
-	f.site.Load().SeedEpoch(80)
+	if _, err := f.site.Load().Apply(store.Record{Kind: store.KindMark, Seq: 80}); err != nil {
+		t.Fatal(err)
+	}
 	r := f.DivergenceProbe(0).Check()
 	if r.OK || !strings.Contains(r.Detail, "epoch 80 ahead of applied seq 50") {
 		t.Fatalf("got %+v, want epoch-ahead violation", r)

@@ -8,9 +8,9 @@ import (
 
 	"ccp/internal/control"
 	"ccp/internal/dist"
-	"ccp/internal/graph"
 	"ccp/internal/obs"
 	"ccp/internal/obs/flight"
+	"ccp/internal/store"
 )
 
 // ReplicaSetConfig tunes one site's replica-aware routing.
@@ -29,13 +29,6 @@ type replicaSetMetrics struct {
 	leaderReads   *obs.Counter
 	followerReads *obs.Counter
 	fallbacks     *obs.Counter
-}
-
-// epochFetcher is the optional client capability the set uses to refresh
-// its write watermark after a cross-in adjustment (whose response carries
-// no sequence number). Both RemoteClient and LocalClient implement it.
-type epochFetcher interface {
-	Epoch(ctx context.Context) (uint64, error)
 }
 
 // ReplicaSet is one site's replica-aware client: a leader plus any number
@@ -183,30 +176,14 @@ func (r *ReplicaSet) raiseFloor(seq uint64) {
 	}
 }
 
-// Update implements dist.SiteClient: writes go to the leader only, and a
-// committed change raises the staleness watermark to its sequence number.
-func (r *ReplicaSet) Update(ctx context.Context, up dist.StakeUpdate) (dist.UpdateResult, error) {
-	res, err := r.leader.Update(ctx, up)
-	if err == nil && res.Stored && res.Seq > 0 {
+// Apply implements dist.SiteClient: writes go to the leader only, and a
+// write that moved the leader's epoch raises the staleness watermark to it.
+func (r *ReplicaSet) Apply(ctx context.Context, rec store.Record) (dist.UpdateResult, error) {
+	res, err := r.leader.Apply(ctx, rec)
+	if err == nil && res.Seq > 0 {
 		r.raiseFloor(res.Seq)
 	}
 	return res, err
-}
-
-// AdjustCrossIn implements dist.SiteClient: leader-only, like Update. The
-// response carries no sequence number, so an effective adjustment refreshes
-// the watermark with an epoch probe (best-effort — a failed probe only
-// delays staleness detection until the next write).
-func (r *ReplicaSet) AdjustCrossIn(ctx context.Context, v graph.NodeID, delta int) (bool, error) {
-	acted, err := r.leader.AdjustCrossIn(ctx, v, delta)
-	if err == nil && acted {
-		if ef, ok := r.leader.(epochFetcher); ok {
-			if seq, perr := ef.Epoch(ctx); perr == nil {
-				r.raiseFloor(seq)
-			}
-		}
-	}
-	return acted, err
 }
 
 // Health implements dist.HealthReporter with the leader's health — the

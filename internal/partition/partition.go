@@ -46,23 +46,6 @@ func (p *Partition) AddCrossIn(v graph.NodeID) {
 	p.InNodes.Add(v)
 }
 
-// DropCrossIn removes one foreign cross-edge reference from v, removing v
-// from the in-nodes when none remain. It reports whether a reference
-// existed.
-func (p *Partition) DropCrossIn(v graph.NodeID) bool {
-	c, ok := p.CrossIn[v]
-	if !ok {
-		return false
-	}
-	if c <= 1 {
-		delete(p.CrossIn, v)
-		delete(p.InNodes, v)
-	} else {
-		p.CrossIn[v] = c - 1
-	}
-	return true
-}
-
 // StakeResult reports what ApplyStake did to the partition.
 type StakeResult struct {
 	// Stored is true iff this partition holds the owner — the update's home.
@@ -139,10 +122,17 @@ func (p *Partition) AdjustCrossIn(v graph.NodeID, delta int) (acted, changed boo
 		p.AddCrossIn(v)
 		return true, changed
 	case delta < 0:
-		if !p.DropCrossIn(v) {
+		c, ok := p.CrossIn[v]
+		if !ok {
 			return false, false
 		}
-		return true, !p.InNodes.Has(v)
+		if c > 1 {
+			p.CrossIn[v] = c - 1
+			return true, false
+		}
+		delete(p.CrossIn, v)
+		delete(p.InNodes, v)
+		return true, true
 	default:
 		return false, false
 	}

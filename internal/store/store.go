@@ -188,13 +188,6 @@ func (s *Store) Append(rec Record) (uint64, error) {
 	return seq, nil
 }
 
-// Mark burns one sequence number without recording a state change. Sites
-// append it on forced invalidations so that epoch numbers (== sequence
-// numbers) stay unique per observable state across restarts.
-func (s *Store) Mark() (uint64, error) {
-	return s.Append(Record{Kind: KindMark})
-}
-
 // DurableSeq returns the last sequence number known to be on stable
 // storage.
 func (s *Store) DurableSeq() uint64 { return s.wal.synced.Load() }

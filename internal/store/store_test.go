@@ -400,8 +400,8 @@ func TestMarkBurnsSequence(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer s.Close()
-	if seq, err := s.Mark(); err != nil || seq != 1 {
-		t.Fatalf("Mark = (%d, %v), want (1, nil)", seq, err)
+	if seq, err := s.Append(Record{Kind: KindMark}); err != nil || seq != 1 {
+		t.Fatalf("Append(mark) = (%d, %v), want (1, nil)", seq, err)
 	}
 	if seq, err := s.Append(Record{Kind: KindStake, Owner: 0, Owned: 2, Weight: 0.1}); err != nil || seq != 2 {
 		t.Fatalf("Append = (%d, %v), want (2, nil)", seq, err)
@@ -415,8 +415,8 @@ func TestOpenRejectsWALGap(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := s.Mark(); err != nil {
-			t.Fatalf("Mark: %v", err)
+		if _, err := s.Append(Record{Kind: KindMark}); err != nil {
+			t.Fatalf("Append(mark): %v", err)
 		}
 	}
 	if err := s.Close(); err != nil {

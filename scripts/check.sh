@@ -4,9 +4,10 @@
 # Runs formatting, vet, build, the full test suite (shuffled, with an
 # explicit timeout so a hung transport test fails fast instead of stalling
 # CI), and the race detector over the packages that do parallel graph
-# surgery or concurrent transport work, then the benchmark module's own
-# vet/tests and a quick, answers-only benchmark run. CI and pre-commit hooks
-# should call exactly this script; if it passes, the change is shippable.
+# surgery or concurrent transport work, short fuzz runs over the write path
+# and the WAL record decoder, then the benchmark module's own vet/tests and
+# a quick, answers-only benchmark run. CI and pre-commit hooks should call
+# exactly this script; if it passes, the change is shippable.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -44,6 +45,12 @@ go test -race -shuffle=on -timeout 10m \
     ./internal/fleet/... \
     ./internal/store/... \
     ./internal/obs/...
+
+# The WAL record decoder a follower runs on every pull, and the one write
+# path its records feed: 15 s of new inputs each, on two fuzz workers.
+echo "== go test -fuzz (write path + WAL record decoder) =="
+go test -run '^$' -fuzz '^FuzzApply$' -fuzztime 15s -parallel 2 ./internal/dist
+go test -run '^$' -fuzz '^FuzzDecodeRecords$' -fuzztime 15s -parallel 2 ./internal/store
 
 # The benchmark is its own module (replace ccp => ../), so ./... above never
 # sees it. -quick -selfcheck runs all four workloads (TCP and durable
