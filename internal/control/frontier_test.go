@@ -194,9 +194,8 @@ func TestReducerReuseAcrossQueries(t *testing.T) {
 
 // TestInlineReduceAllocs pins the inline path — a reused Reducer with one
 // worker and no Meter, the configuration every benchmark site runs — on the
-// 3000-round R3 cascade of BenchmarkReductionRounds: steady-state rounds
-// allocate nothing, and a whole Reduce allocates once (markAll's parallel-for
-// closure).
+// 3000-round R3 cascade of BenchmarkReductionRounds: a whole Reduce,
+// every round included, allocates nothing.
 func TestInlineReduceAllocs(t *testing.T) {
 	const k = 3000
 	g := deepChain(t, k)
@@ -217,7 +216,7 @@ func TestInlineReduceAllocs(t *testing.T) {
 			t.Fatalf("cascade: %d rounds, err %v", res.Phase2Rounds, err)
 		}
 	})
-	if allocs > 1 {
-		t.Fatalf("inline Reduce of the %d-round cascade allocates %v times, want <= 1", k, allocs)
+	if allocs != 0 {
+		t.Fatalf("inline Reduce of the %d-round cascade allocates %v times, want 0", k, allocs)
 	}
 }

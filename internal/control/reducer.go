@@ -193,20 +193,16 @@ func (r *Reducer) Reduce(ctx context.Context, g *graph.Graph, q Query, x graph.N
 }
 
 // markAll classifies every node (round 1) and rebuilds the candidate lists
-// and tallies from scratch.
+// and tallies from scratch. A single block is classified by a direct call:
+// a closure handed to par.For escapes to the heap, an allocation per Reduce.
 func (r *Reducer) markAll(g *graph.Graph, m *par.Meter, workers int) {
 	n := r.n
-	labels, excluded := r.labels, r.excluded
-	par.For(m, n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := graph.NodeID(i)
-			if !g.Alive(v) {
-				labels[i] = graph.C1
-				continue
-			}
-			labels[i] = g.ClassOf(v, excluded[i])
-		}
-	})
+	if m == nil && par.Blocks(n, workers) <= 1 {
+		r.classify(g, 0, n)
+	} else {
+		par.For(m, n, workers, func(lo, hi int) { r.classify(g, lo, hi) })
+	}
+	labels := r.labels
 	r.c12, r.c3 = r.c12[:0], r.c3[:0]
 	r.c12n, r.c3n = 0, 0
 	for i := 0; i < n; i++ {
@@ -222,6 +218,18 @@ func (r *Reducer) markAll(g *graph.Graph, m *par.Meter, workers int) {
 			r.c3n++
 			r.c3 = append(r.c3, v)
 		}
+	}
+}
+
+// classify labels the nodes with ids in [lo, hi); dead nodes read as C1.
+func (r *Reducer) classify(g *graph.Graph, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		v := graph.NodeID(i)
+		if !g.Alive(v) {
+			r.labels[i] = graph.C1
+			continue
+		}
+		r.labels[i] = g.ClassOf(v, r.excluded[i])
 	}
 }
 

@@ -116,8 +116,12 @@ type Site struct {
 	// misrouted write cannot fork the replica from its leader.
 	readOnly atomic.Bool
 
-	// scratch pools per-evaluation graph copies; exclusions pools the
-	// per-query exclusion sets. Both reach zero steady-state allocations.
+	// scratch pools the graphs live evaluations and Precompute copy the
+	// epoch snapshot into and reduce; exclusions pools the per-query
+	// exclusion sets. Both reach zero steady-state allocations: reduction
+	// clears a scratch graph's tables instead of dropping them, so the next
+	// CloneInto reuses every one. A scratch graph is never published as
+	// long-lived state (the cache is a compact Clone of one).
 	scratch    sync.Pool
 	exclusions sync.Pool
 
@@ -412,24 +416,28 @@ func (s *Site) Precompute(ctx context.Context) (control.Stats, error) {
 	}
 	s.mu.Unlock()
 
-	// Build from the epoch snapshot: the clone is private (the cache retains
-	// it, so it cannot come from the scratch pool) and the snapshot's
-	// boundary set is read-only to the reducer.
+	// Build from the epoch snapshot in pooled scratch, like a live
+	// evaluation; the snapshot's boundary set is read-only to the reducer.
+	// The cache keeps a compact Clone of the result (no table for a removed
+	// node) and the scratch, which keeps every table, goes back to the pool.
 	sn := s.snapshot()
-	g := sn.local.Clone()
+	g := sn.local.CloneInto(s.takeScratch())
 	res, err := s.reduce(ctx, g, control.Query{S: graph.None, T: graph.None},
 		sn.boundary, control.Options{
 			Workers:            s.workers,
 			DisableTermination: true, // there is no query yet
 		})
 	if err != nil {
+		s.scratch.Put(g)
 		return control.Stats{}, err
 	}
+	cache := g.Clone()
+	s.scratch.Put(g)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.epoch.Load() == sn.epoch {
-		s.cache = g
+		s.cache = cache
 		s.cacheStats = res.Stats
 		s.cacheEpoch = sn.epoch
 	}

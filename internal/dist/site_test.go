@@ -144,3 +144,45 @@ func TestUpdateUnknownOwnedCompanyRollsBack(t *testing.T) {
 		t.Fatalf("cross-out = %d after rollback", sites[0].part.CrossOut)
 	}
 }
+
+// liveEvalAllocs is the most a warm live Site.Evaluate may allocate per
+// query, whatever the partition size. A quiet run reads 1, the PartialAnswer
+// header: the partition copy and its reduction allocate nothing once the
+// scratch pool is warm. AllocsPerRun counts the whole process, so the bound
+// leaves room for goroutines that other tests in the package left running;
+// a copy that rebuilt its tables would cost one allocation per company.
+const liveEvalAllocs = 4
+
+// TestLiveEvaluateSteadyStateAllocs evaluates one query live over and over
+// (ForcePartial, releasing each partial) on two partition sizes, and pins
+// the allocations per query at a constant that does not grow with the
+// partition: the site's scratch keeps every table across the reduction.
+func TestLiveEvaluateSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-instrumented sync.Pool drops Puts at random; alloc pin does not hold")
+	}
+	for _, perCountry := range []int{300, 2400} {
+		g := gen.EU(gen.EUConfig{Countries: 2, NodesPerCountry: perCountry, InterconnectRate: 0.01, Seed: 9}).G
+		pi, err := partition.ByContiguous(g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSite(pi.Parts[0], 1)
+		q := control.Query{S: 5, T: graph.NodeID(g.Cap() - 5)}
+		opts := EvalOptions{ForcePartial: true}
+		eval := func() {
+			pa, err := s.Evaluate(context.Background(), q, opts)
+			if err != nil || pa.Reduced == nil || pa.FromCache || pa.Stats.Removed == 0 {
+				t.Fatalf("not a live reduction: partial %+v, err %v", pa, err)
+			}
+			pa.Release()
+		}
+		eval()
+		allocs := testing.AllocsPerRun(50, eval)
+		t.Logf("%d members: %.0f allocs per live evaluation", s.Members(), allocs)
+		if allocs > liveEvalAllocs {
+			t.Fatalf("%d members: live Evaluate allocated %.0f times per run, want <= %d",
+				s.Members(), allocs, liveEvalAllocs)
+		}
+	}
+}

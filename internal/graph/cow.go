@@ -63,6 +63,23 @@ func (g *Graph) own(v NodeID) {
 	g.tags[v] = g.tag
 }
 
+// dropAdjacency empties the adjacency of v, which is being removed. A map the
+// graph owns exclusively is cleared in place, so its table survives: a pooled
+// scratch graph that a reduction mostly removes keeps every table for the
+// next CloneInto, instead of rebuilding them all. A map possibly shared with
+// a snapshot sibling is dropped, never cleared in place; v's maps are then
+// nil, which no sibling shares, so v counts as owned from here on. Only v's
+// own entries are written, so sharded kills of disjoint victims never race.
+func (g *Graph) dropAdjacency(v NodeID) {
+	if g.tags == nil || g.tags[v] == g.tag {
+		clear(g.out[v])
+		clear(g.in[v])
+		return
+	}
+	g.out[v], g.in[v] = nil, nil
+	g.tags[v] = g.tag
+}
+
 // detach drops every potentially shared map (replacing it with nil) and
 // leaves the copy-on-write regime entirely. Reset and CloneInto call it so a
 // former snapshot participant can be recycled as ordinary scratch without

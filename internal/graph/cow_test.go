@@ -189,3 +189,99 @@ func BenchmarkSnapshotClone(b *testing.B) {
 		}
 	})
 }
+
+// TestRemoveNodeKeepsSiblingAdjacency removes nodes on either side of a
+// snapshot and checks the other side keeps its adjacency: a shared map is
+// dropped, never cleared in place. A map the remover owns is cleared and
+// kept, so its table is there for the next reuse.
+func TestRemoveNodeKeepsSiblingAdjacency(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(100 + seed))
+		g := randomCOWGraph(rng, 40, 120)
+		sn := g.SnapshotClone()
+		ref := sn.Clone()
+		owned := NodeID(rng.Intn(40))
+		g.MergeEdge(owned, (owned+1)%40, 0.01) // g now owns owned's maps
+		for i := 0; i < 15; i++ {
+			g.RemoveNode(NodeID(rng.Intn(40)))
+		}
+		g.RemoveNode(owned)
+		if !Equal(sn, ref, 0) {
+			t.Fatalf("seed %d: removals on the live graph changed its snapshot", seed)
+		}
+		if g.out[owned] == nil || len(g.out[owned]) != 0 {
+			t.Fatalf("seed %d: removing an owned node dropped its table (or left entries)", seed)
+		}
+		live := g.Clone()
+		for i := 0; i < 15; i++ {
+			sn.RemoveNode(NodeID(rng.Intn(40)))
+		}
+		if !Equal(g, live, 0) {
+			t.Fatalf("seed %d: removals on the snapshot changed the live graph", seed)
+		}
+		if err := checkAggregates(g); err != nil {
+			t.Fatalf("seed %d: live aggregates: %v", seed, err)
+		}
+		if err := checkAggregates(sn); err != nil {
+			t.Fatalf("seed %d: snapshot aggregates: %v", seed, err)
+		}
+	}
+}
+
+// TestRemoveNodeSharedMapsNotCloned removes a node whose maps are shared with
+// a snapshot while every neighbor is already owned: nothing needs copying,
+// so the removal must not allocate — the removed node's shared maps are
+// dropped, not cloned and then thrown away.
+func TestRemoveNodeSharedMapsNotCloned(t *testing.T) {
+	const runs = 20
+	graphs := make([]*Graph, runs+1) // AllocsPerRun adds a warm-up run
+	snaps := make([]*Graph, runs+1)
+	for i := range graphs {
+		g := New(5)
+		g.AddEdge(0, 1, 0.3)
+		g.AddEdge(1, 2, 0.3)
+		g.AddEdge(0, 3, 0.3)
+		g.AddEdge(4, 2, 0.3)
+		snaps[i] = g.SnapshotClone()
+		g.MergeEdge(0, 3, 0.1) // owns 0 and 3
+		g.MergeEdge(4, 2, 0.1) // owns 4 and 2; 1 stays shared
+		graphs[i] = g
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if !graphs[next].RemoveNode(1) {
+			t.Fatal("node 1 was not live")
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("RemoveNode of a shared node with owned neighbors allocated %.1f times, want 0", allocs)
+	}
+	for i, sn := range snaps {
+		if !sn.HasEdge(0, 1) || !sn.HasEdge(1, 2) {
+			t.Fatalf("graph %d: removal on the live side cut the snapshot's edges", i)
+		}
+	}
+}
+
+// TestKillClearsOwnedDropsShared checks the reducer's removal on a graph
+// that once snapshotted: the maps it owns are cleared and kept, the ones a
+// sibling may share are dropped and left intact on the sibling.
+func TestKillClearsOwnedDropsShared(t *testing.T) {
+	g := New(4)
+	g.AddEdge(0, 1, 0.3)
+	g.AddEdge(2, 3, 0.3)
+	sn := g.SnapshotClone()
+	ref := sn.Clone()
+	g.MergeEdge(2, 3, 0.1) // owns 2 and 3; 0 and 1 stay shared
+	g.kill([]NodeID{0, 2})
+	if g.out[0] != nil || g.tags[0] != g.tag {
+		t.Fatal("kill kept a shared map instead of dropping it")
+	}
+	if g.out[2] == nil || len(g.out[2]) != 0 {
+		t.Fatal("kill dropped an owned map (or left entries) instead of clearing it")
+	}
+	if !Equal(sn, ref, 0) {
+		t.Fatal("kill on the live graph changed its snapshot")
+	}
+}

@@ -21,21 +21,9 @@ func edgelessPayload(capacity uint32, ids ...uint32) []byte {
 // FuzzReadBinary throws mutated byte streams at the binary decoder: it must
 // reject or accept, never panic, and anything it accepts must re-encode.
 func FuzzReadBinary(f *testing.F) {
-	// Seed with a couple of valid graphs.
-	for seed := int64(1); seed <= 3; seed++ {
-		g := New(8)
-		g.AddEdge(0, 1, 0.6)
-		g.AddEdge(1, 2, 0.25)
-		g.RemoveNode(5)
-		var buf bytes.Buffer
-		if err := g.WriteBinary(&buf); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	for _, p := range fuzzSeedPayloads(f) {
+		f.Add(p)
 	}
-	f.Add([]byte(binaryMagic))
-	f.Add([]byte{})
-	f.Add(edgelessPayload(4, 1, 1)) // repeated live id: must be rejected
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
 		d, derr := DecodeBinary(data)
@@ -68,6 +56,90 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if !Equal(g, h, 0) {
 			t.Fatal("round trip changed accepted graph")
+		}
+	})
+}
+
+// fuzzMaxCap bounds the id capacity a fuzzed payload may declare. The
+// decoder sizes the graph from it before reading any id, so one four-byte
+// header can ask for tens of gigabytes; that is the caller's resource limit
+// to set, not a decoding bug.
+const fuzzMaxCap = 1 << 16
+
+// declaredCap reads a CCPG1 payload's capacity field, or 0 if it has none.
+func declaredCap(data []byte) uint32 {
+	if len(data) < len(binaryMagic)+4 {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(data[len(binaryMagic):])
+}
+
+// fuzzSeedPayloads are the FuzzReadBinary seeds, shared with the pooled
+// decode target.
+func fuzzSeedPayloads(f *testing.F) [][]byte {
+	encode := func(g *Graph) []byte {
+		var buf bytes.Buffer
+		if err := g.WriteBinary(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	small := New(8)
+	small.AddEdge(0, 1, 0.6)
+	small.AddEdge(1, 2, 0.25)
+	small.RemoveNode(5)
+	// A larger graph with a cycle: decoding the small one into it shrinks.
+	large := New(12)
+	for i := 0; i < 11; i++ {
+		large.AddEdge(NodeID(i), NodeID(i+1), 0.3)
+	}
+	large.AddEdge(11, 0, 0.55)
+	large.AddEdge(3, 7, 0.2)
+	large.RemoveNode(9)
+	return [][]byte{
+		encode(small),
+		encode(large),
+		edgelessPayload(3, 0, 2),
+		[]byte(binaryMagic),
+		{},
+		edgelessPayload(4, 1, 1), // repeated live id: must be rejected
+	}
+}
+
+// FuzzDecodeBinaryIntoReused decodes payload a into a scratch graph, then
+// payload b into the same scratch — the pooled decode path of the wire
+// client. Whatever a left behind (a larger or smaller graph, or the debris
+// of a failed decode), b must decode exactly as it does into a fresh graph:
+// the same error-or-success, and on success an Equal graph with consistent
+// aggregates.
+func FuzzDecodeBinaryIntoReused(f *testing.F) {
+	seeds := fuzzSeedPayloads(f)
+	for _, a := range seeds {
+		for _, b := range seeds {
+			f.Add(a, b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		if declaredCap(a) > fuzzMaxCap || declaredCap(b) > fuzzMaxCap {
+			t.Skip("declared capacity over the fuzzing bound")
+		}
+		scratch := New(0)
+		if _, err := DecodeBinaryInto(scratch, a); err != nil {
+			t.Logf("first payload rejected: %v", err)
+		}
+		got, err := DecodeBinaryInto(scratch, b)
+		want, werr := DecodeBinary(b)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("reused scratch err=%v, fresh decode err=%v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if !Equal(got, want, 0) || !Equal(want, got, 0) {
+			t.Fatal("reused scratch decoded a different graph than a fresh decode")
+		}
+		if err := checkAggregates(got); err != nil {
+			t.Fatalf("reused scratch aggregates: %v", err)
 		}
 	})
 }

@@ -310,12 +310,14 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 }
 
 // RemoveNode deletes v and all its incident edges (the action of rules R1
-// and R2). It reports whether v was live.
+// and R2). It reports whether v was live. v's own maps are only read here:
+// they are cleared in place when the graph owns them and dropped when a
+// snapshot sibling may share them (see dropAdjacency), so no map is cloned
+// just to be discarded.
 func (g *Graph) RemoveNode(v NodeID) bool {
 	if !g.Alive(v) {
 		return false
 	}
-	g.own(v)
 	for u, w := range g.in[v] {
 		g.own(u)
 		delete(g.out[u], v)
@@ -328,8 +330,7 @@ func (g *Graph) RemoveNode(v NodeID) bool {
 		g.accountIn(v, u, w, 0)
 		g.nEdges--
 	}
-	g.in[v] = nil
-	g.out[v] = nil
+	g.dropAdjacency(v)
 	g.alive[v] = false
 	g.nAlive--
 	g.resetAggregates(v)
@@ -487,6 +488,11 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
+// cloneMap copies one adjacency map for Clone. An empty map — a dead node's,
+// which removal clears but keeps — becomes nil, so a Clone of a reduced
+// graph is compact: it holds tables only for the nodes that still have
+// edges. Long-lived reduced graphs (a site's query-independent cache) are
+// published as such a Clone.
 func cloneMap(m map[NodeID]float64) map[NodeID]float64 {
 	if len(m) == 0 {
 		return nil
@@ -502,7 +508,11 @@ func cloneMap(m map[NodeID]float64) map[NodeID]float64 {
 // actually written: dst, or a fresh Clone when dst is nil or g itself. A
 // pooled destination reaches steady state after one round trip — every map
 // table it needs already exists — so repeated clones of same-shaped graphs
-// stop allocating entirely.
+// stop allocating entirely. The steady state survives reducing dst between
+// two clones: node removal clears the tables dst owns instead of dropping
+// them, so the clone → reduce → clone cycle of a live site evaluation
+// allocates nothing once warm. Growing a table past its old size still
+// allocates.
 func (g *Graph) CloneInto(dst *Graph) *Graph {
 	if dst == nil || dst == g {
 		return g.Clone()

@@ -191,8 +191,11 @@ func clampLabel(w float64) float64 {
 	return w
 }
 
-// kill clears the adjacency of every listed live node, marks it dead and
-// returns (nodesRemoved, outEdgesCleared).
+// kill empties the adjacency of every listed live node, marks it dead and
+// returns (nodesRemoved, outEdgesCleared). Owned maps are cleared rather than
+// dropped (see dropAdjacency): a reduction removes most of a per-query
+// scratch copy, and the tables it keeps are what lets the next CloneInto
+// into the same scratch run without allocating.
 func (g *Graph) kill(victims []NodeID) (nodes, edges int) {
 	for _, v := range victims {
 		if !g.alive[v] {
@@ -200,8 +203,7 @@ func (g *Graph) kill(victims []NodeID) (nodes, edges int) {
 		}
 		nodes++
 		edges += len(g.out[v])
-		g.out[v] = nil
-		g.in[v] = nil
+		g.dropAdjacency(v)
 		g.alive[v] = false
 		g.resetAggregates(v)
 	}

@@ -4,10 +4,11 @@
 # Runs formatting, vet, build, the full test suite (shuffled, with an
 # explicit timeout so a hung transport test fails fast instead of stalling
 # CI), and the race detector over the packages that do parallel graph
-# surgery or concurrent transport work, short fuzz runs over the write path
-# and the WAL record decoder, then the benchmark module's own vet/tests and
-# a quick, answers-only benchmark run. CI and pre-commit hooks should call
-# exactly this script; if it passes, the change is shippable.
+# surgery or concurrent transport work, short fuzz runs over the write path,
+# the WAL record decoder and the pooled graph decoder, then the benchmark
+# module's own vet/tests and a quick, answers-only benchmark run. CI and
+# pre-commit hooks should call exactly this script; if it passes, the change
+# is shippable.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -46,11 +47,14 @@ go test -race -shuffle=on -timeout 10m \
     ./internal/store/... \
     ./internal/obs/...
 
-# The WAL record decoder a follower runs on every pull, and the one write
-# path its records feed: 15 s of new inputs each, on two fuzz workers.
-echo "== go test -fuzz (write path + WAL record decoder) =="
+# The WAL record decoder a follower runs on every pull, the one write path
+# its records feed, and the CCPG1 decoder's pooled form (a payload decoded
+# into scratch another payload left behind): 15 s of new inputs each, on two
+# fuzz workers.
+echo "== go test -fuzz (write path + WAL record decoder + pooled graph decode) =="
 go test -run '^$' -fuzz '^FuzzApply$' -fuzztime 15s -parallel 2 ./internal/dist
 go test -run '^$' -fuzz '^FuzzDecodeRecords$' -fuzztime 15s -parallel 2 ./internal/store
+go test -run '^$' -fuzz '^FuzzDecodeBinaryIntoReused$' -fuzztime 15s -parallel 2 ./internal/graph
 
 # The benchmark is its own module (replace ccp => ../), so ./... above never
 # sees it. -quick -selfcheck runs all four workloads (TCP and durable
