@@ -194,7 +194,6 @@ type storeRow struct {
 	CkptSeq  float64 `json:"checkpoint_seq"`
 	WALBytes float64 `json:"wal_bytes"`
 	CkptAge  float64 `json:"checkpoint_age_seconds"`
-	Pins     float64 `json:"snapshot_pins"`
 	Appends  float64 `json:"appends"`
 	Fsyncs   float64 `json:"fsyncs"`
 	Ckpts    float64 `json:"checkpoints"`
@@ -223,7 +222,6 @@ func viewStore(docs, _ []doctorDoc, asJSON bool) error {
 				CkptSeq:  m["ccp_store_checkpoint_seq"],
 				WALBytes: m["ccp_store_wal_bytes"],
 				CkptAge:  m["ccp_store_checkpoint_age_seconds"],
-				Pins:     m["ccp_site_snapshot_pins"],
 				Appends:  m["ccp_store_appends_total"],
 				Fsyncs:   m["ccp_store_fsyncs_total"],
 				Ckpts:    m["ccp_store_checkpoints_total"],
@@ -246,12 +244,12 @@ func viewStore(docs, _ []doctorDoc, asJSON bool) error {
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "SITE\tADDR\tEPOCH\tDURABLE\tCKPT\tWAL TAIL\tCKPT AGE\tAPPENDS\tFSYNCS\tCKPTS\tREPLAYED\tPINS")
+	fmt.Fprintln(w, "SITE\tADDR\tEPOCH\tDURABLE\tCKPT\tWAL TAIL\tCKPT AGE\tAPPENDS\tFSYNCS\tCKPTS\tREPLAYED")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%.0f\t%.0f\t%.0f\t%s\t%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\n",
+		fmt.Fprintf(w, "%s\t%s\t%.0f\t%.0f\t%.0f\t%s\t%s\t%.0f\t%.0f\t%.0f\t%.0f\n",
 			r.Site, r.Addr, r.Epoch, r.Durable, r.CkptSeq,
 			fmtBytes(r.WALBytes), fmtAge(r.CkptAge),
-			r.Appends, r.Fsyncs, r.Ckpts, r.Replayed, r.Pins)
+			r.Appends, r.Fsyncs, r.Ckpts, r.Replayed)
 	}
 	for _, addr := range memOnly {
 		fmt.Fprintf(w, "-\t%s\t(in-memory, no durable store)\n", addr)

@@ -141,9 +141,9 @@ func TestDoctorViewsRenderFixture(t *testing.T) {
 	t.Run("store", func(t *testing.T) {
 		out := doctorOut(t, "-view", "store")
 		wantColumns(t, out, "SITE", "ADDR", "EPOCH", "DURABLE", "CKPT", "WAL TAIL", "CKPT AGE",
-			"APPENDS", "FSYNCS", "CKPTS", "REPLAYED", "PINS")
+			"APPENDS", "FSYNCS", "CKPTS", "REPLAYED")
 		row := strings.Split(out, "\n")[1]
-		if got := strings.Fields(row); !reflect.DeepEqual(got, strings.Fields("0 lead0:8001 42 42 40 2.0KiB 1m15s 42 10 2 3 1")) {
+		if got := strings.Fields(row); !reflect.DeepEqual(got, strings.Fields("0 lead0:8001 42 42 40 2.0KiB 1m15s 42 10 2 3")) {
 			t.Fatalf("store row %q", row)
 		}
 		for _, addr := range []string{"lead0r:8101", "site1:8002", "coord:8003"} {
@@ -152,7 +152,7 @@ func TestDoctorViewsRenderFixture(t *testing.T) {
 
 		keys, _ := jsonKeys(t, doctorOut(t, "-view", "store", "-json"))
 		want := sorted("addr", "site", "epoch", "durable_seq", "checkpoint_seq", "wal_bytes",
-			"checkpoint_age_seconds", "snapshot_pins", "appends", "fsyncs", "checkpoints", "recovered_records")
+			"checkpoint_age_seconds", "appends", "fsyncs", "checkpoints", "recovered_records")
 		if len(keys) != 1 || !reflect.DeepEqual(keys[0], want) {
 			t.Fatalf("store keys %v, want one row of %v", keys, want)
 		}

@@ -618,13 +618,6 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 			})
 			continue
 		}
-		if r.pa.FromCache && r.pa.Reduced != nil {
-			c.storeCopy(r.pa.SiteID, &coordCached{
-				epoch:   r.pa.Epoch,
-				reduced: r.pa.Reduced,
-				stats:   r.pa.Stats,
-			})
-		}
 		m.Stats.Add(r.pa.Stats)
 		if r.pa.Ans != control.Unknown {
 			if decided != control.Unknown && decided != r.pa.Ans {
@@ -635,6 +628,19 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 			decided = r.pa.Ans
 			decidedBy = r.pa.SiteID
 			continue
+		}
+		// An undecided site that ships no graph would drop its partition
+		// from MGraph and the merge would answer without it.
+		if r.pa.Reduced == nil {
+			releasePartials(partials)
+			return false, m, fmt.Errorf("dist: site %d replied undecided without a partial graph", r.pa.SiteID)
+		}
+		if r.pa.FromCache {
+			c.storeCopy(r.pa.SiteID, &coordCached{
+				epoch:   r.pa.Epoch,
+				reduced: r.pa.Reduced,
+				stats:   r.pa.Stats,
+			})
 		}
 		partials = append(partials, r.pa)
 	}
@@ -655,9 +661,6 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	cached := make([]*PartialAnswer, 0, len(partials))
 	rest := make([]*PartialAnswer, 0, len(partials))
 	for _, pa := range partials {
-		if pa.Reduced == nil {
-			continue
-		}
 		if pa.FromCache {
 			cached = append(cached, pa)
 		} else {

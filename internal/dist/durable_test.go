@@ -126,9 +126,9 @@ func randomRecord(rng *rand.Rand, nodes int) (rec store.Record, valid bool) {
 func partBytes(t *testing.T, s *Site) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	s.mu.Lock()
+	s.mu.RLock()
 	err := s.part.WriteBinary(&buf)
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestDurableSiteRestartEquivalence(t *testing.T) {
 
 // TestNoOpUpdateKeepsEpoch is the regression test for the epoch-churn bug:
 // re-adding an identical edge, or divesting a stake that does not exist,
-// must not move the epoch, drop the cache, or invalidate snapshots.
+// must not move the epoch or drop the cached partial answer.
 func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		name := "memory"
@@ -318,6 +318,16 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 				}
 				s = NewSite(p, 1)
 			}
+			// The site is shard 0 of a hash split: it stores the even ids, so
+			// a query between odd ones is served from its cache.
+			cachedPartial := func() *graph.Graph {
+				t.Helper()
+				pa, err := s.Evaluate(context.Background(), control.Query{S: 1, T: 3}, EvalOptions{UseCache: true})
+				if err != nil || !pa.FromCache || pa.Reduced == nil {
+					t.Fatalf("cached evaluation: %+v, %v", pa, err)
+				}
+				return pa.Reduced
+			}
 			// Drive the stake to the clamp: labels merge additively and cap
 			// at 1, so the third merge below is a true no-op.
 			up := StakeUpdate{Owner: 0, Owned: 5, Weight: 0.8}
@@ -334,7 +344,7 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 				t.Fatal(err)
 			}
 			epoch := s.Epoch()
-			sn := s.snapshot()
+			cached := cachedPartial()
 
 			// Merging into an already-clamped label changes nothing.
 			res, err = s.ApplyEdgeUpdate(up)
@@ -364,8 +374,8 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 			if got := s.Epoch(); got != epoch {
 				t.Fatalf("epoch moved %d -> %d on no-op or rejected updates", epoch, got)
 			}
-			if s.snapshot() != sn {
-				t.Fatal("snapshot rebuilt after no-op or rejected updates")
+			if cachedPartial() != cached {
+				t.Fatal("cached partial rebuilt after no-op or rejected updates")
 			}
 
 			// A real change still moves everything.
@@ -376,31 +386,50 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 			if !res.Changed || s.Epoch() == epoch {
 				t.Fatalf("effective update did not move the epoch: %+v", res)
 			}
-			if s.snapshot() == sn {
-				t.Fatal("snapshot not rebuilt after effective update")
+			if cachedPartial() == cached {
+				t.Fatal("cached partial not rebuilt after effective update")
 			}
 		})
 	}
 }
 
-// graphFingerprint summarizes a graph so two states can be compared
-// cheaply: live node count, edge count, and the sum of all labels.
-func graphFingerprint(g *graph.Graph) [3]float64 {
-	var sum float64
-	var edges int
-	g.EachNode(func(v graph.NodeID) {
-		g.EachOut(v, func(u graph.NodeID, w float64) {
-			sum += w
-			edges++
-		})
-	})
-	return [3]float64{float64(g.NumNodes()), float64(edges), sum}
+// epochState is the partition as it stood at one epoch: a deep copy for the
+// reduction oracle and its CCPP1 bytes for the images.
+type epochState struct {
+	part *partition.Partition
+	img  []byte
 }
 
-// TestSnapshotsNeverMixEpochs streams updates from one goroutine while many
-// readers take snapshots: every snapshot's graph must exactly match the
-// state its epoch number was assigned for — no torn reads, no mixed epochs.
-// Run under -race this also proves the COW discipline on the shared maps.
+func encodePartition(p *partition.Partition) ([]byte, error) {
+	var buf bytes.Buffer
+	err := p.WriteBinary(&buf)
+	return buf.Bytes(), err
+}
+
+// reduceAt is the oracle for a partial answer at one epoch: a single-worker
+// reduction of a fresh copy of the partition recorded for that epoch,
+// excluding its boundary plus the query's endpoints (none for the
+// query-independent cache).
+func reduceAt(p *partition.Partition, q control.Query) (*graph.Graph, error) {
+	g := p.Local.Clone()
+	x := p.Boundary()
+	if q.S != graph.None {
+		x.Add(q.S)
+		x.Add(q.T)
+	}
+	_, err := control.ParallelReduction(context.Background(), g, q, x,
+		control.Options{Workers: 1, DisableTermination: true})
+	return g, err
+}
+
+// TestSnapshotsNeverMixEpochs streams updates from one goroutine, which
+// records the partition for every epoch, while one reader per read path
+// checks that what it got is that partition at the epoch it was stamped
+// with — no torn reads, no mixed epochs. The read paths are a live
+// evaluation (ForcePartial), a cached evaluation, the checkpoint source and
+// the replication bootstrap image. Each partial must equal a single-worker
+// reduction of the recorded partition; each image must decode to it. Run
+// under -race this also checks the read lock against Apply.
 func TestSnapshotsNeverMixEpochs(t *testing.T) {
 	s, err := OpenDurableSite(t.TempDir(), durableSeed(11, 16, 0), 2, store.Options{NoSync: true})
 	if err != nil {
@@ -408,13 +437,31 @@ func TestSnapshotsNeverMixEpochs(t *testing.T) {
 	}
 	defer s.CloseStore()
 
+	// mu is held across each Apply and the recording of its epoch, so a
+	// reader that saw an epoch finds it recorded.
 	var mu sync.Mutex
-	expected := map[uint64][3]float64{s.Epoch(): graphFingerprint(s.part.Local)}
+	expected := map[uint64]epochState{}
+	record := func(epoch uint64) {
+		p := s.part.Snapshot()
+		img, err := encodePartition(p)
+		if err != nil {
+			t.Error(err)
+		}
+		expected[epoch] = epochState{p, img}
+	}
+	record(s.Epoch())
+	lookup := func(epoch uint64) (epochState, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		st, ok := expected[epoch]
+		return st, ok
+	}
 
-	// The writer keeps streaming until every reader verified enough
-	// snapshots, so the test self-paces instead of racing a fixed count.
-	const readers, wantChecks = 4, 200
-	var checks [readers]atomic.Int64
+	// The writer keeps streaming until every reader verified enough reads,
+	// so the test self-paces instead of racing a fixed count.
+	paths := []string{"live", "cached", "checkpoint", "replication"}
+	const wantChecks = 100
+	checks := make([]atomic.Int64, len(paths))
 	allChecked := func() bool {
 		for i := range checks {
 			if checks[i].Load() < wantChecks {
@@ -423,16 +470,17 @@ func TestSnapshotsNeverMixEpochs(t *testing.T) {
 		}
 		return true
 	}
+	var failed atomic.Bool // a reader reported a failure: stop early
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		rng := rand.New(rand.NewSource(99))
-		for i := 0; !allChecked() && i < 500000; i++ {
+		for i := 0; !allChecked() && !failed.Load() && i < 500000; i++ {
 			up := randomStake(rng, 16, 0)
 			mu.Lock()
 			res, err := s.ApplyEdgeUpdate(up)
 			if err == nil && res.Changed {
-				expected[res.Seq] = graphFingerprint(s.part.Local)
+				record(res.Seq)
 			}
 			mu.Unlock()
 			if err != nil {
@@ -442,35 +490,92 @@ func TestSnapshotsNeverMixEpochs(t *testing.T) {
 		}
 	}()
 
+	// read performs one read through path r and checks it; it returns false
+	// after reporting a failure.
+	read := func(r int, rng *rand.Rand) bool {
+		var (
+			epoch   uint64
+			partial *PartialAnswer
+			q       control.Query
+			img     []byte
+			err     error
+		)
+		switch paths[r] {
+		case "live":
+			// Two distinct members (even ids): a live evaluation.
+			a := rng.Intn(8)
+			q = control.Query{S: graph.NodeID(2 * a), T: graph.NodeID(2 * ((a + 1 + rng.Intn(7)) % 8))}
+			partial, err = s.Evaluate(context.Background(), q, EvalOptions{ForcePartial: true})
+		case "cached":
+			q = control.Query{S: graph.None, T: graph.None}
+			partial, err = s.Evaluate(context.Background(), control.Query{S: 1, T: 3}, EvalOptions{UseCache: true})
+		case "checkpoint":
+			var p *partition.Partition
+			epoch, p = s.checkpointImage()
+			img, err = encodePartition(p)
+		case "replication":
+			var b []byte
+			if epoch, b, err = s.ReplicationSnapshot(); err == nil {
+				var p *partition.Partition
+				if p, err = partition.ReadPartition(bytes.NewReader(b)); err == nil {
+					img, err = encodePartition(p)
+				}
+			}
+		}
+		if err != nil {
+			t.Errorf("%s read: %v", paths[r], err)
+			return false
+		}
+		if partial != nil {
+			defer partial.Release()
+			if partial.Reduced == nil || partial.NotModified || partial.Ans != control.Unknown {
+				t.Errorf("%s read: partial %+v ships no graph", paths[r], partial)
+				return false
+			}
+			epoch = partial.Epoch
+		}
+		want, ok := lookup(epoch)
+		if !ok {
+			t.Errorf("%s read: epoch %d was never produced", paths[r], epoch)
+			return false
+		}
+		if partial == nil {
+			if !bytes.Equal(img, want.img) {
+				t.Errorf("%s read: image at seq %d differs from the partition recorded for it", paths[r], epoch)
+				return false
+			}
+			return true
+		}
+		g, err := reduceAt(want.part, q)
+		if err != nil {
+			t.Errorf("%s read: oracle reduction: %v", paths[r], err)
+			return false
+		}
+		if !graph.Equal(g, partial.Reduced, 1e-9) {
+			t.Errorf("%s read: partial at epoch %d is not the reduction of that epoch's partition (mixed-epoch read)",
+				paths[r], epoch)
+			return false
+		}
+		return true
+	}
+
 	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
+	for r := range paths {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
 			for {
 				select {
 				case <-done:
 					if checks[r].Load() == 0 {
-						t.Error("reader never checked a snapshot")
+						t.Errorf("%s reader never checked a read", paths[r])
 					}
 					return
 				default:
 				}
-				sn := s.snapshot()
-				got := graphFingerprint(sn.local)
-				mu.Lock()
-				want, ok := expected[sn.epoch]
-				mu.Unlock()
-				if !ok {
-					// The writer has not published this epoch's fingerprint
-					// yet (snapshot taken between apply and publish).
-					continue
-				}
-				// Counts compare exactly; the label sum only within an
-				// epsilon — map iteration order varies and float addition
-				// is not associative.
-				if got[0] != want[0] || got[1] != want[1] || math.Abs(got[2]-want[2]) > 1e-9 {
-					t.Errorf("epoch %d: snapshot fingerprint %v, want %v (mixed-epoch read)", sn.epoch, got, want)
+				if !read(r, rng) {
+					failed.Store(true)
 					return
 				}
 				checks[r].Add(1)

@@ -79,14 +79,16 @@ func (pa *PartialAnswer) Release() {
 // Site evaluates queries over one partition — the per-site half of
 // Algorithm 2. A Site is safe for concurrent use.
 //
-// Concurrency model: s.mu guards the mutable partition state (Local, the
-// boundary sets, the query-independent cache). The evaluation hot path never
-// reduces under s.mu — it works off an immutable epoch-versioned snapshot
-// (s.snap) that is rebuilt at most once per data epoch, so concurrent
-// evaluations share one read-only copy instead of serializing on a
-// per-query clone under the lock.
+// Concurrency model: s.mu guards the one live partition, the epoch that
+// versions it, and the query-independent cache. Apply holds it exclusively.
+// A live evaluation holds it shared only while it reads the termination
+// aggregates and copies the partition and its boundary into pooled scratch,
+// then reduces the copy with the lock released; every partial is therefore
+// computed from the partition exactly as it stood at the epoch it carries.
+// The cost is that a write waits for in-flight copies, and a read waits for
+// an in-flight write, including its WAL fsync.
 type Site struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	part    *partition.Partition
 	workers int
 
@@ -98,15 +100,6 @@ type Site struct {
 	// s.mu, but readable lock-free).
 	epoch atomic.Uint64
 
-	// snap is the current immutable evaluation snapshot; snapMu serializes
-	// rebuilds so an epoch bump triggers one clone, not one per waiter.
-	// pins counts in-flight evaluations holding a snapshot: copy-on-write
-	// keeps a pinned snapshot valid for as long as the query needs it, no
-	// matter how many updates land meanwhile.
-	snap   atomic.Pointer[siteSnapshot]
-	snapMu sync.Mutex
-	pins   atomic.Int64
-
 	// store, when non-nil, is the durable WAL + checkpoint backing: every
 	// effective update is logged before it is acknowledged, and the epoch
 	// is the WAL sequence number — a version that survives restarts.
@@ -116,12 +109,12 @@ type Site struct {
 	// misrouted write cannot fork the replica from its leader.
 	readOnly atomic.Bool
 
-	// scratch pools the graphs live evaluations and Precompute copy the
-	// epoch snapshot into and reduce; exclusions pools the per-query
-	// exclusion sets. Both reach zero steady-state allocations: reduction
-	// clears a scratch graph's tables instead of dropping them, so the next
-	// CloneInto reuses every one. A scratch graph is never published as
-	// long-lived state (the cache is a compact Clone of one).
+	// scratch pools the graphs live evaluations and cache builds copy the
+	// partition into and reduce; exclusions pools the exclusion sets. Both
+	// reach zero steady-state allocations: reduction clears a scratch
+	// graph's tables instead of dropping them, so the next CloneInto reuses
+	// every one. A scratch graph is never published as long-lived state
+	// (the cache is a compact Clone of one).
 	scratch    sync.Pool
 	exclusions sync.Pool
 
@@ -129,71 +122,20 @@ type Site struct {
 	ev   obs.Emitter
 }
 
-// siteSnapshot is one immutable copy-on-write view of the partition: the
-// local graph plus the boundary sets, all taken atomically under s.mu at a
-// single epoch. Readers treat every field as read-only; an update replaces
-// the whole snapshot (on the next evaluation) rather than invalidating it in
-// place.
-type siteSnapshot struct {
-	epoch    uint64
-	local    *graph.Graph
-	boundary graph.NodeSet // InNodes ∪ Virtual at snapshot time
-	inNodes  graph.NodeSet // InNodes at snapshot time (T2 trust check)
-}
-
-// snapshot returns the current-epoch snapshot, building it if the data moved
-// since the last one. The double-checked build keeps the hot path at two
-// atomic loads.
-func (s *Site) snapshot() *siteSnapshot {
-	if sn := s.snap.Load(); sn != nil && sn.epoch == s.epoch.Load() {
-		return sn
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if sn := s.snap.Load(); sn != nil && sn.epoch == s.epoch.Load() {
-		return sn
-	}
-	s.mu.Lock()
-	// Copy-on-write: the clone shares every adjacency map with the live
-	// graph until one side mutates a node, so taking a snapshot costs
-	// O(nodes) bookkeeping, not an O(nodes+edges) deep copy — updates no
-	// longer throw away in-flight readers' work, they just diverge.
-	sn := &siteSnapshot{
-		epoch:    s.epoch.Load(),
-		local:    s.part.Local.SnapshotClone(),
-		boundary: s.part.Boundary(),
-		inNodes:  graph.NewNodeSet(),
-	}
-	sn.inNodes.AddAll(s.part.InNodes)
-	s.mu.Unlock()
-	s.snap.Store(sn)
-	return sn
-}
-
-// pin accounts an evaluation holding sn; the returned func releases the
-// pin. Purely observational — COW keeps the snapshot consistent with or
-// without it — but the gauge makes snapshot lifetimes visible.
-func (s *Site) pin() func() {
-	s.pins.Add(1)
-	return func() { s.pins.Add(-1) }
-}
-
-// takeExclusion builds the per-query exclusion set {s, t} ∪ boundary in a
-// pooled map.
-func (s *Site) takeExclusion(boundary graph.NodeSet, q control.Query) graph.NodeSet {
+// takeBoundary copies the boundary V^in ∪ V^virt into a pooled set, the
+// exclusion set of a query-independent reduction; a query adds its
+// endpoints. Caller holds s.mu, shared or exclusive.
+func (s *Site) takeBoundary() graph.NodeSet {
 	x, _ := s.exclusions.Get().(graph.NodeSet)
 	if x == nil {
 		x = graph.NewNodeSet()
 	} else {
 		clear(x)
 	}
-	x.AddAll(boundary)
-	x.Add(q.S)
-	x.Add(q.T)
+	x.AddAll(s.part.InNodes)
+	x.AddAll(s.part.Virtual)
 	return x
 }
-
-func (s *Site) putExclusion(x graph.NodeSet) { s.exclusions.Put(x) }
 
 // takeScratch borrows a pooled graph for a per-evaluation copy; may return
 // nil, which CloneInto treats as "allocate fresh".
@@ -222,9 +164,6 @@ func (s *Site) Observe(o *obs.Observer) {
 			flight.EvalDecided: misses, flight.EvalRevalidated: hits},
 	})
 	s.robs = obs.NewReducerObs(reg, "site-"+id)
-	reg.GaugeFunc("ccp_site_snapshot_pins",
-		"Evaluations currently holding the site's epoch snapshot.",
-		func() float64 { return float64(s.pins.Load()) }, l)
 	reg.GaugeFunc("ccp_site_epoch",
 		"The site's data epoch (the durable WAL sequence number when a store is attached).",
 		func() float64 { return float64(s.epoch.Load()) }, l)
@@ -282,15 +221,19 @@ func OpenDurableSite(dir string, seed func() (*partition.Partition, error), work
 		st.Close()
 		return nil, fmt.Errorf("dist: site %d replaying wal: %w", p.ID, err)
 	}
-	st.Start(func() (uint64, *partition.Partition) {
-		// The image must cover every record applied so far — including
-		// count-only ticks past the epoch — or replay would double-apply
-		// them; appends happen under s.mu, so AppendedSeq is exact here.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.store.AppendedSeq(), s.part.Snapshot()
-	})
+	st.Start(s.checkpointImage)
 	return s, nil
+}
+
+// checkpointImage is the store's checkpoint source. The image must cover
+// every record applied so far — including count-only ticks past the epoch —
+// or replay would double-apply them; appends happen under the exclusive
+// s.mu, so AppendedSeq is exact under the read lock. The image is a deep
+// copy, written out after the lock is released.
+func (s *Site) checkpointImage() (uint64, *partition.Partition) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.store.AppendedSeq(), s.part.Snapshot()
 }
 
 // SetReadOnly marks the site as a follower replica: Apply refuses new writes
@@ -309,18 +252,16 @@ func (s *Site) ReplicationSnapshot() (uint64, []byte, error) {
 		return 0, nil, &SiteError{SiteID: s.part.ID, Op: "repl-snapshot",
 			Msg: "site has no durable store to replicate from"}
 	}
-	// Seq and image are captured atomically under s.mu (appends happen under
-	// the same lock); serialization runs outside it — the COW snapshot stays
-	// consistent no matter how many updates land meanwhile.
-	s.mu.Lock()
-	seq := s.store.AppendedSeq()
-	img := s.part.Snapshot()
-	s.mu.Unlock()
+	// Seq and image are captured together under the read lock (appends
+	// happen under the exclusive one): the partition is serialized in place,
+	// with updates held off until the bytes are written.
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var buf bytes.Buffer
-	if err := img.WriteBinary(&buf); err != nil {
+	if err := s.part.WriteBinary(&buf); err != nil {
 		return 0, nil, fmt.Errorf("dist: site %d serializing bootstrap image: %w", s.part.ID, err)
 	}
-	return seq, buf.Bytes(), nil
+	return s.store.AppendedSeq(), buf.Bytes(), nil
 }
 
 // ReadRecords returns up to max WAL records with sequence numbers strictly
@@ -407,41 +348,49 @@ func (s *Site) HoldsMember(v graph.NodeID) bool { return s.part.Members.Has(v) }
 // A cancelled or expired ctx aborts the build and leaves the cache
 // untouched; the next Precompute starts over.
 func (s *Site) Precompute(ctx context.Context) (control.Stats, error) {
-	s.mu.Lock()
+	_, st, _, err := s.cached(ctx)
+	return st, err
+}
+
+// cached returns the query-independent reduction with its stats and the
+// epoch of the partition it reduces, building it if the partition moved
+// since the last build. The build copies the partition under the read lock,
+// like a live evaluation, and reduces the copy outside it. It is installed
+// as the cache only if no update landed meanwhile, but it is served either
+// way: it is exact for the epoch it reports, and the next call rebuilds.
+func (s *Site) cached(ctx context.Context) (*graph.Graph, control.Stats, uint64, error) {
+	s.mu.RLock()
 	epoch := s.epoch.Load()
 	if s.cache != nil && s.cacheEpoch == epoch {
-		st := s.cacheStats
-		s.mu.Unlock()
-		return st, nil
+		g, st := s.cache, s.cacheStats
+		s.mu.RUnlock()
+		return g, st, epoch, nil
 	}
-	s.mu.Unlock()
+	x := s.takeBoundary()
+	g := s.part.Local.CloneInto(s.takeScratch())
+	s.mu.RUnlock()
 
-	// Build from the epoch snapshot in pooled scratch, like a live
-	// evaluation; the snapshot's boundary set is read-only to the reducer.
 	// The cache keeps a compact Clone of the result (no table for a removed
 	// node) and the scratch, which keeps every table, goes back to the pool.
-	sn := s.snapshot()
-	g := sn.local.CloneInto(s.takeScratch())
-	res, err := s.reduce(ctx, g, control.Query{S: graph.None, T: graph.None},
-		sn.boundary, control.Options{
+	res, err := s.reduce(ctx, g, control.Query{S: graph.None, T: graph.None}, x,
+		control.Options{
 			Workers:            s.workers,
 			DisableTermination: true, // there is no query yet
 		})
+	s.exclusions.Put(x)
 	if err != nil {
 		s.scratch.Put(g)
-		return control.Stats{}, err
+		return nil, control.Stats{}, 0, err
 	}
 	cache := g.Clone()
 	s.scratch.Put(g)
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.epoch.Load() == sn.epoch {
-		s.cache = cache
-		s.cacheStats = res.Stats
-		s.cacheEpoch = sn.epoch
+	if s.epoch.Load() == epoch {
+		s.cache, s.cacheStats, s.cacheEpoch = cache, res.Stats, epoch
 	}
-	return res.Stats, nil
+	s.mu.Unlock()
+	return cache, res.Stats, epoch, nil
 }
 
 // EvalOptions selects how a site evaluates a query.
@@ -482,19 +431,18 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 	holdsT := s.part.Members.Has(q.T)
 
 	if opts.UseCache && !holdsS && !holdsT {
-		if _, err := s.Precompute(ctx); err != nil {
+		g, st, epoch, err := s.cached(ctx)
+		if err != nil {
 			return nil, err
 		}
-		s.mu.Lock()
 		pa := &PartialAnswer{
 			SiteID:    s.part.ID,
 			Ans:       control.Unknown,
-			Reduced:   s.cache,
-			Stats:     s.cacheStats,
+			Reduced:   g,
+			Stats:     st,
 			FromCache: true,
-			Epoch:     s.cacheEpoch,
+			Epoch:     epoch,
 		}
-		s.mu.Unlock()
 		if opts.HasIfEpoch && opts.IfEpoch == pa.Epoch {
 			pa.Reduced, pa.Stats, pa.NotModified = nil, control.Stats{}, true
 			return s.served(&sc, pa, start, flight.EvalRevalidated), nil
@@ -502,29 +450,33 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 		return s.served(&sc, pa, start, flight.EvalCached), nil
 	}
 
-	// Live evaluation, entirely off the immutable epoch snapshot: no lock is
-	// held while classifying, cloning or reducing, so concurrent evaluations
-	// never serialize on s.mu. The exclusion set is {s, t} ∪ V^in ∪ V^virt;
-	// the early-termination conditions are trusted only where local knowledge
-	// is complete (see control.TerminationTrust).
-	sn := s.snapshot()
-	defer s.pin()()
+	// Live evaluation. Under the read lock: decide T1–T3, or copy the
+	// partition and the exclusion set {s, t} ∪ V^in ∪ V^virt into scratch.
+	// The copy is reduced with the lock released. The early-termination
+	// conditions are trusted only where local knowledge is complete (see
+	// control.TerminationTrust).
+	s.mu.RLock()
+	epoch := s.epoch.Load()
 	trust := control.TerminationTrust{
 		T1: holdsS,
-		T2: holdsT && !sn.inNodes.Has(q.T),
+		T2: holdsT && !s.part.InNodes.Has(q.T),
 	}
 	if !opts.ForcePartial {
 		// T1–T3 are O(1) on the cached aggregates and the reducer would
 		// check them before doing any work anyway; deciding here skips the
 		// partition copy entirely. Same trust, same answer, same (zero)
 		// stats as the reducer's round-0 exit.
-		if a := control.CheckTermination(sn.local, q, trust); a != control.Unknown {
-			pa := &PartialAnswer{SiteID: s.part.ID, Ans: a, Epoch: sn.epoch}
+		if a := control.CheckTermination(s.part.Local, q, trust); a != control.Unknown {
+			s.mu.RUnlock()
+			pa := &PartialAnswer{SiteID: s.part.ID, Ans: a, Epoch: epoch}
 			return s.served(&sc, pa, start, flight.EvalDecided), nil
 		}
 	}
-	x := s.takeExclusion(sn.boundary, q)
-	g := sn.local.CloneInto(s.takeScratch())
+	x := s.takeBoundary()
+	x.Add(q.S)
+	x.Add(q.T)
+	g := s.part.Local.CloneInto(s.takeScratch())
+	s.mu.RUnlock()
 	reduceStart := sc.Span(flight.GraphClone, int32(s.part.ID), start, int64(g.NumNodes()))
 	copts := control.Options{
 		Workers: s.workers,
@@ -534,7 +486,7 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 		copts.DisableTermination = true
 	}
 	res, err := s.reduce(ctx, g, q, x, copts)
-	s.putExclusion(x)
+	s.exclusions.Put(x)
 	if err != nil {
 		s.scratch.Put(g)
 		return nil, err
@@ -545,7 +497,7 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 		SiteID: s.part.ID,
 		Ans:    res.Ans,
 		Stats:  res.Stats,
-		Epoch:  sn.epoch,
+		Epoch:  epoch,
 	}
 	if opts.ForcePartial {
 		pa.Ans = control.Unknown

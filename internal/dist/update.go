@@ -39,8 +39,8 @@ type UpdateResult struct {
 	// Changed reports that the site's observable data actually moved. A
 	// stored record can still be a no-op — divesting a stake that does not
 	// exist, re-merging a stake to its current label, a cross-in count tick
-	// that leaves the in-node set alone — and then the site's epoch, caches
-	// and snapshots all stay put.
+	// that leaves the in-node set alone — and then the site's epoch and
+	// caches stay put.
 	Changed bool
 	// Seq is the site's new epoch whenever the epoch moved, zero otherwise.
 	// On a site with a store it is the record's durable WAL sequence

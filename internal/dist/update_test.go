@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"ccp/internal/control"
@@ -314,5 +316,105 @@ func TestCoordinatorCacheRevalidation(t *testing.T) {
 	}
 	if m4.CoordCacheHits != 1 {
 		t.Fatalf("revalidation broken after refetch: %+v", m4)
+	}
+}
+
+// racedCluster builds a 2-site in-process cluster in which controls(1, 3)
+// holds only through site 0 (1 → 0 → 3, both stakes 0.6), site 0 also
+// holding a few hundred unrelated companies, and starts a goroutine that
+// streams stakes among those companies into site 0 until the returned stop
+// is called. Every stake moves site 0's epoch and none changes the answer.
+// The writer is running when racedCluster returns; racing reports whether
+// it has applied at least n updates, so a test can keep reading until its
+// reads really overlapped writes.
+func racedCluster(t *testing.T) (coord *Coordinator, site0 *Site, racing func(n int64) bool, stop func()) {
+	t.Helper()
+	const filler = 300
+	g := graph.New(4 + 2*filler)
+	g.AddEdge(1, 0, 0.6)
+	g.AddEdge(0, 3, 0.6)
+	rng := rand.New(rand.NewSource(5))
+	even := func() graph.NodeID { return graph.NodeID(4 + 2*rng.Intn(filler)) }
+	for i := 0; i < 2*filler; i++ {
+		if u, v := even(), even(); u != v {
+			g.MergeEdge(u, v, 0.05+0.1*rng.Float64())
+		}
+	}
+	pi, err := partition.ByHash(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := []*Site{NewSite(pi.Parts[0], 1), NewSite(pi.Parts[1], 1)}
+	clients := []SiteClient{&LocalClient{Site: sites[0]}, &LocalClient{Site: sites[1]}}
+	coord = NewCoordinator(clients, Options{UseCache: true, Workers: 1})
+
+	// The writer takes a small stake and divests it again, so the partition
+	// never grows.
+	var applied atomic.Int64
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			u, v := even(), even()
+			if u == v {
+				continue
+			}
+			for _, remove := range []bool{false, true} {
+				if _, err := sites[0].ApplyEdgeUpdate(StakeUpdate{Owner: u, Owned: v, Weight: 0.01, Remove: remove}); err != nil {
+					t.Error(err)
+					return
+				}
+				applied.Add(1)
+			}
+		}
+	}()
+	racing = func(n int64) bool { return applied.Load() >= n }
+	for !racing(2) {
+		runtime.Gosched()
+	}
+	return coord, sites[0], racing, func() { close(quit); <-done }
+}
+
+// TestCachedEvaluateRacingUpdatesShipsGraph is the site half of the
+// regression test for a cached evaluation racing an update: a build whose
+// epoch moved before it could be installed as the cache must still be
+// served, at the epoch it was built for, instead of an undecided partial
+// with no graph.
+func TestCachedEvaluateRacingUpdatesShipsGraph(t *testing.T) {
+	_, site, racing, stop := racedCluster(t)
+	defer stop()
+	q := control.Query{S: 1, T: 3} // neither endpoint at site 0
+	for i := 0; i < 1000 || !racing(20000); i++ {
+		pa, err := site.Evaluate(context.Background(), q, EvalOptions{UseCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pa.Ans == control.Unknown && !pa.NotModified && pa.Reduced == nil {
+			t.Fatalf("call %d: undecided cached partial at epoch %d has no graph", i, pa.Epoch)
+		}
+	}
+}
+
+// TestCoordinatorAnswersRacingUpdates is the coordinator half: with
+// unrelated updates streaming into site 0, whose partial carries the only
+// path from 1 to 3, every answer to controls(1, 3) must be true. Dropping
+// that partial from the merge used to answer false.
+func TestCoordinatorAnswersRacingUpdates(t *testing.T) {
+	coord, _, racing, stop := racedCluster(t)
+	defer stop()
+	q := control.Query{S: 1, T: 3}
+	for i := 0; i < 1000 || !racing(1000); i++ {
+		got, _, err := coord.Answer(context.Background(), q)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if !got {
+			t.Fatalf("query %d: controls(1,3) answered false", i)
+		}
 	}
 }

@@ -49,10 +49,14 @@ const sumSlack = 1e-9
 // below ControlEps because every delta is exact to one rounding of the
 // running sum.
 //
-// A Graph is not safe for concurrent mutation; the par package routes
-// concurrent mutations so that each node's adjacency is touched by exactly
-// one goroutine (aggregates of a node are only written by the worker owning
-// that node's shard).
+// A Graph owns every one of its maps: no two graphs share state, so a copy
+// (Clone, CloneInto) is the only way to hand a graph's contents to a reader
+// that must not see later mutations. A Graph is not safe for concurrent
+// mutation, nor for reads concurrent with a mutation; callers that share one
+// serialize access (a site guards its partition with a reader/writer lock).
+// The par package routes concurrent mutations so that each node's adjacency
+// is touched by exactly one goroutine (aggregates of a node are only written
+// by the worker owning that node's shard).
 type Graph struct {
 	out    []map[NodeID]float64
 	in     []map[NodeID]float64
@@ -65,13 +69,6 @@ type Graph struct {
 	inBig  []int32   // #incoming labels exceeding the control threshold
 	bigIn  []NodeID  // a predecessor with a controlling stake (None if inBig == 0)
 	outBig []int32   // #outgoing labels exceeding the control threshold
-
-	// Copy-on-write bookkeeping (see SnapshotClone). tags == nil means the
-	// graph has never snapshotted and owns every map outright; otherwise
-	// tags[v] == tag marks v's adjacency maps as exclusively owned, anything
-	// else as possibly shared with a snapshot sibling.
-	tags []uint64
-	tag  uint64
 }
 
 // New returns a graph with n live nodes (ids 0..n-1) and no edges.
@@ -178,9 +175,6 @@ func (g *Graph) AddNode() NodeID {
 	g.inBig = append(g.inBig, 0)
 	g.bigIn = append(g.bigIn, None)
 	g.outBig = append(g.outBig, 0)
-	if g.tags != nil {
-		g.tags = append(g.tags, g.tag) // a brand-new node's maps are unshared
-	}
 	g.nAlive++
 	return id
 }
@@ -197,9 +191,6 @@ func (g *Graph) Revive(v NodeID) {
 		g.inBig = append(g.inBig, 0)
 		g.bigIn = append(g.bigIn, None)
 		g.outBig = append(g.outBig, 0)
-		if g.tags != nil {
-			g.tags = append(g.tags, g.tag)
-		}
 	}
 	if !g.alive[v] {
 		g.alive[v] = true
@@ -233,8 +224,6 @@ func (g *Graph) MergeEdge(u, v NodeID, w float64) error {
 		if nw > 1 {
 			nw = 1
 		}
-		g.own(u)
-		g.own(v)
 		g.out[u][v] = nw
 		g.in[v][u] = nw
 		g.accountOut(u, old, nw)
@@ -259,8 +248,6 @@ func (g *Graph) checkEndpoints(u, v NodeID, w float64) error {
 }
 
 func (g *Graph) setEdge(u, v NodeID, w float64) {
-	g.own(u)
-	g.own(v)
 	if g.out[u] == nil {
 		g.out[u] = make(map[NodeID]float64)
 	}
@@ -299,8 +286,6 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 	if !ok {
 		return false
 	}
-	g.own(u)
-	g.own(v)
 	delete(g.out[u], v)
 	delete(g.in[v], u)
 	g.accountOut(u, w, 0)
@@ -310,27 +295,24 @@ func (g *Graph) RemoveEdge(u, v NodeID) bool {
 }
 
 // RemoveNode deletes v and all its incident edges (the action of rules R1
-// and R2). It reports whether v was live. v's own maps are only read here:
-// they are cleared in place when the graph owns them and dropped when a
-// snapshot sibling may share them (see dropAdjacency), so no map is cloned
-// just to be discarded.
+// and R2). It reports whether v was live. v's maps are cleared, not dropped,
+// so their tables stay for the next CloneInto into this graph.
 func (g *Graph) RemoveNode(v NodeID) bool {
 	if !g.Alive(v) {
 		return false
 	}
 	for u, w := range g.in[v] {
-		g.own(u)
 		delete(g.out[u], v)
 		g.accountOut(u, w, 0)
 		g.nEdges--
 	}
 	for u, w := range g.out[v] {
-		g.own(u)
 		delete(g.in[u], v)
 		g.accountIn(v, u, w, 0)
 		g.nEdges--
 	}
-	g.dropAdjacency(v)
+	clear(g.out[v])
+	clear(g.in[v])
 	g.alive[v] = false
 	g.nAlive--
 	g.resetAggregates(v)
@@ -509,15 +491,15 @@ func cloneMap(m map[NodeID]float64) map[NodeID]float64 {
 // pooled destination reaches steady state after one round trip — every map
 // table it needs already exists — so repeated clones of same-shaped graphs
 // stop allocating entirely. The steady state survives reducing dst between
-// two clones: node removal clears the tables dst owns instead of dropping
-// them, so the clone → reduce → clone cycle of a live site evaluation
-// allocates nothing once warm. Growing a table past its old size still
-// allocates.
+// two clones: node removal clears a removed node's tables instead of
+// dropping them, so the clone → reduce → clone cycle of a live site
+// evaluation allocates nothing once warm. Growing a table past its old size
+// still allocates. CloneInto only reads g, so any number of copies may run
+// concurrently as long as nothing mutates g meanwhile.
 func (g *Graph) CloneInto(dst *Graph) *Graph {
 	if dst == nil || dst == g {
 		return g.Clone()
 	}
-	dst.detach() // a recycled snapshot participant must not clear shared maps
 	dst.sizeTo(len(g.alive))
 	copy(dst.alive, g.alive)
 	copy(dst.inSum, g.inSum)
@@ -552,10 +534,10 @@ func copyMapInto(dst, src map[NodeID]float64) map[NodeID]float64 {
 }
 
 // Reset empties the graph — every node dead, no edges, aggregates zeroed —
-// while keeping its id-space length and the allocated per-node edge maps, so
-// a pooled scratch graph can be rebuilt without allocating.
+// while keeping its id-space length and the allocated per-node edge maps,
+// cleared in place, so a pooled scratch graph can be rebuilt without
+// allocating.
 func (g *Graph) Reset() {
-	g.detach() // shared maps are dropped, not cleared in place
 	for i := range g.alive {
 		clear(g.out[i])
 		clear(g.in[i])
@@ -582,9 +564,6 @@ func (g *Graph) sizeTo(n int) {
 	g.inBig = resize(g.inBig, n)
 	g.bigIn = resize(g.bigIn, n)
 	g.outBig = resize(g.outBig, n)
-	if g.tags != nil {
-		g.tags = resize(g.tags, n)
-	}
 }
 
 func resize[E any](s []E, n int) []E {

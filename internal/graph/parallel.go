@@ -12,7 +12,7 @@ const ControlEps = 1e-9
 // than half, with rounding slack.
 func ExceedsControl(x float64) bool { return x > ControlThreshold+ControlEps }
 
-// mutKind tags an adjacency mutation.
+// mutKind is the kind of an adjacency mutation.
 type mutKind uint8
 
 const (
@@ -192,10 +192,11 @@ func clampLabel(w float64) float64 {
 }
 
 // kill empties the adjacency of every listed live node, marks it dead and
-// returns (nodesRemoved, outEdgesCleared). Owned maps are cleared rather than
-// dropped (see dropAdjacency): a reduction removes most of a per-query
-// scratch copy, and the tables it keeps are what lets the next CloneInto
-// into the same scratch run without allocating.
+// returns (nodesRemoved, outEdgesCleared). A victim's maps are cleared, not
+// dropped: a reduction removes most of a per-query scratch copy, and the
+// tables it keeps are what lets the next CloneInto into the same scratch run
+// without allocating. Only the victims' own entries are written, so sharded
+// kills of disjoint victims never race.
 func (g *Graph) kill(victims []NodeID) (nodes, edges int) {
 	for _, v := range victims {
 		if !g.alive[v] {
@@ -203,7 +204,8 @@ func (g *Graph) kill(victims []NodeID) (nodes, edges int) {
 		}
 		nodes++
 		edges += len(g.out[v])
-		g.dropAdjacency(v)
+		clear(g.out[v])
+		clear(g.in[v])
 		g.alive[v] = false
 		g.resetAggregates(v)
 	}

@@ -60,6 +60,71 @@ func TestCloneIntoSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRemoveNodeKeepsSiblingAdjacency removes nodes on either side of a
+// copy and checks the other side keeps its adjacency: no map is shared
+// between a graph and its clone. A removed node's maps are cleared and kept,
+// so its tables are there for the next CloneInto.
+func TestRemoveNodeKeepsSiblingAdjacency(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(100 + seed))
+		g := randomGraph(rng, 40, 120)
+		sn := g.Clone()
+		ref := sn.Clone()
+		owned := NodeID(rng.Intn(40))
+		g.MergeEdge(owned, (owned+1)%40, 0.01) // owned has an out-table
+		for i := 0; i < 15; i++ {
+			g.RemoveNode(NodeID(rng.Intn(40)))
+		}
+		g.RemoveNode(owned)
+		if !Equal(sn, ref, 0) {
+			t.Fatalf("seed %d: removals on the graph changed its copy", seed)
+		}
+		if g.Alive(owned) || g.out[owned] == nil || len(g.out[owned]) != 0 {
+			t.Fatalf("seed %d: removing a node dropped its table (or left entries)", seed)
+		}
+		live := g.Clone()
+		for i := 0; i < 15; i++ {
+			sn.RemoveNode(NodeID(rng.Intn(40)))
+		}
+		if !Equal(g, live, 0) {
+			t.Fatalf("seed %d: removals on the copy changed the graph", seed)
+		}
+		mustAggregates(t, g)
+		mustAggregates(t, sn)
+	}
+}
+
+// TestKillClearsOwnedDropsShared checks the batch removal's kill, inline and
+// sharded: a removed node's maps are emptied but kept, the survivors lose
+// their edges to it, and a copy taken before the removal keeps its own.
+func TestKillClearsOwnedDropsShared(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		g := New(5)
+		g.AddEdge(0, 1, 0.3)
+		g.AddEdge(1, 2, 0.3)
+		g.AddEdge(2, 3, 0.6)
+		g.AddEdge(4, 2, 0.3)
+		sn := g.Clone()
+		ref := sn.Clone()
+		isVictim := make([]bool, g.Cap())
+		isVictim[1], isVictim[2] = true, true
+		g.RemoveBatchMetered(nil, []NodeID{1, 2}, isVictim, workers, nil)
+		for _, v := range []NodeID{1, 2} {
+			if g.Alive(v) || g.out[v] == nil || g.in[v] == nil || len(g.out[v]) != 0 || len(g.in[v]) != 0 {
+				t.Fatalf("workers %d, node %d: alive=%v out=%v in=%v, want dead with empty kept tables",
+					workers, v, g.Alive(v), g.out[v], g.in[v])
+			}
+		}
+		if g.NumNodes() != 3 || g.NumEdges() != 0 || g.OutDegree(0) != 0 || g.InDegree(3) != 0 || g.OutDegree(4) != 0 {
+			t.Fatalf("workers %d: %d nodes %d edges left, want 3 live nodes and no edge", workers, g.NumNodes(), g.NumEdges())
+		}
+		if !Equal(sn, ref, 0) {
+			t.Fatalf("workers %d: kill on the graph changed its copy", workers)
+		}
+		mustAggregates(t, g)
+	}
+}
+
 func TestResetKeepsCapacityAndRebuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	g := randomGraph(rng, 60, 150)

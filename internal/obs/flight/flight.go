@@ -113,8 +113,9 @@ const (
 	// thresholds (entering breach); A1 is the SLO's registry index, A2 the
 	// fast-window burn rate in thousandths.
 	SLOBreach
-	// GraphClone is a site copying its epoch snapshot into per-query
-	// scratch; A1 is the duration in nanoseconds, A2 the nodes copied.
+	// GraphClone is a site copying its partition into per-query scratch
+	// under its read lock; A1 is the duration in nanoseconds, A2 the nodes
+	// copied.
 	GraphClone
 	// GraphMerge is the coordinator assembling the partial answers into the
 	// merged graph; A1 is the duration in nanoseconds, A2 the merged edges.

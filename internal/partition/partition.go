@@ -58,7 +58,7 @@ type StakeResult struct {
 	// Changed reports that some observable state actually moved. A stored
 	// update can be a no-op — divesting nothing, or a merge whose clamped or
 	// rounded label equals the old one — and then nothing downstream (epoch,
-	// snapshots, caches, WAL) needs to move either.
+	// caches, WAL) needs to move either.
 	Changed bool
 }
 
@@ -110,7 +110,7 @@ func (p *Partition) ApplyStake(owner, owned graph.NodeID, w float64, remove bool
 // AdjustCrossIn folds delta new (+1) or removed (-1) foreign cross edges
 // into v's in-node bookkeeping, if v is a member. acted reports whether the
 // adjustment applied; changed reports whether the in-node *set* moved —
-// only membership changes affect snapshots and caches, a pure reference
+// only membership changes affect evaluations and caches, a pure reference
 // count tick does not.
 func (p *Partition) AdjustCrossIn(v graph.NodeID, delta int) (acted, changed bool) {
 	if !p.Members.Has(v) {
@@ -138,15 +138,15 @@ func (p *Partition) AdjustCrossIn(v graph.NodeID, delta int) (acted, changed boo
 	}
 }
 
-// Snapshot returns a consistent image of the partition that stays valid
-// while the live partition keeps mutating: the graph is a copy-on-write
-// snapshot (O(nodes) to take, see graph.SnapshotClone), the sets and
-// counters are copied outright. Checkpoint builds serialize the image off
-// the update path.
+// Snapshot returns a deep copy of the partition — graph, sets and counters —
+// that stays valid while the live partition keeps mutating. Taking it costs
+// O(nodes + edges) and must not run concurrently with a mutation: a site
+// takes it under its read lock, and checkpoint builds serialize the copy
+// after the lock is released.
 func (p *Partition) Snapshot() *Partition {
 	c := &Partition{
 		ID:       p.ID,
-		Local:    p.Local.SnapshotClone(),
+		Local:    p.Local.Clone(),
 		Members:  graph.NewNodeSet(),
 		Virtual:  graph.NewNodeSet(),
 		InNodes:  graph.NewNodeSet(),

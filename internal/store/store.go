@@ -197,9 +197,10 @@ func (s *Store) AppendedSeq() uint64 { return s.wal.appended.Load() }
 
 // Start begins background checkpointing. source must return a consistent
 // (sequence number, partition image) pair — the image reflecting exactly
-// the records up to that sequence number; the site produces it under its
-// update lock from a copy-on-write snapshot, so capturing one is O(nodes),
-// not O(edges).
+// the records up to that sequence number — that no later update touches.
+// The site produces it as a deep copy (partition.Snapshot) under its read
+// lock, so updates wait for the O(nodes + edges) copy but not for the
+// checkpoint write.
 func (s *Store) Start(source func() (uint64, *partition.Partition)) {
 	s.source = source
 	every, bytes := s.opts.CheckpointEvery, s.opts.CheckpointBytes
