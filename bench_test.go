@@ -108,19 +108,6 @@ func BenchmarkReductionRounds(b *testing.B) {
 	}
 }
 
-func BenchmarkSequentialReduction(b *testing.B) {
-	g := benchGraph(b, 10_000, 2)
-	q := control.Query{S: 0, T: graph.NodeID(g.Cap() - 1)}
-	x := graph.NewNodeSet(q.S, q.T)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		clone := g.Clone()
-		b.StartTimer()
-		control.SequentialReduction(clone, q, x, control.FullTrust)
-	}
-}
-
 func BenchmarkBinarySerialization(b *testing.B) {
 	g := benchGraph(b, 50_000, 2)
 	var buf bytes.Buffer

@@ -24,7 +24,6 @@ import (
 	"ccp/internal/control"
 	"ccp/internal/datalog"
 	"ccp/internal/graph"
-	"ccp/internal/pathenum"
 	"ccp/internal/stats"
 )
 
@@ -166,16 +165,6 @@ func NewDatalogSolver(g *Graph) (*DatalogSolver, error) {
 	return datalog.NewCCPSolver(g)
 }
 
-// ControlsByPathEnumeration answers q_c(s, t) the way navigational graph
-// query languages must: by enumerating simple paths (exponential!) and
-// post-processing them. maxDepth bounds the path length (0 = unbounded).
-// The second result reports whether the enumeration was truncated by the
-// depth bound, in which case the answer is only a lower bound.
-func ControlsByPathEnumeration(g *Graph, s, t NodeID, maxDepth int) (answer, truncated bool) {
-	res := pathenum.Controls(g, Query{S: s, T: t}, pathenum.Config{MaxDepth: maxDepth})
-	return res.Answer, res.Truncated
-}
-
 // FrozenGraph is an immutable compressed-sparse-row snapshot of an
 // ownership graph, optimized for serving many control queries: freeze once,
 // query often.
@@ -195,12 +184,12 @@ func (f *FrozenGraph) NumEdges() int { return f.fz.NumEdges() }
 
 // Controls reports whether s controls t in the snapshot.
 func (f *FrozenGraph) Controls(s, t NodeID) bool {
-	return control.CBEOn(f.fz, Query{S: s, T: t})
+	return control.CBE(f.fz, Query{S: s, T: t})
 }
 
 // ControlledSet returns every company s controls in the snapshot.
 func (f *FrozenGraph) ControlledSet(s NodeID) NodeSet {
-	return control.ControlledSetOn(f.fz, s)
+	return control.ControlledSet(f.fz, s)
 }
 
 // ControlGroup is a head company and every company whose chain of majority

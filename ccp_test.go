@@ -8,6 +8,7 @@ import (
 
 	"ccp"
 	"ccp/internal/dist"
+	"ccp/internal/pathenum"
 )
 
 // holding builds the quickstart graph: 0 controls 1 directly, 1 and 2
@@ -89,9 +90,9 @@ func TestDeclarativeAndPathEnumerationAgree(t *testing.T) {
 		if decl != want {
 			t.Fatalf("declarative(%d,%d) = %v, want %v", s, tt, decl, want)
 		}
-		pe, truncated := ccp.ControlsByPathEnumeration(g, s, tt, 0)
-		if truncated || pe != want {
-			t.Fatalf("pathenum(%d,%d) = %v (trunc %v), want %v", s, tt, pe, truncated, want)
+		pe := pathenum.Controls(g, ccp.Query{S: s, T: tt}, pathenum.Config{})
+		if pe.Truncated || pe.Answer != want {
+			t.Fatalf("pathenum(%d,%d) = %v (trunc %v), want %v", s, tt, pe.Answer, pe.Truncated, want)
 		}
 	}
 }

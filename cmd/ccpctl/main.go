@@ -5,7 +5,7 @@
 //
 //	ccpctl gen    -type scalefree|italian|eu|riad|random -nodes n [-degree d] [-rate r] [-countries k] [-seed n] -out file
 //	ccpctl stats  -in file
-//	ccpctl query  -in file -s id -t id [-solver cbe|reduce|datalog|datalog-planned|pathenum]
+//	ccpctl query  -in file -s id -t id [-solver cbe|reduce|datalog|datalog-planned|dist]
 //	ccpctl owned  -in file -s id [-list]
 //
 // Graph files use the compact CCPG1 binary format with a .ccpg extension, or
@@ -80,13 +80,14 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   ccpctl gen     -type scalefree|italian|eu|riad|random -nodes n [-degree d] [-rate r] [-countries k] [-seed n] -out file
   ccpctl stats   -in file
-  ccpctl query   -in file -s id -t id [-solver cbe|reduce|datalog|datalog-planned|pathenum] [-explain]
+  ccpctl query   -in file -s id -t id [-solver cbe|reduce|datalog|datalog-planned|dist] [-explain]
   ccpctl owned   -in file -s id [-list]
   ccpctl explain -in file -s id -t id
   ccpctl split   -in file -parts k -outprefix p       (writes p0.ccpp, p1.ccpp, ...)
   ccpctl groups  -in file [-top n]                    (control groups by ultimate controller)
   ccpctl datalog -in file -s id [-t id] [-program f] [-explain]
-                                                      (evaluate the logic program)
+                                                      (evaluate the company control program,
+                                                      or program f over the same own/source facts)
   ccpctl flight  [-ops host:port,...] [-in dump.json,...] [-trace hex]
                                                       (merged cross-process flight timeline)
   ccpctl doctor  -ops host:port[,...] [-in file,...] [-view checks|fleet|store|top] [-watch d] [-json]
@@ -204,7 +205,7 @@ func cmdQuery(args []string) error {
 	in := fs.String("in", "", "graph file")
 	s := fs.Int("s", -1, "source company")
 	t := fs.Int("t", -1, "target company")
-	solver := fs.String("solver", "cbe", "cbe|reduce|datalog|datalog-planned|pathenum|dist")
+	solver := fs.String("solver", "cbe", "cbe|reduce|datalog|datalog-planned|dist")
 	parts := fs.Int("parts", 2, "partitions for -solver dist (in-process sites)")
 	verbose := fs.Bool("verbose", false, "print the stitched query trace (-solver dist only)")
 	explain := fs.Bool("explain", false, "print the evaluation plan and per-rule counts (datalog solvers only)")
@@ -252,12 +253,6 @@ func cmdQuery(args []string) error {
 		ans, plan, err = solver.ControlsExplain(ccp.NodeID(*s), ccp.NodeID(*t))
 		if err != nil {
 			return err
-		}
-	case "pathenum":
-		var truncated bool
-		ans, truncated = ccp.ControlsByPathEnumeration(g, ccp.NodeID(*s), ccp.NodeID(*t), 0)
-		if truncated {
-			return fmt.Errorf("query: path enumeration truncated")
 		}
 	default:
 		return fmt.Errorf("query: unknown solver %q", *solver)
@@ -402,7 +397,7 @@ func cmdDatalog(args []string) error {
 		return err
 	}
 	e := datalog.NewEngine()
-	src := datalog.ProgramText(0.5)
+	src := datalog.ProgramText()
 	if *program != "" {
 		data, err := os.ReadFile(*program)
 		if err != nil {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ccp"
@@ -29,6 +30,44 @@ func TestSaveLoadGraphFormats(t *testing.T) {
 	}
 }
 
+// TestOneThresholdAcrossSolvers: companies 1–50 are each 60%-owned by 0 and
+// each hold 1% of 51, so 0 commands exactly half of 51 — not control. The
+// float sum of fifty 0.01 stakes lands a hair above 0.5, so a solver that
+// compares against bare 0.5 instead of the shared threshold answers true.
+func TestOneThresholdAcrossSolvers(t *testing.T) {
+	g := ccp.NewGraph(52)
+	for c := ccp.NodeID(1); c <= 50; c++ {
+		if err := g.AddEdge(0, c, 0.6); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddEdge(c, 51, 0.01); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gpath := filepath.Join(t.TempDir(), "half.ccpg")
+	if err := saveGraph(g, gpath); err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() {
+		if err := cmdDatalog([]string{"-in", gpath, "-s", "0", "-t", "51"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !strings.HasPrefix(out, "control(0,51) = false") {
+		t.Fatalf("datalog: %q", out)
+	}
+	for _, solver := range []string{"cbe", "reduce", "datalog", "datalog-planned"} {
+		out := captureStdout(t, func() {
+			if err := cmdQuery([]string{"-in", gpath, "-s", "0", "-t", "51", "-solver", solver}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !strings.HasPrefix(out, "q_c(0,51) = false") {
+			t.Fatalf("query -solver %s: %q", solver, out)
+		}
+	}
+}
+
 func TestCommandsEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	gpath := filepath.Join(dir, "g.ccpg")
@@ -46,7 +85,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 			t.Fatalf("stats %v: %v", args, err)
 		}
 	}
-	for _, solver := range []string{"cbe", "reduce", "datalog", "pathenum"} {
+	for _, solver := range []string{"cbe", "reduce", "datalog", "datalog-planned"} {
 		if err := cmdQuery([]string{"-in", gpath, "-s", "0", "-t", "7", "-solver", solver}); err != nil {
 			t.Fatalf("query %s: %v", solver, err)
 		}
@@ -78,6 +117,9 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}
 	if err := cmdQuery([]string{"-in", gpath, "-s", "0", "-t", "1", "-solver", "zap"}); err == nil {
 		t.Fatal("bad solver accepted")
+	}
+	if err := cmdQuery([]string{"-in", gpath, "-s", "0", "-t", "1", "-solver", "pathenum"}); err == nil {
+		t.Fatal("path enumeration is an experiments comparator, not a query solver")
 	}
 	if err := cmdStats([]string{}); err == nil {
 		t.Fatal("missing -in accepted")

@@ -8,13 +8,10 @@ import (
 // (Algorithm 1 of the paper), implemented with a worklist so that each node's
 // accumulated controlled ownership is updated incrementally: O(n + m) instead
 // of the paper's O(n²) bound for the literal formulation. The computed
-// relation is identical.
-func CBE(g *graph.Graph, q Query) bool { return CBEOn(g, q) }
-
-// CBEOn is CBE over any read-only ownership view — in particular a
-// graph.Frozen snapshot, which serves repeated queries from contiguous
+// relation is identical. g is any read-only ownership view — a *graph.Graph
+// or a graph.Frozen snapshot, which serves repeated queries from contiguous
 // arrays instead of hash maps.
-func CBEOn(g graph.Ownership, q Query) bool {
+func CBE(g graph.Ownership, q Query) bool {
 	if q.S == q.T {
 		return true
 	}
@@ -22,67 +19,65 @@ func CBEOn(g graph.Ownership, q Query) bool {
 		return false
 	}
 	found := false
-	expand(g, q.S, func(v graph.NodeID) bool {
-		if v == q.T {
-			found = true
-			return false
-		}
-		return true
+	expand(g, []graph.NodeID{q.S}, func(_, z graph.NodeID, _ float64, took bool) bool {
+		found = took && z == q.T
+		return !found
 	})
 	return found
 }
 
 // ControlledSet returns the set of all companies controlled by s (including
 // s itself), i.e. the full Control(s, ·) relation of the logic program.
-func ControlledSet(g *graph.Graph, s graph.NodeID) graph.NodeSet {
-	return ControlledSetOn(g, s)
+func ControlledSet(g graph.Ownership, s graph.NodeID) graph.NodeSet {
+	return expand(g, []graph.NodeID{s}, nil)
 }
 
-// ControlledSetOn is ControlledSet over any read-only ownership view.
-func ControlledSetOn(g graph.Ownership, s graph.NodeID) graph.NodeSet {
-	set := graph.NewNodeSet()
-	if !g.Alive(s) {
-		return set
-	}
-	set.Add(s)
-	expand(g, s, func(v graph.NodeID) bool {
-		set.Add(v)
-		return true
-	})
-	return set
-}
-
-// expand runs the CBE closure from s, invoking visit for every newly
-// controlled node (s excluded). visit returns false to stop early.
+// expand is Algorithm 1's closure — the one worklist behind every control
+// decision and explanation in this package. It returns the smallest set
+// holding the live seeds and every company in which already controlled
+// companies jointly hold more than half. hook, when non-nil, sees every
+// stake y→z of weight w as it is counted toward z, with took reporting
+// whether that stake brought z into the set; returning false stops the
+// closure.
 //
 // acc[v] is the monotonic sum msum of the ownership of v held by already
 // controlled companies, each counted once: a company y contributes its label
 // exactly once, when y itself enters the controlled set.
-func expand(g graph.Ownership, s graph.NodeID, visit func(graph.NodeID) bool) {
-	acc := make(map[graph.NodeID]float64)
-	controlled := graph.NewNodeSet(s)
-	queue := []graph.NodeID{s}
-	for len(queue) > 0 {
-		y := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		stop := false
-		g.EachOut(y, func(z graph.NodeID, w float64) {
-			if stop || controlled.Has(z) {
-				return
-			}
-			acc[z] += w
-			if graph.ExceedsControl(acc[z]) {
-				controlled.Add(z)
-				queue = append(queue, z)
-				if !visit(z) {
-					stop = true
-				}
-			}
-		})
-		if stop {
-			return
+func expand(g graph.Ownership, seeds []graph.NodeID, hook func(y, z graph.NodeID, w float64, took bool) bool) graph.NodeSet {
+	controlled := graph.NewNodeSet()
+	queue := make([]graph.NodeID, 0, len(seeds))
+	for _, s := range seeds {
+		if g.Alive(s) && !controlled.Has(s) {
+			controlled.Add(s)
+			queue = append(queue, s)
 		}
 	}
+	acc := make(map[graph.NodeID]float64)
+	var y graph.NodeID
+	stop := false
+	// One closure for the whole walk: built per y, it would be a heap
+	// allocation per controlled company.
+	count := func(z graph.NodeID, w float64) {
+		if stop || controlled.Has(z) {
+			return
+		}
+		sum := acc[z] + w
+		acc[z] = sum
+		took := graph.ExceedsControl(sum)
+		if took {
+			controlled.Add(z)
+			queue = append(queue, z)
+		}
+		if hook != nil && !hook(y, z, w, took) {
+			stop = true
+		}
+	}
+	for len(queue) > 0 && !stop {
+		y = queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		g.EachOut(y, count)
+	}
+	return controlled
 }
 
 // SerialBaselineSet computes the controlled set of s with the literal

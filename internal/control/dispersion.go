@@ -101,7 +101,7 @@ func ControlledSetsParallel(g *graph.Graph, sources []graph.NodeID, workers int)
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range jobs {
-				out[i] = ControlledSetOn(fz, sources[i])
+				out[i] = ControlledSet(fz, sources[i])
 			}
 			done <- struct{}{}
 		}()

@@ -31,41 +31,35 @@ func Explain(g *graph.Graph, q Query) ([]WitnessStep, bool) {
 		return nil, false
 	}
 
-	// Forward closure, recording for every newly controlled company the
-	// stakes that were accumulated for it.
-	type pending struct {
-		stakes []graph.Edge
-		total  float64
-	}
-	acc := make(map[graph.NodeID]*pending)
-	controlled := graph.NewNodeSet(q.S)
-	order := []graph.NodeID{} // closure order of controlled companies
-	steps := make(map[graph.NodeID]WitnessStep)
-	queue := []graph.NodeID{q.S}
-	for len(queue) > 0 && !controlled.Has(q.T) {
-		y := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		g.EachOut(y, func(z graph.NodeID, w float64) {
-			if controlled.Has(z) {
-				return
-			}
-			p := acc[z]
-			if p == nil {
-				p = &pending{}
-				acc[z] = p
-			}
-			p.stakes = append(p.stakes, graph.Edge{From: y, To: z, Weight: w})
-			p.total += w
-			if graph.ExceedsControl(p.total) {
-				controlled.Add(z)
-				order = append(order, z)
-				steps[z] = WitnessStep{Company: z, Stakes: p.stakes, Total: p.total}
-				queue = append(queue, z)
-			}
-		})
-	}
-	if !controlled.Has(q.T) {
+	// Forward closure, recording every counted stake and the order in which
+	// companies came under control.
+	var stakes []graph.Edge
+	var order []graph.NodeID
+	expand(g, []graph.NodeID{q.S}, func(y, z graph.NodeID, w float64, took bool) bool {
+		stakes = append(stakes, graph.Edge{From: y, To: z, Weight: w})
+		if took {
+			order = append(order, z)
+		}
+		return !took || z != q.T
+	})
+	if len(order) == 0 || order[len(order)-1] != q.T {
 		return nil, false
+	}
+
+	// A controlled company's step is every stake counted toward it: the
+	// closure counts none after it enters, and summing them in counting
+	// order reproduces the total it compared.
+	steps := make([]WitnessStep, len(order))
+	at := make(map[graph.NodeID]int, len(order))
+	for i, v := range order {
+		steps[i].Company = v
+		at[v] = i
+	}
+	for _, e := range stakes {
+		if i, ok := at[e.To]; ok {
+			steps[i].Stakes = append(steps[i].Stakes, e)
+			steps[i].Total += e.Weight
+		}
 	}
 
 	// Backward pruning: keep only the steps t transitively depends on.
@@ -74,7 +68,7 @@ func Explain(g *graph.Graph, q Query) ([]WitnessStep, bool) {
 	for len(work) > 0 {
 		v := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, e := range steps[v].Stakes {
+		for _, e := range steps[at[v]].Stakes {
 			if e.From == q.S || needed.Has(e.From) {
 				continue
 			}
@@ -83,9 +77,9 @@ func Explain(g *graph.Graph, q Query) ([]WitnessStep, bool) {
 		}
 	}
 	var out []WitnessStep
-	for _, v := range order {
-		if needed.Has(v) {
-			out = append(out, steps[v])
+	for _, st := range steps {
+		if needed.Has(st.Company) {
+			out = append(out, st)
 		}
 	}
 	// Deterministic stake order inside each step.

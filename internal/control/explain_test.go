@@ -142,3 +142,58 @@ func TestQuickExplainMatchesCBE(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExplainStepsJustified200Seeds: over 200 seeded graphs, every witness
+// step is justified by s or earlier steps whose stakes total more than half,
+// its Total is that sum, every step but the last is a holder in a later step
+// (the chain is pruned), and the chain ends at t exactly when CBE — and the
+// literal rescan formulation, which shares no code with it — says control.
+func TestExplainStepsJustified200Seeds(t *testing.T) {
+	positives := 0
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(60)
+		g := gen.Random(n, rng.Intn(5*n), rng.Int63())
+		for k := 0; k < 4; k++ {
+			q := Query{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
+			want := CBE(g, q)
+			if literal := SerialBaselineSet(g, q.S).Has(q.T); literal != want {
+				t.Fatalf("seed %d %v: CBE %v, literal Algorithm 1 %v", seed, q, want, literal)
+			}
+			steps, ok := Explain(g, q)
+			if ok != want {
+				t.Fatalf("seed %d %v: Explain %v, CBE %v", seed, q, ok, want)
+			}
+			if !ok {
+				if steps != nil {
+					t.Fatalf("seed %d %v: negative answer with steps %v", seed, q, steps)
+				}
+				continue
+			}
+			checkWitness(t, g, q, steps)
+			used := graph.NewNodeSet()
+			for i := len(steps) - 1; i >= 0; i-- {
+				st := steps[i]
+				var sum float64
+				for _, e := range st.Stakes {
+					sum += e.Weight
+				}
+				if d := st.Total - sum; d > 1e-12 || d < -1e-12 || !graph.ExceedsControl(st.Total) {
+					t.Fatalf("seed %d %v step %d: Total %g, stakes sum %g", seed, q, i, st.Total, sum)
+				}
+				if i < len(steps)-1 && !used.Has(st.Company) {
+					t.Fatalf("seed %d %v: step %d (%d) justifies no later step", seed, q, i, st.Company)
+				}
+				for _, e := range st.Stakes {
+					used.Add(e.From)
+				}
+			}
+			if q.S != q.T {
+				positives++
+			}
+		}
+	}
+	if positives < 20 {
+		t.Fatalf("only %d non-trivial positive queries: the property was barely exercised", positives)
+	}
+}

@@ -13,30 +13,7 @@ import (
 // Seeds that are not live nodes are ignored; the result contains the live
 // seeds.
 func CoalitionControlledSet(g *graph.Graph, seeds []graph.NodeID) graph.NodeSet {
-	set := graph.NewNodeSet()
-	acc := make(map[graph.NodeID]float64)
-	var queue []graph.NodeID
-	for _, s := range seeds {
-		if g.Alive(s) && !set.Has(s) {
-			set.Add(s)
-			queue = append(queue, s)
-		}
-	}
-	for len(queue) > 0 {
-		y := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		g.EachOut(y, func(z graph.NodeID, w float64) {
-			if set.Has(z) {
-				return
-			}
-			acc[z] += w
-			if graph.ExceedsControl(acc[z]) {
-				set.Add(z)
-				queue = append(queue, z)
-			}
-		})
-	}
-	return set
+	return expand(g, seeds, nil)
 }
 
 // CoalitionControls reports whether the coalition jointly controls t.

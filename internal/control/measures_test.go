@@ -138,3 +138,40 @@ func TestQuickOwnershipConsistentWithControl(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSingletonCoalitionIsControlledSet200Seeds: over 200 seeded graphs, a
+// coalition of one is the plain controlled set, on the live graph and on a
+// frozen snapshot, and both equal the literal rescan formulation
+// (SerialBaselineSet), which shares no code with the worklist.
+func TestSingletonCoalitionIsControlledSet200Seeds(t *testing.T) {
+	sameSet := func(a, b graph.NodeSet) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for v := range a {
+			if !b.Has(v) {
+				return false
+			}
+		}
+		return true
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(60)
+		g := gen.Random(n, rng.Intn(4*n), rng.Int63())
+		fz := graph.Freeze(g)
+		for q := 0; q < 4; q++ {
+			s := graph.NodeID(rng.Intn(n + 2)) // ids ≥ n are not live
+			want := SerialBaselineSet(g, s)
+			for name, got := range map[string]graph.NodeSet{
+				"coalition":      CoalitionControlledSet(g, []graph.NodeID{s}),
+				"controlled-set": ControlledSet(g, s),
+				"frozen":         ControlledSet(fz, s),
+			} {
+				if !sameSet(got, want) {
+					t.Fatalf("seed %d source %d: %s = %v, literal Algorithm 1 = %v", seed, s, name, got, want)
+				}
+			}
+		}
+	}
+}

@@ -62,6 +62,20 @@ type Result struct {
 	Phase2Rounds int
 }
 
+// Stats counts the work done by a reduction.
+type Stats struct {
+	Iterations int // mark/act rounds
+	Removed    int // nodes removed by R1/R2
+	Contracted int // nodes contracted by R3
+}
+
+// Add accumulates other into st.
+func (st *Stats) Add(other Stats) {
+	st.Iterations += other.Iterations
+	st.Removed += other.Removed
+	st.Contracted += other.Contracted
+}
+
 // reducerPool recycles Reducers across ParallelReduction calls so the
 // convenience entry point shares the zero-steady-state-allocation property
 // of an explicitly reused Reducer.

@@ -1,8 +1,9 @@
 // Package control implements the company control problem (CCP) solvers of
-// the paper: the Control-by-Expansion baseline (Algorithm 1), a naive serial
-// fixpoint used as a performance yardstick, and the reduction-based
-// sequential and parallel algorithms built from node classes C1–C4,
-// reduction rules R1–R3 and termination conditions T1–T3.
+// the paper: the Control-by-Expansion closure (Algorithm 1), which every
+// control decision, controlled set and explanation here runs on; a naive
+// serial fixpoint used as a performance yardstick; and the parallel
+// reduction built from node classes C1–C4, reduction rules R1–R3 and
+// termination conditions T1–T3.
 package control
 
 import (

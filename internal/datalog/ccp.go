@@ -4,20 +4,12 @@ import (
 	"ccp/internal/graph"
 )
 
-// controlEngine declares the company control program of Section III and
-// loads g's ownership edges as own facts; callers assert the source facts:
-//
-//	control(x,x) :- source(x).
-//	control(x,z) :- control(x,y), own(y,z,w), msum(w,<y>) > 0.5.
+// controlEngine loads the company control program of Section III
+// (ProgramText) and g's ownership edges as own facts; callers assert the
+// source facts.
 func controlEngine(g *graph.Graph) (*Engine, error) {
 	e := NewEngine()
-	if err := e.Relation("own", 2, true); err != nil {
-		return nil, err
-	}
-	if err := e.Relation("source", 1, false); err != nil {
-		return nil, err
-	}
-	if err := e.Relation("control", 2, false); err != nil {
+	if err := e.Load(ProgramText()); err != nil {
 		return nil, err
 	}
 	var addErr error
@@ -30,22 +22,6 @@ func controlEngine(g *graph.Graph) (*Engine, error) {
 	})
 	if addErr != nil {
 		return nil, addErr
-	}
-	if err := e.AddRule(Rule{
-		Head: Atom{Pred: "control", Terms: []Term{V("x"), V("x")}},
-		Body: []Atom{{Pred: "source", Terms: []Term{V("x")}}},
-	}); err != nil {
-		return nil, err
-	}
-	if err := e.AddRule(Rule{
-		Head: Atom{Pred: "control", Terms: []Term{V("x"), V("z")}},
-		Body: []Atom{
-			{Pred: "control", Terms: []Term{V("x"), V("y")}},
-			{Pred: "own", Terms: []Term{V("y"), V("z")}, WeightVar: "w"},
-		},
-		Agg: &MSum{WeightVar: "w", ContribVar: "y", Threshold: graph.ControlThreshold + graph.ControlEps},
-	}); err != nil {
-		return nil, err
 	}
 	return e, nil
 }

@@ -76,35 +76,49 @@ func TestDifferential500Seeds(t *testing.T) {
 }
 
 // TestExactThresholdBoundary pins the strict-inequality semantics at the
-// 0.5 boundary with exact dyadic sums: 32/64 must not confer control,
-// 33/64 must.
+// 0.5 boundary. Exact dyadic sums: 32/64 must not confer control, 33/64
+// must. Fifty 1% stakes: their float sum lands a hair above 0.5, and only
+// the shared threshold (graph.ControlThreshold + graph.ControlEps) keeps it
+// at "exactly half", so every engine must answer false.
 func TestExactThresholdBoundary(t *testing.T) {
+	type edge struct {
+		u, v graph.NodeID
+		w    float64
+	}
 	// Node 0 owns 1 and 2 outright; 1 and 2 each own 16/64 of 3 (sum 0.5,
 	// no control) and 1 and 2 each own 16/64 of 4 plus 0 owns 1/64 of 4
 	// directly (sum 33/64, control).
-	g := graph.New(5)
-	mustEdge := func(u, v graph.NodeID, w float64) {
-		t.Helper()
-		if err := g.AddEdge(u, v, w); err != nil {
-			t.Fatal(err)
-		}
+	dyadic := []edge{
+		{0, 1, 1.0}, {0, 2, 1.0},
+		{1, 3, 16.0 / 64}, {2, 3, 16.0 / 64},
+		{1, 4, 16.0 / 64}, {2, 4, 16.0 / 64}, {0, 4, 1.0 / 64},
 	}
-	mustEdge(0, 1, 1.0)
-	mustEdge(0, 2, 1.0)
-	mustEdge(1, 3, 16.0/64)
-	mustEdge(2, 3, 16.0/64)
-	mustEdge(1, 4, 16.0/64)
-	mustEdge(2, 4, 16.0/64)
-	mustEdge(0, 4, 1.0/64)
-
-	solver, err := NewCCPSolver(g)
-	if err != nil {
-		t.Fatal(err)
+	// Companies 1–50 are each 60%-owned by 0 and each hold 1% of 51.
+	var fifty []edge
+	for c := graph.NodeID(1); c <= 50; c++ {
+		fifty = append(fifty, edge{0, c, 0.6}, edge{c, 51, 0.01})
 	}
 	for _, tc := range []struct {
-		tgt  graph.NodeID
-		want bool
-	}{{3, false}, {4, true}} {
+		name  string
+		n     int
+		edges []edge
+		tgt   graph.NodeID
+		want  bool
+	}{
+		{"dyadic-half", 5, dyadic, 3, false},
+		{"dyadic-above", 5, dyadic, 4, true},
+		{"fifty-1pct", 52, fifty, 51, false},
+	} {
+		g := graph.New(tc.n)
+		for _, e := range tc.edges {
+			if err := g.AddEdge(e.u, e.v, e.w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		solver, err := NewCCPSolver(g)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cbe := control.CBE(g, control.Query{S: 0, T: tc.tgt})
 		bottomUp, err := Controls(g, 0, tc.tgt)
 		if err != nil {
@@ -115,8 +129,8 @@ func TestExactThresholdBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 		if cbe != tc.want || bottomUp != tc.want || magic != tc.want {
-			t.Fatalf("control(0,%d): cbe=%v bottom-up=%v magic=%v, want %v",
-				tc.tgt, cbe, bottomUp, magic, tc.want)
+			t.Fatalf("%s: control(0,%d): cbe=%v bottom-up=%v magic=%v, want %v",
+				tc.name, tc.tgt, cbe, bottomUp, magic, tc.want)
 		}
 	}
 }

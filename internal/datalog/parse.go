@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"unicode"
+
+	"ccp/internal/graph"
 )
 
 // Load parses a textual program and adds its facts and rules to the engine,
@@ -365,10 +367,12 @@ func (p *parser) number() (float64, error) {
 }
 
 // ProgramText returns the paper's company control program in the textual
-// syntax accepted by Load, parameterized by the control threshold.
-func ProgramText(threshold float64) string {
+// syntax accepted by Load — the one statement of it every engine runs. Its
+// msum threshold is the shared control threshold, graph.ExceedsControl's
+// ControlThreshold + ControlEps.
+func ProgramText() string {
 	return fmt.Sprintf(`%% company control (ICDE 2021, Section III)
 control(x, x) :- source(x).
 control(x, z) :- control(x, y), own(y, z) @ w, msum(w, <y>) > %s.
-`, strconv.FormatFloat(threshold, 'g', -1, 64))
+`, strconv.FormatFloat(graph.ControlThreshold+graph.ControlEps, 'g', -1, 64))
 }

@@ -11,7 +11,7 @@ import (
 
 func TestLoadControlProgramText(t *testing.T) {
 	e := NewEngine()
-	src := ProgramText(graph.ControlThreshold+graph.ControlEps) + `
+	src := ProgramText() + `
 own(0, 1) @ 0.6.
 own(0, 2) @ 0.6.
 own(1, 3) @ 0.3.
@@ -39,15 +39,15 @@ func TestLoadMatchesStructAPI(t *testing.T) {
 		g := gen.Random(n, rng.Intn(3*n), rng.Int63())
 		s := graph.NodeID(rng.Intn(n))
 
-		// Struct-built engine.
+		// The library's engine (ControlProgram).
 		want, err := Controls(g, s, graph.NodeID((int(s)+1)%n))
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		// Text-built engine over the same data.
+		// The same text loaded by hand, facts added through AddFact.
 		e := NewEngine()
-		src := ProgramText(graph.ControlThreshold + graph.ControlEps)
+		src := ProgramText()
 		if err := e.Load(src); err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestLoadMatchesStructAPI(t *testing.T) {
 		mustRun(t, e)
 		got := e.Has("control", Value(s), Value((int64(s)+1)%int64(n)))
 		if got != want {
-			t.Fatalf("trial %d: text program %v, struct program %v", trial, got, want)
+			t.Fatalf("trial %d: hand-loaded program %v, ControlProgram %v", trial, got, want)
 		}
 	}
 }

@@ -245,7 +245,6 @@ func batchCluster(t *testing.T, g *graph.Graph, opts Options) *Coordinator {
 func clearTimes(m *Metrics) *Metrics {
 	c := *m
 	c.SiteElapsedMax, c.SiteElapsedSum, c.CoordElapsed = 0, 0, 0
-	c.Health = nil // point-in-time snapshot, not accounting
 	return &c
 }
 

@@ -129,10 +129,6 @@ type Metrics struct {
 	SitesQueried int
 	// Stats accumulates the reduction work across sites and coordinator.
 	Stats control.Stats
-	// Health is a per-site transport-health snapshot taken when the query
-	// (or the last query of a batch) finished: connection state, circuit-
-	// breaker position, redial and retry counters.
-	Health []SiteHealth
 }
 
 // AddQuery accumulates one query's metrics into a batch total. Every
@@ -157,9 +153,6 @@ func (m *Metrics) AddQuery(q *Metrics) {
 	m.MergedQueries += q.MergedQueries
 	m.SitesQueried += q.SitesQueried
 	m.Stats.Add(q.Stats)
-	if q.Health != nil {
-		m.Health = q.Health
-	}
 }
 
 // Coordinator implements Algorithm 2: it posts q_c(s,t) to every site,
@@ -446,7 +439,7 @@ func (c *Coordinator) PrecomputeAll(ctx context.Context) error {
 // *DeadlineError or *CancelledError) cancels the evaluations still in
 // flight at the other sites and fails the query.
 func (c *Coordinator) Answer(ctx context.Context, q control.Query) (bool, *Metrics, error) {
-	ans, m, _, err := c.answer(ctx, q, false, true)
+	ans, m, _, err := c.answer(ctx, q, false)
 	return ans, m, err
 }
 
@@ -457,16 +450,14 @@ func (c *Coordinator) Answer(ctx context.Context, q control.Query) (bool, *Metri
 // It is non-nil even when the query failed (the trace shows how far the query
 // got, the failing site's envelope included).
 func (c *Coordinator) AnswerTraced(ctx context.Context, q control.Query) (bool, *Metrics, *obs.Trace, error) {
-	return c.answer(ctx, q, true, true)
+	return c.answer(ctx, q, true)
 }
 
 // answer wraps one query evaluation with the coordinator's observability: a
 // query id (every query gets one, traced or not), a trace (when explicitly
 // requested or needed by the slow-query log), the query.start and
 // coord.answer events, the per-query cache totals, and slow-log promotion.
-// withHealth attaches a per-site transport-health snapshot to the metrics;
-// batch workers pass false and the batch snapshots health once at the end.
-func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace, withHealth bool) (bool, *Metrics, *obs.Trace, error) {
+func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace bool) (bool, *Metrics, *obs.Trace, error) {
 	// Admission runs before anything is allocated or timed: a shed query
 	// costs one event, and never pollutes the latency histograms with
 	// sub-microsecond "queries".
@@ -485,7 +476,7 @@ func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace, wi
 	// configured every query is traced, not just the ones asked for.
 	sc := c.ev.Query(obs.NewTraceID(), wantTrace || c.opts.Observer.SlowLog() != nil, time.Time{})
 	sc.Emit(flight.QueryStart, -1, int64(q.S), int64(q.T))
-	ans, m, err := c.eval(ctx, q, start, &sc, withHealth)
+	ans, m, err := c.eval(ctx, q, start, &sc)
 	dur := time.Since(start)
 	errFlag := int64(0)
 	if err != nil {
@@ -514,11 +505,8 @@ func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace, wi
 
 // eval runs one query: fan out to the sites, collect partial answers, merge
 // and reduce, reporting every step through the query's scope.
-func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Time, sc *obs.Scope, withHealth bool) (bool, *Metrics, error) {
+func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Time, sc *obs.Scope) (bool, *Metrics, error) {
 	m := &Metrics{DecidedBy: -1}
-	if withHealth {
-		defer func() { m.Health = c.Health() }()
-	}
 	if len(c.clients) == 0 {
 		return false, m, fmt.Errorf("dist: no sites")
 	}
@@ -825,14 +813,13 @@ func (c *Coordinator) AnswerBatch(ctx context.Context, qs []control.Query) ([]bo
 		c.met.batchInflight.Add(1)
 		defer c.met.batchInflight.Add(-1)
 		for i, q := range qs {
-			ans, m, _, err := c.answer(ctx, q, false, false)
+			ans, m, _, err := c.answer(ctx, q, false)
 			if err != nil {
 				return nil, total, &QueryError{Index: i, Query: q, Err: err}
 			}
 			out[i] = ans
 			total.AddQuery(m)
 		}
-		total.Health = c.Health()
 		return out, total, nil
 	}
 
@@ -850,7 +837,7 @@ func (c *Coordinator) AnswerBatch(ctx context.Context, qs []control.Query) ([]bo
 					return
 				}
 				c.met.batchInflight.Add(1)
-				out[i], ms[i], _, errs[i] = c.answer(ctx, qs[i], false, false)
+				out[i], ms[i], _, errs[i] = c.answer(ctx, qs[i], false)
 				c.met.batchInflight.Add(-1)
 			}
 		}()
@@ -866,6 +853,5 @@ func (c *Coordinator) AnswerBatch(ctx context.Context, qs []control.Query) ([]bo
 		}
 		total.AddQuery(ms[i])
 	}
-	total.Health = c.Health()
 	return out, total, nil
 }

@@ -58,6 +58,32 @@ func TestFig8cSmoke(t *testing.T) {
 	}
 }
 
+// shapeCfg is the smallest scale at which the Section VIII shapes below are
+// not degenerate (at tiny's scale every traffic-table partial is empty).
+// Workers 0 runs the reducer inline at GOMAXPROCS 1 and sharded otherwise,
+// so `go test -cpu 1,4 -run Shape` checks both mutator modes.
+func shapeCfg(seed int64) Config {
+	return Config{Scale: 0.25, Seed: seed, Workers: 0, Repeats: 1}
+}
+
+// TestFig8cShape asserts Fig. 8.c's claim on its work counter: the bytes of
+// partial answers shipped rise strictly across the five interconnection
+// rates, on every seed.
+func TestFig8cShape(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		pts, err := Fig8c(shapeCfg(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(pts); i++ {
+			if pts[i].Bytes <= pts[i-1].Bytes {
+				t.Fatalf("seed %d: traffic %d B at %g%% does not exceed %d B at %g%%: %v",
+					seed, pts[i].Bytes, pts[i].X, pts[i-1].Bytes, pts[i-1].X, pts)
+			}
+		}
+	}
+}
+
 func TestFig8dSmoke(t *testing.T) {
 	pts, err := Fig8d(tiny)
 	if err != nil {
@@ -134,6 +160,23 @@ func TestNetworkTrafficSmoke(t *testing.T) {
 		}
 		if r.Bytes <= 0 {
 			t.Fatalf("no traffic: %v", r)
+		}
+	}
+}
+
+// TestNetworkTrafficShape asserts the traffic table's claim, partial ≪
+// partition: on every row and seed, a site's partial answer has under a
+// tenth of its partition's nodes and edges, and it is not empty.
+func TestNetworkTrafficShape(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rows, err := NetworkTraffic(shapeCfg(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if r.PartialNodes == 0 || 10*r.PartialNodes >= r.PartitionNodes || 10*r.PartialEdges >= r.PartitionEdges {
+				t.Fatalf("seed %d: partial not under a tenth of its partition: %v", seed, r)
+			}
 		}
 	}
 }

@@ -1,17 +1,13 @@
 package graph
 
-// Frozen is an immutable compressed-sparse-row snapshot of a Graph,
-// optimized for serving many read-only control queries: successor and
-// predecessor lists are contiguous arrays, so closure expansion walks
-// cache-friendly memory instead of hash maps. Freeze once, query often —
-// the shape of the paper's production workload.
+// Frozen is an immutable compressed-sparse-row snapshot of a Graph's
+// out-edges, optimized for serving many read-only control queries: the
+// closure walks contiguous successor arrays instead of hash maps. Freeze
+// once, query often — the shape of the paper's production workload.
 type Frozen struct {
 	outOffs []int32
 	outDst  []NodeID
 	outW    []float64
-	inOffs  []int32
-	inSrc   []NodeID
-	inW     []float64
 	alive   []bool
 	nodes   int
 }
@@ -20,17 +16,14 @@ type Frozen struct {
 // affect the snapshot.
 func Freeze(g *Graph) *Frozen {
 	n := g.Cap()
+	m := g.NumEdges()
 	f := &Frozen{
 		outOffs: make([]int32, n+1),
-		inOffs:  make([]int32, n+1),
+		outDst:  make([]NodeID, 0, m),
+		outW:    make([]float64, 0, m),
 		alive:   make([]bool, n),
 		nodes:   g.NumNodes(),
 	}
-	m := g.NumEdges()
-	f.outDst = make([]NodeID, 0, m)
-	f.outW = make([]float64, 0, m)
-	f.inSrc = make([]NodeID, 0, m)
-	f.inW = make([]float64, 0, m)
 	for i := 0; i < n; i++ {
 		v := NodeID(i)
 		f.alive[i] = g.Alive(v)
@@ -39,14 +32,8 @@ func Freeze(g *Graph) *Frozen {
 			f.outDst = append(f.outDst, u)
 			f.outW = append(f.outW, w)
 		})
-		f.inOffs[i] = int32(len(f.inSrc))
-		g.EachIn(v, func(u NodeID, w float64) {
-			f.inSrc = append(f.inSrc, u)
-			f.inW = append(f.inW, w)
-		})
 	}
 	f.outOffs[n] = int32(len(f.outDst))
-	f.inOffs[n] = int32(len(f.inSrc))
 	return f
 }
 
@@ -72,31 +59,6 @@ func (f *Frozen) EachOut(v NodeID, fn func(u NodeID, w float64)) {
 	for i := f.outOffs[v]; i < f.outOffs[v+1]; i++ {
 		fn(f.outDst[i], f.outW[i])
 	}
-}
-
-// EachIn calls fn for every incoming edge of v.
-func (f *Frozen) EachIn(v NodeID, fn func(u NodeID, w float64)) {
-	if !f.Alive(v) {
-		return
-	}
-	for i := f.inOffs[v]; i < f.inOffs[v+1]; i++ {
-		fn(f.inSrc[i], f.inW[i])
-	}
-}
-
-// OutDegree returns the number of outgoing edges of v.
-func (f *Frozen) OutDegree(v NodeID) int {
-	if !f.Alive(v) {
-		return 0
-	}
-	return int(f.outOffs[v+1] - f.outOffs[v])
-}
-
-// InSum returns the sum of incoming labels of v.
-func (f *Frozen) InSum(v NodeID) float64 {
-	var s float64
-	f.EachIn(v, func(u NodeID, w float64) { s += w })
-	return s
 }
 
 // Ownership is the read-only view the closure solvers need; both *Graph and

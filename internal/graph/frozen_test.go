@@ -26,14 +26,16 @@ func TestFreezeMatchesGraph(t *testing.T) {
 			if f.Alive(v) != g.Alive(v) {
 				t.Fatalf("trial %d: alive(%d) differs", trial, v)
 			}
-			if f.OutDegree(v) != g.OutDegree(v) {
-				t.Fatalf("trial %d: outdeg(%d) differs", trial, v)
-			}
-			if a, b := f.InSum(v), g.InSum(v); mathAbs(a-b) > 1e-9 {
-				t.Fatalf("trial %d: insum(%d) %g vs %g", trial, v, a, b)
-			}
 			seen := map[NodeID]float64{}
-			f.EachOut(v, func(u NodeID, w float64) { seen[u] = w })
+			f.EachOut(v, func(u NodeID, w float64) {
+				if _, dup := seen[u]; dup {
+					t.Fatalf("trial %d: frozen repeats edge (%d,%d)", trial, v, u)
+				}
+				seen[u] = w
+			})
+			if len(seen) != g.OutDegree(v) {
+				t.Fatalf("trial %d: outdeg(%d) %d vs %d", trial, v, len(seen), g.OutDegree(v))
+			}
 			g.EachOut(v, func(u NodeID, w float64) {
 				if seen[u] != w {
 					t.Fatalf("trial %d: edge (%d,%d) differs", trial, v, u)
@@ -42,11 +44,6 @@ func TestFreezeMatchesGraph(t *testing.T) {
 			})
 			if len(seen) != 0 {
 				t.Fatalf("trial %d: frozen has extra edges %v", trial, seen)
-			}
-			inCount := 0
-			f.EachIn(v, func(u NodeID, w float64) { inCount++ })
-			if inCount != g.InDegree(v) {
-				t.Fatalf("trial %d: indeg(%d) differs", trial, v)
 			}
 		}
 	}
@@ -63,9 +60,7 @@ func TestFreezeIsSnapshot(t *testing.T) {
 		t.Fatal("out-of-range alive")
 	}
 	f.EachOut(99, func(NodeID, float64) { t.Fatal("dead iteration") })
-	if f.OutDegree(99) != 0 || f.InSum(99) != 0 {
-		t.Fatal("dead accessors")
-	}
+	f.EachOut(None, func(NodeID, float64) { t.Fatal("dead iteration") })
 }
 
 func TestQuickFreezeFaithful(t *testing.T) {

@@ -8,15 +8,15 @@
 // graph.merge, control.merge_reduce), retries, redials, circuit transitions,
 // updates, snapshot-cache and WAL activity, slow-query promotions. The same
 // events feed the metrics series, make up a traced query's Trace, and land
-// in the Recorder: a sharded, bounded ring that, when a query goes slow or a
-// circuit trips, holds what every process involved was just doing — dumpable
-// via /debug/flight, on SIGQUIT, and mergeable across processes into one
-// timeline (ccpctl flight).
+// in the Recorder: a bounded ring of the last events that, when a query goes
+// slow or a circuit trips, holds what every process involved was just doing
+// — dumpable via /debug/flight, on SIGQUIT, and mergeable across processes
+// into one timeline (ccpctl flight).
 //
 // Recording is designed for the hot path: one fixed-size struct write under
-// a per-shard mutex, zero allocations, nil-safe. Dumping while recording is
-// safe (the dump takes the same shard mutexes) and bounded: a recorder never
-// holds more than its configured event capacity.
+// one mutex, zero allocations, nil-safe. Dumping while recording is safe (the
+// dump takes the same mutex) and bounded: a recorder holds exactly its last
+// capacity events, whatever query or site they belong to.
 package flight
 
 import (
@@ -285,50 +285,28 @@ func operand(label string, v int64) string {
 	return strings.TrimPrefix(fmt.Sprintf("%s=%d", key, v), "=")
 }
 
-// numShards spreads concurrent recorders over independent rings so the
-// batch pipeline's overlapping queries do not serialize on one mutex. Must
-// be a power of two.
-const numShards = 8
-
-// shard is one bounded event ring with its own lock. The padding keeps
-// adjacent shards off one cache line, so two queries recording concurrently
-// do not false-share.
-type shard struct {
-	mu    sync.Mutex
-	ring  []Event
-	total uint64 // lifetime events recorded into this shard
-	_     [40]byte
-}
-
-// Recorder is the process-wide flight recorder. All methods are safe for
-// concurrent use and nil-safe: a nil *Recorder records nothing, so
-// uninstrumented components pay one pointer check.
+// Recorder is the process-wide flight recorder: one bounded ring of the
+// last events under one mutex. All methods are safe for concurrent use and
+// nil-safe: a nil *Recorder records nothing, so uninstrumented components
+// pay one pointer check.
 type Recorder struct {
-	shards [numShards]shard
-
 	mu      sync.Mutex
 	process string
+	ring    []Event
+	total   uint64 // lifetime events recorded
 }
 
-// DefaultEvents is the total ring capacity a zero ObserverConfig selects:
-// 8192 events ≈ 400 KB, a few thousand queries of context.
+// DefaultEvents is the ring capacity a zero ObserverConfig selects: 8192
+// events ≈ 400 KB, a few thousand queries of context.
 const DefaultEvents = 8192
 
-// New builds a recorder holding up to capacity events (<= 0 selects
+// New builds a recorder holding the last capacity events (<= 0 selects
 // DefaultEvents), attributed to the given process name ("coord", "site-3").
 func New(process string, capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultEvents
 	}
-	per := capacity / numShards
-	if per < 16 {
-		per = 16
-	}
-	r := &Recorder{process: process}
-	for i := range r.shards {
-		r.shards[i].ring = make([]Event, 0, per)
-	}
-	return r
+	return &Recorder{process: process, ring: make([]Event, 0, capacity)}
 }
 
 // SetProcess renames the recorder's process attribution (useful when the
@@ -343,8 +321,9 @@ func (r *Recorder) SetProcess(name string) {
 }
 
 // Record adds one event to the ring, stamped now unless the caller already
-// stamped it: a shard pick and one slot write under the shard mutex. It never
-// allocates, so always-on recording adds no garbage to the query hot path.
+// stamped it, overwriting the oldest once the ring is full: one slot write
+// under the mutex. It never allocates, so always-on recording adds no
+// garbage to the query hot path.
 func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
@@ -352,19 +331,14 @@ func (r *Recorder) Record(e Event) {
 	if e.TS == 0 {
 		e.TS = time.Now().UnixNano()
 	}
-	// Fibonacci hashing over the trace id (mixed with the site so a site's
-	// untraced events still spread) picks the shard; events of one query
-	// land together, and concurrent queries land apart.
-	h := (e.Trace ^ uint64(uint32(e.Site))*0x9E3779B9) * 0x9E3779B97F4A7C15
-	s := &r.shards[h>>(64-3)] // top log2(numShards) bits
-	s.mu.Lock()
-	if len(s.ring) < cap(s.ring) {
-		s.ring = append(s.ring, e)
+	r.mu.Lock()
+	if len(r.ring) < cap(r.ring) {
+		r.ring = append(r.ring, e)
 	} else {
-		s.ring[s.total%uint64(cap(s.ring))] = e
+		r.ring[r.total%uint64(cap(r.ring))] = e
 	}
-	s.total++
-	s.mu.Unlock()
+	r.total++
+	r.mu.Unlock()
 }
 
 // Dump is a point-in-time copy of a recorder, the /debug/flight payload.
@@ -380,28 +354,27 @@ type Dump struct {
 	Events []Event `json:"events"`
 }
 
-// Snapshot copies the retained events out, merged across shards and sorted
-// by timestamp. Safe to call while recording continues.
+// Snapshot copies the retained events out, sorted by timestamp. Safe to
+// call while recording continues.
 func (r *Recorder) Snapshot() Dump {
 	if r == nil {
 		return Dump{TakenNS: time.Now().UnixNano()}
 	}
 	r.mu.Lock()
-	d := Dump{Process: r.process, TakenNS: time.Now().UnixNano()}
-	r.mu.Unlock()
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		d.Events = append(d.Events, s.ring...)
-		d.Dropped += s.total - uint64(len(s.ring))
-		s.mu.Unlock()
+	d := Dump{
+		Process: r.process,
+		TakenNS: time.Now().UnixNano(),
+		Dropped: r.total - uint64(len(r.ring)),
+		Events:  append([]Event(nil), r.ring...),
 	}
+	r.mu.Unlock()
 	sortEvents(d.Events)
 	return d
 }
 
-// sortEvents time-orders events in place. The rings are each time-ordered
-// modulo wraparound; a plain stable sort keeps the dump path simple and runs
+// sortEvents time-orders events in place. The ring is in recording order
+// modulo wraparound, and callers may stamp their own times (a timed layer
+// carries its end); a plain stable sort keeps the dump path simple and runs
 // off the hot path.
 func sortEvents(evs []Event) {
 	sort.SliceStable(evs, func(i, j int) bool {

@@ -39,6 +39,35 @@ func TestRingBounded(t *testing.T) {
 	}
 }
 
+// TestRingKeepsLastEventsOfOneTrace: the ring's capacity belongs to whatever
+// was recorded last, not to a slice of the id space. N events of one trace
+// (or a follower's untraced repl.* stream) are all retained; N+k drop
+// exactly the k oldest.
+func TestRingKeepsLastEventsOfOneTrace(t *testing.T) {
+	for _, trace := range []uint64{0, 7} {
+		r := New("coord", DefaultEvents)
+		const n, k = DefaultEvents, 1000
+		for i := 0; i < n; i++ {
+			r.Record(Event{TS: int64(i + 1), Type: ReplApply, Site: 3, Trace: trace, A1: int64(i)})
+		}
+		if d := r.Snapshot(); len(d.Events) != n || d.Dropped != 0 {
+			t.Fatalf("trace %d: %d events of one trace left %d retained, %d dropped", trace, n, len(d.Events), d.Dropped)
+		}
+		for i := n; i < n+k; i++ {
+			r.Record(Event{TS: int64(i + 1), Type: ReplApply, Site: 3, Trace: trace, A1: int64(i)})
+		}
+		d := r.Snapshot()
+		if len(d.Events) != n || d.Dropped != k {
+			t.Fatalf("trace %d: %d events left %d retained, %d dropped; want %d and %d", trace, n+k, len(d.Events), d.Dropped, n, k)
+		}
+		for j, e := range d.Events {
+			if e.A1 != int64(k+j) {
+				t.Fatalf("trace %d: retained event %d is #%d, want #%d (the %d oldest dropped)", trace, j, e.A1, k+j, k)
+			}
+		}
+	}
+}
+
 // TestSnapshotWhileRecording exercises concurrent Record and Snapshot — the
 // dump-while-recording path the -race run must hold clean.
 func TestSnapshotWhileRecording(t *testing.T) {

@@ -92,27 +92,37 @@ func writeCheckpoint(dir string, seq uint64, p *partition.Partition) (int64, err
 	return int64(len(ckptMagic) + body.Len() + 4), nil
 }
 
-// loadCheckpoint reads and validates one checkpoint file, returning the
-// covered sequence number and the partition image.
-func loadCheckpoint(path string) (uint64, *partition.Partition, int64, error) {
+// checkCheckpoint reads one checkpoint file and validates its magic and
+// trailing CRC, returning the CRC-covered body: the covered sequence number
+// followed by the CCPP1 payload. It proves the bytes recovery would read are
+// intact without decoding them. A missing file is the bare os error.
+func checkCheckpoint(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if len(data) < len(ckptMagic)+12 || string(data[:len(ckptMagic)]) != ckptMagic {
+		return nil, fmt.Errorf("store: checkpoint %s: not a checkpoint", path)
+	}
+	body := data[len(ckptMagic) : len(data)-4]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return nil, fmt.Errorf("store: checkpoint %s: checksum mismatch", path)
+	}
+	return body, nil
+}
+
+// loadCheckpoint validates and decodes one checkpoint file, returning the
+// covered sequence number, the partition image and the file's size.
+func loadCheckpoint(path string) (uint64, *partition.Partition, int64, error) {
+	body, err := checkCheckpoint(path)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	if len(data) < len(ckptMagic)+12 || string(data[:len(ckptMagic)]) != ckptMagic {
-		return 0, nil, 0, fmt.Errorf("store: %s: not a checkpoint", path)
-	}
-	body := data[len(ckptMagic) : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != want {
-		return 0, nil, 0, fmt.Errorf("store: %s: checksum mismatch", path)
-	}
-	seq := binary.LittleEndian.Uint64(body[:8])
 	p, err := partition.ReadPartition(bytes.NewReader(body[8:]))
 	if err != nil {
-		return 0, nil, 0, fmt.Errorf("store: %s: %w", path, err)
+		return 0, nil, 0, fmt.Errorf("store: checkpoint %s: %w", path, err)
 	}
-	return seq, p, int64(len(data)), nil
+	return binary.LittleEndian.Uint64(body[:8]), p, int64(len(ckptMagic) + len(body) + 4), nil
 }
 
 // ckptFile is one checkpoint found on disk.

@@ -33,58 +33,19 @@ func (s *Store) ReadFrom(from uint64, max int) ([]Record, error) {
 	return s.wal.readFrom(from, max)
 }
 
-// readFrom implements Store.ReadFrom against the live segment list.
+// readFrom implements Store.ReadFrom: the replay walk, capped at max
+// records.
 func (w *wal) readFrom(from uint64, max int) ([]Record, error) {
-	w.mu.Lock()
-	if w.werr != nil {
-		err := w.werr
-		w.mu.Unlock()
+	var out []Record
+	err := w.replay(from, func(rec Record) error {
+		out = append(out, rec)
+		if len(out) >= max {
+			return errStopScan
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	oldest := w.active.first
-	if len(w.sealed) > 0 {
-		oldest = w.sealed[0].first
-	}
-	if from+1 < oldest {
-		w.mu.Unlock()
-		return nil, &TruncatedError{From: from, FirstAvailable: oldest}
-	}
-	if w.appended.Load() <= from {
-		w.mu.Unlock()
-		return nil, nil
-	}
-	segs := append(append([]segment(nil), w.sealed...), w.active)
-	if err := w.bw.Flush(); err != nil {
-		w.werr = err
-		w.mu.Unlock()
-		return nil, err
-	}
-	w.mu.Unlock()
-
-	out := make([]Record, 0, max)
-	for i, seg := range segs {
-		if i+1 < len(segs) && segs[i+1].first <= from+1 {
-			continue // entirely at or below from
-		}
-		if w.appended.Load() < seg.first {
-			continue // empty active segment
-		}
-		_, err := scanSegment(seg, func(rec Record) error {
-			if rec.Seq <= from {
-				return nil
-			}
-			out = append(out, rec)
-			if len(out) >= max {
-				return errStopScan
-			}
-			return nil
-		})
-		if err == errStopScan {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 )
 
@@ -41,10 +39,9 @@ func (r ScrubResult) Summary() string {
 // rotates which segments a bounded pass covers, so periodic scrubs sweep
 // the whole log over time.
 //
-// Safe to run while appends are in flight: the segment list and the active
-// segment's written length are captured under the WAL lock after a flush,
-// and each scan is clamped to the captured length, so bytes an in-flight
-// append is still writing are never misread as torn.
+// Safe to run while appends are in flight: it scans the flushed prefix the
+// WAL's capture snapshot records, and inside that prefix a torn frame is
+// corruption, not a crash tail.
 func (s *Store) Scrub(maxSegments int) ScrubResult {
 	var res ScrubResult
 
@@ -54,7 +51,7 @@ func (s *Store) Scrub(maxSegments int) ScrubResult {
 		res.Errors = append(res.Errors, fmt.Sprintf("listing checkpoints: %v", err))
 	}
 	for _, ck := range cks {
-		switch err := verifyCheckpoint(ck.path); {
+		switch _, err := checkCheckpoint(ck.path); {
 		case err == nil:
 			res.Checkpoints++
 		case os.IsNotExist(err):
@@ -64,28 +61,11 @@ func (s *Store) Scrub(maxSegments int) ScrubResult {
 		}
 	}
 
-	// Snapshot the segment list and the active segment's valid length under
-	// the WAL lock, flushing so the on-disk prefix matches the size.
-	w := s.wal
-	w.mu.Lock()
-	if w.werr != nil {
-		res.Errors = append(res.Errors, fmt.Sprintf("wal poisoned: %v", w.werr))
-		w.mu.Unlock()
+	segs, err := s.wal.capture()
+	if err != nil {
+		res.Errors = append(res.Errors, fmt.Sprintf("wal poisoned: %v", err))
 		return res
 	}
-	if w.f == nil { // closed store: nothing buffered, sizes already final
-		w.mu.Unlock()
-		return res
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.werr = err
-		res.Errors = append(res.Errors, fmt.Sprintf("wal flush: %v", err))
-		w.mu.Unlock()
-		return res
-	}
-	segs := append(append([]segment(nil), w.sealed...), w.active)
-	w.mu.Unlock()
-
 	if maxSegments <= 0 || maxSegments > len(segs) {
 		maxSegments = len(segs)
 	}
@@ -96,66 +76,19 @@ func (s *Store) Scrub(maxSegments int) ScrubResult {
 			continue
 		}
 		seg := segs[(start+i)%len(segs)]
-		n, err := scrubSegment(seg)
+		r, err := scanSegment(seg, nil)
 		switch {
-		case err == nil:
-			res.Segments++
-			res.Records += n
 		case os.IsNotExist(err):
 			res.Skipped++ // raced retention drop
-		default:
+		case err != nil:
 			res.Errors = append(res.Errors, err.Error())
+		case r.tail != nil:
+			res.Errors = append(res.Errors, fmt.Sprintf("wal segment %s: corrupt frame at offset %d: %v",
+				seg.path, r.goodLen, r.tail))
+		default:
+			res.Segments++
+			res.Records += r.records
 		}
 	}
 	return res
-}
-
-// scrubSegment re-reads one segment and verifies that its captured valid
-// prefix decodes as contiguous, CRC-clean frames. Bytes past seg.size (an
-// append racing the scrub) are ignored; bytes missing before it, a CRC
-// mismatch, or a sequence jump inside the prefix are corruption.
-func scrubSegment(seg segment) (int, error) {
-	data, err := os.ReadFile(seg.path)
-	if err != nil {
-		return 0, err
-	}
-	if int64(len(data)) < seg.size {
-		return 0, fmt.Errorf("wal segment %s: %d bytes on disk, %d expected", seg.path, len(data), seg.size)
-	}
-	data = data[:seg.size]
-	records, off := 0, 0
-	wantSeq := seg.first
-	for off < len(data) {
-		rec, n, err := decodeFrame(data[off:])
-		if err != nil {
-			return records, fmt.Errorf("wal segment %s: corrupt frame at offset %d: %v", seg.path, off, err)
-		}
-		if rec.Seq != wantSeq {
-			return records, fmt.Errorf("wal segment %s: sequence jump at offset %d: got %d want %d",
-				seg.path, off, rec.Seq, wantSeq)
-		}
-		records++
-		wantSeq++
-		off += n
-	}
-	return records, nil
-}
-
-// verifyCheckpoint checks a checkpoint file's magic and trailing CRC
-// without decoding the partition payload — the cheap half of
-// loadCheckpoint, enough to prove the bytes recovery would read are intact.
-func verifyCheckpoint(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) < len(ckptMagic)+12 || string(data[:len(ckptMagic)]) != ckptMagic {
-		return fmt.Errorf("checkpoint %s: not a checkpoint", path)
-	}
-	body := data[len(ckptMagic) : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != want {
-		return fmt.Errorf("checkpoint %s: checksum mismatch", path)
-	}
-	return nil
 }

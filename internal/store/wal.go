@@ -90,30 +90,37 @@ type scanResult struct {
 	records int
 	lastSeq uint64
 	goodLen int64 // bytes of valid records; anything past it is torn
-	torn    bool
+	tail    error // why the valid prefix ends before seg.size; nil if it does not
 }
 
-// scanSegment validates seg's frames, checking the CRCs and that sequence
-// numbers are contiguous from seg.first. A torn or corrupt tail ends the
-// scan; scanSegment reports where the valid prefix ends and never fails on
-// it — recovery decides whether to truncate or reject.
+// scanSegment validates the first seg.size bytes of seg's file — the length
+// the segment list recorded, so bytes an in-flight append is still writing
+// are never read — checking the CRCs and that sequence numbers are
+// contiguous from seg.first. A torn or corrupt tail ends the scan;
+// scanSegment reports where the valid prefix ends and why, and never fails
+// on it — recovery truncates it, scrub calls it corruption. A file shorter
+// than seg.size is an error.
 func scanSegment(seg segment, fn func(Record) error) (scanResult, error) {
 	data, err := os.ReadFile(seg.path)
 	if err != nil {
 		return scanResult{}, err
 	}
+	if int64(len(data)) < seg.size {
+		return scanResult{}, fmt.Errorf("wal segment %s: %d bytes on disk, %d expected", seg.path, len(data), seg.size)
+	}
+	data = data[:seg.size]
 	res := scanResult{lastSeq: seg.first - 1}
 	off := 0
 	for off < len(data) {
 		rec, n, err := decodeFrame(data[off:])
 		if err != nil {
-			res.torn = true
+			res.tail = err
 			break
 		}
 		if rec.Seq != res.lastSeq+1 {
 			// A sequence jump inside a segment means the tail belongs to an
 			// older, partially overwritten life of the file. Treat as torn.
-			res.torn = true
+			res.tail = fmt.Errorf("sequence jump: got %d want %d", rec.Seq, res.lastSeq+1)
 			break
 		}
 		if fn != nil {
@@ -142,7 +149,11 @@ func openWAL(dir string, baseSeq uint64, fsync bool) (*wal, error) {
 	var segs []segment
 	for _, e := range entries {
 		if first, ok := parseSegName(e.Name()); ok {
-			segs = append(segs, segment{first: first, path: filepath.Join(dir, e.Name())})
+			info, err := e.Info()
+			if err != nil {
+				return nil, err
+			}
+			segs = append(segs, segment{first: first, path: filepath.Join(dir, e.Name()), size: info.Size()})
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
@@ -158,10 +169,10 @@ func openWAL(dir string, baseSeq uint64, fsync bool) (*wal, error) {
 			return nil, err
 		}
 		last := i == len(segs)-1
-		if res.torn && !last {
-			return nil, fmt.Errorf("store: wal segment %s corrupt before the final segment", seg.path)
+		if res.tail != nil && !last {
+			return nil, fmt.Errorf("store: wal segment %s corrupt before the final segment: %v", seg.path, res.tail)
 		}
-		if res.torn {
+		if res.tail != nil {
 			if err := os.Truncate(seg.path, res.goodLen); err != nil {
 				return nil, fmt.Errorf("store: truncating torn wal tail: %w", err)
 			}
@@ -336,20 +347,45 @@ func (w *wal) dropCoveredBy(seq uint64) error {
 	return firstErr
 }
 
-// replay streams every record with sequence number > from, in order, to fn.
-// It reads the segment files directly; call only while no appends are in
-// flight (recovery) or after flushing.
-func (w *wal) replay(from uint64, fn func(Record) error) error {
+// capture flushes the log and returns its segment list with each segment's
+// written length — the one snapshot behind replay and Scrub. It holds the
+// lock only for the flush and the copy; readers scan only the captured
+// lengths, so bytes an append is still writing are never misread as torn,
+// and anything racing past the capture is picked up by the next walk. A
+// closed log has nothing buffered, so its sizes are already final.
+func (w *wal) capture() ([]segment, error) {
 	w.mu.Lock()
-	segs := append(append([]segment(nil), w.sealed...), w.active)
-	if err := w.bw.Flush(); err != nil {
-		w.mu.Unlock()
+	defer w.mu.Unlock()
+	if w.werr != nil {
+		return nil, w.werr
+	}
+	if w.f != nil {
+		if err := w.bw.Flush(); err != nil {
+			w.werr = err
+			return nil, err
+		}
+	}
+	return append(append([]segment(nil), w.sealed...), w.active), nil
+}
+
+// replay streams every record with sequence number > from, in order, to
+// fn — the one walk behind recovery and replication reads. fn returning
+// errStopScan ends the walk early without error. A *TruncatedError means
+// checkpointing already deleted segments the walk needs.
+func (w *wal) replay(from uint64, fn func(Record) error) error {
+	segs, err := w.capture()
+	if err != nil {
 		return err
 	}
-	w.mu.Unlock()
-	for _, seg := range segs {
-		if w.appended.Load() < seg.first {
-			continue // empty active segment
+	if oldest := segs[0].first; from+1 < oldest {
+		return &TruncatedError{From: from, FirstAvailable: oldest}
+	}
+	if w.appended.Load() <= from {
+		return nil
+	}
+	for i, seg := range segs {
+		if i+1 < len(segs) && segs[i+1].first <= from+1 {
+			continue // entirely at or below from
 		}
 		_, err := scanSegment(seg, func(rec Record) error {
 			if rec.Seq <= from {
@@ -357,6 +393,9 @@ func (w *wal) replay(from uint64, fn func(Record) error) error {
 			}
 			return fn(rec)
 		})
+		if err == errStopScan {
+			return nil
+		}
 		if err != nil {
 			return err
 		}

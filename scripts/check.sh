@@ -32,9 +32,11 @@ echo "== go test =="
 go test -shuffle=on -timeout 10m ./...
 
 # The reduction's Workers: 0 tests take the inline mutator mode at
-# GOMAXPROCS=1 and the sharded mode otherwise; run both whatever the runner.
+# GOMAXPROCS=1 and the sharded mode otherwise; run both whatever the runner,
+# and run the Section VIII shape assertions under both as well.
 echo "== go test -cpu 1,4 (inline + sharded mutator modes) =="
 go test -cpu 1,4 -timeout 10m ./internal/control/... ./internal/graph/... ./internal/par/...
+go test -cpu 1,4 -timeout 10m -run 'Shape' ./internal/experiments
 
 echo "== go test -race (parallel surgery + transport lifecycle) =="
 go test -race -shuffle=on -timeout 10m \
