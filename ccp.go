@@ -145,19 +145,19 @@ func reduce(ctx context.Context, g *Graph, s, t NodeID, keep NodeSet, workers in
 }
 
 // ControlsDeclarative answers q_c(s, t) by evaluating the recursive logic
-// program of the paper (rules (1)–(2) with the monotonic msum aggregate) on
-// the embedded Datalog engine. Slower than Controls; useful as an executable
+// program of the paper (rules (1)–(2) with the monotonic msum aggregate)
+// bottom-up on the embedded Datalog engine, which reads g in place as its
+// ownership relation. Slower than Controls; useful as an executable
 // specification.
 func ControlsDeclarative(g *Graph, s, t NodeID) (bool, error) {
 	return datalog.Controls(g, s, t)
 }
 
 // DatalogSolver answers control queries goal-directedly on the embedded
-// Datalog engine: the ownership facts are loaded once, each query runs behind
-// the magic-sets rewrite (which seeds only the subgraph relevant to the
-// queried source), and compiled plans are cached across queries. Use it
-// instead of ControlsDeclarative when issuing many queries over one graph.
-// Queries are safe to issue concurrently.
+// Datalog engine: the graph is read in place as the ownership relation, and
+// each query runs behind the magic-sets rewrite, which seeds only the
+// subgraph relevant to the queried source. Queries are safe to issue
+// concurrently; g must not change while they run.
 type DatalogSolver = datalog.CCPSolver
 
 // NewDatalogSolver builds a goal-directed Datalog solver over g.

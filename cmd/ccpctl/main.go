@@ -87,7 +87,8 @@ func usage() {
   ccpctl groups  -in file [-top n]                    (control groups by ultimate controller)
   ccpctl datalog -in file -s id [-t id] [-program f] [-explain]
                                                       (evaluate the company control program,
-                                                      or program f over the same own/source facts)
+                                                      or program f, over own = the graph, read-only,
+                                                      and source(s))
   ccpctl flight  [-ops host:port,...] [-in dump.json,...] [-trace hex]
                                                       (merged cross-process flight timeline)
   ccpctl doctor  -ops host:port[,...] [-in file,...] [-view checks|fleet|store|top] [-watch d] [-json]
@@ -241,7 +242,7 @@ func cmdQuery(args []string) error {
 		}
 		ans = res.Controls
 	case "datalog":
-		ans, plan, err = queryDatalogGlobal(g, ccp.NodeID(*s), ccp.NodeID(*t))
+		ans, plan, err = datalog.ControlsExplain(g, ccp.NodeID(*s), ccp.NodeID(*t))
 		if err != nil {
 			return err
 		}
@@ -262,23 +263,6 @@ func cmdQuery(args []string) error {
 		fmt.Print(plan.String())
 	}
 	return nil
-}
-
-// queryDatalogGlobal answers via the control program's bottom-up global
-// fixpoint, returning its explain record.
-func queryDatalogGlobal(g *ccp.Graph, s, t ccp.NodeID) (bool, *datalog.Explain, error) {
-	if s == t {
-		return true, &datalog.Explain{Goal: "control(s,s)? (reflexive)"}, nil
-	}
-	e, err := datalog.ControlProgram(g, s)
-	if err != nil {
-		return false, nil, err
-	}
-	_, plan, err := e.Run()
-	if err != nil {
-		return false, nil, err
-	}
-	return e.Has("control", int64(s), int64(t)), plan, nil
 }
 
 // queryDist answers one query over an in-process cluster of k contiguous
@@ -377,8 +361,9 @@ func cmdSplit(args []string) error {
 	return nil
 }
 
-// cmdDatalog evaluates a recursive Datalog program over the graph's own/
-// source facts — by default the paper's company control program.
+// cmdDatalog evaluates a recursive Datalog program over the graph, bound in
+// place as the read-only own relation, and source(s) — by default the
+// paper's company control program.
 func cmdDatalog(args []string) error {
 	fs := flag.NewFlagSet("datalog", flag.ExitOnError)
 	in := fs.String("in", "", "graph file")
@@ -396,7 +381,6 @@ func cmdDatalog(args []string) error {
 	if err != nil {
 		return err
 	}
-	e := datalog.NewEngine()
 	src := datalog.ProgramText()
 	if *program != "" {
 		data, err := os.ReadFile(*program)
@@ -405,21 +389,8 @@ func cmdDatalog(args []string) error {
 		}
 		src = string(data)
 	}
-	if err := e.Load(src); err != nil {
-		return err
-	}
-	var loadErr error
-	g.EachNode(func(v ccp.NodeID) {
-		g.EachOut(v, func(u ccp.NodeID, w float64) {
-			if err := e.AddFact("own", w, int64(v), int64(u)); err != nil && loadErr == nil {
-				loadErr = err
-			}
-		})
-	})
-	if loadErr != nil {
-		return loadErr
-	}
-	if err := e.AddFact("source", 0, int64(*s)); err != nil {
+	e, err := datalog.NewProgram(g, src, ccp.NodeID(*s))
+	if err != nil {
 		return err
 	}
 	start := time.Now()

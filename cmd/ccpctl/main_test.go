@@ -68,6 +68,33 @@ func TestOneThresholdAcrossSolvers(t *testing.T) {
 	}
 }
 
+// TestDatalogDeadSource: a company the graph does not have controls nothing,
+// as in every other solver, and a program cannot assert ownership facts
+// over the graph it runs on.
+func TestDatalogDeadSource(t *testing.T) {
+	dir := t.TempDir()
+	gpath := filepath.Join(dir, "g.csv")
+	if err := os.WriteFile(gpath, []byte("0,1,0.6\n1,2,0.7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() {
+		if err := cmdDatalog([]string{"-in", gpath, "-s", "7"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !strings.HasPrefix(out, "control(7, _) has 0 tuples") {
+		t.Fatalf("datalog -s 7: %q", out)
+	}
+	prog := filepath.Join(dir, "p.dl")
+	if err := os.WriteFile(prog, []byte("control(x, x) :- source(x).\nown(0, 2) @ 0.9.\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := cmdDatalog([]string{"-in", gpath, "-s", "0", "-program", prog})
+	if err == nil || !strings.Contains(err.Error(), "own is a read-only view") {
+		t.Fatalf("own fact in -program: err = %v", err)
+	}
+}
+
 func TestCommandsEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	gpath := filepath.Join(dir, "g.ccpg")

@@ -80,7 +80,9 @@ func (r *Reducer) reset(g *graph.Graph, x graph.NodeSet) {
 		r.rep[i] = graph.None
 	}
 	for v := range x {
-		if int(v) < n {
+		// Ids outside the graph (a query naming no company, from the wire
+		// or the API) exclude nothing.
+		if v >= 0 && int(v) < n {
 			r.excluded[v] = true
 		}
 	}

@@ -113,6 +113,22 @@ func allSolversAgree(t *testing.T, g *graph.Graph, q Query, trial int) {
 	}
 }
 
+// TestReductionQueryNamingNoCompany: a query id outside the graph — negative
+// or past its capacity, as a site can receive off the wire — gets CBE's
+// answer instead of a panic.
+func TestReductionQueryNamingNoCompany(t *testing.T) {
+	g := build(t, 3, graph.Edge{From: 0, To: 1, Weight: 0.9}, graph.Edge{From: 1, To: 2, Weight: 0.2})
+	for _, q := range []Query{{S: -1, T: 1}, {S: 0, T: -1}, {S: 0, T: 1 << 20}, {S: -5, T: -5}} {
+		res, err := ParallelReduction(context.Background(), g.Clone(), q, graph.NewNodeSet(q.S, q.T), Options{Workers: 2})
+		if err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+		if want := CBE(g, q); (res.Ans == True) != want {
+			t.Fatalf("%+v: reduction says %v, CBE %v", q, res.Ans, want)
+		}
+	}
+}
+
 func TestReductionMatchesCBERandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 60; trial++ {

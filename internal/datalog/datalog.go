@@ -16,14 +16,20 @@
 // There is one evaluator: rules compile to slot plans (plan.go) that one
 // streaming fixpoint loop runs (eval.go). Run evaluates the program as
 // written — the bottom-up reference — and Query puts the magic-sets rewrite
-// (magic.go) in front of the same loop.
+// (magic.go) in front of the same loop. Both compile their plan and build
+// fresh evaluation state on every call; the engine holds no cache.
+//
+// A relation is either stored (tuples asserted with AddFact or derived by
+// rules) or a read-only view over a *graph.Graph bound with BindGraph: the
+// ownership graph itself is the EDB of the company control program, read in
+// place through its adjacency, never copied.
 package datalog
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"sync"
+
+	"ccp/internal/graph"
 )
 
 // Value is a constant of the Herbrand universe (company ids, etc.).
@@ -72,11 +78,13 @@ type Rule struct {
 	insertWeight string
 }
 
-// relation stores the tuples of one predicate.
+// relation holds the tuples of one predicate: stored ones, or — when g is
+// set — the edges of a graph, in which case the stored fields stay empty.
 type relation struct {
 	name     string
 	arity    int
 	weighted bool
+	g        *graph.Graph
 
 	tuples  map[string]int // encoded tuple -> index into list/weights
 	list    [][]Value      // insertion order, for scans and deltas
@@ -98,17 +106,6 @@ func newRelation(name string, arity int, weighted bool) *relation {
 		r.index[i] = make(map[Value][]int)
 	}
 	return r
-}
-
-// reset empties the relation in place, keeping the allocated maps and slices
-// so a pooled evaluation can reuse them without churn.
-func (r *relation) reset() {
-	clear(r.tuples)
-	r.list = r.list[:0]
-	r.weights = r.weights[:0]
-	for i := range r.index {
-		clear(r.index[i])
-	}
 }
 
 func encode(t []Value) string {
@@ -138,36 +135,90 @@ func (r *relation) insert(t []Value, w float64) bool {
 }
 
 func (r *relation) has(t []Value) bool {
+	if r.g != nil {
+		y, ok1 := node(t[0])
+		z, ok2 := node(t[1])
+		return ok1 && ok2 && r.g.HasEdge(y, z)
+	}
 	_, ok := r.tuples[encode(t)]
 	return ok
 }
 
-// Engine holds relations and rules; Run and Query evaluate them.
+// size is the tuple count, the upper end of the relation's delta windows. A
+// view never grows, so its first window is all of it and every later one is
+// empty.
+func (r *relation) size() int {
+	if r.g != nil {
+		return r.g.NumEdges()
+	}
+	return len(r.list)
+}
+
+// match is the one read operation of the evaluator: it calls fn for every
+// tuple in the window [lo, hi) whose value at pos is v, or for every tuple
+// in the window when pos < 0. A stored relation clips its index postings to
+// the window; a view answers a position-0 probe with the company's stakes
+// (EachOut), a position-1 probe with its shareholders (EachIn), and a scan
+// with every stake of every company. fn must not keep the tuple.
+func (r *relation) match(pos int, v Value, lo, hi int, fn func(t []Value, w float64)) {
+	if r.g == nil {
+		if pos < 0 {
+			for ti := lo; ti < hi; ti++ {
+				fn(r.list[ti], r.weights[ti])
+			}
+			return
+		}
+		for _, ti := range clipRange(r.index[pos][v], lo, hi) {
+			fn(r.list[ti], r.weights[ti])
+		}
+		return
+	}
+	n, ok := node(v)
+	if lo >= hi || (pos >= 0 && !ok) {
+		return
+	}
+	t := make([]Value, 2)
+	switch pos {
+	case 0:
+		t[0] = v
+		r.g.EachOut(n, func(z graph.NodeID, w float64) {
+			t[1] = Value(z)
+			fn(t, w)
+		})
+	case 1:
+		t[1] = v
+		r.g.EachIn(n, func(y graph.NodeID, w float64) {
+			t[0] = Value(y)
+			fn(t, w)
+		})
+	default:
+		r.g.EachNode(func(y graph.NodeID) {
+			r.g.EachOut(y, func(z graph.NodeID, w float64) {
+				t[0], t[1] = Value(y), Value(z)
+				fn(t, w)
+			})
+		})
+	}
+}
+
+// node converts a constant to a company id; values outside the id range
+// name no company.
+func node(v Value) (graph.NodeID, bool) {
+	return graph.NodeID(v), v == Value(graph.NodeID(v))
+}
+
+// Engine holds relations and rules; Run and Query evaluate them. Query only
+// reads the engine, so any number of Query calls may run concurrently, with
+// no lock, as long as nothing mutates the engine (Relation, BindGraph,
+// AddFact, AddRule, Load, Run) or a bound graph meanwhile.
 type Engine struct {
 	rels  map[string]*relation
 	rules []Rule
-
-	// version counts schema changes (relations, rules); compiled plans are
-	// keyed by it, so a schema change invalidates the plan cache.
-	version int
-	// planMu guards planCache. Compiled plans themselves are safe for
-	// concurrent evaluation (see eval.go): Query may be called from multiple
-	// goroutines as long as no AddFact/AddRule/Run runs concurrently.
-	planMu    sync.Mutex
-	planCache map[string]*planProgram
 }
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	return &Engine{rels: make(map[string]*relation)}
-}
-
-// schemaChanged bumps the plan-cache version; stale plans are dropped.
-func (e *Engine) schemaChanged() {
-	e.planMu.Lock()
-	e.version++
-	e.planCache = nil
-	e.planMu.Unlock()
 }
 
 // Relation declares a predicate with the given arity. Weighted relations
@@ -180,7 +231,19 @@ func (e *Engine) Relation(name string, arity int, weighted bool) error {
 		return fmt.Errorf("datalog: relation %s must have positive arity", name)
 	}
 	e.rels[name] = newRelation(name, arity, weighted)
-	e.schemaChanged()
+	return nil
+}
+
+// BindGraph declares name as the weighted binary relation name(y, z)@w of
+// g's stakes: one tuple per edge y→z with label w. The relation is a
+// read-only view over g's adjacency — binding copies nothing, whatever the
+// graph's size — so asserting a fact into it, or a rule deriving it, is an
+// error, and g must not change while the engine evaluates.
+func (e *Engine) BindGraph(name string, g *graph.Graph) error {
+	if _, dup := e.rels[name]; dup {
+		return fmt.Errorf("datalog: relation %s already declared", name)
+	}
+	e.rels[name] = &relation{name: name, arity: 2, weighted: true, g: g}
 	return nil
 }
 
@@ -189,6 +252,9 @@ func (e *Engine) AddFact(name string, weight float64, tuple ...Value) error {
 	r, ok := e.rels[name]
 	if !ok {
 		return fmt.Errorf("datalog: unknown relation %s", name)
+	}
+	if r.g != nil {
+		return readOnly(name)
 	}
 	if len(tuple) != r.arity {
 		return fmt.Errorf("datalog: %s has arity %d, got %d values", name, r.arity, len(tuple))
@@ -203,14 +269,20 @@ func (e *Engine) AddRule(rule Rule) error {
 		return err
 	}
 	e.rules = append(e.rules, rule)
-	e.schemaChanged()
 	return nil
+}
+
+func readOnly(name string) error {
+	return fmt.Errorf("datalog: %s is a read-only view of a graph", name)
 }
 
 func (e *Engine) validateRule(rule Rule) error {
 	head, ok := e.rels[rule.Head.Pred]
 	if !ok {
 		return fmt.Errorf("datalog: head predicate %s undeclared", rule.Head.Pred)
+	}
+	if head.g != nil {
+		return readOnly(rule.Head.Pred)
 	}
 	if len(rule.Head.Terms) != head.arity {
 		return fmt.Errorf("datalog: head arity mismatch for %s", rule.Head.Pred)
@@ -262,27 +334,13 @@ func (e *Engine) Facts(name string) [][]Value {
 	if !ok {
 		return nil
 	}
-	out := make([][]Value, len(r.list))
-	for i, t := range r.list {
-		c := make([]Value, len(t))
-		copy(c, t)
-		out[i] = c
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out
+	return collectMatching(r, nil)
 }
 
 // Has reports whether a tuple has been derived.
 func (e *Engine) Has(name string, tuple ...Value) bool {
 	r, ok := e.rels[name]
-	return ok && r.has(tuple)
+	return ok && len(tuple) == r.arity && r.has(tuple)
 }
 
 // Count returns the number of tuples of a relation.
@@ -291,5 +349,5 @@ func (e *Engine) Count(name string) int {
 	if !ok {
 		return 0
 	}
-	return len(r.list)
+	return r.size()
 }

@@ -1,11 +1,12 @@
 // eval.go — the streaming semi-naive evaluator for compiled plans. Joins
-// compose as nested iterations over index postings clipped to the delta
-// window by binary search; no per-round candidate slices are materialized,
-// and bindings live in flat slot buffers reused across the whole run.
+// compose as nested iterations over relation.match, which clips stored
+// postings to the delta window by binary search and reads a bound graph in
+// place; no per-round candidate slices are materialized, and bindings live
+// in flat slot buffers reused across the whole run.
 //
-// Evaluation state (planEval) is pooled per program: a plan-cache hit plus a
-// pool hit makes a repeated query allocation-light — private relations,
-// aggregate maps, and slot buffers are all cleared in place, not rebuilt.
+// Every Run and Query compiles its plan and builds its planEval afresh, so
+// concurrent queries share only read-only state: the engine's rules and its
+// base relations.
 package datalog
 
 import (
@@ -64,53 +65,6 @@ func newPlanEval(p *planProgram) *planEval {
 	return ev
 }
 
-// reset clears evaluation state in place. Base relations belong to the
-// engine and are left alone; private (adorned/magic) relations, aggregate
-// maps, and counters are emptied for reuse.
-func (ev *planEval) reset() {
-	for i, pr := range ev.prog.rels {
-		if pr.base == nil {
-			ev.rels[i].reset()
-		}
-	}
-	for i := range ev.aggSum {
-		clear(ev.aggSum[i])
-		clear(ev.aggSeen[i])
-	}
-	for i := range ev.ruleMatches {
-		ev.ruleMatches[i] = 0
-		ev.ruleDerived[i] = 0
-	}
-	ev.goal = nil
-	ev.stopped = false
-	ev.derived = 0
-	ev.iterations = 0
-}
-
-// take returns a pooled evaluator for the program, or a fresh one.
-func (p *planProgram) take() *planEval {
-	p.mu.Lock()
-	if n := len(p.pool); n > 0 {
-		ev := p.pool[n-1]
-		p.pool = p.pool[:n-1]
-		p.mu.Unlock()
-		return ev
-	}
-	p.mu.Unlock()
-	return newPlanEval(p)
-}
-
-// put resets the evaluator and returns it to the pool (bounded, so a burst
-// of concurrent queries does not pin memory forever).
-func (p *planProgram) put(ev *planEval) {
-	ev.reset()
-	p.mu.Lock()
-	if len(p.pool) < planPoolCap {
-		p.pool = append(p.pool, ev)
-	}
-	p.mu.Unlock()
-}
-
 // run evaluates the program to fixpoint (or to the early-stop goal) and
 // returns the number of semi-naive rounds.
 func (ev *planEval) run() int {
@@ -118,12 +72,12 @@ func (ev *planEval) run() int {
 		ev.rels[s.relID].insert(s.tuple, 0)
 	}
 	for i, r := range ev.rels {
-		ev.delta[i] = [2]int{0, len(r.list)}
+		ev.delta[i] = [2]int{0, r.size()}
 	}
 	for {
 		ev.iterations++
 		for i, r := range ev.rels {
-			ev.before[i] = len(r.list)
+			ev.before[i] = r.size()
 		}
 		for ri, rp := range ev.prog.rules {
 			ev.evalRule(ri, rp)
@@ -133,8 +87,8 @@ func (ev *planEval) run() int {
 		}
 		changed := false
 		for i, r := range ev.rels {
-			ev.delta[i] = [2]int{ev.before[i], len(r.list)}
-			if len(r.list) > ev.before[i] {
+			ev.delta[i] = [2]int{ev.before[i], r.size()}
+			if r.size() > ev.before[i] {
 				changed = true
 			}
 		}
@@ -145,9 +99,27 @@ func (ev *planEval) run() int {
 }
 
 // evalRule runs every delta configuration of one rule: orders[d] leads with
-// body atom d restricted to its delta window.
+// body atom d restricted to its delta window. Round one is the exception:
+// every window then starts at the first tuple, so any single order — with
+// the later rounds' deltas — finds every binding, and only the order with
+// the narrowest lead runs. A rule never scans a whole graph view only
+// because the view is new.
 func (ev *planEval) evalRule(ri int, rp *rulePlan) {
-	for _, order := range rp.orders {
+	orders := rp.orders
+	if ev.iterations == 1 {
+		width := func(order []atomStep) int {
+			dr := ev.delta[order[0].relID]
+			return dr[1] - dr[0]
+		}
+		best := 0
+		for d := range orders {
+			if width(orders[d]) < width(orders[best]) {
+				best = d
+			}
+		}
+		orders = orders[best : best+1]
+	}
+	for _, order := range orders {
 		dr := ev.delta[order[0].relID]
 		if dr[0] == dr[1] {
 			continue
@@ -168,30 +140,23 @@ func (ev *planEval) step(ri int, rp *rulePlan, order []atomStep, i int, dr [2]in
 	}
 	st := &order[i]
 	rel := ev.rels[st.relID]
-	lo, hi := 0, len(rel.list)
+	lo, hi := 0, rel.size()
 	if i == 0 {
 		lo, hi = dr[0], dr[1]
 	}
+	var v Value
 	if st.indexPos >= 0 {
 		op := &st.ops[st.indexPos]
-		v := op.val
+		v = op.val
 		if op.kind == opCheck {
 			v = ev.slots[op.slot]
 		}
-		for _, ti := range clipRange(rel.index[st.indexPos][v], lo, hi) {
-			ev.tryTuple(ri, rp, order, i, ti, dr)
-			if ev.stopped {
-				return
-			}
-		}
-		return
 	}
-	for ti := lo; ti < hi; ti++ {
-		ev.tryTuple(ri, rp, order, i, ti, dr)
-		if ev.stopped {
-			return
+	rel.match(st.indexPos, v, lo, hi, func(t []Value, w float64) {
+		if !ev.stopped {
+			ev.tryTuple(ri, rp, order, i, t, w, dr)
 		}
-	}
+	})
 }
 
 // clipRange restricts an ascending postings slice to tuple indices in
@@ -214,10 +179,8 @@ func clipRange(idxs []int, lo, hi int) []int {
 // occurrences. Stale slot values from backtracking are harmless: a slot is
 // only ever read (opCheck, head, agg) at points that come strictly after its
 // opBind in the same order, so every read sees the current iteration's value.
-func (ev *planEval) tryTuple(ri int, rp *rulePlan, order []atomStep, i, ti int, dr [2]int) {
+func (ev *planEval) tryTuple(ri int, rp *rulePlan, order []atomStep, i int, tuple []Value, w float64, dr [2]int) {
 	st := &order[i]
-	rel := ev.rels[st.relID]
-	tuple := rel.list[ti]
 	for pos := range st.ops {
 		op := &st.ops[pos]
 		switch op.kind {
@@ -234,7 +197,7 @@ func (ev *planEval) tryTuple(ri int, rp *rulePlan, order []atomStep, i, ti int, 
 		}
 	}
 	if st.weightSlot >= 0 {
-		ev.wslots[st.weightSlot] = rel.weights[ti]
+		ev.wslots[st.weightSlot] = w
 	}
 	ev.step(ri, rp, order, i+1, dr)
 }
@@ -303,51 +266,21 @@ func valuesEqual(a, b []Value) bool {
 	return true
 }
 
-// planFor returns the cached plan under key, building and caching it on a
-// miss. The boolean reports a cache hit. Builds run under the lock: plans
-// compile in microseconds and concurrent queries for the same adornment
-// should share one program (and its evaluator pool).
-func (e *Engine) planFor(key string, build func(p *planner) error) (*planProgram, bool, error) {
-	full := fmt.Sprintf("%s|v%d", key, e.version)
-	e.planMu.Lock()
-	defer e.planMu.Unlock()
-	if e.planCache == nil {
-		e.planCache = make(map[string]*planProgram)
-	}
-	if prog, ok := e.planCache[full]; ok {
-		return prog, true, nil
-	}
-	p := newPlanner(e)
-	if err := build(p); err != nil {
-		return nil, false, err
-	}
-	prog := p.finish()
-	prog.key = full
-	e.planCache[full] = prog
-	return prog, false, nil
-}
-
 // Run evaluates all rules to fixpoint bottom-up, deriving into the engine's
 // own relations, and returns the number of semi-naive rounds and the
 // evaluation explain record. The program is compiled as written — no
 // goal-directed rewrite — so this is the reference Query is checked against.
 func (e *Engine) Run() (int, *Explain, error) {
-	prog, hit, err := e.planFor("run", func(p *planner) error {
-		for _, r := range e.rules {
-			if err := p.compileRule(r); err != nil {
-				return err
-			}
+	p := newPlanner(e)
+	for _, r := range e.rules {
+		if err := p.compileRule(r); err != nil {
+			return 0, nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return 0, nil, err
 	}
-	ev := prog.take()
+	ev := newPlanEval(p.finish())
 	iters := ev.run()
-	x := buildExplain(prog, ev, hit)
+	x := buildExplain(ev)
 	x.Goal = "fixpoint"
-	prog.put(ev)
 	return iters, x, nil
 }
 
@@ -365,12 +298,9 @@ type QueryResult struct {
 // adornment's bound positions; the magic-sets transform restricts the
 // fixpoint to tuples relevant to those constants, so a single-pair query
 // touches only the reachable part of the data instead of running the global
-// fixpoint. Plans are cached per (program version, predicate, adornment):
-// repeated queries with different constants share one compiled plan and its
-// evaluator pool.
+// fixpoint.
 //
-// Query never mutates engine relations; it is safe to call from multiple
-// goroutines as long as no AddFact/AddRule/Relation/Run runs concurrently.
+// Query never mutates the engine; concurrent calls need no lock (see Engine).
 func (e *Engine) Query(pred string, args ...Term) (QueryResult, error) {
 	rel, ok := e.rels[pred]
 	if !ok {
@@ -388,13 +318,12 @@ func (e *Engine) Query(pred string, args ...Term) (QueryResult, error) {
 		res.Explain = &Explain{Goal: goal, Adornment: adorn}
 		return res, nil
 	}
-	prog, hit, err := e.planFor("q|"+pred+"|"+adorn, func(p *planner) error {
-		return magicTransform(e, p, pred, adorn)
-	})
-	if err != nil {
+	p := newPlanner(e)
+	if err := magicTransform(e, p, pred, adorn); err != nil {
 		return QueryResult{}, err
 	}
-	ev := prog.take()
+	prog := p.finish()
+	ev := newPlanEval(prog)
 	if prog.seedRelID >= 0 {
 		seed := make([]Value, 0, len(args))
 		for _, a := range args {
@@ -426,9 +355,8 @@ func (e *Engine) Query(pred string, args ...Term) (QueryResult, error) {
 		res.Tuples = collectMatching(goalRel, args)
 		res.Derived = len(res.Tuples) > 0
 	}
-	res.Explain = buildExplain(prog, ev, hit)
+	res.Explain = buildExplain(ev)
 	res.Explain.Goal = goal
-	prog.put(ev)
 	return res, nil
 }
 
@@ -456,17 +384,15 @@ func adornmentOf(args []Term) string {
 }
 
 // collectMatching copies rel's tuples consistent with the goal terms:
-// constants must match, repeated variables must agree. Results are sorted.
+// constants must match, repeated variables must agree; nil args match every
+// tuple. Results are sorted.
 func collectMatching(rel *relation, args []Term) [][]Value {
 	var out [][]Value
-	for _, t := range rel.list {
-		if !goalMatches(t, args) {
-			continue
+	rel.match(-1, 0, 0, rel.size(), func(t []Value, _ float64) {
+		if goalMatches(t, args) {
+			out = append(out, append([]Value(nil), t...))
 		}
-		c := make([]Value, len(t))
-		copy(c, t)
-		out = append(out, c)
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		for k := range out[i] {
 			if out[i][k] != out[j][k] {

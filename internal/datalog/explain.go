@@ -18,22 +18,20 @@ type RuleExplain struct {
 }
 
 // Explain reports what a planned evaluation did: the goal and adornment it
-// was specialized for, whether the compiled plan came from the cache, and
-// per-rule join orders with tuple counts.
+// was specialized for, and per-rule join orders with tuple counts.
 type Explain struct {
 	Goal       string        `json:"goal"`
 	Adornment  string        `json:"adornment,omitempty"`
-	CacheHit   bool          `json:"cache_hit"`
 	EarlyStop  bool          `json:"early_stop"`
 	Iterations int           `json:"iterations"`
 	Derived    int           `json:"derived"`
 	Rules      []RuleExplain `json:"rules,omitempty"`
 }
 
-func buildExplain(prog *planProgram, ev *planEval, cacheHit bool) *Explain {
+func buildExplain(ev *planEval) *Explain {
+	prog := ev.prog
 	x := &Explain{
 		Adornment:  prog.adornment,
-		CacheHit:   cacheHit,
 		EarlyStop:  ev.stopped,
 		Iterations: ev.iterations,
 		Derived:    ev.derived,
@@ -55,8 +53,7 @@ func (x *Explain) String() string {
 	if x.Adornment != "" {
 		fmt.Fprintf(&b, "  adornment: %s", x.Adornment)
 	}
-	fmt.Fprintf(&b, "  plan: %s\n", map[bool]string{true: "cached", false: "compiled"}[x.CacheHit])
-	fmt.Fprintf(&b, "rounds: %d  derived: %d", x.Iterations, x.Derived)
+	fmt.Fprintf(&b, "\nrounds: %d  derived: %d", x.Iterations, x.Derived)
 	if x.EarlyStop {
 		b.WriteString("  (stopped early at goal)")
 	}

@@ -20,8 +20,8 @@
 //     dropped.
 //
 // The query's own constants are not part of the plan: they are inserted into
-// the goal's magic relation at evaluation time, so one compiled plan serves
-// every query with the same adornment.
+// the goal's magic relation at evaluation time, so the rewrite depends on the
+// adornment alone.
 //
 // The msum aggregate is copied unchanged onto the adorned rule. That is
 // sound here because msum groups by the head variables, which include every

@@ -1,7 +1,10 @@
 package datalog
 
 import (
+	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -32,43 +35,35 @@ source(0).
 	}
 }
 
+// TestLoadMatchesStructAPI checks the graph view against a stored own
+// relation: the program run over g bound in place (Controls) and the same
+// text with g's stakes written out as ground facts must agree.
 func TestLoadMatchesStructAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(20)
 		g := gen.Random(n, rng.Intn(3*n), rng.Int63())
 		s := graph.NodeID(rng.Intn(n))
+		tgt := graph.NodeID((int(s) + 1) % n)
 
-		// The library's engine (ControlProgram).
-		want, err := Controls(g, s, graph.NodeID((int(s)+1)%n))
+		want, err := Controls(g, s, tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		// The same text loaded by hand, facts added through AddFact.
+		var src strings.Builder
+		src.WriteString(ProgramText())
+		for _, ed := range g.Edges() {
+			fmt.Fprintf(&src, "own(%d, %d) @ %s.\n", ed.From, ed.To, strconv.FormatFloat(ed.Weight, 'g', -1, 64))
+		}
+		fmt.Fprintf(&src, "source(%d).\n", s)
 		e := NewEngine()
-		src := ProgramText()
-		if err := e.Load(src); err != nil {
-			t.Fatal(err)
-		}
-		var loadErr error
-		g.EachNode(func(v graph.NodeID) {
-			g.EachOut(v, func(u graph.NodeID, w float64) {
-				if err := e.AddFact("own", w, Value(v), Value(u)); err != nil && loadErr == nil {
-					loadErr = err
-				}
-			})
-		})
-		if loadErr != nil {
-			t.Fatal(loadErr)
-		}
-		if err := e.AddFact("source", 0, Value(s)); err != nil {
+		if err := e.Load(src.String()); err != nil {
 			t.Fatal(err)
 		}
 		mustRun(t, e)
-		got := e.Has("control", Value(s), Value((int64(s)+1)%int64(n)))
-		if got != want {
-			t.Fatalf("trial %d: hand-loaded program %v, ControlProgram %v", trial, got, want)
+		if got := e.Has("control", Value(s), Value(tgt)); got != want {
+			t.Fatalf("trial %d: stored own facts %v, bound graph %v", trial, got, want)
 		}
 	}
 }

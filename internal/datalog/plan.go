@@ -12,10 +12,7 @@
 // same slot layout and the aggregate/head logic never cares which order ran.
 package datalog
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Term-op kinds: how one atom position interacts with the slot buffer.
 const (
@@ -37,9 +34,9 @@ type relSig struct {
 }
 
 // planRel is one relation referenced by a compiled program. base points at
-// engine-owned storage; nil marks a private relation materialized fresh (or
-// from the pool) per evaluation — adorned and magic predicates live there, so
-// concurrent goal-directed queries never write shared state.
+// an engine relation (stored or a graph view); nil marks a private relation
+// materialized fresh per evaluation — adorned and magic predicates live
+// there, so concurrent goal-directed queries never write shared state.
 type planRel struct {
 	name     string
 	arity    int
@@ -88,11 +85,9 @@ type seedFact struct {
 
 // planProgram is a fully compiled program: relations, rules in all their
 // delta orders, and — for goal-directed plans — the goal/seed relations and
-// the adornment it was specialized for. It is immutable after compilation
-// and safe to share across goroutines; mutable evaluation state lives in
-// planEval, pooled per program.
+// the adornment it was specialized for. It is immutable after compilation;
+// mutable evaluation state lives in planEval.
 type planProgram struct {
-	key    string
 	rels   []planRel
 	relIDs map[string]int
 	rules  []*rulePlan
@@ -105,12 +100,7 @@ type planProgram struct {
 	maxSlots   int
 	maxWeights int
 	maxHead    int
-
-	mu   sync.Mutex
-	pool []*planEval
 }
-
-const planPoolCap = 4
 
 // planner interns relations and compiles rules into a planProgram.
 type planner struct {
@@ -139,7 +129,7 @@ func (p *planner) declarePrivate(name string, arity int, weighted bool) {
 }
 
 // relID interns a relation by name: engine relations resolve to their base
-// storage, private names to their declared schema.
+// relation, private names to their declared schema.
 func (p *planner) relID(name string) (int, error) {
 	if id, ok := p.prog.relIDs[name]; ok {
 		return id, nil

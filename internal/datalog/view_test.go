@@ -1,0 +1,133 @@
+package datalog
+
+import (
+	"runtime"
+	"testing"
+
+	"ccp/internal/gen"
+	"ccp/internal/graph"
+)
+
+// TestBindGraphCopiesNothing: binding reads the graph in place, so a graph
+// ten times larger costs the same allocations — in count and in bytes — to
+// bind.
+func TestBindGraphCopiesNothing(t *testing.T) {
+	cost := func(edges int) (allocs, bytes float64) {
+		g := gen.Random(edges/2, edges, 1)
+		if g.NumEdges() < edges*9/10 {
+			t.Fatalf("generator gave %d edges, want about %d", g.NumEdges(), edges)
+		}
+		bind := func() {
+			if err := NewEngine().BindGraph("own", g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(20, bind)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 20; i++ {
+			bind()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / 20
+	}
+	smallAllocs, smallBytes := cost(1_000)
+	largeAllocs, largeBytes := cost(10_000)
+	if smallAllocs != largeAllocs || largeBytes > smallBytes+1024 {
+		t.Fatalf("binding 1000 edges: %v allocs, %v B; 10000 edges: %v allocs, %v B",
+			smallAllocs, smallBytes, largeAllocs, largeBytes)
+	}
+}
+
+// TestBoundRelationIsReadOnly: every way of writing into a bound relation
+// is an error that leaves the relation — the graph — as it was.
+func TestBoundRelationIsReadOnly(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(e *Engine) error
+	}{
+		{"AddFact", func(e *Engine) error { return e.AddFact("own", 0.5, 0, 2) }},
+		{"AddRule", func(e *Engine) error {
+			return e.AddRule(Rule{
+				Head: Atom{Pred: "own", Terms: []Term{V("x"), V("y")}},
+				Body: []Atom{{Pred: "own", Terms: []Term{V("y"), V("x")}}},
+			})
+		}},
+		{"Load fact", func(e *Engine) error { return e.Load(`own(0, 2) @ 0.5.`) }},
+		{"Load rule", func(e *Engine) error { return e.Load(`own(x, y) :- own(y, x).`) }},
+		{"Relation", func(e *Engine) error { return e.Relation("own", 2, true) }},
+		{"BindGraph", func(e *Engine) error { return e.BindGraph("own", graph.New(1)) }},
+	} {
+		g := graph.New(3)
+		if err := g.AddEdge(0, 1, 0.6); err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine()
+		if err := e.BindGraph("own", g); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.write(e); err == nil {
+			t.Errorf("%s: write into a bound relation accepted", tc.name)
+		}
+		if g.NumEdges() != 1 || e.Count("own") != 1 || e.Has("own", 0, 2) || !e.Has("own", 0, 1) {
+			t.Errorf("%s: bound relation changed: %v", tc.name, e.Facts("own"))
+		}
+		if _, _, err := e.Run(); err != nil {
+			t.Errorf("%s: engine unusable after the rejected write: %v", tc.name, err)
+		}
+	}
+}
+
+// TestGraphViewAccessPaths exercises each way the evaluator reads a view: a
+// position-0 probe (stakes held), a position-1 probe (shareholders), a
+// scan, membership, and constants that name no company.
+func TestGraphViewAccessPaths(t *testing.T) {
+	g := graph.New(4)
+	for _, ed := range []graph.Edge{{From: 0, To: 1, Weight: 0.6}, {From: 0, To: 2, Weight: 0.3}, {From: 3, To: 2, Weight: 0.7}} {
+		if err := g.AddEdge(ed.From, ed.To, ed.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewEngine()
+	if err := e.BindGraph("own", g); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load(`
+held(z) :- own(0, z).
+holder(y) :- own(y, 2).
+big(y, z) :- own(y, z) @ w, msum(w, <y>) > 0.5.
+far(z) :- own(4294967296, z).
+`); err != nil {
+		t.Fatal(err)
+	}
+	_, x, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFacts(t, e, "held", [][]Value{{1}, {2}})
+	wantFacts(t, e, "holder", [][]Value{{0}, {3}})
+	wantFacts(t, e, "big", [][]Value{{0, 1}, {3, 2}})
+	wantFacts(t, e, "own", [][]Value{{0, 1}, {0, 2}, {3, 2}})
+	if e.Count("far") != 0 {
+		t.Fatalf("a probe past the id range matched %v", e.Facts("far"))
+	}
+	for i, want := range []string{"own(0,z)[idx 0]", "own(y,2)[idx 1]", "own(y,z)@w[scan]"} {
+		if got := x.Rules[i].Orders[0]; got != "Δ"+want {
+			t.Errorf("rule %d order = %q, want Δ%s", i, got, want)
+		}
+	}
+
+	far := Value(1) << 32 // truncates to company 0
+	if e.Has("own", far, 1) || e.Has("own", 0, 1, 2) || !e.Has("own", 3, 2) {
+		t.Fatal("view membership wrong")
+	}
+	for _, args := range [][]Term{{C(far), V("z")}, {V("y"), C(far)}, {C(-1), V("z")}} {
+		res, err := e.Query("own", args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Derived {
+			t.Fatalf("own%v? matched %v", args, res.Tuples)
+		}
+	}
+}

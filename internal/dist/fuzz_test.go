@@ -2,8 +2,13 @@ package dist
 
 import (
 	"bytes"
+	"encoding/gob"
+	"io"
+	"net"
 	"testing"
+	"time"
 
+	"ccp/internal/control"
 	"ccp/internal/store"
 )
 
@@ -91,6 +96,77 @@ func FuzzApply(f *testing.F) {
 		}
 		if !bytes.Equal(partBytes(t, s), partBytes(t, r)) || s.Epoch() != r.Epoch() {
 			t.Fatalf("replaying %d accepted records diverged: epoch %d, want %d", len(accepted), r.Epoch(), s.Epoch())
+		}
+	})
+}
+
+// FuzzServeConn feeds arbitrary bytes to Server.serveConn — the gob decoder
+// and dispatch every site runs on its socket — over an in-memory pipe to a
+// small site. serveConn must not panic, must close the connection once the
+// bytes run out, and must leave the server answering a well-formed evaluate
+// on a fresh connection. The site is a read-only follower: an apply from the
+// wire naming an unbounded company id would size the partition's id space
+// to it (gigabytes), the hazard FuzzApply sidesteps by folding ids, so here
+// every fuzzed write is refused before it reaches the partition.
+func FuzzServeConn(f *testing.F) {
+	var valid bytes.Buffer
+	enc := gob.NewEncoder(&valid)
+	for _, req := range []*request{
+		{ID: 1, Op: opEvaluate, S: 0, T: 1, UseCache: true, DeadlineNS: int64(time.Second)},
+		{ID: 2, Op: opInfo},
+		{ID: 3, Op: opPrecompute},
+		{ID: 4, Op: opApply, Record: store.Record{Kind: store.KindStake, Owner: 0, Owned: 2, Weight: 0.3}},
+		{ID: 5, Op: opReplPull, FromSeq: 1, MaxRecords: 8, WaitNS: int64(time.Millisecond)},
+		{ID: 6, Op: opReplSnapshot},
+		{ID: 7, Op: 99, S: -1, T: 1 << 30},
+	} {
+		if err := enc.Encode(req); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(valid.Bytes())
+	f.Add([]byte("this is not gob at all, not even close"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		site := testSite(t)
+		site.SetReadOnly(true)
+		srv := NewServer(site, ServerConfig{})
+		serve := func() (net.Conn, <-chan struct{}) {
+			client, server := net.Pipe()
+			done := make(chan struct{})
+			srv.connWG.Add(1)
+			go func() {
+				srv.serveConn(server)
+				close(done)
+			}()
+			return client, done
+		}
+		closed := func(done <-chan struct{}) {
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("serveConn did not close the connection")
+			}
+		}
+
+		conn, done := serve()
+		go io.Copy(io.Discard, conn)
+		conn.Write(data) // fails once serveConn gives up on the stream
+		conn.Close()
+		closed(done)
+
+		conn, done = serve()
+		defer closed(done)
+		defer conn.Close()
+		if err := gob.NewEncoder(conn).Encode(&request{ID: 9, Op: opEvaluate, S: 0, T: 1}); err != nil {
+			t.Fatal(err)
+		}
+		var resp response
+		if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+			t.Fatalf("fresh connection: %v", err)
+		}
+		if resp.ID != 9 || resp.Err != "" || control.Answer(resp.Ans) != control.True {
+			t.Fatalf("fresh connection: evaluate(0,1) answered %+v", resp)
 		}
 	})
 }

@@ -210,12 +210,12 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 	if err := row("CBE worklist", func() (bool, error) { return control.CBE(g, q), nil }); err != nil {
 		return nil, err
 	}
-	// The declarative engine, rewrite off and on: "semi-naive" reloads the
-	// facts and reruns the bottom-up global fixpoint per query; "planned"
-	// loads once and answers goal-directedly (magic sets) off cached plans
-	// (the solver is built outside the timing, like the reduction variants'
-	// graph construction above; the untimed cross-check is what warms its
-	// plan cache).
+	// The declarative engine, rewrite off and on, both reading g in place:
+	// "semi-naive" runs the bottom-up fixpoint from the query's source;
+	// "planned" asserts every company as a source once (outside the timing,
+	// like the reduction variants' graph construction above) and answers
+	// goal-directedly behind the magic-sets rewrite, compiling its plan per
+	// query.
 	if err := row("datalog semi-naive", func() (bool, error) { return datalog.Controls(g, q.S, q.T) }); err != nil {
 		return nil, err
 	}

@@ -112,15 +112,23 @@ func checkCheckpoint(path string) ([]byte, error) {
 }
 
 // loadCheckpoint validates and decodes one checkpoint file, returning the
-// covered sequence number, the partition image and the file's size.
+// covered sequence number, the partition image and the file's size. The
+// partition decoder tolerates forms the writer never emits (trailing bytes,
+// repeated or unsorted set ids), so an image must also re-encode to itself:
+// anything else under a valid CRC was not written by writeCheckpoint.
 func loadCheckpoint(path string) (uint64, *partition.Partition, int64, error) {
 	body, err := checkCheckpoint(path)
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	p, err := partition.ReadPartition(bytes.NewReader(body[8:]))
+	image := body[8:]
+	p, err := partition.ReadPartition(bytes.NewReader(image))
 	if err != nil {
 		return 0, nil, 0, fmt.Errorf("store: checkpoint %s: %w", path, err)
+	}
+	var again bytes.Buffer
+	if err := p.WriteBinary(&again); err != nil || !bytes.Equal(again.Bytes(), image) {
+		return 0, nil, 0, fmt.Errorf("store: checkpoint %s: image is not in the form the writer produces", path)
 	}
 	return binary.LittleEndian.Uint64(body[:8]), p, int64(len(ckptMagic) + len(body) + 4), nil
 }

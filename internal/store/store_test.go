@@ -13,7 +13,7 @@ import (
 
 // testPartition builds a small random partition (one of two hash shards) and
 // the rng to drive updates against it.
-func testPartition(t *testing.T, seed int64) (*partition.Partition, *rand.Rand) {
+func testPartition(t testing.TB, seed int64) (*partition.Partition, *rand.Rand) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.New(24)

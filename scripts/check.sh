@@ -5,8 +5,8 @@
 # explicit timeout so a hung transport test fails fast instead of stalling
 # CI), and the race detector over the packages that do parallel graph
 # surgery or concurrent transport work, short fuzz runs over the write path,
-# the WAL record decoder, the pooled graph decoder and the partition image
-# decoder, then the benchmark
+# the WAL record decoder, the site's socket decoder, the checkpoint loader,
+# the pooled graph decoder and the partition image decoder, then the benchmark
 # module's own vet/tests and a quick, answers-only benchmark run. CI and
 # pre-commit hooks should call exactly this script; if it passes, the change
 # is shippable.
@@ -51,13 +51,16 @@ go test -race -shuffle=on -timeout 10m \
     ./internal/obs/...
 
 # The WAL record decoder a follower runs on every pull, the one write path
-# its records feed, the CCPG1 decoder's pooled form (a payload decoded into
-# scratch another payload left behind), and the CCPP1 decoder that both
-# checkpoint load and follower bootstrap run: 15 s of new inputs each, on two
-# fuzz workers.
-echo "== go test -fuzz (write path + WAL record decoder + pooled graph decode + partition image) =="
+# its records feed, the request decoder every site runs on its socket, the
+# checkpoint loader recovery runs on what it finds on disk, the CCPG1
+# decoder's pooled form (a payload decoded into scratch another payload left
+# behind), and the CCPP1 decoder that both checkpoint load and follower
+# bootstrap run: 15 s of new inputs each, on two fuzz workers.
+echo "== go test -fuzz (write path + WAL records + socket + checkpoint + pooled graph decode + partition image) =="
 go test -run '^$' -fuzz '^FuzzApply$' -fuzztime 15s -parallel 2 ./internal/dist
+go test -run '^$' -fuzz '^FuzzServeConn$' -fuzztime 15s -parallel 2 ./internal/dist
 go test -run '^$' -fuzz '^FuzzDecodeRecords$' -fuzztime 15s -parallel 2 ./internal/store
+go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 15s -parallel 2 ./internal/store
 go test -run '^$' -fuzz '^FuzzDecodeBinaryIntoReused$' -fuzztime 15s -parallel 2 ./internal/graph
 go test -run '^$' -fuzz '^FuzzReadPartition$' -fuzztime 15s -parallel 2 ./internal/partition
 
