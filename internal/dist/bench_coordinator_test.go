@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -11,22 +12,37 @@ import (
 	"ccp/internal/partition"
 )
 
+// mergeInputs are one query's coordinator merge inputs: the skeleton of the
+// cached partials, as the snapshot cache holds it, and the live partials in
+// global ids, as they arrive from their sites.
+type mergeInputs struct {
+	skeleton denseGraph
+	live     []*graph.Graph
+	q        control.Query
+}
+
 // benchMergeInputs builds realistic coordinator merge inputs: a pre-cached
 // 4-site EU cluster evaluates one cross-border query with ForcePartial, so
 // the two endpoint sites return live reduced partials and the other two are
 // served from their query-independent caches (the snapshot skeleton merges
 // those). The query is one that no termination check decides early, so the
-// merged reduction removes most of the merged graph. Returned graphs are
-// owned by the caller; q is the query.
-func benchMergeInputs(tb testing.TB) (skeleton *graph.Graph, live []*graph.Graph, q control.Query) {
+// merged reduction removes most of the merged graph.
+func benchMergeInputs(tb testing.TB) mergeInputs {
 	tb.Helper()
 	g := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 1200, InterconnectRate: 0.05, Seed: 9}).G
 	pi, err := partition.ByContiguous(g, 4)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	q = control.Query{S: 0, T: graph.NodeID(g.Cap() - 105)}
-	skeleton = graph.New(0)
+	return clusterMergeInputs(tb, pi, control.Query{S: 0, T: graph.NodeID(g.Cap() - 105)})
+}
+
+// clusterMergeInputs evaluates q at a pre-cached site per partition of pi and
+// gathers the merge inputs the coordinator would see.
+func clusterMergeInputs(tb testing.TB, pi *partition.Partitioning, q control.Query) mergeInputs {
+	tb.Helper()
+	in := mergeInputs{q: q}
+	var copies []denseGraph
 	for _, p := range pi.Parts {
 		s := NewSite(p, 1)
 		if _, err := s.Precompute(context.Background()); err != nil {
@@ -40,76 +56,152 @@ func benchMergeInputs(tb testing.TB) (skeleton *graph.Graph, live []*graph.Graph
 			tb.Fatalf("site %d returned no partial", s.ID())
 		}
 		if pa.FromCache {
-			skeleton.Merge(pa.Reduced)
+			copies = append(copies, compact(pa.Reduced))
 		} else {
-			live = append(live, pa.Reduced)
+			in.live = append(in.live, pa.Reduced.Clone())
+			pa.Release()
 		}
 	}
-	if len(live) == 0 || skeleton.NumNodes() == 0 {
+	mergeInto(&in.skeleton, copies)
+	if len(in.live) == 0 || in.skeleton.g.NumNodes() == 0 {
 		tb.Fatalf("query split unexpectedly: %d live partials, %d skeleton nodes",
-			len(live), skeleton.NumNodes())
+			len(in.live), in.skeleton.g.NumNodes())
 	}
-	return skeleton, live, q
+	return in
 }
 
 // mergeCycle is one query's merge work on the coordinator's batch path:
-// materialize the merged graph from the cached-partial skeleton (CloneInto
-// scratch; nil allocates), merge the live partials on top, and run the final
+// list the live partials' nodes, renumber the skeleton and the live partials
+// over their union into the scratch's merged graph, and run the final
 // reduction with X = {s, t} — which retires most of the merged graph.
-func mergeCycle(tb testing.TB, skeleton *graph.Graph, live []*graph.Graph, q control.Query, x graph.NodeSet, scratch *graph.Graph) *graph.Graph {
-	mg := skeleton.CloneInto(scratch)
-	for _, p := range live {
-		mg.Merge(p)
+func mergeCycle(tb testing.TB, in mergeInputs, ms *mergeScratch) *graph.Graph {
+	ms.parts, ms.nodes = append(ms.parts[:0], in.skeleton), ms.nodes[:0]
+	for _, p := range in.live {
+		var part denseGraph
+		part, ms.nodes = sparsePart(p, ms.nodes)
+		ms.parts = append(ms.parts, part)
 	}
-	res, err := control.ParallelReduction(context.Background(), mg, q, x, control.Options{
-		Workers: 1,
-		Trust:   control.FullTrust,
-	})
+	mergeInto(&ms.mg, ms.parts)
+	res, err := ms.reduce(context.Background(), in.q, control.Options{Workers: 1, Trust: control.FullTrust})
 	if err != nil || res.Ans == control.Unknown || res.Stats.Removed == 0 {
 		tb.Fatalf("merged reduction: %v after removing %d, err %v", res.Ans, res.Stats.Removed, err)
 	}
-	return mg
+	return ms.mg.g
 }
 
 // BenchmarkCoordinatorMerge measures the per-query merge work of the batch
-// path (see mergeCycle). "clone" is the allocating path (a fresh graph per
-// query); "pooled" is the batch path (CloneInto over reused scratch, which
-// the previous query's reduction left behind).
+// path (see mergeCycle). "fresh" allocates new scratch per query; "pooled" is
+// the batch path, renumbering into the scratch the previous query's
+// reduction left behind.
 func BenchmarkCoordinatorMerge(b *testing.B) {
-	skeleton, live, q := benchMergeInputs(b)
-	x := graph.NewNodeSet(q.S, q.T)
-	b.Run("clone", func(b *testing.B) {
+	in := benchMergeInputs(b)
+	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			mergeCycle(b, skeleton, live, q, x, nil)
+			mergeCycle(b, in, newMergeScratch())
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
-		scratch := mergeCycle(b, skeleton, live, q, x, graph.New(0))
+		ms := newMergeScratch()
+		mergeCycle(b, in, ms)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			scratch = mergeCycle(b, skeleton, live, q, x, scratch)
+			mergeCycle(b, in, ms)
 		}
 	})
 }
 
 // TestCoordinatorMergePooledSteadyStateAllocs pins the pooled merge cycle:
-// once its scratch has been through one clone → merge → reduce, the next
-// cycle allocates nothing — the reduction clears the tables of the nodes it
-// retires instead of dropping them, so CloneInto finds every one.
+// once its scratch has been through one merge → reduce, the next cycle
+// allocates nothing — the id table keeps its capacity, ResetTo keeps the edge
+// maps, and the reduction clears the tables of the nodes it retires instead
+// of dropping them.
 func TestCoordinatorMergePooledSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented sync.Pool drops Puts at random; alloc pin does not hold")
 	}
-	skeleton, live, q := benchMergeInputs(t)
-	x := graph.NewNodeSet(q.S, q.T)
-	scratch := mergeCycle(t, skeleton, live, q, x, graph.New(0))
-	allocs := testing.AllocsPerRun(20, func() {
-		scratch = mergeCycle(t, skeleton, live, q, x, scratch)
-	})
+	in := benchMergeInputs(t)
+	ms := newMergeScratch()
+	mergeCycle(t, in, ms)
+	allocs := testing.AllocsPerRun(20, func() { mergeCycle(t, in, ms) })
 	if allocs != 0 {
 		t.Fatalf("pooled merge cycle allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestCoordinatorMergeWorkFollowsBoundary relabels one cluster's graph into
+// an id space 32 times larger — the same companies and stakes, company v
+// renamed 32v — and requires the coordinator's merge to be the same on both:
+// the same merged Cap, the same allocations and allocated bytes per fresh
+// cycle, and none once pooled. Merge work follows the nodes the partials
+// hold, not the id space they are numbered in.
+func TestCoordinatorMergeWorkFollowsBoundary(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-instrumented sync.Pool drops Puts at random; alloc pin does not hold")
+	}
+	const spread = 32
+	g := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 1200, InterconnectRate: 0.05, Seed: 9}).G
+	pi, err := partition.ByContiguous(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := graph.New(spread * g.Cap())
+	assign := make([]int, wide.Cap())
+	for v := 0; v < wide.Cap(); v++ {
+		if v%spread != 0 || !g.Alive(graph.NodeID(v/spread)) {
+			wide.RemoveNode(graph.NodeID(v))
+		}
+	}
+	for _, e := range g.Edges() {
+		if err := wide.AddEdge(spread*e.From, spread*e.To, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v, a := range pi.Assign {
+		assign[spread*v] = a
+	}
+	wpi, err := partition.Split(wide, assign, len(pi.Parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := control.Query{S: 0, T: graph.NodeID(g.Cap() - 105)}
+	type cost struct {
+		cap           int
+		allocs, bytes float64
+		pooledAllocs  float64
+	}
+	measure := func(in mergeInputs) cost {
+		var c cost
+		c.cap = mergeCycle(t, in, newMergeScratch()).Cap()
+		c.allocs = testing.AllocsPerRun(10, func() { mergeCycle(t, in, newMergeScratch()) })
+		// The least of five batches: other goroutines can only add bytes.
+		const runs = 10
+		for batch := 0; batch < 5; batch++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				mergeCycle(t, in, newMergeScratch())
+			}
+			runtime.ReadMemStats(&after)
+			if b := float64(after.TotalAlloc-before.TotalAlloc) / runs; batch == 0 || b < c.bytes {
+				c.bytes = b
+			}
+		}
+		ms := newMergeScratch()
+		mergeCycle(t, in, ms)
+		c.pooledAllocs = testing.AllocsPerRun(10, func() { mergeCycle(t, in, ms) })
+		return c
+	}
+	narrow := measure(clusterMergeInputs(t, pi, q))
+	spreadOut := measure(clusterMergeInputs(t, wpi, control.Query{S: spread * q.S, T: spread * q.T}))
+	if narrow != spreadOut || narrow.pooledAllocs != 0 {
+		t.Fatalf("merge cost follows the id space: ids 0..%d %+v, ids spread %dx %+v",
+			g.Cap()-1, narrow, spread, spreadOut)
+	}
+	t.Logf("merged Cap %d of %d ids; fresh cycle %.0f allocs, %.0f B", narrow.cap, g.Cap(), narrow.allocs, narrow.bytes)
+	if narrow.cap >= g.Cap()/10 {
+		t.Fatalf("merged Cap %d of a %d-id graph: the merge is not dense", narrow.cap, g.Cap())
 	}
 }
 
@@ -117,8 +209,8 @@ func TestCoordinatorMergePooledSteadyStateAllocs(t *testing.T) {
 // benchmarks — the payload a remote site ships for a merge-path query.
 func benchPartialResponse(tb testing.TB) *response {
 	tb.Helper()
-	_, live, _ := benchMergeInputs(tb)
-	resp, err := encodePartial(&PartialAnswer{SiteID: 0, Ans: control.Unknown, Reduced: live[0]})
+	in := benchMergeInputs(tb)
+	resp, err := encodePartial(&PartialAnswer{SiteID: 0, Ans: control.Unknown, Reduced: in.live[0]})
 	if err != nil {
 		tb.Fatal(err)
 	}

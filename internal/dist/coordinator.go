@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -110,7 +110,7 @@ type Metrics struct {
 	CoordCacheHits int
 	// SnapshotHits counts queries served from a reusable merged-graph
 	// snapshot (the cached partials were merged once and the skeleton
-	// cloned instead of re-merged). A query that builds the snapshot is a
+	// reused instead of re-merged). A query that builds the snapshot is a
 	// SnapshotBuild, not a hit.
 	SnapshotHits int
 	// SnapshotBuilds counts queries that merged their cached partials into
@@ -179,11 +179,9 @@ type Coordinator struct {
 	// lock.
 	snaps [numSnapShards]snapShard
 
-	// mergeGraphs recycles merge scratch across queries (the snapshot
-	// skeleton is cloned into a pooled graph instead of a fresh one);
-	// mergeSets recycles the two-element {s,t} exclusion sets.
-	mergeGraphs sync.Pool
-	mergeSets   sync.Pool
+	// merges recycles per-query merge scratch (*mergeScratch): the merged
+	// graph and its id table, the parts list and the {s,t} exclusion set.
+	merges sync.Pool
 }
 
 // Metric names, for callers that read their own Observer's registry back.
@@ -254,22 +252,151 @@ func (c *Coordinator) observe(o *obs.Observer) {
 		"Snapshot-cache shard lock acquisitions that found the shard already locked.")})
 }
 
-// coordCached is the coordinator's copy of one site's partial answer.
+// coordCached is the coordinator's copy of one site's partial answer,
+// compacted once when it is stored.
 type coordCached struct {
+	site    int
 	epoch   uint64
-	reduced *graph.Graph
+	reduced denseGraph
 	stats   control.Stats
 }
 
 // mergedSnapshot is a reusable merge of cached partial answers: the
-// skeleton is merged once per epoch vector and cloned per query, so a batch
-// over an unchanged cluster never re-runs graph.Merge over the same cached
-// partials. The skeleton itself is never mutated; invalidation replaces the
-// entry, it never touches a published skeleton.
+// skeleton is merged once per epoch vector and read by every query that
+// merges over it, so a batch over an unchanged cluster never re-merges the
+// same cached partials. The skeleton itself is never mutated; invalidation
+// replaces the entry, it never touches a published skeleton.
 type mergedSnapshot struct {
-	skeleton     *graph.Graph
+	skeleton     denseGraph
 	nodes, edges int   // Σ NumNodes/NumEdges of the merged partials
 	sites        []int // sites whose partials the skeleton merges (sorted)
+}
+
+// denseGraph is a graph numbered over the nodes it holds: local node i is
+// the company with global id ids[i], and ids ascends strictly, so local order
+// is global order and the reducer's ascending-id victim order and lowest-id
+// tie-breaks are the same in either numbering. Every graph the coordinator
+// keeps or builds is one, so its size follows the partials it merges, not
+// the global id space they are numbered in.
+//
+// A sparse denseGraph is a merge input only: g is numbered in global ids, as
+// a partial arrives from its site, and ids lists its live nodes.
+type denseGraph struct {
+	g      *graph.Graph
+	ids    []graph.NodeID
+	sparse bool
+}
+
+// sparsePart appends the live nodes of g, a graph in global ids, to buf and
+// returns g as a sparse merge input over them, with the grown buf.
+func sparsePart(g *graph.Graph, buf []graph.NodeID) (denseGraph, []graph.NodeID) {
+	from := len(buf)
+	g.EachNode(func(v graph.NodeID) { buf = append(buf, v) })
+	return denseGraph{g: g, ids: buf[from:len(buf):len(buf)], sparse: true}, buf
+}
+
+// global returns the global id of local node v.
+func (d denseGraph) global(v graph.NodeID) graph.NodeID {
+	if d.sparse {
+		return v
+	}
+	return d.ids[v]
+}
+
+// local returns the local id of global node v, and whether d holds v.
+func (d denseGraph) local(v graph.NodeID) (graph.NodeID, bool) {
+	i, ok := slices.BinarySearch(d.ids, v)
+	return graph.NodeID(i), ok
+}
+
+// localQuery translates q into d's local ids. An endpoint d does not hold
+// becomes an id no graph holds — s None, t None-1 — so two different absent
+// endpoints stay different, and only a company asked about itself meets
+// CheckTermination's s == t rule, as in the global numbering.
+func (d denseGraph) localQuery(q control.Query) control.Query {
+	s, ok := d.local(q.S)
+	if !ok {
+		s = graph.None
+	}
+	t, ok := d.local(q.T)
+	if !ok {
+		t = graph.None - 1
+	}
+	if q.S == q.T {
+		t = s
+	}
+	return control.Query{S: s, T: t}
+}
+
+// mergeInto renumbers the union of parts into dst, reusing dst's table and
+// graph: dst.ids becomes the sorted union of the parts' tables and dst.g
+// holds every part's nodes and edges. An edge met twice keeps the label it
+// was first merged with, as graph.Merge does; merged reduced partitions never
+// hold one edge twice, because each edge leaves a member of one site.
+func mergeInto(dst *denseGraph, parts []denseGraph) {
+	ids := dst.ids[:0]
+	for _, p := range parts {
+		ids = append(ids, p.ids...)
+	}
+	slices.Sort(ids)
+	dst.ids = slices.Compact(ids)
+	if dst.g == nil {
+		dst.g = graph.New(len(dst.ids))
+	} else {
+		dst.g.ResetTo(len(dst.ids))
+	}
+	mg := dst.g
+	for _, p := range parts {
+		// A part's table ascends, so one cursor over the union finds each of
+		// its nodes in turn; edge targets are looked up.
+		a := graph.NodeID(0)
+		for i, gv := range p.ids {
+			for dst.ids[a] != gv {
+				a++
+			}
+			v := graph.NodeID(i)
+			if p.sparse {
+				v = gv
+			}
+			p.g.EachOut(v, func(u graph.NodeID, w float64) {
+				if b, _ := dst.local(p.global(u)); !mg.HasEdge(a, b) {
+					// Cannot fail: both ends are live, and w is a label of a
+					// valid graph.
+					_ = mg.AddEdge(a, b, w)
+				}
+			})
+		}
+	}
+}
+
+// compact copies a global-id graph into a new dense graph over its live
+// nodes.
+func compact(g *graph.Graph) denseGraph {
+	part, _ := sparsePart(g, nil)
+	var d denseGraph
+	mergeInto(&d, []denseGraph{part})
+	return d
+}
+
+// mergeScratch is one query's pooled merge state: the merged graph, the
+// merge inputs, the live partials' node lists and the {s, t} exclusion set.
+type mergeScratch struct {
+	mg    denseGraph
+	parts []denseGraph
+	nodes []graph.NodeID
+	x     graph.NodeSet
+}
+
+func newMergeScratch() *mergeScratch { return &mergeScratch{x: graph.NewNodeSet()} }
+
+// reduce runs the final reduction on the merged graph: q translated into its
+// ids, X = {s, t}.
+func (ms *mergeScratch) reduce(ctx context.Context, q control.Query, opts control.Options) (control.Result, error) {
+	lq := ms.mg.localQuery(q)
+	clear(ms.x)
+	ms.x.Add(lq.S)
+	ms.x.Add(lq.T)
+	return control.ParallelReduction(ctx, ms.mg.g, lq, ms.x, opts)
 }
 
 // The snapshot cache is striped into numSnapShards independently locked
@@ -322,6 +449,7 @@ func NewCoordinator(clients []SiteClient, opts Options) *Coordinator {
 		}
 	}
 	c.pcache = make([]atomic.Pointer[coordCached], len(c.slots))
+	c.merges.New = func() any { return newMergeScratch() }
 	for i := range c.snaps {
 		c.snaps[i].entries = make(map[string]*mergedSnapshot, maxSnapshotsPerShard)
 	}
@@ -356,16 +484,6 @@ func (c *Coordinator) cachedCopy(siteID int) *coordCached {
 func (c *Coordinator) storeCopy(siteID int, cc *coordCached) {
 	if slot, ok := c.slots[siteID]; ok {
 		c.pcache[slot].Store(cc)
-	}
-}
-
-// dropSnapshots empties the merged-skeleton cache entirely.
-func (c *Coordinator) dropSnapshots() {
-	for i := range c.snaps {
-		sh := &c.snaps[i]
-		sh.mu.Lock()
-		clear(sh.entries)
-		sh.mu.Unlock()
 	}
 }
 
@@ -560,7 +678,10 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		}
 	}
 
-	var partials []*PartialAnswer
+	// live holds the partials this query evaluated; copies the coordinator's
+	// compacted copies of the cached ones, whether just shipped or revalidated.
+	var live []*PartialAnswer
+	var copies []*coordCached
 	decided := control.Unknown
 	decidedBy := -1
 	for range c.clients {
@@ -577,7 +698,7 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 			cancelQuery()
 			c.ev.Log().Debug("site evaluation failed", "site", r.siteID, "err", r.err,
 				obs.TraceIDAttr(sc.ID))
-			releasePartials(partials)
+			releasePartials(live)
 			return false, m, fmt.Errorf("dist: site evaluation: %w", r.err)
 		}
 		m.SitesQueried++
@@ -593,23 +714,18 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 			// Serve from the coordinator's own copy.
 			cached := c.cachedCopy(r.pa.SiteID)
 			if cached == nil {
-				releasePartials(partials)
+				releasePartials(live)
 				return false, m, fmt.Errorf("dist: site %d replied not-modified without a coordinator copy", r.pa.SiteID)
 			}
 			m.CoordCacheHits++
 			m.Stats.Add(cached.stats)
-			partials = append(partials, &PartialAnswer{
-				SiteID:    r.pa.SiteID,
-				Reduced:   cached.reduced,
-				FromCache: true,
-				Epoch:     cached.epoch,
-			})
+			copies = append(copies, cached)
 			continue
 		}
 		m.Stats.Add(r.pa.Stats)
 		if r.pa.Ans != control.Unknown {
 			if decided != control.Unknown && decided != r.pa.Ans {
-				releasePartials(partials)
+				releasePartials(live)
 				return false, m, fmt.Errorf("dist: sites %d and %d decided the query inconsistently",
 					decidedBy, r.pa.SiteID)
 			}
@@ -620,50 +736,46 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		// An undecided site that ships no graph would drop its partition
 		// from MGraph and the merge would answer without it.
 		if r.pa.Reduced == nil {
-			releasePartials(partials)
+			releasePartials(live)
 			return false, m, fmt.Errorf("dist: site %d replied undecided without a partial graph", r.pa.SiteID)
 		}
 		if r.pa.FromCache {
-			c.storeCopy(r.pa.SiteID, &coordCached{
+			cc := &coordCached{
+				site:    r.pa.SiteID,
 				epoch:   r.pa.Epoch,
-				reduced: r.pa.Reduced,
+				reduced: compact(r.pa.Reduced),
 				stats:   r.pa.Stats,
-			})
+			}
+			c.storeCopy(r.pa.SiteID, cc)
+			copies = append(copies, cc)
+			continue
 		}
-		partials = append(partials, r.pa)
+		live = append(live, r.pa)
 	}
 	c.met.phaseSites.Observe(time.Since(qstart).Seconds())
 	if decided != control.Unknown {
 		m.DecidedBy = decidedBy
-		releasePartials(partials)
+		releasePartials(live)
 		return decided.Bool(), m, nil
 	}
 
 	// Assemble: MGraph := ∪ R_i, then reduce once more with X = {s, t}.
 	// Cached partials at an unchanged epoch vector are merged once into a
-	// reusable skeleton; the query merges only its live partials on top of
-	// a pooled copy of the skeleton. Live partials decode into pooled
+	// reusable skeleton; the query renumbers the skeleton and its live
+	// partials over their union into pooled scratch, so the merged graph is
+	// as large as the nodes it holds. Live partials decode into pooled
 	// graphs and return to their pools once merged.
 	m.MergedQueries++
 	start := time.Now()
-	cached := make([]*PartialAnswer, 0, len(partials))
-	rest := make([]*PartialAnswer, 0, len(partials))
-	for _, pa := range partials {
-		if pa.FromCache {
-			cached = append(cached, pa)
-		} else {
-			rest = append(rest, pa)
-		}
-	}
-	scratch, _ := c.mergeGraphs.Get().(*graph.Graph)
-	var mg *graph.Graph
+	ms := c.merges.Get().(*mergeScratch)
+	parts := ms.parts[:0]
 	// Every merged query is one of snapshot hit, build or miss; the merged
 	// counter moves right behind that event so the conservation probe never
 	// sees the two apart for longer than a few instructions.
-	if len(cached) >= 2 {
-		snap, hit := c.snapshotFor(cached, sc)
+	if len(copies) >= 2 {
+		snap, hit := c.snapshotFor(copies, sc)
 		c.met.mergedQueries.Inc()
-		mg = snap.skeleton.CloneInto(scratch)
+		parts = append(parts, snap.skeleton)
 		m.PartialNodes += snap.nodes
 		m.PartialEdges += snap.edges
 		if hit {
@@ -672,41 +784,38 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 			m.SnapshotBuilds++
 		}
 	} else {
-		if scratch == nil {
-			mg = graph.New(0)
-		} else {
-			scratch.Reset()
-			mg = scratch
-		}
 		m.SnapshotMisses++
-		sc.Emit(flight.SnapMiss, -1, int64(len(cached)), 0)
+		sc.Emit(flight.SnapMiss, -1, int64(len(copies)), 0)
 		c.met.mergedQueries.Inc()
-		rest = append(cached, rest...)
+		for _, cc := range copies {
+			m.PartialNodes += cc.reduced.g.NumNodes()
+			m.PartialEdges += cc.reduced.g.NumEdges()
+			parts = append(parts, cc.reduced)
+		}
 	}
-	for _, pa := range rest {
+	nodes := ms.nodes[:0]
+	for _, pa := range live {
 		m.PartialNodes += pa.Reduced.NumNodes()
 		m.PartialEdges += pa.Reduced.NumEdges()
-		mg.Merge(pa.Reduced)
+		var part denseGraph
+		part, nodes = sparsePart(pa.Reduced, nodes)
+		parts = append(parts, part)
 	}
-	releasePartials(partials)
-	m.MGraphNodes = mg.NumNodes()
-	m.MGraphEdges = mg.NumEdges()
+	ms.nodes = nodes
+	mergeInto(&ms.mg, parts)
+	// The pooled parts list must not keep partials or skeletons alive.
+	clear(parts)
+	ms.parts = parts[:0]
+	releasePartials(live)
+	m.MGraphNodes = ms.mg.g.NumNodes()
+	m.MGraphEdges = ms.mg.g.NumEdges()
 	reduceStart := sc.Span(flight.GraphMerge, -1, start, int64(m.MGraphEdges))
-	x, _ := c.mergeSets.Get().(graph.NodeSet)
-	if x == nil {
-		x = graph.NewNodeSet()
-	} else {
-		clear(x)
-	}
-	x.Add(q.S)
-	x.Add(q.T)
-	res, err := control.ParallelReduction(ctx, mg, q, x, control.Options{
+	res, err := ms.reduce(ctx, q, control.Options{
 		Workers: c.reduceWorkers(),
 		Trust:   control.FullTrust,
 		Obs:     c.met.reduceObs,
 	})
-	c.mergeSets.Put(x)
-	c.mergeGraphs.Put(mg)
+	c.merges.Put(ms)
 	m.CoordElapsed = time.Since(start)
 	sc.Span(flight.MergeReduce, -1, reduceStart,
 		flight.PackReduce(res.Stats.Iterations, res.Stats.Removed+res.Stats.Contracted))
@@ -720,19 +829,19 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	return res.Ans.Bool(), m, nil
 }
 
-// snapshotFor returns the merged skeleton for the given cached partials,
+// snapshotFor returns the merged skeleton for the given cached copies,
 // building and memoizing it keyed by their (site, epoch) vector, and
 // reports — to the caller and as a snap.hit or snap.build event — whether
 // the skeleton was already cached or had to be built. Concurrent queries may
 // race to build the same skeleton; the first published copy wins so later
-// queries clone one shared skeleton.
-func (c *Coordinator) snapshotFor(cached []*PartialAnswer, sc *obs.Scope) (*mergedSnapshot, bool) {
-	sort.Slice(cached, func(i, j int) bool { return cached[i].SiteID < cached[j].SiteID })
-	key := make([]byte, 0, 16*len(cached))
-	for _, pa := range cached {
-		key = strconv.AppendInt(key, int64(pa.SiteID), 10)
+// queries merge over one shared skeleton.
+func (c *Coordinator) snapshotFor(copies []*coordCached, sc *obs.Scope) (*mergedSnapshot, bool) {
+	slices.SortFunc(copies, func(a, b *coordCached) int { return a.site - b.site })
+	key := make([]byte, 0, 16*len(copies))
+	for _, cc := range copies {
+		key = strconv.AppendInt(key, int64(cc.site), 10)
 		key = append(key, ':')
-		key = strconv.AppendUint(key, pa.Epoch, 10)
+		key = strconv.AppendUint(key, cc.epoch, 10)
 		key = append(key, ';')
 	}
 	k := string(key)
@@ -746,16 +855,15 @@ func (c *Coordinator) snapshotFor(cached []*PartialAnswer, sc *obs.Scope) (*merg
 		return snap, true
 	}
 	buildStart := time.Now()
-	sk := graph.New(0)
-	nodes, edges := 0, 0
-	sites := make([]int, len(cached))
-	for i, pa := range cached {
-		sites[i] = pa.SiteID
-		nodes += pa.Reduced.NumNodes()
-		edges += pa.Reduced.NumEdges()
-		sk.Merge(pa.Reduced)
+	snap = &mergedSnapshot{sites: make([]int, len(copies))}
+	parts := make([]denseGraph, len(copies))
+	for i, cc := range copies {
+		snap.sites[i] = cc.site
+		snap.nodes += cc.reduced.g.NumNodes()
+		snap.edges += cc.reduced.g.NumEdges()
+		parts[i] = cc.reduced
 	}
-	snap = &mergedSnapshot{skeleton: sk, nodes: nodes, edges: edges, sites: sites}
+	mergeInto(&snap.skeleton, parts)
 	lockShard(sh, shard, sc)
 	if have := sh.entries[k]; have != nil {
 		// Another query built and published the same skeleton first; adopt
@@ -769,7 +877,7 @@ func (c *Coordinator) snapshotFor(cached []*PartialAnswer, sc *obs.Scope) (*merg
 		sh.entries[k] = snap
 	}
 	sh.mu.Unlock()
-	sc.Emit(flight.SnapBuild, -1, time.Since(buildStart).Nanoseconds(), int64(edges))
+	sc.Emit(flight.SnapBuild, -1, time.Since(buildStart).Nanoseconds(), int64(snap.edges))
 	return snap, false
 }
 

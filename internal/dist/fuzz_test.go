@@ -2,13 +2,17 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"io"
+	"math"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"ccp/internal/control"
+	"ccp/internal/graph"
 	"ccp/internal/store"
 )
 
@@ -169,4 +173,97 @@ func FuzzServeConn(f *testing.F) {
 			t.Fatalf("fresh connection: evaluate(0,1) answered %+v", resp)
 		}
 	})
+}
+
+// fuzzMaxCap bounds the id capacity a fuzzed CCPG1 payload may declare: the
+// decoder sizes the graph from it before reading an id, so one header could
+// ask for gigabytes, a resource limit and not a decoding bug.
+const fuzzMaxCap = 1 << 16
+
+// FuzzDecodePartialMerge feeds arbitrary CCPG1 payloads through
+// decodePartial, as a live partial into pooled scratch or as a cached one,
+// and the accepted graph through the coordinator's dense merge, alone and on
+// top of a skeleton. Nothing may panic, and each merge must hold exactly the
+// nodes, edges and labels graph.Merge gives, renumbered by an ascending
+// table, with the same cached aggregates.
+func FuzzDecodePartialMerge(f *testing.F) {
+	encode := func(g *graph.Graph) []byte {
+		var buf bytes.Buffer
+		if err := g.WriteBinary(&buf); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	sparse := graph.New(90)
+	for _, e := range []graph.Edge{{From: 0, To: 3, Weight: 0.7}, {From: 3, To: 89, Weight: 0.4},
+		{From: 40, To: 3, Weight: 0.2}, {From: 7, To: 40, Weight: 1}} {
+		if err := sparse.AddEdge(e.From, e.To, e.Weight); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for v := graph.NodeID(8); v < 40; v++ {
+		sparse.RemoveNode(v)
+	}
+	f.Add(encode(sparse), false)
+	f.Add(encode(sparse), true)
+	f.Add(encode(graph.New(0)), false)
+	f.Add(encode(benchMergeInputs(f).live[0]), false)
+	f.Add([]byte("CCPG1\n"), true)
+
+	// The skeleton shares ids, and the edge 0→3, with the sparse seed.
+	base := graph.New(50)
+	for _, e := range []graph.Edge{{From: 0, To: 3, Weight: 0.3}, {From: 41, To: 0, Weight: 0.6}} {
+		if err := base.AddEdge(e.From, e.To, e.Weight); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for v := graph.NodeID(4); v < 41; v++ {
+		base.RemoveNode(v)
+	}
+	skeleton := compact(base)
+	f.Fuzz(func(t *testing.T, data []byte, cached bool) {
+		if len(data) >= 10 && binary.LittleEndian.Uint32(data[6:]) > fuzzMaxCap {
+			return
+		}
+		var pool sync.Pool
+		pa, err := decodePartial(&response{Ans: int8(control.Unknown), FromCache: cached, GraphBytes: data}, &pool)
+		if err != nil || pa.Reduced == nil {
+			return
+		}
+		sameMerge(t, compact(pa.Reduced), globalMerge(nil, []*graph.Graph{pa.Reduced}))
+		part, _ := sparsePart(pa.Reduced, nil)
+		var mg denseGraph
+		for i := 0; i < 2; i++ { // fresh, then reused scratch
+			mergeInto(&mg, []denseGraph{skeleton, part})
+			sameMerge(t, mg, globalMerge([]*graph.Graph{base}, []*graph.Graph{pa.Reduced}))
+		}
+		pa.Release()
+	})
+}
+
+// sameMerge fails unless d holds exactly want's live nodes under an ascending
+// table, want's edges with bit-equal labels, and want's cached aggregates.
+func sameMerge(t *testing.T, d denseGraph, want *graph.Graph) {
+	t.Helper()
+	if d.g.Cap() != len(d.ids) || d.g.NumNodes() != want.NumNodes() || d.g.NumEdges() != want.NumEdges() {
+		t.Fatalf("dense merge %v over %d ids, global merge %v", d.g, len(d.ids), want)
+	}
+	for i, v := range d.ids {
+		if (i > 0 && v <= d.ids[i-1]) || !want.Alive(v) {
+			t.Fatalf("table %v: id %d out of order or not in the global merge", d.ids, v)
+		}
+		l := graph.NodeID(i)
+		d.g.EachOut(l, func(u graph.NodeID, w float64) {
+			if ww, ok := want.Label(v, d.ids[u]); !ok || math.Float64bits(ww) != math.Float64bits(w) {
+				t.Fatalf("edge %d→%d: dense label %v, global %v (present %v)", v, d.ids[u], w, ww, ok)
+			}
+		})
+		if math.Abs(d.g.InSum(l)-want.InSum(v)) > 1e-12 || d.g.HasControllingOut(l) != want.HasControllingOut(v) {
+			t.Fatalf("node %d: dense aggregates disagree with the global merge", v)
+		}
+		if c := d.g.DirectController(l); (c == graph.None) != (want.DirectController(v) == graph.None) ||
+			(c != graph.None && d.ids[c] != want.DirectController(v)) {
+			t.Fatalf("node %d: dense controller %d, global %d", v, c, want.DirectController(v))
+		}
+	}
 }

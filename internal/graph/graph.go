@@ -552,10 +552,23 @@ func (g *Graph) Reset() {
 	g.nAlive, g.nEdges = 0, 0
 }
 
+// ResetTo empties the graph into n live nodes, ids 0..n-1, and no edges. Like
+// Reset it keeps the backing slices and the edge maps, cleared in place, so a
+// pooled scratch graph rebuilt at a similar size allocates nothing.
+func (g *Graph) ResetTo(n int) {
+	g.sizeTo(n)
+	g.Reset()
+	for i := range g.alive {
+		g.alive[i] = true
+	}
+	g.nAlive = n
+}
+
 // sizeTo resizes the parallel per-node slices to n entries, reusing backing
 // arrays (and any edge maps they still hold) when capacity allows. Entries
 // revealed by regrowth carry stale values; every caller overwrites the full
-// index range afterwards (CloneInto by copying, DecodeBinaryInto via Reset).
+// index range afterwards (CloneInto by copying, DecodeBinaryInto and ResetTo
+// via Reset).
 func (g *Graph) sizeTo(n int) {
 	g.out = resize(g.out, n)
 	g.in = resize(g.in, n)

@@ -147,6 +147,43 @@ func TestResetKeepsCapacityAndRebuilds(t *testing.T) {
 	}
 }
 
+// TestResetToResizesAndRebuilds runs one graph through ResetTo at shrinking
+// and growing sizes: each time it must be n live isolated nodes — no edge
+// left in a map that regrowth revealed — and rebuild edge by edge into the
+// same graph a fresh New(n) would.
+func TestResetToResizesAndRebuilds(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	g := randomGraph(rng, 60, 150)
+	for _, n := range []int{20, 90, 5, 60, 0, 40} {
+		g.ResetTo(n)
+		if g.Cap() != n || g.NumNodes() != n || g.NumEdges() != 0 {
+			t.Fatalf("ResetTo(%d): %v", n, g)
+		}
+		for v := NodeID(0); int(v) < n; v++ {
+			if !g.Alive(v) || g.InDegree(v) != 0 || g.OutDegree(v) != 0 {
+				t.Fatalf("ResetTo(%d): node %d not a live isolated node", n, v)
+			}
+		}
+		mustAggregates(t, g)
+		want := randomGraph(rng, n+1, 3*n)
+		g.ResetTo(want.Cap())
+		for v := NodeID(0); int(v) < want.Cap(); v++ {
+			if !want.Alive(v) {
+				g.RemoveNode(v)
+			}
+		}
+		for _, e := range want.Edges() {
+			if err := g.AddEdge(e.From, e.To, e.Weight); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !Equal(g, want, 0) {
+			t.Fatalf("rebuild after ResetTo(%d) diverged from a fresh graph", want.Cap())
+		}
+		mustAggregates(t, g)
+	}
+}
+
 func TestDecodeBinaryMatchesReadBinary(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 25; trial++ {

@@ -6,7 +6,8 @@
 # CI), and the race detector over the packages that do parallel graph
 # surgery or concurrent transport work, short fuzz runs over the write path,
 # the WAL record decoder, the site's socket decoder, the checkpoint loader,
-# the pooled graph decoder and the partition image decoder, then the benchmark
+# the pooled graph decoder, the coordinator's partial decode and merge, and
+# the partition image decoder, then the benchmark
 # module's own vet/tests and a quick, answers-only benchmark run. CI and
 # pre-commit hooks should call exactly this script; if it passes, the change
 # is shippable.
@@ -54,14 +55,16 @@ go test -race -shuffle=on -timeout 10m \
 # its records feed, the request decoder every site runs on its socket, the
 # checkpoint loader recovery runs on what it finds on disk, the CCPG1
 # decoder's pooled form (a payload decoded into scratch another payload left
-# behind), and the CCPP1 decoder that both checkpoint load and follower
-# bootstrap run: 15 s of new inputs each, on two fuzz workers.
-echo "== go test -fuzz (write path + WAL records + socket + checkpoint + pooled graph decode + partition image) =="
+# behind), the coordinator's partial decode into its dense merge, and the
+# CCPP1 decoder that both checkpoint load and follower bootstrap run: 15 s of
+# new inputs each, on two fuzz workers.
+echo "== go test -fuzz (write path + WAL records + socket + checkpoint + pooled graph decode + partial merge + partition image) =="
 go test -run '^$' -fuzz '^FuzzApply$' -fuzztime 15s -parallel 2 ./internal/dist
 go test -run '^$' -fuzz '^FuzzServeConn$' -fuzztime 15s -parallel 2 ./internal/dist
 go test -run '^$' -fuzz '^FuzzDecodeRecords$' -fuzztime 15s -parallel 2 ./internal/store
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 15s -parallel 2 ./internal/store
 go test -run '^$' -fuzz '^FuzzDecodeBinaryIntoReused$' -fuzztime 15s -parallel 2 ./internal/graph
+go test -run '^$' -fuzz '^FuzzDecodePartialMerge$' -fuzztime 15s -parallel 2 ./internal/dist
 go test -run '^$' -fuzz '^FuzzReadPartition$' -fuzztime 15s -parallel 2 ./internal/partition
 
 # The benchmark is its own module (replace ccp => ../), so ./... above never
