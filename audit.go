@@ -8,8 +8,7 @@ import (
 
 // The continuous audit & SLO surface of a deployment. An Auditor is the
 // per-process verification engine: subsystems register cheap invariant
-// probes (store scrub, fleet divergence, coordinator conservation, gate
-// accounting) and service-level objectives, the auditor re-checks them on a
+// probes (store scrub, fleet divergence, gate accounting) and service-level objectives, the auditor re-checks them on a
 // background interval, exports ccp_audit_* / ccp_slo_* series, records
 // violations and budget breaches into the flight recorder, and serves the
 // /audit ops endpoint (probe verdicts and SLO budgets in one report) that
@@ -49,15 +48,14 @@ func NewAuditor(cfg AuditConfig) *Auditor { return audit.New(cfg) }
 // `ccpctl doctor` — can tell what is running where.
 func RegisterBuildInfo(r *MetricsRegistry, role string) { obs.RegisterBuildInfo(r, role) }
 
-// AuditProbes returns the cluster's coordinator-side invariant probes:
-// snapshot-cache conservation, and — when admission control is enabled —
-// gate arrival accounting. Register them on the process auditor.
+// AuditProbes returns the cluster's coordinator-side invariant probes: gate
+// arrival accounting when admission control is enabled, none otherwise.
+// Register them on the process auditor.
 func (c *Cluster) AuditProbes() []AuditProbe {
-	probes := []AuditProbe{c.coord.ConservationProbe()}
-	if c.gate != nil {
-		probes = append(probes, c.gate.AccountingProbe())
+	if c.gate == nil {
+		return nil
 	}
-	return probes
+	return []AuditProbe{c.gate.AccountingProbe()}
 }
 
 // StoreScrubProbe returns the audit probe re-verifying this site's WAL and

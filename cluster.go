@@ -101,9 +101,6 @@ type QueryMetrics struct {
 	// coordinator's own copy after an epoch revalidation (no payload
 	// crossed the network).
 	CoordCacheHits int
-	// SnapshotHits counts queries served from a reusable merged-graph
-	// snapshot instead of a fresh merge of the cached partials.
-	SnapshotHits int
 }
 
 // queryMetrics converts the internal metrics to the public view.
@@ -119,7 +116,6 @@ func queryMetrics(m *dist.Metrics) QueryMetrics {
 		DecidedBySite:    m.DecidedBy,
 		CacheHits:        m.CacheHits,
 		CoordCacheHits:   m.CoordCacheHits,
-		SnapshotHits:     m.SnapshotHits,
 	}
 }
 

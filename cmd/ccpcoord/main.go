@@ -114,9 +114,8 @@ func main() {
 	defer cluster.Close()
 	logger.Info("connected", "sites", cluster.Sites())
 
-	// The auditor re-checks the coordinator's conservation laws (snapshot
-	// cache, admission accounting) on a background interval and tracks the
-	// query SLOs: availability over the error-free fraction, latency over
+	// The auditor re-checks the admission gate's accounting (when -max-inflight
+	// enables it) on a background interval and tracks the query SLOs: availability over the error-free fraction, latency over
 	// the fraction under the target. Both burn multi-window error budgets
 	// exported as ccp_slo_* and reported on /audit.
 	//
@@ -232,9 +231,9 @@ func main() {
 		if elapsed > 0 {
 			qpm = float64(len(queries)) / elapsed.Minutes()
 		}
-		fmt.Printf("batch: %d queries in %v (%.0f q/min, concurrency %d)  traffic=%dB cache-hits=%d coord-cache-hits=%d snapshot-hits=%d\n",
+		fmt.Printf("batch: %d queries in %v (%.0f q/min, concurrency %d)  traffic=%dB cache-hits=%d coord-cache-hits=%d\n",
 			len(queries), elapsed, qpm, *concurrency,
-			m.BytesTransferred, m.CacheHits, m.CoordCacheHits, m.SnapshotHits)
+			m.BytesTransferred, m.CacheHits, m.CoordCacheHits)
 		return
 	}
 

@@ -30,36 +30,6 @@ func (c *Coordinator) observeCache(o *obs.Observer) {
 	}
 }
 
-// ConservationProbe returns the coordinator's audit probe over the
-// snapshot-cache conservation law: every query that reaches the merge path
-// is exactly one of snapshot hit, build, or miss, so
-// hits + builds + misses == merged must hold. The per-query deltas are
-// published one counter at a time after each query, so the probe judges
-// only via audit.CheckStable — a mismatch that persists while the counters
-// are quiescent is lost accounting (a worker dropped or double-counted a
-// query), a moving one is a query mid-publish.
-func (c *Coordinator) ConservationProbe() audit.Probe {
-	return audit.Probe{
-		Name: "coord.conservation",
-		Check: func() audit.Result {
-			return audit.CheckStable(0, func() ([]int64, audit.Result) {
-				hits := c.met.snapshotHits.Value()
-				builds := c.met.snapshotBuilds.Value()
-				misses := c.met.snapshotMisses.Value()
-				merged := c.met.mergedQueries.Value()
-				vals := []int64{hits, builds, misses, merged}
-				if hits+builds+misses != merged {
-					return vals, audit.Violation(
-						"snapshot hits %d + builds %d + misses %d != merged queries %d",
-						hits, builds, misses, merged)
-				}
-				return vals, audit.OK("hits %d + builds %d + misses %d = merged %d",
-					hits, builds, misses, merged)
-			})
-		},
-	}
-}
-
 // StoreScrubProbe returns a durable site's audit probe: one bounded Scrub
 // pass (sampled CRC re-verification of WAL segments and checkpoints on the
 // live data-dir) per evaluation. Returns a no-op passing probe for a

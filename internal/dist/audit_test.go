@@ -11,51 +11,6 @@ import (
 	"ccp/internal/obs"
 )
 
-func TestConservationProbeHoldsUnderQueries(t *testing.T) {
-	g := gen.Random(200, 600, 3)
-	o := obs.NewObserver(obs.ObserverConfig{})
-	coord, _ := localCluster(t, g, 4, Options{UseCache: true, ForcePartial: true, Workers: 2, Observer: o})
-	if err := coord.PrecomputeAll(context.Background()); err != nil {
-		t.Fatalf("precompute: %v", err)
-	}
-	probe := coord.ConservationProbe()
-	if probe.Name != "coord.conservation" {
-		t.Fatalf("probe name = %q", probe.Name)
-	}
-	if r := probe.Check(); !r.OK {
-		t.Fatalf("idle coordinator violated: %s", r.Detail)
-	}
-	for s := 0; s < 20; s++ {
-		for t2 := 0; t2 < 200; t2 += 37 {
-			q := control.Query{S: graph.NodeID(s), T: graph.NodeID(t2)}
-			if _, _, err := coord.Answer(context.Background(), q); err != nil {
-				t.Fatalf("query: %v", err)
-			}
-		}
-	}
-	if r := probe.Check(); !r.OK {
-		t.Fatalf("conservation violated after queries: %s", r.Detail)
-	}
-}
-
-func TestConservationProbeDetectsInjectedLoss(t *testing.T) {
-	g := gen.Random(100, 300, 4)
-	o := obs.NewObserver(obs.ObserverConfig{})
-	coord, _ := localCluster(t, g, 2, Options{UseCache: true, Observer: o})
-
-	// Injection: a snapshot hit with no merged query — the accounting a
-	// dropped or double-counted worker would leave behind. The counters are
-	// quiescent, so CheckStable must convict rather than excuse it.
-	coord.met.snapshotHits.Inc()
-	r := coord.ConservationProbe().Check()
-	if r.OK {
-		t.Fatal("probe passed over broken conservation")
-	}
-	if !strings.Contains(r.Detail, "!= merged queries") {
-		t.Fatalf("violation detail = %q", r.Detail)
-	}
-}
-
 func TestStoreScrubProbeMemoryOnlySite(t *testing.T) {
 	g := gen.Random(50, 150, 5)
 	coord, pi := localCluster(t, g, 2, Options{})

@@ -12,21 +12,21 @@ import (
 	"ccp/internal/partition"
 )
 
-// mergeInputs are one query's coordinator merge inputs: the skeleton of the
-// cached partials, as the snapshot cache holds it, and the live partials in
-// global ids, as they arrive from their sites.
+// mergeInputs are one query's coordinator merge inputs: the dense copies of
+// the cached partials, as the coordinator keeps them, and the live partials
+// in global ids, as they arrive from their sites.
 type mergeInputs struct {
-	skeleton denseGraph
-	live     []*graph.Graph
-	q        control.Query
+	copies []denseGraph
+	live   []*graph.Graph
+	q      control.Query
 }
 
 // benchMergeInputs builds realistic coordinator merge inputs: a pre-cached
 // 4-site EU cluster evaluates one cross-border query with ForcePartial, so
 // the two endpoint sites return live reduced partials and the other two are
-// served from their query-independent caches (the snapshot skeleton merges
-// those). The query is one that no termination check decides early, so the
-// merged reduction removes most of the merged graph.
+// served from their query-independent caches. The query is one that no
+// termination check decides early, so the merged reduction removes most of
+// the merged graph.
 func benchMergeInputs(tb testing.TB) mergeInputs {
 	tb.Helper()
 	g := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 1200, InterconnectRate: 0.05, Seed: 9}).G
@@ -42,7 +42,6 @@ func benchMergeInputs(tb testing.TB) mergeInputs {
 func clusterMergeInputs(tb testing.TB, pi *partition.Partitioning, q control.Query) mergeInputs {
 	tb.Helper()
 	in := mergeInputs{q: q}
-	var copies []denseGraph
 	for _, p := range pi.Parts {
 		s := NewSite(p, 1)
 		if _, err := s.Precompute(context.Background()); err != nil {
@@ -56,26 +55,24 @@ func clusterMergeInputs(tb testing.TB, pi *partition.Partitioning, q control.Que
 			tb.Fatalf("site %d returned no partial", s.ID())
 		}
 		if pa.FromCache {
-			copies = append(copies, compact(pa.Reduced))
+			in.copies = append(in.copies, compact(pa.Reduced))
 		} else {
 			in.live = append(in.live, pa.Reduced.Clone())
 			pa.Release()
 		}
 	}
-	mergeInto(&in.skeleton, copies)
-	if len(in.live) == 0 || in.skeleton.g.NumNodes() == 0 {
-		tb.Fatalf("query split unexpectedly: %d live partials, %d skeleton nodes",
-			len(in.live), in.skeleton.g.NumNodes())
+	if len(in.live) == 0 || len(in.copies) == 0 {
+		tb.Fatalf("query split unexpectedly: %d live partials, %d cached copies", len(in.live), len(in.copies))
 	}
 	return in
 }
 
 // mergeCycle is one query's merge work on the coordinator's batch path:
-// list the live partials' nodes, renumber the skeleton and the live partials
-// over their union into the scratch's merged graph, and run the final
-// reduction with X = {s, t} — which retires most of the merged graph.
+// list the live partials' nodes, renumber the cached copies and the live
+// partials over their union into the scratch's merged graph, and run the
+// final reduction with X = {s, t} — which retires most of the merged graph.
 func mergeCycle(tb testing.TB, in mergeInputs, ms *mergeScratch) *graph.Graph {
-	ms.parts, ms.nodes = append(ms.parts[:0], in.skeleton), ms.nodes[:0]
+	ms.parts, ms.nodes = append(ms.parts[:0], in.copies...), ms.nodes[:0]
 	for _, p := range in.live {
 		var part denseGraph
 		part, ms.nodes = sparsePart(p, ms.nodes)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,22 +107,12 @@ type Metrics struct {
 	// coordinator's own copy after an epoch revalidation (no payload
 	// crossed the network) — the Figure 6 setting.
 	CoordCacheHits int
-	// SnapshotHits counts queries served from a reusable merged-graph
-	// snapshot (the cached partials were merged once and the skeleton
-	// reused instead of re-merged). A query that builds the snapshot is a
-	// SnapshotBuild, not a hit.
+	// SnapshotHits is always 0: the coordinator merges its cached copies
+	// afresh on every query and keeps no merged-graph snapshots. The field
+	// stays because the benchmark harness reads it.
 	SnapshotHits int
-	// SnapshotBuilds counts queries that merged their cached partials into
-	// a new skeleton and published it for later queries to hit.
-	SnapshotBuilds int
-	// SnapshotMisses counts merged queries with too few cached partials
-	// (< 2) to be worth a reusable skeleton. Every merged query is exactly
-	// one of hit, build, or miss — the conservation law the audit probe
-	// checks.
-	SnapshotMisses int
 	// MergedQueries counts queries that reached the coordinator merge path
-	// at all (no site decided them early) — the denominator of the
-	// snapshot hit rate.
+	// at all (no site decided them early).
 	MergedQueries int
 	// SitesQueried counts sites contacted.
 	SitesQueried int
@@ -148,8 +137,6 @@ func (m *Metrics) AddQuery(q *Metrics) {
 	m.CacheHits += q.CacheHits
 	m.CoordCacheHits += q.CoordCacheHits
 	m.SnapshotHits += q.SnapshotHits
-	m.SnapshotBuilds += q.SnapshotBuilds
-	m.SnapshotMisses += q.SnapshotMisses
 	m.MergedQueries += q.MergedQueries
 	m.SitesQueried += q.SitesQueried
 	m.Stats.Add(q.Stats)
@@ -159,9 +146,8 @@ func (m *Metrics) AddQuery(q *Metrics) {
 // collects partial answers, merges them and reduces the merged graph.
 // With caching enabled it also keeps its own copy of each site's
 // query-independent partial answer, revalidated per query by data epoch, so
-// unchanged sites ship no payload at all; and it reuses merged-graph
-// skeletons across queries whose cached partials carry the same epoch
-// vector. A Coordinator is safe for concurrent use.
+// unchanged sites ship no payload at all. A Coordinator is safe for
+// concurrent use.
 type Coordinator struct {
 	clients []SiteClient
 	opts    Options
@@ -173,11 +159,6 @@ type Coordinator struct {
 	// lock at all: each slot is one atomic pointer, swapped whole.
 	slots  map[int]int
 	pcache []atomic.Pointer[coordCached]
-
-	// snaps is the merged-skeleton cache, striped so concurrent batch
-	// workers looking up different epoch vectors never serialize on one
-	// lock.
-	snaps [numSnapShards]snapShard
 
 	// merges recycles per-query merge scratch (*mergeScratch): the merged
 	// graph and its id table, the parts list and the {s,t} exclusion set.
@@ -191,15 +172,12 @@ const (
 )
 
 // coordMetrics are the coordinator's series that are not an event's sink:
-// per-query totals published as the query ends, and the snapshot counters the
-// conservation probe reads back. Zero-valued (all nil) without an Observer,
-// where every update is a nil-check no-op.
+// per-query totals published as the query ends. Zero-valued (all nil) without
+// an Observer, where every update is a nil-check no-op.
 type coordMetrics struct {
 	phaseSites                    *obs.Histogram
 	cacheHits, cacheMisses        *obs.Counter
 	coordCacheHits, mergedQueries *obs.Counter
-	snapshotHits, snapshotBuilds  *obs.Counter
-	snapshotMisses                *obs.Counter
 	batchInflight                 *obs.Gauge
 	reduceObs                     *obs.ReducerObs
 }
@@ -223,12 +201,6 @@ func (c *Coordinator) observe(o *obs.Observer) {
 			"Partial answers served from the coordinator's own copy after an epoch revalidation (no payload shipped)."),
 		mergedQueries: reg.Counter("ccp_coord_merged_queries_total",
 			"Queries that reached the coordinator merge path (no site decided them early)."),
-		snapshotHits: reg.Counter("ccp_coord_snapshot_hits_total",
-			"Queries whose cached partials merged via a reusable merged-graph snapshot."),
-		snapshotBuilds: reg.Counter("ccp_coord_snapshot_builds_total",
-			"Merged-graph snapshots built and published for reuse."),
-		snapshotMisses: reg.Counter("ccp_coord_snapshot_misses_total",
-			"Merged queries with too few cached partials for a reusable skeleton."),
 		batchInflight: reg.Gauge("ccp_batch_inflight_queries", "Batch queries currently in flight."),
 		reduceObs:     obs.NewReducerObs(reg, "coord"),
 	}
@@ -243,13 +215,6 @@ func (c *Coordinator) observe(o *obs.Observer) {
 	c.ev.Bind(flight.WireRPC, obs.Series{Sum: reg.Counter("ccp_coord_payload_bytes_total", "Payload bytes returned by sites.")})
 	c.ev.Bind(flight.GraphMerge, obs.Series{Seconds: phase("merge")})
 	c.ev.Bind(flight.MergeReduce, obs.Series{Seconds: phase("reduce")})
-	c.ev.Bind(flight.SnapHit, obs.Series{Count: c.met.snapshotHits})
-	c.ev.Bind(flight.SnapBuild, obs.Series{Count: c.met.snapshotBuilds})
-	c.ev.Bind(flight.SnapMiss, obs.Series{Count: c.met.snapshotMisses})
-	c.ev.Bind(flight.SnapEvict, obs.Series{Sum: reg.Counter("ccp_coord_snapshot_evictions_total",
-		"Merged-graph snapshots evicted when a cache shard filled up.")})
-	c.ev.Bind(flight.ShardWait, obs.Series{Count: reg.Counter("ccp_coord_shard_waits_total",
-		"Snapshot-cache shard lock acquisitions that found the shard already locked.")})
 }
 
 // coordCached is the coordinator's copy of one site's partial answer,
@@ -259,17 +224,6 @@ type coordCached struct {
 	epoch   uint64
 	reduced denseGraph
 	stats   control.Stats
-}
-
-// mergedSnapshot is a reusable merge of cached partial answers: the
-// skeleton is merged once per epoch vector and read by every query that
-// merges over it, so a batch over an unchanged cluster never re-merges the
-// same cached partials. The skeleton itself is never mutated; invalidation
-// replaces the entry, it never touches a published skeleton.
-type mergedSnapshot struct {
-	skeleton     denseGraph
-	nodes, edges int   // Σ NumNodes/NumEdges of the merged partials
-	sites        []int // sites whose partials the skeleton merges (sorted)
 }
 
 // denseGraph is a graph numbered over the nodes it holds: local node i is
@@ -399,43 +353,6 @@ func (ms *mergeScratch) reduce(ctx context.Context, q control.Query, opts contro
 	return control.ParallelReduction(ctx, ms.mg.g, lq, ms.x, opts)
 }
 
-// The snapshot cache is striped into numSnapShards independently locked
-// shards, each bounded to maxSnapshotsPerShard entries. Entries are keyed by
-// (site, epoch) vectors, so epochs moving under live updates would otherwise
-// leave stale skeletons behind; past the bound the shard is dropped (the
-// next query per key rebuilds in one merge).
-const (
-	numSnapShards        = 8
-	maxSnapshotsPerShard = 8
-)
-
-// snapShard is one stripe of the snapshot cache. The padding keeps two
-// shards' locks off one cache line, so uncontended shards stay uncontended.
-type snapShard struct {
-	mu      sync.Mutex
-	entries map[string]*mergedSnapshot
-	_       [40]byte
-}
-
-// snapShardOf picks the shard for a snapshot key (FNV-1a over the key).
-func snapShardOf(key string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h % numSnapShards)
-}
-
-// lockShard takes a shard lock, reporting the cases where the lock was
-// already held — the contention the striping is meant to make rare.
-func lockShard(sh *snapShard, shard int, sc *obs.Scope) {
-	if sh.mu.TryLock() {
-		return
-	}
-	sc.Emit(flight.ShardWait, -1, int64(shard), 0)
-	sh.mu.Lock()
-}
-
 // NewCoordinator builds a coordinator over the given site clients.
 func NewCoordinator(clients []SiteClient, opts Options) *Coordinator {
 	c := &Coordinator{
@@ -450,9 +367,6 @@ func NewCoordinator(clients []SiteClient, opts Options) *Coordinator {
 	}
 	c.pcache = make([]atomic.Pointer[coordCached], len(c.slots))
 	c.merges.New = func() any { return newMergeScratch() }
-	for i := range c.snaps {
-		c.snaps[i].entries = make(map[string]*mergedSnapshot, maxSnapshotsPerShard)
-	}
 	c.observe(opts.Observer)
 	c.observeCache(opts.Observer)
 	return c
@@ -485,42 +399,6 @@ func (c *Coordinator) storeCopy(siteID int, cc *coordCached) {
 	if slot, ok := c.slots[siteID]; ok {
 		c.pcache[slot].Store(cc)
 	}
-}
-
-// dropSnapshotsFor removes only the merged skeletons involving one of the
-// touched sites: an update moves those sites' epochs, so their old vectors
-// can never match again, while skeletons over untouched sites stay hot.
-func (c *Coordinator) dropSnapshotsFor(touched []int) {
-	if len(touched) == 0 {
-		return
-	}
-	dropped := 0
-	for i := range c.snaps {
-		sh := &c.snaps[i]
-		sh.mu.Lock()
-		for k, snap := range sh.entries {
-			if snapIncludes(snap.sites, touched) {
-				delete(sh.entries, k)
-				dropped++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if dropped > 0 {
-		c.ev.Emit(flight.SnapDrop, int32(touched[0]), 0, int64(dropped), 0)
-	}
-}
-
-// snapIncludes reports whether any touched site contributed to a snapshot.
-func snapIncludes(sites, touched []int) bool {
-	for _, s := range sites {
-		for _, t := range touched {
-			if s == t {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Health snapshots the transport health of every site client. Clients that
@@ -759,39 +637,20 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		return decided.Bool(), m, nil
 	}
 
-	// Assemble: MGraph := ∪ R_i, then reduce once more with X = {s, t}.
-	// Cached partials at an unchanged epoch vector are merged once into a
-	// reusable skeleton; the query renumbers the skeleton and its live
-	// partials over their union into pooled scratch, so the merged graph is
-	// as large as the nodes it holds. Live partials decode into pooled
-	// graphs and return to their pools once merged.
+	// Assemble: MGraph := ∪ R_i, then reduce once more with X = {s, t}. The
+	// dense copies of the cached partials and the live partials are
+	// renumbered over their union into pooled scratch, so the merged graph is
+	// as large as the nodes it holds. Live partials decode into pooled graphs
+	// and return to their pools once merged.
 	m.MergedQueries++
+	c.met.mergedQueries.Inc()
 	start := time.Now()
 	ms := c.merges.Get().(*mergeScratch)
 	parts := ms.parts[:0]
-	// Every merged query is one of snapshot hit, build or miss; the merged
-	// counter moves right behind that event so the conservation probe never
-	// sees the two apart for longer than a few instructions.
-	if len(copies) >= 2 {
-		snap, hit := c.snapshotFor(copies, sc)
-		c.met.mergedQueries.Inc()
-		parts = append(parts, snap.skeleton)
-		m.PartialNodes += snap.nodes
-		m.PartialEdges += snap.edges
-		if hit {
-			m.SnapshotHits++
-		} else {
-			m.SnapshotBuilds++
-		}
-	} else {
-		m.SnapshotMisses++
-		sc.Emit(flight.SnapMiss, -1, int64(len(copies)), 0)
-		c.met.mergedQueries.Inc()
-		for _, cc := range copies {
-			m.PartialNodes += cc.reduced.g.NumNodes()
-			m.PartialEdges += cc.reduced.g.NumEdges()
-			parts = append(parts, cc.reduced)
-		}
+	for _, cc := range copies {
+		m.PartialNodes += cc.reduced.g.NumNodes()
+		m.PartialEdges += cc.reduced.g.NumEdges()
+		parts = append(parts, cc.reduced)
 	}
 	nodes := ms.nodes[:0]
 	for _, pa := range live {
@@ -803,7 +662,7 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	}
 	ms.nodes = nodes
 	mergeInto(&ms.mg, parts)
-	// The pooled parts list must not keep partials or skeletons alive.
+	// The pooled parts list must not keep partials or copies alive.
 	clear(parts)
 	ms.parts = parts[:0]
 	releasePartials(live)
@@ -827,58 +686,6 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		return false, m, fmt.Errorf("dist: merged reduction could not decide %v", q)
 	}
 	return res.Ans.Bool(), m, nil
-}
-
-// snapshotFor returns the merged skeleton for the given cached copies,
-// building and memoizing it keyed by their (site, epoch) vector, and
-// reports — to the caller and as a snap.hit or snap.build event — whether
-// the skeleton was already cached or had to be built. Concurrent queries may
-// race to build the same skeleton; the first published copy wins so later
-// queries merge over one shared skeleton.
-func (c *Coordinator) snapshotFor(copies []*coordCached, sc *obs.Scope) (*mergedSnapshot, bool) {
-	slices.SortFunc(copies, func(a, b *coordCached) int { return a.site - b.site })
-	key := make([]byte, 0, 16*len(copies))
-	for _, cc := range copies {
-		key = strconv.AppendInt(key, int64(cc.site), 10)
-		key = append(key, ':')
-		key = strconv.AppendUint(key, cc.epoch, 10)
-		key = append(key, ';')
-	}
-	k := string(key)
-	shard := snapShardOf(k)
-	sh := &c.snaps[shard]
-	lockShard(sh, shard, sc)
-	snap := sh.entries[k]
-	sh.mu.Unlock()
-	if snap != nil {
-		sc.Emit(flight.SnapHit, -1, int64(snap.nodes), int64(snap.edges))
-		return snap, true
-	}
-	buildStart := time.Now()
-	snap = &mergedSnapshot{sites: make([]int, len(copies))}
-	parts := make([]denseGraph, len(copies))
-	for i, cc := range copies {
-		snap.sites[i] = cc.site
-		snap.nodes += cc.reduced.g.NumNodes()
-		snap.edges += cc.reduced.g.NumEdges()
-		parts[i] = cc.reduced
-	}
-	mergeInto(&snap.skeleton, parts)
-	lockShard(sh, shard, sc)
-	if have := sh.entries[k]; have != nil {
-		// Another query built and published the same skeleton first; adopt
-		// it (this build still counts as one: the merge work happened).
-		snap = have
-	} else {
-		if len(sh.entries) >= maxSnapshotsPerShard {
-			sc.Emit(flight.SnapEvict, -1, int64(shard), int64(len(sh.entries)))
-			clear(sh.entries)
-		}
-		sh.entries[k] = snap
-	}
-	sh.mu.Unlock()
-	sc.Emit(flight.SnapBuild, -1, time.Since(buildStart).Nanoseconds(), int64(snap.edges))
-	return snap, false
 }
 
 // releasePartials returns every pooled partial-answer graph in pas to its

@@ -15,17 +15,20 @@ import (
 )
 
 // globalMerge is the coordinator's retired merge, kept as the oracle of the
-// dense one: the cached copies, then the live partials, merged with
-// graph.Merge into one graph over the global id space.
-func globalMerge(cached, live []*graph.Graph) *graph.Graph {
+// dense one: the parts, in order, merged with graph.Merge into one graph over
+// the global id space.
+func globalMerge(parts ...*graph.Graph) *graph.Graph {
 	mg := graph.New(0)
-	for _, p := range cached {
-		mg.Merge(p)
-	}
-	for _, p := range live {
+	for _, p := range parts {
 		mg.Merge(p)
 	}
 	return mg
+}
+
+// reduceMerged runs the coordinator's final reduction on a global-id merge.
+func reduceMerged(mg *graph.Graph, q control.Query) (control.Result, error) {
+	return control.ParallelReduction(context.Background(), mg, q, graph.NewNodeSet(q.S, q.T),
+		control.Options{Workers: 1, Trust: control.FullTrust})
 }
 
 // recordedReply is one site reply as the coordinator received it, its graph
@@ -115,30 +118,37 @@ func (r *replyRecorder) oracle(q control.Query) (bool, Metrics, error) {
 		return decided.Bool(), m, nil
 	}
 	m.MergedQueries = 1
-	if len(cached) >= 2 {
-		m.SnapshotHits = 1 // hit or build; the caller folds the two
-	} else {
-		m.SnapshotMisses = 1
+	// The coordinator merges its copies, then the live partials, each in
+	// reply order.
+	parts := make([]*graph.Graph, 0, len(cached)+len(live))
+	for _, cp := range cached {
+		parts = append(parts, cp.reduced)
 	}
-	slices.SortFunc(cached, func(a, b recordedReply) int { return a.site - b.site })
-	cachedGraphs := make([]*graph.Graph, len(cached))
-	for i, cp := range cached {
-		cachedGraphs[i] = cp.reduced
-	}
-	for _, p := range append(cachedGraphs, live...) {
+	parts = append(parts, live...)
+	for _, p := range parts {
 		m.PartialNodes += p.NumNodes()
 		m.PartialEdges += p.NumEdges()
 	}
-	mg := globalMerge(cachedGraphs, live)
+	mg := globalMerge(parts...)
 	m.MGraphNodes, m.MGraphEdges = mg.NumNodes(), mg.NumEdges()
-	res, err := control.ParallelReduction(context.Background(), mg, q, graph.NewNodeSet(q.S, q.T),
-		control.Options{Workers: 1, Trust: control.FullTrust})
+	// Merge order must not matter: merged partials never share an edge, so
+	// the reverse order gives the same nodes, edges, labels and answer.
+	reversed := slices.Clone(parts)
+	slices.Reverse(reversed)
+	rev := globalMerge(reversed...)
+	if !graph.Equal(mg, rev, 0) {
+		return false, m, fmt.Errorf("merge in reverse order differs: %v vs %v", rev, mg)
+	}
+	res, err := reduceMerged(mg, q)
 	m.Stats.Add(res.Stats)
 	if err != nil {
 		return false, m, err
 	}
 	if res.Ans == control.Unknown {
 		return false, m, fmt.Errorf("global merge could not decide %v", q)
+	}
+	if revRes, err := reduceMerged(rev, q); err != nil || revRes.Ans != res.Ans {
+		return false, m, fmt.Errorf("merge in reverse order answers %v (%v), forward %v", revRes.Ans, err, res.Ans)
 	}
 	return res.Ans.Bool(), m, nil
 }
@@ -191,11 +201,8 @@ func (c *diffCluster) check(tb testing.TB, tag string, q control.Query) bool {
 	if cbe := control.CBE(c.g, q); got != cbe || want != cbe {
 		tb.Fatalf("%s %v: coordinator %v, global merge %v, CBE %v", tag, q, got, want, cbe)
 	}
-	gotM := *clearTimes(m)
-	gotM.SnapshotHits += gotM.SnapshotBuilds
-	gotM.SnapshotBuilds = 0
-	if gotM != wantM {
-		tb.Fatalf("%s %v: metrics diverged from the global merge:\ndense  %+v\nglobal %+v", tag, q, gotM, wantM)
+	if gotM := *clearTimes(m); gotM != wantM {
+		tb.Fatalf("%s %v: metrics diverged from the global merge:\ndense  %+v\nglobal %+v", tag, q, m, wantM)
 	}
 	return m.MergedQueries > 0
 }

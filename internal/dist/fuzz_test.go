@@ -183,7 +183,7 @@ const fuzzMaxCap = 1 << 16
 // FuzzDecodePartialMerge feeds arbitrary CCPG1 payloads through
 // decodePartial, as a live partial into pooled scratch or as a cached one,
 // and the accepted graph through the coordinator's dense merge, alone and on
-// top of a skeleton. Nothing may panic, and each merge must hold exactly the
+// top of a cached copy. Nothing may panic, and each merge must hold exactly the
 // nodes, edges and labels graph.Merge gives, renumbered by an ascending
 // table, with the same cached aggregates.
 func FuzzDecodePartialMerge(f *testing.F) {
@@ -210,7 +210,7 @@ func FuzzDecodePartialMerge(f *testing.F) {
 	f.Add(encode(benchMergeInputs(f).live[0]), false)
 	f.Add([]byte("CCPG1\n"), true)
 
-	// The skeleton shares ids, and the edge 0→3, with the sparse seed.
+	// The cached copy shares ids, and the edge 0→3, with the sparse seed.
 	base := graph.New(50)
 	for _, e := range []graph.Edge{{From: 0, To: 3, Weight: 0.3}, {From: 41, To: 0, Weight: 0.6}} {
 		if err := base.AddEdge(e.From, e.To, e.Weight); err != nil {
@@ -220,7 +220,7 @@ func FuzzDecodePartialMerge(f *testing.F) {
 	for v := graph.NodeID(4); v < 41; v++ {
 		base.RemoveNode(v)
 	}
-	skeleton := compact(base)
+	copyOfBase := compact(base)
 	f.Fuzz(func(t *testing.T, data []byte, cached bool) {
 		if len(data) >= 10 && binary.LittleEndian.Uint32(data[6:]) > fuzzMaxCap {
 			return
@@ -230,12 +230,12 @@ func FuzzDecodePartialMerge(f *testing.F) {
 		if err != nil || pa.Reduced == nil {
 			return
 		}
-		sameMerge(t, compact(pa.Reduced), globalMerge(nil, []*graph.Graph{pa.Reduced}))
+		sameMerge(t, compact(pa.Reduced), globalMerge(pa.Reduced))
 		part, _ := sparsePart(pa.Reduced, nil)
 		var mg denseGraph
 		for i := 0; i < 2; i++ { // fresh, then reused scratch
-			mergeInto(&mg, []denseGraph{skeleton, part})
-			sameMerge(t, mg, globalMerge([]*graph.Graph{base}, []*graph.Graph{pa.Reduced}))
+			mergeInto(&mg, []denseGraph{copyOfBase, part})
+			sameMerge(t, mg, globalMerge(base, pa.Reduced))
 		}
 		pa.Release()
 	})

@@ -153,14 +153,9 @@ func (s *Site) ApplyEdgeUpdate(up StakeUpdate) (UpdateResult, error) { return s.
 // anywhere. ctx bounds the whole routing. A failure mid-route can leave the
 // edge applied but the in-node bookkeeping not yet adjusted.
 func (c *Coordinator) ApplyUpdate(ctx context.Context, up StakeUpdate) error {
-	// An applied update moves the epoch of exactly the sites it touched, so
-	// only merged skeletons involving those sites can never match again;
-	// skeletons over untouched sites stay hot for the next batch.
-	var touched []int
-	defer func() { c.dropSnapshotsFor(touched) }()
 	c.ev.Emit(flight.Update, -1, 0, int64(up.Owner), int64(up.Owned))
 	stake := up.record()
-	res, err := c.broadcast(ctx, stake, &touched)
+	res, err := c.broadcast(ctx, stake)
 	if err != nil {
 		return err
 	}
@@ -177,7 +172,7 @@ func (c *Coordinator) ApplyUpdate(ctx context.Context, up StakeUpdate) error {
 	if res.EdgeRemoved {
 		delta = -1
 	}
-	in, err := c.broadcast(ctx, store.Record{Kind: store.KindCrossIn, Owned: stake.Owned, Delta: delta}, &touched)
+	in, err := c.broadcast(ctx, store.Record{Kind: store.KindCrossIn, Owned: stake.Owned, Delta: delta})
 	if err != nil {
 		return err
 	}
@@ -187,17 +182,17 @@ func (c *Coordinator) ApplyUpdate(ctx context.Context, up StakeUpdate) error {
 		// dangling stake; best-effort, the caller gets this error either way.
 		if res.EdgeCreated {
 			stake.Remove = true
-			_, _ = c.broadcast(ctx, stake, &touched)
+			_, _ = c.broadcast(ctx, stake)
 		}
 		return fmt.Errorf("dist: no site hosts owned company %d", up.Owned)
 	}
 	return nil
 }
 
-// broadcast offers rec to every site in turn, adding the sites whose epoch
-// moved to touched, and returns the result of the one site that stored it
-// (nil when none did). It stops at the first site that fails.
-func (c *Coordinator) broadcast(ctx context.Context, rec store.Record, touched *[]int) (*UpdateResult, error) {
+// broadcast offers rec to every site in turn and returns the result of the
+// one site that stored it (nil when none did). It stops at the first site
+// that fails.
+func (c *Coordinator) broadcast(ctx context.Context, rec store.Record) (*UpdateResult, error) {
 	var stored *UpdateResult
 	for _, cl := range c.clients {
 		res, err := cl.Apply(ctx, rec)
@@ -205,9 +200,6 @@ func (c *Coordinator) broadcast(ctx context.Context, rec store.Record, touched *
 			c.ev.Log().Warn("update failed", "kind", rec.Kind, "owner", rec.Owner, "owned", rec.Owned,
 				"site", cl.SiteID(), "err", err)
 			return nil, err
-		}
-		if res.Changed {
-			*touched = append(*touched, cl.SiteID())
 		}
 		if res.Stored {
 			if stored != nil {

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
+	"ccp/internal/control"
 	"ccp/internal/gen"
 	"ccp/internal/graph"
 )
@@ -143,6 +145,40 @@ func TestFig8hSmoke(t *testing.T) {
 	}
 	if len(pts) != 8 {
 		t.Fatalf("points = %d", len(pts))
+	}
+}
+
+// TestFig8hShape asserts Fig. 8.h's claim on its work counter: pre-caching
+// leaves only the endpoint sites evaluating live. On every point and seed,
+// each query evaluates all 4 sites live (SitesQueried − CacheHits) on the
+// uncached cluster and at most the 2 endpoint sites on the pre-cached one —
+// the first query shipping the cached partials, the second revalidating
+// them — and both clusters answer as CBE.
+func TestFig8hShape(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		err := fig8hPoints(shapeCfg(seed), func(p fig8hPoint) error {
+			want := control.CBE(p.noCache.g, p.q)
+			for _, c := range []struct {
+				name     string
+				cl       *euCluster
+				min, max int
+			}{{"uncached", p.noCache, 4, 4}, {"pre-cached", p.cached, 0, 2}} {
+				for round := 0; round < 2; round++ {
+					got, m, err := c.cl.coord.Answer(context.Background(), p.q)
+					if err != nil {
+						return err
+					}
+					if live := m.SitesQueried - m.CacheHits; live < c.min || live > c.max || got != want {
+						return fmt.Errorf("seed %d %d/partition rate %g %s round %d: %d sites live of %d, answer %v, CBE %v",
+							seed, p.per, p.rate, c.name, round, live, m.SitesQueried, got, want)
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -353,7 +353,6 @@ func Fig8g(cfg Config) ([]SpeedupPoint, error) {
 // sites without changing the slowest (endpoint) site.
 func Fig8h(cfg Config) ([]SpeedupPoint, error) {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	totalCost := func(c *euCluster, q control.Query) (time.Duration, error) {
 		var sum time.Duration
 		for i := 0; i < cfg.Repeats; i++ {
@@ -366,40 +365,63 @@ func Fig8h(cfg Config) ([]SpeedupPoint, error) {
 		return sum / time.Duration(cfg.Repeats), nil
 	}
 	var out []SpeedupPoint
+	err := fig8hPoints(cfg, func(p fig8hPoint) error {
+		noCache, err := totalCost(p.noCache, p.q)
+		if err != nil {
+			return err
+		}
+		cached, err := totalCost(p.cached, p.q)
+		if err != nil {
+			return err
+		}
+		sp := SpeedupPoint{
+			PartitionNodes: p.per,
+			Rate:           p.rate,
+			Baseline:       noCache,
+			Improved:       cached,
+		}
+		if cached > 0 {
+			sp.Speedup = float64(noCache) / float64(cached)
+		}
+		out = append(out, sp)
+		return nil
+	})
+	return out, err
+}
+
+// fig8hPoint is one point of Fig. 8.h: the same graph served by a cluster
+// that evaluates every site live and by a pre-cached one, and the query both
+// answer.
+type fig8hPoint struct {
+	per             int
+	rate            float64
+	noCache, cached *euCluster
+	q               control.Query
+}
+
+// fig8hPoints builds Fig. 8.h's points in sweep order and hands each to do,
+// stopping at the first error.
+func fig8hPoints(cfg Config, do func(fig8hPoint) error) error {
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	for _, rate := range []float64{0.001, 0.01} {
 		for _, per := range []int{2000, 4000, 8000, 16000} {
 			per = cfg.scaled(per)
-			cNo, err := buildEUCluster(cfg, 4, per, rate, 3, cfg.Seed+int64(per), false)
-			if err != nil {
-				return nil, err
+			p := fig8hPoint{per: per, rate: rate}
+			var err error
+			if p.noCache, err = buildEUCluster(cfg, 4, per, rate, 3, cfg.Seed+int64(per), false); err != nil {
+				return err
 			}
-			q := pickQuery(cNo.g, rng)
-			noCache, err := totalCost(cNo, q)
-			if err != nil {
-				return nil, err
+			p.q = pickQuery(p.noCache.g, rng)
+			if p.cached, err = buildEUCluster(cfg, 4, per, rate, 3, cfg.Seed+int64(per), true); err != nil {
+				return err
 			}
-			cYes, err := buildEUCluster(cfg, 4, per, rate, 3, cfg.Seed+int64(per), true)
-			if err != nil {
-				return nil, err
+			if err := p.cached.coord.PrecomputeAll(context.Background()); err != nil {
+				return err
 			}
-			if err := cYes.coord.PrecomputeAll(context.Background()); err != nil {
-				return nil, err
+			if err := do(p); err != nil {
+				return err
 			}
-			cached, err := totalCost(cYes, q)
-			if err != nil {
-				return nil, err
-			}
-			sp := SpeedupPoint{
-				PartitionNodes: per,
-				Rate:           rate,
-				Baseline:       noCache,
-				Improved:       cached,
-			}
-			if cached > 0 {
-				sp.Speedup = float64(noCache) / float64(cached)
-			}
-			out = append(out, sp)
 		}
 	}
-	return out, nil
+	return nil
 }

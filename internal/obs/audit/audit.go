@@ -1,6 +1,6 @@
 // Package audit is the cluster's continuous verification layer: a registry
 // of cheap invariant probes that subsystems register (store scrub, fleet
-// divergence, coordinator conservation, gate accounting) plus a multi-window
+// divergence, gate accounting) plus a multi-window
 // burn-rate SLO engine over the metrics the registry already exports.
 //
 // Probes run two ways: a background loop re-checks every probe on a fixed
@@ -12,7 +12,7 @@
 //
 // Live counters are updated by concurrent writers without any transaction
 // around "the invariant", so a single read can catch a mid-update transient
-// (a query that bumped snapshot_builds but has not yet bumped merged). The
+// (an arrival the gate counted as offered but not yet as admitted). The
 // CheckStable helper makes probes race-tolerant: it re-reads the involved
 // counters and only reports a violation when the mismatch persists across
 // reads during which nothing moved — a quiescent mismatch is a real

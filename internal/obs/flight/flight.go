@@ -6,7 +6,7 @@
 // on every significant step: query start, the timed layers of a query
 // (coord.answer, wire.rpc, site.evaluate, graph.clone, control.site_reduce,
 // graph.merge, control.merge_reduce), retries, redials, circuit transitions,
-// updates, snapshot-cache and WAL activity, slow-query promotions. The same
+// updates, WAL activity, slow-query promotions. The same
 // events feed the metrics series, make up a traced query's Trace, and land
 // in the Recorder: a bounded ring of the last events that, when a query goes
 // slow or a circuit trips, holds what every process involved was just doing
@@ -64,27 +64,11 @@ const (
 	// SlowQuery marks a trace promoted into the slow-query log; A1 is the
 	// traced latency in nanoseconds.
 	SlowQuery
-	// SnapHit marks a merged-skeleton snapshot served from the coordinator's
-	// snapshot cache; A1/A2 carry the skeleton's node and edge counts.
-	SnapHit
-	// SnapMiss marks a merge that found no reusable snapshot; A1 is the
-	// number of cache-served partials the wanted key covered.
-	SnapMiss
-	// SnapBuild marks a merged skeleton being built and cached; A1 is the
-	// build duration in nanoseconds, A2 the skeleton's edge count.
-	SnapBuild
-	// SnapEvict marks a snapshot-cache shard clearing at capacity; A1 is the
-	// shard index, A2 the number of entries dropped.
-	SnapEvict
-	// SnapDrop marks snapshots invalidated by an update; A1 is the number of
-	// entries dropped, Site the updated site whose epoch moved.
-	SnapDrop
-	// ShardWait marks a coordinator cache shard found locked on first try —
-	// contention the sharding was meant to avoid; A1 is the shard index.
-	ShardWait
 	// WALAppend is one record appended to a site's durable WAL; A1 is the
-	// record's sequence number, A2 the framed record bytes.
-	WALAppend
+	// record's sequence number, A2 the framed record bytes. The six numbers
+	// before it named the events of a retired merged-snapshot cache; they
+	// stay unused, so a type keeps its number on the wire across versions.
+	WALAppend Type = iota + 7
 	// CkptBuild is one durable-store checkpoint written; A1 is the build
 	// duration in nanoseconds, A2 the checkpoint file bytes.
 	CkptBuild
@@ -158,12 +142,6 @@ var typeInfo = [NumTypes]struct{ name, a1, a2 string }{
 	SiteReduce:     {"control.site_reduce", "dur", "work"},
 	Update:         {"update", "owner", "owned"},
 	SlowQuery:      {"slow.query", "dur", ""},
-	SnapHit:        {"snap.hit", "nodes", "edges"},
-	SnapMiss:       {"snap.miss", "cached", ""},
-	SnapBuild:      {"snap.build", "dur", "edges"},
-	SnapEvict:      {"snap.evict", "shard", "dropped"},
-	SnapDrop:       {"snap.drop", "dropped", ""},
-	ShardWait:      {"shard.wait", "shard", ""},
 	WALAppend:      {"wal.append", "seq", "bytes"},
 	CkptBuild:      {"ckpt.build", "dur", "bytes"},
 	RecoverReplay:  {"recover.replay", "replayed", "dur"},

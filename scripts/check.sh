@@ -4,7 +4,8 @@
 # Runs formatting, vet, build, the full test suite (shuffled, with an
 # explicit timeout so a hung transport test fails fast instead of stalling
 # CI), and the race detector over the packages that do parallel graph
-# surgery or concurrent transport work, short fuzz runs over the write path,
+# surgery or concurrent transport work, five race-detector runs of the
+# coordinator's concurrency tests, short fuzz runs over the write path,
 # the WAL record decoder, the site's socket decoder, the checkpoint loader,
 # the pooled graph decoder, the coordinator's partial decode and merge, and
 # the partition image decoder, then the benchmark
@@ -50,6 +51,14 @@ go test -race -shuffle=on -timeout 10m \
     ./internal/fleet/... \
     ./internal/store/... \
     ./internal/obs/...
+
+# The coordinator shares its per-site copies and pooled merge scratch across
+# in-flight queries with no lock; run the tests that race queries against each
+# other and against updates several times over.
+echo "== go test -race -count=5 (coordinator concurrency) =="
+go test -race -count=5 -timeout 10m \
+    -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates' \
+    ./internal/dist
 
 # The WAL record decoder a follower runs on every pull, the one write path
 # its records feed, the request decoder every site runs on its socket, the
