@@ -8,11 +8,12 @@ import (
 
 // The continuous audit & SLO surface of a deployment. An Auditor is the
 // per-process verification engine: subsystems register cheap invariant
-// probes (store scrub, fleet divergence, gate accounting) and service-level objectives, the auditor re-checks them on a
-// background interval, exports ccp_audit_* / ccp_slo_* series, records
-// violations and budget breaches into the flight recorder, and serves the
-// /audit ops endpoint (probe verdicts and SLO budgets in one report) that
-// `ccpctl doctor` joins into a cluster-wide report.
+// probes (store scrub, fleet divergence, gate accounting) and service-level
+// objectives, the auditor re-checks them on a background interval, exports
+// ccp_audit_* / ccp_slo_* series, records violations and budget breaches
+// into the flight recorder, and serves the /audit ops endpoint (probe
+// verdicts and SLO budgets in one report) that `ccpctl doctor` joins into a
+// cluster-wide report.
 type (
 	// Auditor is the per-process audit engine; build with NewAuditor, wire
 	// probes with Register / RegisterSLO, start the loop with Start, and

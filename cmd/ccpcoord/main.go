@@ -114,9 +114,10 @@ func main() {
 	defer cluster.Close()
 	logger.Info("connected", "sites", cluster.Sites())
 
-	// The auditor re-checks the admission gate's accounting (when -max-inflight
-	// enables it) on a background interval and tracks the query SLOs: availability over the error-free fraction, latency over
-	// the fraction under the target. Both burn multi-window error budgets
+	// The auditor re-checks the admission gate's accounting (when
+	// -max-inflight enables it) on a background interval and tracks the query
+	// SLOs: availability over the error-free fraction, latency over the
+	// fraction under the target. Both burn multi-window error budgets
 	// exported as ccp_slo_* and reported on /audit.
 	//
 	// Healthy means every site is reachable right now: connected with a

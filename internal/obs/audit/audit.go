@@ -1,7 +1,7 @@
 // Package audit is the cluster's continuous verification layer: a registry
 // of cheap invariant probes that subsystems register (store scrub, fleet
-// divergence, gate accounting) plus a multi-window
-// burn-rate SLO engine over the metrics the registry already exports.
+// divergence, gate accounting) plus a multi-window burn-rate SLO engine
+// over the metrics the registry already exports.
 //
 // Probes run two ways: a background loop re-checks every probe on a fixed
 // interval (so violations are counted and flight-recorded even when nobody
