@@ -203,8 +203,8 @@ func NewClusterFromPartitioning(pi *partition.Partitioning, opts ClusterOptions)
 // ConnectCluster builds a coordinator over remote worker sites (started with
 // ServeSite or the ccpd command) at the given addresses. ctx bounds the
 // connection handshakes. A site that later becomes unreachable is redialed
-// with capped exponential backoff; repeated failures trip its circuit
-// breaker (see Cluster.Health).
+// on the next call; repeated failures trip its circuit breaker, which then
+// paces the redials (see Cluster.Health).
 func ConnectCluster(ctx context.Context, addrs []string, opts ClusterOptions) (*Cluster, error) {
 	sites := make([][]string, len(addrs))
 	for i, addr := range addrs {

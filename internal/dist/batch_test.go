@@ -18,23 +18,40 @@ import (
 // startTCPSite serves one partition over a loopback listener and returns a
 // connected client. Listener and client are closed with the test.
 func startTCPSite(t *testing.T, p *partition.Partition) *RemoteClient {
-	t.Helper()
+	c, stop := serveTCPSite(t, NewSite(p, 2))
+	t.Cleanup(stop)
+	return c
+}
+
+// serveTCPSite serves site over a loopback listener and returns a connected
+// client, and a stop that closes client and listener and waits for the
+// server to return.
+func serveTCPSite(tb testing.TB, site *Site) (*RemoteClient, func()) {
+	tb.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { l.Close() })
+	done := make(chan struct{})
 	go func() {
-		if err := Serve(context.Background(), l, NewSite(p, 2)); err != nil {
-			t.Errorf("serve: %v", err)
+		defer close(done)
+		if err := Serve(context.Background(), l, site); err != nil {
+			tb.Errorf("serve: %v", err)
 		}
 	}()
+	stop := func() {
+		l.Close()
+		<-done
+	}
 	c, err := Dial(context.Background(), l.Addr().String())
 	if err != nil {
-		t.Fatal(err)
+		stop()
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	return c
+	return c, func() {
+		c.Close()
+		stop()
+	}
 }
 
 // TestRemoteClientMultiplexing fires many overlapping calls at one TCP

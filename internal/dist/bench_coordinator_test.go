@@ -215,25 +215,14 @@ func benchPartialResponse(tb testing.TB) *response {
 }
 
 // BenchmarkPartialDecode measures turning a wire response back into a
-// partial answer. "fresh" allocates a graph per decode (the pre-pool path);
-// "pooled" decodes into recycled scratch and releases it, the steady state
-// of the concurrent batch path.
+// partial answer: the graph decodes into recycled scratch that is released
+// again, the steady state of the concurrent batch path.
 func BenchmarkPartialDecode(b *testing.B) {
 	resp := benchPartialResponse(b)
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(resp.GraphBytes)))
-		for i := 0; i < b.N; i++ {
-			if _, err := decodePartial(resp, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("pooled", func(b *testing.B) {
 		var pool sync.Pool
 		b.ReportAllocs()
 		b.SetBytes(int64(len(resp.GraphBytes)))
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			pa, err := decodePartial(resp, &pool)
 			if err != nil {
@@ -246,27 +235,31 @@ func BenchmarkPartialDecode(b *testing.B) {
 
 // TestPartialDecodePooledSteadyStateAllocs pins the copy-free decode: once
 // the pool is warm, decoding a partial answer allocates only the
-// PartialAnswer header itself — the graph payload lands in recycled scratch.
+// PartialAnswer header itself — the graph payload lands in recycled scratch,
+// whether the site shipped it live or from its cache.
 func TestPartialDecodePooledSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented sync.Pool drops Puts at random; alloc pin does not hold")
 	}
-	resp := benchPartialResponse(t)
-	var pool sync.Pool
-	// Warm the pool.
-	pa, err := decodePartial(resp, &pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa.Release()
-	allocs := testing.AllocsPerRun(50, func() {
-		pa, err := decodePartial(resp, &pool)
+	for _, cached := range []bool{false, true} {
+		resp := *benchPartialResponse(t)
+		resp.FromCache = cached
+		var pool sync.Pool
+		// Warm the pool.
+		pa, err := decodePartial(&resp, &pool)
 		if err != nil {
-			panic(err)
+			t.Fatal(err)
 		}
 		pa.Release()
-	})
-	if allocs > 1 {
-		t.Fatalf("pooled decodePartial allocated %.1f times per run, want <= 1 (the PartialAnswer header)", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			pa, err := decodePartial(&resp, &pool)
+			if err != nil {
+				panic(err)
+			}
+			pa.Release()
+		})
+		if allocs > 1 {
+			t.Fatalf("pooled decodePartial (FromCache %v) allocated %.1f times per run, want <= 1 (the PartialAnswer header)", cached, allocs)
+		}
 	}
 }

@@ -17,30 +17,27 @@ import (
 	"ccp/internal/store"
 )
 
-// ClientConfig tunes the transport lifecycle of a RemoteClient: dial and
-// retry behavior, redial backoff, and the consecutive-failure circuit
-// breaker. The zero value selects production defaults.
+// Client defaults, fixed like the server's: no deployment tunes them.
+const (
+	// dialTimeout bounds each dial attempt and the identity handshake.
+	dialTimeout = 5 * time.Second
+	// maxRetries is how many additional attempts an idempotent call
+	// (evaluate, precompute, info, the replication reads) makes after a
+	// transport failure; each attempt redials if needed. Writes (apply) are
+	// never retried.
+	maxRetries = 2
+	// failureThreshold consecutive call failures (transport errors or
+	// deadline misses) open the circuit breaker: the connection is torn down
+	// and calls fail fast with ErrCircuitOpen until cooldown has passed,
+	// after which the next call probes the site again. The breaker is what
+	// paces redials to a dead site; there is no backoff besides it.
+	failureThreshold = 4
+	cooldown         = time.Second
+)
+
+// ClientConfig wires a RemoteClient into its process. The zero value dials
+// TCP and observes nothing.
 type ClientConfig struct {
-	// DialTimeout bounds each dial attempt. Default 5s.
-	DialTimeout time.Duration
-	// MaxRetries is how many additional attempts an idempotent call
-	// (evaluate, precompute, info) makes after a transport failure before
-	// giving up; each attempt redials if needed. Writes (apply) are never
-	// retried. Default 2.
-	MaxRetries int
-	// BaseBackoff is the redial delay after the first consecutive dial
-	// failure; it doubles per failure up to MaxBackoff and resets on
-	// success. Defaults 25ms / 1s.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// FailureThreshold is the number of consecutive call failures
-	// (transport errors or deadline misses) that open the circuit breaker:
-	// the connection is torn down and calls fail fast with ErrCircuitOpen
-	// until Cooldown has passed, after which the next call probes the site
-	// again. Default 4.
-	FailureThreshold int
-	// Cooldown is how long an open circuit rejects calls. Default 1s.
-	Cooldown time.Duration
 	// Dialer opens the transport connection; tests inject failing or
 	// fault-wrapped connections here. Default: TCP via net.Dialer.
 	Dialer func(ctx context.Context, addr string) (net.Conn, error)
@@ -52,37 +49,6 @@ type ClientConfig struct {
 	// Logger receives the client's structured transport diagnostics (dial
 	// failures, and the transport events as slog lines). Nil discards them.
 	Logger *slog.Logger
-}
-
-// withDefaults fills unset config fields with the production defaults.
-func (c ClientConfig) withDefaults() ClientConfig {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 25 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = time.Second
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 4
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Second
-	}
-	if c.Dialer == nil {
-		c.Dialer = func(ctx context.Context, addr string) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
-	return c
 }
 
 // SiteHealth is a point-in-time snapshot of one site client's transport
@@ -251,9 +217,9 @@ func (m *muxConn) fail(err error) {
 // RemoteClient talks to a worker site over a multiplexed connection: any
 // number of calls can be in flight at once on one conn. Unlike its pre-
 // lifecycle ancestor it is not bricked by a transport hiccup — a broken
-// connection fails the in-flight calls once, and the next call redials with
-// capped exponential backoff. Consecutive failures (transport or deadline)
-// open a circuit breaker that fails fast until a cooldown passes. All calls
+// connection fails the in-flight calls once, and the next call redials.
+// Consecutive failures (transport or deadline) open a circuit breaker that
+// fails fast until a cooldown passes, which also paces redials. All calls
 // take a context; its deadline is enforced locally, carried over the wire,
 // and enforced again server-side.
 type RemoteClient struct {
@@ -267,8 +233,6 @@ type RemoteClient struct {
 	siteID      int
 	consecFails int
 	circuit     time.Time // calls fail fast until this instant (zero = closed)
-	nextDialAt  time.Time // redial backoff gate
-	backoff     time.Duration
 	redials     int64
 	retries     int64
 	dialed      bool // first successful dial done (redials counts the rest)
@@ -291,9 +255,15 @@ func Dial(ctx context.Context, addr string) (*RemoteClient, error) {
 	return DialConfig(ctx, addr, ClientConfig{})
 }
 
-// DialConfig is Dial with explicit lifecycle configuration.
+// DialConfig is Dial with an explicit dialer, observer and logger.
 func DialConfig(ctx context.Context, addr string, cfg ClientConfig) (*RemoteClient, error) {
-	c := &RemoteClient{addr: addr, cfg: cfg.withDefaults(), siteID: -1}
+	if cfg.Dialer == nil {
+		cfg.Dialer = func(ctx context.Context, addr string) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		}
+	}
+	c := &RemoteClient{addr: addr, cfg: cfg, siteID: -1}
 	c.ev.Attach(c.cfg.Observer)
 	c.ev.SetLogger(c.cfg.Logger)
 	if reg := c.cfg.Observer.Registry(); reg != nil {
@@ -322,15 +292,11 @@ func DialConfig(ctx context.Context, addr string, cfg ClientConfig) (*RemoteClie
 				return 0
 			}, l)
 	}
-	// The identity handshake is bounded by DialTimeout even when ctx has no
+	// The identity handshake is bounded by dialTimeout even when ctx has no
 	// deadline of its own: a site that accepts and then stalls must not
 	// hang Dial forever.
-	hctx := ctx
-	if c.cfg.DialTimeout > 0 {
-		var cancel context.CancelFunc
-		hctx, cancel = context.WithTimeout(ctx, c.cfg.DialTimeout)
-		defer cancel()
-	}
+	hctx, cancel := context.WithTimeout(ctx, dialTimeout)
+	defer cancel()
 	resp, _, err := c.roundTrip(hctx, &request{Op: opInfo})
 	if err != nil {
 		c.Close()
@@ -338,7 +304,7 @@ func DialConfig(ctx context.Context, addr string, cfg ClientConfig) (*RemoteClie
 		// caller's own deadline) is a transport-level dial failure.
 		var de *DeadlineError
 		if errors.As(err, &de) && ctx.Err() == nil {
-			err = &TransportError{SiteID: -1, Op: "dial", Err: fmt.Errorf("handshake timed out after %v", c.cfg.DialTimeout)}
+			err = &TransportError{SiteID: -1, Op: "dial", Err: fmt.Errorf("handshake timed out after %v", dialTimeout)}
 		}
 		return nil, fmt.Errorf("dist: dialing site %s: %w", addr, err)
 	}
@@ -348,9 +314,8 @@ func DialConfig(ctx context.Context, addr string, cfg ClientConfig) (*RemoteClie
 	return c, nil
 }
 
-// acquireConn returns the live connection generation, dialing one (with
-// backoff and circuit-breaker gating) if necessary. Concurrent callers
-// share one dial.
+// acquireConn returns the live connection generation, dialing one (gated by
+// the circuit breaker) if necessary. Concurrent callers share one dial.
 func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 	for {
 		c.mu.Lock()
@@ -381,25 +346,17 @@ func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 			c.circuit = time.Time{} // cooldown over: half-open, probe below
 			c.ev.Emit(flight.Circuit, int32(c.siteID), 0, int64(c.consecFails), circuitHalfOpen)
 		}
-		wait := time.Until(c.nextDialAt)
 		done := make(chan struct{})
 		c.dialing = done
 		c.mu.Unlock()
 
-		mc, err := c.dialOnce(ctx, wait)
+		mc, err := c.dialOnce(ctx)
 
 		c.mu.Lock()
 		c.dialing = nil
 		close(done)
 		if err != nil {
 			c.noteFailureLocked(err)
-			// Grow the redial backoff; reset on the next success.
-			if c.backoff == 0 {
-				c.backoff = c.cfg.BaseBackoff
-			} else if c.backoff *= 2; c.backoff > c.cfg.MaxBackoff {
-				c.backoff = c.cfg.MaxBackoff
-			}
-			c.nextDialAt = time.Now().Add(c.backoff)
 			c.mu.Unlock()
 			c.ev.Log().Warn("dial failed", "site_addr", c.addr, "err", err)
 			return nil, err
@@ -410,8 +367,6 @@ func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 			return nil, errors.New("client closed")
 		}
 		c.conn = mc
-		c.backoff = 0
-		c.nextDialAt = time.Time{}
 		if c.dialed {
 			c.redials++
 			c.ev.Emit(flight.Redial, int32(c.siteID), 0, c.redials, 0)
@@ -426,19 +381,9 @@ func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 	}
 }
 
-// dialOnce waits out the backoff window (context permitting) and makes one
-// dial attempt bounded by DialTimeout.
-func (c *RemoteClient) dialOnce(ctx context.Context, wait time.Duration) (*muxConn, error) {
-	if wait > 0 {
-		t := time.NewTimer(wait)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
-		}
-	}
-	dctx, cancel := context.WithTimeout(ctx, c.cfg.DialTimeout)
+// dialOnce makes one dial attempt bounded by dialTimeout.
+func (c *RemoteClient) dialOnce(ctx context.Context) (*muxConn, error) {
+	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	defer cancel()
 	conn, err := c.cfg.Dialer(dctx, c.addr)
 	if err != nil {
@@ -458,17 +403,17 @@ func (c *RemoteClient) dropConn(mc *muxConn, err error) {
 }
 
 // noteFailureLocked records one call/transport failure and opens the circuit
-// at the configured threshold. Callers hold c.mu.
+// at failureThreshold. Callers hold c.mu.
 func (c *RemoteClient) noteFailureLocked(err error) {
 	c.consecFails++
 	if err != nil {
 		c.lastErr = err
 	}
-	if c.consecFails >= c.cfg.FailureThreshold && c.circuit.IsZero() {
-		c.circuit = time.Now().Add(c.cfg.Cooldown)
+	if c.consecFails >= failureThreshold && c.circuit.IsZero() {
+		c.circuit = time.Now().Add(cooldown)
 		c.tripped = true
 		c.ev.Emit(flight.Circuit, int32(c.siteID), 0, int64(c.consecFails), circuitOpen)
-		c.ev.Log().Warn("circuit opened", "site_addr", c.addr, "cooldown", c.cfg.Cooldown, "err", err)
+		c.ev.Log().Warn("circuit opened", "site_addr", c.addr, "cooldown", cooldown, "err", err)
 		if c.conn != nil {
 			// A site that times out call after call is stalled, not slow:
 			// tear the generation down so the probe after cooldown starts
@@ -663,13 +608,13 @@ func idempotent(o op) bool {
 // roundTrip sends one request and waits for its response, returning the
 // bytes the response occupied on the wire. Any number of roundTrips may run
 // concurrently. Transport failures on idempotent ops are retried up to
-// MaxRetries times, redialing as needed; ctx cancellation/deadline returns a
+// maxRetries times, redialing as needed; ctx cancellation/deadline returns a
 // typed CancelledError/DeadlineError and counts toward the circuit breaker.
 func (c *RemoteClient) roundTrip(ctx context.Context, req *request) (*response, int64, error) {
 	opname := opName(req.Op)
 	attempts := 1
 	if idempotent(req.Op) {
-		attempts += c.cfg.MaxRetries
+		attempts += maxRetries
 	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {

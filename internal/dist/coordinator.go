@@ -624,6 +624,8 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 				reduced: compact(r.pa.Reduced),
 				stats:   r.pa.Stats,
 			}
+			// The copy shares nothing with the shipped graph.
+			r.pa.Release()
 			c.storeCopy(r.pa.SiteID, cc)
 			copies = append(copies, cc)
 			continue
@@ -689,7 +691,7 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 }
 
 // releasePartials returns every pooled partial-answer graph in pas to its
-// pool; partials without a pool (cache-served ones) are untouched no-ops.
+// pool; on the rest Release is a no-op.
 func releasePartials(pas []*PartialAnswer) {
 	for _, pa := range pas {
 		pa.Release()

@@ -153,35 +153,52 @@ func (r *replyRecorder) oracle(q control.Query) (bool, Metrics, error) {
 	return res.Ans.Bool(), m, nil
 }
 
-// diffCluster is a coordinator over recording in-process sites, with the
-// global graph it partitions kept current as the CBE reference.
+// diffCluster is a coordinator over recording sites, with the global graph
+// it partitions kept current as the CBE reference. The sites run in-process,
+// or with tcp set behind loopback RemoteClients, where shipped partials,
+// cached and live, decode into the clients' pools; stop closes them.
 type diffCluster struct {
 	coord *Coordinator
 	rec   *replyRecorder
 	g     *graph.Graph
+	stops []func()
 }
 
-func newDiffCluster(tb testing.TB, g *graph.Graph, assign []int, k int, opts Options) *diffCluster {
+func newDiffCluster(tb testing.TB, g *graph.Graph, assign []int, k int, opts Options, tcp bool) *diffCluster {
 	tb.Helper()
 	pi, err := partition.Split(g, assign, k)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rec := &replyRecorder{copies: make(map[int]recordedReply)}
+	c := &diffCluster{rec: &replyRecorder{copies: make(map[int]recordedReply)}, g: g.Clone()}
 	clients := make([]SiteClient, len(pi.Parts))
 	for i, p := range pi.Parts {
-		clients[i] = &recordingClient{SiteClient: &LocalClient{Site: NewSite(p, 1), MeasureBytes: true}, rec: rec}
+		site := NewSite(p, 1)
+		var sc SiteClient = &LocalClient{Site: site, MeasureBytes: true}
+		if tcp {
+			rc, stop := serveTCPSite(tb, site)
+			c.stops = append(c.stops, stop)
+			sc = rc
+		}
+		clients[i] = &recordingClient{SiteClient: sc, rec: c.rec}
 	}
 	// Sites answer in client order, so the recorder sees the replies in the
 	// order the coordinator reads them.
 	opts.Workers, opts.SequentialSites = 1, true
-	coord := NewCoordinator(clients, opts)
+	c.coord = NewCoordinator(clients, opts)
 	if opts.UseCache {
-		if err := coord.PrecomputeAll(context.Background()); err != nil {
+		if err := c.coord.PrecomputeAll(context.Background()); err != nil {
+			c.stop()
 			tb.Fatal(err)
 		}
 	}
-	return &diffCluster{coord: coord, rec: rec, g: g.Clone()}
+	return c
+}
+
+func (c *diffCluster) stop() {
+	for _, stop := range c.stops {
+		stop()
+	}
 }
 
 // check answers q through the coordinator and fails unless the answer equals
@@ -304,7 +321,7 @@ func diffStake(eu *gen.EUGraph, g *graph.Graph, rng *rand.Rand) (StakeUpdate, bo
 // uniform and absent-endpoint queries, and stakes added and removed between
 // queries, the coordinator's answer must equal control.CBE and the retired
 // global-id merge of the same replies, and its Metrics must equal the global
-// merge's.
+// merge's. Every 10th seed's sites answer over loopback TCP.
 func TestCoordinatorMatchesGlobalMerge(t *testing.T) {
 	seeds := 1000
 	if testing.Short() || raceEnabled {
@@ -318,7 +335,10 @@ func TestCoordinatorMatchesGlobalMerge(t *testing.T) {
 			InterconnectRate: 0.01, AvgOutDegree: 3, Seed: int64(seed)})
 		combo := (seed / len(shapes)) % 4
 		opts := Options{UseCache: combo&1 != 0, ForcePartial: combo&2 != 0}
-		c := newDiffCluster(t, eu.G, eu.Country, eu.Countries, opts)
+		// Every 10th seed goes over loopback TCP, even seeds and odd ones
+		// by turns so that both shapes and every setting get there.
+		tcp := seed%10 == (seed/10)%2
+		c := newDiffCluster(t, eu.G, eu.Country, eu.Countries, opts, tcp)
 		rng := rand.New(rand.NewSource(int64(seed)))
 		var added []StakeUpdate
 		for i, q := range diffQueries(eu, rng) {
@@ -344,6 +364,7 @@ func TestCoordinatorMatchesGlobalMerge(t *testing.T) {
 			}
 			queries++
 		}
+		c.stop()
 	}
 	t.Logf("%d queries, %d merged at the coordinator, %d of those true", queries, merged, trues)
 	if merged < seeds || trues < seeds/4 {

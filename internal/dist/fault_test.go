@@ -236,8 +236,6 @@ func TestIdempotentRetryAfterMidCallConnLoss(t *testing.T) {
 		return nil, true // close without answering: outcome unknown
 	})
 	cfg := ClientConfig{
-		MaxRetries:  4,
-		BaseBackoff: time.Millisecond,
 		Dialer: func(ctx context.Context, a string) (net.Conn, error) {
 			if dials.Add(1) == 1 {
 				cli, srv := net.Pipe()
@@ -281,8 +279,6 @@ func TestNonIdempotentUpdateNotRetried(t *testing.T) {
 		return nil, true
 	})
 	cfg := ClientConfig{
-		MaxRetries:  4,
-		BaseBackoff: time.Millisecond,
 		Dialer: func(ctx context.Context, a string) (net.Conn, error) {
 			if dials.Add(1) == 1 {
 				cli, srv := net.Pipe()
@@ -373,8 +369,6 @@ func TestWriteFailureRetiresGeneration(t *testing.T) {
 	var first *faultConn
 	var mu sync.Mutex
 	cfg := ClientConfig{
-		MaxRetries:  4,
-		BaseBackoff: time.Millisecond,
 		Dialer: func(ctx context.Context, a string) (net.Conn, error) {
 			var d net.Dialer
 			conn, err := d.DialContext(ctx, "tcp", a)
@@ -412,19 +406,15 @@ func TestWriteFailureRetiresGeneration(t *testing.T) {
 	}
 }
 
-// TestCircuitBreakerOpensAndRecovers: consecutive failures open the circuit
-// (calls fail fast with ErrCircuitOpen, no dial attempted), and after the
-// cooldown a half-open probe reconnects and resets the failure tracking.
+// TestCircuitBreakerOpensAndRecovers: failureThreshold consecutive failures
+// open the circuit (calls fail fast with ErrCircuitOpen, no dial attempted),
+// and after the cooldown a half-open probe reconnects and resets the failure
+// tracking.
 func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	addr := startServer(t, testSite(t))
 	var refuse atomic.Bool
 	var dials atomic.Int64
 	cfg := ClientConfig{
-		MaxRetries:       -1, // no per-call retries: failures count one by one
-		FailureThreshold: 2,
-		Cooldown:         150 * time.Millisecond,
-		BaseBackoff:      time.Millisecond,
-		MaxBackoff:       2 * time.Millisecond,
 		Dialer: func(ctx context.Context, a string) (net.Conn, error) {
 			dials.Add(1)
 			if refuse.Load() {
@@ -447,14 +437,18 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	mc.conn.Close()
 	waitHealth(t, c, func(h SiteHealth) bool { return !h.Connected && h.ConsecutiveFailures >= 1 })
 
-	// Failure 2: the redial is refused — threshold reached, circuit opens.
+	// Failures 2–4: the call's first dial and its maxRetries redials are
+	// refused — threshold reached, circuit opens.
 	refuse.Store(true)
 	if _, _, err := c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{}); err == nil {
 		t.Fatal("evaluate succeeded with dials refused")
 	}
 	h := c.Health()
-	if !h.CircuitOpen {
-		t.Fatalf("circuit not open after %d failures: %+v", h.ConsecutiveFailures, h)
+	if h.ConsecutiveFailures != failureThreshold || !h.CircuitOpen {
+		t.Fatalf("after %d failures (threshold %d): %+v", h.ConsecutiveFailures, failureThreshold, h)
+	}
+	if got := dials.Load(); got != 1+1+maxRetries {
+		t.Fatalf("dials = %d, want the handshake plus %d refused", got, 1+maxRetries)
 	}
 
 	// While open: fail fast with the typed sentinel, no dial attempt.
@@ -474,7 +468,7 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	// After the cooldown the half-open probe reconnects and the breaker
 	// resets.
 	refuse.Store(false)
-	time.Sleep(cfg.Cooldown + 50*time.Millisecond)
+	time.Sleep(cooldown + 50*time.Millisecond)
 	pa, _, err := c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{})
 	if err != nil {
 		t.Fatalf("probe after cooldown: %v", err)

@@ -72,10 +72,6 @@ type Server struct {
 	listeners map[net.Listener]struct{}
 	conns     map[net.Conn]struct{}
 	shutdown  bool
-	// stopAccept refuses new connections while leaving established ones
-	// fully served — the first phase of a graceful decommission (set by
-	// StopAccepting; Shutdown implies it).
-	stopAccept bool
 
 	connWG sync.WaitGroup
 }
@@ -141,7 +137,7 @@ func (s *Server) Stats() ServerStats {
 // fails. It returns nil after a Shutdown-initiated stop.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
-	if s.shutdown || s.stopAccept {
+	if s.shutdown {
 		s.mu.Unlock()
 		return errors.New("dist: server is shut down")
 	}
@@ -150,9 +146,9 @@ func (s *Server) Serve(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			// A listener closed by Shutdown/StopAccepting or by its owner is
-			// a clean stop; established connections keep being served.
-			if s.isShutdown() || s.isAcceptStopped() || errors.Is(err, net.ErrClosed) {
+			// A listener closed by Shutdown or by its owner is a clean stop;
+			// established connections keep being served.
+			if s.isShutdown() || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
 			return fmt.Errorf("dist: accept: %w", err)
@@ -169,31 +165,6 @@ func (s *Server) isShutdown() bool {
 	return s.shutdown
 }
 
-func (s *Server) isAcceptStopped() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopAccept
-}
-
-// StopAccepting closes the server's listeners and refuses connections from
-// then on, while established connections — and the requests in flight on
-// them — keep being served indefinitely. It is the first phase of a graceful
-// decommission: a replica is taken out of rotation (dials fail, so routing
-// health marks it down) without cutting off the queries it already accepted;
-// Shutdown later drains what remains. Idempotent; Shutdown implies it.
-func (s *Server) StopAccepting() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopAccept {
-		return
-	}
-	s.stopAccept = true
-	for l := range s.listeners {
-		l.Close()
-	}
-	s.log.Info("server stopped accepting", "site", s.site.Load().ID(), "conns_open", len(s.conns))
-}
-
 // Shutdown stops the server gracefully: listeners close, blocked request
 // reads are kicked loose via an expired read deadline, in-flight requests
 // finish and write their responses, and every connection's reader goroutine
@@ -204,7 +175,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.shutdown
 	s.shutdown = true
-	s.stopAccept = true
 	for l := range s.listeners {
 		l.Close()
 	}

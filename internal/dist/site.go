@@ -58,8 +58,9 @@ type PartialAnswer struct {
 	Events []flight.Event
 
 	// pool, when non-nil, owns Reduced: the graph is pooled scratch, valid
-	// until Release. Cached partials (FromCache) are never pooled — their
-	// graph is shared site state.
+	// until Release. A site's own cached partial (FromCache from a
+	// LocalClient) is never pooled — its graph is shared site state; over
+	// the wire every shipped graph, cached or live, is pooled.
 	pool *sync.Pool
 }
 

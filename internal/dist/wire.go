@@ -178,11 +178,11 @@ func encodePartial(pa *PartialAnswer) (*response, error) {
 	return resp, nil
 }
 
-// decodePartial converts a wire response back to a PartialAnswer. pool, when
-// non-nil, supplies the scratch graph that a live (non-cached) partial
-// decodes into — the copy-free arena path, returned for reuse by
-// PartialAnswer.Release. Cached partials always decode into a fresh graph,
-// because the coordinator retains them across queries.
+// decodePartial converts a wire response back to a PartialAnswer. A shipped
+// graph, live or cached, decodes into scratch from pool — the copy-free
+// arena path, returned for reuse by PartialAnswer.Release. The coordinator
+// keeps only its own compacted copy of a cached partial, so it releases
+// that graph as soon as it has compacted it.
 func decodePartial(resp *response, pool *sync.Pool) (*PartialAnswer, error) {
 	pa := &PartialAnswer{
 		SiteID:      resp.SiteID,
@@ -195,23 +195,15 @@ func decodePartial(resp *response, pool *sync.Pool) (*PartialAnswer, error) {
 		Events:      resp.Events,
 	}
 	if len(resp.GraphBytes) > 0 {
-		if pool != nil && !resp.FromCache {
-			scratch, _ := pool.Get().(*graph.Graph)
-			// On a decode error the scratch graph's contents are unspecified;
-			// it is deliberately not re-pooled.
-			g, err := graph.DecodeBinaryInto(scratch, resp.GraphBytes)
-			if err != nil {
-				return nil, fmt.Errorf("dist: decoding reduced graph: %w", err)
-			}
-			pa.Reduced = g
-			pa.pool = pool
-		} else {
-			g, err := graph.DecodeBinary(resp.GraphBytes)
-			if err != nil {
-				return nil, fmt.Errorf("dist: decoding reduced graph: %w", err)
-			}
-			pa.Reduced = g
+		scratch, _ := pool.Get().(*graph.Graph)
+		// On a decode error the scratch graph's contents are unspecified;
+		// it is deliberately not re-pooled.
+		g, err := graph.DecodeBinaryInto(scratch, resp.GraphBytes)
+		if err != nil {
+			return nil, fmt.Errorf("dist: decoding reduced graph: %w", err)
 		}
+		pa.Reduced = g
+		pa.pool = pool
 	}
 	return pa, nil
 }

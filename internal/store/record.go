@@ -1,7 +1,7 @@
 // Package store implements the durable site store of the distributed
 // deployment: an append-only, CRC-guarded write-ahead log of ownership
-// updates with monotonic sequence numbers and batched group-commit fsync,
-// plus periodic compact checkpoints of the whole partition (reusing the
+// updates with monotonic sequence numbers and an fsync per append, plus
+// periodic compact checkpoints of the whole partition (reusing the
 // binary partition codec). Crash recovery loads the newest valid checkpoint
 // and replays the WAL tail; a torn final record — the signature of a crash
 // mid-append — is truncated away, never panicked on.

@@ -47,7 +47,8 @@ var bgPoll = 250 * time.Millisecond
 type Stats struct {
 	Dir string `json:"dir"`
 	// AppendedSeq is the last assigned sequence number; DurableSeq the last
-	// one known durable (equal except mid-commit, or with NoSync).
+	// one known durable (equal except mid-commit, or once a failed fsync
+	// has poisoned the log).
 	AppendedSeq uint64 `json:"appended_seq"`
 	DurableSeq  uint64 `json:"durable_seq"`
 	// CheckpointSeq is the sequence number covered by the newest checkpoint.
@@ -72,7 +73,8 @@ type Stats struct {
 //
 // Appends must be externally ordered with respect to the state they
 // describe — the site calls Append under the same lock that mutates the
-// partition, so WAL order is application order.
+// partition, so WAL order is application order. That caller is the log's
+// one committer: each append pays its own fsync, and none waits on another.
 type Store struct {
 	dir  string
 	opts Options
@@ -174,8 +176,9 @@ func (s *Store) Replay(apply func(Record) error) error {
 }
 
 // Append durably logs rec and returns its sequence number — the site's new
-// epoch. With fsync on it returns only after the record (and, thanks to
-// group commit, every record before it) is on stable storage.
+// epoch. With fsync on it returns only after the record, and so every record
+// before it, is on stable storage. A failed write or fsync leaves the store
+// sticky-failed: every later Append fails.
 func (s *Store) Append(rec Record) (uint64, error) {
 	if s.closed.Load() {
 		return 0, ErrClosed
@@ -406,7 +409,7 @@ func (s *Store) Observe(o *obs.Observer, site int) {
 		"WAL records appended.",
 		func() float64 { return float64(s.wal.appends.Load()) }, l)
 	reg.CounterFunc("ccp_store_fsyncs_total",
-		"WAL fsync calls (group commit batches many appends per sync).",
+		"WAL fsync calls: one per append with fsync on, plus rotations and close.",
 		func() float64 { return float64(s.wal.fsyncs.Load()) }, l)
 	reg.CounterFunc("ccp_store_checkpoints_total",
 		"Checkpoints written.",

@@ -58,11 +58,9 @@ func parseSegName(name string) (uint64, bool) {
 // wal is the append-only log: one active segment receiving appends, zero or
 // more sealed segments awaiting checkpoint coverage.
 //
-// Group commit: appends serialize on mu (buffered write, sequence
-// assignment) and then, when fsync is on, rendezvous on syncMu — the first
-// appender through flushes and fsyncs everything written so far, and every
-// appender that piled up behind it finds its sequence already durable and
-// returns without its own fsync. One disk sync absorbs a whole burst.
+// One committer: the store's one caller orders its appends itself, so an
+// append writes, flushes and (when fsync is on) fsyncs under mu, and no two
+// appends ever share a sync. A failed write, flush or fsync poisons the log.
 type wal struct {
 	dir   string
 	fsync bool
@@ -74,9 +72,8 @@ type wal struct {
 	sealed  []segment // ascending by first
 	nextSeq uint64
 	scratch []byte
-	werr    error // sticky write error: the log is poisoned, refuse appends
+	werr    error // sticky write or sync error: the log is poisoned, refuse appends
 
-	syncMu   sync.Mutex
 	appended atomic.Uint64 // last assigned sequence number
 	synced   atomic.Uint64 // last sequence number known durable
 
@@ -225,21 +222,18 @@ func (w *wal) openActive(seg segment, size int64) error {
 }
 
 // append writes rec, assigns its sequence number, and — when fsync is on —
-// returns only after the record is durable (riding a group commit when
-// other appenders are in flight).
+// returns only after the record is durable.
 func (w *wal) append(rec Record) (uint64, error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.werr != nil {
-		err := w.werr
-		w.mu.Unlock()
-		return 0, err
+		return 0, w.werr
 	}
 	seq := w.nextSeq
 	w.scratch = appendFrame(w.scratch[:0], seq, rec)
 	n := len(w.scratch)
 	if _, err := w.bw.Write(w.scratch); err != nil {
 		w.werr = err
-		w.mu.Unlock()
 		return 0, err
 	}
 	w.nextSeq++
@@ -247,48 +241,28 @@ func (w *wal) append(rec Record) (uint64, error) {
 	w.bytes.Add(int64(n))
 	w.appended.Store(seq)
 	w.appends.Add(1)
-	if !w.fsync {
-		// Without fsync, "durable" degrades to "handed to the OS"; the
-		// in-order store keeps the counters consistent.
-		w.synced.Store(seq)
-		w.mu.Unlock()
-		return seq, nil
+	if w.fsync {
+		return seq, w.sync()
 	}
-	w.mu.Unlock()
-	if err := w.syncTo(seq); err != nil {
-		return seq, err
-	}
+	// Without fsync, "durable" degrades to "handed to the OS".
+	w.synced.Store(seq)
 	return seq, nil
 }
 
-// syncTo makes every record up to at least seq durable. The group-commit
-// rendezvous: whoever holds syncMu flushes and syncs the whole written
-// prefix; late arrivals usually find their seq already covered.
-func (w *wal) syncTo(seq uint64) error {
-	if w.synced.Load() >= seq {
-		return nil
-	}
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	if w.synced.Load() >= seq {
-		return nil // a concurrent commit carried us
-	}
-	w.mu.Lock()
-	target := w.nextSeq - 1
+// sync flushes and fsyncs the active segment. Any failure poisons the log:
+// after a failed fsync the kernel may have dropped the written pages, so no
+// later record may be acknowledged behind the lost one. Caller holds mu.
+func (w *wal) sync() error {
 	err := w.bw.Flush()
+	if err == nil {
+		err = w.f.Sync()
+	}
 	if err != nil {
 		w.werr = err
-	}
-	f := w.f
-	w.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
 		return err
 	}
 	w.fsyncs.Add(1)
-	w.synced.Store(target)
+	w.synced.Store(w.nextSeq - 1)
 	return nil
 }
 
@@ -305,15 +279,9 @@ func (w *wal) rotate() error {
 	if w.active.size == 0 {
 		return nil // nothing in the active segment; reuse it
 	}
-	if err := w.bw.Flush(); err != nil {
-		w.werr = err
+	if err := w.sync(); err != nil {
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.fsyncs.Add(1)
-	w.synced.Store(w.nextSeq - 1)
 	if err := w.f.Close(); err != nil {
 		return err
 	}
@@ -403,18 +371,17 @@ func (w *wal) replay(from uint64, fn func(Record) error) error {
 	return nil
 }
 
-// close flushes, syncs and closes the active segment.
+// close flushes, syncs and closes the active segment; a poisoned log is
+// closed as it lies.
 func (w *wal) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return nil
 	}
-	err := w.bw.Flush()
+	err := w.werr
 	if err == nil {
-		err = w.f.Sync()
-		w.fsyncs.Add(1)
-		w.synced.Store(w.nextSeq - 1)
+		err = w.sync()
 	}
 	if cerr := w.f.Close(); err == nil {
 		err = cerr

@@ -68,7 +68,7 @@ func NewSiteServer(p *Partition, workers int) *SiteServer {
 
 // StoreOptions configures a site's durable store: fsync policy and
 // background-checkpoint cadence. The zero value is safe (fsync on every
-// group commit, default checkpoint cadence).
+// append, default checkpoint cadence).
 type StoreOptions = store.Options
 
 // StoreStats snapshots a durable store's state: durable and checkpointed

@@ -5,7 +5,9 @@
 # explicit timeout so a hung transport test fails fast instead of stalling
 # CI), and the race detector over the packages that do parallel graph
 # surgery or concurrent transport work, five race-detector runs of the
-# coordinator's concurrency tests, short fuzz runs over the write path,
+# coordinator's concurrency tests and of the WAL's commit tests (appends
+# racing each other and checkpoints, a failed fsync poisoning the log),
+# short fuzz runs over the write path,
 # the WAL record decoder, the site's socket decoder, the checkpoint loader,
 # the pooled graph decoder, the coordinator's partial decode and merge, and
 # the partition image decoder, then the benchmark
@@ -59,6 +61,15 @@ echo "== go test -race -count=5 (coordinator concurrency) =="
 go test -race -count=5 -timeout 10m \
     -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates' \
     ./internal/dist
+
+# The WAL has one committer: an append writes, flushes and fsyncs under the
+# lock a checkpoint's segment rotation takes, and a failed fsync poisons the
+# log. Race appends against each other and against checkpoints, and fail an
+# fsync, several times over.
+echo "== go test -race -count=5 (WAL commit) =="
+go test -race -count=5 -timeout 10m \
+    -run 'TestFsyncFailurePoisonsWAL|TestAppendsRacingCheckpoints|TestConcurrentAppendsSerialize' \
+    ./internal/store
 
 # The WAL record decoder a follower runs on every pull, the one write path
 # its records feed, the request decoder every site runs on its socket, the
