@@ -51,16 +51,30 @@ type replyRecorder struct {
 	copies  map[int]recordedReply
 }
 
-// recordingClient is a SiteClient that records what it returns.
+// recordingClient is a SiteClient that records what it returns, after
+// showing each reply to hook, when set, with the site that sent it. A reply
+// the hook rejects fails the evaluation with the hook's error.
 type recordingClient struct {
 	SiteClient
-	rec *replyRecorder
+	rec  *replyRecorder
+	site *Site
+	hook siteHook
 }
+
+// siteHook checks one site reply before the coordinator consumes it, given
+// the options the site evaluated it under.
+type siteHook func(s *Site, q control.Query, opts EvalOptions, pa *PartialAnswer) error
 
 func (c *recordingClient) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) (*PartialAnswer, int64, error) {
 	pa, n, err := c.SiteClient.Evaluate(ctx, q, opts)
 	if err != nil {
 		return pa, n, err
+	}
+	if c.hook != nil {
+		if err := c.hook(c.site, q, opts, pa); err != nil {
+			pa.Release()
+			return nil, n, err
+		}
 	}
 	r := recordedReply{site: pa.SiteID, ans: pa.Ans, fromCache: pa.FromCache, notModified: pa.NotModified,
 		stats: pa.Stats, bytes: n}
@@ -153,6 +167,69 @@ func (r *replyRecorder) oracle(q control.Query) (bool, Metrics, error) {
 	return res.Ans.Bool(), m, nil
 }
 
+// refSlice is partition.Slice's definition computed the plain way, on p as
+// it stands: one unclipped BFS forward from V^in ∪ {s} and one backward from
+// V^virt ∪ {t}, intersected.
+func refSlice(p *partition.Partition, s, t graph.NodeID) graph.NodeSet {
+	flood := func(from graph.NodeSet, extra graph.NodeID, back bool) graph.NodeSet {
+		seen := graph.NewNodeSet()
+		var queue []graph.NodeID
+		visit := func(v graph.NodeID, _ float64) {
+			if p.Local.Alive(v) && !seen.Has(v) {
+				seen.Add(v)
+				queue = append(queue, v)
+			}
+		}
+		for v := range from {
+			visit(v, 0)
+		}
+		for visit(extra, 0); len(queue) > 0; queue = queue[1:] {
+			if back {
+				p.Local.EachIn(queue[0], visit)
+			} else {
+				p.Local.EachOut(queue[0], visit)
+			}
+		}
+		return seen
+	}
+	fwd, bwd := flood(p.InNodes, s, false), flood(p.Virtual, t, true)
+	keep := graph.NewNodeSet()
+	for v := range fwd {
+		if bwd.Has(v) {
+			keep.Add(v)
+		}
+	}
+	return keep
+}
+
+// checkSlice is the site-evaluation hook of the differential. A live reply
+// to an undecided query, unless ForcePartial, reduces q's slice of the
+// site's partition as it stands: every node of the partial lies in the
+// slice, and the partial keeps every node of the slice that the reduction
+// may not remove — V^in, V^virt, s and t.
+func checkSlice(s *Site, q control.Query, opts EvalOptions, pa *PartialAnswer) error {
+	if pa.FromCache || pa.NotModified || pa.Ans != control.Unknown || opts.ForcePartial {
+		return nil
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	p := s.part
+	want := refSlice(p, q.S, q.T)
+	var err error
+	pa.Reduced.EachNode(func(v graph.NodeID) {
+		if err == nil && !want.Has(v) {
+			err = fmt.Errorf("site %d %v: partial keeps %d, outside the slice %v", p.ID, q, v, want)
+		}
+	})
+	for v := range want {
+		excluded := p.InNodes.Has(v) || p.Virtual.Has(v) || v == q.S || v == q.T
+		if err == nil && excluded && !pa.Reduced.Alive(v) {
+			err = fmt.Errorf("site %d %v: partial lost boundary node %d of the slice %v", p.ID, q, v, want)
+		}
+	}
+	return err
+}
+
 // diffCluster is a coordinator over recording sites, with the global graph
 // it partitions kept current as the CBE reference. The sites run in-process,
 // or with tcp set behind loopback RemoteClients, where shipped partials,
@@ -164,7 +241,7 @@ type diffCluster struct {
 	stops []func()
 }
 
-func newDiffCluster(tb testing.TB, g *graph.Graph, assign []int, k int, opts Options, tcp bool) *diffCluster {
+func newDiffCluster(tb testing.TB, g *graph.Graph, assign []int, k int, opts Options, tcp bool, hook siteHook) *diffCluster {
 	tb.Helper()
 	pi, err := partition.Split(g, assign, k)
 	if err != nil {
@@ -180,7 +257,7 @@ func newDiffCluster(tb testing.TB, g *graph.Graph, assign []int, k int, opts Opt
 			c.stops = append(c.stops, stop)
 			sc = rc
 		}
-		clients[i] = &recordingClient{SiteClient: sc, rec: c.rec}
+		clients[i] = &recordingClient{SiteClient: sc, rec: c.rec, site: site, hook: hook}
 	}
 	// Sites answer in client order, so the recorder sees the replies in the
 	// order the coordinator reads them.
@@ -321,7 +398,8 @@ func diffStake(eu *gen.EUGraph, g *graph.Graph, rng *rand.Rand) (StakeUpdate, bo
 // uniform and absent-endpoint queries, and stakes added and removed between
 // queries, the coordinator's answer must equal control.CBE and the retired
 // global-id merge of the same replies, and its Metrics must equal the global
-// merge's. Every 10th seed's sites answer over loopback TCP.
+// merge's. Every live site reply must have reduced the query's slice
+// (checkSlice). Every 10th seed's sites answer over loopback TCP.
 func TestCoordinatorMatchesGlobalMerge(t *testing.T) {
 	seeds := 1000
 	if testing.Short() || raceEnabled {
@@ -338,7 +416,7 @@ func TestCoordinatorMatchesGlobalMerge(t *testing.T) {
 		// Every 10th seed goes over loopback TCP, even seeds and odd ones
 		// by turns so that both shapes and every setting get there.
 		tcp := seed%10 == (seed/10)%2
-		c := newDiffCluster(t, eu.G, eu.Country, eu.Countries, opts, tcp)
+		c := newDiffCluster(t, eu.G, eu.Country, eu.Countries, opts, tcp, checkSlice)
 		rng := rand.New(rand.NewSource(int64(seed)))
 		var added []StakeUpdate
 		for i, q := range diffQueries(eu, rng) {

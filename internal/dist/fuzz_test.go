@@ -175,10 +175,25 @@ func FuzzServeConn(f *testing.F) {
 	})
 }
 
-// fuzzMaxCap bounds the id capacity a fuzzed CCPG1 payload may declare: the
-// decoder sizes the graph from it before reading an id, so one header could
-// ask for gigabytes, a resource limit and not a decoding bug.
-const fuzzMaxCap = 1 << 16
+// fuzzMaxID bounds the largest live id a fuzzed CCPG1 payload may list: the
+// decoder sizes the graph to one past it, so one id near 2^31 could ask for
+// gigabytes, a resource limit and not a decoding bug. The header's capacity
+// sizes nothing and is not bounded.
+const fuzzMaxID = 1 << 16
+
+// largestLiveID reads the last id of a CCPG1 payload's live-id list, or 0 if
+// the payload lists none.
+func largestLiveID(data []byte) uint32 {
+	const head = 14 // magic, capacity, live count
+	if len(data) < head {
+		return 0
+	}
+	n := binary.LittleEndian.Uint32(data[head-4:])
+	if n == 0 || uint64(len(data)) < head+4*uint64(n) {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(data[head+4*int(n)-4:])
+}
 
 // FuzzDecodePartialMerge feeds arbitrary CCPG1 payloads through
 // decodePartial, as a live partial into pooled scratch or as a cached one,
@@ -222,7 +237,7 @@ func FuzzDecodePartialMerge(f *testing.F) {
 	}
 	copyOfBase := compact(base)
 	f.Fuzz(func(t *testing.T, data []byte, cached bool) {
-		if len(data) >= 10 && binary.LittleEndian.Uint32(data[6:]) > fuzzMaxCap {
+		if largestLiveID(data) > fuzzMaxID {
 			return
 		}
 		var pool sync.Pool

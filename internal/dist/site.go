@@ -83,11 +83,11 @@ func (pa *PartialAnswer) Release() {
 // Concurrency model: s.mu guards the one live partition, the epoch that
 // versions it, and the query-independent cache. Apply holds it exclusively.
 // A live evaluation holds it shared only while it reads the termination
-// aggregates and copies the partition and its boundary into pooled scratch,
-// then reduces the copy with the lock released; every partial is therefore
-// computed from the partition exactly as it stood at the epoch it carries.
-// The cost is that a write waits for in-flight copies, and a read waits for
-// an in-flight write, including its WAL fsync.
+// aggregates and copies its slice of the partition and the boundary into
+// pooled scratch, then reduces the copy with the lock released; every partial
+// is therefore computed from the partition exactly as it stood at the epoch
+// it carries. The cost is that a write waits for in-flight copies, and a read
+// waits for an in-flight write, including its WAL fsync.
 type Site struct {
 	mu      sync.RWMutex
 	part    *partition.Partition
@@ -110,14 +110,26 @@ type Site struct {
 	// misrouted write cannot fork the replica from its leader.
 	readOnly atomic.Bool
 
-	// scratch pools the graphs live evaluations and cache builds copy the
-	// partition into and reduce; exclusions pools the exclusion sets. Both
-	// reach zero steady-state allocations: reduction clears a scratch
-	// graph's tables instead of dropping them, so the next CloneInto reuses
-	// every one. A scratch graph is never published as long-lived state
-	// (the cache is a compact Clone of one).
+	// scratch pools the graphs live evaluations and cache builds copy a
+	// slice or the whole partition into and reduce; exclusions pools the
+	// exclusion sets. Both reach zero steady-state allocations: reduction
+	// clears a scratch graph's tables instead of dropping them, so the next
+	// copy reuses every one. A scratch graph is never published as
+	// long-lived state (the cache is a compact Clone of one).
 	scratch    sync.Pool
 	exclusions sync.Pool
+
+	// reach is the per-epoch half of a live evaluation's slice, built for
+	// the epoch reachEpoch holds. Every reader under s.mu sees one epoch,
+	// so reach is written only by the first of them to find it stale:
+	// reachMu serializes that rebuild, and storing reachEpoch after it
+	// publishes the sets to readers that skip the lock. The next rebuild
+	// needs a new epoch, which waits for every such reader to leave s.mu.
+	// slicers pools the per-query walk scratch.
+	reachMu    sync.Mutex
+	reach      partition.Reach
+	reachEpoch atomic.Uint64
+	slicers    sync.Pool
 
 	robs *obs.ReducerObs
 	ev   obs.Emitter
@@ -139,7 +151,7 @@ func (s *Site) takeBoundary() graph.NodeSet {
 }
 
 // takeScratch borrows a pooled graph for a per-evaluation copy; may return
-// nil, which CloneInto treats as "allocate fresh".
+// nil, which CloneInto and InducedInto treat as "allocate fresh".
 func (s *Site) takeScratch() *graph.Graph {
 	g, _ := s.scratch.Get().(*graph.Graph)
 	return g
@@ -179,7 +191,9 @@ func (s *Site) SetLogger(l *slog.Logger) { s.ev.SetLogger(l) }
 
 // NewSite wraps a partition. workers <= 0 means GOMAXPROCS.
 func NewSite(p *partition.Partition, workers int) *Site {
-	return &Site{part: p, workers: workers, cacheEpoch: ^uint64(0)}
+	s := &Site{part: p, workers: workers, cacheEpoch: ^uint64(0)}
+	s.reachEpoch.Store(^uint64(0))
+	return s
 }
 
 // OpenDurableSite builds a site backed by the durable store in dir:
@@ -400,8 +414,9 @@ type EvalOptions struct {
 	// endpoint is stored at the site.
 	UseCache bool
 	// ForcePartial disables the early-termination answers, so the site
-	// always returns its reduced partition. Measurement runs use it to
-	// exercise the full assemble-and-merge pipeline on every query.
+	// always returns its reduced partition, and copies the whole partition
+	// instead of the query's slice. Measurement runs use it to exercise the
+	// full assemble-and-merge pipeline on every query.
 	ForcePartial bool
 	// IfEpoch, when HasIfEpoch is set, asks the site to reply NotModified
 	// instead of re-shipping its cached partial answer if the site's data
@@ -425,6 +440,24 @@ type EvalOptions struct {
 // A cancelled or expired ctx stops the evaluation at the next reduction
 // round and returns the context error; the site (and its pooled reducers)
 // stay fully usable for subsequent queries.
+//
+// A live evaluation reduces only the slice of the partition that q can use:
+// the nodes on some local path from {s} ∪ V^in to {t} ∪ V^virt (see
+// partition.Slice), with the same exclusion set and trust as a
+// whole-partition reduction. Dropping the rest is sound:
+//
+//   - A node no local path reaches from s or V^in has no global path from s
+//     either, since any such path enters the partition at s or at an
+//     in-node. s cannot control it, and its stakes never count toward s's
+//     coalition. Dropping it only lowers in-sums of stakes that cannot
+//     count, so R2 and T2 fire earlier, but never wrongly.
+//   - A node that reaches neither t nor V^virt cannot reach t. The first
+//     node of s's controlled set that reaches t is held > ½ by s alone, so
+//     T1 stays sound on the slice, and an empty slice (s reaches neither t
+//     nor V^virt) is decided False by the reducer's round-0 check.
+//
+// The termination check on the whole partition still runs before the copy.
+// opts.ForcePartial copies the whole partition instead.
 func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) (*PartialAnswer, error) {
 	start := time.Now()
 	sc := s.ev.Query(opts.QueryID, opts.Trace, start)
@@ -476,7 +509,12 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 	x := s.takeBoundary()
 	x.Add(q.S)
 	x.Add(q.T)
-	g := s.part.Local.CloneInto(s.takeScratch())
+	var g *graph.Graph
+	if opts.ForcePartial {
+		g = s.part.Local.CloneInto(s.takeScratch())
+	} else {
+		g = s.slice(epoch, q)
+	}
 	s.mu.RUnlock()
 	reduceStart := sc.Span(flight.GraphClone, int32(s.part.ID), start, int64(g.NumNodes()))
 	copts := control.Options{
@@ -510,6 +548,27 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 		s.scratch.Put(g)
 	}
 	return s.served(&sc, pa, start, flight.EvalLive), nil
+}
+
+// slice copies q's slice of the partition into pooled scratch, first
+// rebuilding the per-epoch reachability sets if the partition moved since
+// they were built. Caller holds s.mu shared, at epoch.
+func (s *Site) slice(epoch uint64, q control.Query) *graph.Graph {
+	if s.reachEpoch.Load() != epoch {
+		s.reachMu.Lock()
+		if s.reachEpoch.Load() != epoch {
+			s.part.BuildReach(&s.reach)
+			s.reachEpoch.Store(epoch)
+		}
+		s.reachMu.Unlock()
+	}
+	sc, _ := s.slicers.Get().(*partition.SliceScratch)
+	if sc == nil {
+		sc = new(partition.SliceScratch)
+	}
+	g := s.part.Local.InducedInto(s.takeScratch(), s.part.Slice(&s.reach, q.S, q.T, sc))
+	s.slicers.Put(sc)
+	return g
 }
 
 // served finishes an evaluation: it stamps pa with the elapsed time, makes

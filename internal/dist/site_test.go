@@ -145,18 +145,140 @@ func TestUpdateUnknownOwnedCompanyRollsBack(t *testing.T) {
 	}
 }
 
+// TestEvaluateEndpointEdgeCases evaluates, at one site of a two-site EU
+// cluster, every pair of endpoints drawn from: a negative id, the site's id
+// capacity, an id past every capacity, a company of the other site that is
+// not virtual here, a virtual node, a member and an in-node — s == t
+// included — live, cached and ForcePartial. Nothing may fail, a decided
+// answer must equal CBE, a live undecided one must reduce the query's slice,
+// and the coordinator must answer CBE.
+func TestEvaluateEndpointEdgeCases(t *testing.T) {
+	eu := gen.EU(gen.EUConfig{Countries: 2, NodesPerCountry: 300, InterconnectRate: 0.02, AvgOutDegree: 3, Seed: 4})
+	g := eu.G
+	pi, err := partition.Split(g, eu.Country, eu.Countries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := []*Site{NewSite(pi.Parts[0], 1), NewSite(pi.Parts[1], 1)}
+	coord := NewCoordinator([]SiteClient{&LocalClient{Site: sites[0]}, &LocalClient{Site: sites[1]}},
+		Options{Workers: 1})
+	p := pi.Parts[0]
+	lowest := func(set graph.NodeSet, ok func(graph.NodeID) bool) graph.NodeID {
+		best := graph.None
+		for v := range set {
+			if ok(v) && (best == graph.None || v < best) {
+				best = v
+			}
+		}
+		if best == graph.None {
+			t.Fatal("no endpoint of a kind")
+		}
+		return best
+	}
+	any := func(graph.NodeID) bool { return true }
+	ends := []graph.NodeID{
+		-3,
+		graph.NodeID(p.Local.Cap()),
+		graph.NodeID(g.Cap() + 5),
+		lowest(pi.Parts[1].Members, func(v graph.NodeID) bool { return !p.Local.Alive(v) }),
+		lowest(p.Virtual, any),
+		lowest(p.Members, g.HasControllingOut),
+		lowest(p.InNodes, any),
+	}
+	ctx := context.Background()
+	for _, s := range ends {
+		for _, tt := range ends {
+			q := control.Query{S: s, T: tt}
+			want := control.CBE(g, q)
+			for _, opts := range []EvalOptions{{}, {UseCache: true}, {ForcePartial: true}} {
+				pa, err := sites[0].Evaluate(ctx, q, opts)
+				if err != nil {
+					t.Fatalf("%v %+v: %v", q, opts, err)
+				}
+				if pa.Ans != control.Unknown && pa.Ans.Bool() != want {
+					t.Fatalf("%v %+v: site decided %v, CBE %v", q, opts, pa.Ans, want)
+				}
+				if pa.Ans == control.Unknown && pa.Reduced == nil {
+					t.Fatalf("%v %+v: undecided partial without a graph", q, opts)
+				}
+				if err := checkSlice(sites[0], q, opts, pa); err != nil {
+					t.Fatal(err)
+				}
+				pa.Release()
+			}
+			if got, _, err := coord.Answer(ctx, q); err != nil || got != want {
+				t.Fatalf("%v: coordinator %v (%v), CBE %v", q, got, err, want)
+			}
+		}
+	}
+}
+
+// TestEvaluateEmptySliceDecidesFalse: a member s with a controlling stake,
+// so that no termination condition fires on the whole partition, that
+// reaches neither t nor any virtual node has an empty slice, and the
+// reducer's round-0 check decides False with no work done.
+func TestEvaluateEmptySliceDecidesFalse(t *testing.T) {
+	g := graph.New(6)
+	for _, e := range []graph.Edge{{From: 0, To: 1, Weight: 0.6}, {From: 2, To: 3, Weight: 0.6},
+		{From: 3, To: 4, Weight: 0.6}, {From: 4, To: 5, Weight: 0.6}} {
+		if err := g.AddEdge(e.From, e.To, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pi, err := partition.Split(g, []int{0, 0, 0, 1, 1, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSite(pi.Parts[0], 1)
+	q := control.Query{S: 0, T: 5}
+	if control.CBE(g, q) {
+		t.Fatal("CBE: 0 controls 5")
+	}
+	for _, opts := range []EvalOptions{{}, {UseCache: true}} {
+		pa, err := s.Evaluate(context.Background(), q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pa.Ans != control.False || pa.Reduced != nil || pa.FromCache || pa.Stats != (control.Stats{}) {
+			t.Fatalf("%+v: partial %+v, want False with zero stats", opts, pa)
+		}
+	}
+}
+
+// undecidedQuery returns a query that a live evaluation at s leaves
+// undecided, so that it ships a reduced graph, as at t's home site in a
+// cross-border query: t is s's lowest in-node, and the source lies outside
+// the partition, so neither T1 nor T2 is trusted.
+func undecidedQuery(tb testing.TB, s *Site) control.Query {
+	tb.Helper()
+	q := control.Query{S: graph.NodeID(s.part.Local.Cap()), T: graph.None}
+	for v := range s.part.InNodes {
+		if q.T == graph.None || v < q.T {
+			q.T = v
+		}
+	}
+	pa, err := s.Evaluate(context.Background(), q, EvalOptions{})
+	if err != nil || pa.Reduced == nil {
+		tb.Fatalf("%v decided at site %d: %+v, %v", q, s.ID(), pa, err)
+	}
+	pa.Release()
+	return q
+}
+
 // liveEvalAllocs is the most a warm live Site.Evaluate may allocate per
 // query, whatever the partition size. A quiet run reads 1, the PartialAnswer
-// header: the partition copy and its reduction allocate nothing once the
-// scratch pool is warm. AllocsPerRun counts the whole process, so the bound
-// leaves room for goroutines that other tests in the package left running;
-// a copy that rebuilt its tables would cost one allocation per company.
+// header: the copy, whole partition or slice, and its reduction allocate
+// nothing once the scratch pools are warm. AllocsPerRun counts the whole
+// process, so the bound leaves room for goroutines that other tests in the
+// package left running; a copy that rebuilt its tables would cost one
+// allocation per company.
 const liveEvalAllocs = 4
 
-// TestLiveEvaluateSteadyStateAllocs evaluates one query live over and over
-// (ForcePartial, releasing each partial) on two partition sizes, and pins
-// the allocations per query at a constant that does not grow with the
-// partition: the site's scratch keeps every table across the reduction.
+// TestLiveEvaluateSteadyStateAllocs evaluates one undecided query live over
+// and over, releasing each partial, on two partition sizes, copying the whole
+// partition (ForcePartial) and the query's slice, and pins the allocations
+// per query at a constant that does not grow with the partition: the site's
+// scratch keeps every table across the reduction.
 func TestLiveEvaluateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented sync.Pool drops Puts at random; alloc pin does not hold")
@@ -168,21 +290,28 @@ func TestLiveEvaluateSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewSite(pi.Parts[0], 1)
-		q := control.Query{S: 5, T: graph.NodeID(g.Cap() - 5)}
-		opts := EvalOptions{ForcePartial: true}
-		eval := func() {
-			pa, err := s.Evaluate(context.Background(), q, opts)
-			if err != nil || pa.Reduced == nil || pa.FromCache || pa.Stats.Removed == 0 {
-				t.Fatalf("not a live reduction: partial %+v, err %v", pa, err)
+		for _, tc := range []struct {
+			opts EvalOptions
+			q    control.Query
+		}{
+			{EvalOptions{ForcePartial: true}, control.Query{S: 5, T: graph.NodeID(g.Cap() - 5)}},
+			{EvalOptions{}, undecidedQuery(t, s)},
+		} {
+			opts := tc.opts
+			eval := func() {
+				pa, err := s.Evaluate(context.Background(), tc.q, opts)
+				if err != nil || pa.Reduced == nil || pa.FromCache || opts.ForcePartial && pa.Stats.Removed == 0 {
+					t.Fatalf("not a live reduction: partial %+v, err %v", pa, err)
+				}
+				pa.Release()
 			}
-			pa.Release()
-		}
-		eval()
-		allocs := testing.AllocsPerRun(50, eval)
-		t.Logf("%d members: %.0f allocs per live evaluation", s.Members(), allocs)
-		if allocs > liveEvalAllocs {
-			t.Fatalf("%d members: live Evaluate allocated %.0f times per run, want <= %d",
-				s.Members(), allocs, liveEvalAllocs)
+			eval()
+			allocs := testing.AllocsPerRun(50, eval)
+			t.Logf("%d members, ForcePartial %v: %.0f allocs per live evaluation", s.Members(), opts.ForcePartial, allocs)
+			if allocs > liveEvalAllocs {
+				t.Fatalf("%d members, ForcePartial %v: live Evaluate allocated %.0f times per run, want <= %d",
+					s.Members(), opts.ForcePartial, allocs, liveEvalAllocs)
+			}
 		}
 	}
 }

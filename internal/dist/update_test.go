@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
 	"runtime"
@@ -415,6 +416,155 @@ func TestCoordinatorAnswersRacingUpdates(t *testing.T) {
 		}
 		if !got {
 			t.Fatalf("query %d: controls(1,3) answered false", i)
+		}
+	}
+}
+
+// boundaryGraph is the graph of the boundary-move tests: sites A = {0..3}
+// and B = {4..7}, with 0 → 3 and 1 → 2 at A and 6 → 7 at B, all 0.6, and no
+// cross edge yet.
+func boundaryGraph(t *testing.T) (*graph.Graph, []int) {
+	t.Helper()
+	g := graph.New(8)
+	for _, e := range []graph.Edge{{From: 0, To: 3, Weight: 0.6}, {From: 1, To: 2, Weight: 0.6},
+		{From: 6, To: 7, Weight: 0.6}} {
+		if err := g.AddEdge(e.From, e.To, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g, []int{0, 0, 0, 0, 1, 1, 1, 1}
+}
+
+// TestSliceFollowsBoundaryUpdates moves site A's boundary between queries
+// whose answers depend on it, and requires every answer to equal CBE and
+// every live reply to reduce the slice of the partition as it stands: a
+// slice cut with the reachability sets of an older epoch would answer
+// controls(4, 2) false after 4 → 1 makes 1 an in-node, and controls(0, 7)
+// false after 3 → 6 makes 6 virtual. A count-only tick at A, a second cross
+// stake into in-node 1, moves neither A's epoch nor its sets.
+func TestSliceFollowsBoundaryUpdates(t *testing.T) {
+	for _, opts := range []Options{{}, {UseCache: true}} {
+		g, assign := boundaryGraph(t)
+		c := newDiffCluster(t, g, assign, 2, opts, false, checkSlice)
+		siteA := c.coord.clients[0].(*recordingClient).site
+		queries := []control.Query{{S: 4, T: 2}, {S: 5, T: 2}, {S: 0, T: 7}, {S: 0, T: 6}}
+		ask := func(step string) {
+			for _, q := range queries {
+				c.check(t, fmt.Sprintf("%+v %s", opts, step), q)
+			}
+		}
+		ask("before")
+		for _, step := range []struct {
+			name string
+			up   StakeUpdate
+			tick bool
+		}{
+			{"4→1 makes 1 an in-node", StakeUpdate{Owner: 4, Owned: 1, Weight: 0.6}, false},
+			{"5→1 ticks 1's cross-in count", StakeUpdate{Owner: 5, Owned: 1, Weight: 0.1}, true},
+			{"5→1 removed ticks it back", StakeUpdate{Owner: 5, Owned: 1, Remove: true}, true},
+			{"4→1 removed drops the last cross edge into 1", StakeUpdate{Owner: 4, Owned: 1, Remove: true}, false},
+			{"3→6 makes 6 virtual", StakeUpdate{Owner: 3, Owned: 6, Weight: 0.6}, false},
+		} {
+			epoch := siteA.Epoch()
+			c.update(t, step.up)
+			if moved := siteA.Epoch() != epoch; moved == step.tick {
+				t.Fatalf("%+v %s: site A's epoch moved %v", opts, step.name, moved)
+			}
+			if step.tick && siteA.reachEpoch.Load() != epoch {
+				t.Fatalf("%+v %s: a count-only tick invalidated A's slice sets", opts, step.name)
+			}
+			ask(step.name)
+		}
+		if !control.CBE(c.g, control.Query{S: 0, T: 7}) {
+			t.Fatal("the last step should have made 0 control 7")
+		}
+		c.stop()
+	}
+}
+
+// TestSliceRacingBoundaryUpdates streams boundary moves at site A — an
+// in-node appearing and disappearing, a count-only tick on another, a new
+// virtual node — against live evaluations at A, from the coordinator and
+// from a second reader, and requires controls(4, 2), through in-node 1,
+// and controls(0, 7), through virtual node 6, to hold throughout. A reader
+// that cut its slice from sets another reader was rebuilding would lose the
+// path and answer false.
+func TestSliceRacingBoundaryUpdates(t *testing.T) {
+	g, assign := boundaryGraph(t)
+	for _, e := range []graph.Edge{{From: 4, To: 1, Weight: 0.6}, {From: 3, To: 6, Weight: 0.6}} {
+		if err := g.AddEdge(e.From, e.To, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pi, err := partition.Split(g, assign, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := []*Site{NewSite(pi.Parts[0], 1), NewSite(pi.Parts[1], 1)}
+	coord := NewCoordinator([]SiteClient{&LocalClient{Site: sites[0]}, &LocalClient{Site: sites[1]}},
+		Options{UseCache: true, Workers: 1})
+	ctx := context.Background()
+	cycle := []StakeUpdate{
+		{Owner: 5, Owned: 0, Weight: 0.05}, // 0 becomes an in-node
+		{Owner: 5, Owned: 1, Weight: 0.05}, // a tick on in-node 1
+		{Owner: 2, Owned: 5, Weight: 0.05}, // 5 becomes virtual
+		{Owner: 5, Owned: 1, Remove: true}, // the tick back
+		{Owner: 5, Owned: 0, Remove: true}, // 0 is no in-node again
+		{Owner: 2, Owned: 5, Remove: true}, // 2's stake in 5 goes
+		{Owner: 3, Owned: 4, Weight: 0.05}, // 4 becomes virtual
+		{Owner: 3, Owned: 4, Remove: true}, // and loses its stake
+	}
+	var applied atomic.Int64
+	quit, done, readerDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(quit)
+		<-done
+		<-readerDone
+	}()
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			if err := coord.ApplyUpdate(ctx, cycle[i%len(cycle)]); err != nil {
+				t.Error(err)
+				return
+			}
+			applied.Add(1)
+		}
+	}()
+	go func() {
+		defer close(readerDone)
+		q := control.Query{S: 4, T: 2}
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			pa, err := sites[0].Evaluate(ctx, q, EvalOptions{UseCache: true})
+			if err != nil || pa.Ans == control.False {
+				t.Errorf("site A on %v: %+v, %v", q, pa, err)
+				return
+			}
+			pa.Release()
+		}
+	}()
+	for i := 0; i < 1000 || applied.Load() < 1000; i++ {
+		select {
+		case <-done:
+			t.Fatal("the writer stopped")
+		case <-readerDone:
+			t.Fatal("the second reader stopped")
+		default:
+		}
+		for _, q := range []control.Query{{S: 4, T: 2}, {S: 0, T: 7}} {
+			if got, _, err := coord.Answer(ctx, q); err != nil || !got {
+				t.Fatalf("query %d: %v answered %v, %v", i, q, got, err)
+			}
 		}
 	}
 }

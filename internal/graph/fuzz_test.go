@@ -60,18 +60,25 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// fuzzMaxCap bounds the id capacity a fuzzed payload may declare. The
-// decoder sizes the graph from it before reading any id, so one four-byte
-// header can ask for tens of gigabytes; that is the caller's resource limit
-// to set, not a decoding bug.
-const fuzzMaxCap = 1 << 16
+// fuzzMaxID bounds the largest live id a fuzzed payload may list. The
+// header's capacity only bounds ids, and the decoder sizes the graph to one
+// past the largest live id, so a payload cannot claim more than it lists; but
+// one listed id near 2^31 still sizes a dense graph of tens of gigabytes,
+// which is the caller's resource limit to set, not a decoding bug.
+const fuzzMaxID = 1 << 16
 
-// declaredCap reads a CCPG1 payload's capacity field, or 0 if it has none.
-func declaredCap(data []byte) uint32 {
-	if len(data) < len(binaryMagic)+4 {
+// largestLiveID reads the last id of a CCPG1 payload's live-id list, the one
+// that sizes the decoded graph, or 0 if the payload lists none.
+func largestLiveID(data []byte) uint32 {
+	head := len(binaryMagic) + 8
+	if len(data) < head {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(data[len(binaryMagic):])
+	n := binary.LittleEndian.Uint32(data[head-4:])
+	if n == 0 || uint64(len(data)) < uint64(head)+4*uint64(n) {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(data[head+4*int(n)-4:])
 }
 
 // fuzzSeedPayloads are the FuzzReadBinary seeds, shared with the pooled
@@ -120,8 +127,8 @@ func FuzzDecodeBinaryIntoReused(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		if declaredCap(a) > fuzzMaxCap || declaredCap(b) > fuzzMaxCap {
-			t.Skip("declared capacity over the fuzzing bound")
+		if largestLiveID(a) > fuzzMaxID || largestLiveID(b) > fuzzMaxID {
+			t.Skip("live id over the fuzzing bound")
 		}
 		scratch := New(0)
 		if _, err := DecodeBinaryInto(scratch, a); err != nil {

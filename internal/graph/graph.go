@@ -480,8 +480,7 @@ func cloneMap(m map[NodeID]float64) map[NodeID]float64 {
 		return nil
 	}
 	// maps.Clone copies the table wholesale in the runtime, far faster than
-	// insert-by-insert; Clone dominates the per-query cost of distributed
-	// live evaluations, which copy the whole partition before reducing it.
+	// insert-by-insert.
 	return maps.Clone(m)
 }
 

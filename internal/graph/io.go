@@ -126,11 +126,13 @@ func DecodeBinary(data []byte) (*Graph, error) {
 }
 
 // DecodeBinaryInto parses a CCPG1 payload into dst, reusing dst's slices and
-// edge maps; a nil dst allocates a fresh graph. Trailing bytes are ignored;
-// a live-id list that is not strictly ascending is rejected. On error the
-// destination's contents are unspecified and it must not be returned to a
-// pool. A pooled dst cycling through same-shaped payloads decodes without
-// allocating.
+// edge maps; a nil dst allocates a fresh graph. The header's capacity only
+// bounds the ids: the decoded graph's Cap is one past its largest live id,
+// so a header cannot size a graph beyond the ids the payload lists.
+// Trailing bytes are ignored; a live-id list that is not strictly ascending
+// is rejected. On error the destination's contents are unspecified and it
+// must not be returned to a pool. A pooled dst cycling through same-shaped
+// payloads decodes without allocating.
 func DecodeBinaryInto(dst *Graph, data []byte) (*Graph, error) {
 	if len(data) < len(binaryMagic) || string(data[:len(binaryMagic)]) != binaryMagic {
 		return nil, errors.New("graph: bad magic, not a CCPG1 payload")
@@ -155,30 +157,36 @@ func DecodeBinaryInto(dst *Graph, data []byte) (*Graph, error) {
 	if nAlive > capacity {
 		return nil, fmt.Errorf("graph: live count %d exceeds capacity %d", nAlive, capacity)
 	}
-	g := dst
-	if g == nil {
-		g = newShell(int(capacity))
-	} else {
-		g.sizeTo(int(capacity))
-		g.Reset()
+	// Check the live ids before sizing anything: the graph spans the largest
+	// one, not the capacity the header claims.
+	if uint64(len(data)-off) < 4*uint64(nAlive) {
+		return nil, io.ErrUnexpectedEOF
 	}
-	for i, prev := uint32(0), uint32(0); i < nAlive; i++ {
-		id, err := u32()
-		if err != nil {
-			return nil, err
-		}
-		if id >= capacity {
+	ids := off
+	size := uint32(0)
+	for i := uint32(0); i < nAlive; i++ {
+		id, _ := u32() // in bounds: the length is checked above
+		if id >= capacity || id > math.MaxInt32 {
 			return nil, fmt.Errorf("graph: node id %d out of range", id)
 		}
 		// The format lists live ids sorted; a repeat would leave nAlive
 		// above the number of live nodes.
-		if i > 0 && id <= prev {
-			return nil, fmt.Errorf("graph: live id %d after %d, not ascending", id, prev)
+		if id < size {
+			return nil, fmt.Errorf("graph: live id %d after %d, not ascending", id, size-1)
 		}
-		prev = id
-		g.alive[id] = true
-		g.nAlive++
+		size = id + 1
 	}
+	g := dst
+	if g == nil {
+		g = newShell(int(size))
+	} else {
+		g.sizeTo(int(size))
+		g.Reset()
+	}
+	for i := uint32(0); i < nAlive; i++ {
+		g.alive[binary.LittleEndian.Uint32(data[ids+4*int(i):])] = true
+	}
+	g.nAlive = int(nAlive)
 	nEdges, err := u32()
 	if err != nil {
 		return nil, err

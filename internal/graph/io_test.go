@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -89,6 +90,46 @@ func TestBinaryRejectsRepeatedLiveIDs(t *testing.T) {
 		}
 		if _, err := DecodeBinary(payload); err == nil {
 			t.Errorf("%s: DecodeBinary accepted it", name)
+		}
+	}
+}
+
+// TestBinaryDecodeSizedByPayload: the header's capacity bounds ids but does
+// not size the graph. A payload claiming 2^32-1 slots decodes to a graph one
+// past its largest live id, with allocation proportional to the payload, and
+// a 14-byte header claiming that many live ids is rejected before anything
+// is sized.
+func TestBinaryDecodeSizedByPayload(t *testing.T) {
+	const huge = 1<<32 - 1
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		cap     int // -1: rejected
+	}{
+		{"no live ids", edgelessPayload(huge), 0},
+		{"one live id", edgelessPayload(huge, 10), 11},
+		{"live count past the payload", edgelessPayload(huge)[:14], -1},
+		{"id at the capacity", edgelessPayload(1000, 1000), -1},
+		{"id past NodeID", edgelessPayload(huge, 1<<31), -1},
+	} {
+		if tc.name == "live count past the payload" {
+			tc.payload[13] = 0xff // nAlive = 0xff000000
+		}
+		var g *Graph
+		var err error
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		for _, dst := range []*Graph{nil, New(3)} {
+			if g, err = DecodeBinaryInto(dst, tc.payload); (err == nil) != (tc.cap >= 0) {
+				t.Fatalf("%s: err = %v", tc.name, err)
+			}
+		}
+		runtime.ReadMemStats(&ms1)
+		if b := ms1.TotalAlloc - ms0.TotalAlloc; b > 1<<16 {
+			t.Fatalf("%s: decoding a %d-byte payload allocated %d bytes", tc.name, len(tc.payload), b)
+		}
+		if err == nil && (g.Cap() != tc.cap || g.NumNodes() != min(tc.cap, 1)) {
+			t.Fatalf("%s: decoded %v, want cap %d", tc.name, g, tc.cap)
 		}
 	}
 }

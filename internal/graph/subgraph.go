@@ -32,24 +32,64 @@ func (s NodeSet) AddAll(t NodeSet) {
 // are live in g and every edge of g with both endpoints in keep. Node ids are
 // preserved; the result has the same id capacity as g.
 func (g *Graph) Induced(keep NodeSet) *Graph {
-	sub := newShell(len(g.alive))
+	ids := make([]NodeID, 0, len(keep))
 	for v := range keep {
-		if g.Alive(v) {
-			sub.alive[v] = true
-			sub.nAlive++
+		ids = append(ids, v)
+	}
+	return g.InducedInto(nil, ids)
+}
+
+// InducedInto builds into dst the subgraph of g induced by keep: the nodes
+// keep lists that are live in g and every edge of g between two of them. Ids
+// and the id capacity are preserved, and keep may repeat a node. dst's
+// slices and edge maps are reused as CloneInto reuses them, and emptying dst
+// costs a scan of its live flags: a graph's dead nodes hold no edges and no
+// aggregates, so only its live ones need clearing. A pooled destination
+// reduced between two calls therefore allocates nothing once warm. A nil dst,
+// or g itself, gets a fresh graph.
+func (g *Graph) InducedInto(dst *Graph, keep []NodeID) *Graph {
+	switch {
+	case dst == nil || dst == g:
+		dst = newShell(len(g.alive))
+	case len(dst.alive) != len(g.alive):
+		dst.sizeTo(len(g.alive))
+		dst.Reset()
+	default:
+		dst.clearLive()
+	}
+	for _, v := range keep {
+		if g.Alive(v) && !dst.alive[v] {
+			dst.alive[v] = true
+			dst.nAlive++
 		}
 	}
-	for v := range keep {
-		if !g.Alive(v) {
+	for _, v := range keep {
+		// Only v's own pass adds edges out of v, so a non-empty table
+		// marks a repeat.
+		if !dst.Alive(v) || len(dst.out[v]) != 0 {
 			continue
 		}
 		for u, w := range g.out[v] {
-			if sub.Alive(u) {
-				sub.setEdge(v, u, w)
+			if dst.alive[u] {
+				dst.setEdge(v, u, w)
 			}
 		}
 	}
-	return sub
+	return dst
+}
+
+// clearLive empties g by visiting its live nodes only: removal already
+// cleared a dead node's edge maps and aggregates.
+func (g *Graph) clearLive() {
+	for i, ok := range g.alive {
+		if ok {
+			clear(g.out[i])
+			clear(g.in[i])
+			g.alive[i] = false
+			g.resetAggregates(NodeID(i))
+		}
+	}
+	g.nAlive, g.nEdges = 0, 0
 }
 
 // Merge adds every live node and edge of other into g, extending the id

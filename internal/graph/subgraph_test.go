@@ -49,6 +49,55 @@ func TestInduced(t *testing.T) {
 	}
 }
 
+// TestInducedIntoReusesScratch builds random slices of one graph into a
+// single scratch graph, reducing some of them in between by removing nodes,
+// and requires each result to equal a fresh Induced of the same set, with
+// consistent aggregates; once warm, a rebuild allocates nothing.
+func TestInducedIntoReusesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := New(60)
+	for i := 0; i < 150; i++ {
+		u, v := NodeID(rng.Intn(60)), NodeID(rng.Intn(60))
+		if u != v && g.InSum(v) < 0.7 {
+			g.MergeEdge(u, v, 0.05+0.25*rng.Float64())
+		}
+	}
+	g.RemoveNode(7)
+	scratch := g.InducedInto(New(90), nil) // resized down from a larger graph
+	for round := 0; round < 50; round++ {
+		var keep []NodeID
+		set := NewNodeSet()
+		for i := rng.Intn(40); i > 0; i-- {
+			v := NodeID(rng.Intn(62) - 1) // dead, absent and out-of-range ids too
+			keep = append(keep, v, v)     // and repeats
+			set.Add(v)
+		}
+		scratch = g.InducedInto(scratch, keep)
+		if want := g.Induced(set); !Equal(scratch, want, 0) || scratch.Cap() != g.Cap() {
+			t.Fatalf("round %d: InducedInto %v, Induced %v", round, scratch, want)
+		}
+		if err := checkAggregates(scratch); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for _, v := range keep {
+			if rng.Intn(3) == 0 {
+				scratch.RemoveNode(v)
+			}
+		}
+	}
+	all := make([]NodeID, g.Cap())
+	for i := range all {
+		all[i] = NodeID(i)
+	}
+	scratch = g.InducedInto(scratch, all)
+	if allocs := testing.AllocsPerRun(20, func() { scratch = g.InducedInto(scratch, all) }); allocs != 0 {
+		t.Fatalf("warm InducedInto allocated %.0f times", allocs)
+	}
+	if !Equal(scratch, g, 0) {
+		t.Fatal("inducing every node does not copy the graph")
+	}
+}
+
 func TestMergeDisjoint(t *testing.T) {
 	a := build(t, 2, Edge{0, 1, 0.6})
 	b := New(5)

@@ -56,8 +56,9 @@ const (
 	// Circuit is a circuit-breaker transition; A1 is the consecutive-failure
 	// count, A2 the new position (0 closed, 1 open, 2 half-open).
 	Circuit
-	// SiteReduce is a site's reduction of its partition copy; A1 is the
-	// duration in nanoseconds, A2 the work done (PackReduce).
+	// SiteReduce is a site's reduction of its copy of a slice or of the
+	// whole partition; A1 is the duration in nanoseconds, A2 the work done
+	// (PackReduce).
 	SiteReduce
 	// Update is one stake update applied; A1/A2 carry owner and owned.
 	Update
@@ -97,9 +98,9 @@ const (
 	// thresholds (entering breach); A1 is the SLO's registry index, A2 the
 	// fast-window burn rate in thousandths.
 	SLOBreach
-	// GraphClone is a site copying its partition into per-query scratch
-	// under its read lock; A1 is the duration in nanoseconds, A2 the nodes
-	// copied.
+	// GraphClone is a site copying a query's slice of its partition (the
+	// whole partition under ForcePartial) into per-query scratch under its
+	// read lock; A1 is the duration in nanoseconds, A2 the nodes copied.
 	GraphClone
 	// GraphMerge is the coordinator assembling the partial answers into the
 	// merged graph; A1 is the duration in nanoseconds, A2 the merged edges.

@@ -5,8 +5,10 @@
 # explicit timeout so a hung transport test fails fast instead of stalling
 # CI), and the race detector over the packages that do parallel graph
 # surgery or concurrent transport work, five race-detector runs of the
-# coordinator's concurrency tests and of the WAL's commit tests (appends
-# racing each other and checkpoints, a failed fsync poisoning the log),
+# coordinator's concurrency tests (live slices racing the boundary moves
+# that rebuild a site's per-epoch reachability sets among them) and of the
+# WAL's commit tests (appends racing each other and checkpoints, a failed
+# fsync poisoning the log),
 # short fuzz runs over the write path,
 # the WAL record decoder, the site's socket decoder, the checkpoint loader,
 # the pooled graph decoder, the coordinator's partial decode and merge, and
@@ -55,11 +57,13 @@ go test -race -shuffle=on -timeout 10m \
     ./internal/obs/...
 
 # The coordinator shares its per-site copies and pooled merge scratch across
-# in-flight queries with no lock; run the tests that race queries against each
-# other and against updates several times over.
-echo "== go test -race -count=5 (coordinator concurrency) =="
+# in-flight queries with no lock, and a site's live evaluations share the
+# reachability sets their slices are cut from, rebuilt by whichever reader
+# first sees a new epoch; run the tests that race queries against each other
+# and against updates several times over.
+echo "== go test -race -count=5 (coordinator and slice concurrency) =="
 go test -race -count=5 -timeout 10m \
-    -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates' \
+    -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates|TestSliceRacingBoundaryUpdates' \
     ./internal/dist
 
 # The WAL has one committer: an append writes, flushes and fsyncs under the
