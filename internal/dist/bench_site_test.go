@@ -8,6 +8,7 @@ import (
 	"ccp/internal/gen"
 	"ccp/internal/graph"
 	"ccp/internal/partition"
+	"ccp/internal/store"
 )
 
 // BenchmarkLiveEvaluate measures one live site evaluation on the graph shape
@@ -88,4 +89,55 @@ func BenchmarkLiveEvaluate(b *testing.B) {
 			b.ReportMetric(v.nodes, "nodes/op")
 		})
 	}
+}
+
+// BenchmarkPrecompute measures one rebuild of a site's query-independent
+// cache on the same graph and site as BenchmarkLiveEvaluate, as the first
+// cached query after an update pays it. "core" is the site's own rebuild:
+// a mark record moves the epoch, and Precompute rebuilds the reachability
+// sets, copies the core and reduces it. "partition" copies the whole
+// partition into reused scratch and reduces it with the same exclusion set
+// and options, then keeps a compact clone, as a cache build did before it
+// was cut to the core; it is a test-side reference, not a production path.
+// nodes/op is the size of the copy.
+func BenchmarkPrecompute(b *testing.B) {
+	eu := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 8000, InterconnectRate: 0.01,
+		AvgOutDegree: 3, Seed: 2021})
+	pi, err := partition.Split(eu.G, eu.Country, eu.Countries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := pi.Parts[0]
+	ctx := context.Background()
+	b.Run("core", func(b *testing.B) {
+		s := NewSite(p, 1)
+		var r partition.Reach
+		var sc partition.SliceScratch
+		p.BuildReach(&r)
+		nodes := len(p.Slice(&r, graph.None, graph.None, &sc))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.Apply(store.Record{Kind: store.KindMark}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Precompute(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(nodes), "nodes/op")
+	})
+	b.Run("partition", func(b *testing.B) {
+		var scratch *graph.Graph
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			scratch = p.Local.CloneInto(scratch)
+			_, err := control.ParallelReduction(ctx, scratch, control.Query{S: graph.None, T: graph.None},
+				p.Boundary(), control.Options{Workers: 1, DisableTermination: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = scratch.Clone()
+		}
+		b.ReportMetric(float64(p.Local.NumNodes()), "nodes/op")
+	})
 }

@@ -204,16 +204,24 @@ func refSlice(p *partition.Partition, s, t graph.NodeID) graph.NodeSet {
 
 // checkSlice is the site-evaluation hook of the differential. A live reply
 // to an undecided query, unless ForcePartial, reduces q's slice of the
-// site's partition as it stands: every node of the partial lies in the
-// slice, and the partial keeps every node of the slice that the reduction
-// may not remove — V^in, V^virt, s and t.
+// site's partition as it stands, and a shipped cached reply reduces the
+// partition's core, the slice of a query with no endpoint there: every node
+// of the partial lies in that slice, and the partial keeps every node of the
+// slice that the reduction may not remove — V^in, V^virt, and s and t when
+// the reply is live.
 func checkSlice(s *Site, q control.Query, opts EvalOptions, pa *PartialAnswer) error {
-	if pa.FromCache || pa.NotModified || pa.Ans != control.Unknown || opts.ForcePartial {
+	if pa.NotModified || pa.Ans != control.Unknown || (opts.ForcePartial && !pa.FromCache) {
 		return nil
+	}
+	if pa.FromCache {
+		q = control.Query{S: graph.None, T: graph.None}
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	p := s.part
+	if pa.Epoch != s.epoch.Load() {
+		return fmt.Errorf("site %d %v: reply at epoch %d, site at %d", p.ID, q, pa.Epoch, s.epoch.Load())
+	}
 	want := refSlice(p, q.S, q.T)
 	var err error
 	pa.Reduced.EachNode(func(v graph.NodeID) {
@@ -398,8 +406,9 @@ func diffStake(eu *gen.EUGraph, g *graph.Graph, rng *rand.Rand) (StakeUpdate, bo
 // uniform and absent-endpoint queries, and stakes added and removed between
 // queries, the coordinator's answer must equal control.CBE and the retired
 // global-id merge of the same replies, and its Metrics must equal the global
-// merge's. Every live site reply must have reduced the query's slice
-// (checkSlice). Every 10th seed's sites answer over loopback TCP.
+// merge's. Every live site reply must have reduced the query's slice, and
+// every shipped cached reply the partition's core (checkSlice). Every 10th
+// seed's sites answer over loopback TCP.
 func TestCoordinatorMatchesGlobalMerge(t *testing.T) {
 	seeds := 1000
 	if testing.Short() || raceEnabled {

@@ -13,6 +13,7 @@ import (
 
 	"ccp/internal/control"
 	"ccp/internal/graph"
+	"ccp/internal/obs/flight"
 	"ccp/internal/partition"
 	"ccp/internal/store"
 )
@@ -409,27 +410,54 @@ func encodePartition(p *partition.Partition) ([]byte, error) {
 // reduceAt is the oracle for a partial answer at one epoch: a single-worker
 // reduction of a fresh copy of the partition recorded for that epoch,
 // excluding its boundary plus the query's endpoints (none for the
-// query-independent cache).
-func reduceAt(p *partition.Partition, q control.Query) (*graph.Graph, error) {
-	g := p.Local.Clone()
+// query-independent cache). A nil keep copies the whole partition with
+// termination off, as ForcePartial does; otherwise only the nodes of keep
+// are copied. A live query (opt.DisableTermination unset) is first put to
+// the termination check on the whole partition, as a site does before it
+// copies anything; a decided query returns its answer and no graph. With
+// termination off, the answer is Unknown, as a site reports it.
+func reduceAt(p *partition.Partition, q control.Query, keep graph.NodeSet, opt control.Options) (control.Answer, *graph.Graph, error) {
+	live := !opt.DisableTermination
+	if live {
+		if a := control.CheckTermination(p.Local, q, opt.Trust); a != control.Unknown {
+			return a, nil, nil
+		}
+	}
+	var g *graph.Graph
+	if keep == nil {
+		g = p.Local.Clone()
+	} else {
+		g = p.Local.Induced(keep)
+	}
 	x := p.Boundary()
 	if q.S != graph.None {
 		x.Add(q.S)
 		x.Add(q.T)
 	}
-	_, err := control.ParallelReduction(context.Background(), g, q, x,
-		control.Options{Workers: 1, DisableTermination: true})
-	return g, err
+	opt.Workers = 1
+	res, err := control.ParallelReduction(context.Background(), g, q, x, opt)
+	if !live {
+		return control.Unknown, g, err
+	}
+	if res.Ans != control.Unknown {
+		g = nil
+	}
+	return res.Ans, g, err
 }
 
 // TestSnapshotsNeverMixEpochs streams updates from one goroutine, which
 // records the partition for every epoch, while one reader per read path
 // checks that what it got is that partition at the epoch it was stamped
 // with — no torn reads, no mixed epochs. The read paths are a live
-// evaluation (ForcePartial), a cached evaluation, the checkpoint source and
-// the replication bootstrap image. Each partial must equal a single-worker
-// reduction of the recorded partition; each image must decode to it. Run
-// under -race this also checks the read lock against Apply.
+// evaluation of the whole partition (ForcePartial), a live evaluation of the
+// query's slice, a cached evaluation, the checkpoint source and the
+// replication bootstrap image. Each partial must equal a single-worker
+// reduction of the recorded partition's copy that path takes — all of it,
+// the query's slice, or the core — with the slice and the core computed by
+// the test's own two BFS (refSlice); each image must decode to the recorded
+// partition. A slice read and a cache build after an update race to rebuild
+// the site's reachability sets. Run under -race this also checks the read
+// lock and the rebuild's lock against Apply.
 func TestSnapshotsNeverMixEpochs(t *testing.T) {
 	s, err := OpenDurableSite(t.TempDir(), durableSeed(11, 16, 0), 2, store.Options{NoSync: true})
 	if err != nil {
@@ -459,10 +487,16 @@ func TestSnapshotsNeverMixEpochs(t *testing.T) {
 
 	// The writer keeps streaming until every reader verified enough reads,
 	// so the test self-paces instead of racing a fixed count.
-	paths := []string{"live", "cached", "checkpoint", "replication"}
+	paths := []string{"live", "slice", "cached", "checkpoint", "replication"}
 	const wantChecks = 100
 	checks := make([]atomic.Int64, len(paths))
+	// sliced counts the slice reads that copied a slice rather than being
+	// decided before it: those race the cache builds on the rebuild lock.
+	var sliced atomic.Int64
 	allChecked := func() bool {
+		if sliced.Load() < wantChecks {
+			return false
+		}
 		for i := range checks {
 			if checks[i].Load() < wantChecks {
 				return false
@@ -506,6 +540,14 @@ func TestSnapshotsNeverMixEpochs(t *testing.T) {
 			a := rng.Intn(8)
 			q = control.Query{S: graph.NodeID(2 * a), T: graph.NodeID(2 * ((a + 1 + rng.Intn(7)) % 8))}
 			partial, err = s.Evaluate(context.Background(), q, EvalOptions{ForcePartial: true})
+		case "slice":
+			// A member source and any target, member or foreign: a live
+			// evaluation of the query's slice, which may decide.
+			q = control.Query{S: graph.NodeID(2 * rng.Intn(8)), T: graph.NodeID(rng.Intn(16))}
+			for q.T == q.S {
+				q.T = graph.NodeID(rng.Intn(16))
+			}
+			partial, err = s.Evaluate(context.Background(), q, EvalOptions{})
 		case "cached":
 			q = control.Query{S: graph.None, T: graph.None}
 			partial, err = s.Evaluate(context.Background(), control.Query{S: 1, T: 3}, EvalOptions{UseCache: true})
@@ -528,8 +570,10 @@ func TestSnapshotsNeverMixEpochs(t *testing.T) {
 		}
 		if partial != nil {
 			defer partial.Release()
-			if partial.Reduced == nil || partial.NotModified || partial.Ans != control.Unknown {
-				t.Errorf("%s read: partial %+v ships no graph", paths[r], partial)
+			// Only a slice read may decide; an undecided partial ships a graph.
+			if partial.NotModified || (partial.Reduced == nil) != (partial.Ans != control.Unknown) ||
+				(partial.Reduced == nil && paths[r] != "slice") {
+				t.Errorf("%s read: unexpected partial %+v", paths[r], partial)
 				return false
 			}
 			epoch = partial.Epoch
@@ -546,14 +590,28 @@ func TestSnapshotsNeverMixEpochs(t *testing.T) {
 			}
 			return true
 		}
-		g, err := reduceAt(want.part, q)
+		p := want.part
+		var keep graph.NodeSet // the whole partition
+		opt := control.Options{DisableTermination: true}
+		switch paths[r] {
+		case "slice":
+			if partial.Reduced != nil {
+				sliced.Add(1)
+			}
+			keep = refSlice(p, q.S, q.T)
+			opt = control.Options{Trust: control.TerminationTrust{
+				T1: true, T2: p.Members.Has(q.T) && !p.InNodes.Has(q.T)}}
+		case "cached":
+			keep = refSlice(p, graph.None, graph.None)
+		}
+		ans, g, err := reduceAt(p, q, keep, opt)
 		if err != nil {
 			t.Errorf("%s read: oracle reduction: %v", paths[r], err)
 			return false
 		}
-		if !graph.Equal(g, partial.Reduced, 1e-9) {
-			t.Errorf("%s read: partial at epoch %d is not the reduction of that epoch's partition (mixed-epoch read)",
-				paths[r], epoch)
+		if ans != partial.Ans || (g != nil && !graph.Equal(g, partial.Reduced, 1e-9)) {
+			t.Errorf("%s read: partial at epoch %d (%v) is not the reduction of that epoch's partition (%v): mixed-epoch read",
+				paths[r], epoch, partial.Ans, ans)
 			return false
 		}
 		return true
@@ -690,5 +748,78 @@ func TestCoordinatorRevalidatesAcrossRestart(t *testing.T) {
 	}
 	if m4.Bytes >= m1.Bytes {
 		t.Fatalf("revalidated query shipped %dB, first shipped %dB", m4.Bytes, m1.Bytes)
+	}
+}
+
+// TestRevalidationSkipsColdCache: a durable restart keeps the epoch but not
+// the cache, so the first conditional fetch at that epoch finds the cache
+// cold. It must answer NotModified without building it — no cache, and no
+// graph.clone in its trace. The first unconditional fetch then builds it,
+// and its trace shows the build: a graph.clone of exactly the core's nodes
+// and a control.site_reduce.
+func TestRevalidationSkipsColdCache(t *testing.T) {
+	dir := t.TempDir()
+	seed := durableSeed(5, 64, 0)
+	s, err := OpenDurableSite(dir, seed, 1, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20; i++ {
+		if _, err := s.ApplyEdgeUpdate(randomStake(rng, 64, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch := s.Epoch()
+	if err := s.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = OpenDurableSite(dir, seed, 1, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.CloseStore()
+	if s.Epoch() != epoch {
+		t.Fatalf("recovered epoch %d, want %d", s.Epoch(), epoch)
+	}
+
+	ctx := context.Background()
+	q := control.Query{S: 1, T: 3} // odd ids: members of the other shard
+	spans := func(pa *PartialAnswer) (clones []int64, reduces int) {
+		for _, e := range pa.Events {
+			switch e.Type {
+			case flight.GraphClone:
+				clones = append(clones, e.A2)
+			case flight.SiteReduce:
+				reduces++
+			}
+		}
+		return clones, reduces
+	}
+	pa, err := s.Evaluate(ctx, q, EvalOptions{UseCache: true, HasIfEpoch: true, IfEpoch: epoch, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pa.NotModified || pa.Reduced != nil || pa.Epoch != epoch {
+		t.Fatalf("revalidation at the recovered epoch: %+v", pa)
+	}
+	if clones, reduces := spans(pa); s.cache != nil || len(clones) != 0 || reduces != 0 {
+		t.Fatalf("revalidation built the cache: cache %v, clones %v, reduces %d", s.cache != nil, clones, reduces)
+	}
+
+	pa, err = s.Evaluate(ctx, q, EvalOptions{UseCache: true, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	core := int64(len(refSlice(s.part, graph.None, graph.None)))
+	if core == 0 || core == int64(s.part.Local.NumNodes()) {
+		t.Fatalf("the core has %d of %d nodes: pick a graph where it is a proper slice", core, s.part.Local.NumNodes())
+	}
+	clones, reduces := spans(pa)
+	if !pa.FromCache || pa.Reduced == nil || s.cache == nil {
+		t.Fatalf("unconditional fetch: %+v", pa)
+	}
+	if len(clones) != 1 || clones[0] != core || reduces != 1 {
+		t.Fatalf("cache build traced clones %v (core %d nodes) and %d reduces", clones, core, reduces)
 	}
 }

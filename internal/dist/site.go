@@ -3,7 +3,10 @@
 // partition (partial evaluation), and a coordinator that assembles the
 // partial answers, reduces the merged graph, and produces the final answer.
 // Query-independent partial answers can be pre-computed and cached, so that
-// at query time at most the two sites storing s and t evaluate anything.
+// at query time at most the two sites storing s and t evaluate anything. A
+// live evaluation reduces only the query's slice of its partition, and the
+// cache only the partition's core, the slice of a query with no endpoint at
+// the site; the whole partition is copied only under ForcePartial.
 //
 // Sites and coordinator can run in one process (LocalClient) or as separate
 // processes speaking a gob protocol over TCP (Serve / Dial), with byte-level
@@ -84,16 +87,17 @@ func (pa *PartialAnswer) Release() {
 // versions it, and the query-independent cache. Apply holds it exclusively.
 // A live evaluation holds it shared only while it reads the termination
 // aggregates and copies its slice of the partition and the boundary into
-// pooled scratch, then reduces the copy with the lock released; every partial
-// is therefore computed from the partition exactly as it stood at the epoch
-// it carries. The cost is that a write waits for in-flight copies, and a read
-// waits for an in-flight write, including its WAL fsync.
+// pooled scratch, then reduces the copy with the lock released; a cache
+// build does the same with the partition's core. Every partial is therefore
+// computed from the partition exactly as it stood at the epoch it carries.
+// The cost is that a write waits for in-flight copies, and a read waits for
+// an in-flight write, including its WAL fsync.
 type Site struct {
 	mu      sync.RWMutex
 	part    *partition.Partition
 	workers int
 
-	cache      *graph.Graph // query-independent reduction of the partition
+	cache      *graph.Graph // query-independent reduction of the core
 	cacheStats control.Stats
 	cacheEpoch uint64 // epoch the cache was computed at
 
@@ -111,17 +115,19 @@ type Site struct {
 	readOnly atomic.Bool
 
 	// scratch pools the graphs live evaluations and cache builds copy a
-	// slice or the whole partition into and reduce; exclusions pools the
-	// exclusion sets. Both reach zero steady-state allocations: reduction
-	// clears a scratch graph's tables instead of dropping them, so the next
-	// copy reuses every one. A scratch graph is never published as
-	// long-lived state (the cache is a compact Clone of one).
+	// slice into and reduce (the whole partition under ForcePartial);
+	// exclusions pools the exclusion sets. Both reach zero steady-state
+	// allocations: reduction clears a scratch graph's tables instead of
+	// dropping them, so the next copy reuses every one. A scratch graph is
+	// never published as long-lived state (the cache is a compact Clone of
+	// one).
 	scratch    sync.Pool
 	exclusions sync.Pool
 
-	// reach is the per-epoch half of a live evaluation's slice, built for
-	// the epoch reachEpoch holds. Every reader under s.mu sees one epoch,
-	// so reach is written only by the first of them to find it stale:
+	// reach is the per-epoch half of a live evaluation's slice and the
+	// whole of a cache build's core, built for the epoch reachEpoch holds.
+	// Every reader under s.mu sees one epoch, so reach is written only by
+	// the first of them to find it stale:
 	// reachMu serializes that rebuild, and storing reachEpoch after it
 	// publishes the sets to readers that skip the lock. The next rebuild
 	// needs a new epoch, which waits for every such reader to leave s.mu.
@@ -337,15 +343,28 @@ func (s *Site) StoreStats() (store.Stats, bool) {
 // number when a store is attached).
 func (s *Site) Epoch() uint64 { return s.epoch.Load() }
 
-// reduce runs a reduction on the control layer's pooled Reducers (sites and
-// the coordinator's batch workers draw from one scratch surface). A
-// cancelled context stops the reduction at the next round boundary; the
-// Reducer goes back to the pool either way (its next use resets all scratch
-// state), so a cancelled query never poisons the site for the queries after
-// it.
-func (s *Site) reduce(ctx context.Context, g *graph.Graph, q control.Query, x graph.NodeSet, opt control.Options) (control.Result, error) {
+// reduce reduces g, the scratch copy an evaluation that began at start made
+// under the read lock, and reports the copy and the reduction on sc as the
+// graph.clone and control.site_reduce spans. x, the exclusion set, goes back
+// to its pool, and so does g on an error. It runs on the control layer's
+// pooled Reducers (sites and the coordinator's batch workers draw from one
+// scratch surface). A cancelled context stops the reduction at the next
+// round boundary; the Reducer goes back to the pool either way (its next
+// use resets all scratch state), so a cancelled query never poisons the
+// site for the queries after it.
+func (s *Site) reduce(ctx context.Context, sc *obs.Scope, start time.Time, g *graph.Graph, q control.Query, x graph.NodeSet, opt control.Options) (control.Result, error) {
+	id := int32(s.part.ID)
+	reduceStart := sc.Span(flight.GraphClone, id, start, int64(g.NumNodes()))
 	opt.Obs = s.robs
-	return control.ParallelReduction(ctx, g, q, x, opt)
+	res, err := control.ParallelReduction(ctx, g, q, x, opt)
+	s.exclusions.Put(x)
+	if err != nil {
+		s.scratch.Put(g)
+		return res, err
+	}
+	sc.Span(flight.SiteReduce, id, reduceStart,
+		flight.PackReduce(res.Stats.Iterations, res.Stats.Removed+res.Stats.Contracted))
+	return res, nil
 }
 
 // ID returns the partition id this site serves.
@@ -358,22 +377,31 @@ func (s *Site) Members() int { return len(s.part.Members) }
 func (s *Site) HoldsMember(v graph.NodeID) bool { return s.part.Members.Has(v) }
 
 // Precompute builds (or refreshes) the query-independent reduction: the
-// partition reduced with only the boundary nodes excluded. This is the
-// offline work of Figure 6's cached sites. It returns the reduction stats.
-// A cancelled or expired ctx aborts the build and leaves the cache
-// untouched; the next Precompute starts over.
+// partition's core, R(V^in) ∩ C(V^virt), reduced with only the boundary
+// nodes excluded. This is the offline work of Figure 6's cached sites. It
+// returns the reduction stats. A cancelled or expired ctx aborts the build
+// and leaves the cache untouched; the next Precompute starts over.
 func (s *Site) Precompute(ctx context.Context) (control.Stats, error) {
-	_, st, _, err := s.cached(ctx)
+	start := time.Now()
+	sc := s.ev.Query(0, false, start)
+	_, st, _, err := s.cached(ctx, &sc, start)
 	return st, err
 }
 
 // cached returns the query-independent reduction with its stats and the
 // epoch of the partition it reduces, building it if the partition moved
-// since the last build. The build copies the partition under the read lock,
-// like a live evaluation, and reduces the copy outside it. It is installed
-// as the cache only if no update landed meanwhile, but it is served either
-// way: it is exact for the epoch it reports, and the next call rebuilds.
-func (s *Site) cached(ctx context.Context) (*graph.Graph, control.Stats, uint64, error) {
+// since the last build. The build copies the partition's core — the slice
+// of a query with neither endpoint at the site — under the read lock, like a
+// live evaluation, and reduces the copy outside it, reporting both steps on
+// sc as an evaluation that began at start. It is installed as the cache
+// only if no update landed meanwhile, but it is served either way: it is
+// exact for the epoch it reports, and the next call rebuilds.
+//
+// The core is all a query with no endpoint here can use: any path from s to
+// t through the partition enters at an in-node and leaves at a virtual
+// node, which is the live slice's argument (see Evaluate) with s and t
+// outside the partition.
+func (s *Site) cached(ctx context.Context, sc *obs.Scope, start time.Time) (*graph.Graph, control.Stats, uint64, error) {
 	s.mu.RLock()
 	epoch := s.epoch.Load()
 	if s.cache != nil && s.cacheEpoch == epoch {
@@ -381,20 +409,18 @@ func (s *Site) cached(ctx context.Context) (*graph.Graph, control.Stats, uint64,
 		s.mu.RUnlock()
 		return g, st, epoch, nil
 	}
+	q := control.Query{S: graph.None, T: graph.None}
 	x := s.takeBoundary()
-	g := s.part.Local.CloneInto(s.takeScratch())
+	g := s.slice(epoch, q)
 	s.mu.RUnlock()
 
 	// The cache keeps a compact Clone of the result (no table for a removed
 	// node) and the scratch, which keeps every table, goes back to the pool.
-	res, err := s.reduce(ctx, g, control.Query{S: graph.None, T: graph.None}, x,
-		control.Options{
-			Workers:            s.workers,
-			DisableTermination: true, // there is no query yet
-		})
-	s.exclusions.Put(x)
+	res, err := s.reduce(ctx, sc, start, g, q, x, control.Options{
+		Workers:            s.workers,
+		DisableTermination: true, // there is no query yet
+	})
 	if err != nil {
-		s.scratch.Put(g)
 		return nil, control.Stats{}, 0, err
 	}
 	cache := g.Clone()
@@ -436,7 +462,8 @@ type EvalOptions struct {
 
 // Evaluate computes the partial answer to q (Algorithm 2, line 6). With
 // opts.UseCache set and neither endpoint stored here, the cached
-// query-independent reduction is returned (computing it on demand).
+// query-independent reduction of the partition's core is returned
+// (computing it on demand), or NotModified when opts.IfEpoch is current.
 // A cancelled or expired ctx stops the evaluation at the next reduction
 // round and returns the context error; the site (and its pooled reducers)
 // stay fully usable for subsequent queries.
@@ -465,7 +492,15 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 	holdsT := s.part.Members.Has(q.T)
 
 	if opts.UseCache && !holdsS && !holdsT {
-		g, st, epoch, err := s.cached(ctx)
+		// A revalidation is answered before the cache is looked at: a cache
+		// that is cold at the coordinator's epoch (after a durable restart,
+		// which keeps the epoch) must not be rebuilt only to say NotModified.
+		if opts.HasIfEpoch && opts.IfEpoch == s.epoch.Load() {
+			pa := &PartialAnswer{SiteID: s.part.ID, Ans: control.Unknown, FromCache: true,
+				Epoch: opts.IfEpoch, NotModified: true}
+			return s.served(&sc, pa, start, flight.EvalRevalidated), nil
+		}
+		g, st, epoch, err := s.cached(ctx, &sc, start)
 		if err != nil {
 			return nil, err
 		}
@@ -476,10 +511,6 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 			Stats:     st,
 			FromCache: true,
 			Epoch:     epoch,
-		}
-		if opts.HasIfEpoch && opts.IfEpoch == pa.Epoch {
-			pa.Reduced, pa.Stats, pa.NotModified = nil, control.Stats{}, true
-			return s.served(&sc, pa, start, flight.EvalRevalidated), nil
 		}
 		return s.served(&sc, pa, start, flight.EvalCached), nil
 	}
@@ -516,22 +547,14 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 		g = s.slice(epoch, q)
 	}
 	s.mu.RUnlock()
-	reduceStart := sc.Span(flight.GraphClone, int32(s.part.ID), start, int64(g.NumNodes()))
-	copts := control.Options{
-		Workers: s.workers,
-		Trust:   trust,
-	}
-	if opts.ForcePartial {
-		copts.DisableTermination = true
-	}
-	res, err := s.reduce(ctx, g, q, x, copts)
-	s.exclusions.Put(x)
+	res, err := s.reduce(ctx, &sc, start, g, q, x, control.Options{
+		Workers:            s.workers,
+		Trust:              trust,
+		DisableTermination: opts.ForcePartial,
+	})
 	if err != nil {
-		s.scratch.Put(g)
 		return nil, err
 	}
-	sc.Span(flight.SiteReduce, int32(s.part.ID), reduceStart,
-		flight.PackReduce(res.Stats.Iterations, res.Stats.Removed+res.Stats.Contracted))
 	pa := &PartialAnswer{
 		SiteID: s.part.ID,
 		Ans:    res.Ans,

@@ -10,6 +10,8 @@ import (
 	"ccp/internal/control"
 	"ccp/internal/gen"
 	"ccp/internal/graph"
+	"ccp/internal/obs/flight"
+	"ccp/internal/partition"
 )
 
 // tiny keeps experiment smoke tests fast.
@@ -319,6 +321,53 @@ func TestUpdateLatencySmoke(t *testing.T) {
 	}
 	if r.Warm <= 0 || r.AfterUpdate <= 0 || r.Recovered <= 0 {
 		t.Fatalf("result = %+v", r)
+	}
+}
+
+// TestUpdateLatencyShape asserts the update-latency claim on its work
+// counter: after one stake update inside a site that holds neither
+// endpoint, the next query's rebuild of that site's cache copies no more
+// nodes than the site's core (the graph.clone span's node count, not a
+// time), and the answer equals CBE on the updated graph.
+func TestUpdateLatencyShape(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		c, err := newUpdateCluster(shapeCfg(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if _, _, err := c.coord.Answer(ctx, c.q); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.coord.ApplyUpdate(ctx, c.up); err != nil {
+			t.Fatal(err)
+		}
+		g := c.g.Clone()
+		if err := g.MergeEdge(c.up.Owner, c.up.Owned, c.up.Weight); err != nil {
+			t.Fatal(err)
+		}
+		got, _, tr, err := c.coord.AnswerTraced(ctx, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := control.CBE(g, c.q); got != want {
+			t.Fatalf("seed %d %v after %+v: %v, CBE %v", seed, c.q, c.up, got, want)
+		}
+		p := c.pi.Parts[1] // the site the update landed at, updated in place
+		var r partition.Reach
+		var sc partition.SliceScratch
+		p.BuildReach(&r)
+		core := int64(len(p.Slice(&r, graph.None, graph.None, &sc)))
+		var clones []int64
+		for _, e := range tr.Events {
+			if e.Type == flight.GraphClone && e.Site == 1 {
+				clones = append(clones, e.A2)
+			}
+		}
+		if len(clones) != 1 || clones[0] > core {
+			t.Fatalf("seed %d: site 1 rebuilt copying %v nodes, its core has %d of %d",
+				seed, clones, core, p.Local.NumNodes())
+		}
 	}
 }
 

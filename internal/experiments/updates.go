@@ -31,9 +31,18 @@ func (r UpdateLatencyResult) String() string {
 	return fmt.Sprintf("warm=%v after-update=%v recovered=%v", r.Warm, r.AfterUpdate, r.Recovered)
 }
 
-// UpdateLatency builds a cached 4-site cluster and measures query latency
-// around a data update.
-func UpdateLatency(cfg Config) (UpdateLatencyResult, error) {
+// updateCluster is UpdateLatency's set-up: a pre-cached 4-site cluster over
+// gen.EU, a query with its endpoints in partitions 0 and 3, so partitions 1
+// and 2 serve caches, and a stake update that lands inside partition 1.
+type updateCluster struct {
+	coord *dist.Coordinator
+	g     *graph.Graph // the global graph, before the update
+	pi    *partition.Partitioning
+	q     control.Query
+	up    dist.StakeUpdate
+}
+
+func newUpdateCluster(cfg Config) (*updateCluster, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	per := cfg.scaled(8000)
@@ -46,44 +55,25 @@ func UpdateLatency(cfg Config) (UpdateLatencyResult, error) {
 	})
 	pi, err := partition.ByContiguous(eu.G, 4)
 	if err != nil {
-		return UpdateLatencyResult{}, err
+		return nil, err
 	}
 	clients := make([]dist.SiteClient, len(pi.Parts))
 	for i, p := range pi.Parts {
 		clients[i] = &dist.LocalClient{Site: dist.NewSite(p, cfg.Workers)}
 	}
-	coord := dist.NewCoordinator(clients, dist.Options{
+	c := &updateCluster{g: eu.G, pi: pi}
+	c.coord = dist.NewCoordinator(clients, dist.Options{
 		UseCache: true,
 		Workers:  cfg.Workers,
 	})
-	if err := coord.PrecomputeAll(context.Background()); err != nil {
-		return UpdateLatencyResult{}, err
+	if err := c.coord.PrecomputeAll(context.Background()); err != nil {
+		return nil, err
 	}
-	// Endpoints in partitions 0 and 3 so partitions 1 and 2 serve caches.
-	q := control.Query{
+	c.q = control.Query{
 		S: graph.NodeID(rng.Intn(per)),
 		T: graph.NodeID(3*per + rng.Intn(per)),
 	}
-	timeQuery := func() (time.Duration, error) {
-		var total time.Duration
-		for i := 0; i < cfg.Repeats; i++ {
-			start := time.Now()
-			if _, _, err := coord.Answer(context.Background(), q); err != nil {
-				return 0, err
-			}
-			total += time.Since(start)
-		}
-		return total / time.Duration(cfg.Repeats), nil
-	}
-	var res UpdateLatencyResult
-	if _, _, err := coord.Answer(context.Background(), q); err != nil { // prime the coordinator copies
-		return res, err
-	}
-	if res.Warm, err = timeQuery(); err != nil {
-		return res, err
-	}
-	// One stake lands inside partition 1 (non-endpoint): pick an owned
-	// company with spare equity.
+	// The stake's owned company has spare equity.
 	owner := graph.NodeID(per)
 	owned := graph.None
 	for v := per + 1; v < 2*per; v++ {
@@ -93,13 +83,43 @@ func UpdateLatency(cfg Config) (UpdateLatencyResult, error) {
 		}
 	}
 	if owned == graph.None {
-		return res, fmt.Errorf("experiments: no update candidate in partition 1")
+		return nil, fmt.Errorf("experiments: no update candidate in partition 1")
 	}
-	if err := coord.ApplyUpdate(context.Background(), dist.StakeUpdate{Owner: owner, Owned: owned, Weight: 0.02}); err != nil {
+	c.up = dist.StakeUpdate{Owner: owner, Owned: owned, Weight: 0.02}
+	return c, nil
+}
+
+// UpdateLatency builds a cached 4-site cluster and measures query latency
+// around a data update.
+func UpdateLatency(cfg Config) (UpdateLatencyResult, error) {
+	cfg = cfg.withDefaults()
+	c, err := newUpdateCluster(cfg)
+	if err != nil {
+		return UpdateLatencyResult{}, err
+	}
+	timeQuery := func() (time.Duration, error) {
+		var total time.Duration
+		for i := 0; i < cfg.Repeats; i++ {
+			start := time.Now()
+			if _, _, err := c.coord.Answer(context.Background(), c.q); err != nil {
+				return 0, err
+			}
+			total += time.Since(start)
+		}
+		return total / time.Duration(cfg.Repeats), nil
+	}
+	var res UpdateLatencyResult
+	if _, _, err := c.coord.Answer(context.Background(), c.q); err != nil { // prime the coordinator copies
+		return res, err
+	}
+	if res.Warm, err = timeQuery(); err != nil {
+		return res, err
+	}
+	if err := c.coord.ApplyUpdate(context.Background(), c.up); err != nil {
 		return res, err
 	}
 	start := time.Now()
-	if _, _, err := coord.Answer(context.Background(), q); err != nil {
+	if _, _, err := c.coord.Answer(context.Background(), c.q); err != nil {
 		return res, err
 	}
 	res.AfterUpdate = time.Since(start)

@@ -99,8 +99,9 @@ const (
 	// fast-window burn rate in thousandths.
 	SLOBreach
 	// GraphClone is a site copying a query's slice of its partition (the
-	// whole partition under ForcePartial) into per-query scratch under its
-	// read lock; A1 is the duration in nanoseconds, A2 the nodes copied.
+	// whole partition under ForcePartial, the partition's core for a cache
+	// build) into scratch under its read lock; A1 is the duration in
+	// nanoseconds, A2 the nodes copied.
 	GraphClone
 	// GraphMerge is the coordinator assembling the partial answers into the
 	// merged graph; A1 is the duration in nanoseconds, A2 the merged edges.

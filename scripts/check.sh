@@ -6,7 +6,9 @@
 # CI), and the race detector over the packages that do parallel graph
 # surgery or concurrent transport work, five race-detector runs of the
 # coordinator's concurrency tests (live slices racing the boundary moves
-# that rebuild a site's per-epoch reachability sets among them) and of the
+# that rebuild a site's per-epoch reachability sets among them), of the
+# site's epoch reads (live slices and cache builds racing on that rebuild
+# while updates stream in) and of the
 # WAL's commit tests (appends racing each other and checkpoints, a failed
 # fsync poisoning the log),
 # short fuzz runs over the write path,
@@ -57,13 +59,13 @@ go test -race -shuffle=on -timeout 10m \
     ./internal/obs/...
 
 # The coordinator shares its per-site copies and pooled merge scratch across
-# in-flight queries with no lock, and a site's live evaluations share the
-# reachability sets their slices are cut from, rebuilt by whichever reader
-# first sees a new epoch; run the tests that race queries against each other
-# and against updates several times over.
-echo "== go test -race -count=5 (coordinator and slice concurrency) =="
+# in-flight queries with no lock, and a site's live evaluations and cache
+# builds share the reachability sets their slices and cores are cut from,
+# rebuilt by whichever reader first sees a new epoch; run the tests that race
+# queries against each other and against updates several times over.
+echo "== go test -race -count=5 (coordinator, slice and cache-build concurrency) =="
 go test -race -count=5 -timeout 10m \
-    -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates|TestSliceRacingBoundaryUpdates' \
+    -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates|TestSliceRacingBoundaryUpdates|TestSnapshotsNeverMixEpochs' \
     ./internal/dist
 
 # The WAL has one committer: an append writes, flushes and fsyncs under the
