@@ -6,17 +6,16 @@ import (
 	"ccp/internal/store"
 )
 
-// The continuous audit & SLO surface of a deployment. An Auditor is the
+// The continuous audit surface of a deployment. An Auditor is the
 // per-process verification engine: subsystems register cheap invariant
-// probes (store scrub, fleet divergence, gate accounting) and service-level
-// objectives, the auditor re-checks them on a background interval, exports
-// ccp_audit_* / ccp_slo_* series, records violations and budget breaches
-// into the flight recorder, and serves the /audit ops endpoint (probe
-// verdicts and SLO budgets in one report) that `ccpctl doctor` joins into a
-// cluster-wide report.
+// probes (store scrub, gate accounting), the auditor re-checks them on a
+// background interval, exports ccp_audit_* series, records violations into
+// the flight recorder, and serves the /audit ops endpoint (every probe's
+// verdict in one report) that `ccpctl doctor` joins into a cluster-wide
+// report.
 type (
 	// Auditor is the per-process audit engine; build with NewAuditor, wire
-	// probes with Register / RegisterSLO, start the loop with Start, and
+	// probes with Register, start the loop with Start, and
 	// mount Endpoints() on the ops server.
 	Auditor = audit.Auditor
 	// AuditConfig configures NewAuditor.
@@ -25,14 +24,8 @@ type (
 	AuditProbe = audit.Probe
 	// AuditResult is one probe evaluation.
 	AuditResult = audit.Result
-	// AuditReport is the /audit payload: every probe re-run on demand and
-	// every SLO read.
+	// AuditReport is the /audit payload: every probe re-run on demand.
 	AuditReport = audit.Report
-	// SLOConfig declares one objective (availability or latency target)
-	// over a cumulative (good, total) series pair.
-	SLOConfig = audit.SLOConfig
-	// SLOReport is the /audit view of one objective.
-	SLOReport = audit.SLOReport
 	// OpsEndpoint mounts an extra handler on StartOpsServer's mux (the
 	// auditor's /audit).
 	OpsEndpoint = obs.Endpoint
@@ -65,11 +58,4 @@ func (c *Cluster) AuditProbes() []AuditProbe {
 // trivially for a memory-only site.
 func (s *SiteServer) StoreScrubProbe(maxSegments int) AuditProbe {
 	return s.site.StoreScrubProbe(maxSegments)
-}
-
-// DivergenceProbe returns the follower's audit probe: watermark sanity and
-// monotonicity plus a replication-lag ceiling of maxLag records (0 disables
-// the ceiling). Register it on the follower process's auditor.
-func (s *FollowerSite) DivergenceProbe(maxLag uint64) AuditProbe {
-	return s.f.DivergenceProbe(maxLag)
 }

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"strings"
 	"time"
 
 	"ccp/internal/control"
 	"ccp/internal/dist"
 	"ccp/internal/fleet"
-	"ccp/internal/obs"
 	"ccp/internal/partition"
 	"ccp/internal/store"
 )
@@ -206,85 +204,21 @@ func NewClusterFromPartitioning(pi *partition.Partitioning, opts ClusterOptions)
 // on the next call; repeated failures trip its circuit breaker, which then
 // paces the redials (see Cluster.Health).
 func ConnectCluster(ctx context.Context, addrs []string, opts ClusterOptions) (*Cluster, error) {
-	sites := make([][]string, len(addrs))
-	for i, addr := range addrs {
-		sites[i] = []string{addr}
-	}
-	return ConnectReplicatedCluster(ctx, sites, opts)
-}
-
-// ParseReplicaAddrs splits one -sites style spec into per-site replica
-// address lists: sites are comma-separated, and within a site the leader and
-// its follower replicas are joined with "+" — for example
-// "lead0:7001+f0a:7101,lead1:7002" is two sites, the first with one follower.
-func ParseReplicaAddrs(spec string) [][]string {
-	var sites [][]string
-	for _, s := range strings.Split(spec, ",") {
-		var addrs []string
-		for _, a := range strings.Split(s, "+") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		if len(addrs) > 0 {
-			sites = append(sites, addrs)
-		}
-	}
-	return sites
-}
-
-// ConnectReplicatedCluster is ConnectCluster over replica sets: each site is
-// a leader address plus any number of follower replica addresses (started
-// with ccpd -replica-of). Reads are routed to the least-loaded healthy
-// replica and verified fresh against the site's write watermark (a stale or
-// failing follower falls back to the leader in the same call); writes go to
-// leaders only. A site given as a single address is dialed directly, with no
-// replica routing in front of it.
-func ConnectReplicatedCluster(ctx context.Context, sites [][]string, opts ClusterOptions) (*Cluster, error) {
 	cfg := dist.ClientConfig{Observer: opts.Observer, Logger: opts.Logger}
-	var clients []dist.SiteClient
-	closeAll := func() {
-		for _, cl := range clients {
-			if c, ok := cl.(interface{ Close() error }); ok {
-				c.Close()
+	clients := make([]dist.SiteClient, 0, len(addrs))
+	for _, addr := range addrs {
+		c, err := dist.DialConfig(ctx, addr, cfg)
+		if err != nil {
+			for _, cl := range clients {
+				cl.(*dist.RemoteClient).Close()
 			}
+			return nil, fmt.Errorf("ccp: connecting site %s: %w", addr, err)
 		}
-	}
-	for _, addrs := range sites {
-		if len(addrs) == 0 {
-			closeAll()
-			return nil, fmt.Errorf("ccp: empty replica address list")
-		}
-		members := make([]dist.SiteClient, 0, len(addrs))
-		for i, addr := range addrs {
-			c, err := dist.DialConfig(ctx, addr, cfg)
-			if err != nil {
-				// A dead leader fails the connect; a dead follower is routed
-				// around — the whole point of replicas is that losing one
-				// must not take queries down with it.
-				if i > 0 && ctx.Err() == nil {
-					obs.LoggerOr(opts.Logger).Warn("follower replica unreachable, serving without it",
-						"addr", addr, "err", err)
-					continue
-				}
-				for _, m := range members {
-					m.(*dist.RemoteClient).Close()
-				}
-				closeAll()
-				return nil, fmt.Errorf("ccp: connecting site %s: %w", addr, err)
-			}
-			members = append(members, c)
-		}
-		if len(members) == 1 {
-			clients = append(clients, members[0])
-			continue
-		}
-		clients = append(clients, fleet.NewReplicaSet(members[0], members[1:],
-			fleet.ReplicaSetConfig{Observer: opts.Observer, Logger: opts.Logger}))
+		clients = append(clients, c)
 	}
 	dopts := opts.distOptions()
 	coord := dist.NewCoordinator(clients, dopts)
-	return newCluster(coord, dopts, len(sites), nil, clients), nil
+	return newCluster(coord, dopts, len(addrs), nil, clients), nil
 }
 
 // Close releases the cluster's site connections. In-flight queries fail with
@@ -292,8 +226,8 @@ func ConnectReplicatedCluster(ctx context.Context, sites [][]string, opts Cluste
 // in-process cluster is a no-op. Safe to call more than once.
 func (c *Cluster) Close() error {
 	for _, cl := range c.clients {
-		// Remote clients and replica sets hold connections; in-process
-		// LocalClients have nothing to release.
+		// Remote clients hold connections; in-process LocalClients have
+		// nothing to release.
 		if rc, ok := cl.(interface{ Close() error }); ok {
 			rc.Close()
 		}

@@ -11,11 +11,6 @@
 //
 //	ccpcoord -sites a:7001,b:7001 -cache -precompute 12:9441 7:15
 //
-// A site may be a replica set: join the leader and its follower replicas
-// (ccpd -replica-of) with "+", e.g. -sites lead0:7001+f0:7101,lead1:7002.
-// Reads then route to the least-loaded fresh replica with automatic
-// fallback to the leader; writes go to leaders only.
-//
 // With -concurrency n > 1, trailing queries are answered as one batch with
 // up to n queries in flight at once, multiplexed over the site connections.
 // With -timeout d, every query carries deadline d, enforced at the sites;
@@ -45,7 +40,7 @@ func fatalf(format string, args ...any) {
 }
 
 func main() {
-	sites := flag.String("sites", "", "comma-separated worker addresses; join a leader with its follower replicas using '+' (lead:7001+f0:7101)")
+	sites := flag.String("sites", "", "comma-separated worker addresses")
 	cache := flag.Bool("cache", false, "serve non-endpoint sites from their pre-computed reductions")
 	precompute := flag.Bool("precompute", false, "ask all sites to pre-compute before querying")
 	s := flag.Int("s", -1, "source company (alternative to trailing s:t args)")
@@ -54,9 +49,6 @@ func main() {
 	concurrency := flag.Int("concurrency", 1, "batch queries kept in flight at once (>1 answers the trailing queries as one concurrent batch)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline, enforced at the sites (0 = none)")
 	opsAddr := flag.String("ops-addr", "", "ops HTTP address serving "+cli.OpsEndpoints+" (empty = disabled)")
-	sloAvail := flag.Float64("slo-availability", 0.999, "availability SLO objective (fraction of queries answered without error)")
-	sloLatency := flag.Float64("slo-latency", 0.99, "latency SLO objective (fraction of queries under -slo-latency-target)")
-	sloTarget := flag.Duration("slo-latency-target", 250*time.Millisecond, "latency SLO target per query")
 	slowQuery := flag.Duration("slow-query", 0, "record stitched traces of queries slower than this in /varz (0 = disabled)")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: queries running at once before new ones queue (0 = unlimited, no admission control)")
 	maxQueue := flag.Int("max-queue", 0, "admission control: queries waiting beyond -max-inflight before shedding (0 = 2x max-inflight)")
@@ -98,7 +90,7 @@ func main() {
 		}()
 	}
 
-	cluster, err := ccp.ConnectReplicatedCluster(ctx, ccp.ParseReplicaAddrs(*sites), ccp.ClusterOptions{
+	cluster, err := ccp.ConnectCluster(ctx, strings.Split(*sites, ","), ccp.ClusterOptions{
 		UseCache:           *cache,
 		CoordinatorWorkers: *workers,
 		Concurrency:        *concurrency,
@@ -115,10 +107,7 @@ func main() {
 	logger.Info("connected", "sites", cluster.Sites())
 
 	// The auditor re-checks the admission gate's accounting (when
-	// -max-inflight enables it) on a background interval and tracks the query
-	// SLOs: availability over the error-free fraction, latency over the
-	// fraction under the target. Both burn multi-window error budgets
-	// exported as ccp_slo_* and reported on /audit.
+	// -max-inflight enables it) on a background interval.
 	//
 	// Healthy means every site is reachable right now: connected with a
 	// closed circuit. Degraded (503) surfaces the first broken transport to
@@ -139,36 +128,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	defer ops.Close(context.Background())
-	reg := observer.Registry()
-	qTotal := reg.Counter("ccp_queries_total", "Distributed queries answered, including failed ones.")
-	qErrors := reg.Counter("ccp_query_errors_total", "Distributed queries that failed.")
-	ops.Auditor.RegisterSLO(ccp.SLOConfig{
-		Name:      "query_availability",
-		Objective: *sloAvail,
-		Source: func() (good, total float64) {
-			t := float64(qTotal.Value())
-			return t - float64(qErrors.Value()), t
-		},
-	})
-	latencyHist := reg.Histogram("ccp_query_seconds",
-		"End-to-end distributed query latency in seconds.", nil)
-	target := sloTarget.Seconds()
-	ops.Auditor.RegisterSLO(ccp.SLOConfig{
-		Name:      "query_latency",
-		Objective: *sloLatency,
-		Source: func() (good, total float64) {
-			s := latencyHist.Snapshot()
-			var under uint64
-			for i, b := range s.Bounds {
-				if b > target {
-					break
-				}
-				under += s.Counts[i]
-			}
-			return float64(under), float64(s.Count)
-		},
-	})
-
 	// queryCtx derives one query's context, carrying the -timeout deadline.
 	queryCtx := func() (context.Context, context.CancelFunc) {
 		if *timeout > 0 {

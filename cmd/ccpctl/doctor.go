@@ -98,17 +98,17 @@ var doctorViews = map[string]func(docs, prev []doctorDoc, asJSON bool) error{
 
 // cmdDoctor collects every process's ops document and renders one view of
 // the set. The default view, checks, is the cluster-wide health report:
-// per-process invariant probes and SLO budgets, plus the cross-process
-// checks no single process can run alone — leader/follower epoch agreement,
-// coordinator cached-partial epochs never ahead of their site, admission
-// arithmetic, build skew. It prints a green/yellow/red table and exits
-// nonzero if anything is red. fleet, store and top render the replication
-// topology, the durable stores, and load and latency.
+// per-process invariant probes, plus the cross-process checks no single
+// process can run alone — coordinator cached-partial epochs never ahead of
+// their site, admission arithmetic, build skew. It prints a
+// green/yellow/red table and exits nonzero if anything is red. fleet, store
+// and top render the serving topology, the durable stores, and load and
+// latency.
 func cmdDoctor(args []string) error {
 	fs := flag.NewFlagSet("doctor", flag.ExitOnError)
 	opsList := fs.String("ops", "", "comma-separated ops addresses (host:port or URL) to examine")
 	inList := fs.String("in", "", "comma-separated files holding saved doctor documents (JSON object or array) to examine instead of or alongside -ops")
-	view := fs.String("view", "checks", "checks (verdict table), fleet (replication topology), store (durable stores) or top (load and latency)")
+	view := fs.String("view", "checks", "checks (verdict table), fleet (sites and coordinators), store (durable stores) or top (load and latency)")
 	watch := fs.Duration("watch", 0, "re-collect and re-render at this interval until interrupted (0 = once)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-endpoint scrape timeout")
 	asJSON := fs.Bool("json", false, "emit JSON instead of the table (checks, fleet, store)")
@@ -245,8 +245,7 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 		findings = append(findings, doctorFinding{Scope: scope, Check: check, Status: status, Detail: detail})
 	}
 
-	// Per-process: reachability, the process's own probe verdicts, SLO
-	// budgets.
+	// Per-process: reachability and the process's own probe verdicts.
 	for _, doc := range docs {
 		if doc.Err != "" {
 			add(doc.Addr, "scrape", statusRed, doc.Err)
@@ -267,23 +266,10 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 				add(doc.Addr, "probe:"+p.Probe, statusGreen, p.Detail)
 			}
 		}
-		for _, s := range doc.Audit.SLOs {
-			detail := fmt.Sprintf("burn fast %.2fx slow %.2fx, budget %.1f%% left (%.0f/%.0f good)",
-				s.FastBurnRate, s.SlowBurnRate, 100*s.BudgetRemaining, s.Good, s.Total)
-			switch {
-			case s.BudgetRemaining <= 0:
-				add(doc.Addr, "slo:"+s.SLO, statusRed, "error budget exhausted: "+detail)
-			case s.Breached:
-				add(doc.Addr, "slo:"+s.SLO, statusYellow, "burn-rate alert: "+detail)
-			default:
-				add(doc.Addr, "slo:"+s.SLO, statusGreen, detail)
-			}
-		}
 	}
 
 	// Cross-process state, assembled from every reachable /varz.
-	leaders := map[string]siteRow{} // site -> its leader
-	var followers []siteRow
+	sites := map[string]siteRow{} // site -> the process serving it
 	type cachedEpoch struct {
 		coordAddr, site string
 		epoch           float64
@@ -296,11 +282,7 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 		}
 		rows, _ := classifyFleet(doc.Addr, doc.Varz)
 		for _, row := range rows {
-			if row.replicaState != nil {
-				followers = append(followers, row)
-			} else {
-				leaders[row.Site] = row
-			}
+			sites[row.Site] = row
 		}
 		for labels, m := range doc.Varz.groups() {
 			if epoch := m["ccp_coord_cached_epoch"]; epoch > 0 {
@@ -325,39 +307,6 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 		}
 	}
 
-	// Leader/follower epoch agreement per site: a follower ahead of its
-	// leader saw writes that never happened; one behind at zero lag has
-	// silently diverged. Behind while lagging is just replication in
-	// progress.
-	sort.Slice(followers, func(i, j int) bool {
-		if followers[i].Site != followers[j].Site {
-			return followers[i].Site < followers[j].Site
-		}
-		return followers[i].Addr < followers[j].Addr
-	})
-	for _, f := range followers {
-		l, ok := leaders[f.Site]
-		scope := "cluster"
-		check := "epoch:site" + f.Site
-		switch {
-		case !ok:
-			add(scope, check, statusYellow,
-				fmt.Sprintf("follower %s has no leader for site %s among the examined processes", f.Addr, f.Site))
-		case f.Epoch > l.Epoch:
-			add(scope, check, statusRed,
-				fmt.Sprintf("follower %s epoch %.0f ahead of leader %s epoch %.0f", f.Addr, f.Epoch, l.Addr, l.Epoch))
-		case f.Epoch < l.Epoch && f.Lag == 0:
-			add(scope, check, statusRed,
-				fmt.Sprintf("follower %s epoch %.0f behind leader %s epoch %.0f at zero lag", f.Addr, f.Epoch, l.Addr, l.Epoch))
-		case f.Epoch < l.Epoch:
-			add(scope, check, statusYellow,
-				fmt.Sprintf("follower %s epoch %.0f behind leader %s epoch %.0f, catching up (lag %.0f)", f.Addr, f.Epoch, l.Addr, l.Epoch, f.Lag))
-		default:
-			add(scope, check, statusGreen,
-				fmt.Sprintf("follower %s converged with leader %s at epoch %.0f", f.Addr, l.Addr, f.Epoch))
-		}
-	}
-
 	// Coordinator cached-partial epochs: a cached answer from an epoch the
 	// serving site never reached is an answer from a future that never
 	// happened.
@@ -368,18 +317,18 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 		return siteLess(cached[i].site, cached[j].site)
 	})
 	for _, c := range cached {
-		l, ok := leaders[c.site]
+		site, ok := sites[c.site]
 		check := "cache-epoch:site" + c.site
 		switch {
 		case !ok:
 			add("cluster", check, statusYellow,
-				fmt.Sprintf("coordinator %s caches site %s at epoch %.0f but no leader for the site was examined", c.coordAddr, c.site, c.epoch))
-		case c.epoch > l.Epoch:
+				fmt.Sprintf("coordinator %s caches site %s at epoch %.0f but the site was not examined", c.coordAddr, c.site, c.epoch))
+		case c.epoch > site.Epoch:
 			add("cluster", check, statusRed,
-				fmt.Sprintf("coordinator %s cached epoch %.0f ahead of site %s leader epoch %.0f", c.coordAddr, c.epoch, c.site, l.Epoch))
+				fmt.Sprintf("coordinator %s cached epoch %.0f ahead of site %s epoch %.0f", c.coordAddr, c.epoch, c.site, site.Epoch))
 		default:
 			add("cluster", check, statusGreen,
-				fmt.Sprintf("coordinator %s cached epoch %.0f <= site %s leader epoch %.0f", c.coordAddr, c.epoch, c.site, l.Epoch))
+				fmt.Sprintf("coordinator %s cached epoch %.0f <= site %s epoch %.0f", c.coordAddr, c.epoch, c.site, site.Epoch))
 		}
 	}
 

@@ -93,10 +93,10 @@ func usage() {
                                                       (merged cross-process flight timeline)
   ccpctl doctor  -ops host:port[,...] [-in file,...] [-view checks|fleet|store|top] [-watch d] [-json]
                                                       (cluster ops views over each process's
-                                                      /varz + /audit. checks: probes, SLOs and
-                                                      cross-process epoch/cache/gate checks,
-                                                      exits nonzero on any red; fleet: roles,
-                                                      replica lag, circuits, sheds; store:
+                                                      /varz + /audit. checks: probes and
+                                                      cross-process cache/gate checks,
+                                                      exits nonzero on any red; fleet: site
+                                                      epochs, circuits, sheds; store:
                                                       epoch, durable/checkpoint seq, WAL
                                                       backlog; top: load, latency, caches)
 global flags (before the subcommand): -log-level debug|info|warn|error, -log-format text|json`)

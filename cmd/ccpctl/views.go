@@ -9,70 +9,41 @@ import (
 	"time"
 )
 
-// siteRow is one leader or follower site in the replication topology. The
-// replica state is set, and its -json keys emitted, for followers only.
+// siteRow is one worker site and the epoch it serves at.
 type siteRow struct {
 	Addr  string  `json:"addr"`
 	Role  string  `json:"role"`
 	Site  string  `json:"site"`
 	Epoch float64 `json:"epoch"`
-	*replicaState
 }
 
-type replicaState struct {
-	Applied     float64 `json:"applied_seq"`
-	LeaderSeq   float64 `json:"leader_seq"`
-	Lag         float64 `json:"lag_records"`
-	Pulls       float64 `json:"pulls"`
-	Bootstraps  float64 `json:"bootstraps"`
-	Truncations float64 `json:"truncations"`
-}
-
-// coordRow is a coordinator's routing and admission state.
+// coordRow is a coordinator's circuit and admission state.
 type coordRow struct {
-	Addr         string             `json:"addr"`
-	Role         string             `json:"role"`
-	Circuits     map[string]string  `json:"circuits"` // site_addr -> closed|open|half-open
-	QueriesShed  float64            `json:"queries_shed"`
-	GateSheds    map[string]float64 `json:"gate_sheds"`    // reason -> sheds
-	ReplicaReads map[string]float64 `json:"replica_reads"` // role -> reads
-	Fallbacks    float64            `json:"fallbacks"`
-	StaleReads   float64            `json:"stale_reads"`
+	Addr        string             `json:"addr"`
+	Role        string             `json:"role"`
+	Circuits    map[string]string  `json:"circuits"` // site_addr -> closed|open|half-open
+	QueriesShed float64            `json:"queries_shed"`
+	GateSheds   map[string]float64 `json:"gate_sheds"` // reason -> sheds
 }
 
 // classifyFleet reads one endpoint's serving roles from its /varz. Every
-// coordinator exports ccp_queries_total; each label set with
-// ccp_fleet_applied_seq is a follower, and each with ccp_site_epoch a leader
-// unless the process is a coordinator hosting its sites in-process. One
-// endpoint can yield several sites (a test binary hosting multiple, say).
+// coordinator exports ccp_queries_total; each label set with ccp_site_epoch
+// is a site unless the process is a coordinator hosting its sites
+// in-process. One endpoint can yield several sites (a test binary hosting
+// multiple, say).
 func classifyFleet(addr string, v varzDoc) ([]siteRow, *coordRow) {
 	var coord *coordRow
 	if _, ok := v.sum("ccp_queries_total"); ok {
 		coord = &coordRow{Addr: addr, Role: "coordinator", Circuits: map[string]string{},
-			GateSheds: map[string]float64{}, ReplicaReads: map[string]float64{}}
+			GateSheds: map[string]float64{}}
 		coord.QueriesShed, _ = v.sum("ccp_queries_shed_total")
-		coord.Fallbacks, _ = v.sum("ccp_replica_fallbacks_total")
-		coord.StaleReads, _ = v.sum("ccp_replica_stale_reads_total")
 	}
 	var sites []siteRow
 	for labels, m := range v.groups() {
-		site := siteRow{Addr: addr, Site: labelValue(labels, "site")}
-		if applied, ok := m["ccp_fleet_applied_seq"]; ok {
-			site.Role, site.Epoch = "follower", m["ccp_fleet_epoch"]
-			site.replicaState = &replicaState{
-				Applied:     applied,
-				LeaderSeq:   m["ccp_fleet_leader_seq"],
-				Lag:         m["ccp_fleet_lag_records"],
-				Pulls:       m["ccp_fleet_pulls_total"],
-				Bootstraps:  m["ccp_fleet_bootstraps_total"],
-				Truncations: m["ccp_fleet_truncations_total"],
-			}
-			sites = append(sites, site)
-		} else if epoch, ok := m["ccp_site_epoch"]; ok && coord == nil {
-			site.Role, site.Epoch = "leader", epoch
-			sites = append(sites, site)
-		}
 		if coord == nil {
+			if epoch, ok := m["ccp_site_epoch"]; ok {
+				sites = append(sites, siteRow{Addr: addr, Role: "site", Site: labelValue(labels, "site"), Epoch: epoch})
+			}
 			continue
 		}
 		if s, ok := m["ccp_client_circuit_state"]; ok {
@@ -80,9 +51,6 @@ func classifyFleet(addr string, v varzDoc) ([]siteRow, *coordRow) {
 		}
 		if n, ok := m["ccp_admission_shed_total"]; ok {
 			coord.GateSheds[labelValue(labels, "reason")] += n
-		}
-		if n, ok := m["ccp_replica_reads_total"]; ok {
-			coord.ReplicaReads[labelValue(labels, "role")] += n
 		}
 	}
 	return sites, coord
@@ -123,9 +91,8 @@ func encodeLines[T any](rows []T) error {
 	return nil
 }
 
-// viewFleet prints the replication topology: which processes lead and
-// which follow, each follower's replication lag (leader seq − applied seq),
-// and each coordinator's per-replica circuits and shed counters.
+// viewFleet prints the serving topology: each site's address and epoch,
+// and each coordinator's per-site circuits and shed counters.
 func viewFleet(docs, _ []doctorDoc, asJSON bool) error {
 	var sites []siteRow
 	var coords []*coordRow
@@ -141,9 +108,6 @@ func viewFleet(docs, _ []doctorDoc, asJSON bool) error {
 		if a.Site != b.Site {
 			return siteLess(a.Site, b.Site)
 		}
-		if a.Role != b.Role {
-			return a.Role > b.Role // leader first
-		}
 		return a.Addr < b.Addr
 	})
 	sort.Slice(coords, func(i, j int) bool { return coords[i].Addr < coords[j].Addr })
@@ -156,15 +120,9 @@ func viewFleet(docs, _ []doctorDoc, asJSON bool) error {
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "SITE\tROLE\tADDR\tEPOCH\tAPPLIED\tLEADER SEQ\tLAG\tPULLS\tBOOTSTRAPS\tTRUNCS")
+	fmt.Fprintln(w, "SITE\tADDR\tEPOCH")
 	for _, r := range sites {
-		if r.replicaState == nil {
-			fmt.Fprintf(w, "%s\tleader\t%s\t%.0f\t-\t-\t-\t-\t-\t-\n", r.Site, r.Addr, r.Epoch)
-			continue
-		}
-		fmt.Fprintf(w, "%s\tfollower\t%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\n",
-			r.Site, r.Addr, r.Epoch, r.Applied, r.LeaderSeq, r.Lag,
-			r.Pulls, r.Bootstraps, r.Truncations)
+		fmt.Fprintf(w, "%s\t%s\t%.0f\n", r.Site, r.Addr, r.Epoch)
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -178,8 +136,6 @@ func viewFleet(docs, _ []doctorDoc, asJSON bool) error {
 		for _, reason := range sortedKeys(c.GateSheds) {
 			fmt.Printf("  gate shed %-17s %.0f\n", reason, c.GateSheds[reason])
 		}
-		fmt.Printf("  replica reads              leader=%.0f follower=%.0f fallbacks=%.0f stale=%.0f\n",
-			c.ReplicaReads["leader"], c.ReplicaReads["follower"], c.Fallbacks, c.StaleReads)
 	}
 	return nil
 }

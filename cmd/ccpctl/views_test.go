@@ -13,9 +13,9 @@ import (
 	"ccp/internal/obs/audit"
 )
 
-// fixture is a saved four-process cluster: a durable leader of site 0, its
-// follower at lag 0, an in-memory site 1, and a coordinator with gate,
-// circuit, replica-routing and cache series.
+// fixture is a saved three-process cluster: a durable site 0, an in-memory
+// site 1, and a coordinator with gate, circuit and cache series (its third
+// circuit, to a site not examined, is open).
 const fixture = "testdata/cluster.json"
 
 // doctorOut runs `ccpctl doctor -in fixture` with extra args and returns
@@ -82,9 +82,9 @@ func TestDoctorViewsRenderFixture(t *testing.T) {
 	t.Run("checks", func(t *testing.T) {
 		out := doctorOut(t)
 		wantColumns(t, out, "SCOPE", "CHECK", "STATUS", "DETAIL")
-		wantLines(t, out, "probe:store.scrub", "probe:fleet.divergence", "probe:gate.accounting",
-			"slo:query_availability", "epoch:site0", "cache-epoch:site0", "cache-epoch:site1",
-			"all processes at v1", "doctor: 4 processes", "0 red, 0 yellow")
+		wantLines(t, out, "probe:store.scrub", "probe:gate.accounting",
+			"cache-epoch:site0", "cache-epoch:site1",
+			"all processes at v1", "doctor: 3 processes", "0 red, 0 yellow")
 
 		var findings []map[string]any
 		if err := json.Unmarshal([]byte(strings.SplitN(doctorOut(t, "-json"), "\ndoctor:", 2)[0]), &findings); err != nil {
@@ -103,38 +103,34 @@ func TestDoctorViewsRenderFixture(t *testing.T) {
 
 	t.Run("fleet", func(t *testing.T) {
 		out := doctorOut(t, "-view", "fleet")
-		wantColumns(t, out, "SITE", "ROLE", "ADDR", "EPOCH", "APPLIED", "LEADER SEQ", "LAG", "PULLS", "BOOTSTRAPS", "TRUNCS")
+		wantColumns(t, out, "SITE", "ADDR", "EPOCH")
 		lines := strings.Split(out, "\n")
-		if !strings.HasPrefix(lines[1], "0") || !strings.Contains(lines[1], "leader") ||
-			!strings.Contains(lines[2], "follower") || !strings.HasPrefix(lines[3], "1") {
-			t.Fatalf("site rows not ordered by site, leader first:\n%s", out)
+		if got := strings.Fields(lines[1]); !reflect.DeepEqual(got, strings.Fields("0 site0:8001 42")) {
+			t.Fatalf("site 0 row %q", lines[1])
 		}
-		if got := strings.Fields(lines[2]); !reflect.DeepEqual(got, strings.Fields("0 follower lead0r:8101 42 42 42 0 9 1 0")) {
-			t.Fatalf("follower row %q", lines[2])
+		if got := strings.Fields(lines[2]); !reflect.DeepEqual(got, strings.Fields("1 site1:8002 5")) {
+			t.Fatalf("site 1 row %q", lines[2])
 		}
 		wantLines(t, out, "coordinator coord:8003:",
-			"circuit lead0:7001", "closed", "circuit lead0r:7101", "open", "circuit site1:7002", "half-open",
-			"queries shed (admission) 3", "gate shed queue_full", "gate shed queue_wait",
-			"replica reads leader=50 follower=150 fallbacks=4 stale=2")
+			"circuit site0:7001", "closed", "circuit site1:7002", "half-open", "circuit site2:7003", "open",
+			"queries shed (admission) 3", "gate shed queue_full", "gate shed queue_wait")
 
 		out = doctorOut(t, "-view", "fleet", "-json")
 		keys, objs := jsonKeys(t, out)
-		site := []string{"addr", "role", "site", "epoch"}
 		want := map[string][]string{
-			"coordinator": sorted("addr", "role", "circuits", "queries_shed", "gate_sheds", "replica_reads", "fallbacks", "stale_reads"),
-			"leader":      sorted(site...),
-			"follower":    sorted(append(site, "applied_seq", "leader_seq", "lag_records", "pulls", "bootstraps", "truncations")...),
+			"coordinator": sorted("addr", "role", "circuits", "queries_shed", "gate_sheds"),
+			"site":        sorted("addr", "role", "site", "epoch"),
 		}
-		if len(objs) != 4 {
-			t.Fatalf("%d fleet objects, want 4:\n%s", len(objs), out)
+		if len(objs) != 3 {
+			t.Fatalf("%d fleet objects, want 3:\n%s", len(objs), out)
 		}
 		for i, obj := range objs {
 			if role := obj["role"].(string); !reflect.DeepEqual(keys[i], want[role]) {
 				t.Fatalf("%s keys %v, want %v", role, keys[i], want[role])
 			}
 		}
-		wantLines(t, out, `"lag_records":0`, `"truncations":0`,
-			`"circuits":{"lead0:7001":"closed","lead0r:7101":"open","site1:7002":"half-open"}`,
+		wantLines(t, out, `"epoch":42`, `"epoch":5`,
+			`"circuits":{"site0:7001":"closed","site1:7002":"half-open","site2:7003":"open"}`,
 			`"gate_sheds":{"queue_full":2,"queue_wait":1}`)
 	})
 
@@ -143,10 +139,10 @@ func TestDoctorViewsRenderFixture(t *testing.T) {
 		wantColumns(t, out, "SITE", "ADDR", "EPOCH", "DURABLE", "CKPT", "WAL TAIL", "CKPT AGE",
 			"APPENDS", "FSYNCS", "CKPTS", "REPLAYED")
 		row := strings.Split(out, "\n")[1]
-		if got := strings.Fields(row); !reflect.DeepEqual(got, strings.Fields("0 lead0:8001 42 42 40 2.0KiB 1m15s 42 10 2 3")) {
+		if got := strings.Fields(row); !reflect.DeepEqual(got, strings.Fields("0 site0:8001 42 42 40 2.0KiB 1m15s 42 10 2 3")) {
 			t.Fatalf("store row %q", row)
 		}
-		for _, addr := range []string{"lead0r:8101", "site1:8002", "coord:8003"} {
+		for _, addr := range []string{"site1:8002", "coord:8003"} {
 			wantLines(t, out, addr+" (in-memory, no durable store)")
 		}
 
@@ -160,8 +156,8 @@ func TestDoctorViewsRenderFixture(t *testing.T) {
 
 	t.Run("top", func(t *testing.T) {
 		out := doctorOut(t, "-view", "top")
-		wantLines(t, out, "ccp top — 4 endpoint(s)",
-			"== lead0:8001 ==", "served 120 reqs -", "site-cache 7 hits -", "reduce 30 rounds -",
+		wantLines(t, out, "ccp top — 3 endpoint(s)",
+			"== site0:8001 ==", "served 120 reqs -", "site-cache 7 hits -", "reduce 30 rounds -",
 			"== coord:8003 ==", "queries 200 total -", "latency   p50=", "p95=", "p99=", "(n=200)",
 			"coord-cache  75.0% (30/40) hit", "circuits  1 closed, 1 open, 1 half-open")
 		if err := cmdDoctor([]string{"-in", fixture, "-view", "top", "-json"}); err == nil {

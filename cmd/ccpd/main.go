@@ -9,7 +9,6 @@
 //
 //	ccpd -partition p2.ccpp -listen :7002 [-workers n] [-data-dir dir]
 //	ccpd -graph g.ccpg -parts 4 -site 2 -listen :7002 [-workers n]
-//	ccpd -replica-of lead:7002 -listen :7102 [-workers n]
 //
 // The first form loads a partition file written by `ccpctl split` — each
 // authority holds only its own data, the paper's deployment model. The
@@ -18,18 +17,12 @@
 // With -data-dir the site is durable: updates are write-ahead logged and
 // checkpointed there, and a restart recovers the exact pre-kill graph and
 // epoch instead of reloading the provisioning files.
-//
-// With -replica-of the process is a follower replica instead of a leader:
-// it bootstraps from the durable site at the given address, tails its WAL,
-// and serves reads on -listen (writes are refused). No provisioning files
-// are needed — the leader's snapshot is the seed.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -54,22 +47,15 @@ func main() {
 	listen := flag.String("listen", ":7001", "listen address")
 	workers := flag.Int("workers", 0, "reduction parallelism (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "durable store directory (WAL + checkpoints); updates survive restarts (empty = in-memory only)")
-	replicaOf := flag.String("replica-of", "", "run as a follower replica of the durable site at this address (no partition/graph flags needed)")
 	noSync := flag.Bool("store-no-sync", false, "with -data-dir: skip fsync on commit (faster, loses the last updates on power failure)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	opsAddr := flag.String("ops-addr", "", "ops HTTP address serving "+cli.OpsEndpoints+" (empty = disabled)")
-	maxLag := flag.Uint64("max-lag", 100000, "with -replica-of: replication-lag ceiling in records; /healthz turns 503 and the divergence probe fires beyond it (0 = no ceiling)")
 	lf := cli.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
 
 	logger, err := lf.Logger()
 	if err != nil {
 		fatalf("%v", err)
-	}
-
-	if *replicaOf != "" {
-		runFollower(*replicaOf, *listen, *workers, *drain, *opsAddr, *maxLag, logger)
-		return
 	}
 
 	// seed loads the partition from the flags. With -data-dir it only runs
@@ -149,7 +135,7 @@ func main() {
 	// HTTP surface is opt-in.
 	observer := ccp.NewObserver(ccp.ObserverConfig{Process: fmt.Sprintf("site-%d", srv.SiteID())})
 	srv.Observe(observer)
-	ccp.RegisterBuildInfo(observer.Registry(), "leader")
+	ccp.RegisterBuildInfo(observer.Registry(), "site")
 	defer cli.DumpFlightOnQuit(observer)()
 
 	// The auditor continuously re-verifies the site's durable state: every
@@ -195,68 +181,4 @@ func main() {
 			fatalf("serving %s: %v", *listen, err)
 		}
 	}
-}
-
-// runFollower is the -replica-of mode: bootstrap a read replica from the
-// leader, serve reads on listen, and replicate until SIGINT/SIGTERM.
-func runFollower(leaderAddr, listen string, workers int, drain time.Duration, opsAddr string, maxLag uint64, logger *slog.Logger) {
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	observer := ccp.NewObserver(ccp.ObserverConfig{Process: "replica"})
-	ccp.RegisterBuildInfo(observer.Registry(), "follower")
-	defer cli.DumpFlightOnQuit(observer)()
-
-	bctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	fs, err := ccp.StartFollowerSite(bctx, leaderAddr, ccp.FollowerSiteConfig{
-		Listen:   listen,
-		Workers:  workers,
-		Observer: observer,
-		Logger:   logger,
-	})
-	cancel()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	observer.Flight().SetProcess(fmt.Sprintf("replica-%d", fs.SiteID()))
-	applied, leaderSeq := fs.Lag()
-	logger.Info("follower serving", "site", fs.SiteID(), "addr", fs.Addr(),
-		"leader", leaderAddr, "applied_seq", applied, "leader_seq", leaderSeq)
-
-	// /healthz on a follower reports the replication role and lag, and
-	// turns 503 once the replica falls more than maxLag records behind —
-	// load balancers stop routing reads to a stale replica.
-	health := func() (bool, any) {
-		applied, leaderSeq := fs.Lag()
-		lag := leaderSeq - applied
-		return maxLag == 0 || lag <= maxLag, map[string]any{
-			"role":        "follower",
-			"site":        fs.SiteID(),
-			"applied_seq": applied,
-			"leader_seq":  leaderSeq,
-			"lag_records": lag,
-			"max_lag":     maxLag,
-		}
-	}
-	// The auditor watches the replication watermarks: divergence from the
-	// leader (applied ahead of the leader's head, epoch ahead of applied, a
-	// rewind without a re-bootstrap) or lag beyond the ceiling fires the
-	// fleet.divergence probe.
-	ops, err := cli.StartOps(opsAddr, observer, health, logger, fs.DivergenceProbe(maxLag))
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	<-ctx.Done()
-	stop() // a second signal kills immediately
-	sctx, cancel := context.WithTimeout(context.Background(), drain)
-	ops.Close(sctx)
-	cancel()
-	if err := fs.Close(); err != nil {
-		logger.Error("follower close failed", "err", err)
-		os.Exit(1)
-	}
-	applied, leaderSeq = fs.Lag()
-	logger.Info("shut down cleanly", "site", fs.SiteID(),
-		"applied_seq", applied, "leader_seq", leaderSeq)
 }

@@ -22,20 +22,19 @@ const OpsEndpoints = "/metrics /healthz /varz /audit /debug/flight /debug/pprof"
 // in the background and, when an address was given, the listener serving
 // OpsEndpoints.
 type Ops struct {
-	Auditor *ccp.Auditor
+	auditor *ccp.Auditor
 	server  *ccp.OpsServer
 }
 
 // StartOps starts an auditor over probes and, when addr is non-empty, binds
-// the ops listener with the auditor's /audit mounted and logs its URL. The
-// caller may register SLOs on the returned Auditor.
+// the ops listener with the auditor's /audit mounted and logs its URL.
 func StartOps(addr string, o *ccp.Observer, health ccp.HealthFunc, logger *slog.Logger, probes ...ccp.AuditProbe) (*Ops, error) {
 	a := ccp.NewAuditor(ccp.AuditConfig{Observer: o})
 	for _, p := range probes {
 		a.Register(p)
 	}
 	a.Start()
-	ops := &Ops{Auditor: a}
+	ops := &Ops{auditor: a}
 	if addr == "" {
 		return ops, nil
 	}
@@ -54,7 +53,7 @@ func (ops *Ops) Close(ctx context.Context) {
 	if ops.server != nil {
 		ops.server.Shutdown(ctx)
 	}
-	ops.Auditor.Close()
+	ops.auditor.Close()
 }
 
 // LogFlags are the parsed values of the standard logging flags.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -288,5 +290,58 @@ func TestServeSiteStopsOnContextCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeSite did not stop on cancel")
+	}
+}
+
+// TestConnectClusterCleansUpAfterFailedDial: a connect that reaches one
+// site and not the next must fail naming the dead address and close the
+// connection it already made, leaving neither a client reader nor a site
+// connection handler behind.
+func TestConnectClusterCleansUpAfterFailedDial(t *testing.T) {
+	g := ccp.GenerateRandom(40, 120, 5)
+	pi, err := ccp.PartitionContiguous(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := ccp.NewSiteServer(pi.Parts[0], 1)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(l) }()
+	defer func() {
+		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(sctx)
+		<-serveErr
+	}()
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+
+	base := runtime.NumGoroutine()
+	_, err = ccp.ConnectCluster(context.Background(), []string{l.Addr().String(), deadAddr}, ccp.ClusterOptions{})
+	if err == nil || !strings.Contains(err.Error(), deadAddr) {
+		t.Fatalf("connect with a dead site returned %v, want an error naming %s", err, deadAddr)
+	}
+	if n := srv.Stats().ConnsAccepted; n != 1 {
+		t.Fatalf("live site accepted %d connections, want 1", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		now := runtime.NumGoroutine()
+		if now <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutines did not settle: %d -> %d\n%s", base, now, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -22,7 +22,7 @@ const (
 	// dialTimeout bounds each dial attempt and the identity handshake.
 	dialTimeout = 5 * time.Second
 	// maxRetries is how many additional attempts an idempotent call
-	// (evaluate, precompute, info, the replication reads) makes after a
+	// (evaluate, precompute, info) makes after a
 	// transport failure; each attempt redials if needed. Writes (apply) are
 	// never retried.
 	maxRetries = 2
@@ -557,49 +557,12 @@ func (c *RemoteClient) Apply(ctx context.Context, rec store.Record) (UpdateResul
 	return resp.UpdateRes, nil
 }
 
-// ReplSnapshot fetches the site's consistent bootstrap image for follower
-// replication: the CCPP1-encoded partition plus the WAL sequence number it
-// covers, and the leader's current head sequence for lag accounting.
-func (c *RemoteClient) ReplSnapshot(ctx context.Context) (snapSeq uint64, img []byte, leaderSeq uint64, err error) {
-	resp, _, err := c.roundTrip(ctx, &request{Op: opReplSnapshot})
-	if err != nil {
-		return 0, nil, 0, err
-	}
-	return resp.SnapSeq, resp.Snapshot, resp.DurableSeq, nil
-}
-
-// ReplPull fetches up to max WAL records with sequence numbers strictly
-// greater than from. wait > 0 asks the site to long-poll that long before
-// answering empty. truncated reports that checkpointing deleted records the
-// caller still needs — re-bootstrap via ReplSnapshot. leaderSeq is the
-// site's head sequence number at answer time.
-func (c *RemoteClient) ReplPull(ctx context.Context, from uint64, max int, wait time.Duration) (recs []store.Record, leaderSeq uint64, truncated bool, err error) {
-	resp, _, err := c.roundTrip(ctx, &request{
-		Op:         opReplPull,
-		FromSeq:    from,
-		MaxRecords: max,
-		WaitNS:     wait.Nanoseconds(),
-	})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if resp.Truncated {
-		return nil, resp.DurableSeq, true, nil
-	}
-	if len(resp.Records) > 0 {
-		if recs, err = store.DecodeRecords(resp.Records); err != nil {
-			return nil, 0, false, &SiteError{SiteID: c.SiteID(), Op: "repl-pull", Msg: err.Error()}
-		}
-	}
-	return recs, resp.DurableSeq, false, nil
-}
-
 // idempotent reports whether an operation may safely be retried after a
 // transport failure whose outcome is unknown. A write mutates site state
-// and must not be replayed; the replication reads are pure reads.
+// and must not be replayed; the reads are pure.
 func idempotent(o op) bool {
 	switch o {
-	case opEvaluate, opPrecompute, opInfo, opReplSnapshot, opReplPull:
+	case opEvaluate, opPrecompute, opInfo:
 		return true
 	}
 	return false

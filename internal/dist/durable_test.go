@@ -3,7 +3,6 @@ package dist
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -122,8 +121,8 @@ func randomRecord(rng *rand.Rand, nodes int) (rec store.Record, valid bool) {
 	return randomStake(rng, nodes, 0).record(), true
 }
 
-// partBytes serializes the site's partition — the state a recovered site or
-// a follower must reproduce byte for byte.
+// partBytes serializes the site's partition — the state a recovered site
+// must reproduce byte for byte.
 func partBytes(t *testing.T, s *Site) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -136,84 +135,29 @@ func partBytes(t *testing.T, s *Site) []byte {
 	return buf.Bytes()
 }
 
-// sameAsLeader requires c, built from an image covering seq image (a
-// checkpoint, a replication snapshot; 0 for none) plus the records past it,
-// to hold exactly the leader's partition bytes and epoch. The one latitude
-// is by design: an image stamped past the leader's last change (trailing
-// count-only ticks) starts c's epoch at the image's seq.
-func sameAsLeader(t *testing.T, tag string, leader, c *Site, image uint64) {
+// sameAsSite requires c, built from an image covering seq image (a
+// checkpoint; 0 for none) plus the records past it, to hold exactly the
+// original site's partition bytes and epoch. The one latitude is by design:
+// an image stamped past the original's last change (trailing count-only
+// ticks) starts c's epoch at the image's seq.
+func sameAsSite(t *testing.T, tag string, orig, c *Site, image uint64) {
 	t.Helper()
-	if !bytes.Equal(partBytes(t, leader), partBytes(t, c)) {
-		t.Fatalf("%s: partition bytes differ from the leader's", tag)
+	if !bytes.Equal(partBytes(t, orig), partBytes(t, c)) {
+		t.Fatalf("%s: partition bytes differ from the original's", tag)
 	}
-	if want := max(leader.Epoch(), image); c.Epoch() != want {
-		t.Fatalf("%s: epoch %d, want %d (leader epoch %d, image seq %d)", tag, c.Epoch(), want, leader.Epoch(), image)
-	}
-}
-
-// testFollower is replication without the transport: a read-only site
-// bootstrapped from the leader's ReplicationSnapshot and fed its WAL
-// records through ReadRecords → Apply.
-type testFollower struct {
-	site           *Site
-	image, applied uint64 // the bootstrap image's seq; the last applied seq
-}
-
-func (f *testFollower) bootstrap(t *testing.T, leader *Site) {
-	t.Helper()
-	seq, img, err := leader.ReplicationSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := partition.ReadPartition(bytes.NewReader(img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.site, f.image, f.applied = NewSite(p, 1), seq, seq
-	f.site.SetReadOnly(true)
-	if seq > 0 {
-		if _, err := f.site.Apply(store.Record{Kind: store.KindMark, Seq: seq}); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// catchUp applies every record past the follower's watermark, re-
-// bootstrapping if checkpointing already deleted some of them.
-func (f *testFollower) catchUp(t *testing.T, leader *Site) {
-	t.Helper()
-	for {
-		recs, err := leader.ReadRecords(f.applied, 8)
-		var trunc *store.TruncatedError
-		if errors.As(err, &trunc) {
-			f.bootstrap(t, leader)
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(recs) == 0 {
-			return
-		}
-		for _, rec := range recs {
-			if _, err := f.site.Apply(rec); err != nil {
-				t.Fatalf("follower applying seq %d: %v", rec.Seq, err)
-			}
-			f.applied = rec.Seq
-		}
+	if want := max(orig.Epoch(), image); c.Epoch() != want {
+		t.Fatalf("%s: epoch %d, want %d (original epoch %d, image seq %d)", tag, c.Epoch(), want, orig.Epoch(), image)
 	}
 }
 
 // TestDurableSiteRestartEquivalence is the differential for the one write
-// path. Each seed drives a durable leader through a random record stream
+// path. Each seed drives a durable site through a random record stream
 // (stakes, no-op stakes, count-only cross-in ticks, marks, rejected
-// records) while a follower tails it through ReadRecords → Apply and
-// re-bootstraps once mid-stream from ReplicationSnapshot; at every checked
-// seq the follower must equal the leader in partition bytes and epoch. Then
-// the leader is killed at that point and recovered from disk — with and
-// without an intervening checkpoint — and the recovered site must equal
-// both the leader and an in-memory twin that applied the same updates
-// straight through the partition methods.
+// records); every change must move the epoch to its WAL seq. Then the site
+// is killed and recovered from disk — with and without an intervening
+// checkpoint — and the recovered site must equal both the original and an
+// in-memory twin that applied the same updates straight through the
+// partition methods.
 func TestDurableSiteRestartEquivalence(t *testing.T) {
 	seeds := 1000
 	if testing.Short() {
@@ -232,19 +176,15 @@ func TestDurableSiteRestartEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var f testFollower
-		f.bootstrap(t, s)
-
 		rng := rand.New(rand.NewSource(int64(seed) * 31))
 		n := 5 + rng.Intn(25)
-		rebootAt := rng.Intn(n)
 		for i := 0; i < n; i++ {
 			rec, valid := randomRecord(rng, nodes)
 			before, epoch := partBytes(t, s), s.Epoch()
 			res, err := s.Apply(rec)
-			if err == nil && res.Changed && (res.Seq != s.LeaderSeq() || s.Epoch() != res.Seq) {
+			if err == nil && res.Changed && (res.Seq != s.store.AppendedSeq() || s.Epoch() != res.Seq) {
 				t.Fatalf("%s: %+v moved the epoch to %d (reported %d), want its WAL seq %d",
-					seedTag, rec, s.Epoch(), res.Seq, s.LeaderSeq())
+					seedTag, rec, s.Epoch(), res.Seq, s.store.AppendedSeq())
 			}
 			switch {
 			case !valid && err == nil:
@@ -267,16 +207,7 @@ func TestDurableSiteRestartEquivalence(t *testing.T) {
 					t.Fatalf("%s: Checkpoint: %v", seedTag, err)
 				}
 			}
-			if i == rebootAt {
-				f.bootstrap(t, s)
-			}
-			if rng.Intn(3) == 0 {
-				f.catchUp(t, s)
-				sameAsLeader(t, fmt.Sprintf("%s: follower after op %d", seedTag, i), s, f.site, f.image)
-			}
 		}
-		f.catchUp(t, s)
-		sameAsLeader(t, seedTag+": follower", s, f.site, f.image)
 		if err := s.store.Kill(); err != nil {
 			t.Fatalf("%s: Kill: %v", seedTag, err)
 		}
@@ -286,7 +217,7 @@ func TestDurableSiteRestartEquivalence(t *testing.T) {
 			t.Fatalf("%s: recovery: %v", seedTag, err)
 		}
 		st, _ := r.StoreStats()
-		sameAsLeader(t, seedTag+": recovered site", s, r, st.CheckpointSeq)
+		sameAsSite(t, seedTag+": recovered site", s, r, st.CheckpointSeq)
 		sameSiteState(t, seedTag, twin, r.part)
 		if err := r.CloseStore(); err != nil {
 			t.Fatalf("%s: CloseStore: %v", seedTag, err)
@@ -450,8 +381,8 @@ func reduceAt(p *partition.Partition, q control.Query, keep graph.NodeSet, opt c
 // checks that what it got is that partition at the epoch it was stamped
 // with — no torn reads, no mixed epochs. The read paths are a live
 // evaluation of the whole partition (ForcePartial), a live evaluation of the
-// query's slice, a cached evaluation, the checkpoint source and the
-// replication bootstrap image. Each partial must equal a single-worker
+// query's slice, a cached evaluation and the checkpoint source. Each
+// partial must equal a single-worker
 // reduction of the recorded partition's copy that path takes — all of it,
 // the query's slice, or the core — with the slice and the core computed by
 // the test's own two BFS (refSlice); each image must decode to the recorded
@@ -487,7 +418,7 @@ func TestSnapshotsNeverMixEpochs(t *testing.T) {
 
 	// The writer keeps streaming until every reader verified enough reads,
 	// so the test self-paces instead of racing a fixed count.
-	paths := []string{"live", "slice", "cached", "checkpoint", "replication"}
+	paths := []string{"live", "slice", "cached", "checkpoint"}
 	const wantChecks = 100
 	checks := make([]atomic.Int64, len(paths))
 	// sliced counts the slice reads that copied a slice rather than being
@@ -555,14 +486,6 @@ func TestSnapshotsNeverMixEpochs(t *testing.T) {
 			var p *partition.Partition
 			epoch, p = s.checkpointImage()
 			img, err = encodePartition(p)
-		case "replication":
-			var b []byte
-			if epoch, b, err = s.ReplicationSnapshot(); err == nil {
-				var p *partition.Partition
-				if p, err = partition.ReadPartition(bytes.NewReader(b)); err == nil {
-					img, err = encodePartition(p)
-				}
-			}
 		}
 		if err != nil {
 			t.Errorf("%s read: %v", paths[r], err)

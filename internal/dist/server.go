@@ -14,7 +14,6 @@ import (
 	"ccp/internal/control"
 	"ccp/internal/graph"
 	"ccp/internal/obs"
-	"ccp/internal/store"
 )
 
 // ServerConfig configures a site server.
@@ -32,8 +31,6 @@ const (
 	writeTimeout = 30 * time.Second
 	// drainTimeout bounds the graceful drain of the ctx-driven Serve.
 	drainTimeout = 10 * time.Second
-	// replPollInterval is the long-poll recheck cadence of opReplPull.
-	replPollInterval = 2 * time.Millisecond
 )
 
 // ServerStats is a snapshot of a site server's lifetime counters, the
@@ -53,8 +50,7 @@ type ServerStats struct {
 // new requests stop being read, in-flight requests finish and their
 // responses are written, then connections close.
 type Server struct {
-	// site is the served site; SetSite swaps it while connections stay up.
-	site atomic.Pointer[Site]
+	site *Site // the one site this server serves
 	log  *slog.Logger
 
 	// baseCtx parents every request handler; forceCancel fires when a
@@ -79,29 +75,21 @@ type Server struct {
 // NewServer builds a server for one site.
 func NewServer(site *Site, cfg ServerConfig) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
+	return &Server{
+		site:        site,
 		log:         obs.LoggerOr(cfg.Logger),
 		baseCtx:     ctx,
 		forceCancel: cancel,
 		listeners:   make(map[net.Listener]struct{}),
 		conns:       make(map[net.Conn]struct{}),
 	}
-	s.site.Store(site)
-	return s
 }
-
-// SetSite swaps the served site: requests read after the call go to site,
-// requests in flight finish on the site they started on, and every
-// connection stays open. A follower re-bootstrap replaces its replica this
-// way instead of changing a live site's partition, which Evaluate reads
-// without a lock.
-func (s *Server) SetSite(site *Site) { s.site.Store(site) }
 
 // SetLogger replaces the server's and its site's logger (nil discards).
 // Call before Serve.
 func (s *Server) SetLogger(l *slog.Logger) {
 	s.log = obs.LoggerOr(l)
-	s.site.Load().SetLogger(l)
+	s.site.SetLogger(l)
 }
 
 // Observe exposes the server's existing lifetime counters as scrape-time
@@ -121,7 +109,7 @@ func (s *Server) Observe(o *obs.Observer) {
 	reg.GaugeFunc("ccp_server_inflight_requests",
 		"Requests currently being served.",
 		func() float64 { return float64(s.inflight.Load()) })
-	s.site.Load().Observe(o)
+	s.site.Observe(o)
 }
 
 // Stats snapshots the server's lifetime counters.
@@ -171,7 +159,7 @@ func (s *Server) isShutdown() bool {
 // exits. If ctx expires first, in-flight handlers are cancelled and the
 // remaining connections force-closed; ctx.Err() is returned.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.log.Info("server shutting down", "site", s.site.Load().ID(), "inflight", s.inflight.Load())
+	s.log.Info("server shutting down", "site", s.site.ID(), "inflight", s.inflight.Load())
 	s.mu.Lock()
 	already := s.shutdown
 	s.shutdown = true
@@ -195,10 +183,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.log.Info("server drained", "site", s.site.Load().ID(), "conns_drained", s.drained.Load())
+		s.log.Info("server drained", "site", s.site.ID(), "conns_drained", s.drained.Load())
 		return nil
 	case <-ctx.Done():
-		s.log.Warn("server drain deadline expired, force-closing", "site", s.site.Load().ID())
+		s.log.Warn("server drain deadline expired, force-closing", "site", s.site.ID())
 		s.forceCancel()
 		s.mu.Lock()
 		for conn := range s.conns {
@@ -264,8 +252,7 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, encMu *sync.Mutex, req 
 	if req.DeadlineNS > 0 {
 		ctx, cancel = context.WithTimeout(ctx, durationNS(req.DeadlineNS))
 	}
-	site := s.site.Load()
-	resp := s.serve(ctx, site, req)
+	resp := s.serve(ctx, req)
 	cancel()
 	resp.ID = req.ID
 
@@ -276,27 +263,27 @@ func (s *Server) handle(conn net.Conn, enc *gob.Encoder, encMu *sync.Mutex, req 
 	// lets it redial.
 	if err := enc.Encode(resp); err != nil {
 		s.log.Warn("response write failed, closing connection",
-			"site", site.ID(), "op", opName(req.Op), "err", err)
+			"site", s.site.ID(), "op", opName(req.Op), "err", err)
 		conn.Close()
 	}
 	encMu.Unlock()
 }
 
-// serve executes one decoded request against site.
-func (s *Server) serve(ctx context.Context, site *Site, req *request) *response {
-	siteID := site.ID()
+// serve executes one decoded request against the server's site.
+func (s *Server) serve(ctx context.Context, req *request) *response {
+	siteID := s.site.ID()
 	switch req.Op {
 	case opInfo:
 		return &response{SiteID: siteID}
 	case opPrecompute:
-		stats, err := site.Precompute(ctx)
+		stats, err := s.site.Precompute(ctx)
 		if err != nil {
 			return errResponse(siteID, err)
 		}
 		return &response{SiteID: siteID, Stats: stats}
 	case opEvaluate:
 		q := control.Query{S: graph.NodeID(req.S), T: graph.NodeID(req.T)}
-		pa, err := site.Evaluate(ctx, q, EvalOptions{
+		pa, err := s.site.Evaluate(ctx, q, EvalOptions{
 			UseCache:     req.UseCache,
 			ForcePartial: req.ForcePartial,
 			IfEpoch:      req.IfEpoch,
@@ -318,60 +305,13 @@ func (s *Server) serve(ctx context.Context, site *Site, req *request) *response 
 	case opApply:
 		rec := req.Record
 		rec.Seq = 0
-		res, err := site.Apply(rec)
+		res, err := s.site.Apply(rec)
 		if err != nil {
 			return errResponse(siteID, err)
 		}
 		return &response{SiteID: siteID, UpdateRes: res}
-	case opReplSnapshot:
-		seq, img, err := site.ReplicationSnapshot()
-		if err != nil {
-			return errResponse(siteID, err)
-		}
-		return &response{SiteID: siteID, Snapshot: img, SnapSeq: seq, DurableSeq: site.LeaderSeq()}
-	case opReplPull:
-		return serveReplPull(ctx, site, req)
 	default:
 		return errResponse(siteID, fmt.Errorf("unknown op %d", req.Op))
-	}
-}
-
-// serveReplPull answers one record-pull request. With WaitNS set and no
-// records past FromSeq yet, it long-polls — rechecking the WAL head until
-// records land, the wait budget runs out, or the request is cancelled — so
-// an idle leader costs the follower one outstanding request instead of a
-// tight poll loop over the wire.
-func serveReplPull(ctx context.Context, site *Site, req *request) *response {
-	siteID := site.ID()
-	max := req.MaxRecords
-	if max <= 0 || max > 8192 {
-		max = 8192
-	}
-	var deadline time.Time
-	if req.WaitNS > 0 {
-		deadline = time.Now().Add(durationNS(req.WaitNS))
-	}
-	for {
-		recs, err := site.ReadRecords(req.FromSeq, max)
-		var trunc *store.TruncatedError
-		if errors.As(err, &trunc) {
-			return &response{SiteID: siteID, Truncated: true, DurableSeq: site.LeaderSeq()}
-		}
-		if err != nil {
-			return errResponse(siteID, err)
-		}
-		if len(recs) > 0 || deadline.IsZero() || !time.Now().Before(deadline) {
-			return &response{
-				SiteID:     siteID,
-				Records:    store.EncodeRecords(nil, recs),
-				DurableSeq: site.LeaderSeq(),
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return errResponse(siteID, ctx.Err())
-		case <-time.After(replPollInterval):
-		}
 	}
 }
 

@@ -14,7 +14,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
@@ -48,9 +47,8 @@ type PartialAnswer struct {
 	// cache rather than a live evaluation.
 	FromCache bool
 	// Epoch is the site's data version the answer was computed at; it
-	// changes whenever the site's partition changes. Replica-aware routing
-	// compares it against the leader's last commit to detect stale follower
-	// answers.
+	// changes whenever the site's partition changes. The coordinator sends
+	// it back as EvalOptions.IfEpoch to revalidate its cached copy.
 	Epoch uint64
 	// NotModified reports that the coordinator's copy (requested via
 	// EvalOptions.IfEpoch) is still valid; Reduced is nil.
@@ -109,10 +107,6 @@ type Site struct {
 	// effective update is logged before it is acknowledged, and the epoch
 	// is the WAL sequence number — a version that survives restarts.
 	store *store.Store
-
-	// readOnly marks a follower replica: Apply refuses new writes, so a
-	// misrouted write cannot fork the replica from its leader.
-	readOnly atomic.Bool
 
 	// scratch pools the graphs live evaluations and cache builds copy a
 	// slice into and reduce (the whole partition under ForcePartial);
@@ -255,55 +249,6 @@ func (s *Site) checkpointImage() (uint64, *partition.Partition) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.store.AppendedSeq(), s.part.Snapshot()
-}
-
-// SetReadOnly marks the site as a follower replica: Apply refuses new writes
-// (they belong on the leader), and state changes arrive only as records
-// replicated with their leader-assigned sequence numbers.
-func (s *Site) SetReadOnly(v bool) { s.readOnly.Store(v) }
-
-// ReadOnly reports whether the site refuses direct writes.
-func (s *Site) ReadOnly() bool { return s.readOnly.Load() }
-
-// ReplicationSnapshot captures a consistent bootstrap image for a follower:
-// the partition serialized in CCPP1 format, plus the WAL sequence number it
-// covers. Only sites with a durable store can be replicated from.
-func (s *Site) ReplicationSnapshot() (uint64, []byte, error) {
-	if s.store == nil {
-		return 0, nil, &SiteError{SiteID: s.part.ID, Op: "repl-snapshot",
-			Msg: "site has no durable store to replicate from"}
-	}
-	// Seq and image are captured together under the read lock (appends
-	// happen under the exclusive one): the partition is serialized in place,
-	// with updates held off until the bytes are written.
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var buf bytes.Buffer
-	if err := s.part.WriteBinary(&buf); err != nil {
-		return 0, nil, fmt.Errorf("dist: site %d serializing bootstrap image: %w", s.part.ID, err)
-	}
-	return s.store.AppendedSeq(), buf.Bytes(), nil
-}
-
-// ReadRecords returns up to max WAL records with sequence numbers strictly
-// greater than from, for shipping to a follower. A *store.TruncatedError
-// means checkpointing already deleted segments the follower needs — it must
-// re-bootstrap from ReplicationSnapshot.
-func (s *Site) ReadRecords(from uint64, max int) ([]store.Record, error) {
-	if s.store == nil {
-		return nil, &SiteError{SiteID: s.part.ID, Op: "repl-pull",
-			Msg: "site has no durable store to replicate from"}
-	}
-	return s.store.ReadFrom(from, max)
-}
-
-// LeaderSeq returns the last WAL sequence number assigned by this site —
-// the reference a follower's lag is measured against. Zero without a store.
-func (s *Site) LeaderSeq() uint64 {
-	if s.store == nil {
-		return 0
-	}
-	return s.store.AppendedSeq()
 }
 
 // CloseStore checkpoints and closes the site's durable store — a clean

@@ -50,24 +50,20 @@ type UpdateResult struct {
 }
 
 // Apply is the one write path: every change to the site's partition or
-// epoch — a live update, a WAL record replayed at recovery, a record shipped
-// to a follower, a forced invalidation (a mark) — is a record applied here.
+// epoch — a live update, a WAL record replayed at recovery, a forced
+// invalidation (a mark) — is a record applied here.
 //
 // The record is checked before the partition is touched, so a rejected
 // record changes nothing. A record without a Seq is a new write: when it is
 // the site's to apply and is not a no-op it is appended to the store and
 // takes the sequence number it is assigned there, or the next counter value
-// on a site without a store. A record with a Seq comes from WAL replay or
-// replication and is already logged; the site adopts its Seq. Either way
-// the epoch moves only when observable state changed: a cross-in count tick
-// that leaves the in-node set alone is logged (recovery needs the count)
-// but keeps the epoch. A read-only site refuses new writes of every kind.
+// on a site without a store. A record with a Seq comes from WAL replay and
+// is already logged; the site adopts its Seq. Either way the epoch moves
+// only when observable state changed: a cross-in count tick that leaves the
+// in-node set alone is logged (recovery needs the count) but keeps the
+// epoch.
 func (s *Site) Apply(rec store.Record) (UpdateResult, error) {
 	live := rec.Seq == 0
-	if live && s.readOnly.Load() {
-		return UpdateResult{}, &SiteError{SiteID: s.part.ID, Op: "apply",
-			Msg: "read-only follower replica: writes go to the leader"}
-	}
 	if err := checkRecord(rec); err != nil {
 		return UpdateResult{}, fmt.Errorf("dist: site %d: %w", s.part.ID, err)
 	}

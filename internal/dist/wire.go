@@ -32,11 +32,7 @@ const (
 	opInfo
 	// opApply carries one store.Record to the site's one write path.
 	opApply
-	// opReplSnapshot fetches a consistent (seq, partition image) pair for
-	// follower bootstrap; opReplPull fetches a batch of WAL records past a
-	// sequence number. Both are served only by sites with a durable store.
-	opReplSnapshot
-	opReplPull
+	// 5 and 6 are retired; a site answers them "unknown op".
 )
 
 // opName names an op for error reporting.
@@ -50,10 +46,6 @@ func opName(o op) string {
 		return "info"
 	case opApply:
 		return "apply"
-	case opReplSnapshot:
-		return "repl-snapshot"
-	case opReplPull:
-		return "repl-pull"
 	default:
 		return fmt.Sprintf("op%d", o)
 	}
@@ -84,14 +76,8 @@ type request struct {
 	QueryID uint64
 	Trace   bool
 	// opApply payload. The server clears its Seq, so a write from the wire
-	// can never pose as a replicated one.
+	// can never pose as a record already in the log.
 	Record store.Record
-	// opReplPull payload: return up to MaxRecords WAL records with sequence
-	// numbers strictly greater than FromSeq. WaitNS > 0 asks the site to
-	// long-poll that long for new records before answering empty.
-	FromSeq    uint64
-	MaxRecords int
-	WaitNS     int64
 }
 
 // response is the site -> client message.
@@ -123,16 +109,6 @@ type response struct {
 	// (request.Trace), with TS as an offset from the site's own request
 	// start; the coordinator re-bases them when stitching.
 	Events []flight.Event
-	// Replication payloads. Records is a frame-encoded WAL record batch
-	// (store.EncodeRecords); Snapshot a CCPP1 partition image covering
-	// SnapSeq. DurableSeq is the site's durable sequence number at answer
-	// time — the follower's lag reference. Truncated tells a puller the
-	// records it needs were deleted by checkpointing: re-bootstrap.
-	Records    []byte
-	Snapshot   []byte
-	SnapSeq    uint64
-	DurableSeq uint64
-	Truncated  bool
 }
 
 // Error classification codes carried in response.Code.

@@ -40,6 +40,9 @@ func startServer(t *testing.T, site *Site) string {
 	return l.Addr().String()
 }
 
+// TestServeUnknownOp sends ops the site does not serve — one never used and
+// the retired 5 and 6 — each of which must get an "unknown op" error while
+// the connection keeps serving.
 func TestServeUnknownOp(t *testing.T) {
 	addr := startServer(t, testSite(t))
 	conn, err := net.Dial("tcp", addr)
@@ -49,27 +52,29 @@ func TestServeUnknownOp(t *testing.T) {
 	defer conn.Close()
 	enc := gob.NewEncoder(conn)
 	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&request{Op: 99}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err == "" || !strings.Contains(resp.Err, "unknown op") {
-		t.Fatalf("resp = %+v", resp)
-	}
-	// The connection stays usable after a bad request. (Fresh struct: gob
-	// does not reset zero-valued fields on decode.)
-	if err := enc.Encode(&request{Op: opInfo}); err != nil {
-		t.Fatal(err)
-	}
-	var resp2 response
-	if err := dec.Decode(&resp2); err != nil {
-		t.Fatal(err)
-	}
-	if resp2.Err != "" {
-		t.Fatalf("info after bad op: %+v", resp2)
+	for _, o := range []op{99, 5, 6} {
+		if err := enc.Encode(&request{Op: o}); err != nil {
+			t.Fatal(err)
+		}
+		var resp response
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Err == "" || !strings.Contains(resp.Err, "unknown op") {
+			t.Fatalf("op %d: resp = %+v", o, resp)
+		}
+		// The connection stays usable after a bad request. (Fresh struct:
+		// gob does not reset zero-valued fields on decode.)
+		if err := enc.Encode(&request{Op: opInfo}); err != nil {
+			t.Fatal(err)
+		}
+		var resp2 response
+		if err := dec.Decode(&resp2); err != nil {
+			t.Fatal(err)
+		}
+		if resp2.Err != "" {
+			t.Fatalf("info after op %d: %+v", o, resp2)
+		}
 	}
 }
 

@@ -1,15 +1,6 @@
-// Package fleet implements the elastic serving tier over the distributed
-// runtime of internal/dist: WAL-shipped follower replicas of durable sites
-// (Follower), replica-aware routing of reads across a leader and its
-// followers (ReplicaSet), and coordinator-side admission control (Gate).
-//
-// The consistency argument is the epoch: on a durable site the epoch is the
-// WAL sequence number of the last record that changed observable state, and
-// a follower applying the leader's records through the same mutation path
-// reproduces that assignment bit for bit. A follower answer stamped with an
-// epoch at or past the routing tier's write watermark is therefore
-// interchangeable with the leader's own answer; anything older is stale and
-// is re-issued to the leader.
+// Package fleet implements coordinator-side admission control over the
+// distributed runtime of internal/dist: the Gate, a fixed pool of execution
+// slots with a bounded wait queue in front of it, and its accounting probe.
 package fleet
 
 import (
@@ -20,6 +11,7 @@ import (
 
 	"ccp/internal/dist"
 	"ccp/internal/obs"
+	"ccp/internal/obs/audit"
 )
 
 // GateConfig tunes the coordinator's admission gate. The zero value selects
@@ -174,3 +166,48 @@ func (g *Gate) release() func() {
 }
 
 var _ dist.AdmissionGate = (*Gate)(nil)
+
+// GateAccounting is a point-in-time read of the gate's arrival bookkeeping.
+type GateAccounting struct {
+	Offered  int64 `json:"offered"`
+	Admitted int64 `json:"admitted"`
+	ShedFull int64 `json:"shed_queue_full"`
+	ShedWait int64 `json:"shed_queue_wait"`
+	Pending  int64 `json:"pending"`
+}
+
+// Accounting reads the gate's arrival counters.
+func (g *Gate) Accounting() GateAccounting {
+	return GateAccounting{
+		Offered:  g.met.offered.Value(),
+		Admitted: g.met.admitted.Value(),
+		ShedFull: g.met.shedFull.Value(),
+		ShedWait: g.met.shedWait.Value(),
+		Pending:  g.pending.Load(),
+	}
+}
+
+// AccountingProbe returns the gate's audit probe: every arrival is
+// accounted for — offered == admitted + shed + pending. The counters are
+// published one atomic at a time on the admission path, so the probe judges
+// only via audit.CheckStable: a mismatch that persists while nothing moves
+// is lost accounting, a moving one is an arrival mid-flight.
+func (g *Gate) AccountingProbe() audit.Probe {
+	return audit.Probe{
+		Name: "gate.accounting",
+		Check: func() audit.Result {
+			return audit.CheckStable(0, func() ([]int64, audit.Result) {
+				a := g.Accounting()
+				vals := []int64{a.Offered, a.Admitted, a.ShedFull, a.ShedWait, a.Pending}
+				settled := a.Admitted + a.ShedFull + a.ShedWait + a.Pending
+				if a.Offered != settled {
+					return vals, audit.Violation(
+						"offered %d != admitted %d + shed %d + pending %d",
+						a.Offered, a.Admitted, a.ShedFull+a.ShedWait, a.Pending)
+				}
+				return vals, audit.OK("offered %d = admitted %d + shed %d + pending %d",
+					a.Offered, a.Admitted, a.ShedFull+a.ShedWait, a.Pending)
+			})
+		},
+	}
+}

@@ -1,7 +1,6 @@
 // Package audit is the cluster's continuous verification layer: a registry
-// of cheap invariant probes that subsystems register (store scrub, fleet
-// divergence, gate accounting) plus a multi-window burn-rate SLO engine
-// over the metrics the registry already exports.
+// of cheap invariant probes that subsystems register (store scrub, gate
+// accounting).
 //
 // Probes run two ways: a background loop re-checks every probe on a fixed
 // interval (so violations are counted and flight-recorded even when nobody
@@ -111,22 +110,21 @@ type probeState struct {
 	breached bool // currently in violation (edge-triggers the flight event)
 }
 
-// Auditor is the per-process audit engine: the probe registry, the SLO
-// engine, the background loop, and the /audit handler.
+// Auditor is the per-process audit engine: the probe registry, the
+// background loop, and the /audit handler.
 type Auditor struct {
 	o        *obs.Observer
 	interval time.Duration // background re-check period
 
 	mu     sync.Mutex
 	probes []*probeState
-	slos   []*SLO
 
 	loopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
 }
 
-// New builds an Auditor. Call Register / RegisterSLO during process wiring,
+// New builds an Auditor. Call Register during process wiring,
 // then Start to begin the background loop.
 func New(cfg Config) *Auditor {
 	return &Auditor{
@@ -193,16 +191,15 @@ type ProbeReport struct {
 	Violations int64  `json:"violations"`
 }
 
-// Report is the /audit JSON payload: every probe's verdict and every SLO's
-// budget. OK covers the probes only.
+// Report is the /audit JSON payload: every probe's verdict. OK is false
+// when any probe is in violation.
 type Report struct {
 	OK     bool          `json:"ok"`
 	Probes []ProbeReport `json:"probes"`
-	SLOs   []SLOReport   `json:"slos,omitempty"`
 }
 
-// RunAll evaluates every registered probe now and returns their report,
-// without the SLOs. Nil-safe (reports trivially OK).
+// RunAll evaluates every registered probe now and returns their report.
+// Nil-safe (reports trivially OK).
 func (a *Auditor) RunAll() Report {
 	rep := Report{OK: true}
 	if a == nil {
@@ -222,8 +219,8 @@ func (a *Auditor) RunAll() Report {
 	return rep
 }
 
-// Start launches the background loop: every 5s, re-run all probes and
-// advance every SLO's sample ring. Idempotent; nil-safe.
+// Start launches the background loop: every 5s, re-run all probes.
+// Idempotent; nil-safe.
 func (a *Auditor) Start() {
 	if a == nil {
 		return
@@ -237,11 +234,8 @@ func (a *Auditor) Start() {
 				select {
 				case <-a.stop:
 					return
-				case now := <-t.C:
+				case <-t.C:
 					a.RunAll()
-					for _, s := range a.sloList() {
-						s.advance(a.o, now)
-					}
 				}
 			}
 		}()
@@ -264,14 +258,12 @@ func (a *Auditor) Close() {
 	<-a.done
 }
 
-// AuditHandler serves /audit: re-runs every probe, reads every SLO and
-// writes the joined report. 200 when every probe passes, 500 when any is in
-// violation (so a plain HTTP check can gate on it); SLO budgets do not move
-// the status.
+// AuditHandler serves /audit: re-runs every probe and writes the report.
+// 200 when every probe passes, 500 when any is in violation (so a plain
+// HTTP check can gate on it).
 func (a *Auditor) AuditHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rep := a.RunAll()
-		rep.SLOs = a.SLOStatus()
 		w.Header().Set("Content-Type", "application/json")
 		if !rep.OK {
 			w.WriteHeader(http.StatusInternalServerError)

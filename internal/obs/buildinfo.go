@@ -8,8 +8,8 @@ import (
 // RegisterBuildInfo exports the conventional `ccp_build_info` gauge: a
 // constant-1 series whose labels carry the build's identity — module
 // version (or VCS revision when built from a checkout), Go toolchain, and
-// the process's role in the cluster ("leader", "follower", "coordinator",
-// "ctl", "bench"). Every binary registers it so `ccpctl doctor` and any
+// the process's role in the cluster ("site", "coordinator", "ctl",
+// "bench"). Every binary registers it so `ccpctl doctor` and any
 // scraper can tell what is actually running where. Nil-safe.
 func RegisterBuildInfo(r *Registry, role string) {
 	if r == nil {

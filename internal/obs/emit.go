@@ -87,8 +87,7 @@ func (em *Emitter) sink(e flight.Event) {
 // acts on at info, the per-query firehose at debug.
 func eventLevel(t flight.Type) slog.Level {
 	switch t {
-	case flight.Redial, flight.Circuit, flight.SlowQuery, flight.RecoverReplay,
-		flight.ReplBootstrap, flight.ReplTruncated:
+	case flight.Redial, flight.Circuit, flight.SlowQuery, flight.RecoverReplay:
 		return slog.LevelInfo
 	}
 	return slog.LevelDebug

@@ -80,45 +80,27 @@ const (
 	// QueryShed marks a query rejected by the coordinator's admission gate
 	// before it started; A1/A2 carry the query's source and target node ids.
 	QueryShed
-	// ReplBootstrap marks a follower replica bootstrapping from the leader's
-	// checkpoint image; A1 is the image's covered sequence number, A2 the
-	// image bytes.
-	ReplBootstrap
-	// ReplApply marks a batch of WAL records applied on a follower; A1 is
-	// the follower's applied sequence after the batch, A2 the batch size.
-	ReplApply
-	// ReplPull is the follower-side record of one pull round-trip; A1 is the
-	// leader's durable sequence, A2 the number of records shipped (0 for an
-	// empty long-poll).
-	ReplPull
 	// AuditViolation marks an invariant probe reporting a violation; A1 is
 	// the probe's registry index, A2 the probe's lifetime violation count.
-	AuditViolation
-	// SLOBreach marks an SLO's fast+slow burn rates both crossing their
-	// thresholds (entering breach); A1 is the SLO's registry index, A2 the
-	// fast-window burn rate in thousandths.
-	SLOBreach
+	// The three numbers before it (21–23) named the events of retired
+	// follower replicas and stay unused.
+	AuditViolation Type = iota + 10
 	// GraphClone is a site copying a query's slice of its partition (the
 	// whole partition under ForcePartial, the partition's core for a cache
 	// build) into scratch under its read lock; A1 is the duration in
-	// nanoseconds, A2 the nodes copied.
-	GraphClone
+	// nanoseconds, A2 the nodes copied. The number before it (25) named a
+	// retired SLO event and stays unused.
+	GraphClone Type = iota + 11
 	// GraphMerge is the coordinator assembling the partial answers into the
 	// merged graph; A1 is the duration in nanoseconds, A2 the merged edges.
 	GraphMerge
 	// MergeReduce is the coordinator's final reduction of the merged graph;
 	// operands as SiteReduce.
 	MergeReduce
-	// ReplTruncated marks a pull answered "truncated" — the leader
-	// checkpointed past records the follower still needed, so it
-	// re-bootstraps; A1 is the follower's applied sequence, A2 the leader's.
-	ReplTruncated
-	// StaleRead marks a follower answer older than a write its replica set
-	// already committed, re-issued to the leader; A1 is the answer's epoch,
-	// A2 the write watermark.
-	StaleRead
 	// NumTypes bounds the Type space (per-type tables are indexed by Type).
-	NumTypes
+	// The two numbers before it (29, 30) named retired replica events and
+	// stay unused; a new type takes NumTypes's number.
+	NumTypes Type = iota + 13
 )
 
 // How a site served an evaluation — SiteEvaluate's A2.
@@ -130,7 +112,7 @@ const (
 )
 
 // typeInfo names each type and labels its two operands for Detail: "dur"
-// prints a duration, "work" a PackReduce pair, "burn" thousandths, "k:a|b"
+// prints a duration, "work" a PackReduce pair, "k:a|b"
 // the value's name from the list (bare when k is empty), "" nothing, and
 // anything else prints as label=value.
 var typeInfo = [NumTypes]struct{ name, a1, a2 string }{
@@ -148,16 +130,10 @@ var typeInfo = [NumTypes]struct{ name, a1, a2 string }{
 	CkptBuild:      {"ckpt.build", "dur", "bytes"},
 	RecoverReplay:  {"recover.replay", "replayed", "dur"},
 	QueryShed:      {"query.shed", "s", "t"},
-	ReplBootstrap:  {"repl.bootstrap", "seq", "bytes"},
-	ReplApply:      {"repl.apply", "applied", "batch"},
-	ReplPull:       {"repl.pull", "leader", "recs"},
 	AuditViolation: {"audit.violation", "probe", "violations"},
-	SLOBreach:      {"slo.breach", "slo", "burn"},
 	GraphClone:     {"graph.clone", "dur", "nodes"},
 	GraphMerge:     {"graph.merge", "dur", "edges"},
 	MergeReduce:    {"control.merge_reduce", "dur", "work"},
-	ReplTruncated:  {"repl.truncated", "applied", "leader"},
-	StaleRead:      {"stale.read", "epoch", "floor"},
 }
 
 // String names the event type ("query.start", "circuit", ...).
@@ -249,8 +225,6 @@ func operand(label string, v int64) string {
 		return "dur=" + time.Duration(v).String()
 	case label == "work":
 		return fmt.Sprintf("rounds=%d reduced=%d", v>>40, v&(1<<40-1))
-	case label == "burn":
-		return fmt.Sprintf("burn=%d.%03dx", v/1000, v%1000)
 	}
 	key, names, enum := strings.Cut(label, ":")
 	if !enum {

@@ -41,20 +41,20 @@ func TestRingBounded(t *testing.T) {
 
 // TestRingKeepsLastEventsOfOneTrace: the ring's capacity belongs to whatever
 // was recorded last, not to a slice of the id space. N events of one trace
-// (or a follower's untraced repl.* stream) are all retained; N+k drop
+// (or a site's untraced wal.append stream) are all retained; N+k drop
 // exactly the k oldest.
 func TestRingKeepsLastEventsOfOneTrace(t *testing.T) {
 	for _, trace := range []uint64{0, 7} {
 		r := New("coord", DefaultEvents)
 		const n, k = DefaultEvents, 1000
 		for i := 0; i < n; i++ {
-			r.Record(Event{TS: int64(i + 1), Type: ReplApply, Site: 3, Trace: trace, A1: int64(i)})
+			r.Record(Event{TS: int64(i + 1), Type: WALAppend, Site: 3, Trace: trace, A1: int64(i)})
 		}
 		if d := r.Snapshot(); len(d.Events) != n || d.Dropped != 0 {
 			t.Fatalf("trace %d: %d events of one trace left %d retained, %d dropped", trace, n, len(d.Events), d.Dropped)
 		}
 		for i := n; i < n+k; i++ {
-			r.Record(Event{TS: int64(i + 1), Type: ReplApply, Site: 3, Trace: trace, A1: int64(i)})
+			r.Record(Event{TS: int64(i + 1), Type: WALAppend, Site: 3, Trace: trace, A1: int64(i)})
 		}
 		d := r.Snapshot()
 		if len(d.Events) != n || d.Dropped != k {
@@ -144,8 +144,13 @@ func TestTypeJSONRoundTrip(t *testing.T) {
 	}
 	// Events cross the wire by number: retiring a type must not renumber
 	// the ones after it.
-	if err := json.Unmarshal([]byte("26"), &numeric); err != nil || numeric != GraphClone {
-		t.Fatalf("numeric unmarshal = %v, %v; want GraphClone", numeric, err)
+	for num, want := range map[string]Type{
+		"17": WALAppend, "18": CkptBuild, "19": RecoverReplay, "20": QueryShed,
+		"24": AuditViolation, "26": GraphClone, "27": GraphMerge, "28": MergeReduce,
+	} {
+		if err := json.Unmarshal([]byte(num), &numeric); err != nil || numeric != want {
+			t.Fatalf("numeric unmarshal %s = %v, %v; want %v", num, numeric, err, want)
+		}
 	}
 	if err := json.Unmarshal([]byte(`"no.such.event"`), &numeric); err == nil {
 		t.Fatalf("unknown event name did not error")
@@ -244,7 +249,7 @@ func TestDetail(t *testing.T) {
 		{Event{Type: SiteEvaluate, A1: 1500, A2: EvalRevalidated}, "dur=1.5µs revalidated"},
 		{Event{Type: SiteEvaluate, A1: 1500, A2: 9}, "dur=1.5µs 9"},
 		{Event{Type: Circuit, A1: 4, A2: 1}, "fails=4 to=open"},
-		{Event{Type: SLOBreach, A1: 2, A2: 14400}, "slo=2 burn=14.400x"},
+		{Event{Type: 25, A1: 2, A2: 14400}, "a1=2 a2=14400"},
 		{Event{Type: Retry, A1: 2}, "attempt=2"},
 		{Event{Type: 0, A1: -1, A2: 7}, "a1=-1 a2=7"},
 		{Event{Type: 250, A1: -1, A2: 7}, "a1=-1 a2=7"},

@@ -48,7 +48,7 @@ func samePartition(a, b *Partition) bool {
 }
 
 // FuzzReadPartition throws mutated CCPP1 images at ReadPartition, the
-// decoder both checkpoint load and follower bootstrap run. It must reject
+// decoder checkpoint load runs. It must reject
 // or accept, never panic, and an accepted image must re-encode to bytes
 // that decode to an equal partition.
 func FuzzReadPartition(f *testing.F) {

@@ -337,16 +337,12 @@ func (w *wal) capture() ([]segment, error) {
 }
 
 // replay streams every record with sequence number > from, in order, to
-// fn — the one walk behind recovery and replication reads. fn returning
-// errStopScan ends the walk early without error. A *TruncatedError means
-// checkpointing already deleted segments the walk needs.
+// fn — the recovery walk. Open has already checked that the log reaches
+// back to from+1.
 func (w *wal) replay(from uint64, fn func(Record) error) error {
 	segs, err := w.capture()
 	if err != nil {
 		return err
-	}
-	if oldest := segs[0].first; from+1 < oldest {
-		return &TruncatedError{From: from, FirstAvailable: oldest}
 	}
 	if w.appended.Load() <= from {
 		return nil
@@ -361,9 +357,6 @@ func (w *wal) replay(from uint64, fn func(Record) error) error {
 			}
 			return fn(rec)
 		})
-		if err == errStopScan {
-			return nil
-		}
 		if err != nil {
 			return err
 		}

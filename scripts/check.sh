@@ -12,7 +12,7 @@
 # WAL's commit tests (appends racing each other and checkpoints, a failed
 # fsync poisoning the log),
 # short fuzz runs over the write path,
-# the WAL record decoder, the site's socket decoder, the checkpoint loader,
+# the WAL segment scan, the site's socket decoder, the checkpoint loader,
 # the pooled graph decoder, the coordinator's partial decode and merge, and
 # the partition image decoder, then the benchmark
 # module's own vet/tests and a quick, answers-only benchmark run. CI and
@@ -77,17 +77,17 @@ go test -race -count=5 -timeout 10m \
     -run 'TestFsyncFailurePoisonsWAL|TestAppendsRacingCheckpoints|TestConcurrentAppendsSerialize' \
     ./internal/store
 
-# The WAL record decoder a follower runs on every pull, the one write path
-# its records feed, the request decoder every site runs on its socket, the
-# checkpoint loader recovery runs on what it finds on disk, the CCPG1
+# The one write path every record feeds, the request decoder every site
+# runs on its socket, the WAL segment scan recovery runs on every segment it
+# finds on disk, the checkpoint loader recovery runs beside it, the CCPG1
 # decoder's pooled form (a payload decoded into scratch another payload left
 # behind), the coordinator's partial decode into its dense merge, and the
-# CCPP1 decoder that both checkpoint load and follower bootstrap run: 15 s of
-# new inputs each, on two fuzz workers.
-echo "== go test -fuzz (write path + WAL records + socket + checkpoint + pooled graph decode + partial merge + partition image) =="
+# CCPP1 decoder checkpoint load runs: 15 s of new inputs each, on two fuzz
+# workers.
+echo "== go test -fuzz (write path + socket + WAL segment scan + checkpoint + pooled graph decode + partial merge + partition image) =="
 go test -run '^$' -fuzz '^FuzzApply$' -fuzztime 15s -parallel 2 ./internal/dist
 go test -run '^$' -fuzz '^FuzzServeConn$' -fuzztime 15s -parallel 2 ./internal/dist
-go test -run '^$' -fuzz '^FuzzDecodeRecords$' -fuzztime 15s -parallel 2 ./internal/store
+go test -run '^$' -fuzz '^FuzzScanSegment$' -fuzztime 15s -parallel 2 ./internal/store
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 15s -parallel 2 ./internal/store
 go test -run '^$' -fuzz '^FuzzDecodeBinaryIntoReused$' -fuzztime 15s -parallel 2 ./internal/graph
 go test -run '^$' -fuzz '^FuzzDecodePartialMerge$' -fuzztime 15s -parallel 2 ./internal/dist

@@ -1,18 +1,21 @@
 #!/bin/sh
 # smoke_ops.sh — end-to-end smoke test of the operational endpoints.
 #
-# Boots two real ccpd workers with -ops-addr, runs distributed queries
-# against them through ccpcoord (also with -ops-addr, dumping its flight
-# recorder on exit), then validates the observability surface from outside
+# Boots two real ccpd workers with -ops-addr, the first durable
+# (-data-dir), runs distributed queries against them through ccpcoord (also
+# with -ops-addr and admission control, dumping its flight recorder on
+# exit), then validates the observability surface from outside
 # the processes: /metrics parses as Prometheus text exposition format with
 # the load-bearing series present, /healthz answers 200, /varz and
 # /debug/flight round-trip as JSON through their real consumers (ccpctl
 # doctor -view top and ccpctl flight), and `ccpctl flight` merges the
 # coordinator and both site recorders into one cross-process timeline.
 # It ends with the audit
-# surface: the coordinator's /varz must carry ccp_slo_* burn-rate series
-# mid-run, `ccpctl doctor` must judge the healthy fleet green, and a
-# deliberately diverged replica document must turn it red.
+# surface: `ccpctl doctor` must judge the healthy cluster green, its store
+# scrub probe covering the durable site's real WAL, and a coordinator
+# document caching a partial at an epoch its site never reached must turn
+# it red. On SIGTERM every site drains, and the durable one closes its
+# store.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,9 +42,9 @@ site1_port=17844
 site1_ops_port=17845
 coord_ops_port=17843
 
-echo "== start two ccpd sites with ops endpoints =="
-"$workdir/ccpd" -partition "$workdir/p0.ccpp" \
-    -listen "127.0.0.1:$site0_port" \
+echo "== start two ccpd sites with ops endpoints, site 0 durable =="
+"$workdir/ccpd" -partition "$workdir/p0.ccpp" -data-dir "$workdir/site0-data" \
+    -store-no-sync -listen "127.0.0.1:$site0_port" \
     -ops-addr "127.0.0.1:$site0_ops_port" >"$workdir/ccpd0.log" 2>&1 &
 site_pids="$!"
 "$workdir/ccpd" -partition "$workdir/p1.ccpp" \
@@ -60,13 +63,14 @@ for port in $site0_ops_port $site1_ops_port; do
     done
 done
 
-echo "== run queries through ccpcoord (ops + slow-query log + flight dump on) =="
+echo "== run queries through ccpcoord (ops + admission + slow-query log + flight dump on) =="
 # A 200-query batch (rather than a handful) keeps the coordinator alive long
 # enough that the mid-run scrapes below are required, not best-effort.
 queries=$(awk 'BEGIN{for(i=0;i<200;i++) printf "%d:%d ", (i*13)%2000, (i*7+100)%2000}')
 # shellcheck disable=SC2086
 "$workdir/ccpcoord" -sites "127.0.0.1:$site0_port,127.0.0.1:$site1_port" \
     -ops-addr "127.0.0.1:$coord_ops_port" -slow-query 1ns -concurrency 2 \
+    -max-inflight 32 -timeout 5s \
     -flight-out "$workdir/coord_flight.json" \
     $queries >"$workdir/ccpcoord.log" 2>&1 &
 coord_pid=$!
@@ -146,13 +150,10 @@ printf '%s\n' "$coord_metrics" >"$workdir/coord_metrics.txt"
 check_prometheus "$workdir/coord_metrics.txt"
 check_hygiene "$workdir/coord_metrics.txt"
 require_series "$workdir/coord_metrics.txt" ccp_queries_total
-require_series "$workdir/coord_metrics.txt" ccp_slo_burn_rate
-require_series "$workdir/coord_metrics.txt" ccp_slo_budget_remaining
+require_series "$workdir/coord_metrics.txt" ccp_admission_offered_total
 require_series "$workdir/coord_metrics.txt" ccp_build_info
 [ -n "$coord_varz" ] \
     || { echo "never scraped the coordinator /varz mid-run" >&2; exit 1; }
-printf '%s\n' "$coord_varz" | grep -q '"ccp_slo_burn_rate"' \
-    || { echo "coordinator /varz has no SLO burn-rate series" >&2; exit 1; }
 
 echo "== /varz round-trips through its real consumer (ccpctl doctor -view top) =="
 "$workdir/ccpctl" doctor -view top \
@@ -203,37 +204,44 @@ printf '%s\n' "$coord_varz" \
          echo "flight:" >&2; cat "$workdir/flight_layers.txt" >&2; exit 1; }
 echo "slow query $(printf '%x' "$slow_id"): $(tr '\n' ' ' <"$workdir/varz_layers.txt")"
 
+echo "== ccpctl doctor -view fleet renders both sites =="
+"$workdir/ccpctl" doctor -view fleet -ops "127.0.0.1:$site0_ops_port,127.0.0.1:$site1_ops_port" \
+    >"$workdir/fleet.txt" 2>&1 \
+    || { echo "ccpctl doctor -view fleet failed" >&2; cat "$workdir/fleet.txt" >&2; exit 1; }
+for row in "^0 +127.0.0.1:$site0_ops_port " "^1 +127.0.0.1:$site1_ops_port "; do
+    grep -qE "$row" "$workdir/fleet.txt" \
+        || { echo "fleet table is missing a site row:" >&2; cat "$workdir/fleet.txt" >&2; exit 1; }
+done
+
 echo "== ccpctl doctor: healthy cluster is green =="
 "$workdir/ccpctl" doctor -ops "127.0.0.1:$site0_ops_port,127.0.0.1:$site1_ops_port" \
     >"$workdir/doctor.txt" 2>&1 \
     || { echo "doctor went red on a healthy cluster:" >&2; cat "$workdir/doctor.txt" >&2; exit 1; }
 grep -q "checks: 0 red" "$workdir/doctor.txt" \
     || { echo "doctor summary is not clean:" >&2; cat "$workdir/doctor.txt" >&2; exit 1; }
-grep -q "probe:store.scrub" "$workdir/doctor.txt" \
-    || { echo "doctor ran no store scrub probe:" >&2; cat "$workdir/doctor.txt" >&2; exit 1; }
+grep -qE "probe:store.scrub +GREEN +scrubbed [1-9][0-9]* segments" "$workdir/doctor.txt" \
+    || { echo "doctor never scrubbed the durable site's WAL:" >&2; cat "$workdir/doctor.txt" >&2; exit 1; }
 
-echo "== ccpctl doctor: a deliberately diverged replica turns it red =="
-cat >"$workdir/diverged.json" <<'EOF'
+echo "== ccpctl doctor: a cached epoch ahead of its site turns it red =="
+cat >"$workdir/ahead.json" <<'EOF'
 [
-  {"addr": "leader:9001", "varz": {"metrics": [
+  {"addr": "site:9001", "varz": {"metrics": [
     {"name": "ccp_site_epoch", "type": "gauge", "labels": "site=\"0\"", "value": 100}
   ]}},
-  {"addr": "follower:9002", "varz": {"metrics": [
-    {"name": "ccp_fleet_epoch", "type": "gauge", "labels": "site=\"0\"", "value": 120},
-    {"name": "ccp_fleet_applied_seq", "type": "gauge", "labels": "site=\"0\"", "value": 120},
-    {"name": "ccp_fleet_leader_seq", "type": "gauge", "labels": "site=\"0\"", "value": 120},
-    {"name": "ccp_fleet_lag_records", "type": "gauge", "labels": "site=\"0\"", "value": 0}
+  {"addr": "coord:9002", "varz": {"metrics": [
+    {"name": "ccp_queries_total", "type": "counter", "value": 10},
+    {"name": "ccp_coord_cached_epoch", "type": "gauge", "labels": "site=\"0\"", "value": 120}
   ]}}
 ]
 EOF
-if "$workdir/ccpctl" doctor -in "$workdir/diverged.json" >"$workdir/doctor_red.txt" 2>&1; then
-    echo "doctor exited zero over a diverged replica:" >&2
+if "$workdir/ccpctl" doctor -in "$workdir/ahead.json" >"$workdir/doctor_red.txt" 2>&1; then
+    echo "doctor exited zero over a cached epoch ahead of its site:" >&2
     cat "$workdir/doctor_red.txt" >&2
     exit 1
 fi
-grep -q "RED" "$workdir/doctor_red.txt" && grep -q "ahead of leader" "$workdir/doctor_red.txt" \
-    || { echo "doctor red run did not name the divergence:" >&2; cat "$workdir/doctor_red.txt" >&2; exit 1; }
-echo "  doctor red with the epoch divergence named"
+grep -qE "cache-epoch:site0 +RED .*ahead of" "$workdir/doctor_red.txt" \
+    || { echo "doctor red run did not name the cached epoch:" >&2; cat "$workdir/doctor_red.txt" >&2; exit 1; }
+echo "  doctor red with the cached epoch named"
 
 echo "== graceful shutdown drains the ops servers =="
 for pid in $site_pids; do
@@ -245,5 +253,7 @@ for log in "$workdir"/ccpd0.log "$workdir"/ccpd1.log; do
     grep -q "shut down cleanly" "$log" \
         || { echo "$log did not report a clean drain" >&2; cat "$log" >&2; exit 1; }
 done
+grep -q "store closed" "$workdir/ccpd0.log" \
+    || { echo "the durable site did not close its store:" >&2; cat "$workdir/ccpd0.log" >&2; exit 1; }
 
 echo "ok: ops endpoints smoke test passed"
