@@ -21,9 +21,9 @@ const parallelRemarkMin = 2048
 // of sequential Reduce calls but is not safe for concurrent use; pool
 // Reducers to share them across goroutines.
 //
-// Round 1 classifies all nodes, and every later round re-classifies only the
-// touched set returned by the batch mutators — the surviving neighbors of
-// removed nodes and the targets of transferred edges — unless
+// Round 1 classifies the live nodes, and every later round re-classifies
+// only the touched set returned by the batch mutators — the surviving
+// neighbors of removed nodes and the targets of transferred edges — unless
 // Options.FullRescan asks for a full re-mark. Both policies compute the same
 // reduction: a node's class depends only on its own adjacency, and every
 // adjacency change lands its owner in the touched set, so classes of
@@ -33,6 +33,15 @@ const parallelRemarkMin = 2048
 // entries, filtered against the current labels when a round consumes them),
 // maintained under the invariant that every live node currently labeled
 // C1/C2 is in c12 and every live node labeled C3 is in c3.
+//
+// Cost model: a Reduce call costs O(live nodes + touched edges), not
+// O(Cap). The per-slot scratch (exclusion, victim and seen flags, walk
+// state, representatives) is clean between calls over its whole capacity:
+// every round undoes the slots it marked, and a call unmarks its exclusion
+// set as it returns, so a call only ever writes the slots it uses. Labels
+// are written for live nodes only and read for live nodes only. The live
+// nodes themselves are enumerated by graph.AppendLive, which skips dead
+// stretches of the id space by a byte search.
 type Reducer struct {
 	labels   []graph.Class
 	excluded []bool
@@ -43,6 +52,8 @@ type Reducer struct {
 	walk     []graph.NodeID
 	dirty    []graph.NodeID
 	nlBuf    []graph.Class
+	live     []graph.NodeID
+	xs       []graph.NodeID
 	c12      []graph.NodeID
 	c3       []graph.NodeID
 	cand     []graph.NodeID
@@ -56,39 +67,53 @@ type Reducer struct {
 // NewReducer returns an empty Reducer; buffers grow on first use.
 func NewReducer() *Reducer { return &Reducer{} }
 
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+// grow returns s with length n. A regrown backing array is filled with
+// blank, so each of its slots is clean, as the slots a shorter reslice
+// reveals already are.
+func grow[T any](s []T, n int, blank T) []T {
+	if cap(s) >= n {
+		return s[:n]
 	}
-	return s[:n]
+	s = make([]T, n)
+	for i := range s {
+		s[i] = blank
+	}
+	return s
 }
 
+// reset sizes the scratch for g and marks the exclusion set x. Every other
+// slot is already clean (see Reducer).
 func (r *Reducer) reset(g *graph.Graph, x graph.NodeSet) {
 	n := g.Cap()
 	r.n = n
-	r.labels = resize(r.labels, n)
-	r.excluded = resize(r.excluded, n)
-	r.isVictim = resize(r.isVictim, n)
-	r.rep = resize(r.rep, n)
-	r.state = resize(r.state, n)
-	r.seen = resize(r.seen, n)
-	clear(r.excluded)
-	clear(r.isVictim)
-	clear(r.state)
-	clear(r.seen)
-	for i := range r.rep {
-		r.rep[i] = graph.None
-	}
+	r.labels = grow(r.labels, n, 0)
+	r.excluded = grow(r.excluded, n, false)
+	r.isVictim = grow(r.isVictim, n, false)
+	r.rep = grow(r.rep, n, graph.None)
+	r.state = grow(r.state, n, 0)
+	r.seen = grow(r.seen, n, false)
+	xs := r.xs[:0]
 	for v := range x {
 		// Ids outside the graph (a query naming no company, from the wire
 		// or the API) exclude nothing.
-		if v >= 0 && int(v) < n {
+		if v >= 0 && int(v) < n && !r.excluded[v] {
 			r.excluded[v] = true
+			xs = append(xs, v)
 		}
 	}
+	r.xs = xs
 	r.c12, r.c3 = r.c12[:0], r.c3[:0]
 	r.cand, r.victims, r.dirty = r.cand[:0], r.victims[:0], r.dirty[:0]
 	r.c12n, r.c3n = 0, 0
+}
+
+// unexclude clears the exclusion marks reset set, the one per-slot scratch a
+// round does not undo itself.
+func (r *Reducer) unexclude() {
+	for _, v := range r.xs {
+		r.excluded[v] = false
+	}
+	r.xs = r.xs[:0]
 }
 
 // Reduce reduces g in place with respect to query q, never removing nodes of
@@ -98,7 +123,7 @@ func (r *Reducer) reset(g *graph.Graph, x graph.NodeSet) {
 // deadline the reduction returns ctx.Err() promptly instead of burning cores
 // on a query nobody is waiting for. The graph is left partially reduced (it
 // is a per-query clone everywhere this engine runs) and r itself stays fully
-// reusable — the next Reduce call resets all scratch state.
+// reusable: rounds stop only at their boundaries, where the scratch is clean.
 func (r *Reducer) Reduce(ctx context.Context, g *graph.Graph, q Query, x graph.NodeSet, opt Options) (Result, error) {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -123,6 +148,7 @@ func (r *Reducer) Reduce(ctx context.Context, g *graph.Graph, q Query, x graph.N
 	}
 
 	r.reset(g, x)
+	defer r.unexclude()
 	r.markAll(g, opt.Meter, workers)
 	if check() {
 		return res, nil
@@ -194,25 +220,23 @@ func (r *Reducer) Reduce(ctx context.Context, g *graph.Graph, q Query, x graph.N
 	return res, nil
 }
 
-// markAll classifies every node (round 1) and rebuilds the candidate lists
-// and tallies from scratch. A single block is classified by a direct call:
-// a closure handed to par.For escapes to the heap, an allocation per Reduce.
+// markAll classifies every live node (round 1) and rebuilds the candidate
+// lists and tallies from scratch. A single block is classified by a direct
+// call: a closure handed to par.For escapes to the heap, an allocation per
+// Reduce.
 func (r *Reducer) markAll(g *graph.Graph, m *par.Meter, workers int) {
-	n := r.n
-	if m == nil && par.Blocks(n, workers) <= 1 {
-		r.classify(g, 0, n)
+	live := g.AppendLive(r.live[:0])
+	r.live = live
+	if m == nil && par.Blocks(len(live), workers) <= 1 {
+		r.classify(g, live)
 	} else {
-		par.For(m, n, workers, func(lo, hi int) { r.classify(g, lo, hi) })
+		par.For(m, len(live), workers, func(lo, hi int) { r.classify(g, live[lo:hi]) })
 	}
 	labels := r.labels
 	r.c12, r.c3 = r.c12[:0], r.c3[:0]
 	r.c12n, r.c3n = 0, 0
-	for i := 0; i < n; i++ {
-		v := graph.NodeID(i)
-		if !g.Alive(v) {
-			continue
-		}
-		switch labels[i] {
+	for _, v := range live {
+		switch labels[v] {
 		case graph.C1, graph.C2:
 			r.c12n++
 			r.c12 = append(r.c12, v)
@@ -223,15 +247,10 @@ func (r *Reducer) markAll(g *graph.Graph, m *par.Meter, workers int) {
 	}
 }
 
-// classify labels the nodes with ids in [lo, hi); dead nodes read as C1.
-func (r *Reducer) classify(g *graph.Graph, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := graph.NodeID(i)
-		if !g.Alive(v) {
-			r.labels[i] = graph.C1
-			continue
-		}
-		r.labels[i] = g.ClassOf(v, r.excluded[i])
+// classify labels the listed live nodes.
+func (r *Reducer) classify(g *graph.Graph, vs []graph.NodeID) {
+	for _, v := range vs {
+		r.labels[v] = g.ClassOf(v, r.excluded[v])
 	}
 }
 
@@ -254,7 +273,7 @@ func (r *Reducer) remark(g *graph.Graph, opt Options, workers int, touched [][]g
 		}
 	}
 	if len(d) >= parallelRemarkMin {
-		nl := resize(r.nlBuf, len(d))
+		nl := grow(r.nlBuf, len(d), 0)
 		r.nlBuf = nl
 		par.For(opt.Meter, len(d), workers, func(lo, hi int) {
 			for i := lo; i < hi; i++ {

@@ -2,6 +2,7 @@ package control
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -119,5 +120,127 @@ func TestReusedScratchMatchesFreshClone(t *testing.T) {
 		if !graph.Equal(scratch, fresh, 0) {
 			t.Fatalf("seed %d %v: reused scratch reduced to %v, fresh clone to %v", seed, q, scratch, fresh)
 		}
+	}
+}
+
+// requireCleanScratch fails unless every per-slot buffer of r is clean over
+// its whole capacity: no exclusion, victim or seen flag set, no walk state,
+// no representative.
+func requireCleanScratch(t *testing.T, tag string, r *Reducer) {
+	t.Helper()
+	for i, b := range r.excluded[:cap(r.excluded)] {
+		if b {
+			t.Fatalf("%s: excluded[%d] left set", tag, i)
+		}
+	}
+	for i, b := range r.isVictim[:cap(r.isVictim)] {
+		if b {
+			t.Fatalf("%s: isVictim[%d] left set", tag, i)
+		}
+	}
+	for i, b := range r.seen[:cap(r.seen)] {
+		if b {
+			t.Fatalf("%s: seen[%d] left set", tag, i)
+		}
+	}
+	for i, s := range r.state[:cap(r.state)] {
+		if s != 0 {
+			t.Fatalf("%s: state[%d] left %d", tag, i, s)
+		}
+	}
+	for i, v := range r.rep[:cap(r.rep)] {
+		if v != graph.None {
+			t.Fatalf("%s: rep[%d] left %d", tag, i, v)
+		}
+	}
+}
+
+// TestReusedReducerMatchesFresh runs one Reducer through a seeded sequence
+// of calls whose graphs' Cap grows and shrinks from call to call, some with
+// most of their ids dead, under random exclusion sets (ids outside the graph
+// among them) and every option that changes the rounds. Some calls exit at
+// round 0, some are cancelled after a few rounds. After each call the
+// Reducer's scratch must be clean over its whole capacity, and the call's
+// answer, error, stats and reduced graph (graph.Equal at tolerance 0) must
+// equal those of a fresh Reducer given the same graph, query and context.
+func TestReusedReducerMatchesFresh(t *testing.T) {
+	seeds := 1000
+	if testing.Short() || raceEnabled {
+		seeds = 150
+	}
+	r := NewReducer()
+	cancelled, decided := 0, 0
+	for seed := int64(0); seed < int64(seeds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 12 + rng.Intn(60)
+		if rng.Intn(3) == 0 {
+			n = 200 + rng.Intn(400)
+		}
+		var g *graph.Graph
+		if seed%2 == 0 {
+			g = gen.ScaleFree(gen.ScaleFreeConfig{Nodes: n, AvgOutDegree: 1 + rng.Float64()*2, Seed: seed})
+		} else {
+			g = gen.Random(n, n+rng.Intn(2*n), seed)
+		}
+		if rng.Intn(3) == 0 {
+			// A sparse id space, as a site's slice of its partition is.
+			for v := 0; v < n; v++ {
+				if rng.Intn(4) != 0 {
+					g.RemoveNode(graph.NodeID(v))
+				}
+			}
+		}
+		opt := Options{
+			Workers:            []int{0, 1, 4}[seed%3],
+			Trust:              FullTrust,
+			FullRescan:         rng.Intn(4) == 0,
+			NaiveContraction:   rng.Intn(4) == 0,
+			TwoPhaseOnly:       rng.Intn(6) == 0,
+			DisableTermination: rng.Intn(3) == 0,
+		}
+		q := Query{S: graph.NodeID(rng.Intn(n)), T: graph.NodeID(rng.Intn(n))}
+		kind := "full"
+		switch rng.Intn(4) {
+		case 0:
+			// Round 0 decides: a company controls itself.
+			q.T = q.S
+			opt.DisableTermination = false
+			kind = "round 0"
+		case 1:
+			// Cancelled after a few rounds, before termination can end it.
+			opt.DisableTermination = true
+			kind = "cancelled"
+		}
+		x := graph.NewNodeSet(q.S, q.T, graph.NodeID(n+rng.Intn(8)), graph.NodeID(-1-rng.Intn(3)))
+		for i := rng.Intn(6); i > 0; i-- {
+			x.Add(graph.NodeID(rng.Intn(n)))
+		}
+		rounds := 1 + 1000
+		if kind == "cancelled" {
+			rounds = 1 + rng.Intn(3)
+		}
+		tag := fmt.Sprintf("seed %d (%s, Cap %d, %d live, %+v) %v", seed, kind, g.Cap(), g.NumNodes(), opt, q)
+
+		reused := g.Clone()
+		got, gotErr := r.Reduce(newCountdownCtx(int64(rounds)), reused, q, x, opt)
+		requireCleanScratch(t, tag, r)
+		fresh := g.Clone()
+		want, wantErr := NewReducer().Reduce(newCountdownCtx(int64(rounds)), fresh, q, x, opt)
+		if (gotErr == nil) != (wantErr == nil) || got.Ans != want.Ans || got.Stats != want.Stats ||
+			got.Phase1Rounds != want.Phase1Rounds || got.Phase2Rounds != want.Phase2Rounds {
+			t.Fatalf("%s: reused Reducer %+v (err %v), fresh %+v (err %v)", tag, got, gotErr, want, wantErr)
+		}
+		if !graph.Equal(reused, fresh, 0) {
+			t.Fatalf("%s: reused Reducer reduced to %v, fresh to %v", tag, reused, fresh)
+		}
+		if gotErr != nil {
+			cancelled++
+		}
+		if kind == "round 0" && got.Stats.Iterations == 0 {
+			decided++
+		}
+	}
+	if cancelled < seeds/8 || decided < seeds/8 {
+		t.Fatalf("%d calls cancelled and %d decided at round 0 of %d: the sequence misses its cases", cancelled, decided, seeds)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"ccp/internal/control"
+	"ccp/internal/graph"
 	"ccp/internal/obs"
 	"ccp/internal/obs/flight"
 	"ccp/internal/store"
@@ -231,6 +232,7 @@ type RemoteClient struct {
 	dialing     chan struct{}
 	closed      bool
 	siteID      int
+	members     []graph.NodeID // from the dial handshake, ascending
 	consecFails int
 	circuit     time.Time // calls fail fast until this instant (zero = closed)
 	redials     int64
@@ -308,8 +310,12 @@ func DialConfig(ctx context.Context, addr string, cfg ClientConfig) (*RemoteClie
 		}
 		return nil, fmt.Errorf("dist: dialing site %s: %w", addr, err)
 	}
+	members := make([]graph.NodeID, len(resp.Members))
+	for i, v := range resp.Members {
+		members[i] = graph.NodeID(v)
+	}
 	c.mu.Lock()
-	c.siteID = resp.SiteID
+	c.siteID, c.members = resp.SiteID, members
 	c.mu.Unlock()
 	return c, nil
 }
@@ -494,6 +500,14 @@ func (c *RemoteClient) SiteID() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.siteID
+}
+
+// Members implements SiteClient: the site's companies as its dial
+// handshake listed them.
+func (c *RemoteClient) Members() []graph.NodeID {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.members
 }
 
 // Health implements HealthReporter.

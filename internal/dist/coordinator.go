@@ -26,6 +26,9 @@ import (
 type SiteClient interface {
 	// SiteID returns the partition id served by the site.
 	SiteID() int
+	// Members returns the companies stored at the site, ascending. The
+	// coordinator reads it once, at construction, to route updates.
+	Members() []graph.NodeID
 	// Evaluate posts q to the site and returns its partial answer together
 	// with the bytes that crossed the transport for this exchange.
 	Evaluate(ctx context.Context, q control.Query, opts EvalOptions) (*PartialAnswer, int64, error)
@@ -35,6 +38,17 @@ type SiteClient interface {
 	// Apply offers rec to the site as a new write (its Seq is ignored); see
 	// Site.Apply.
 	Apply(ctx context.Context, rec store.Record) (UpdateResult, error)
+}
+
+// inlineEvaluator is the capability of a site client that can answer the
+// calls costing its site no work — a revalidation, the warm cache, a T1–T3
+// decision — on the caller's goroutine, reporting ok false for any other
+// call. The coordinator asks it first and spawns a goroutine only for the
+// calls it declines: a goroutine per site costs more than such a call. A
+// LocalClient has it; a RemoteClient, whose every call is a round trip,
+// does not, and neither does a wrapper that embeds a SiteClient.
+type inlineEvaluator interface {
+	evaluateInline(q control.Query, opts EvalOptions) (pa *PartialAnswer, n int64, err error, ok bool)
 }
 
 // Options configures one distributed query evaluation.
@@ -159,6 +173,12 @@ type Coordinator struct {
 	// lock at all: each slot is one atomic pointer, swapped whole.
 	slots  map[int]int
 	pcache []atomic.Pointer[coordCached]
+
+	// homes is the directory updates are routed by: homes[v] is one plus
+	// the index in clients of company v's home site, 0 for a company no
+	// site stores and homeConflict for one that two sites claim. Fixed at
+	// construction.
+	homes []int32
 
 	// merges recycles per-query merge scratch (*mergeScratch): the merged
 	// graph and its id table, the parts list and the {s,t} exclusion set.
@@ -366,6 +386,7 @@ func NewCoordinator(clients []SiteClient, opts Options) *Coordinator {
 		}
 	}
 	c.pcache = make([]atomic.Pointer[coordCached], len(c.slots))
+	c.homes = directory(clients)
 	c.merges.New = func() any { return newMergeScratch() }
 	c.observe(opts.Observer)
 	c.observeCache(opts.Observer)
@@ -510,10 +531,11 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		return false, m, ctxError(-1, "answer", err)
 	}
 
-	// qctx fans out to the per-site evaluations; cancelling it on the first
-	// failure stops the surviving sites at their next reduction round.
-	qctx, cancelQuery := context.WithCancel(ctx)
-	defer cancelQuery()
+	// cancelQuery cancels the context the evaluations not taken inline run
+	// under, made with ask; cancelling it on the first failure stops the
+	// surviving sites at their next reduction round.
+	cancelQuery := func() {}
+	defer func() { cancelQuery() }()
 
 	type reply struct {
 		pa     *PartialAnswer
@@ -529,26 +551,33 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	// evaluations deposit their (cancelled) replies without blocking, so no
 	// goroutine outlives the query.
 	replies := make(chan reply, len(c.clients))
-	ask := func(cl SiteClient) {
-		opts := EvalOptions{
-			UseCache:     c.opts.UseCache,
-			ForcePartial: c.opts.ForcePartial,
-			QueryID:      sc.ID,
-			Trace:        sc.Traced,
-		}
-		if c.opts.UseCache {
-			if epoch, ok := c.cachedEpoch(cl.SiteID()); ok {
-				opts.IfEpoch, opts.HasIfEpoch = epoch, true
+	id, traced := sc.ID, sc.Traced
+	var ask func(cl SiteClient)
+	for _, cl := range c.clients {
+		// A site that can answer inline does so here, on this goroutine;
+		// only the calls it declines are asked on their own, and a query
+		// whose every site answers inline makes neither their context nor
+		// their closure.
+		if ie, ok := cl.(inlineEvaluator); ok {
+			t0 := time.Now()
+			if pa, n, err, ok := ie.evaluateInline(q, c.evalOptions(cl, id, traced)); ok {
+				replies <- reply{pa, n, err, cl.SiteID(), t0, time.Since(t0)}
+				continue
 			}
 		}
-		// The envelope is timed unconditionally: the flight ring wants every
-		// site call, not just traced ones, and two clock reads cost far less
-		// than the call they bracket.
-		t0 := time.Now()
-		pa, n, err := cl.Evaluate(qctx, q, opts)
-		replies <- reply{pa, n, err, cl.SiteID(), t0, time.Since(t0)}
-	}
-	for _, cl := range c.clients {
+		if ask == nil {
+			qctx, cancel := context.WithCancel(ctx)
+			cancelQuery = cancel
+			ask = func(cl SiteClient) {
+				opts := c.evalOptions(cl, id, traced)
+				// The envelope is timed unconditionally: the flight ring
+				// wants every site call, not just traced ones, and two clock
+				// reads cost far less than the call they bracket.
+				t0 := time.Now()
+				pa, n, err := cl.Evaluate(qctx, q, opts)
+				replies <- reply{pa, n, err, cl.SiteID(), t0, time.Since(t0)}
+			}
+		}
 		if c.opts.SequentialSites {
 			ask(cl)
 		} else {
@@ -688,6 +717,55 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 		return false, m, fmt.Errorf("dist: merged reduction could not decide %v", q)
 	}
 	return res.Ans.Bool(), m, nil
+}
+
+// evalOptions are the options a query posts to cl: the coordinator's, the
+// query's id and trace flag, and the epoch of the coordinator's copy of the
+// site's cached partial, if it keeps one.
+func (c *Coordinator) evalOptions(cl SiteClient, queryID uint64, traced bool) EvalOptions {
+	opts := EvalOptions{
+		UseCache:     c.opts.UseCache,
+		ForcePartial: c.opts.ForcePartial,
+		QueryID:      queryID,
+		Trace:        traced,
+	}
+	if c.opts.UseCache {
+		if epoch, ok := c.cachedEpoch(cl.SiteID()); ok {
+			opts.IfEpoch, opts.HasIfEpoch = epoch, true
+		}
+	}
+	return opts
+}
+
+// homeConflict marks a company two sites claim in the update directory.
+const homeConflict = -1
+
+// directory builds the update directory of NewCoordinator from the clients'
+// member lists (see Coordinator.homes). A company two clients list is a
+// conflict.
+func directory(clients []SiteClient) []int32 {
+	lists := make([][]graph.NodeID, len(clients))
+	n := 0
+	for i, cl := range clients {
+		lists[i] = cl.Members()
+		if k := len(lists[i]); k > 0 && int(lists[i][k-1]) >= n {
+			n = int(lists[i][k-1]) + 1
+		}
+	}
+	homes := make([]int32, n)
+	for i, ids := range lists {
+		for _, v := range ids {
+			if v < 0 {
+				continue
+			}
+			if homes[v] == 0 {
+				homes[v] = int32(i + 1)
+			} else {
+				homes[v] = homeConflict
+			}
+		}
+	}
+	return homes
 }
 
 // releasePartials returns every pooled partial-answer graph in pas to its

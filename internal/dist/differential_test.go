@@ -49,6 +49,8 @@ type replyRecorder struct {
 	mu      sync.Mutex
 	replies []recordedReply
 	copies  map[int]recordedReply
+	// inline counts the replies the coordinator took inline.
+	inline int
 }
 
 // recordingClient is a SiteClient that records what it returns, after
@@ -67,6 +69,28 @@ type siteHook func(s *Site, q control.Query, opts EvalOptions, pa *PartialAnswer
 
 func (c *recordingClient) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) (*PartialAnswer, int64, error) {
 	pa, n, err := c.SiteClient.Evaluate(ctx, q, opts)
+	return c.record(q, opts, pa, n, err, false)
+}
+
+// evaluateInline forwards the inner client's inline capability, so that the
+// differential covers the coordinator's inline path on in-process sites. An
+// inline reply is hooked and recorded as Evaluate's are.
+func (c *recordingClient) evaluateInline(q control.Query, opts EvalOptions) (*PartialAnswer, int64, error, bool) {
+	ie, ok := c.SiteClient.(inlineEvaluator)
+	if !ok {
+		return nil, 0, nil, false
+	}
+	pa, n, err, ok := ie.evaluateInline(q, opts)
+	if !ok {
+		return nil, 0, nil, false
+	}
+	pa, n, err = c.record(q, opts, pa, n, err, true)
+	return pa, n, err, true
+}
+
+// record shows one reply to the hook and records it, counting the inline
+// ones.
+func (c *recordingClient) record(q control.Query, opts EvalOptions, pa *PartialAnswer, n int64, err error, inline bool) (*PartialAnswer, int64, error) {
 	if err != nil {
 		return pa, n, err
 	}
@@ -83,8 +107,11 @@ func (c *recordingClient) Evaluate(ctx context.Context, q control.Query, opts Ev
 	}
 	c.rec.mu.Lock()
 	c.rec.replies = append(c.rec.replies, r)
+	if inline {
+		c.rec.inline++
+	}
 	c.rec.mu.Unlock()
-	return pa, n, err
+	return pa, n, nil
 }
 
 // oracle answers the query whose replies were recorded the way the
@@ -415,7 +442,7 @@ func TestCoordinatorMatchesGlobalMerge(t *testing.T) {
 		seeds = 100
 	}
 	shapes := []struct{ countries, nodes int }{{4, 100}, {16, 100}}
-	queries, merged, trues := 0, 0, 0
+	queries, merged, trues, inline, replies := 0, 0, 0, 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		sh := shapes[seed%len(shapes)]
 		eu := gen.EU(gen.EUConfig{Countries: sh.countries, NodesPerCountry: sh.nodes,
@@ -450,11 +477,17 @@ func TestCoordinatorMatchesGlobalMerge(t *testing.T) {
 				}
 			}
 			queries++
+			replies += eu.Countries
 		}
+		inline += c.rec.inline
 		c.stop()
 	}
-	t.Logf("%d queries, %d merged at the coordinator, %d of those true", queries, merged, trues)
+	t.Logf("%d queries, %d merged at the coordinator, %d of those true; %d of %d site replies taken inline",
+		queries, merged, trues, inline, replies)
 	if merged < seeds || trues < seeds/4 {
 		t.Fatalf("too few queries reached the merge (%d) or answered true there (%d)", merged, trues)
+	}
+	if inline < replies/4 {
+		t.Fatalf("only %d of %d site replies were taken inline", inline, replies)
 	}
 }

@@ -274,7 +274,12 @@ func (s *Server) serve(ctx context.Context, req *request) *response {
 	siteID := s.site.ID()
 	switch req.Op {
 	case opInfo:
-		return &response{SiteID: siteID}
+		ids := s.site.MemberIDs()
+		members := make([]int32, len(ids))
+		for i, v := range ids {
+			members[i] = int32(v)
+		}
+		return &response{SiteID: siteID, Members: members}
 	case opPrecompute:
 		stats, err := s.site.Precompute(ctx)
 		if err != nil {

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -321,6 +322,17 @@ func (s *Site) Members() int { return len(s.part.Members) }
 // HoldsMember reports whether v is stored at this site (not just virtual).
 func (s *Site) HoldsMember(v graph.NodeID) bool { return s.part.Members.Has(v) }
 
+// MemberIDs returns the companies stored at the site in ascending order: the
+// site's entry in a coordinator's directory. A site's members never change.
+func (s *Site) MemberIDs() []graph.NodeID {
+	ids := make([]graph.NodeID, 0, len(s.part.Members))
+	for v := range s.part.Members {
+		ids = append(ids, v)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // Precompute builds (or refreshes) the query-independent reduction: the
 // partition's core, R(V^in) ∩ C(V^virt), reduced with only the boundary
 // nodes excluded. This is the offline work of Figure 6's cached sites. It
@@ -433,18 +445,13 @@ type EvalOptions struct {
 func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) (*PartialAnswer, error) {
 	start := time.Now()
 	sc := s.ev.Query(opts.QueryID, opts.Trace, start)
+	if pa := s.answerFree(&sc, q, opts, start); pa != nil {
+		return pa, nil
+	}
 	holdsS := s.part.Members.Has(q.S)
 	holdsT := s.part.Members.Has(q.T)
 
 	if opts.UseCache && !holdsS && !holdsT {
-		// A revalidation is answered before the cache is looked at: a cache
-		// that is cold at the coordinator's epoch (after a durable restart,
-		// which keeps the epoch) must not be rebuilt only to say NotModified.
-		if opts.HasIfEpoch && opts.IfEpoch == s.epoch.Load() {
-			pa := &PartialAnswer{SiteID: s.part.ID, Ans: control.Unknown, FromCache: true,
-				Epoch: opts.IfEpoch, NotModified: true}
-			return s.served(&sc, pa, start, flight.EvalRevalidated), nil
-		}
 		g, st, epoch, err := s.cached(ctx, &sc, start)
 		if err != nil {
 			return nil, err
@@ -464,18 +471,12 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 	// partition and the exclusion set {s, t} ∪ V^in ∪ V^virt into scratch.
 	// The copy is reduced with the lock released. The early-termination
 	// conditions are trusted only where local knowledge is complete (see
-	// control.TerminationTrust).
+	// control.TerminationTrust). answerFree checked them already, but an
+	// update may have landed since.
 	s.mu.RLock()
 	epoch := s.epoch.Load()
-	trust := control.TerminationTrust{
-		T1: holdsS,
-		T2: holdsT && !s.part.InNodes.Has(q.T),
-	}
+	trust := s.trust(q, holdsS, holdsT)
 	if !opts.ForcePartial {
-		// T1–T3 are O(1) on the cached aggregates and the reducer would
-		// check them before doing any work anyway; deciding here skips the
-		// partition copy entirely. Same trust, same answer, same (zero)
-		// stats as the reducer's round-0 exit.
 		if a := control.CheckTermination(s.part.Local, q, trust); a != control.Unknown {
 			s.mu.RUnlock()
 			pa := &PartialAnswer{SiteID: s.part.ID, Ans: a, Epoch: epoch}
@@ -516,6 +517,67 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 		s.scratch.Put(g)
 	}
 	return s.served(&sc, pa, start, flight.EvalLive), nil
+}
+
+// evaluateFree is Evaluate for the calls that cost the site no work — no
+// copy, no reduction, no cache build — and nil for the rest, which only
+// Evaluate answers. A free call is answered exactly as Evaluate answers it,
+// events included.
+func (s *Site) evaluateFree(q control.Query, opts EvalOptions) *PartialAnswer {
+	start := time.Now()
+	sc := s.ev.Query(opts.QueryID, opts.Trace, start)
+	return s.answerFree(&sc, q, opts, start)
+}
+
+// answerFree serves the three replies that need no work: a revalidation of
+// the coordinator's copy, the warm cache, and a T1–T3 decision (the
+// conditions are O(1) on the cached aggregates, and the reducer would check
+// them before doing any work anyway; deciding here skips the copy, with the
+// same trust, answer and zero stats as the reducer's round-0 exit). It
+// returns nil when q needs a live evaluation or a cache build.
+func (s *Site) answerFree(sc *obs.Scope, q control.Query, opts EvalOptions, start time.Time) *PartialAnswer {
+	holdsS := s.part.Members.Has(q.S)
+	holdsT := s.part.Members.Has(q.T)
+	if opts.UseCache && !holdsS && !holdsT {
+		// A revalidation is answered before the cache is looked at: a cache
+		// that is cold at the coordinator's epoch (after a durable restart,
+		// which keeps the epoch) must not be rebuilt only to say NotModified.
+		if opts.HasIfEpoch && opts.IfEpoch == s.epoch.Load() {
+			pa := &PartialAnswer{SiteID: s.part.ID, Ans: control.Unknown, FromCache: true,
+				Epoch: opts.IfEpoch, NotModified: true}
+			return s.served(sc, pa, start, flight.EvalRevalidated)
+		}
+		s.mu.RLock()
+		epoch := s.epoch.Load()
+		if s.cache == nil || s.cacheEpoch != epoch {
+			s.mu.RUnlock()
+			return nil
+		}
+		pa := &PartialAnswer{SiteID: s.part.ID, Ans: control.Unknown, Reduced: s.cache,
+			Stats: s.cacheStats, FromCache: true, Epoch: epoch}
+		s.mu.RUnlock()
+		return s.served(sc, pa, start, flight.EvalCached)
+	}
+	if opts.ForcePartial {
+		return nil
+	}
+	s.mu.RLock()
+	epoch := s.epoch.Load()
+	a := control.CheckTermination(s.part.Local, q, s.trust(q, holdsS, holdsT))
+	s.mu.RUnlock()
+	if a == control.Unknown {
+		return nil
+	}
+	return s.served(sc, &PartialAnswer{SiteID: s.part.ID, Ans: a, Epoch: epoch}, start, flight.EvalDecided)
+}
+
+// trust is the termination trust of q at this site. Caller holds s.mu,
+// shared or exclusive.
+func (s *Site) trust(q control.Query, holdsS, holdsT bool) control.TerminationTrust {
+	return control.TerminationTrust{
+		T1: holdsS,
+		T2: holdsT && !s.part.InNodes.Has(q.T),
+	}
 }
 
 // slice copies q's slice of the partition into pooled scratch, first

@@ -140,26 +140,41 @@ func (s *Site) mutate(rec store.Record) (UpdateResult, error) {
 // Only the owner's home site stores it.
 func (s *Site) ApplyEdgeUpdate(up StakeUpdate) (UpdateResult, error) { return s.Apply(up.record()) }
 
-// ApplyUpdate routes one stake update through the cluster: every site is
-// offered the stake record (exactly the owner's site stores it), and if a
-// cross-partition edge appeared or disappeared, every site is offered the
-// cross-in record (exactly the owned company's site stores it). Sites whose
-// data actually changed drop their cached partial answers; a no-op update
-// (re-merging an identical stake, divesting nothing) invalidates nothing
-// anywhere. ctx bounds the whole routing. A failure mid-route can leave the
-// edge applied but the in-node bookkeeping not yet adjusted.
+// ApplyUpdate routes one stake update to the sites it concerns, found in the
+// directory NewCoordinator built from the sites' member lists: the stake
+// record goes to the owner's home site, and if a cross-partition edge
+// appeared or disappeared there, the cross-in record goes to the owned
+// company's home site. No other site is contacted. Sites whose data actually
+// changed drop their cached partial answers; a no-op update (re-merging an
+// identical stake, divesting nothing) invalidates nothing anywhere.
+//
+// An owner or owned company no site stores fails the update before any
+// site is contacted. A home site that does not store its record disagrees
+// with the directory, which is an error too — except a divestment of a
+// stake the owner does not hold, which is "not found". ctx bounds the whole
+// routing. A failure between the two records can leave the edge applied but
+// the in-node bookkeeping not yet adjusted.
 func (c *Coordinator) ApplyUpdate(ctx context.Context, up StakeUpdate) error {
 	c.ev.Emit(flight.Update, -1, 0, int64(up.Owner), int64(up.Owned))
-	stake := up.record()
-	res, err := c.broadcast(ctx, stake)
+	owner, err := c.home(up.Owner)
 	if err != nil {
 		return err
 	}
-	if res == nil {
+	owned, err := c.home(up.Owned)
+	if err != nil {
+		return err
+	}
+	stake := up.record()
+	res, err := c.send(ctx, owner, stake)
+	if err != nil {
+		return err
+	}
+	if !res.Stored {
 		if up.Remove {
 			return fmt.Errorf("dist: stake (%d,%d) not found", up.Owner, up.Owned)
 		}
-		return fmt.Errorf("dist: no site stores company %d", up.Owner)
+		return fmt.Errorf("dist: site %d did not store the stake of company %d, which the directory homes there",
+			owner.SiteID(), up.Owner)
 	}
 	if !res.Cross || !(res.EdgeCreated || res.EdgeRemoved) {
 		return nil
@@ -168,41 +183,38 @@ func (c *Coordinator) ApplyUpdate(ctx context.Context, up StakeUpdate) error {
 	if res.EdgeRemoved {
 		delta = -1
 	}
-	in, err := c.broadcast(ctx, store.Record{Kind: store.KindCrossIn, Owned: stake.Owned, Delta: delta})
+	in, err := c.send(ctx, owned, store.Record{Kind: store.KindCrossIn, Owned: stake.Owned, Delta: delta})
 	if err != nil {
 		return err
 	}
-	if in == nil {
-		// The owned company lives at no site: the update referenced an
-		// unknown company. Roll the edge back so no site is left with a
-		// dangling stake; best-effort, the caller gets this error either way.
-		if res.EdgeCreated {
-			stake.Remove = true
-			_, _ = c.broadcast(ctx, stake)
-		}
-		return fmt.Errorf("dist: no site hosts owned company %d", up.Owned)
+	if !in.Stored {
+		return fmt.Errorf("dist: site %d did not store the cross-in of company %d, which the directory homes there",
+			owned.SiteID(), up.Owned)
 	}
 	return nil
 }
 
-// broadcast offers rec to every site in turn and returns the result of the
-// one site that stored it (nil when none did). It stops at the first site
-// that fails.
-func (c *Coordinator) broadcast(ctx context.Context, rec store.Record) (*UpdateResult, error) {
-	var stored *UpdateResult
-	for _, cl := range c.clients {
-		res, err := cl.Apply(ctx, rec)
-		if err != nil {
-			c.ev.Log().Warn("update failed", "kind", rec.Kind, "owner", rec.Owner, "owned", rec.Owned,
-				"site", cl.SiteID(), "err", err)
-			return nil, err
-		}
-		if res.Stored {
-			if stored != nil {
-				return nil, fmt.Errorf("dist: record stored at two sites")
-			}
-			stored = &res
-		}
+// home returns the client of company v's home site.
+func (c *Coordinator) home(v graph.NodeID) (SiteClient, error) {
+	h := int32(0)
+	if v >= 0 && int(v) < len(c.homes) {
+		h = c.homes[v]
 	}
-	return stored, nil
+	switch {
+	case h == homeConflict:
+		return nil, fmt.Errorf("dist: company %d is stored at two sites", v)
+	case h == 0:
+		return nil, fmt.Errorf("dist: no site stores company %d", v)
+	}
+	return c.clients[h-1], nil
+}
+
+// send applies rec at one site, logging a failure.
+func (c *Coordinator) send(ctx context.Context, cl SiteClient, rec store.Record) (UpdateResult, error) {
+	res, err := cl.Apply(ctx, rec)
+	if err != nil {
+		c.ev.Log().Warn("update failed", "kind", rec.Kind, "owner", rec.Owner, "owned", rec.Owned,
+			"site", cl.SiteID(), "err", err)
+	}
+	return res, err
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"ccp/internal/gen"
 	"ccp/internal/graph"
 	"ccp/internal/partition"
+	"ccp/internal/store"
 )
 
 // updateCluster builds a 2-partition in-process cluster over a small graph
@@ -155,6 +157,74 @@ func TestApplyUpdateErrors(t *testing.T) {
 	}
 }
 
+// applyCounter counts the Apply calls that reach its client.
+type applyCounter struct {
+	SiteClient
+	calls int
+}
+
+func (c *applyCounter) Apply(ctx context.Context, rec store.Record) (UpdateResult, error) {
+	c.calls++
+	return c.SiteClient.Apply(ctx, rec)
+}
+
+// claimant lists one more company than its site stores.
+type claimant struct {
+	SiteClient
+	extra graph.NodeID
+}
+
+func (c claimant) Members() []graph.NodeID { return append(c.SiteClient.Members(), c.extra) }
+
+// TestApplyUpdateRoutesToHomeSites counts the Apply calls each site of a
+// three-site cluster receives: a domestic stake reaches its owner's site
+// only, a stake that creates or removes a cross edge also the owned
+// company's site, and an update naming a company no site stores reaches no
+// site at all. A site whose directory entry claims a company it does not
+// store fails the update.
+func TestApplyUpdateRoutesToHomeSites(t *testing.T) {
+	g := graph.New(9)
+	pi, err := partition.Split(g, []int{0, 0, 0, 1, 1, 1, 2, 2, 2}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := make([]*applyCounter, 3)
+	clients := make([]SiteClient, 3)
+	for i, p := range pi.Parts {
+		counters[i] = &applyCounter{SiteClient: &LocalClient{Site: NewSite(p, 1)}}
+		clients[i] = counters[i]
+	}
+	clients[0] = claimant{SiteClient: counters[0], extra: 50}
+	coord := NewCoordinator(clients, Options{Workers: 1})
+	for _, tc := range []struct {
+		name  string
+		up    StakeUpdate
+		calls [3]int
+		fails bool
+	}{
+		{"domestic", StakeUpdate{Owner: 0, Owned: 2, Weight: 0.2}, [3]int{1, 0, 0}, false},
+		{"cross", StakeUpdate{Owner: 0, Owned: 4, Weight: 0.2}, [3]int{1, 1, 0}, false},
+		{"cross merge", StakeUpdate{Owner: 0, Owned: 4, Weight: 0.1}, [3]int{1, 0, 0}, false},
+		{"cross removal", StakeUpdate{Owner: 0, Owned: 4, Remove: true}, [3]int{1, 1, 0}, false},
+		{"missing stake", StakeUpdate{Owner: 7, Owned: 4, Remove: true}, [3]int{0, 0, 1}, true},
+		{"unknown owner", StakeUpdate{Owner: 99, Owned: 4, Weight: 0.2}, [3]int{}, true},
+		{"unknown owned", StakeUpdate{Owner: 4, Owned: 99, Weight: 0.2}, [3]int{}, true},
+		{"negative owned", StakeUpdate{Owner: 4, Owned: -1, Weight: 0.2}, [3]int{}, true},
+		{"misdirected", StakeUpdate{Owner: 50, Owned: 4, Weight: 0.2}, [3]int{1, 0, 0}, true},
+	} {
+		for _, c := range counters {
+			c.calls = 0
+		}
+		err := coord.ApplyUpdate(context.Background(), tc.up)
+		if (err != nil) != tc.fails {
+			t.Fatalf("%s: err = %v, want failure %v", tc.name, err, tc.fails)
+		}
+		if got := [3]int{counters[0].calls, counters[1].calls, counters[2].calls}; got != tc.calls {
+			t.Fatalf("%s: Apply calls per site %v, want %v", tc.name, got, tc.calls)
+		}
+	}
+}
+
 func TestUpdatesOverTCP(t *testing.T) {
 	g := gen.EU(gen.EUConfig{Countries: 2, NodesPerCountry: 500, InterconnectRate: 0, Seed: 5}).G
 	pi, err := partition.ByContiguous(g, 2)
@@ -168,12 +238,17 @@ func TestUpdatesOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer l.Close()
-		go Serve(context.Background(), l, NewSite(p, 1))
+		site := NewSite(p, 1)
+		go Serve(context.Background(), l, site)
 		c, err := Dial(context.Background(), l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
+		// The directory entry comes from the dial handshake.
+		if got, want := c.Members(), site.MemberIDs(); !slices.Equal(got, want) || len(got) == 0 {
+			t.Fatalf("site %d: handshake listed %d members, site stores %d", i, len(got), len(want))
+		}
 		clients[i] = c
 	}
 	coord := NewCoordinator(clients, Options{UseCache: true, Workers: 1})

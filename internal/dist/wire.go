@@ -91,6 +91,8 @@ type response struct {
 	Code uint8
 	// SiteID identifies the partition (opInfo and opEvaluate).
 	SiteID int
+	// Members lists the companies the site stores, ascending (opInfo).
+	Members []int32
 	// Ans is the encoded control.Answer for opEvaluate.
 	Ans int8
 	// GraphBytes is the reduced partition in CCPG1 format, empty when the
@@ -206,17 +208,35 @@ func (c *LocalClient) Precompute(ctx context.Context) error {
 	return nil
 }
 
+// Members implements SiteClient.
+func (c *LocalClient) Members() []graph.NodeID { return c.Site.MemberIDs() }
+
 // Evaluate implements SiteClient.
 func (c *LocalClient) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) (*PartialAnswer, int64, error) {
 	pa, err := c.Site.Evaluate(ctx, q, opts)
 	if err != nil {
 		return nil, 0, ctxError(c.Site.ID(), "evaluate", err)
 	}
-	var n int64
-	if c.MeasureBytes && pa.Reduced != nil {
-		n = pa.Reduced.BinarySize()
+	return pa, c.payload(pa), nil
+}
+
+// evaluateInline implements inlineEvaluator: the site's free replies (see
+// Site.evaluateFree), on the caller's goroutine.
+func (c *LocalClient) evaluateInline(q control.Query, opts EvalOptions) (*PartialAnswer, int64, error, bool) {
+	pa := c.Site.evaluateFree(q, opts)
+	if pa == nil {
+		return nil, 0, nil, false
 	}
-	return pa, n, nil
+	return pa, c.payload(pa), nil, true
+}
+
+// payload is the byte count reported for pa: its graph's CCPG1 size, or 0
+// unless MeasureBytes is set.
+func (c *LocalClient) payload(pa *PartialAnswer) int64 {
+	if c.MeasureBytes && pa.Reduced != nil {
+		return pa.Reduced.BinarySize()
+	}
+	return 0
 }
 
 // Apply implements SiteClient: rec is offered as a new write, whatever its

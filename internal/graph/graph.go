@@ -9,9 +9,11 @@
 package graph
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"math"
+	"unsafe"
 )
 
 // NodeID identifies a company inside a Graph. Ids are dense: a graph with n
@@ -410,13 +412,44 @@ func (g *Graph) EachIn(v NodeID, fn func(u NodeID, w float64)) {
 	}
 }
 
-// EachNode calls fn for every live node.
+// EachNode calls fn for every live node, in ascending id order. Dead
+// stretches of the id space are skipped as nextLive skips them.
 func (g *Graph) EachNode(fn func(v NodeID)) {
-	for i, ok := range g.alive {
-		if ok {
-			fn(NodeID(i))
-		}
+	n := len(g.alive)
+	for i := g.nextLive(0, n); i < n; i = g.nextLive(i+1, n) {
+		fn(NodeID(i))
 	}
+}
+
+// AppendLive appends the live node ids to dst in ascending order and
+// returns the extended slice. Its cost follows the live nodes, plus a byte
+// search over the dead stretches between them (see nextLive).
+func (g *Graph) AppendLive(dst []NodeID) []NodeID {
+	n := len(g.alive)
+	for i := g.nextLive(0, n); i < n; i = g.nextLive(i+1, n) {
+		dst = append(dst, NodeID(i))
+	}
+	return dst
+}
+
+// nextLive returns the least live id in [i, hi), or hi when there is none.
+// A bool is one byte holding 0 or 1, so a dead stretch is skipped by a byte
+// search over the live flags, which the runtime runs many flags per
+// instruction: a graph that keeps a hundred nodes of a 30 000-id space is
+// walked in a small fraction of a pass over its ids. A live id at i itself,
+// the common case in a dense graph, is returned without the search.
+func (g *Graph) nextLive(i, hi int) int {
+	if i >= hi {
+		return hi
+	}
+	if g.alive[i] {
+		return i
+	}
+	flags := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(g.alive))), hi)
+	if j := bytes.IndexByte(flags[i:], 1); j >= 0 {
+		return i + j
+	}
+	return hi
 }
 
 // Successors returns the successor ids of v in unspecified order.

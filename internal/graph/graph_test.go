@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -308,5 +310,33 @@ func TestNodesAndIteration(t *testing.T) {
 	g.EachIn(1, func(u NodeID, w float64) { count++ })
 	if count != 3 {
 		t.Fatalf("EachOut+EachIn visits = %d", count)
+	}
+}
+
+// TestAppendLiveMatchesScan compares AppendLive and EachNode with a plain
+// scan of Alive over graphs of every id-space length up to 300, their live
+// nodes drawn at densities from none to all, so that dead stretches start
+// and end at every offset, the first and last ids included.
+func TestAppendLiveMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 300; n++ {
+		for _, density := range []float64{0, 0.01, 0.2, 0.9, 1} {
+			g := New(n)
+			for v := 0; v < n; v++ {
+				if rng.Float64() >= density {
+					g.RemoveNode(NodeID(v))
+				}
+			}
+			var want, each []NodeID
+			for v := 0; v < n; v++ {
+				if g.Alive(NodeID(v)) {
+					want = append(want, NodeID(v))
+				}
+			}
+			g.EachNode(func(v NodeID) { each = append(each, v) })
+			if got := g.AppendLive(nil); !slices.Equal(got, want) || !slices.Equal(each, want) {
+				t.Fatalf("Cap %d density %g: AppendLive %v, EachNode %v, want %v", n, density, got, each, want)
+			}
+		}
 	}
 }

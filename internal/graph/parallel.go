@@ -149,15 +149,16 @@ func (a *applier) apply(mu mutation) {
 // scan is the mass-removal form of a removal batch over the survivors with
 // ids in [lo, hi): instead of applying per-victim mutations it walks each
 // survivor's adjacency and deletes victim entries in place, which is
-// proportional to what remains rather than to what dies. It writes only maps
-// and aggregates of its own ids. Deletion order within a map follows map
-// iteration, so cached in-sums may differ from the emission path in the last
-// bits — well inside ControlEps.
+// proportional to what remains rather than to what dies. It visits live ids
+// only (see nextLive), so a sparse id space costs no pass over its dead
+// slots. It writes only maps and aggregates of its own ids. Deletion order
+// within a map follows map iteration, so cached in-sums may differ from the
+// emission path in the last bits — well inside ControlEps.
 func (a *applier) scan(isVictim []bool, lo, hi int) {
 	g := a.g
 	d := 0
-	for i := lo; i < hi; i++ {
-		if !g.alive[i] || isVictim[i] {
+	for i := g.nextLive(lo, hi); i < hi; i = g.nextLive(i+1, hi) {
+		if isVictim[i] {
 			continue
 		}
 		u := NodeID(i)

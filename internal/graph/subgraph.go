@@ -43,7 +43,7 @@ func (g *Graph) Induced(keep NodeSet) *Graph {
 // keep lists that are live in g and every edge of g between two of them. Ids
 // and the id capacity are preserved, and keep may repeat a node. dst's
 // slices and edge maps are reused as CloneInto reuses them, and emptying dst
-// costs a scan of its live flags: a graph's dead nodes hold no edges and no
+// visits its live nodes only: a graph's dead nodes hold no edges and no
 // aggregates, so only its live ones need clearing. A pooled destination
 // reduced between two calls therefore allocates nothing once warm. A nil dst,
 // or g itself, gets a fresh graph.
@@ -81,13 +81,12 @@ func (g *Graph) InducedInto(dst *Graph, keep []NodeID) *Graph {
 // clearLive empties g by visiting its live nodes only: removal already
 // cleared a dead node's edge maps and aggregates.
 func (g *Graph) clearLive() {
-	for i, ok := range g.alive {
-		if ok {
-			clear(g.out[i])
-			clear(g.in[i])
-			g.alive[i] = false
-			g.resetAggregates(NodeID(i))
-		}
+	n := len(g.alive)
+	for i := g.nextLive(0, n); i < n; i = g.nextLive(i+1, n) {
+		clear(g.out[i])
+		clear(g.in[i])
+		g.alive[i] = false
+		g.resetAggregates(NodeID(i))
 	}
 	g.nAlive, g.nEdges = 0, 0
 }

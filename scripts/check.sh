@@ -10,8 +10,8 @@
 # site's epoch reads (live slices and cache builds racing on that rebuild
 # while updates stream in) and of the
 # WAL's commit tests (appends racing each other and checkpoints, a failed
-# fsync poisoning the log),
-# short fuzz runs over the write path,
+# fsync poisoning the log), one iteration of the site and coordinator
+# benchmarks the docs cite, short fuzz runs over the write path,
 # the WAL segment scan, the site's socket decoder, the checkpoint loader,
 # the pooled graph decoder, the coordinator's partial decode and merge, and
 # the partition image decoder, then the benchmark
@@ -67,6 +67,12 @@ echo "== go test -race -count=5 (coordinator, slice and cache-build concurrency)
 go test -race -count=5 -timeout 10m \
     -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates|TestSliceRacingBoundaryUpdates|TestSnapshotsNeverMixEpochs' \
     ./internal/dist
+
+# The site and coordinator benchmarks the docs cite (EXPERIMENTS.md,
+# abl-slice and abl-cache-core, and the coordinator's no-work answer): one
+# iteration each, so they keep building and running. No timing is checked.
+echo "== go test -bench (cited benchmarks, one iteration) =="
+go test -run '^$' -bench 'LiveEvaluate|Precompute|CoordinatorAnswer' -benchtime 1x ./internal/dist
 
 # The WAL has one committer: an append writes, flushes and fsyncs under the
 # lock a checkpoint's segment rotation takes, and a failed fsync poisons the
