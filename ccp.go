@@ -153,18 +153,6 @@ func ControlsDeclarative(g *Graph, s, t NodeID) (bool, error) {
 	return datalog.Controls(g, s, t)
 }
 
-// DatalogSolver answers control queries goal-directedly on the embedded
-// Datalog engine: the graph is read in place as the ownership relation, and
-// each query runs behind the magic-sets rewrite, which seeds only the
-// subgraph relevant to the queried source. Queries are safe to issue
-// concurrently; g must not change while they run.
-type DatalogSolver = datalog.CCPSolver
-
-// NewDatalogSolver builds a goal-directed Datalog solver over g.
-func NewDatalogSolver(g *Graph) (*DatalogSolver, error) {
-	return datalog.NewCCPSolver(g)
-}
-
 // FrozenGraph is an immutable compressed-sparse-row snapshot of an
 // ownership graph, optimized for serving many control queries: freeze once,
 // query often.

@@ -5,7 +5,7 @@
 //
 //	ccpctl gen    -type scalefree|italian|eu|riad|random -nodes n [-degree d] [-rate r] [-countries k] [-seed n] -out file
 //	ccpctl stats  -in file
-//	ccpctl query  -in file -s id -t id [-solver cbe|reduce|datalog|datalog-planned|dist]
+//	ccpctl query  -in file -s id -t id [-solver cbe|reduce|datalog|dist]
 //	ccpctl owned  -in file -s id [-list]
 //
 // Graph files use the compact CCPG1 binary format with a .ccpg extension, or
@@ -80,15 +80,15 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   ccpctl gen     -type scalefree|italian|eu|riad|random -nodes n [-degree d] [-rate r] [-countries k] [-seed n] -out file
   ccpctl stats   -in file
-  ccpctl query   -in file -s id -t id [-solver cbe|reduce|datalog|datalog-planned|dist] [-explain]
+  ccpctl query   -in file -s id -t id [-solver cbe|reduce|datalog|dist] [-explain]
   ccpctl owned   -in file -s id [-list]
   ccpctl explain -in file -s id -t id
   ccpctl split   -in file -parts k -outprefix p       (writes p0.ccpp, p1.ccpp, ...)
   ccpctl groups  -in file [-top n]                    (control groups by ultimate controller)
   ccpctl datalog -in file -s id [-t id] [-program f] [-explain]
                                                       (evaluate the company control program,
-                                                      or program f, over own = the graph, read-only,
-                                                      and source(s))
+                                                      or program f, bottom-up over own = the
+                                                      graph, read-only, and source(s))
   ccpctl flight  [-ops host:port,...] [-in dump.json,...] [-trace hex]
                                                       (merged cross-process flight timeline)
   ccpctl doctor  -ops host:port[,...] [-in file,...] [-view checks|fleet|store|top] [-watch d] [-json]
@@ -99,6 +99,7 @@ func usage() {
                                                       epochs, circuits, sheds; store:
                                                       epoch, durable/checkpoint seq, WAL
                                                       backlog; top: load, latency, caches)
+-s and -t must name live companies of the graph.
 global flags (before the subcommand): -log-level debug|info|warn|error, -log-format text|json`)
 }
 
@@ -128,6 +129,28 @@ func loadGraph(path string) (*ccp.Graph, error) {
 		return ccp.ReadBinaryGraph(f)
 	}
 	return ccp.ReadCSVGraph(f)
+}
+
+// companies resolves the -s and -t flags against g: each must name a live
+// company of the graph, or the command would answer for a company the file
+// does not hold. A negative t means -t was not given and resolves to -1.
+func companies(g *ccp.Graph, s, t int) (src, tgt ccp.NodeID, err error) {
+	if src, err = company(g, "-s", s); err != nil {
+		return 0, 0, err
+	}
+	if t < 0 {
+		return src, -1, nil
+	}
+	tgt, err = company(g, "-t", t)
+	return src, tgt, err
+}
+
+func company(g *ccp.Graph, flagName string, id int) (ccp.NodeID, error) {
+	v := ccp.NodeID(id)
+	if int(v) != id || !g.Alive(v) {
+		return 0, fmt.Errorf("%s %d: no such company in the graph (%d companies)", flagName, id, g.NumNodes())
+	}
+	return v, nil
 }
 
 func cmdGen(args []string) error {
@@ -206,10 +229,10 @@ func cmdQuery(args []string) error {
 	in := fs.String("in", "", "graph file")
 	s := fs.Int("s", -1, "source company")
 	t := fs.Int("t", -1, "target company")
-	solver := fs.String("solver", "cbe", "cbe|reduce|datalog|datalog-planned|dist")
+	solver := fs.String("solver", "cbe", "cbe|reduce|datalog|dist")
 	parts := fs.Int("parts", 2, "partitions for -solver dist (in-process sites)")
 	verbose := fs.Bool("verbose", false, "print the stitched query trace (-solver dist only)")
-	explain := fs.Bool("explain", false, "print the evaluation plan and per-rule counts (datalog solvers only)")
+	explain := fs.Bool("explain", false, "print the program's join orders and per-rule counts (-solver datalog only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -219,39 +242,34 @@ func cmdQuery(args []string) error {
 	if *verbose && *solver != "dist" {
 		return fmt.Errorf("query: -verbose requires -solver dist")
 	}
-	if *explain && *solver != "datalog" && *solver != "datalog-planned" {
-		return fmt.Errorf("query: -explain requires -solver datalog or datalog-planned")
+	if *explain && *solver != "datalog" {
+		return fmt.Errorf("query: -explain requires -solver datalog")
 	}
 	g, err := loadGraph(*in)
 	if err != nil {
 		return err
 	}
+	src, tgt, err := companies(g, *s, *t)
+	if err != nil {
+		return err
+	}
 	if *solver == "dist" {
-		return queryDist(g, ccp.NodeID(*s), ccp.NodeID(*t), *parts, *verbose)
+		return queryDist(g, src, tgt, *parts, *verbose)
 	}
 	start := time.Now()
 	var ans bool
 	var plan *datalog.Explain
 	switch *solver {
 	case "cbe":
-		ans = ccp.Controls(g, ccp.NodeID(*s), ccp.NodeID(*t))
+		ans = ccp.Controls(g, src, tgt)
 	case "reduce":
-		res, rerr := ccp.Reduce(context.Background(), g, ccp.NodeID(*s), ccp.NodeID(*t), nil, 0)
+		res, rerr := ccp.Reduce(context.Background(), g, src, tgt, nil, 0)
 		if rerr != nil {
 			return rerr
 		}
 		ans = res.Controls
 	case "datalog":
-		ans, plan, err = datalog.ControlsExplain(g, ccp.NodeID(*s), ccp.NodeID(*t))
-		if err != nil {
-			return err
-		}
-	case "datalog-planned":
-		solver, serr := ccp.NewDatalogSolver(g)
-		if serr != nil {
-			return serr
-		}
-		ans, plan, err = solver.ControlsExplain(ccp.NodeID(*s), ccp.NodeID(*t))
+		ans, plan, err = datalog.ControlsExplain(g, src, tgt)
 		if err != nil {
 			return err
 		}
@@ -307,7 +325,11 @@ func cmdExplain(args []string) error {
 	if err != nil {
 		return err
 	}
-	steps, ok := ccp.Explain(g, ccp.NodeID(*s), ccp.NodeID(*t))
+	src, tgt, err := companies(g, *s, *t)
+	if err != nil {
+		return err
+	}
+	steps, ok := ccp.Explain(g, src, tgt)
 	if !ok {
 		fmt.Printf("%d does not control %d\n", *s, *t)
 		return nil
@@ -381,6 +403,10 @@ func cmdDatalog(args []string) error {
 	if err != nil {
 		return err
 	}
+	source, _, err := companies(g, *s, *t)
+	if err != nil {
+		return err
+	}
 	src := datalog.ProgramText()
 	if *program != "" {
 		data, err := os.ReadFile(*program)
@@ -389,15 +415,12 @@ func cmdDatalog(args []string) error {
 		}
 		src = string(data)
 	}
-	e, err := datalog.NewProgram(g, src, ccp.NodeID(*s))
+	e, err := datalog.NewProgram(g, src, source)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	iters, plan, err := e.Run()
-	if err != nil {
-		return err
-	}
+	iters, plan := e.Run()
 	elapsed := time.Since(start)
 	if *t >= 0 {
 		fmt.Printf("control(%d,%d) = %v  [%d iterations, %v]\n",
@@ -452,7 +475,11 @@ func cmdOwned(args []string) error {
 	if err != nil {
 		return err
 	}
-	set := ccp.ControlledSet(g, ccp.NodeID(*s))
+	src, _, err := companies(g, *s, -1)
+	if err != nil {
+		return err
+	}
+	set := ccp.ControlledSet(g, src)
 	fmt.Printf("company %d controls %d companies\n", *s, len(set)-1)
 	if *list {
 		for v := range set {

@@ -56,7 +56,7 @@ func TestOneThresholdAcrossSolvers(t *testing.T) {
 	if !strings.HasPrefix(out, "control(0,51) = false") {
 		t.Fatalf("datalog: %q", out)
 	}
-	for _, solver := range []string{"cbe", "reduce", "datalog", "datalog-planned"} {
+	for _, solver := range []string{"cbe", "reduce", "datalog"} {
 		out := captureStdout(t, func() {
 			if err := cmdQuery([]string{"-in", gpath, "-s", "0", "-t", "51", "-solver", solver}); err != nil {
 				t.Fatal(err)
@@ -68,9 +68,9 @@ func TestOneThresholdAcrossSolvers(t *testing.T) {
 	}
 }
 
-// TestDatalogDeadSource: a company the graph does not have controls nothing,
-// as in every other solver, and a program cannot assert ownership facts
-// over the graph it runs on.
+// TestDatalogDeadSource: a company the graph does not have is refused, as
+// by every other command, and a program cannot assert ownership facts over
+// the graph it runs on.
 func TestDatalogDeadSource(t *testing.T) {
 	dir := t.TempDir()
 	gpath := filepath.Join(dir, "g.csv")
@@ -78,12 +78,13 @@ func TestDatalogDeadSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := captureStdout(t, func() {
-		if err := cmdDatalog([]string{"-in", gpath, "-s", "7"}); err != nil {
-			t.Fatal(err)
+		err := cmdDatalog([]string{"-in", gpath, "-s", "7"})
+		if err == nil || !strings.Contains(err.Error(), "-s 7: no such company") {
+			t.Fatalf("datalog -s 7: err = %v", err)
 		}
 	})
-	if !strings.HasPrefix(out, "control(7, _) has 0 tuples") {
-		t.Fatalf("datalog -s 7: %q", out)
+	if out != "" {
+		t.Fatalf("datalog -s 7 answered: %q", out)
 	}
 	prog := filepath.Join(dir, "p.dl")
 	if err := os.WriteFile(prog, []byte("control(x, x) :- source(x).\nown(0, 2) @ 0.9.\n"), 0o644); err != nil {
@@ -92,6 +93,63 @@ func TestDatalogDeadSource(t *testing.T) {
 	err := cmdDatalog([]string{"-in", gpath, "-s", "0", "-program", prog})
 	if err == nil || !strings.Contains(err.Error(), "own is a read-only view") {
 		t.Fatalf("own fact in -program: err = %v", err)
+	}
+}
+
+// TestCommandsRejectUnknownCompany: every command that takes -s or -t
+// refuses an id that is not a live company of the loaded graph — past its
+// end, removed from it, or wrapping to a live id — and prints no answer.
+func TestCommandsRejectUnknownCompany(t *testing.T) {
+	dir := t.TempDir()
+	gpath := filepath.Join(dir, "g.ccpg")
+	if err := cmdGen([]string{"-type", "scalefree", "-nodes", "200", "-out", gpath}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := loadGraph(gpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.RemoveNode(7) {
+		t.Fatal("company 7 not removed")
+	}
+	if err := saveGraph(g, gpath); err != nil {
+		t.Fatal(err)
+	}
+	cmds := map[string]func([]string) error{
+		"query": cmdQuery, "owned": cmdOwned, "explain": cmdExplain, "datalog": cmdDatalog,
+	}
+	type tc struct {
+		cmd  string
+		args []string
+		bad  string // the flag and id the error must name
+	}
+	cases := []tc{
+		{"owned", []string{"-s", "200"}, "-s 200"},
+		{"owned", []string{"-s", "7"}, "-s 7"},
+		{"explain", []string{"-s", "200", "-t", "0"}, "-s 200"},
+		{"explain", []string{"-s", "0", "-t", "7"}, "-t 7"},
+		{"datalog", []string{"-s", "5000", "-t", "5000"}, "-s 5000"},
+		{"datalog", []string{"-s", "0", "-t", "5000"}, "-t 5000"},
+		{"datalog", []string{"-s", "7"}, "-s 7"},
+	}
+	for _, solver := range []string{"cbe", "reduce", "datalog", "dist"} {
+		cases = append(cases,
+			tc{"query", []string{"-solver", solver, "-s", "5000", "-t", "5000"}, "-s 5000"},
+			tc{"query", []string{"-solver", solver, "-s", "0", "-t", "7"}, "-t 7"},
+			tc{"query", []string{"-solver", solver, "-s", "4294967296", "-t", "1"}, "-s 4294967296"},
+		)
+	}
+	for _, c := range cases {
+		args := append([]string{"-in", gpath}, c.args...)
+		out := captureStdout(t, func() {
+			err := cmds[c.cmd](args)
+			if err == nil || !strings.Contains(err.Error(), c.bad+": no such company") {
+				t.Errorf("%s %v: err = %v, want one naming %s", c.cmd, c.args, err, c.bad)
+			}
+		})
+		if out != "" {
+			t.Errorf("%s %v answered: %q", c.cmd, c.args, out)
+		}
 	}
 }
 
@@ -112,7 +170,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 			t.Fatalf("stats %v: %v", args, err)
 		}
 	}
-	for _, solver := range []string{"cbe", "reduce", "datalog", "datalog-planned"} {
+	for _, solver := range []string{"cbe", "reduce", "datalog"} {
 		if err := cmdQuery([]string{"-in", gpath, "-s", "0", "-t", "7", "-solver", solver}); err != nil {
 			t.Fatalf("query %s: %v", solver, err)
 		}

@@ -13,11 +13,13 @@
 // sound: every (group, contributor) pair is counted exactly once, and fired
 // heads are never retracted.
 //
-// There is one evaluator: rules compile to slot plans (plan.go) that one
-// streaming fixpoint loop runs (eval.go). Run evaluates the program as
-// written — the bottom-up reference — and Query puts the magic-sets rewrite
-// (magic.go) in front of the same loop. Both compile their plan and build
-// fresh evaluation state on every call; the engine holds no cache.
+// There is one evaluator and one way into it: Run compiles the rules as
+// written to slot plans (plan.go) and one streaming fixpoint loop evaluates
+// them bottom-up (eval.go). The program is the executable specification, so
+// there is no goal-directed rewrite: a control query seeds source(s) with
+// its one source, which already restricts the fixpoint to what s reaches.
+// Run compiles and builds fresh evaluation state on every call; the engine
+// holds no cache.
 //
 // A relation is either stored (tuples asserted with AddFact or derived by
 // rules) or a read-only view over a *graph.Graph bound with BindGraph: the
@@ -70,18 +72,11 @@ type Rule struct {
 	Head Atom
 	Body []Atom
 	Agg  *MSum
-
-	// insertWeight, when non-empty, names a body weight variable whose value
-	// is stored as the derived head tuple's weight. It is set only on the
-	// synthetic base-copy rules of the magic transform (see magic.go), which
-	// must preserve the weights of facts asserted into IDB relations.
-	insertWeight string
 }
 
 // relation holds the tuples of one predicate: stored ones, or — when g is
 // set — the edges of a graph, in which case the stored fields stay empty.
 type relation struct {
-	name     string
 	arity    int
 	weighted bool
 	g        *graph.Graph
@@ -94,9 +89,8 @@ type relation struct {
 	index []map[Value][]int
 }
 
-func newRelation(name string, arity int, weighted bool) *relation {
+func newRelation(arity int, weighted bool) *relation {
 	r := &relation{
-		name:     name,
 		arity:    arity,
 		weighted: weighted,
 		tuples:   make(map[string]int),
@@ -207,10 +201,9 @@ func node(v Value) (graph.NodeID, bool) {
 	return graph.NodeID(v), v == Value(graph.NodeID(v))
 }
 
-// Engine holds relations and rules; Run and Query evaluate them. Query only
-// reads the engine, so any number of Query calls may run concurrently, with
-// no lock, as long as nothing mutates the engine (Relation, BindGraph,
-// AddFact, AddRule, Load, Run) or a bound graph meanwhile.
+// Engine holds relations and rules; Run evaluates them, deriving into the
+// engine's own relations. An engine is used by one goroutine at a time; a
+// bound graph must not change while Run reads it.
 type Engine struct {
 	rels  map[string]*relation
 	rules []Rule
@@ -230,7 +223,7 @@ func (e *Engine) Relation(name string, arity int, weighted bool) error {
 	if arity < 1 {
 		return fmt.Errorf("datalog: relation %s must have positive arity", name)
 	}
-	e.rels[name] = newRelation(name, arity, weighted)
+	e.rels[name] = newRelation(arity, weighted)
 	return nil
 }
 
@@ -243,7 +236,7 @@ func (e *Engine) BindGraph(name string, g *graph.Graph) error {
 	if _, dup := e.rels[name]; dup {
 		return fmt.Errorf("datalog: relation %s already declared", name)
 	}
-	e.rels[name] = &relation{name: name, arity: 2, weighted: true, g: g}
+	e.rels[name] = &relation{arity: 2, weighted: true, g: g}
 	return nil
 }
 
@@ -290,7 +283,9 @@ func (e *Engine) validateRule(rule Rule) error {
 	if len(rule.Body) == 0 {
 		return fmt.Errorf("datalog: rule for %s has empty body", rule.Head.Pred)
 	}
-	bound := map[string]bool{}
+	// Terms bind tuple variables and "@ w" binds weight variables; the head
+	// and the msum contributor read the former, the msum weight the latter.
+	vars, weights := map[string]bool{}, map[string]bool{}
 	for _, a := range rule.Body {
 		r, ok := e.rels[a.Pred]
 		if !ok {
@@ -304,23 +299,23 @@ func (e *Engine) validateRule(rule Rule) error {
 		}
 		for _, t := range a.Terms {
 			if t.Var != "" {
-				bound[t.Var] = true
+				vars[t.Var] = true
 			}
 		}
 		if a.WeightVar != "" {
-			bound[a.WeightVar] = true
+			weights[a.WeightVar] = true
 		}
 	}
 	for _, t := range rule.Head.Terms {
-		if t.Var != "" && !bound[t.Var] {
+		if t.Var != "" && !vars[t.Var] {
 			return fmt.Errorf("datalog: head variable %s unbound in %s", t.Var, rule.Head.Pred)
 		}
 	}
 	if rule.Agg != nil {
-		if !bound[rule.Agg.WeightVar] {
+		if !weights[rule.Agg.WeightVar] {
 			return fmt.Errorf("datalog: msum weight variable %s unbound", rule.Agg.WeightVar)
 		}
-		if !bound[rule.Agg.ContribVar] {
+		if !vars[rule.Agg.ContribVar] {
 			return fmt.Errorf("datalog: msum contributor variable %s unbound", rule.Agg.ContribVar)
 		}
 	}
@@ -334,7 +329,7 @@ func (e *Engine) Facts(name string) [][]Value {
 	if !ok {
 		return nil
 	}
-	return collectMatching(r, nil)
+	return sortedTuples(r)
 }
 
 // Has reports whether a tuple has been derived.

@@ -50,6 +50,15 @@ func TestRuleValidation(t *testing.T) {
 		{Head: Atom{Pred: "e", Terms: []Term{V("x"), V("y")}},
 			Body: []Atom{{Pred: "e", Terms: []Term{V("x"), V("y")}}},
 			Agg:  &MSum{WeightVar: "nope", ContribVar: "y"}},
+		// A weight variable is not a tuple variable, nor the reverse.
+		{Head: Atom{Pred: "e", Terms: []Term{V("x"), V("v")}},
+			Body: []Atom{{Pred: "w", Terms: []Term{V("x"), V("y")}, WeightVar: "v"}}},
+		{Head: Atom{Pred: "e", Terms: []Term{V("x"), V("y")}},
+			Body: []Atom{{Pred: "w", Terms: []Term{V("x"), V("y")}, WeightVar: "v"}},
+			Agg:  &MSum{WeightVar: "y", ContribVar: "x"}},
+		{Head: Atom{Pred: "e", Terms: []Term{V("x"), V("y")}},
+			Body: []Atom{{Pred: "w", Terms: []Term{V("x"), V("y")}, WeightVar: "v"}},
+			Agg:  &MSum{WeightVar: "v", ContribVar: "v"}},
 	}
 	for i, r := range bad {
 		if err := e.AddRule(r); err == nil {

@@ -42,19 +42,14 @@ func dyadicGraph(rng *rand.Rand) *graph.Graph {
 }
 
 // TestDifferential500Seeds checks the evaluator against CBE — the only
-// independent implementation of q_c(s,t) — over 500 random graphs, once
-// bottom-up (Controls, the program as written) and once behind the
-// magic-sets rewrite (CCPSolver.Controls). Any divergence from CBE is a bug
-// in the evaluator or in the rewrite.
+// independent implementation of q_c(s,t) — over 500 random graphs: Controls
+// runs the program as written, bottom-up. Any divergence from CBE is a bug
+// in the evaluator.
 func TestDifferential500Seeds(t *testing.T) {
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := dyadicGraph(rng)
 		n := g.Cap()
-		solver, err := NewCCPSolver(g)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		for q := 0; q < 3; q++ {
 			s := graph.NodeID(rng.Intn(n))
 			tgt := graph.NodeID(rng.Intn(n))
@@ -63,13 +58,8 @@ func TestDifferential500Seeds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: bottom-up: %v", seed, err)
 			}
-			magic, err := solver.Controls(s, tgt)
-			if err != nil {
-				t.Fatalf("seed %d: magic: %v", seed, err)
-			}
-			if bottomUp != cbe || magic != cbe {
-				t.Fatalf("seed %d: control(%d,%d): cbe=%v bottom-up=%v magic=%v",
-					seed, s, tgt, cbe, bottomUp, magic)
+			if bottomUp != cbe {
+				t.Fatalf("seed %d: control(%d,%d): cbe=%v bottom-up=%v", seed, s, tgt, cbe, bottomUp)
 			}
 		}
 	}
@@ -115,34 +105,22 @@ func TestExactThresholdBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		solver, err := NewCCPSolver(g)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cbe := control.CBE(g, control.Query{S: 0, T: tc.tgt})
 		bottomUp, err := Controls(g, 0, tc.tgt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		magic, err := solver.Controls(0, tc.tgt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cbe != tc.want || bottomUp != tc.want || magic != tc.want {
-			t.Fatalf("%s: control(0,%d): cbe=%v bottom-up=%v magic=%v, want %v",
-				tc.name, tc.tgt, cbe, bottomUp, magic, tc.want)
+		if cbe != tc.want || bottomUp != tc.want {
+			t.Fatalf("%s: control(0,%d): cbe=%v bottom-up=%v, want %v",
+				tc.name, tc.tgt, cbe, bottomUp, tc.want)
 		}
 	}
 }
 
-// TestSelfControl pins the reflexive case in all three columns.
+// TestSelfControl pins the reflexive case in both columns.
 func TestSelfControl(t *testing.T) {
 	g := graph.New(3)
 	if err := g.AddEdge(0, 1, 0.9); err != nil {
-		t.Fatal(err)
-	}
-	solver, err := NewCCPSolver(g)
-	if err != nil {
 		t.Fatal(err)
 	}
 	for s := graph.NodeID(0); s < 3; s++ {
@@ -151,51 +129,8 @@ func TestSelfControl(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		magic, err := solver.Controls(s, s)
-		if err != nil {
-			t.Fatal(err)
+		if !cbe || !bottomUp {
+			t.Fatalf("control(%d,%d): cbe=%v bottom-up=%v, want both true", s, s, cbe, bottomUp)
 		}
-		if !cbe || !bottomUp || !magic {
-			t.Fatalf("control(%d,%d): cbe=%v bottom-up=%v magic=%v, want all true", s, s, cbe, bottomUp, magic)
-		}
-	}
-}
-
-// TestGoalDirectedDerivesFewerTuples asserts over random graphs that a
-// single-pair query derives no more tuples than the all-sources global
-// fixpoint, and strictly fewer on graphs with more than one component of
-// control — the point of the magic-sets restriction.
-func TestGoalDirectedDerivesFewerTuples(t *testing.T) {
-	strict := 0
-	for seed := int64(0); seed < 40; seed++ {
-		rng := rand.New(rand.NewSource(1000 + seed))
-		g := dyadicGraph(rng)
-		n := g.Cap()
-		global, err := NewCCPSolver(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustRun(t, global.Engine())
-		globalTuples := global.Engine().Count("control")
-
-		solver, err := NewCCPSolver(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := graph.NodeID(rng.Intn(n))
-		tgt := graph.NodeID((int(s) + 1 + rng.Intn(n-1)) % n)
-		_, x, err := solver.ControlsExplain(s, tgt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if x.Derived > globalTuples {
-			t.Fatalf("seed %d: goal-directed derived %d > global %d", seed, x.Derived, globalTuples)
-		}
-		if x.Derived < globalTuples {
-			strict++
-		}
-	}
-	if strict == 0 {
-		t.Fatal("goal-directed evaluation never derived strictly fewer tuples than the global fixpoint")
 	}
 }

@@ -4,22 +4,17 @@
 // place; no per-round candidate slices are materialized, and bindings live
 // in flat slot buffers reused across the whole run.
 //
-// Every Run and Query compiles its plan and builds its planEval afresh, so
-// concurrent queries share only read-only state: the engine's rules and its
-// base relations.
+// Every Run compiles its plan and builds its planEval afresh.
 package datalog
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
-	"strings"
 )
 
 // planEval is the mutable state of one evaluation of a planProgram.
 type planEval struct {
 	prog   *planProgram
-	rels   []*relation // parallel to prog.rels; private ones owned here
 	delta  [][2]int
 	before []int
 
@@ -33,22 +28,11 @@ type planEval struct {
 	ruleMatches []int // complete body bindings per rule
 	ruleDerived []int // new tuples asserted per rule
 
-	goal       []Value // fully-bound goal tuple for early stop, or nil
-	stopped    bool
-	derived    int
 	iterations int
 }
 
 func newPlanEval(p *planProgram) *planEval {
 	ev := &planEval{prog: p}
-	ev.rels = make([]*relation, len(p.rels))
-	for i, pr := range p.rels {
-		if pr.base != nil {
-			ev.rels[i] = pr.base
-		} else {
-			ev.rels[i] = newRelation(pr.name, pr.arity, pr.weighted)
-		}
-	}
 	ev.delta = make([][2]int, len(p.rels))
 	ev.before = make([]int, len(p.rels))
 	ev.slots = make([]Value, p.maxSlots)
@@ -65,28 +49,22 @@ func newPlanEval(p *planProgram) *planEval {
 	return ev
 }
 
-// run evaluates the program to fixpoint (or to the early-stop goal) and
-// returns the number of semi-naive rounds.
+// run evaluates the program to fixpoint and returns the number of
+// semi-naive rounds.
 func (ev *planEval) run() int {
-	for _, s := range ev.prog.seeds {
-		ev.rels[s.relID].insert(s.tuple, 0)
-	}
-	for i, r := range ev.rels {
+	for i, r := range ev.prog.rels {
 		ev.delta[i] = [2]int{0, r.size()}
 	}
 	for {
 		ev.iterations++
-		for i, r := range ev.rels {
+		for i, r := range ev.prog.rels {
 			ev.before[i] = r.size()
 		}
 		for ri, rp := range ev.prog.rules {
 			ev.evalRule(ri, rp)
-			if ev.stopped {
-				return ev.iterations
-			}
 		}
 		changed := false
-		for i, r := range ev.rels {
+		for i, r := range ev.prog.rels {
 			ev.delta[i] = [2]int{ev.before[i], r.size()}
 			if r.size() > ev.before[i] {
 				changed = true
@@ -125,9 +103,6 @@ func (ev *planEval) evalRule(ri int, rp *rulePlan) {
 			continue
 		}
 		ev.step(ri, rp, order, 0, dr)
-		if ev.stopped {
-			return
-		}
 	}
 }
 
@@ -139,7 +114,7 @@ func (ev *planEval) step(ri int, rp *rulePlan, order []atomStep, i int, dr [2]in
 		return
 	}
 	st := &order[i]
-	rel := ev.rels[st.relID]
+	rel := ev.prog.rels[st.relID]
 	lo, hi := 0, rel.size()
 	if i == 0 {
 		lo, hi = dr[0], dr[1]
@@ -153,9 +128,7 @@ func (ev *planEval) step(ri int, rp *rulePlan, order []atomStep, i int, dr [2]in
 		}
 	}
 	rel.match(st.indexPos, v, lo, hi, func(t []Value, w float64) {
-		if !ev.stopped {
-			ev.tryTuple(ri, rp, order, i, t, w, dr)
-		}
+		ev.tryTuple(ri, rp, order, i, t, w, dr)
 	})
 }
 
@@ -215,14 +188,10 @@ func (ev *planEval) fire(ri int, rp *rulePlan) {
 			head[i] = ev.slots[op.slot]
 		}
 	}
-	rel := ev.rels[rp.headRelID]
+	rel := ev.prog.rels[rp.headRelID]
 	if rp.agg == nil {
-		var w float64
-		if rp.insertWeightSlot >= 0 {
-			w = ev.wslots[rp.insertWeightSlot]
-		}
-		if rel.insert(head, w) {
-			ev.noteDerived(ri, rp, head)
+		if rel.insert(head, 0) {
+			ev.ruleDerived[ri]++
 		}
 		return
 	}
@@ -235,16 +204,8 @@ func (ev *planEval) fire(ri int, rp *rulePlan) {
 	ev.aggSum[ri][group] += ev.wslots[rp.agg.weightSlot]
 	if ev.aggSum[ri][group] > rp.agg.threshold {
 		if rel.insert(head, 0) {
-			ev.noteDerived(ri, rp, head)
+			ev.ruleDerived[ri]++
 		}
-	}
-}
-
-func (ev *planEval) noteDerived(ri int, rp *rulePlan, head []Value) {
-	ev.ruleDerived[ri]++
-	ev.derived++
-	if rp.headRelID == ev.prog.goalRelID && ev.goal != nil && valuesEqual(head, ev.goal) {
-		ev.stopped = true
 	}
 }
 
@@ -254,144 +215,23 @@ func encodeOne(v Value) string {
 	return string(buf[:])
 }
 
-func valuesEqual(a, b []Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Run evaluates all rules to fixpoint bottom-up, deriving into the engine's
 // own relations, and returns the number of semi-naive rounds and the
-// evaluation explain record. The program is compiled as written — no
-// goal-directed rewrite — so this is the reference Query is checked against.
-func (e *Engine) Run() (int, *Explain, error) {
-	p := newPlanner(e)
-	for _, r := range e.rules {
-		if err := p.compileRule(r); err != nil {
-			return 0, nil, err
-		}
-	}
-	ev := newPlanEval(p.finish())
+// evaluation explain record. The program is compiled as written — this is
+// the executable specification.
+func (e *Engine) Run() (int, *Explain) {
+	ev := newPlanEval(compile(e))
 	iters := ev.run()
 	x := buildExplain(ev)
 	x.Goal = "fixpoint"
-	return iters, x, nil
+	return iters, x
 }
 
-// QueryResult is the answer to a goal-directed query.
-type QueryResult struct {
-	// Derived reports whether any tuple matches the goal.
-	Derived bool
-	// Tuples are the matching goal tuples, sorted (deterministic).
-	Tuples [][]Value
-	// Explain describes the plan that ran and its per-rule counters.
-	Explain *Explain
-}
-
-// Query answers pred(args...) goal-directedly. Constant arguments become the
-// adornment's bound positions; the magic-sets transform restricts the
-// fixpoint to tuples relevant to those constants, so a single-pair query
-// touches only the reachable part of the data instead of running the global
-// fixpoint.
-//
-// Query never mutates the engine; concurrent calls need no lock (see Engine).
-func (e *Engine) Query(pred string, args ...Term) (QueryResult, error) {
-	rel, ok := e.rels[pred]
-	if !ok {
-		return QueryResult{}, fmt.Errorf("datalog: unknown relation %s", pred)
-	}
-	if len(args) != rel.arity {
-		return QueryResult{}, fmt.Errorf("datalog: %s has arity %d, got %d terms", pred, rel.arity, len(args))
-	}
-	adorn := adornmentOf(args)
-	goal := goalText(pred, args)
-	if !e.isIDB(pred) {
-		// EDB fast path: no rule derives pred, answer straight from storage.
-		res := QueryResult{Tuples: collectMatching(rel, args)}
-		res.Derived = len(res.Tuples) > 0
-		res.Explain = &Explain{Goal: goal, Adornment: adorn}
-		return res, nil
-	}
-	p := newPlanner(e)
-	if err := magicTransform(e, p, pred, adorn); err != nil {
-		return QueryResult{}, err
-	}
-	prog := p.finish()
-	ev := newPlanEval(prog)
-	if prog.seedRelID >= 0 {
-		seed := make([]Value, 0, len(args))
-		for _, a := range args {
-			if a.Var == "" {
-				seed = append(seed, a.Const)
-			}
-		}
-		ev.rels[prog.seedRelID].insert(seed, 0)
-	}
-	fullyBound := !strings.Contains(adorn, "f")
-	if fullyBound {
-		g := make([]Value, len(args))
-		for i, a := range args {
-			g[i] = a.Const
-		}
-		ev.goal = g
-	}
-	ev.run()
-	res := QueryResult{}
-	goalRel := ev.rels[prog.goalRelID]
-	if fullyBound {
-		res.Derived = ev.stopped || goalRel.has(ev.goal)
-		if res.Derived {
-			g := make([]Value, len(args))
-			copy(g, ev.goal)
-			res.Tuples = [][]Value{g}
-		}
-	} else {
-		res.Tuples = collectMatching(goalRel, args)
-		res.Derived = len(res.Tuples) > 0
-	}
-	res.Explain = buildExplain(ev)
-	res.Explain.Goal = goal
-	return res, nil
-}
-
-// isIDB reports whether any rule derives pred.
-func (e *Engine) isIDB(pred string) bool {
-	for _, r := range e.rules {
-		if r.Head.Pred == pred {
-			return true
-		}
-	}
-	return false
-}
-
-// adornmentOf maps constant arguments to 'b' and variables to 'f'.
-func adornmentOf(args []Term) string {
-	b := make([]byte, len(args))
-	for i, a := range args {
-		if a.Var == "" {
-			b[i] = 'b'
-		} else {
-			b[i] = 'f'
-		}
-	}
-	return string(b)
-}
-
-// collectMatching copies rel's tuples consistent with the goal terms:
-// constants must match, repeated variables must agree; nil args match every
-// tuple. Results are sorted.
-func collectMatching(rel *relation, args []Term) [][]Value {
+// sortedTuples copies rel's tuples, sorted lexicographically.
+func sortedTuples(rel *relation) [][]Value {
 	var out [][]Value
 	rel.match(-1, 0, 0, rel.size(), func(t []Value, _ float64) {
-		if goalMatches(t, args) {
-			out = append(out, append([]Value(nil), t...))
-		}
+		out = append(out, append([]Value(nil), t...))
 	})
 	sort.Slice(out, func(i, j int) bool {
 		for k := range out[i] {
@@ -402,21 +242,4 @@ func collectMatching(rel *relation, args []Term) [][]Value {
 		return false
 	})
 	return out
-}
-
-func goalMatches(tuple []Value, args []Term) bool {
-	for i, a := range args {
-		if a.Var == "" {
-			if tuple[i] != a.Const {
-				return false
-			}
-			continue
-		}
-		for j := 0; j < i; j++ {
-			if args[j].Var == a.Var && tuple[j] != tuple[i] {
-				return false
-			}
-		}
-	}
-	return true
 }

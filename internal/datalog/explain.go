@@ -1,5 +1,5 @@
 // explain.go — human-readable plan and evaluation reports, backing the
-// ccpctl -explain flag and the goal-directed tests.
+// ccpctl -explain flag.
 package datalog
 
 import (
@@ -17,26 +17,19 @@ type RuleExplain struct {
 	Derived int      `json:"derived"` // new tuples asserted
 }
 
-// Explain reports what a planned evaluation did: the goal and adornment it
-// was specialized for, and per-rule join orders with tuple counts.
+// Explain reports what an evaluation did: the goal it answered, and per-rule
+// join orders with tuple counts.
 type Explain struct {
 	Goal       string        `json:"goal"`
-	Adornment  string        `json:"adornment,omitempty"`
-	EarlyStop  bool          `json:"early_stop"`
 	Iterations int           `json:"iterations"`
 	Derived    int           `json:"derived"`
 	Rules      []RuleExplain `json:"rules,omitempty"`
 }
 
 func buildExplain(ev *planEval) *Explain {
-	prog := ev.prog
-	x := &Explain{
-		Adornment:  prog.adornment,
-		EarlyStop:  ev.stopped,
-		Iterations: ev.iterations,
-		Derived:    ev.derived,
-	}
-	for ri, rp := range prog.rules {
+	x := &Explain{Iterations: ev.iterations}
+	for ri, rp := range ev.prog.rules {
+		x.Derived += ev.ruleDerived[ri]
 		x.Rules = append(x.Rules, RuleExplain{
 			Rule:    rp.text,
 			Orders:  rp.orderTexts,
@@ -49,15 +42,7 @@ func buildExplain(ev *planEval) *Explain {
 
 func (x *Explain) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "goal: %s", x.Goal)
-	if x.Adornment != "" {
-		fmt.Fprintf(&b, "  adornment: %s", x.Adornment)
-	}
-	fmt.Fprintf(&b, "\nrounds: %d  derived: %d", x.Iterations, x.Derived)
-	if x.EarlyStop {
-		b.WriteString("  (stopped early at goal)")
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "goal: %s\nrounds: %d  derived: %d\n", x.Goal, x.Iterations, x.Derived)
 	for _, r := range x.Rules {
 		fmt.Fprintf(&b, "rule: %s\n", r.Rule)
 		for _, o := range r.Orders {
@@ -118,13 +103,4 @@ func orderText(steps []atomStep) string {
 		parts[i] = st.text
 	}
 	return strings.Join(parts, " ⋈ ")
-}
-
-// goalText renders a query goal like control(7,z)?.
-func goalText(pred string, args []Term) string {
-	parts := make([]string, len(args))
-	for i, a := range args {
-		parts[i] = termText(a)
-	}
-	return pred + "(" + strings.Join(parts, ",") + ")?"
 }

@@ -146,6 +146,14 @@ func TestLoadIntoPredeclaredEngine(t *testing.T) {
 	}
 }
 
+// loadFragments are structured fragments that once looked plausible to
+// mis-parse.
+var loadFragments = []string{
+	"p(", ")", ":-", "msum", "msum(", "p(x)@", "p(x)@1e9.",
+	"p(x):-msum(w,<y>)>", "p(x):-q(y),", "....", "p()", "@",
+	"p(x) :- q(x) @ w, msum(w, <x>) > -0.5.",
+}
+
 // TestQuickLoadNeverPanics feeds the parser random byte soup; it must
 // return errors, never panic.
 func TestQuickLoadNeverPanics(t *testing.T) {
@@ -162,12 +170,7 @@ func TestQuickLoadNeverPanics(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-	// Structured fragments that once looked plausible to mis-parse.
-	for _, src := range []string{
-		"p(", ")", ":-", "msum", "msum(", "p(x)@", "p(x)@1e9.",
-		"p(x):-msum(w,<y>)>", "p(x):-q(y),", "....", "p()", "@",
-		"p(x) :- q(x) @ w, msum(w, <x>) > -0.5.",
-	} {
+	for _, src := range loadFragments {
 		e := NewEngine()
 		func() {
 			defer func() {
@@ -178,4 +181,53 @@ func TestQuickLoadNeverPanics(t *testing.T) {
 			_ = e.Load(src)
 		}()
 	}
+}
+
+// FuzzLoad runs fuzzed program text the way ccpctl datalog -program does:
+// Load over an engine with a small graph bound as own, then Run. Neither may
+// panic, and no statement may write into own: whenever the text asserts an
+// own fact or derives own in a rule head — read from an engine where own is
+// an ordinary relation — the bound engine's Load must refuse it, and the
+// view must still be the graph after Run.
+func FuzzLoad(f *testing.F) {
+	f.Add(ProgramText())
+	f.Add("own(0, 2) @ 0.5.")
+	f.Add("own(x, y) :- own(y, x).")
+	for _, src := range loadFragments {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		g := graph.New(4)
+		for _, ed := range []graph.Edge{{From: 0, To: 1, Weight: 0.6}, {From: 1, To: 2, Weight: 0.3}, {From: 3, To: 2, Weight: 0.3}} {
+			if err := g.AddEdge(ed.From, ed.To, ed.Weight); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := NewEngine()
+		if err := e.BindGraph("own", g); err != nil {
+			t.Fatal(err)
+		}
+		err := e.Load(src)
+		free := NewEngine()
+		if err == nil && free.Load(src) == nil && writesOwn(free) {
+			t.Fatalf("Load accepted a write into the bound own: %q", src)
+		}
+		e.Run()
+		if g.NumEdges() != 3 || e.Count("own") != 3 || e.Has("own", 0, 2) {
+			t.Fatalf("own changed under %q: %v", src, e.Facts("own"))
+		}
+	})
+}
+
+// writesOwn reports whether e holds own facts or a rule deriving own.
+func writesOwn(e *Engine) bool {
+	if e.Count("own") > 0 {
+		return true
+	}
+	for _, r := range e.rules {
+		if r.Head.Pred == "own" {
+			return true
+		}
+	}
+	return false
 }

@@ -12,8 +12,6 @@
 // same slot layout and the aggregate/head logic never cares which order ran.
 package datalog
 
-import "fmt"
-
 // Term-op kinds: how one atom position interacts with the slot buffer.
 const (
 	opConst uint8 = iota // tuple[pos] must equal val
@@ -25,23 +23,6 @@ type termOp struct {
 	kind uint8
 	val  Value
 	slot int
-}
-
-// relSig is the schema of a plan-private relation (magic transform output).
-type relSig struct {
-	arity    int
-	weighted bool
-}
-
-// planRel is one relation referenced by a compiled program. base points at
-// an engine relation (stored or a graph view); nil marks a private relation
-// materialized fresh per evaluation — adorned and magic predicates live
-// there, so concurrent goal-directed queries never write shared state.
-type planRel struct {
-	name     string
-	arity    int
-	weighted bool
-	base     *relation
 }
 
 // atomStep is one body atom compiled for one particular join order.
@@ -65,9 +46,6 @@ type rulePlan struct {
 	nSlots    int
 	nWeights  int
 	agg       *aggPlan
-	// insertWeightSlot preserves a body weight into the derived tuple
-	// (magic-transform base-copy rules); -1 otherwise.
-	insertWeightSlot int
 
 	// orders[d] is the join order used when body atom d carries the delta;
 	// the delta atom is always orders[d][0].
@@ -76,82 +54,49 @@ type rulePlan struct {
 	text       string
 }
 
-// seedFact is a statically known fact the evaluation starts from (magic
-// facts whose bound terms are all constants).
-type seedFact struct {
-	relID int
-	tuple []Value
-}
-
-// planProgram is a fully compiled program: relations, rules in all their
-// delta orders, and — for goal-directed plans — the goal/seed relations and
-// the adornment it was specialized for. It is immutable after compilation;
-// mutable evaluation state lives in planEval.
+// planProgram is a fully compiled program: the engine relations its rules
+// read or derive, numbered, and the rules in all their delta orders. It is
+// immutable after compilation; mutable evaluation state lives in planEval.
 type planProgram struct {
-	rels   []planRel
+	rels   []*relation
 	relIDs map[string]int
 	rules  []*rulePlan
-	seeds  []seedFact
-
-	goalRelID int // adorned goal relation, -1 for whole-program plans
-	seedRelID int // magic seed relation for the query constants, -1 if none
-	adornment string
 
 	maxSlots   int
 	maxWeights int
 	maxHead    int
 }
 
-// planner interns relations and compiles rules into a planProgram.
-type planner struct {
-	e    *Engine
-	prog *planProgram
-	sigs map[string]relSig // private relation schemas, by name
+// compile lowers the engine's rules into a planProgram. AddRule validated
+// every rule against the declared relations, and relations are never
+// undeclared, so compilation cannot fail.
+func compile(e *Engine) *planProgram {
+	p := &planProgram{relIDs: make(map[string]int)}
+	for _, r := range e.rules {
+		rp := p.compileRule(e, r)
+		p.rules = append(p.rules, rp)
+		p.maxSlots = max(p.maxSlots, rp.nSlots)
+		p.maxWeights = max(p.maxWeights, rp.nWeights)
+		p.maxHead = max(p.maxHead, len(rp.headOps))
+	}
+	return p
 }
 
-func newPlanner(e *Engine) *planner {
-	return &planner{
-		e: e,
-		prog: &planProgram{
-			relIDs:    make(map[string]int),
-			goalRelID: -1,
-			seedRelID: -1,
-		},
-		sigs: make(map[string]relSig),
+// relID interns an engine relation by name.
+func (p *planProgram) relID(e *Engine, name string) int {
+	if id, ok := p.relIDs[name]; ok {
+		return id
 	}
-}
-
-// declarePrivate registers a plan-private relation schema.
-func (p *planner) declarePrivate(name string, arity int, weighted bool) {
-	if _, ok := p.sigs[name]; !ok {
-		p.sigs[name] = relSig{arity: arity, weighted: weighted}
-	}
-}
-
-// relID interns a relation by name: engine relations resolve to their base
-// relation, private names to their declared schema.
-func (p *planner) relID(name string) (int, error) {
-	if id, ok := p.prog.relIDs[name]; ok {
-		return id, nil
-	}
-	pr := planRel{name: name}
-	if base, ok := p.e.rels[name]; ok {
-		pr.arity, pr.weighted, pr.base = base.arity, base.weighted, base
-	} else if sig, ok := p.sigs[name]; ok {
-		pr.arity, pr.weighted = sig.arity, sig.weighted
-	} else {
-		return 0, fmt.Errorf("datalog: plan references unknown relation %s", name)
-	}
-	id := len(p.prog.rels)
-	p.prog.rels = append(p.prog.rels, pr)
-	p.prog.relIDs[name] = id
-	return id, nil
+	id := len(p.rels)
+	p.rels = append(p.rels, e.rels[name])
+	p.relIDs[name] = id
+	return id
 }
 
 // compileRule turns one rule into a rulePlan with a join order per delta
-// position and appends it to the program.
-func (p *planner) compileRule(rule Rule) error {
-	rp := &rulePlan{insertWeightSlot: -1, text: ruleText(rule)}
+// position.
+func (p *planProgram) compileRule(e *Engine, rule Rule) *rulePlan {
+	rp := &rulePlan{headRelID: p.relID(e, rule.Head.Pred), text: ruleText(rule)}
 
 	// Slot assignment scans the body in written order so every join order of
 	// this rule shares one slot layout.
@@ -159,70 +104,36 @@ func (p *planner) compileRule(rule Rule) error {
 	wSlots := make(map[string]int)
 	for _, a := range rule.Body {
 		for _, t := range a.Terms {
-			if t.Var != "" {
-				if _, ok := varSlots[t.Var]; !ok {
-					varSlots[t.Var] = len(varSlots)
-				}
+			if _, ok := varSlots[t.Var]; t.Var != "" && !ok {
+				varSlots[t.Var] = len(varSlots)
 			}
 		}
-		if a.WeightVar != "" {
-			if _, ok := wSlots[a.WeightVar]; !ok {
-				wSlots[a.WeightVar] = len(wSlots)
-			}
+		if _, ok := wSlots[a.WeightVar]; a.WeightVar != "" && !ok {
+			wSlots[a.WeightVar] = len(wSlots)
 		}
 	}
 	rp.nSlots, rp.nWeights = len(varSlots), len(wSlots)
 
-	var err error
-	if rp.headRelID, err = p.relID(rule.Head.Pred); err != nil {
-		return err
-	}
-	if p.prog.rels[rp.headRelID].arity != len(rule.Head.Terms) {
-		return fmt.Errorf("datalog: head arity mismatch for %s", rule.Head.Pred)
-	}
 	for _, t := range rule.Head.Terms {
 		if t.Var == "" {
 			rp.headOps = append(rp.headOps, termOp{kind: opConst, val: t.Const})
-			continue
+		} else {
+			rp.headOps = append(rp.headOps, termOp{kind: opCheck, slot: varSlots[t.Var]})
 		}
-		s, ok := varSlots[t.Var]
-		if !ok {
-			return fmt.Errorf("datalog: head variable %s unbound in %s", t.Var, rule.Head.Pred)
-		}
-		rp.headOps = append(rp.headOps, termOp{kind: opCheck, slot: s})
 	}
-
 	if rule.Agg != nil {
-		ws, ok := wSlots[rule.Agg.WeightVar]
-		if !ok {
-			return fmt.Errorf("datalog: msum weight variable %s unbound", rule.Agg.WeightVar)
+		rp.agg = &aggPlan{
+			weightSlot:  wSlots[rule.Agg.WeightVar],
+			contribSlot: varSlots[rule.Agg.ContribVar],
+			threshold:   rule.Agg.Threshold,
 		}
-		cs, ok := varSlots[rule.Agg.ContribVar]
-		if !ok {
-			return fmt.Errorf("datalog: msum contributor variable %s unbound", rule.Agg.ContribVar)
-		}
-		rp.agg = &aggPlan{weightSlot: ws, contribSlot: cs, threshold: rule.Agg.Threshold}
 	}
-	if rule.insertWeight != "" {
-		ws, ok := wSlots[rule.insertWeight]
-		if !ok {
-			return fmt.Errorf("datalog: insert weight variable %s unbound", rule.insertWeight)
-		}
-		rp.insertWeightSlot = ws
-	}
-
 	for d := range rule.Body {
-		order := planOrder(rule.Body, d)
-		steps, err := p.compileSteps(rule, order, varSlots, wSlots)
-		if err != nil {
-			return err
-		}
+		steps := p.compileSteps(e, rule, planOrder(rule.Body, d), varSlots, wSlots)
 		rp.orders = append(rp.orders, steps)
 		rp.orderTexts = append(rp.orderTexts, orderText(steps))
 	}
-
-	p.prog.rules = append(p.prog.rules, rp)
-	return nil
+	return rp
 }
 
 // planOrder picks the join order for delta position d: the delta atom first
@@ -271,23 +182,12 @@ func planOrder(body []Atom, d int) []int {
 // occurrences (including within the same atom) check it. The index position
 // is the first bound tuple position — known statically, so evaluation never
 // probes for one.
-func (p *planner) compileSteps(rule Rule, order []int, varSlots, wSlots map[string]int) ([]atomStep, error) {
+func (p *planProgram) compileSteps(e *Engine, rule Rule, order []int, varSlots, wSlots map[string]int) []atomStep {
 	bound := make(map[string]bool)
 	steps := make([]atomStep, 0, len(order))
 	for stepIdx, ai := range order {
 		a := rule.Body[ai]
-		relID, err := p.relID(a.Pred)
-		if err != nil {
-			return nil, err
-		}
-		rel := p.prog.rels[relID]
-		if len(a.Terms) != rel.arity {
-			return nil, fmt.Errorf("datalog: body arity mismatch for %s", a.Pred)
-		}
-		if a.WeightVar != "" && !rel.weighted {
-			return nil, fmt.Errorf("datalog: %s is not weighted", a.Pred)
-		}
-		st := atomStep{relID: relID, weightSlot: -1, indexPos: -1}
+		st := atomStep{relID: p.relID(e, a.Pred), weightSlot: -1, indexPos: -1}
 		for pos, t := range a.Terms {
 			switch {
 			case t.Var == "":
@@ -308,21 +208,5 @@ func (p *planner) compileSteps(rule Rule, order []int, varSlots, wSlots map[stri
 		st.text = stepText(a, st, stepIdx == 0)
 		steps = append(steps, st)
 	}
-	return steps, nil
-}
-
-// finish computes the shared buffer sizes and returns the program.
-func (p *planner) finish() *planProgram {
-	for _, rp := range p.prog.rules {
-		if rp.nSlots > p.prog.maxSlots {
-			p.prog.maxSlots = rp.nSlots
-		}
-		if rp.nWeights > p.prog.maxWeights {
-			p.prog.maxWeights = rp.nWeights
-		}
-		if len(rp.headOps) > p.prog.maxHead {
-			p.prog.maxHead = len(rp.headOps)
-		}
-	}
-	return p.prog
+	return steps
 }

@@ -72,15 +72,17 @@ func TestBoundRelationIsReadOnly(t *testing.T) {
 		if g.NumEdges() != 1 || e.Count("own") != 1 || e.Has("own", 0, 2) || !e.Has("own", 0, 1) {
 			t.Errorf("%s: bound relation changed: %v", tc.name, e.Facts("own"))
 		}
-		if _, _, err := e.Run(); err != nil {
-			t.Errorf("%s: engine unusable after the rejected write: %v", tc.name, err)
+		e.Run()
+		if e.Count("own") != 1 {
+			t.Errorf("%s: Run after the rejected write changed the bound relation: %v", tc.name, e.Facts("own"))
 		}
 	}
 }
 
 // TestGraphViewAccessPaths exercises each way the evaluator reads a view: a
 // position-0 probe (stakes held), a position-1 probe (shareholders), a
-// scan, membership, and constants that name no company.
+// scan, membership, and constants that name no company: 2^32 (which would
+// truncate to company 0) and -1 in either position.
 func TestGraphViewAccessPaths(t *testing.T) {
 	g := graph.New(4)
 	for _, ed := range []graph.Edge{{From: 0, To: 1, Weight: 0.6}, {From: 0, To: 2, Weight: 0.3}, {From: 3, To: 2, Weight: 0.7}} {
@@ -97,19 +99,20 @@ held(z) :- own(0, z).
 holder(y) :- own(y, 2).
 big(y, z) :- own(y, z) @ w, msum(w, <y>) > 0.5.
 far(z) :- own(4294967296, z).
+farHolder(y) :- own(y, 4294967296).
+negative(z) :- own(-1, z).
 `); err != nil {
 		t.Fatal(err)
 	}
-	_, x, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, x := e.Run()
 	wantFacts(t, e, "held", [][]Value{{1}, {2}})
 	wantFacts(t, e, "holder", [][]Value{{0}, {3}})
 	wantFacts(t, e, "big", [][]Value{{0, 1}, {3, 2}})
 	wantFacts(t, e, "own", [][]Value{{0, 1}, {0, 2}, {3, 2}})
-	if e.Count("far") != 0 {
-		t.Fatalf("a probe past the id range matched %v", e.Facts("far"))
+	for _, rel := range []string{"far", "farHolder", "negative"} {
+		if e.Count(rel) != 0 {
+			t.Fatalf("%s: a probe outside the id range matched %v", rel, e.Facts(rel))
+		}
 	}
 	for i, want := range []string{"own(0,z)[idx 0]", "own(y,2)[idx 1]", "own(y,z)@w[scan]"} {
 		if got := x.Rules[i].Orders[0]; got != "Δ"+want {
@@ -120,14 +123,5 @@ far(z) :- own(4294967296, z).
 	far := Value(1) << 32 // truncates to company 0
 	if e.Has("own", far, 1) || e.Has("own", 0, 1, 2) || !e.Has("own", 3, 2) {
 		t.Fatal("view membership wrong")
-	}
-	for _, args := range [][]Term{{C(far), V("z")}, {V("y"), C(far)}, {C(-1), V("z")}} {
-		res, err := e.Query("own", args...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Derived {
-			t.Fatalf("own%v? matched %v", args, res.Tuples)
-		}
 	}
 }

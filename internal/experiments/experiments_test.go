@@ -250,12 +250,12 @@ func TestAblationsSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The ablations table is the only home of abl-frontier ("full rescan")
-	// and of the Vadalog comparison (the two datalog rows against CBE).
+	// and of the Vadalog comparison (the datalog row against CBE).
 	have := make(map[string]bool, len(rows))
 	for _, r := range rows {
 		have[r.Variant] = true
 	}
-	for _, want := range []string{"full rescan", "datalog semi-naive", "datalog planned", "CBE worklist"} {
+	for _, want := range []string{"full rescan", "datalog semi-naive", "CBE worklist"} {
 		if !have[want] {
 			t.Fatalf("ablations lost the %q row: %v", want, rows)
 		}

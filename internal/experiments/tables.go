@@ -210,20 +210,9 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 	if err := row("CBE worklist", func() (bool, error) { return control.CBE(g, q), nil }); err != nil {
 		return nil, err
 	}
-	// The declarative engine, rewrite off and on, both reading g in place:
-	// "semi-naive" runs the bottom-up fixpoint from the query's source;
-	// "planned" asserts every company as a source once (outside the timing,
-	// like the reduction variants' graph construction above) and answers
-	// goal-directedly behind the magic-sets rewrite, compiling its plan per
-	// query.
+	// The declarative engine — the executable specification — reading g in
+	// place and running the bottom-up fixpoint from the query's source.
 	if err := row("datalog semi-naive", func() (bool, error) { return datalog.Controls(g, q.S, q.T) }); err != nil {
-		return nil, err
-	}
-	solver, err := datalog.NewCCPSolver(g)
-	if err != nil {
-		return nil, err
-	}
-	if err := row("datalog planned", func() (bool, error) { return solver.Controls(q.S, q.T) }); err != nil {
 		return nil, err
 	}
 	return out, nil

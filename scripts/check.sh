@@ -13,8 +13,8 @@
 # fsync poisoning the log), one iteration of the site and coordinator
 # benchmarks the docs cite, short fuzz runs over the write path,
 # the WAL segment scan, the site's socket decoder, the checkpoint loader,
-# the pooled graph decoder, the coordinator's partial decode and merge, and
-# the partition image decoder, then the benchmark
+# the pooled graph decoder, the coordinator's partial decode and merge, the
+# partition image decoder, and the Datalog program loader, then the benchmark
 # module's own vet/tests and a quick, answers-only benchmark run. CI and
 # pre-commit hooks should call exactly this script; if it passes, the change
 # is shippable.
@@ -87,10 +87,11 @@ go test -race -count=5 -timeout 10m \
 # runs on its socket, the WAL segment scan recovery runs on every segment it
 # finds on disk, the checkpoint loader recovery runs beside it, the CCPG1
 # decoder's pooled form (a payload decoded into scratch another payload left
-# behind), the coordinator's partial decode into its dense merge, and the
-# CCPP1 decoder checkpoint load runs: 15 s of new inputs each, on two fuzz
+# behind), the coordinator's partial decode into its dense merge, the
+# CCPP1 decoder checkpoint load runs, and the Datalog loader that reads
+# `ccpctl datalog -program` files: 15 s of new inputs each, on two fuzz
 # workers.
-echo "== go test -fuzz (write path + socket + WAL segment scan + checkpoint + pooled graph decode + partial merge + partition image) =="
+echo "== go test -fuzz (write path + socket + WAL segment scan + checkpoint + pooled graph decode + partial merge + partition image + Datalog program) =="
 go test -run '^$' -fuzz '^FuzzApply$' -fuzztime 15s -parallel 2 ./internal/dist
 go test -run '^$' -fuzz '^FuzzServeConn$' -fuzztime 15s -parallel 2 ./internal/dist
 go test -run '^$' -fuzz '^FuzzScanSegment$' -fuzztime 15s -parallel 2 ./internal/store
@@ -98,6 +99,7 @@ go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 15s -parallel 2 ./inter
 go test -run '^$' -fuzz '^FuzzDecodeBinaryIntoReused$' -fuzztime 15s -parallel 2 ./internal/graph
 go test -run '^$' -fuzz '^FuzzDecodePartialMerge$' -fuzztime 15s -parallel 2 ./internal/dist
 go test -run '^$' -fuzz '^FuzzReadPartition$' -fuzztime 15s -parallel 2 ./internal/partition
+go test -run '^$' -fuzz '^FuzzLoad$' -fuzztime 15s -parallel 2 ./internal/datalog
 
 # The benchmark is its own module (replace ccp => ../), so ./... above never
 # sees it. -quick -selfcheck runs all four workloads (TCP and durable
