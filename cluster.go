@@ -46,14 +46,10 @@ type ClusterOptions struct {
 	Observer *Observer
 	// Logger receives the cluster's structured diagnostics: coordinator
 	// warnings (failed queries, failed updates, slow-query promotions),
-	// transport events (redials, circuit transitions), and — at debug level
+	// transport events (dial failures, redials), and — at debug level
 	// — per-reduction summaries from in-process sites. Nil discards them.
 	Logger *slog.Logger
 }
-
-// SiteHealth is a point-in-time snapshot of one site's transport health:
-// connection state, circuit-breaker position, and redial/retry counters.
-type SiteHealth = dist.SiteHealth
 
 // The typed errors of the distributed query path. Use errors.As to pick the
 // failure class out of a query error, or errors.Is against
@@ -71,10 +67,6 @@ type (
 	// it started (see ClusterOptions.MaxInFlight).
 	OverloadError = dist.OverloadError
 )
-
-// ErrCircuitOpen is found (via errors.Is) inside a TransportError when a
-// site's circuit breaker rejected the call without touching the network.
-var ErrCircuitOpen = dist.ErrCircuitOpen
 
 // QueryMetrics reports where a distributed query's time and traffic went.
 type QueryMetrics struct {
@@ -200,9 +192,9 @@ func NewClusterFromPartitioning(pi *partition.Partitioning, opts ClusterOptions)
 
 // ConnectCluster builds a coordinator over remote worker sites (started with
 // ServeSite or the ccpd command) at the given addresses. ctx bounds the
-// connection handshakes. A site that later becomes unreachable is redialed
-// on the next call; repeated failures trip its circuit breaker, which then
-// paces the redials (see Cluster.Health).
+// connection handshakes. Each site call is made once: a call on a broken
+// connection fails with a *TransportError, and the next call to that site
+// redials.
 func ConnectCluster(ctx context.Context, addrs []string, opts ClusterOptions) (*Cluster, error) {
 	cfg := dist.ClientConfig{Observer: opts.Observer, Logger: opts.Logger}
 	clients := make([]dist.SiteClient, 0, len(addrs))
@@ -234,11 +226,6 @@ func (c *Cluster) Close() error {
 	}
 	return nil
 }
-
-// Health snapshots the transport health of every site: connection state,
-// circuit-breaker position, redial and retry counters. In-process sites
-// always report connected.
-func (c *Cluster) Health() []SiteHealth { return c.coord.Health() }
 
 // Precompute builds every site's query-independent reduction offline, so
 // that later queries touch at most the two sites storing their endpoints.

@@ -107,23 +107,10 @@ func main() {
 	logger.Info("connected", "sites", cluster.Sites())
 
 	// The auditor re-checks the admission gate's accounting (when
-	// -max-inflight enables it) on a background interval.
-	//
-	// Healthy means every site is reachable right now: connected with a
-	// closed circuit. Degraded (503) surfaces the first broken transport to
-	// an external prober; the JSON detail carries the full per-site health
-	// table either way.
-	ops, err := cli.StartOps(*opsAddr, observer, func() (bool, any) {
-		health := cluster.Health()
-		ok := true
-		for _, h := range health {
-			if !h.Connected || h.CircuitOpen {
-				ok = false
-				break
-			}
-		}
-		return ok, health
-	}, logger, cluster.AuditProbes()...)
+	// -max-inflight enables it) on a background interval. /healthz reports
+	// liveness only: a site that is down is one whose next call redials, and
+	// ccp_client_connected on /metrics says which.
+	ops, err := cli.StartOps(*opsAddr, observer, nil, logger, cluster.AuditProbes()...)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -45,7 +45,7 @@ func (d varzDoc) hist(name string) *obs.HistogramSnapshot {
 
 // groups buckets the counter and gauge series by label set: label set ->
 // series name -> value. A label set is one thing behind the endpoint — a
-// site (`site="0"`), a circuit (`site_addr="..."`), a shed reason.
+// site (`site="0"`), a site connection (`site_addr="..."`), a shed reason.
 func (d varzDoc) groups() map[string]map[string]float64 {
 	out := map[string]map[string]float64{}
 	for _, v := range d.Metrics {

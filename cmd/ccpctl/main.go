@@ -96,7 +96,7 @@ func usage() {
                                                       /varz + /audit. checks: probes and
                                                       cross-process cache/gate checks,
                                                       exits nonzero on any red; fleet: site
-                                                      epochs, circuits, sheds; store:
+                                                      epochs, site connections, sheds; store:
                                                       epoch, durable/checkpoint seq, WAL
                                                       backlog; top: load, latency, caches)
 -s and -t must name live companies of the graph.

@@ -17,11 +17,11 @@ type siteRow struct {
 	Epoch float64 `json:"epoch"`
 }
 
-// coordRow is a coordinator's circuit and admission state.
+// coordRow is a coordinator's site connections and admission state.
 type coordRow struct {
 	Addr        string             `json:"addr"`
 	Role        string             `json:"role"`
-	Circuits    map[string]string  `json:"circuits"` // site_addr -> closed|open|half-open
+	Sites       map[string]string  `json:"sites"` // site_addr -> connected|down
 	QueriesShed float64            `json:"queries_shed"`
 	GateSheds   map[string]float64 `json:"gate_sheds"` // reason -> sheds
 }
@@ -34,7 +34,7 @@ type coordRow struct {
 func classifyFleet(addr string, v varzDoc) ([]siteRow, *coordRow) {
 	var coord *coordRow
 	if _, ok := v.sum("ccp_queries_total"); ok {
-		coord = &coordRow{Addr: addr, Role: "coordinator", Circuits: map[string]string{},
+		coord = &coordRow{Addr: addr, Role: "coordinator", Sites: map[string]string{},
 			GateSheds: map[string]float64{}}
 		coord.QueriesShed, _ = v.sum("ccp_queries_shed_total")
 	}
@@ -46,24 +46,18 @@ func classifyFleet(addr string, v varzDoc) ([]siteRow, *coordRow) {
 			}
 			continue
 		}
-		if s, ok := m["ccp_client_circuit_state"]; ok {
-			coord.Circuits[labelValue(labels, "site_addr")] = circuitState(s)
+		if up, ok := m["ccp_client_connected"]; ok {
+			state := "down"
+			if up == 1 {
+				state = "connected"
+			}
+			coord.Sites[labelValue(labels, "site_addr")] = state
 		}
 		if n, ok := m["ccp_admission_shed_total"]; ok {
 			coord.GateSheds[labelValue(labels, "reason")] += n
 		}
 	}
 	return sites, coord
-}
-
-func circuitState(gauge float64) string {
-	switch gauge {
-	case 1:
-		return "open"
-	case 2:
-		return "half-open"
-	}
-	return "closed"
 }
 
 // reachable reports each unreachable process on stderr and returns the
@@ -92,7 +86,7 @@ func encodeLines[T any](rows []T) error {
 }
 
 // viewFleet prints the serving topology: each site's address and epoch,
-// and each coordinator's per-site circuits and shed counters.
+// and each coordinator's per-site connections and shed counters.
 func viewFleet(docs, _ []doctorDoc, asJSON bool) error {
 	var sites []siteRow
 	var coords []*coordRow
@@ -129,8 +123,8 @@ func viewFleet(docs, _ []doctorDoc, asJSON bool) error {
 	}
 	for _, c := range coords {
 		fmt.Printf("\ncoordinator %s:\n", c.Addr)
-		for _, sa := range sortedKeys(c.Circuits) {
-			fmt.Printf("  circuit %-24s %s\n", sa, c.Circuits[sa])
+		for _, sa := range sortedKeys(c.Sites) {
+			fmt.Printf("  site %-27s %s\n", sa, c.Sites[sa])
 		}
 		fmt.Printf("  queries shed (admission)   %.0f\n", c.QueriesShed)
 		for _, reason := range sortedKeys(c.GateSheds) {
@@ -234,7 +228,7 @@ func fmtAge(sec float64) string {
 }
 
 // viewTop prints each endpoint's query throughput and latency quantiles,
-// cache hit rates, circuit-breaker positions, and reduction-round rates.
+// cache hit rates, site connections, and reduction-round rates.
 // Rates are per-second deltas against the previous -watch round ("-" on
 // the first).
 func viewTop(docs, prev []doctorDoc, asJSON bool) error {
@@ -283,12 +277,12 @@ func viewTop(docs, prev []doctorDoc, asJSON bool) error {
 		counter("site-cache", "ccp_site_cache_hits_total", "hits")
 		counter("reduce", "ccp_reduce_rounds_total", "rounds")
 		counter("served", "ccp_server_requests_total", "reqs")
-		if _, coord := classifyFleet(cur.Addr, cur.Varz); coord != nil && len(coord.Circuits) > 0 {
+		if _, coord := classifyFleet(cur.Addr, cur.Varz); coord != nil && len(coord.Sites) > 0 {
 			n := map[string]int{}
-			for _, state := range coord.Circuits {
+			for _, state := range coord.Sites {
 				n[state]++
 			}
-			fmt.Printf("  circuits  %d closed, %d open, %d half-open\n", n["closed"], n["open"], n["half-open"])
+			fmt.Printf("  sites     %d connected, %d down\n", n["connected"], n["down"])
 		}
 	}
 	return nil

@@ -14,8 +14,8 @@ import (
 )
 
 // fixture is a saved three-process cluster: a durable site 0, an in-memory
-// site 1, and a coordinator with gate, circuit and cache series (its third
-// circuit, to a site not examined, is open).
+// site 1, and a coordinator with gate, connection and cache series (its
+// third site, one not examined, is down).
 const fixture = "testdata/cluster.json"
 
 // doctorOut runs `ccpctl doctor -in fixture` with extra args and returns
@@ -112,13 +112,13 @@ func TestDoctorViewsRenderFixture(t *testing.T) {
 			t.Fatalf("site 1 row %q", lines[2])
 		}
 		wantLines(t, out, "coordinator coord:8003:",
-			"circuit site0:7001", "closed", "circuit site1:7002", "half-open", "circuit site2:7003", "open",
+			"site site0:7001 connected", "site site1:7002 connected", "site site2:7003 down",
 			"queries shed (admission) 3", "gate shed queue_full", "gate shed queue_wait")
 
 		out = doctorOut(t, "-view", "fleet", "-json")
 		keys, objs := jsonKeys(t, out)
 		want := map[string][]string{
-			"coordinator": sorted("addr", "role", "circuits", "queries_shed", "gate_sheds"),
+			"coordinator": sorted("addr", "role", "sites", "queries_shed", "gate_sheds"),
 			"site":        sorted("addr", "role", "site", "epoch"),
 		}
 		if len(objs) != 3 {
@@ -130,7 +130,7 @@ func TestDoctorViewsRenderFixture(t *testing.T) {
 			}
 		}
 		wantLines(t, out, `"epoch":42`, `"epoch":5`,
-			`"circuits":{"site0:7001":"closed","site1:7002":"half-open","site2:7003":"open"}`,
+			`"sites":{"site0:7001":"connected","site1:7002":"connected","site2:7003":"down"}`,
 			`"gate_sheds":{"queue_full":2,"queue_wait":1}`)
 	})
 
@@ -159,7 +159,7 @@ func TestDoctorViewsRenderFixture(t *testing.T) {
 		wantLines(t, out, "ccp top — 3 endpoint(s)",
 			"== site0:8001 ==", "served 120 reqs -", "site-cache 7 hits -", "reduce 30 rounds -",
 			"== coord:8003 ==", "queries 200 total -", "latency   p50=", "p95=", "p99=", "(n=200)",
-			"coord-cache  75.0% (30/40) hit", "circuits  1 closed, 1 open, 1 half-open")
+			"coord-cache  75.0% (30/40) hit", "sites 2 connected, 1 down")
 		if err := cmdDoctor([]string{"-in", fixture, "-view", "top", "-json"}); err == nil {
 			t.Fatal("-view top -json accepted")
 		}

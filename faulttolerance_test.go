@@ -185,17 +185,6 @@ func TestClusterStalledSiteTypedDeadline(t *testing.T) {
 		t.Fatalf("stalled query took %v with a %v deadline, want <= %v", elapsed, budget, 2*budget)
 	}
 
-	// The stall shows up in the health snapshot.
-	var degraded bool
-	for _, h := range cluster.Health() {
-		if h.ConsecutiveFailures > 0 {
-			degraded = true
-		}
-	}
-	if !degraded {
-		t.Fatalf("no site reports the deadline miss: %+v", cluster.Health())
-	}
-
 	// Site recovers: the held bytes flow again (the gob stream was paused,
 	// never corrupted) and the SAME cluster answers correctly.
 	proxy.resume()

@@ -18,23 +18,9 @@ import (
 	"ccp/internal/store"
 )
 
-// Client defaults, fixed like the server's: no deployment tunes them.
-const (
-	// dialTimeout bounds each dial attempt and the identity handshake.
-	dialTimeout = 5 * time.Second
-	// maxRetries is how many additional attempts an idempotent call
-	// (evaluate, precompute, info) makes after a
-	// transport failure; each attempt redials if needed. Writes (apply) are
-	// never retried.
-	maxRetries = 2
-	// failureThreshold consecutive call failures (transport errors or
-	// deadline misses) open the circuit breaker: the connection is torn down
-	// and calls fail fast with ErrCircuitOpen until cooldown has passed,
-	// after which the next call probes the site again. The breaker is what
-	// paces redials to a dead site; there is no backoff besides it.
-	failureThreshold = 4
-	cooldown         = time.Second
-)
+// dialTimeout bounds each dial attempt and the identity handshake. It is
+// fixed like the server's defaults: no deployment tunes it.
+const dialTimeout = 5 * time.Second
 
 // ClientConfig wires a RemoteClient into its process. The zero value dials
 // TCP and observes nothing.
@@ -43,43 +29,12 @@ type ClientConfig struct {
 	// fault-wrapped connections here. Default: TCP via net.Dialer.
 	Dialer func(ctx context.Context, addr string) (net.Conn, error)
 	// Observer, when non-nil, registers per-site transport metrics
-	// (redials, retries, circuit transitions, bytes in/out, circuit state)
-	// on its registry, labeled by the site's dial address, and receives the
-	// client's transport events (retry, redial, circuit).
+	// (redials, bytes in/out, connection state) on its registry, labeled by
+	// the site's dial address, and receives the client's redial events.
 	Observer *obs.Observer
 	// Logger receives the client's structured transport diagnostics (dial
 	// failures, and the transport events as slog lines). Nil discards them.
 	Logger *slog.Logger
-}
-
-// SiteHealth is a point-in-time snapshot of one site client's transport
-// health: connection state, the consecutive-failure count feeding the
-// circuit breaker, and lifetime redial/retry counters.
-type SiteHealth struct {
-	// SiteID is the partition id served by the site (-1 before the first
-	// successful handshake).
-	SiteID int
-	// Addr is the site's dial address (empty for in-process clients).
-	Addr string
-	// Connected reports whether a live connection is up right now.
-	Connected bool
-	// ConsecutiveFailures counts call failures since the last success.
-	ConsecutiveFailures int
-	// CircuitOpen reports that calls currently fail fast without touching
-	// the network; CircuitUntil is when the next probe is allowed.
-	CircuitOpen  bool
-	CircuitUntil time.Time
-	// Redials counts successful re-established connections (the initial
-	// dial excluded); Retries counts per-call transport retries.
-	Redials int64
-	Retries int64
-	// LastError is the most recent transport failure, empty when healthy.
-	LastError string
-}
-
-// HealthReporter is implemented by site clients that track transport health.
-type HealthReporter interface {
-	Health() SiteHealth
 }
 
 // countConn wraps a net.Conn counting the bytes read (the traffic the
@@ -177,14 +132,14 @@ func (m *muxConn) deregister(id uint64) {
 // readLoop is the generation's only reader: it decodes responses, measures
 // the bytes each occupied on the wire (gob reads exactly one length-prefixed
 // message per Decode), and routes them to the waiting caller by id.
-func (m *muxConn) readLoop() error {
+func (m *muxConn) readLoop() {
 	dec := gob.NewDecoder(countConn{Conn: m.conn, read: &m.read})
 	for {
 		before := m.read
 		resp := new(response)
 		if err := dec.Decode(resp); err != nil {
 			m.fail(err)
-			return err
+			return
 		}
 		n := m.read - before
 		m.bytesIn.Add(n)
@@ -216,30 +171,22 @@ func (m *muxConn) fail(err error) {
 }
 
 // RemoteClient talks to a worker site over a multiplexed connection: any
-// number of calls can be in flight at once on one conn. Unlike its pre-
-// lifecycle ancestor it is not bricked by a transport hiccup — a broken
-// connection fails the in-flight calls once, and the next call redials.
-// Consecutive failures (transport or deadline) open a circuit breaker that
-// fails fast until a cooldown passes, which also paces redials. All calls
-// take a context; its deadline is enforced locally, carried over the wire,
-// and enforced again server-side.
+// number of calls can be in flight at once on one conn. Each call is made
+// once: a broken connection fails the in-flight calls with a TransportError,
+// and the next call redials. All calls take a context; its deadline is
+// enforced locally, carried over the wire, and enforced again server-side.
 type RemoteClient struct {
 	addr string
 	cfg  ClientConfig
 
-	mu          sync.Mutex
-	conn        *muxConn // live generation, nil when disconnected
-	dialing     chan struct{}
-	closed      bool
-	siteID      int
-	members     []graph.NodeID // from the dial handshake, ascending
-	consecFails int
-	circuit     time.Time // calls fail fast until this instant (zero = closed)
-	redials     int64
-	retries     int64
-	dialed      bool // first successful dial done (redials counts the rest)
-	tripped     bool // circuit opened and no success seen since
-	lastErr     error
+	mu      sync.Mutex
+	conn    *muxConn // live generation, nil when disconnected
+	dialing chan struct{}
+	closed  bool
+	siteID  int
+	members []graph.NodeID // from the dial handshake, ascending
+	redials int64
+	dialed  bool // first successful dial done (redials counts the rest)
 
 	met clientMetrics
 	ev  obs.Emitter
@@ -275,14 +222,6 @@ func DialConfig(ctx context.Context, addr string, cfg ClientConfig) (*RemoteClie
 			bytesOut: reg.Counter("ccp_client_bytes_out_total", "Bytes sent to the site.", l),
 		}
 		c.ev.Bind(flight.Redial, obs.Series{Count: reg.Counter("ccp_client_redials_total", "Connections re-established after a transport failure.", l)})
-		c.ev.Bind(flight.Retry, obs.Series{Count: reg.Counter("ccp_client_retries_total", "Per-call transport retries of idempotent ops.", l)})
-		to := func(pos string) *obs.Counter {
-			return reg.Counter("ccp_client_circuit_transitions_total", "Circuit-breaker state transitions, by direction.", l, obs.Label{Key: "to", Value: pos})
-		}
-		c.ev.Bind(flight.Circuit, obs.Series{ByA2: []*obs.Counter{circuitClosed: to("closed"), circuitOpen: to("open"), circuitHalfOpen: to("half_open")}})
-		reg.GaugeFunc("ccp_client_circuit_state",
-			"Circuit-breaker position: 0 closed, 1 open, 2 half-open.",
-			c.circuitState, l)
 		reg.GaugeFunc("ccp_client_connected",
 			"Whether a live connection to the site is up (0/1).",
 			func() float64 {
@@ -320,8 +259,8 @@ func DialConfig(ctx context.Context, addr string, cfg ClientConfig) (*RemoteClie
 	return c, nil
 }
 
-// acquireConn returns the live connection generation, dialing one (gated by
-// the circuit breaker) if necessary. Concurrent callers share one dial.
+// acquireConn returns the live connection generation, dialing one if
+// necessary. Concurrent callers share one dial.
 func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 	for {
 		c.mu.Lock()
@@ -343,15 +282,6 @@ func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 				return nil, ctx.Err()
 			}
 		}
-		if until := c.circuit; !until.IsZero() {
-			if time.Now().Before(until) {
-				err := c.lastErr
-				c.mu.Unlock()
-				return nil, fmt.Errorf("%w until %s (after: %v)", ErrCircuitOpen, until.Format(time.RFC3339Nano), err)
-			}
-			c.circuit = time.Time{} // cooldown over: half-open, probe below
-			c.ev.Emit(flight.Circuit, int32(c.siteID), 0, int64(c.consecFails), circuitHalfOpen)
-		}
 		done := make(chan struct{})
 		c.dialing = done
 		c.mu.Unlock()
@@ -362,7 +292,6 @@ func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 		c.dialing = nil
 		close(done)
 		if err != nil {
-			c.noteFailureLocked(err)
 			c.mu.Unlock()
 			c.ev.Log().Warn("dial failed", "site_addr", c.addr, "err", err)
 			return nil, err
@@ -380,8 +309,8 @@ func (c *RemoteClient) acquireConn(ctx context.Context) (*muxConn, error) {
 		c.dialed = true
 		c.mu.Unlock()
 		go func() {
-			err := mc.readLoop()
-			c.dropConn(mc, err)
+			mc.readLoop()
+			c.dropConn(mc)
 		}()
 		return mc, nil
 	}
@@ -399,82 +328,12 @@ func (c *RemoteClient) dialOnce(ctx context.Context) (*muxConn, error) {
 }
 
 // dropConn retires a dead generation so the next call redials.
-func (c *RemoteClient) dropConn(mc *muxConn, err error) {
+func (c *RemoteClient) dropConn(mc *muxConn) {
 	c.mu.Lock()
 	if c.conn == mc {
 		c.conn = nil
-		c.noteFailureLocked(err)
 	}
 	c.mu.Unlock()
-}
-
-// noteFailureLocked records one call/transport failure and opens the circuit
-// at failureThreshold. Callers hold c.mu.
-func (c *RemoteClient) noteFailureLocked(err error) {
-	c.consecFails++
-	if err != nil {
-		c.lastErr = err
-	}
-	if c.consecFails >= failureThreshold && c.circuit.IsZero() {
-		c.circuit = time.Now().Add(cooldown)
-		c.tripped = true
-		c.ev.Emit(flight.Circuit, int32(c.siteID), 0, int64(c.consecFails), circuitOpen)
-		c.ev.Log().Warn("circuit opened", "site_addr", c.addr, "cooldown", cooldown, "err", err)
-		if c.conn != nil {
-			// A site that times out call after call is stalled, not slow:
-			// tear the generation down so the probe after cooldown starts
-			// on a fresh connection.
-			mc := c.conn
-			c.conn = nil
-			go mc.fail(fmt.Errorf("dist: circuit opened: %w", err))
-		}
-	}
-}
-
-// noteDegraded counts a deadline/cancel miss toward the circuit breaker
-// without a dead connection.
-func (c *RemoteClient) noteDegraded(err error) {
-	c.mu.Lock()
-	c.noteFailureLocked(err)
-	c.mu.Unlock()
-}
-
-// noteSuccess resets the failure tracking after any successful exchange.
-func (c *RemoteClient) noteSuccess() {
-	c.mu.Lock()
-	c.consecFails = 0
-	c.circuit = time.Time{}
-	if c.tripped {
-		// A success after a trip closes the circuit (the half-open probe
-		// worked).
-		c.tripped = false
-		c.ev.Emit(flight.Circuit, int32(c.siteID), 0, 0, circuitClosed)
-	}
-	c.lastErr = nil
-	c.mu.Unlock()
-}
-
-// Circuit-breaker positions: the scrape-time gauge's values and the A2 of a
-// circuit event. Open fails calls fast; half-open means the cooldown is over
-// and a probe has yet to succeed.
-const (
-	circuitClosed = iota
-	circuitOpen
-	circuitHalfOpen
-)
-
-// circuitState samples the breaker position for the scrape-time gauge.
-func (c *RemoteClient) circuitState() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case !c.circuit.IsZero() && time.Now().Before(c.circuit):
-		return circuitOpen
-	case c.tripped:
-		return circuitHalfOpen
-	default:
-		return circuitClosed
-	}
 }
 
 // Close releases the connection. In-flight calls fail with a TransportError;
@@ -510,28 +369,6 @@ func (c *RemoteClient) Members() []graph.NodeID {
 	return c.members
 }
 
-// Health implements HealthReporter.
-func (c *RemoteClient) Health() SiteHealth {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h := SiteHealth{
-		SiteID:              c.siteID,
-		Addr:                c.addr,
-		Connected:           c.conn != nil,
-		ConsecutiveFailures: c.consecFails,
-		Redials:             c.redials,
-		Retries:             c.retries,
-	}
-	if !c.circuit.IsZero() && time.Now().Before(c.circuit) {
-		h.CircuitOpen = true
-		h.CircuitUntil = c.circuit
-	}
-	if c.lastErr != nil {
-		h.LastError = c.lastErr.Error()
-	}
-	return h
-}
-
 // Precompute implements SiteClient.
 func (c *RemoteClient) Precompute(ctx context.Context) error {
 	_, _, err := c.roundTrip(ctx, &request{Op: opPrecompute})
@@ -561,8 +398,8 @@ func (c *RemoteClient) Evaluate(ctx context.Context, q control.Query, opts EvalO
 	return pa, n, nil
 }
 
-// Apply implements SiteClient. It is never retried: a lost response leaves
-// the write's outcome unknown.
+// Apply implements SiteClient. Like every call it is made once: a lost
+// response leaves the write's outcome unknown.
 func (c *RemoteClient) Apply(ctx context.Context, rec store.Record) (UpdateResult, error) {
 	resp, _, err := c.roundTrip(ctx, &request{Op: opApply, Record: rec})
 	if err != nil {
@@ -571,105 +408,71 @@ func (c *RemoteClient) Apply(ctx context.Context, rec store.Record) (UpdateResul
 	return resp.UpdateRes, nil
 }
 
-// idempotent reports whether an operation may safely be retried after a
-// transport failure whose outcome is unknown. A write mutates site state
-// and must not be replayed; the reads are pure.
-func idempotent(o op) bool {
-	switch o {
-	case opEvaluate, opPrecompute, opInfo:
-		return true
-	}
-	return false
-}
-
 // roundTrip sends one request and waits for its response, returning the
 // bytes the response occupied on the wire. Any number of roundTrips may run
-// concurrently. Transport failures on idempotent ops are retried up to
-// maxRetries times, redialing as needed; ctx cancellation/deadline returns a
-// typed CancelledError/DeadlineError and counts toward the circuit breaker.
+// concurrently. It makes one attempt: a transport failure returns a
+// TransportError (the next call redials), and ctx cancellation or deadline a
+// typed CancelledError/DeadlineError.
 func (c *RemoteClient) roundTrip(ctx context.Context, req *request) (*response, int64, error) {
 	opname := opName(req.Op)
-	attempts := 1
-	if idempotent(req.Op) {
-		attempts += maxRetries
+	if err := ctx.Err(); err != nil {
+		return nil, 0, ctxError(c.SiteID(), opname, err)
 	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			c.mu.Lock()
-			c.retries++
-			c.mu.Unlock()
-			c.ev.Emit(flight.Retry, int32(c.SiteID()), req.QueryID, int64(attempt), 0)
-			c.ev.Log().Debug("retrying call", "site", c.SiteID(), "op", opname, "err", lastErr)
-		}
-		if err := ctx.Err(); err != nil {
-			c.noteDegraded(err)
-			return nil, 0, ctxError(c.SiteID(), opname, err)
-		}
-		resp, n, err, retryable := c.try(ctx, req)
-		if err == nil {
-			c.noteSuccess()
-			return resp, n, nil
-		}
-		if !retryable {
-			return nil, 0, err
-		}
-		lastErr = err
-	}
-	return nil, 0, lastErr
-}
-
-// try makes one attempt: acquire a connection, send, await the response or
-// the context. The extra bool reports whether the failure is retryable
-// (transport-level, outcome unknown but op idempotent-safe to resend).
-func (c *RemoteClient) try(ctx context.Context, req *request) (*response, int64, error, bool) {
-	opname := opName(req.Op)
 	ch := make(chan rpcResult, 1)
 	var mc *muxConn
 	var id uint64
-	for {
+	for corpses := 0; ; corpses++ {
 		var err error
 		if mc, err = c.acquireConn(ctx); err != nil {
 			if cerr := ctx.Err(); cerr != nil {
-				return nil, 0, ctxError(c.SiteID(), opname, cerr), false
+				return nil, 0, ctxError(c.SiteID(), opname, cerr)
 			}
-			return nil, 0, &TransportError{SiteID: c.SiteID(), Op: opname, Err: err}, true
+			return nil, 0, &TransportError{SiteID: c.SiteID(), Op: opname, Err: err}
 		}
 		if id, err = mc.register(ch); err == nil {
 			break
 		}
 		// The generation's reader has failed it but not yet retired it, so
 		// acquireConn handed out a corpse. Retire it here and dial again:
-		// nothing was sent, so this is no retry and any op may go again. ctx
-		// and the circuit breaker dropConn feeds bound the loop.
-		c.dropConn(mc, err)
+		// nothing was sent, so the call is still unmade. A second dead
+		// generation in a row is the site's doing, not a race.
+		c.dropConn(mc)
+		if corpses > 0 {
+			return nil, 0, &TransportError{SiteID: c.SiteID(), Op: opname, Err: err}
+		}
 	}
 	req.ID = id
-	req.DeadlineNS = 0
-	if dl, ok := ctx.Deadline(); ok {
-		rem := time.Until(dl)
-		if rem <= 0 {
-			mc.deregister(id)
-			c.noteDegraded(context.DeadlineExceeded)
-			return nil, 0, ctxError(c.SiteID(), opname, context.DeadlineExceeded), false
-		}
-		req.DeadlineNS = rem.Nanoseconds()
-		mc.conn.SetWriteDeadline(dl)
-	} else {
-		mc.conn.SetWriteDeadline(time.Time{})
-	}
 
+	// The write deadline is the connection's, not the call's, so it is set
+	// under the writer lock: a call that set it outside would cut short the
+	// write of whichever call holds the lock. A call whose deadline passed
+	// while it waited for the writer sends nothing.
 	mc.encMu.Lock()
+	dl, hasDL := ctx.Deadline()
+	rem := time.Until(dl)
+	if err := ctx.Err(); err != nil || hasDL && rem <= 0 {
+		mc.encMu.Unlock()
+		mc.deregister(id)
+		if err == nil {
+			err = context.DeadlineExceeded
+		}
+		return nil, 0, ctxError(c.SiteID(), opname, err)
+	}
+	req.DeadlineNS = 0
+	if hasDL {
+		req.DeadlineNS = rem.Nanoseconds()
+	}
+	mc.conn.SetWriteDeadline(dl) // the zero time when ctx has no deadline
 	err := mc.enc.Encode(req)
 	mc.encMu.Unlock()
 	if err != nil {
 		mc.deregister(id)
 		// A failed or partial write poisons the gob stream for every other
 		// in-flight call on this generation; retire it.
-		mc.fail(fmt.Errorf("sending request: %w", err))
-		c.dropConn(mc, err)
-		return nil, 0, &TransportError{SiteID: c.SiteID(), Op: opname,
-			Err: fmt.Errorf("sending request: %w", err)}, true
+		err = fmt.Errorf("sending request: %w", err)
+		mc.fail(err)
+		c.dropConn(mc)
+		return nil, 0, &TransportError{SiteID: c.SiteID(), Op: opname, Err: err}
 	}
 
 	select {
@@ -682,29 +485,24 @@ func (c *RemoteClient) try(ctx context.Context, req *request) (*response, int64,
 				err = errors.New("connection closed")
 			}
 			return nil, 0, &TransportError{SiteID: c.SiteID(), Op: opname,
-				Err: fmt.Errorf("reading response: %w", err)}, true
+				Err: fmt.Errorf("reading response: %w", err)}
 		}
 		if r.resp.Err != "" {
 			switch r.resp.Code {
 			case codeDeadline:
-				err := &DeadlineError{SiteID: r.resp.SiteID, Op: opname,
+				return nil, 0, &DeadlineError{SiteID: r.resp.SiteID, Op: opname,
 					Err: fmt.Errorf("site-side: %s: %w", r.resp.Err, context.DeadlineExceeded)}
-				c.noteDegraded(err)
-				return nil, 0, err, false
 			case codeCancelled:
 				return nil, 0, &CancelledError{SiteID: r.resp.SiteID, Op: opname,
-					Err: fmt.Errorf("site-side: %s: %w", r.resp.Err, context.Canceled)}, false
+					Err: fmt.Errorf("site-side: %s: %w", r.resp.Err, context.Canceled)}
 			}
-			return nil, 0, &SiteError{SiteID: r.resp.SiteID, Op: opname, Msg: r.resp.Err}, false
+			return nil, 0, &SiteError{SiteID: r.resp.SiteID, Op: opname, Msg: r.resp.Err}
 		}
-		return r.resp, r.bytes, nil, false
+		return r.resp, r.bytes, nil
 	case <-ctx.Done():
 		// Abandon the call but keep the generation: a late response is
-		// discarded by id, other in-flight calls continue. Repeated deadline
-		// misses open the circuit, which does retire the generation.
+		// discarded by id, and other in-flight calls continue.
 		mc.deregister(id)
-		err := ctx.Err()
-		c.noteDegraded(err)
-		return nil, 0, ctxError(c.SiteID(), opname, err), false
+		return nil, 0, ctxError(c.SiteID(), opname, ctx.Err())
 	}
 }

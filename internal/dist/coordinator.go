@@ -422,20 +422,6 @@ func (c *Coordinator) storeCopy(siteID int, cc *coordCached) {
 	}
 }
 
-// Health snapshots the transport health of every site client. Clients that
-// do not track health (in-process ones) report as connected.
-func (c *Coordinator) Health() []SiteHealth {
-	hs := make([]SiteHealth, 0, len(c.clients))
-	for _, cl := range c.clients {
-		if hr, ok := cl.(HealthReporter); ok {
-			hs = append(hs, hr.Health())
-		} else {
-			hs = append(hs, SiteHealth{SiteID: cl.SiteID(), Connected: true})
-		}
-	}
-	return hs
-}
-
 // PrecomputeAll asks every site to build its query-independent reduction,
 // the offline phase of the pre-caching setting.
 func (c *Coordinator) PrecomputeAll(ctx context.Context) error {

@@ -91,12 +91,6 @@ func (e *CancelledError) Error() string {
 
 func (e *CancelledError) Unwrap() error { return e.Err }
 
-// ErrCircuitOpen is returned (wrapped in a TransportError) by a RemoteClient
-// whose circuit breaker is open: the site failed failureThreshold consecutive
-// calls and new calls are rejected without touching the network until the
-// cooldown passes.
-var ErrCircuitOpen = errors.New("circuit open")
-
 // ctxError converts a context error into the matching typed error. Non-context
 // errors pass through unchanged.
 func ctxError(siteID int, op string, err error) error {

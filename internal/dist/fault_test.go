@@ -16,8 +16,8 @@ import (
 )
 
 // This file holds the deterministic fault-injection tests for the transport
-// lifecycle: per-call deadlines, retry of idempotent calls, the
-// consecutive-failure circuit breaker, and redial after connection death.
+// lifecycle: per-call deadlines, one attempt per call with a typed
+// TransportError when the connection breaks, and redial on the next call.
 // Faults are injected at two seams — faultConn at the byte level (via
 // ClientConfig.Dialer) and faultClient at the SiteClient level — so no test
 // depends on real network failures or timing races.
@@ -136,21 +136,30 @@ func pipeDialer(serve func(net.Conn)) func(context.Context, string) (net.Conn, e
 	}
 }
 
-// waitHealth polls the client's health until ok accepts it or the budget
-// runs out (readLoop teardown is asynchronous after a conn dies).
-func waitHealth(t *testing.T, c *RemoteClient, ok func(SiteHealth) bool) SiteHealth {
+// waitDisconnected waits until the client has retired its connection
+// generation (readLoop teardown is asynchronous after a conn dies).
+func waitDisconnected(t *testing.T, c *RemoteClient) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		h := c.Health()
-		if ok(h) {
-			return h
+		c.mu.Lock()
+		down := c.conn == nil
+		c.mu.Unlock()
+		if down {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("health never converged: %+v", h)
+			t.Fatal("the dead connection was never retired")
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// redialed reports the client's redial count and whether a connection is up.
+func redialed(c *RemoteClient) (int64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.redials, c.conn != nil
 }
 
 // TestStalledSiteReturnsDeadlineError is the acceptance scenario at the
@@ -184,10 +193,6 @@ func TestStalledSiteReturnsDeadlineError(t *testing.T) {
 	if elapsed > 2*budget {
 		t.Fatalf("stalled call took %v, want <= %v", elapsed, 2*budget)
 	}
-	// The miss counts toward the circuit breaker.
-	if h := c.Health(); h.ConsecutiveFailures == 0 {
-		t.Fatalf("deadline miss not recorded: %+v", h)
-	}
 }
 
 // TestClientRedialsAfterConnDeath is satellite behavior #1: a broken
@@ -208,7 +213,7 @@ func TestClientRedialsAfterConnDeath(t *testing.T) {
 		t.Fatal("no live connection after dial")
 	}
 	mc.conn.Close()
-	waitHealth(t, c, func(h SiteHealth) bool { return !h.Connected })
+	waitDisconnected(t, c)
 
 	pa, _, err := c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{})
 	if err != nil {
@@ -217,115 +222,87 @@ func TestClientRedialsAfterConnDeath(t *testing.T) {
 	if pa.Ans != control.True {
 		t.Fatalf("answer = %v", pa.Ans)
 	}
-	h := c.Health()
-	if h.Redials < 1 {
-		t.Fatalf("redials = %d, want >= 1 (health %+v)", h.Redials, h)
-	}
-	if h.ConsecutiveFailures != 0 || !h.Connected {
-		t.Fatalf("health after recovery: %+v", h)
+	if redials, up := redialed(c); redials != 1 || !up {
+		t.Fatalf("after recovery: redials = %d, connected = %v; want 1, true", redials, up)
 	}
 }
 
-// TestIdempotentRetryAfterMidCallConnLoss: the connection dies while an
-// evaluate is in flight. Evaluate is idempotent, so the client transparently
-// redials and resends; the caller sees a success.
-func TestIdempotentRetryAfterMidCallConnLoss(t *testing.T) {
-	addr := startServer(t, testSite(t))
-	var dials atomic.Int64
-	killFirst := scriptedSite(0, func(req *request) (*response, bool) {
-		return nil, true // close without answering: outcome unknown
-	})
-	cfg := ClientConfig{
-		Dialer: func(ctx context.Context, a string) (net.Conn, error) {
-			if dials.Add(1) == 1 {
-				cli, srv := net.Pipe()
-				go killFirst(srv)
-				return cli, nil
+// TestConnLossFailsOnceThenRedials: the connection dies while a call is in
+// flight, so its outcome is unknown. Every op — the reads as much as the
+// write — surfaces that as a *TransportError after one attempt, never as a
+// silent resend. The client is not sticky: the next call redials and
+// succeeds.
+func TestConnLossFailsOnceThenRedials(t *testing.T) {
+	for _, tc := range []struct {
+		op   string
+		call func(*RemoteClient) error
+	}{
+		{"evaluate", func(c *RemoteClient) error {
+			_, _, err := c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{})
+			return err
+		}},
+		{"precompute", func(c *RemoteClient) error {
+			return c.Precompute(context.Background())
+		}},
+		{"apply", func(c *RemoteClient) error {
+			_, err := c.Apply(context.Background(), StakeUpdate{Owner: 0, Owned: 1, Weight: 0.4}.record())
+			return err
+		}},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			addr := startServer(t, testSite(t))
+			var dials atomic.Int64
+			hangUp := scriptedSite(0, func(req *request) (*response, bool) {
+				return nil, true // close without answering: outcome unknown
+			})
+			cfg := ClientConfig{
+				Dialer: func(ctx context.Context, a string) (net.Conn, error) {
+					if dials.Add(1) == 1 {
+						cli, srv := net.Pipe()
+						go hangUp(srv)
+						return cli, nil
+					}
+					var d net.Dialer
+					return d.DialContext(ctx, "tcp", a)
+				},
 			}
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", a)
-		},
-	}
-	c, err := DialConfig(context.Background(), addr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	pa, _, err := c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{})
-	if err != nil {
-		t.Fatalf("evaluate: %v", err)
-	}
-	if pa.Ans != control.True {
-		t.Fatalf("answer = %v", pa.Ans)
-	}
-	h := c.Health()
-	if h.Retries < 1 {
-		t.Fatalf("retries = %d, want >= 1 (health %+v)", h.Retries, h)
-	}
-	if got := dials.Load(); got < 2 {
-		t.Fatalf("dials = %d, want >= 2 (redial after the kill)", got)
-	}
-}
-
-// TestNonIdempotentUpdateNotRetried: a mid-flight connection loss during an
-// update must surface as an error, never as a silent replay — the stake may
-// or may not have been applied. The client is not sticky: the next call
-// redials and succeeds.
-func TestNonIdempotentUpdateNotRetried(t *testing.T) {
-	addr := startServer(t, testSite(t))
-	var dials atomic.Int64
-	killUpdate := scriptedSite(0, func(req *request) (*response, bool) {
-		return nil, true
-	})
-	cfg := ClientConfig{
-		Dialer: func(ctx context.Context, a string) (net.Conn, error) {
-			if dials.Add(1) == 1 {
-				cli, srv := net.Pipe()
-				go killUpdate(srv)
-				return cli, nil
+			c, err := DialConfig(context.Background(), addr, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", a)
-		},
-	}
-	c, err := DialConfig(context.Background(), addr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+			defer c.Close()
 
-	_, err = c.Apply(context.Background(), StakeUpdate{Owner: 0, Owned: 1, Weight: 0.4}.record())
-	var te *TransportError
-	if !errors.As(err, &te) {
-		t.Fatalf("err = %v (%T), want *TransportError", err, err)
-	}
-	if h := c.Health(); h.Retries != 0 {
-		t.Fatalf("non-idempotent update retried %d times", h.Retries)
-	}
-	if got := dials.Load(); got != 1 {
-		t.Fatalf("dials = %d during the failed update, want 1 (no retry redial)", got)
-	}
+			err = tc.call(c)
+			var te *TransportError
+			if !errors.As(err, &te) {
+				t.Fatalf("err = %v (%T), want *TransportError", err, err)
+			}
+			if te.Op != tc.op {
+				t.Fatalf("TransportError.Op = %q, want %q", te.Op, tc.op)
+			}
+			if got := dials.Load(); got != 1 {
+				t.Fatalf("dials = %d during the failed call, want 1 (no resend)", got)
+			}
 
-	// Not sticky: the follow-up update rides a fresh connection.
-	res, err := c.Apply(context.Background(), StakeUpdate{Owner: 0, Owned: 1, Weight: 0.4}.record())
-	if err != nil {
-		t.Fatalf("update after conn loss: %v", err)
-	}
-	if !res.Stored {
-		t.Fatalf("update result = %+v", res)
-	}
-	if got := dials.Load(); got < 2 {
-		t.Fatalf("dials = %d after recovery call, want >= 2", got)
+			waitDisconnected(t, c)
+			if err := tc.call(c); err != nil {
+				t.Fatalf("%s after conn loss: %v", tc.op, err)
+			}
+			if got := dials.Load(); got != 2 {
+				t.Fatalf("dials = %d after the next call, want 2", got)
+			}
+			if redials, up := redialed(c); redials != 1 || !up {
+				t.Fatalf("redials = %d, connected = %v; want 1, true", redials, up)
+			}
+		})
 	}
 }
 
-// TestDeadGenerationStillInstalledIsRetired pins the interleaving behind the
-// two tests above failing once in a few hundred -race runs: a generation's
-// reader marks it failed a moment before it retires it, so a call can be
-// handed a corpse that is still installed. Nothing of that call was sent, so
-// it must retire the corpse and go out on a fresh connection — without
-// spending a retry, and even when the op is one that is never retried.
+// TestDeadGenerationStillInstalledIsRetired pins an interleaving that once
+// failed one -race run in a few hundred: a generation's reader marks it
+// failed a moment before it retires it, so a call can be handed a corpse
+// that is still installed. Nothing of that call was sent, so it must retire
+// the corpse and go out on a fresh connection instead of failing.
 func TestDeadGenerationStillInstalledIsRetired(t *testing.T) {
 	c, err := DialConfig(context.Background(), startServer(t, testSite(t)), ClientConfig{})
 	if err != nil {
@@ -350,8 +327,8 @@ func TestDeadGenerationStillInstalledIsRetired(t *testing.T) {
 	if !res.Stored || !res.Changed {
 		t.Fatalf("update result = %+v", res)
 	}
-	if h := c.Health(); h.Retries != 0 || h.Redials != 1 || !h.Connected {
-		t.Fatalf("health after the redial = %+v, want 0 retries, 1 redial, connected", h)
+	if redials, up := redialed(c); redials != 1 || !up {
+		t.Fatalf("redials = %d, connected = %v; want 1, true", redials, up)
 	}
 	c.mu.Lock()
 	fresh := c.conn
@@ -362,8 +339,8 @@ func TestDeadGenerationStillInstalledIsRetired(t *testing.T) {
 }
 
 // TestWriteFailureRetiresGeneration: a write error poisons the gob stream,
-// so the whole generation must be retired and the (idempotent) call retried
-// on a fresh connection.
+// so the call fails with a *TransportError, the whole generation is retired,
+// and the next call goes out on a fresh connection.
 func TestWriteFailureRetiresGeneration(t *testing.T) {
 	addr := startServer(t, testSite(t))
 	var first *faultConn
@@ -394,34 +371,60 @@ func TestWriteFailureRetiresGeneration(t *testing.T) {
 	first.failWrites(errors.New("injected write fault"))
 	mu.Unlock()
 
+	_, _, err = c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{})
+	var te *TransportError
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v (%T), want *TransportError", err, err)
+	}
+	if redials, up := redialed(c); redials != 0 || up {
+		t.Fatalf("after the write fault: redials = %d, connected = %v; want 0, false", redials, up)
+	}
+
 	pa, _, err := c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{})
 	if err != nil {
-		t.Fatalf("evaluate across write fault: %v", err)
+		t.Fatalf("evaluate after the write fault: %v", err)
 	}
 	if pa.Ans != control.True {
 		t.Fatalf("answer = %v", pa.Ans)
 	}
-	if h := c.Health(); h.Retries < 1 || h.Redials < 1 {
-		t.Fatalf("expected a retry on a fresh generation, health %+v", h)
+	if redials, up := redialed(c); redials != 1 || !up {
+		t.Fatalf("redials = %d, connected = %v; want 1, true", redials, up)
 	}
 }
 
-// TestCircuitBreakerOpensAndRecovers: failureThreshold consecutive failures
-// open the circuit (calls fail fast with ErrCircuitOpen, no dial attempted),
-// and after the cooldown a half-open probe reconnects and resets the failure
-// tracking.
-func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
+// pauseConn wraps a net.Conn and, once armed, holds the next Write until
+// released, telling the test when that write has started.
+type pauseConn struct {
+	net.Conn
+	armed    atomic.Bool
+	inWrite  chan struct{}
+	released chan struct{}
+}
+
+func (p *pauseConn) Write(b []byte) (int, error) {
+	if p.armed.CompareAndSwap(true, false) {
+		close(p.inWrite)
+		<-p.released
+	}
+	return p.Conn.Write(b)
+}
+
+// TestWriteDeadlineIsPerCall: the write deadline belongs to the connection,
+// which every in-flight call shares. An apply with no deadline is held
+// inside its write while an evaluate with a 30ms deadline queues behind it.
+// The evaluate's deadline must not cut the apply's write short — that would
+// fail the apply and retire the generation under every other call — and the
+// evaluate, expired by the time the writer is free, must send nothing and
+// return its *DeadlineError.
+func TestWriteDeadlineIsPerCall(t *testing.T) {
 	addr := startServer(t, testSite(t))
-	var refuse atomic.Bool
-	var dials atomic.Int64
+	pc := &pauseConn{inWrite: make(chan struct{}), released: make(chan struct{})}
 	cfg := ClientConfig{
 		Dialer: func(ctx context.Context, a string) (net.Conn, error) {
-			dials.Add(1)
-			if refuse.Load() {
-				return nil, errors.New("injected dial refusal")
-			}
 			var d net.Dialer
-			return d.DialContext(ctx, "tcp", a)
+			conn, err := d.DialContext(ctx, "tcp", a)
+			pc.Conn = conn
+			return pc, err
 		},
 	}
 	c, err := DialConfig(context.Background(), addr, cfg)
@@ -430,55 +433,41 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Failure 1: the live connection dies.
-	c.mu.Lock()
-	mc := c.conn
-	c.mu.Unlock()
-	mc.conn.Close()
-	waitHealth(t, c, func(h SiteHealth) bool { return !h.Connected && h.ConsecutiveFailures >= 1 })
+	pc.armed.Store(true)
+	applied := make(chan error, 1)
+	go func() {
+		_, err := c.Apply(context.Background(), StakeUpdate{Owner: 0, Owned: 1, Weight: 0.4}.record())
+		applied <- err
+	}()
+	<-pc.inWrite
 
-	// Failures 2–4: the call's first dial and its maxRetries redials are
-	// refused — threshold reached, circuit opens.
-	refuse.Store(true)
-	if _, _, err := c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{}); err == nil {
-		t.Fatal("evaluate succeeded with dials refused")
-	}
-	h := c.Health()
-	if h.ConsecutiveFailures != failureThreshold || !h.CircuitOpen {
-		t.Fatalf("after %d failures (threshold %d): %+v", h.ConsecutiveFailures, failureThreshold, h)
-	}
-	if got := dials.Load(); got != 1+1+maxRetries {
-		t.Fatalf("dials = %d, want the handshake plus %d refused", got, 1+maxRetries)
-	}
+	const budget = 30 * time.Millisecond
+	evaluated := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		defer cancel()
+		_, _, err := c.Evaluate(ctx, control.Query{S: 0, T: 1}, EvalOptions{})
+		evaluated <- err
+	}()
+	time.Sleep(2 * budget) // the evaluate's deadline passes while it waits
+	close(pc.released)
 
-	// While open: fail fast with the typed sentinel, no dial attempt.
-	before := dials.Load()
-	_, _, err = c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{})
-	if !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("err = %v, want ErrCircuitOpen", err)
+	if err := <-applied; err != nil {
+		t.Fatalf("apply failed by another call's write deadline: %v", err)
 	}
-	var te *TransportError
-	if !errors.As(err, &te) {
-		t.Fatalf("circuit error not a *TransportError: %v (%T)", err, err)
+	var de *DeadlineError
+	if err := <-evaluated; !errors.As(err, &de) {
+		t.Fatalf("evaluate err = %v (%T), want *DeadlineError", err, err)
 	}
-	if dials.Load() != before {
-		t.Fatal("open circuit still dialed")
+	if redials, up := redialed(c); redials != 0 || !up {
+		t.Fatalf("redials = %d, connected = %v; want the first generation still up", redials, up)
 	}
-
-	// After the cooldown the half-open probe reconnects and the breaker
-	// resets.
-	refuse.Store(false)
-	time.Sleep(cooldown + 50*time.Millisecond)
 	pa, _, err := c.Evaluate(context.Background(), control.Query{S: 0, T: 1}, EvalOptions{})
 	if err != nil {
-		t.Fatalf("probe after cooldown: %v", err)
+		t.Fatalf("evaluate on the same generation: %v", err)
 	}
 	if pa.Ans != control.True {
 		t.Fatalf("answer = %v", pa.Ans)
-	}
-	h = c.Health()
-	if h.CircuitOpen || h.ConsecutiveFailures != 0 || !h.Connected {
-		t.Fatalf("health after recovery: %+v", h)
 	}
 }
 

@@ -248,8 +248,3 @@ func (c *LocalClient) Apply(ctx context.Context, rec store.Record) (UpdateResult
 	rec.Seq = 0
 	return c.Site.Apply(rec)
 }
-
-// Health implements HealthReporter: an in-process site is always reachable.
-func (c *LocalClient) Health() SiteHealth {
-	return SiteHealth{SiteID: c.Site.ID(), Connected: true}
-}

@@ -16,7 +16,7 @@ type Series struct {
 	// Count moves by one per event, Sum by the event's A2.
 	Count, Sum *Counter
 	// ByA2 counts the event under the outcome its A2 names (a cache hit or
-	// miss, a circuit position, a failed query), when A2 indexes into it.
+	// miss, how a site served, a failed query), when A2 indexes into it.
 	ByA2 []*Counter
 }
 
@@ -87,7 +87,7 @@ func (em *Emitter) sink(e flight.Event) {
 // acts on at info, the per-query firehose at debug.
 func eventLevel(t flight.Type) slog.Level {
 	switch t {
-	case flight.Redial, flight.Circuit, flight.SlowQuery, flight.RecoverReplay:
+	case flight.Redial, flight.SlowQuery, flight.RecoverReplay:
 		return slog.LevelInfo
 	}
 	return slog.LevelDebug

@@ -5,11 +5,11 @@
 // what (Type) and two operands — that components emit (through obs.Emitter)
 // on every significant step: query start, the timed layers of a query
 // (coord.answer, wire.rpc, site.evaluate, graph.clone, control.site_reduce,
-// graph.merge, control.merge_reduce), retries, redials, circuit transitions,
-// updates, WAL activity, slow-query promotions. The same
+// graph.merge, control.merge_reduce), redials, updates, WAL activity,
+// slow-query promotions. The same
 // events feed the metrics series, make up a traced query's Trace, and land
 // in the Recorder: a bounded ring of the last events that, when a query goes
-// slow or a circuit trips, holds what every process involved was just doing
+// slow or a site drops, holds what every process involved was just doing
 // — dumpable via /debug/flight, on SIGQUIT, and mergeable across processes
 // into one timeline (ccpctl flight).
 //
@@ -47,19 +47,15 @@ const (
 	// the evaluation duration in nanoseconds, A2 how it was served (EvalLive,
 	// EvalCached, EvalDecided, EvalRevalidated).
 	SiteEvaluate
-	// Retry is one per-call transport retry of an idempotent op; A1 is the
-	// attempt number.
-	Retry
 	// Redial is a re-established connection; A1 is the lifetime redial
-	// count.
-	Redial
-	// Circuit is a circuit-breaker transition; A1 is the consecutive-failure
-	// count, A2 the new position (0 closed, 1 open, 2 half-open).
-	Circuit
+	// count. The number before it (5) named a retired per-call retry event
+	// and stays unused.
+	Redial Type = iota + 2
 	// SiteReduce is a site's reduction of its copy of a slice or of the
 	// whole partition; A1 is the duration in nanoseconds, A2 the work done
-	// (PackReduce).
-	SiteReduce
+	// (PackReduce). The number before it (7) named a retired circuit-breaker
+	// event and stays unused.
+	SiteReduce Type = iota + 3
 	// Update is one stake update applied; A1/A2 carry owner and owned.
 	Update
 	// SlowQuery marks a trace promoted into the slow-query log; A1 is the
@@ -69,7 +65,7 @@ const (
 	// record's sequence number, A2 the framed record bytes. The six numbers
 	// before it named the events of a retired merged-snapshot cache; they
 	// stay unused, so a type keeps its number on the wire across versions.
-	WALAppend Type = iota + 7
+	WALAppend Type = iota + 9
 	// CkptBuild is one durable-store checkpoint written; A1 is the build
 	// duration in nanoseconds, A2 the checkpoint file bytes.
 	CkptBuild
@@ -84,13 +80,13 @@ const (
 	// the probe's registry index, A2 the probe's lifetime violation count.
 	// The three numbers before it (21–23) named the events of retired
 	// follower replicas and stay unused.
-	AuditViolation Type = iota + 10
+	AuditViolation Type = iota + 12
 	// GraphClone is a site copying a query's slice of its partition (the
 	// whole partition under ForcePartial, the partition's core for a cache
 	// build) into scratch under its read lock; A1 is the duration in
 	// nanoseconds, A2 the nodes copied. The number before it (25) named a
 	// retired SLO event and stays unused.
-	GraphClone Type = iota + 11
+	GraphClone Type = iota + 13
 	// GraphMerge is the coordinator assembling the partial answers into the
 	// merged graph; A1 is the duration in nanoseconds, A2 the merged edges.
 	GraphMerge
@@ -100,7 +96,7 @@ const (
 	// NumTypes bounds the Type space (per-type tables are indexed by Type).
 	// The two numbers before it (29, 30) named retired replica events and
 	// stay unused; a new type takes NumTypes's number.
-	NumTypes Type = iota + 13
+	NumTypes Type = iota + 15
 )
 
 // How a site served an evaluation — SiteEvaluate's A2.
@@ -120,9 +116,7 @@ var typeInfo = [NumTypes]struct{ name, a1, a2 string }{
 	CoordAnswer:    {"coord.answer", "dur", ":ok|ERR"},
 	WireRPC:        {"wire.rpc", "dur", "bytes"},
 	SiteEvaluate:   {"site.evaluate", "dur", ":live|cached|decided|revalidated"},
-	Retry:          {"retry", "attempt", ""},
 	Redial:         {"redial", "redials", ""},
-	Circuit:        {"circuit", "fails", "to:closed|open|half-open"},
 	SiteReduce:     {"control.site_reduce", "dur", "work"},
 	Update:         {"update", "owner", "owned"},
 	SlowQuery:      {"slow.query", "dur", ""},
@@ -136,7 +130,7 @@ var typeInfo = [NumTypes]struct{ name, a1, a2 string }{
 	MergeReduce:    {"control.merge_reduce", "dur", "work"},
 }
 
-// String names the event type ("query.start", "circuit", ...).
+// String names the event type ("query.start", "redial", ...).
 func (t Type) String() string {
 	if t < NumTypes && typeInfo[t].name != "" {
 		return typeInfo[t].name

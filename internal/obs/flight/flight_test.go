@@ -239,7 +239,9 @@ func TestWriteTimeline(t *testing.T) {
 
 // TestDetail pins how each kind of operand prints, and that an event of a
 // type this build does not know — a dump or a wire response from a newer
-// process — prints as typeN with raw operands instead of panicking.
+// process, or a retired number — prints as typeN with raw operands instead
+// of panicking. Types travel on the wire, so it also pins every kept type's
+// number.
 func TestDetail(t *testing.T) {
 	for _, c := range []struct {
 		e    Event
@@ -248,9 +250,11 @@ func TestDetail(t *testing.T) {
 		{Event{Type: SiteReduce, A1: int64(2 * time.Millisecond), A2: PackReduce(3, 120)}, "dur=2ms rounds=3 reduced=120"},
 		{Event{Type: SiteEvaluate, A1: 1500, A2: EvalRevalidated}, "dur=1.5µs revalidated"},
 		{Event{Type: SiteEvaluate, A1: 1500, A2: 9}, "dur=1.5µs 9"},
-		{Event{Type: Circuit, A1: 4, A2: 1}, "fails=4 to=open"},
+		{Event{Type: Redial, A1: 3}, "redials=3"},
 		{Event{Type: 25, A1: 2, A2: 14400}, "a1=2 a2=14400"},
-		{Event{Type: Retry, A1: 2}, "attempt=2"},
+		// 5 and 7 named the retired retry and circuit-breaker events.
+		{Event{Type: 5, A1: 2}, "a1=2 a2=0"},
+		{Event{Type: 7, A1: 4, A2: 1}, "a1=4 a2=1"},
 		{Event{Type: 0, A1: -1, A2: 7}, "a1=-1 a2=7"},
 		{Event{Type: 250, A1: -1, A2: 7}, "a1=-1 a2=7"},
 	} {
@@ -260,6 +264,16 @@ func TestDetail(t *testing.T) {
 	}
 	if got := Type(250).String(); got != "type250" {
 		t.Errorf("unknown type prints as %q, want type250", got)
+	}
+	for typ, want := range map[Type]int{
+		QueryStart: 1, CoordAnswer: 2, WireRPC: 3, SiteEvaluate: 4, Redial: 6,
+		SiteReduce: 8, Update: 9, SlowQuery: 10, WALAppend: 17, CkptBuild: 18,
+		RecoverReplay: 19, QueryShed: 20, AuditViolation: 24, GraphClone: 26,
+		GraphMerge: 27, MergeReduce: 28, NumTypes: 31,
+	} {
+		if int(typ) != want {
+			t.Errorf("%v is number %d, want %d", typ, typ, want)
+		}
 	}
 }
 

@@ -76,7 +76,7 @@ func WriteTimeline(w io.Writer, entries []TimelineEntry) error {
 		}
 		if e.Site >= 0 && proc != "site-"+site {
 			// An event about a site recorded elsewhere (the coordinator's
-			// wire.rpc, a client's retry): say which site.
+			// wire.rpc, a client's redial): say which site.
 			detail += " site=" + site
 		}
 		if _, err := fmt.Fprintf(w, "  +%-14v %-10s %-20s %-16s %s\n",

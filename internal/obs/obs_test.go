@@ -97,7 +97,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var em Emitter // the zero emitter, attached to nothing
 	em.Attach(o)
-	em.Emit(flight.Retry, 1, 0, 1, 0)
+	em.Emit(flight.Redial, 1, 0, 1, 0)
 	sc := em.Query(7, false, time.Time{})
 	sc.Emit(flight.QueryStart, -1, 1, 2)
 	sc.RPC(0, time.Now(), time.Millisecond, 0, []flight.Event{{Type: flight.SiteEvaluate}})
@@ -230,7 +230,7 @@ func TestSlowLogCopiesTraces(t *testing.T) {
 	l.Record(tr)
 	// The recorder keeps ownership: mutating (or pooling) the original must
 	// not reach the log's copy.
-	tr.Events[0].Type = flight.Retry
+	tr.Events[0].Type = flight.Redial
 	tr.TraceID = 42
 	got := l.Snapshot()[0]
 	if got.TraceID != 1 || got.Events[0].Type != flight.WireRPC {

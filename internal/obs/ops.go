@@ -11,9 +11,7 @@ import (
 )
 
 // HealthFunc reports a component's liveness: ok selects the HTTP status
-// (200 vs 503) and detail is rendered as the JSON body — typically the
-// per-site transport health, so an operator (or load balancer) sees which
-// circuit opened, not just that one did.
+// (200 vs 503) and detail is rendered as the JSON body.
 type HealthFunc func() (ok bool, detail any)
 
 // Endpoint mounts one extra handler on the ops mux — how subsystems that obs

@@ -214,8 +214,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 }
 
 // GaugeFunc registers a gauge whose value is sampled by calling fn at
-// scrape time — the way to expose state a component already tracks (circuit
-// position, connection count) without double bookkeeping.
+// scrape time — the way to expose state a component already tracks
+// (connection state, cache size) without double bookkeeping.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	if r == nil {
 		return

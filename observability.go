@@ -15,8 +15,8 @@ import (
 // — a fixed-size record of when, which query, which site, what, and two
 // operands — and the observer is where those events land: the metrics
 // registry (each event type feeds the series bound to it: query latency
-// histograms, per-phase timings, cache hit/miss counters, circuit
-// transitions), the always-on flight ring, the query's QueryTrace when the
+// histograms, per-phase timings, cache hit/miss counters, redials), the
+// always-on flight ring, the query's QueryTrace when the
 // query is traced, and the slow-query log. Timed layers (coord.answer,
 // wire.rpc, site.evaluate, graph.clone, control.site_reduce, graph.merge,
 // control.merge_reduce) are events whose first operand is their duration,

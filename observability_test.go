@@ -46,9 +46,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	_ = m
 
-	ops, err := ccp.StartOpsServer("127.0.0.1:0", o, func() (bool, any) {
-		return true, cl.Health()
-	})
+	ops, err := ccp.StartOpsServer("127.0.0.1:0", o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

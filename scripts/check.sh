@@ -10,7 +10,10 @@
 # site's epoch reads (live slices and cache builds racing on that rebuild
 # while updates stream in) and of the
 # WAL's commit tests (appends racing each other and checkpoints, a failed
-# fsync poisoning the log), one iteration of the site and coordinator
+# fsync poisoning the log), twenty race-detector runs of the client's
+# transport-lifecycle tests (a stall's typed deadline, a broken connection
+# failing a call once and the redial after it, one call's write deadline
+# sparing another call's write), one iteration of the site and coordinator
 # benchmarks the docs cite, short fuzz runs over the write path,
 # the WAL segment scan, the site's socket decoder, the checkpoint loader,
 # the pooled graph decoder, the coordinator's partial decode and merge, the
@@ -66,6 +69,15 @@ go test -race -shuffle=on -timeout 10m \
 echo "== go test -race -count=5 (coordinator, slice and cache-build concurrency) =="
 go test -race -count=5 -timeout 10m \
     -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates|TestSliceRacingBoundaryUpdates|TestSnapshotsNeverMixEpochs' \
+    ./internal/dist
+
+# A site call is made once on a connection every in-flight call shares: a
+# stall gives a typed deadline, a broken connection a typed transport error
+# and a redial on the next call, and one call's write deadline must not fail
+# another's write. Timing-sensitive teardown lives here, so run it many times.
+echo "== go test -race -count=20 (client transport lifecycle) =="
+go test -race -count=20 -timeout 10m \
+    -run 'TestStalledSiteReturnsDeadlineError|TestClientRedialsAfterConnDeath|TestConnLossFailsOnceThenRedials|TestDeadGenerationStillInstalledIsRetired|TestWriteFailureRetiresGeneration|TestWriteDeadlineIsPerCall|TestCoordinatorFailsFastOnSlowSite|TestClientCloseUnblocksReader' \
     ./internal/dist
 
 # The site and coordinator benchmarks the docs cite (EXPERIMENTS.md,
