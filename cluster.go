@@ -116,20 +116,9 @@ func queryMetrics(m *dist.Metrics) QueryMetrics {
 // reductions at their next rule round.
 type Cluster struct {
 	coord    *dist.Coordinator
-	gate     *fleet.Gate // non-nil when MaxInFlight enabled admission control
 	numSites int
 	sites    []*dist.Site      // non-nil only for in-process clusters
 	clients  []dist.SiteClient // held for Close
-}
-
-// newCluster wraps a coordinator built from dopts, keeping the admission
-// gate (if any) reachable for the audit probes.
-func newCluster(coord *dist.Coordinator, dopts dist.Options, numSites int, sites []*dist.Site, clients []dist.SiteClient) *Cluster {
-	c := &Cluster{coord: coord, numSites: numSites, sites: sites, clients: clients}
-	if g, ok := dopts.AdmissionGate.(*fleet.Gate); ok {
-		c.gate = g
-	}
-	return c
 }
 
 // NewLocalCluster partitions g into k contiguous-range partitions served by
@@ -185,9 +174,8 @@ func NewClusterFromPartitioning(pi *partition.Partitioning, opts ClusterOptions)
 		}
 		clients[i] = &dist.LocalClient{Site: sites[i], MeasureBytes: true}
 	}
-	dopts := opts.distOptions()
-	coord := dist.NewCoordinator(clients, dopts)
-	return newCluster(coord, dopts, len(sites), sites, clients), nil
+	coord := dist.NewCoordinator(clients, opts.distOptions())
+	return &Cluster{coord: coord, numSites: len(sites), sites: sites, clients: clients}, nil
 }
 
 // ConnectCluster builds a coordinator over remote worker sites (started with
@@ -208,9 +196,8 @@ func ConnectCluster(ctx context.Context, addrs []string, opts ClusterOptions) (*
 		}
 		clients = append(clients, c)
 	}
-	dopts := opts.distOptions()
-	coord := dist.NewCoordinator(clients, dopts)
-	return newCluster(coord, dopts, len(addrs), nil, clients), nil
+	coord := dist.NewCoordinator(clients, opts.distOptions())
+	return &Cluster{coord: coord, numSites: len(addrs), clients: clients}, nil
 }
 
 // Close releases the cluster's site connections. In-flight queries fail with

@@ -48,7 +48,7 @@ func main() {
 	workers := flag.Int("workers", 0, "coordinator reduction parallelism")
 	concurrency := flag.Int("concurrency", 1, "batch queries kept in flight at once (>1 answers the trailing queries as one concurrent batch)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline, enforced at the sites (0 = none)")
-	opsAddr := flag.String("ops-addr", "", "ops HTTP address serving "+cli.OpsEndpoints+" (empty = disabled)")
+	opsAddr := flag.String("ops-addr", "", "ops HTTP address serving "+cli.OpsPaths+" (empty = disabled)")
 	slowQuery := flag.Duration("slow-query", 0, "record stitched traces of queries slower than this in /varz (0 = disabled)")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: queries running at once before new ones queue (0 = unlimited, no admission control)")
 	maxQueue := flag.Int("max-queue", 0, "admission control: queries waiting beyond -max-inflight before shedding (0 = 2x max-inflight)")
@@ -106,15 +106,13 @@ func main() {
 	defer cluster.Close()
 	logger.Info("connected", "sites", cluster.Sites())
 
-	// The auditor re-checks the admission gate's accounting (when
-	// -max-inflight enables it) on a background interval. /healthz reports
-	// liveness only: a site that is down is one whose next call redials, and
-	// ccp_client_connected on /metrics says which.
-	ops, err := cli.StartOps(*opsAddr, observer, nil, logger, cluster.AuditProbes()...)
+	// /healthz reports liveness only: a site that is down is one whose next
+	// call redials, and ccp_client_connected on /metrics says which.
+	ops, err := cli.StartOps(*opsAddr, observer, nil, logger)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	defer ops.Close(context.Background())
+	defer ops.Shutdown(context.Background())
 	// queryCtx derives one query's context, carrying the -timeout deadline.
 	queryCtx := func() (context.Context, context.CancelFunc) {
 		if *timeout > 0 {

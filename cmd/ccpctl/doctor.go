@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ccp/internal/obs"
-	"ccp/internal/obs/audit"
 )
 
 // varzDoc is the /varz payload shape (the slow-query fields are ignored).
@@ -62,15 +61,14 @@ func (d varzDoc) groups() map[string]map[string]float64 {
 	return out
 }
 
-// doctorDoc is one process's joined ops state: its /varz and /audit
-// payloads under one address. Every `ccpctl doctor` view renders a list of
-// these, scraped one per -ops endpoint or read from -in files.
+// doctorDoc is one process's ops state: its /varz payload under its
+// address. Every `ccpctl doctor` view renders a list of these, scraped one
+// per -ops endpoint or read from -in files.
 type doctorDoc struct {
-	Addr  string        `json:"addr"`
-	Err   string        `json:"err,omitempty"` // scrape failure; all payloads empty
-	Varz  varzDoc       `json:"varz"`
-	Audit *audit.Report `json:"audit,omitempty"`
-	at    time.Time     // scrape time, for the top view's rates
+	Addr string    `json:"addr"`
+	Err  string    `json:"err,omitempty"` // scrape failure; the payload is empty
+	Varz varzDoc   `json:"varz"`
+	at   time.Time // scrape time, for the top view's rates
 }
 
 // doctorFinding is one row of the doctor's verdict table.
@@ -98,9 +96,9 @@ var doctorViews = map[string]func(docs, prev []doctorDoc, asJSON bool) error{
 
 // cmdDoctor collects every process's ops document and renders one view of
 // the set. The default view, checks, is the cluster-wide health report:
-// per-process invariant probes, plus the cross-process checks no single
-// process can run alone — coordinator cached-partial epochs never ahead of
-// their site, admission arithmetic, build skew. It prints a
+// every process reachable, plus the cross-process checks no single process
+// can run alone — coordinator cached-partial epochs never ahead of their
+// site, admission arithmetic, build skew. It prints a
 // green/yellow/red table and exits nonzero if anything is red. fleet, store
 // and top render the serving topology, the durable stores, and load and
 // latency.
@@ -128,7 +126,7 @@ func cmdDoctor(args []string) error {
 	client := &http.Client{Timeout: *timeout}
 	var prev []doctorDoc
 	for {
-		docs, err := collect(client, addrs, files, *view == "checks")
+		docs, err := collect(client, addrs, files)
 		if err != nil {
 			return err
 		}
@@ -142,24 +140,15 @@ func cmdDoctor(args []string) error {
 	}
 }
 
-// collect is the one scraper: each -ops address's /varz, plus its /audit
-// when withAudit, then the documents saved in each -in file. /varz is
-// mandatory (without it the process is unexaminable — a red scrape
-// finding); /audit is optional so older processes still join. /audit
-// re-runs every probe, store scrubs included, so only the checks view asks
-// for it; it answers 500 while violated by design, so that status is
-// decoded too.
-func collect(client *http.Client, addrs, files []string, withAudit bool) ([]doctorDoc, error) {
+// collect is the one scraper: each -ops address's /varz, then the
+// documents saved in each -in file. A process whose /varz cannot be read is
+// unexaminable — a red scrape finding.
+func collect(client *http.Client, addrs, files []string) ([]doctorDoc, error) {
 	var docs []doctorDoc
 	for _, addr := range addrs {
 		doc := doctorDoc{Addr: addr}
 		if err := opsGet(client, addr, "/varz", &doc.Varz); err != nil {
 			doc.Err = err.Error()
-		} else if withAudit {
-			var rep audit.Report
-			if err := opsGet(client, addr, "/audit", &rep, http.StatusInternalServerError); err == nil {
-				doc.Audit = &rep
-			}
 		}
 		doc.at = time.Now()
 		docs = append(docs, doc)
@@ -245,27 +234,13 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 		findings = append(findings, doctorFinding{Scope: scope, Check: check, Status: status, Detail: detail})
 	}
 
-	// Per-process: reachability and the process's own probe verdicts.
+	// Per-process: reachability.
 	for _, doc := range docs {
 		if doc.Err != "" {
 			add(doc.Addr, "scrape", statusRed, doc.Err)
 			continue
 		}
 		add(doc.Addr, "scrape", statusGreen, fmt.Sprintf("%d series", len(doc.Varz.Metrics)))
-		if doc.Audit == nil {
-			continue
-		}
-		for _, p := range doc.Audit.Probes {
-			switch {
-			case !p.OK:
-				add(doc.Addr, "probe:"+p.Probe, statusRed, p.Detail)
-			case p.Violations > 0:
-				add(doc.Addr, "probe:"+p.Probe, statusYellow,
-					fmt.Sprintf("passing now, %d past violation(s): %s", p.Violations, p.Detail))
-			default:
-				add(doc.Addr, "probe:"+p.Probe, statusGreen, p.Detail)
-			}
-		}
 	}
 
 	// Cross-process state, assembled from every reachable /varz.
@@ -285,7 +260,7 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 			sites[row.Site] = row
 		}
 		for labels, m := range doc.Varz.groups() {
-			if epoch := m["ccp_coord_cached_epoch"]; epoch > 0 {
+			if epoch, ok := m["ccp_coord_cached_epoch"]; ok && epoch >= 0 { // -1: none cached
 				cached = append(cached, cachedEpoch{coordAddr: doc.Addr, site: labelValue(labels, "site"), epoch: epoch})
 			}
 			if _, ok := m["ccp_build_info"]; ok {
@@ -295,9 +270,8 @@ func runDoctor(docs []doctorDoc) []doctorFinding {
 		}
 		// Cross-checkable direction of gate arithmetic: more settled
 		// arrivals than offered is impossible bookkeeping. (offered can
-		// legitimately lead settled by the queries in flight, which /varz
-		// does not export — the in-process gate.accounting probe owns the
-		// exact equality.)
+		// legitimately lead settled by the arrivals still being decided,
+		// which /varz does not export.)
 		offered, hasGate := doc.Varz.sum("ccp_admission_offered_total")
 		admitted, _ := doc.Varz.sum("ccp_admission_admitted_total")
 		shed, _ := doc.Varz.sum("ccp_admission_shed_total")

@@ -1,21 +1,23 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
+	"ccp/internal/control"
 	"ccp/internal/dist"
 	"ccp/internal/gen"
 	"ccp/internal/graph"
 	"ccp/internal/obs"
-	"ccp/internal/obs/audit"
 	"ccp/internal/partition"
-	"ccp/internal/store"
 )
 
 // captureStdout runs fn with os.Stdout redirected and returns what it wrote.
@@ -39,81 +41,59 @@ func captureStdout(t *testing.T, fn func()) string {
 	return <-done
 }
 
-// TestDoctorDetectsWALCorruption drives the full path the issue demands: a
-// real durable site with real WAL bytes behind a real ops endpoint, green
-// under doctor; one flipped byte later the store.scrub probe fires and
-// doctor exits nonzero naming it.
-func TestDoctorDetectsWALCorruption(t *testing.T) {
-	dir := t.TempDir()
-	g := gen.Random(60, 180, 2)
-	pi, err := partition.ByContiguous(g, 2)
+// TestDoctorLiveCluster runs doctor over a live in-process cluster: three
+// sites and a caching coordinator, each process behind its own ops handler.
+// Queries between sites 0 and 1 leave the coordinator holding site 2's
+// partial answer (a site that holds neither endpoint is served from its
+// cached core), so the cross-process epoch check has a live copy to judge.
+func TestDoctorLiveCluster(t *testing.T) {
+	g := gen.Random(90, 270, 3)
+	pi, err := partition.ByContiguous(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := dist.OpenDurableSite(dir,
-		func() (*partition.Partition, error) { return pi.Parts[0].Snapshot(), nil },
-		1, store.Options{NoSync: true, CheckpointEvery: -1, CheckpointBytes: -1})
-	if err != nil {
-		t.Fatalf("opening durable site: %v", err)
+	serve := func(o *obs.Observer) string {
+		srv := httptest.NewServer(obs.Handler(o, nil))
+		t.Cleanup(srv.Close)
+		return srv.URL
 	}
-	defer site.CloseStore()
-	for i := 0; i < 40; i++ {
-		up := dist.StakeUpdate{
-			Owner:  graph.NodeID(i % 30),
-			Owned:  graph.NodeID(30 + i%29),
-			Weight: 0.05,
-		}
-		if _, err := site.ApplyEdgeUpdate(up); err != nil {
-			t.Fatalf("update %d: %v", i, err)
-		}
+	var addrs []string
+	clients := make([]dist.SiteClient, len(pi.Parts))
+	for i, p := range pi.Parts {
+		o := obs.NewObserver(obs.ObserverConfig{})
+		site := dist.NewSite(p, 1)
+		site.Observe(o)
+		clients[i] = &dist.LocalClient{Site: site}
+		addrs = append(addrs, serve(o))
 	}
+	co := obs.NewObserver(obs.ObserverConfig{})
+	coord := dist.NewCoordinator(clients, dist.Options{UseCache: true, Observer: co})
+	addrs = append(addrs, serve(co))
 
-	observer := obs.NewObserver(obs.ObserverConfig{})
-	auditor := audit.New(audit.Config{Observer: observer})
-	auditor.Register(site.StoreScrubProbe(0))
-	defer auditor.Close()
-	srv := httptest.NewServer(obs.Handler(observer, nil, auditor.Endpoints()...))
-	defer srv.Close()
+	members := func(p *partition.Partition) []graph.NodeID {
+		var ids []graph.NodeID
+		for v := range p.Members {
+			ids = append(ids, v)
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	from, to := members(pi.Parts[0]), members(pi.Parts[1])
+	for i := 0; i < 40; i++ {
+		q := control.Query{S: from[i%len(from)], T: to[(7*i)%len(to)]}
+		if _, _, err := coord.Answer(context.Background(), q); err != nil {
+			t.Fatalf("query %v: %v", q, err)
+		}
+	}
 
 	out := captureStdout(t, func() {
-		if err := cmdDoctor([]string{"-ops", srv.URL}); err != nil {
-			t.Errorf("healthy cluster: doctor returned %v", err)
+		if err := cmdDoctor([]string{"-ops", strings.Join(addrs, ",")}); err != nil {
+			t.Errorf("healthy live cluster: doctor returned %v", err)
 		}
 	})
-	if !strings.Contains(out, "store.scrub") || !strings.Contains(out, "GREEN") {
-		t.Fatalf("healthy output missing green store.scrub row:\n%s", out)
-	}
-
-	// One scrub pass has run (via /audit above), so the WAL is flushed to
-	// disk. Flip a byte mid-log — recovery would now fail on this frame.
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no WAL segments in %s (err %v)", dir, err)
-	}
-	f, err := os.OpenFile(segs[0], os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]byte, 1)
-	if _, err := f.ReadAt(b, 100); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x40
-	if _, err := f.WriteAt(b, 100); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	var derr error
-	out = captureStdout(t, func() { derr = cmdDoctor([]string{"-ops", srv.URL}) })
-	if derr == nil {
-		t.Fatal("doctor exited zero over a corrupted WAL")
-	}
-	if !strings.Contains(out, "store.scrub") || !strings.Contains(out, "RED") {
-		t.Fatalf("corruption output missing red store.scrub row:\n%s", out)
-	}
-	if !strings.Contains(out, "corrupt frame") {
-		t.Fatalf("violation detail not surfaced:\n%s", out)
+	wantLines(t, out, "doctor: 4 processes", "0 red, 0 yellow")
+	if !regexp.MustCompile(`cluster +cache-epoch:site2 +GREEN `).MatchString(out) {
+		t.Fatalf("no green cache-epoch row for site 2:\n%s", out)
 	}
 }
 
@@ -200,6 +180,14 @@ func TestRunDoctorCrossChecks(t *testing.T) {
 			t.Fatalf("finding = %+v", want)
 		}
 	})
+	t.Run("no cached copy is not judged", func(t *testing.T) {
+		coord := doctorDoc{Addr: "coord:1", Varz: varz(
+			[3]any{"ccp_queries_total", "", 10},
+			[3]any{"ccp_coord_cached_epoch", `site="0"`, -1})}
+		if f := findingWith(runDoctor([]doctorDoc{site, coord}), "cache-epoch:site0"); f != nil {
+			t.Fatalf("finding for a site with no cached copy: %+v", f)
+		}
+	})
 	t.Run("impossible gate accounting", func(t *testing.T) {
 		coord := doctorDoc{Addr: "coord:1", Varz: varz(
 			[3]any{"ccp_queries_total", "", 10},
@@ -224,16 +212,6 @@ func TestRunDoctorCrossChecks(t *testing.T) {
 		findings := runDoctor([]doctorDoc{{Addr: "gone:1", Err: "connection refused"}})
 		want := findingWith(findings, "scrape")
 		if want == nil || want.Status != statusRed {
-			t.Fatalf("finding = %+v", want)
-		}
-	})
-	t.Run("audit violation is red and named", func(t *testing.T) {
-		doc := doctorDoc{Addr: "site:1", Audit: &audit.Report{OK: false, Probes: []audit.ProbeReport{
-			{Probe: "store.scrub", OK: false, Detail: "wal segment x: corrupt frame at offset 7", Runs: 3, Violations: 1},
-		}}}
-		findings := runDoctor([]doctorDoc{doc})
-		want := findingWith(findings, "probe:store.scrub")
-		if want == nil || want.Status != statusRed || !strings.Contains(want.Detail, "corrupt frame") {
 			t.Fatalf("finding = %+v", want)
 		}
 	})

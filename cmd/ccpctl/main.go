@@ -93,8 +93,8 @@ func usage() {
                                                       (merged cross-process flight timeline)
   ccpctl doctor  -ops host:port[,...] [-in file,...] [-view checks|fleet|store|top] [-watch d] [-json]
                                                       (cluster ops views over each process's
-                                                      /varz + /audit. checks: probes and
-                                                      cross-process cache/gate checks,
+                                                      /varz. checks: reachability and
+                                                      cross-process cache/gate/build checks,
                                                       exits nonzero on any red; fleet: site
                                                       epochs, site connections, sheds; store:
                                                       epoch, durable/checkpoint seq, WAL

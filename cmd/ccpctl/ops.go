@@ -4,14 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"slices"
 	"strings"
 )
 
 // opsGet fetches path from one ops endpoint (host:port or URL) and decodes
-// the JSON body into v. A status other than 200 is an error unless listed in
-// alsoOK — /audit answers 500 with its report while violated, by design.
-func opsGet(client *http.Client, addr, path string, v any, alsoOK ...int) error {
+// the JSON body into v. A status other than 200 is an error.
+func opsGet(client *http.Client, addr, path string, v any) error {
 	url := addr
 	if !strings.Contains(url, "://") {
 		url = "http://" + url
@@ -22,7 +20,7 @@ func opsGet(client *http.Client, addr, path string, v any, alsoOK ...int) error 
 		return err // a *url.Error: already names the method and URL
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && !slices.Contains(alsoOK, resp.StatusCode) {
+	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("fetching %s: %s", url, resp.Status)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {

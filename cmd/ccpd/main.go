@@ -49,7 +49,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable store directory (WAL + checkpoints); updates survive restarts (empty = in-memory only)")
 	noSync := flag.Bool("store-no-sync", false, "with -data-dir: skip fsync on commit (faster, loses the last updates on power failure)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-	opsAddr := flag.String("ops-addr", "", "ops HTTP address serving "+cli.OpsEndpoints+" (empty = disabled)")
+	opsAddr := flag.String("ops-addr", "", "ops HTTP address serving "+cli.OpsPaths+" (empty = disabled)")
 	lf := cli.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -138,13 +138,9 @@ func main() {
 	ccp.RegisterBuildInfo(observer.Registry(), "site")
 	defer cli.DumpFlightOnQuit(observer)()
 
-	// The auditor continuously re-verifies the site's durable state: every
-	// pass re-checks checkpoint CRCs and a rotating budget of WAL segments,
-	// so silent on-disk corruption surfaces as a probe violation instead of
-	// a failed recovery months later.
 	ops, err := cli.StartOps(*opsAddr, observer, func() (bool, any) {
 		return true, srv.Stats()
-	}, logger, srv.StoreScrubProbe(4))
+	}, logger)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -157,7 +153,7 @@ func main() {
 		stop() // a second signal kills immediately
 		dctx, cancel := context.WithTimeout(context.Background(), *drain)
 		err := srv.Shutdown(dctx)
-		ops.Close(dctx)
+		ops.Shutdown(dctx)
 		cancel()
 		<-serveErr
 		// Close the store only after the drain: a final checkpoint covers

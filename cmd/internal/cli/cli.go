@@ -1,10 +1,9 @@
 // Package cli holds the plumbing every ccp command shares: the standard
 // -log-level / -log-format flags, the SIGQUIT flight-dump handler, and the
-// daemons' auditor + ops-listener wiring.
+// daemons' ops-listener wiring.
 package cli
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"log/slog"
@@ -15,45 +14,21 @@ import (
 	"ccp"
 )
 
-// OpsEndpoints lists what a daemon's -ops-addr listener serves.
-const OpsEndpoints = "/metrics /healthz /varz /audit /debug/flight /debug/pprof"
+// OpsPaths lists what a daemon's -ops-addr listener serves.
+const OpsPaths = "/metrics /healthz /varz /debug/flight /debug/pprof"
 
-// Ops is a daemon's running ops surface: the auditor re-checking its probes
-// in the background and, when an address was given, the listener serving
-// OpsEndpoints.
-type Ops struct {
-	auditor *ccp.Auditor
-	server  *ccp.OpsServer
-}
-
-// StartOps starts an auditor over probes and, when addr is non-empty, binds
-// the ops listener with the auditor's /audit mounted and logs its URL.
-func StartOps(addr string, o *ccp.Observer, health ccp.HealthFunc, logger *slog.Logger, probes ...ccp.AuditProbe) (*Ops, error) {
-	a := ccp.NewAuditor(ccp.AuditConfig{Observer: o})
-	for _, p := range probes {
-		a.Register(p)
-	}
-	a.Start()
-	ops := &Ops{auditor: a}
+// StartOps binds the ops listener on addr and logs its URL. An empty addr
+// disables it: the server returned is nil, and its Shutdown is a no-op.
+func StartOps(addr string, o *ccp.Observer, health ccp.HealthFunc, logger *slog.Logger) (*ccp.OpsServer, error) {
 	if addr == "" {
-		return ops, nil
+		return nil, nil
 	}
-	srv, err := ccp.StartOpsServer(addr, o, health, a.Endpoints()...)
+	srv, err := ccp.StartOpsServer(addr, o, health)
 	if err != nil {
-		a.Close()
 		return nil, err
 	}
-	ops.server = srv
-	logger.Info("ops endpoints up", "url", "http://"+srv.Addr(), "endpoints", OpsEndpoints)
-	return ops, nil
-}
-
-// Close shuts the listener down within ctx, then stops the auditor.
-func (ops *Ops) Close(ctx context.Context) {
-	if ops.server != nil {
-		ops.server.Shutdown(ctx)
-	}
-	ops.auditor.Close()
+	logger.Info("ops endpoints up", "url", "http://"+srv.Addr(), "endpoints", OpsPaths)
+	return srv, nil
 }
 
 // LogFlags are the parsed values of the standard logging flags.

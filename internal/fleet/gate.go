@@ -1,6 +1,6 @@
 // Package fleet implements coordinator-side admission control over the
 // distributed runtime of internal/dist: the Gate, a fixed pool of execution
-// slots with a bounded wait queue in front of it, and its accounting probe.
+// slots with a bounded wait queue in front of it.
 package fleet
 
 import (
@@ -11,7 +11,6 @@ import (
 
 	"ccp/internal/dist"
 	"ccp/internal/obs"
-	"ccp/internal/obs/audit"
 )
 
 // GateConfig tunes the coordinator's admission gate. The zero value selects
@@ -53,15 +52,14 @@ type Gate struct {
 
 	queued   atomic.Int64
 	inflight atomic.Int64
-	pending  atomic.Int64 // arrivals currently inside Admit (counted in offered, outcome open)
 
 	met gateMetrics
 }
 
 // gateMetrics are the gate's series. The counters are always live (bare,
-// unregistered handles without an Observer) so the accounting invariant
-// offered == admitted + shed + pending holds and is checkable regardless of
-// instrumentation; only the histogram degrades to a nil no-op.
+// unregistered handles without an Observer), so every arrival is counted as
+// offered and, once decided, as admitted or shed, whether or not the gate is
+// instrumented; only the histogram degrades to a nil no-op.
 type gateMetrics struct {
 	offered   *obs.Counter
 	admitted  *obs.Counter
@@ -88,7 +86,7 @@ func NewGate(cfg GateConfig) *Gate {
 		}
 		g.met = gateMetrics{
 			offered: reg.Counter("ccp_admission_offered_total",
-				"Arrivals presented to the admission gate (admitted + shed + pending)."),
+				"Arrivals presented to the admission gate (admitted + shed + still deciding)."),
 			admitted: reg.Counter("ccp_admission_admitted_total",
 				"Queries admitted by the admission gate."),
 			shedFull: shed("queue_full"),
@@ -113,8 +111,6 @@ func NewGate(cfg GateConfig) *Gate {
 // queues up to MaxQueueWait unless the queue is full.
 func (g *Gate) Admit(ctx context.Context) (func(), error) {
 	g.met.offered.Inc()
-	g.pending.Add(1)
-	defer g.pending.Add(-1)
 	select {
 	case g.slots <- struct{}{}:
 		g.met.admitted.Inc()
@@ -166,48 +162,3 @@ func (g *Gate) release() func() {
 }
 
 var _ dist.AdmissionGate = (*Gate)(nil)
-
-// GateAccounting is a point-in-time read of the gate's arrival bookkeeping.
-type GateAccounting struct {
-	Offered  int64 `json:"offered"`
-	Admitted int64 `json:"admitted"`
-	ShedFull int64 `json:"shed_queue_full"`
-	ShedWait int64 `json:"shed_queue_wait"`
-	Pending  int64 `json:"pending"`
-}
-
-// Accounting reads the gate's arrival counters.
-func (g *Gate) Accounting() GateAccounting {
-	return GateAccounting{
-		Offered:  g.met.offered.Value(),
-		Admitted: g.met.admitted.Value(),
-		ShedFull: g.met.shedFull.Value(),
-		ShedWait: g.met.shedWait.Value(),
-		Pending:  g.pending.Load(),
-	}
-}
-
-// AccountingProbe returns the gate's audit probe: every arrival is
-// accounted for — offered == admitted + shed + pending. The counters are
-// published one atomic at a time on the admission path, so the probe judges
-// only via audit.CheckStable: a mismatch that persists while nothing moves
-// is lost accounting, a moving one is an arrival mid-flight.
-func (g *Gate) AccountingProbe() audit.Probe {
-	return audit.Probe{
-		Name: "gate.accounting",
-		Check: func() audit.Result {
-			return audit.CheckStable(0, func() ([]int64, audit.Result) {
-				a := g.Accounting()
-				vals := []int64{a.Offered, a.Admitted, a.ShedFull, a.ShedWait, a.Pending}
-				settled := a.Admitted + a.ShedFull + a.ShedWait + a.Pending
-				if a.Offered != settled {
-					return vals, audit.Violation(
-						"offered %d != admitted %d + shed %d + pending %d",
-						a.Offered, a.Admitted, a.ShedFull+a.ShedWait, a.Pending)
-				}
-				return vals, audit.OK("offered %d = admitted %d + shed %d + pending %d",
-					a.Offered, a.Admitted, a.ShedFull+a.ShedWait, a.Pending)
-			})
-		},
-	}
-}

@@ -1,12 +1,13 @@
 package fleet
 
-// In-package so the accounting probe test can inject a violation by poking
-// the gate's unexported counters — the only way to make a healthy gate lie.
+// In-package so the books test can read the gate's unexported counters.
 
 import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,48 +153,55 @@ func TestGateReleaseIsIdempotent(t *testing.T) {
 	wantOverload(t, err, "queue wait")
 }
 
-func TestGateAccountingProbeBalances(t *testing.T) {
-	g := NewGate(GateConfig{MaxInFlight: 2, MaxQueue: 2})
-	probe := g.AccountingProbe()
-	if probe.Name != "gate.accounting" {
-		t.Fatalf("probe name = %q", probe.Name)
+// TestGateBooksBalance drives admits, releases and both kinds of shed from
+// several goroutines at once. Once they are done, every arrival is counted
+// as offered and exactly once as admitted or shed, and the counters agree
+// with what the callers saw.
+func TestGateBooksBalance(t *testing.T) {
+	// One slot held longer than a queued arrival may wait, and more callers
+	// than the slot and the queue hold: arrivals are admitted, shed from a
+	// full queue, and shed after waiting.
+	g := NewGate(GateConfig{MaxInFlight: 1, MaxQueue: 2, MaxQueueWait: time.Millisecond})
+	const callers, attempts = 8, 40
+	var admitted, shed atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < attempts; i++ {
+				release, err := g.Admit(context.Background())
+				if err != nil {
+					var oe *dist.OverloadError
+					if !errors.As(err, &oe) {
+						t.Errorf("shed error is %T (%v), want *dist.OverloadError", err, err)
+					}
+					shed.Add(1)
+					continue
+				}
+				admitted.Add(1)
+				time.Sleep(2 * time.Millisecond)
+				release()
+			}
+		}()
 	}
-	if r := probe.Check(); !r.OK {
-		t.Fatalf("fresh gate violated: %s", r.Detail)
-	}
+	wg.Wait()
 
-	// Normal traffic: admissions, releases, and sheds all balance.
-	ctx := context.Background()
-	var releases []func()
-	for i := 0; i < 2; i++ {
-		rel, err := g.Admit(ctx)
-		if err != nil {
-			t.Fatalf("Admit %d: %v", i, err)
-		}
-		releases = append(releases, rel)
+	offered := g.met.offered.Value()
+	adm, full, wait := g.met.admitted.Value(), g.met.shedFull.Value(), g.met.shedWait.Value()
+	if offered != callers*attempts {
+		t.Fatalf("offered %d, want %d arrivals", offered, callers*attempts)
 	}
-	if r := probe.Check(); !r.OK {
-		t.Fatalf("violated with slots full: %s", r.Detail)
+	if offered != adm+full+wait {
+		t.Fatalf("offered %d != admitted %d + shed_queue_full %d + shed_queue_wait %d", offered, adm, full, wait)
 	}
-	for _, rel := range releases {
-		rel()
+	if adm != admitted.Load() || full+wait != shed.Load() {
+		t.Fatalf("gate counted %d admitted, %d shed; callers saw %d, %d", adm, full+wait, admitted.Load(), shed.Load())
 	}
-	if r := probe.Check(); !r.OK {
-		t.Fatalf("violated after release: %s", r.Detail)
+	if adm == 0 || full == 0 || wait == 0 {
+		t.Fatalf("admitted %d, shed_queue_full %d, shed_queue_wait %d: want every outcome", adm, full, wait)
 	}
-	a := g.Accounting()
-	if a.Offered != 2 || a.Admitted != 2 || a.Pending != 0 {
-		t.Fatalf("accounting = %+v", a)
-	}
-
-	// Injection: bump an outcome counter without an arrival. The books no
-	// longer balance, quiescently — the probe must fire.
-	g.met.admitted.Inc()
-	r := probe.Check()
-	if r.OK {
-		t.Fatal("probe passed over broken accounting")
-	}
-	if !strings.Contains(r.Detail, "offered 2") || !strings.Contains(r.Detail, "admitted 3") {
-		t.Fatalf("violation detail = %q", r.Detail)
+	if q, f := g.queued.Load(), g.inflight.Load(); q != 0 || f != 0 {
+		t.Fatalf("%d queued and %d in flight after every caller returned", q, f)
 	}
 }

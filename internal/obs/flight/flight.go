@@ -76,17 +76,13 @@ const (
 	// QueryShed marks a query rejected by the coordinator's admission gate
 	// before it started; A1/A2 carry the query's source and target node ids.
 	QueryShed
-	// AuditViolation marks an invariant probe reporting a violation; A1 is
-	// the probe's registry index, A2 the probe's lifetime violation count.
-	// The three numbers before it (21–23) named the events of retired
-	// follower replicas and stay unused.
-	AuditViolation Type = iota + 12
 	// GraphClone is a site copying a query's slice of its partition (the
 	// whole partition under ForcePartial, the partition's core for a cache
 	// build) into scratch under its read lock; A1 is the duration in
-	// nanoseconds, A2 the nodes copied. The number before it (25) named a
-	// retired SLO event and stays unused.
-	GraphClone Type = iota + 13
+	// nanoseconds, A2 the nodes copied. The five numbers before it named
+	// retired events — follower replicas (21–23), an audit violation (24)
+	// and an SLO event (25) — and stay unused.
+	GraphClone Type = iota + 14
 	// GraphMerge is the coordinator assembling the partial answers into the
 	// merged graph; A1 is the duration in nanoseconds, A2 the merged edges.
 	GraphMerge
@@ -96,7 +92,7 @@ const (
 	// NumTypes bounds the Type space (per-type tables are indexed by Type).
 	// The two numbers before it (29, 30) named retired replica events and
 	// stay unused; a new type takes NumTypes's number.
-	NumTypes Type = iota + 15
+	NumTypes Type = iota + 16
 )
 
 // How a site served an evaluation — SiteEvaluate's A2.
@@ -112,22 +108,21 @@ const (
 // the value's name from the list (bare when k is empty), "" nothing, and
 // anything else prints as label=value.
 var typeInfo = [NumTypes]struct{ name, a1, a2 string }{
-	QueryStart:     {"query.start", "s", "t"},
-	CoordAnswer:    {"coord.answer", "dur", ":ok|ERR"},
-	WireRPC:        {"wire.rpc", "dur", "bytes"},
-	SiteEvaluate:   {"site.evaluate", "dur", ":live|cached|decided|revalidated"},
-	Redial:         {"redial", "redials", ""},
-	SiteReduce:     {"control.site_reduce", "dur", "work"},
-	Update:         {"update", "owner", "owned"},
-	SlowQuery:      {"slow.query", "dur", ""},
-	WALAppend:      {"wal.append", "seq", "bytes"},
-	CkptBuild:      {"ckpt.build", "dur", "bytes"},
-	RecoverReplay:  {"recover.replay", "replayed", "dur"},
-	QueryShed:      {"query.shed", "s", "t"},
-	AuditViolation: {"audit.violation", "probe", "violations"},
-	GraphClone:     {"graph.clone", "dur", "nodes"},
-	GraphMerge:     {"graph.merge", "dur", "edges"},
-	MergeReduce:    {"control.merge_reduce", "dur", "work"},
+	QueryStart:    {"query.start", "s", "t"},
+	CoordAnswer:   {"coord.answer", "dur", ":ok|ERR"},
+	WireRPC:       {"wire.rpc", "dur", "bytes"},
+	SiteEvaluate:  {"site.evaluate", "dur", ":live|cached|decided|revalidated"},
+	Redial:        {"redial", "redials", ""},
+	SiteReduce:    {"control.site_reduce", "dur", "work"},
+	Update:        {"update", "owner", "owned"},
+	SlowQuery:     {"slow.query", "dur", ""},
+	WALAppend:     {"wal.append", "seq", "bytes"},
+	CkptBuild:     {"ckpt.build", "dur", "bytes"},
+	RecoverReplay: {"recover.replay", "replayed", "dur"},
+	QueryShed:     {"query.shed", "s", "t"},
+	GraphClone:    {"graph.clone", "dur", "nodes"},
+	GraphMerge:    {"graph.merge", "dur", "edges"},
+	MergeReduce:   {"control.merge_reduce", "dur", "work"},
 }
 
 // String names the event type ("query.start", "redial", ...).

@@ -146,7 +146,7 @@ func TestTypeJSONRoundTrip(t *testing.T) {
 	// the ones after it.
 	for num, want := range map[string]Type{
 		"17": WALAppend, "18": CkptBuild, "19": RecoverReplay, "20": QueryShed,
-		"24": AuditViolation, "26": GraphClone, "27": GraphMerge, "28": MergeReduce,
+		"26": GraphClone, "27": GraphMerge, "28": MergeReduce,
 	} {
 		if err := json.Unmarshal([]byte(num), &numeric); err != nil || numeric != want {
 			t.Fatalf("numeric unmarshal %s = %v, %v; want %v", num, numeric, err, want)
@@ -252,9 +252,11 @@ func TestDetail(t *testing.T) {
 		{Event{Type: SiteEvaluate, A1: 1500, A2: 9}, "dur=1.5µs 9"},
 		{Event{Type: Redial, A1: 3}, "redials=3"},
 		{Event{Type: 25, A1: 2, A2: 14400}, "a1=2 a2=14400"},
-		// 5 and 7 named the retired retry and circuit-breaker events.
+		// 5, 7 and 24 named the retired retry, circuit-breaker and audit
+		// violation events.
 		{Event{Type: 5, A1: 2}, "a1=2 a2=0"},
 		{Event{Type: 7, A1: 4, A2: 1}, "a1=4 a2=1"},
+		{Event{Type: 24, A1: 1, A2: 3}, "a1=1 a2=3"},
 		{Event{Type: 0, A1: -1, A2: 7}, "a1=-1 a2=7"},
 		{Event{Type: 250, A1: -1, A2: 7}, "a1=-1 a2=7"},
 	} {
@@ -265,10 +267,13 @@ func TestDetail(t *testing.T) {
 	if got := Type(250).String(); got != "type250" {
 		t.Errorf("unknown type prints as %q, want type250", got)
 	}
+	if got := Type(24).String(); got != "type24" {
+		t.Errorf("retired type 24 prints as %q, want type24", got)
+	}
 	for typ, want := range map[Type]int{
 		QueryStart: 1, CoordAnswer: 2, WireRPC: 3, SiteEvaluate: 4, Redial: 6,
 		SiteReduce: 8, Update: 9, SlowQuery: 10, WALAppend: 17, CkptBuild: 18,
-		RecoverReplay: 19, QueryShed: 20, AuditViolation: 24, GraphClone: 26,
+		RecoverReplay: 19, QueryShed: 20, GraphClone: 26,
 		GraphMerge: 27, MergeReduce: 28, NumTypes: 31,
 	} {
 		if int(typ) != want {

@@ -14,24 +14,14 @@ import (
 // (200 vs 503) and detail is rendered as the JSON body.
 type HealthFunc func() (ok bool, detail any)
 
-// Endpoint mounts one extra handler on the ops mux — how subsystems that obs
-// must not import (the audit engine's /audit) expose themselves on
-// the same listener as /metrics and /healthz.
-type Endpoint struct {
-	// Path is the mux pattern ("/audit").
-	Path string
-	// Handler serves the path.
-	Handler http.Handler
-}
-
 // OpsServer is the operational HTTP endpoint of a ccpd / ccpcoord process:
 //
 //	/metrics      Prometheus text exposition of the registry
 //	/healthz      200/503 + JSON detail from the HealthFunc
 //	/varz         JSON snapshot of every series (+ slow-query traces)
+//	/debug/flight the flight ring's snapshot
 //	/debug/pprof  the standard Go profiling handlers
 //
-// plus any extra Endpoints (the audit engine mounts /audit).
 // It binds eagerly (so a bad -ops-addr fails at startup, not at first
 // scrape) and shuts down gracefully alongside the process's main drain.
 type OpsServer struct {
@@ -43,14 +33,14 @@ type OpsServer struct {
 // StartOps binds addr and serves the operational endpoints in a background
 // goroutine until Shutdown. health may be nil (always healthy, no detail);
 // o may be nil (empty metrics, no slow log).
-func StartOps(addr string, o *Observer, health HealthFunc, extra ...Endpoint) (*OpsServer, error) {
+func StartOps(addr string, o *Observer, health HealthFunc) (*OpsServer, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("obs: cannot bind ops address %s: %w", addr, err)
 	}
 	s := &OpsServer{
 		l:    l,
-		srv:  &http.Server{Handler: Handler(o, health, extra...), ReadHeaderTimeout: 5 * time.Second},
+		srv:  &http.Server{Handler: Handler(o, health), ReadHeaderTimeout: 5 * time.Second},
 		done: make(chan error, 1),
 	}
 	go func() { s.done <- s.srv.Serve(l) }()
@@ -60,8 +50,12 @@ func StartOps(addr string, o *Observer, health HealthFunc, extra ...Endpoint) (*
 // Addr returns the bound address (useful with ":0").
 func (s *OpsServer) Addr() string { return s.l.Addr().String() }
 
-// Shutdown stops the ops server gracefully, bounded by ctx.
+// Shutdown stops the ops server gracefully, bounded by ctx. A nil server
+// (ops disabled) has nothing to stop.
 func (s *OpsServer) Shutdown(ctx context.Context) error {
+	if s == nil {
+		return nil
+	}
 	err := s.srv.Shutdown(ctx)
 	<-s.done // Serve has returned; the listener is closed
 	return err
@@ -69,13 +63,8 @@ func (s *OpsServer) Shutdown(ctx context.Context) error {
 
 // Handler builds the ops endpoint mux — exported so tests (and embedders
 // with their own HTTP server) can mount it without a second listener.
-func Handler(o *Observer, health HealthFunc, extra ...Endpoint) http.Handler {
+func Handler(o *Observer, health HealthFunc) http.Handler {
 	mux := http.NewServeMux()
-	for _, e := range extra {
-		if e.Path != "" && e.Handler != nil {
-			mux.Handle(e.Path, e.Handler)
-		}
-	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		o.Registry().WritePrometheus(w)

@@ -165,6 +165,71 @@ func TestCrashCorruptTailRecord(t *testing.T) {
 	samePartition(t, rig.twin(t, 79), got)
 }
 
+// TestOpenRejectsCorruptSealedSegment flips a byte inside a sealed segment.
+// Unlike a corrupt tail in the final segment, that is not what a crash
+// leaves behind: recovery must refuse to open, name the segment, and leave
+// the file as it found it.
+func TestOpenRejectsCorruptSealedSegment(t *testing.T) {
+	dir := t.TempDir()
+	live, rng := testPartition(t, 19)
+	s, err := Open(dir, Options{NoSync: true, CheckpointEvery: -1, CheckpointBytes: -1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	var lastSeq uint64
+	s.Start(func() (uint64, *partition.Partition) { return lastSeq, live.Snapshot() })
+	appendN := func(n int) {
+		for i := 0; i < n; i++ {
+			rec := randomRecord(rng)
+			applyRecord(t, live, rec)
+			if lastSeq, err = s.Append(rec); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+		}
+	}
+	appendN(30)
+	if err := s.Checkpoint(); err != nil { // seals the first segment
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	appendN(30)
+	// Close checkpoints again: the second segment is sealed, and the first,
+	// covered by the earlier checkpoint, is dropped.
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if len(s.wal.sealed) != 1 {
+		t.Fatalf("%d sealed segments after Close, want 1", len(s.wal.sealed))
+	}
+	seg := s.wal.sealed[0].path
+	before, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Open(dir, Options{})
+	if err == nil {
+		t.Fatal("Open accepted a corrupt sealed WAL segment")
+	}
+	if !strings.Contains(err.Error(), seg) || !strings.Contains(err.Error(), "corrupt before the final segment") {
+		t.Fatalf("error does not name the corrupt sealed segment %s: %v", seg, err)
+	}
+	after, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Size() != before.Size() {
+		t.Fatalf("sealed segment truncated: %d -> %d bytes", before.Size(), after.Size())
+	}
+}
+
 // TestCrashMidCheckpoint leaves the artifacts of a kill mid-checkpoint: a
 // partial .tmp file that never got renamed. Recovery must ignore and delete
 // it, then replay the whole tail behind the previous checkpoint.

@@ -92,14 +92,13 @@ type Store struct {
 	ckptBytes   int64
 	ckptWALBase int64 // lifetime-append bytes when the last checkpoint ran
 
-	ckpts       atomic.Uint64
-	scrubCursor atomic.Uint64 // rotates which segments a bounded Scrub covers
-	replayed    int
-	base        *partition.Partition
-	source      func() (uint64, *partition.Partition)
-	closed      atomic.Bool
-	bgStop      chan struct{}
-	bgDone      chan struct{}
+	ckpts    atomic.Uint64
+	replayed int
+	base     *partition.Partition
+	source   func() (uint64, *partition.Partition)
+	closed   atomic.Bool
+	bgStop   chan struct{}
+	bgDone   chan struct{}
 }
 
 // Open opens (creating if needed) the store in dir and prepares recovery:

@@ -95,8 +95,8 @@ type scanResult struct {
 // are never read — checking the CRCs and that sequence numbers are
 // contiguous from seg.first. A torn or corrupt tail ends the scan;
 // scanSegment reports where the valid prefix ends and why, and never fails
-// on it — recovery truncates it, scrub calls it corruption. A file shorter
-// than seg.size is an error.
+// on it — recovery truncates it in the final segment and refuses to open
+// over it in a sealed one. A file shorter than seg.size is an error.
 func scanSegment(seg segment, fn func(Record) error) (scanResult, error) {
 	data, err := os.ReadFile(seg.path)
 	if err != nil {
@@ -316,11 +316,10 @@ func (w *wal) dropCoveredBy(seq uint64) error {
 }
 
 // capture flushes the log and returns its segment list with each segment's
-// written length — the one snapshot behind replay and Scrub. It holds the
-// lock only for the flush and the copy; readers scan only the captured
-// lengths, so bytes an append is still writing are never misread as torn,
-// and anything racing past the capture is picked up by the next walk. A
-// closed log has nothing buffered, so its sizes are already final.
+// written length — the snapshot the recovery replay walks. It holds the
+// lock only for the flush and the copy; replay scans only the captured
+// lengths, so bytes an append is still writing are never misread as torn.
+// A closed log has nothing buffered, so its sizes are already final.
 func (w *wal) capture() ([]segment, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -47,7 +47,8 @@ type (
 	QueryTrace = obs.Trace
 	// SlowQueryLog is the bounded ring buffer of over-threshold traces.
 	SlowQueryLog = obs.SlowLog
-	// OpsServer is the operational HTTP endpoint started by StartOpsServer.
+	// OpsServer is the operational HTTP endpoint started by StartOpsServer;
+	// Shutdown on a nil one is a no-op.
 	OpsServer = obs.OpsServer
 	// HealthFunc feeds /healthz: ok selects 200 vs 503, detail is the JSON
 	// body.
@@ -71,11 +72,15 @@ func NewObserver(cfg ObserverConfig) *Observer { return obs.NewObserver(cfg) }
 
 // StartOpsServer binds addr (e.g. ":9090") and serves the operational
 // endpoints for o in a background goroutine until Shutdown. health may be
-// nil (always healthy); o may be nil (empty metrics). extra endpoints (an
-// Auditor's Endpoints(), typically) are mounted on the same mux.
-func StartOpsServer(addr string, o *Observer, health HealthFunc, extra ...OpsEndpoint) (*OpsServer, error) {
-	return obs.StartOps(addr, o, health, extra...)
+// nil (always healthy); o may be nil (empty metrics).
+func StartOpsServer(addr string, o *Observer, health HealthFunc) (*OpsServer, error) {
+	return obs.StartOps(addr, o, health)
 }
+
+// RegisterBuildInfo exports the ccp_build_info gauge (build version, Go
+// version, process role) on r. Every binary calls it so a scrape — or
+// `ccpctl doctor` — can tell what is running where.
+func RegisterBuildInfo(r *MetricsRegistry, role string) { obs.RegisterBuildInfo(r, role) }
 
 // NewLogger builds a structured logger writing to w at the given level in
 // the given format ("text" or "json"; "" = text) — the logger behind every

@@ -4,7 +4,9 @@
 # Runs formatting, vet, build, the full test suite (shuffled, with an
 # explicit timeout so a hung transport test fails fast instead of stalling
 # CI), and the race detector over the packages that do parallel graph
-# surgery or concurrent transport work, five race-detector runs of the
+# surgery or concurrent transport work and over the commands (whose doctor
+# test drives a live concurrent coordinator behind real HTTP handlers),
+# five race-detector runs of the
 # coordinator's concurrency tests (live slices racing the boundary moves
 # that rebuild a site's per-epoch reachability sets among them), of the
 # site's epoch reads (live slices and cache builds racing on that rebuild
@@ -49,9 +51,10 @@ echo "== go test -cpu 1,4 (inline + sharded mutator modes) =="
 go test -cpu 1,4 -timeout 10m ./internal/control/... ./internal/graph/... ./internal/par/...
 go test -cpu 1,4 -timeout 10m -run 'Shape' ./internal/experiments
 
-echo "== go test -race (parallel surgery + transport lifecycle) =="
+echo "== go test -race (parallel surgery + transport lifecycle + commands) =="
 go test -race -shuffle=on -timeout 10m \
     . \
+    ./cmd/... \
     ./internal/control/... \
     ./internal/graph/... \
     ./internal/par/... \

@@ -3,19 +3,19 @@
 #
 # Boots two real ccpd workers with -ops-addr, the first durable
 # (-data-dir), runs distributed queries against them through ccpcoord (also
-# with -ops-addr and admission control, dumping its flight recorder on
-# exit), then validates the observability surface from outside
-# the processes: /metrics parses as Prometheus text exposition format with
-# the load-bearing series present, /healthz answers 200, /varz and
-# /debug/flight round-trip as JSON through their real consumers (ccpctl
+# with -ops-addr, the coordinator cache and admission control, dumping its
+# flight recorder on exit), then validates the observability surface from
+# outside the processes: /metrics parses as Prometheus text exposition
+# format with the load-bearing series present, /healthz answers 200, /varz
+# and /debug/flight round-trip as JSON through their real consumers (ccpctl
 # doctor -view top and ccpctl flight), and `ccpctl flight` merges the
 # coordinator and both site recorders into one cross-process timeline.
-# It ends with the audit
-# surface: `ccpctl doctor` must judge the healthy cluster green, its store
-# scrub probe covering the durable site's real WAL, and a coordinator
-# document caching a partial at an epoch its site never reached must turn
-# it red. On SIGTERM every site drains, and the durable one closes its
-# store.
+# It ends with doctor's cross-process checks: over the two live sites and
+# the coordinator's last mid-run /varz, `ccpctl doctor` must judge the
+# cluster green, with at least one coordinator cached-partial epoch checked
+# against its live site's epoch, and a coordinator document caching a
+# partial at an epoch its site never reached must turn it red. On SIGTERM
+# every site drains, and the durable one closes its store.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -63,32 +63,35 @@ for port in $site0_ops_port $site1_ops_port; do
     done
 done
 
-echo "== run queries through ccpcoord (ops + admission + slow-query log + flight dump on) =="
+echo "== run queries through ccpcoord (ops + cache + admission + slow-query log + flight dump on) =="
 # A 200-query batch (rather than a handful) keeps the coordinator alive long
-# enough that the mid-run scrapes below are required, not best-effort.
+# enough that the mid-run scrapes below are required, not best-effort. With
+# -cache the coordinator keeps a copy of the partial answer of a site that
+# holds neither endpoint of a query; some pairs have both endpoints on one
+# site, so doctor has a cached epoch to check against the other's.
 queries=$(awk 'BEGIN{for(i=0;i<200;i++) printf "%d:%d ", (i*13)%2000, (i*7+100)%2000}')
 # shellcheck disable=SC2086
 "$workdir/ccpcoord" -sites "127.0.0.1:$site0_port,127.0.0.1:$site1_port" \
     -ops-addr "127.0.0.1:$coord_ops_port" -slow-query 1ns -concurrency 2 \
-    -max-inflight 32 -timeout 5s \
+    -cache -max-inflight 32 -timeout 5s \
     -flight-out "$workdir/coord_flight.json" \
     $queries >"$workdir/ccpcoord.log" 2>&1 &
 coord_pid=$!
 
-# The coordinator exits when its queries finish; scrape /metrics and /varz
-# while it runs.
+# The coordinator exits when its queries finish; scrape /metrics once and
+# /varz for as long as it runs. The last /varz that answered is the one the
+# checks below read: the newest slow query (with a 1ns threshold every query
+# is one) for the event-model check, and the coordinator's cached epochs,
+# filled as the run goes on, for doctor.
 coord_metrics=""
 coord_varz=""
 for i in $(seq 1 200); do
     if [ -z "$coord_metrics" ]; then
         coord_metrics=$(curl -sf "http://127.0.0.1:$coord_ops_port/metrics" 2>/dev/null) || coord_metrics=""
     fi
-    # Keep re-scraping /varz until it has caught a slow query (with a 1ns
-    # threshold every query is one): the event-model check below needs its id.
-    case "$coord_varz" in
-    *'"TraceID"'*) [ -n "$coord_metrics" ] && break ;;
-    *) coord_varz=$(curl -sf "http://127.0.0.1:$coord_ops_port/varz" 2>/dev/null) || coord_varz="" ;;
-    esac
+    if varz=$(curl -sf "http://127.0.0.1:$coord_ops_port/varz" 2>/dev/null); then
+        coord_varz=$varz
+    fi
     if ! kill -0 "$coord_pid" 2>/dev/null; then
         break
     fi
@@ -213,14 +216,18 @@ for row in "^0 +127.0.0.1:$site0_ops_port " "^1 +127.0.0.1:$site1_ops_port "; do
         || { echo "fleet table is missing a site row:" >&2; cat "$workdir/fleet.txt" >&2; exit 1; }
 done
 
-echo "== ccpctl doctor: healthy cluster is green =="
+echo "== ccpctl doctor: healthy cluster is green, cached epochs checked against live sites =="
+# The coordinator has exited; its last mid-run /varz stands in for it as a
+# saved doctor document beside the two live sites.
+printf '{"addr": "coord", "varz": %s}\n' "$coord_varz" >"$workdir/coord_doc.json"
 "$workdir/ccpctl" doctor -ops "127.0.0.1:$site0_ops_port,127.0.0.1:$site1_ops_port" \
-    >"$workdir/doctor.txt" 2>&1 \
+    -in "$workdir/coord_doc.json" >"$workdir/doctor.txt" 2>&1 \
     || { echo "doctor went red on a healthy cluster:" >&2; cat "$workdir/doctor.txt" >&2; exit 1; }
 grep -q "checks: 0 red" "$workdir/doctor.txt" \
     || { echo "doctor summary is not clean:" >&2; cat "$workdir/doctor.txt" >&2; exit 1; }
-grep -qE "probe:store.scrub +GREEN +scrubbed [1-9][0-9]* segments" "$workdir/doctor.txt" \
-    || { echo "doctor never scrubbed the durable site's WAL:" >&2; cat "$workdir/doctor.txt" >&2; exit 1; }
+grep -qE "cache-epoch:site[0-9]+ +GREEN " "$workdir/doctor.txt" \
+    || { echo "doctor checked no coordinator cached epoch against a live site:" >&2; cat "$workdir/doctor.txt" >&2; exit 1; }
+grep -E "cache-epoch:site" "$workdir/doctor.txt"
 
 echo "== ccpctl doctor: a cached epoch ahead of its site turns it red =="
 cat >"$workdir/ahead.json" <<'EOF'
