@@ -8,6 +8,7 @@ import (
 
 	"ccp"
 	"ccp/internal/control"
+	"ccp/internal/datalog"
 	"ccp/internal/experiments"
 	"ccp/internal/graph"
 )
@@ -131,24 +132,25 @@ func BenchmarkGenerateScaleFree(b *testing.B) {
 
 func BenchmarkCBEFrozen(b *testing.B) {
 	g := benchGraph(b, 100_000, 2)
-	f := ccp.Freeze(g)
+	f := graph.Freeze(g)
+	q := control.Query{S: 0, T: ccp.NodeID(g.Cap() - 1)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Controls(0, ccp.NodeID(g.Cap()-1))
+		control.CBE(f, q)
 	}
 }
 
-func BenchmarkUltimateControllers(b *testing.B) {
+func BenchmarkControlGroups(b *testing.B) {
 	g := benchGraph(b, 100_000, 2)
 	for i := 0; i < b.N; i++ {
-		ccp.UltimateControllers(g)
+		ccp.ControlGroups(g)
 	}
 }
 
 func BenchmarkDatalogControl(b *testing.B) {
 	g := benchGraph(b, 2_000, 2)
 	for i := 0; i < b.N; i++ {
-		if _, err := ccp.ControlsDeclarative(g, 0, ccp.NodeID(g.Cap()-1)); err != nil {
+		if _, err := datalog.Controls(g, 0, ccp.NodeID(g.Cap()-1)); err != nil {
 			b.Fatal(err)
 		}
 	}

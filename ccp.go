@@ -19,10 +19,8 @@ package ccp
 
 import (
 	"context"
-	"io"
 
 	"ccp/internal/control"
-	"ccp/internal/datalog"
 	"ccp/internal/graph"
 	"ccp/internal/stats"
 )
@@ -94,27 +92,13 @@ type ReduceResult struct {
 // With keep empty this is the centralized parallel algorithm and the result
 // is always decided. With keep holding a partition's boundary nodes it is
 // the site-local partial evaluation of the distributed algorithm, and the
-// reduced graph is the partial answer.
-// Note that early termination may decide the answer before the graph is
-// fully reduced; when the reduced graph itself is the product (pre-computed
-// partial answers), use ReduceFully.
+// reduced graph is the partial answer. Early termination may decide the
+// answer before the graph is fully reduced.
 //
 // Cancelling ctx (or letting its deadline expire) stops the reduction at the
 // next rule round and returns the context error; the partially reduced
 // result is discarded.
 func Reduce(ctx context.Context, g *Graph, s, t NodeID, keep NodeSet, workers int) (ReduceResult, error) {
-	return reduce(ctx, g, s, t, keep, workers, false)
-}
-
-// ReduceFully is Reduce with early termination disabled: the rules run to
-// exhaustion, producing the smallest control-equivalent graph over
-// {s, t} ∪ keep regardless of how quickly the answer became known. This is
-// what a site runs when pre-computing its query-independent partial answer.
-func ReduceFully(ctx context.Context, g *Graph, s, t NodeID, keep NodeSet, workers int) (ReduceResult, error) {
-	return reduce(ctx, g, s, t, keep, workers, true)
-}
-
-func reduce(ctx context.Context, g *Graph, s, t NodeID, keep NodeSet, workers int, exhaustive bool) (ReduceResult, error) {
 	x := NewNodeSet(s, t)
 	for v := range keep {
 		x.Add(v)
@@ -127,9 +111,8 @@ func reduce(ctx context.Context, g *Graph, s, t NodeID, keep NodeSet, workers in
 		trust = control.TerminationTrust{}
 	}
 	res, err := control.ParallelReduction(ctx, clone, Query{S: s, T: t}, x, control.Options{
-		Workers:            workers,
-		Trust:              trust,
-		DisableTermination: exhaustive,
+		Workers: workers,
+		Trust:   trust,
 	})
 	if err != nil {
 		return ReduceResult{}, err
@@ -144,101 +127,13 @@ func reduce(ctx context.Context, g *Graph, s, t NodeID, keep NodeSet, workers in
 	}, nil
 }
 
-// ControlsDeclarative answers q_c(s, t) by evaluating the recursive logic
-// program of the paper (rules (1)–(2) with the monotonic msum aggregate)
-// bottom-up on the embedded Datalog engine, which reads g in place as its
-// ownership relation. Slower than Controls; useful as an executable
-// specification.
-func ControlsDeclarative(g *Graph, s, t NodeID) (bool, error) {
-	return datalog.Controls(g, s, t)
-}
-
-// FrozenGraph is an immutable compressed-sparse-row snapshot of an
-// ownership graph, optimized for serving many control queries: freeze once,
-// query often.
-type FrozenGraph struct {
-	fz *graph.Frozen
-}
-
-// Freeze snapshots g for read-only query serving. Later mutations of g do
-// not affect the snapshot.
-func Freeze(g *Graph) *FrozenGraph { return &FrozenGraph{fz: graph.Freeze(g)} }
-
-// NumNodes returns the number of live companies in the snapshot.
-func (f *FrozenGraph) NumNodes() int { return f.fz.NumNodes() }
-
-// NumEdges returns the number of shareholdings in the snapshot.
-func (f *FrozenGraph) NumEdges() int { return f.fz.NumEdges() }
-
-// Controls reports whether s controls t in the snapshot.
-func (f *FrozenGraph) Controls(s, t NodeID) bool {
-	return control.CBE(f.fz, Query{S: s, T: t})
-}
-
-// ControlledSet returns every company s controls in the snapshot.
-func (f *FrozenGraph) ControlledSet(s NodeID) NodeSet {
-	return control.ControlledSet(f.fz, s)
-}
-
 // ControlGroup is a head company and every company whose chain of majority
 // shareholders ends at it.
 type ControlGroup = control.Group
 
-// UltimateControllers maps every company to its group head: the end of the
-// chain of >50% shareholders above it (itself if it has no majority owner).
-func UltimateControllers(g *Graph) map[NodeID]NodeID {
-	return control.UltimateControllers(g)
-}
-
 // ControlGroups clusters companies by ultimate controller, returning the
 // multi-member groups largest first — the group-register data product.
 func ControlGroups(g *Graph) []ControlGroup { return control.Groups(g) }
-
-// DispersionReport quantifies how concentrated company control is.
-type DispersionReport = control.DispersionReport
-
-// Dispersion analyzes the concentration of control in g: group sizes, the
-// share held by the largest groups, and a Gini coefficient — the economic
-// analysis of control dispersion the paper's introduction motivates.
-func Dispersion(g *Graph) DispersionReport { return control.Dispersion(g) }
-
-// ControlledSets computes the controlled set of every source concurrently
-// over a shared frozen snapshot — the bulk engine behind group-register
-// data products. The result is indexed like sources.
-func ControlledSets(g *Graph, sources []NodeID, workers int) []NodeSet {
-	return control.ControlledSetsParallel(g, sources, workers)
-}
-
-// Named is an ownership graph keyed by external company identifiers (LEI
-// codes, tax ids, names) instead of dense ints; its G field runs on every
-// solver unchanged.
-type Named = graph.Named
-
-// NewNamed returns an empty named ownership graph.
-func NewNamed() *Named { return graph.NewNamed() }
-
-// ReadNamedCSV parses "owner,owned,fraction" lines with free-form company
-// identifiers (see graph.ReadNamedCSV).
-func ReadNamedCSV(r io.Reader) (*Named, error) { return graph.ReadNamedCSV(r) }
-
-// CoalitionControls reports whether the given companies, acting in concert,
-// jointly control t — the concerted-action variant of company control.
-func CoalitionControls(g *Graph, coalition []NodeID, t NodeID) bool {
-	return control.CoalitionControls(g, coalition, t)
-}
-
-// CoalitionControlledSet returns everything a coalition of shareholders
-// acting in concert jointly controls (including the coalition itself).
-func CoalitionControlledSet(g *Graph, coalition []NodeID) NodeSet {
-	return control.CoalitionControlledSet(g, coalition)
-}
-
-// OwnershipViaControl returns the fraction of t's equity commanded by s:
-// s's direct stake plus the stakes of every company s controls. It exceeds
-// 0.5 exactly when s controls t.
-func OwnershipViaControl(g *Graph, s, t NodeID) float64 {
-	return control.OwnershipViaControl(g, s, t)
-}
 
 // WitnessStep is one step of a control explanation: a company brought under
 // control by stakes held by the source and previously explained companies.

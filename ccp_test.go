@@ -4,9 +4,11 @@ import (
 	"context"
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 
 	"ccp"
+	"ccp/internal/datalog"
 	"ccp/internal/dist"
 	"ccp/internal/pathenum"
 )
@@ -83,7 +85,7 @@ func TestDeclarativeAndPathEnumerationAgree(t *testing.T) {
 		s := ccp.NodeID(rng.Intn(16))
 		tt := ccp.NodeID(rng.Intn(16))
 		want := ccp.Controls(g, s, tt)
-		decl, err := ccp.ControlsDeclarative(g, s, tt)
+		decl, err := datalog.Controls(g, s, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,12 +127,6 @@ func TestLocalClusterMatchesCentralized(t *testing.T) {
 			t.Fatalf("cluster(%d,%d) = %v, want %v", s, tt, got, want)
 		}
 	}
-	if err := cl.Invalidate(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Invalidate(99); err == nil {
-		t.Fatal("bad site id accepted")
-	}
 }
 
 func TestRemoteClusterOverTCP(t *testing.T) {
@@ -156,9 +152,6 @@ func TestRemoteClusterOverTCP(t *testing.T) {
 	if cl.Sites() != 2 {
 		t.Fatalf("sites = %d", cl.Sites())
 	}
-	if err := cl.Invalidate(0); err == nil {
-		t.Fatal("Invalidate must be rejected on remote clusters")
-	}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 10; i++ {
 		s := ccp.NodeID(rng.Intn(2000))
@@ -179,6 +172,10 @@ func TestSummarize(t *testing.T) {
 	s := ccp.Summarize(g)
 	if s.Nodes != 20_000 || s.Edges == 0 || s.LargestWCC == 0 {
 		t.Fatalf("summary = %+v", s)
+	}
+	var sb strings.Builder
+	if _, err := ccp.Report(g).WriteTo(&sb); err != nil || !strings.Contains(sb.String(), "top owners") {
+		t.Fatalf("report: %v", err)
 	}
 }
 

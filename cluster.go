@@ -10,7 +10,6 @@ import (
 	"ccp/internal/dist"
 	"ccp/internal/fleet"
 	"ccp/internal/partition"
-	"ccp/internal/store"
 )
 
 // ClusterOptions configures a distributed deployment.
@@ -117,7 +116,6 @@ func queryMetrics(m *dist.Metrics) QueryMetrics {
 type Cluster struct {
 	coord    *dist.Coordinator
 	numSites int
-	sites    []*dist.Site      // non-nil only for in-process clusters
 	clients  []dist.SiteClient // held for Close
 }
 
@@ -175,7 +173,7 @@ func NewClusterFromPartitioning(pi *partition.Partitioning, opts ClusterOptions)
 		clients[i] = &dist.LocalClient{Site: sites[i], MeasureBytes: true}
 	}
 	coord := dist.NewCoordinator(clients, opts.distOptions())
-	return &Cluster{coord: coord, numSites: len(sites), sites: sites, clients: clients}, nil
+	return &Cluster{coord: coord, numSites: len(sites), clients: clients}, nil
 }
 
 // ConnectCluster builds a coordinator over remote worker sites (started with
@@ -273,19 +271,6 @@ func (c *Cluster) AddStake(ctx context.Context, owner, owned NodeID, w float64) 
 // RemoveStake divests owner's stake in owned entirely.
 func (c *Cluster) RemoveStake(ctx context.Context, owner, owned NodeID) error {
 	return c.coord.ApplyUpdate(ctx, dist.StakeUpdate{Owner: owner, Owned: owned, Remove: true})
-}
-
-// Invalidate marks site i's data as changed, dropping its cached partial
-// answer (in-process clusters only).
-func (c *Cluster) Invalidate(site int) error {
-	if c.sites == nil {
-		return fmt.Errorf("ccp: Invalidate is only available on in-process clusters")
-	}
-	if site < 0 || site >= len(c.sites) {
-		return fmt.Errorf("ccp: no site %d", site)
-	}
-	_, err := c.sites[site].Apply(store.Record{Kind: store.KindMark})
-	return err
 }
 
 // Sites returns the number of worker sites.

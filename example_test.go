@@ -71,37 +71,14 @@ func ExampleReduce() {
 	// 2
 }
 
-func ExampleNamed() {
-	n := ccp.NewNamed()
-	n.AddStake("HoldCo", "AlphaBank", 0.6)
-	n.AddStake("AlphaBank", "TargetCorp", 0.8)
-
-	s, _ := n.Lookup("HoldCo")
-	t, _ := n.Lookup("TargetCorp")
-	fmt.Println(ccp.Controls(n.G, s, t))
-	// Output:
-	// true
-}
-
-func ExampleCoalitionControls() {
-	g := ccp.NewGraph(3)
-	g.AddEdge(0, 2, 0.3) // neither shareholder controls alone...
-	g.AddEdge(1, 2, 0.3)
-
-	fmt.Println(ccp.Controls(g, 0, 2))
-	fmt.Println(ccp.CoalitionControls(g, []ccp.NodeID{0, 1}, 2)) // ...jointly they do
-	// Output:
-	// false
-	// true
-}
-
-func ExampleUltimateControllers() {
-	g := ccp.NewGraph(3)
+func ExampleControlGroups() {
+	g := ccp.NewGraph(4)
 	g.AddEdge(0, 1, 0.6)
 	g.AddEdge(1, 2, 0.6)
 
-	heads := ccp.UltimateControllers(g)
-	fmt.Println(heads[2])
+	for _, gr := range ccp.ControlGroups(g) {
+		fmt.Println(gr.Head, gr.Members)
+	}
 	// Output:
-	// 0
+	// 0 [0 1 2]
 }

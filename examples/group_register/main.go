@@ -1,7 +1,8 @@
 // Group register scenario: derive the control-group register from a
 // national ownership graph — which companies form groups, who heads them,
-// and how concentrated control is. Central banks publish exactly this kind
-// of data product from their company control computations (Section VIII-E).
+// and how far each head's control reaches. Central banks publish exactly
+// this kind of data product from their company control computations
+// (Section VIII-E).
 package main
 
 import (
@@ -22,15 +23,6 @@ func main() {
 		fmt.Printf("  head %-8d members %d\n", gr.Head, len(gr.Members))
 	}
 
-	rep := ccp.Dispersion(g)
-	fmt.Printf("\ncontrol dispersion:\n")
-	fmt.Printf("  companies in a group: %d of %d (%.1f%%)\n",
-		rep.Grouped, rep.Companies, 100*float64(rep.Grouped)/float64(rep.Companies))
-	fmt.Printf("  largest group:        %d companies\n", rep.LargestGroup)
-	fmt.Printf("  top-10 groups hold:   %.1f%% of grouped companies\n",
-		100*rep.TopShare[len(rep.TopShare)-1])
-	fmt.Printf("  gini of group sizes:  %.2f\n", rep.Gini)
-
 	// The full controlled set of the biggest head — beyond majority chains,
 	// joint minority stakes widen the span of control.
 	head := groups[0].Head
@@ -38,22 +30,11 @@ func main() {
 	fmt.Printf("\nhead %d: %d companies by majority chains, %d including joint control\n",
 		head, len(groups[0].Members), len(full))
 
-	// Bulk data product: the controlled sets of the 50 largest heads.
-	sources := make([]ccp.NodeID, 0, 50)
-	for _, gr := range groups[:min(50, len(groups))] {
-		sources = append(sources, gr.Head)
-	}
-	sets := ccp.ControlledSets(g, sources, 0)
+	// The controlled sets of the 50 largest heads.
+	top := groups[:min(50, len(groups))]
 	total := 0
-	for _, s := range sets {
-		total += len(s) - 1
+	for _, gr := range top {
+		total += len(ccp.ControlledSet(g, gr.Head)) - 1
 	}
-	fmt.Printf("top %d heads control %d companies in total\n", len(sources), total)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	fmt.Printf("top %d heads control %d companies in total\n", len(top), total)
 }

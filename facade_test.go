@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ccp"
+	"ccp/internal/control"
 )
 
 func TestFromEdges(t *testing.T) {
@@ -68,31 +69,8 @@ func TestGraphStringer(t *testing.T) {
 	}
 }
 
-func TestFrozenGraphMatchesLive(t *testing.T) {
-	g := ccp.GenerateScaleFree(ccp.ScaleFreeConfig{Nodes: 2000, AvgOutDegree: 2, Seed: 5})
-	f := ccp.Freeze(g)
-	if f.NumNodes() != g.NumNodes() || f.NumEdges() != g.NumEdges() {
-		t.Fatal("snapshot counters differ")
-	}
-	for s := ccp.NodeID(0); s < 40; s++ {
-		for _, tt := range []ccp.NodeID{100, 500, 1999} {
-			if f.Controls(s, tt) != ccp.Controls(g, s, tt) {
-				t.Fatalf("frozen Controls(%d,%d) differs", s, tt)
-			}
-		}
-		a, b := f.ControlledSet(s), ccp.ControlledSet(g, s)
-		if len(a) != len(b) {
-			t.Fatalf("frozen ControlledSet(%d) differs: %d vs %d", s, len(a), len(b))
-		}
-	}
-}
-
 func TestControlGroupsFacade(t *testing.T) {
 	g := ccp.GenerateItalian(ccp.ItalianConfig{Nodes: 20_000, Seed: 9})
-	heads := ccp.UltimateControllers(g)
-	if len(heads) != g.NumNodes() {
-		t.Fatalf("heads = %d", len(heads))
-	}
 	groups := ccp.ControlGroups(g)
 	if len(groups) == 0 {
 		t.Fatal("no control groups in an Italian-like graph")
@@ -118,38 +96,34 @@ func minInt(a, b int) int {
 	return b
 }
 
-func TestCoalitionAndOwnershipFacades(t *testing.T) {
-	g := holding(t)
-	if !ccp.CoalitionControls(g, []ccp.NodeID{1, 2}, 3) {
-		t.Fatal("the two intermediaries jointly control the target")
+// reduceExhaustively runs the parallel reduction of q_c(s, t) on a copy of g
+// with early termination disabled: the rules run to exhaustion, leaving the
+// smallest control-equivalent graph over {s, t}.
+func reduceExhaustively(t *testing.T, g *ccp.Graph, s, tt ccp.NodeID, workers int) control.Result {
+	t.Helper()
+	res, err := control.ParallelReduction(context.Background(), g.Clone(), ccp.Query{S: s, T: tt},
+		ccp.NewNodeSet(s, tt), control.Options{Workers: workers, Trust: control.FullTrust, DisableTermination: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	set := ccp.CoalitionControlledSet(g, []ccp.NodeID{1, 2})
-	if !set.Has(3) {
-		t.Fatalf("set = %v", set)
-	}
-	if own := ccp.OwnershipViaControl(g, 0, 3); own < 0.54 || own > 0.56 {
-		t.Fatalf("commanded ownership = %g", own)
-	}
+	return res
 }
 
-func TestReduceFullyExhausts(t *testing.T) {
-	// A chain where the plain Reduce answers via T3 after one contraction
-	// but ReduceFully keeps reducing to just {s, t}.
+func TestExhaustiveReductionShrinksFurther(t *testing.T) {
+	// Reduce may answer via T3 after one contraction; the exhaustive
+	// reduction keeps going down to a handful of nodes.
 	g := ccp.GenerateScaleFree(ccp.ScaleFreeConfig{Nodes: 4000, AvgOutDegree: 2, Seed: 61})
 	s, tt := ccp.NodeID(0), ccp.NodeID(3999)
 	quick, err := ccp.Reduce(context.Background(), g, s, tt, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := ccp.ReduceFully(context.Background(), g, s, tt, nil, 2)
-	if err != nil {
-		t.Fatal(err)
+	full := reduceExhaustively(t, g, s, tt, 2)
+	if !quick.Decided || full.Ans == control.Unknown {
+		t.Fatalf("undecided: %v %v", quick.Decided, full.Ans)
 	}
-	if !quick.Decided || !full.Decided {
-		t.Fatalf("undecided: %+v %+v", quick.Decided, full.Decided)
-	}
-	if quick.Controls != full.Controls {
-		t.Fatal("variants disagree")
+	if want := ccp.Controls(g, s, tt); quick.Controls != want || (full.Ans == control.True) != want {
+		t.Fatalf("reduce %v, exhaustive %v, CBE %v", quick.Controls, full.Ans, want)
 	}
 	if full.Reduced.NumNodes() > quick.Reduced.NumNodes() {
 		t.Fatalf("exhaustive left more nodes (%d) than early-exit (%d)",
@@ -157,36 +131,5 @@ func TestReduceFullyExhausts(t *testing.T) {
 	}
 	if full.Reduced.NumNodes() > 40 {
 		t.Fatalf("exhaustive reduction left %d nodes", full.Reduced.NumNodes())
-	}
-}
-
-func TestDispersionAndBulkFacades(t *testing.T) {
-	g := ccp.GenerateScaleFree(ccp.ScaleFreeConfig{Nodes: 3000, AvgOutDegree: 2, Seed: 19})
-	rep := ccp.Dispersion(g)
-	if rep.Companies != 3000 || rep.Groups == 0 {
-		t.Fatalf("dispersion = %+v", rep)
-	}
-	sets := ccp.ControlledSets(g, []ccp.NodeID{0, 1, 2}, 2)
-	if len(sets) != 3 {
-		t.Fatalf("sets = %d", len(sets))
-	}
-	for i, s := range []ccp.NodeID{0, 1, 2} {
-		if len(sets[i]) != len(ccp.ControlledSet(g, s)) {
-			t.Fatalf("bulk set %d differs", i)
-		}
-	}
-	r := ccp.Report(g)
-	var sb strings.Builder
-	if _, err := r.WriteTo(&sb); err != nil || !strings.Contains(sb.String(), "top owners") {
-		t.Fatalf("report: %v", err)
-	}
-	n, err := ccp.ReadNamedCSV(strings.NewReader("A,B,0.7\nB,C,0.7\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := n.Lookup("A")
-	c, _ := n.Lookup("C")
-	if !ccp.Controls(n.G, a, c) {
-		t.Fatal("named chain control missed")
 	}
 }

@@ -19,7 +19,7 @@ func CBE(g graph.Ownership, q Query) bool {
 		return false
 	}
 	found := false
-	expand(g, []graph.NodeID{q.S}, func(_, z graph.NodeID, _ float64, took bool) bool {
+	expand(g, q.S, func(_, z graph.NodeID, _ float64, took bool) bool {
 		found = took && z == q.T
 		return !found
 	})
@@ -29,12 +29,12 @@ func CBE(g graph.Ownership, q Query) bool {
 // ControlledSet returns the set of all companies controlled by s (including
 // s itself), i.e. the full Control(s, ·) relation of the logic program.
 func ControlledSet(g graph.Ownership, s graph.NodeID) graph.NodeSet {
-	return expand(g, []graph.NodeID{s}, nil)
+	return expand(g, s, nil)
 }
 
 // expand is Algorithm 1's closure — the one worklist behind every control
 // decision and explanation in this package. It returns the smallest set
-// holding the live seeds and every company in which already controlled
+// holding s (when live) and every company in which already controlled
 // companies jointly hold more than half. hook, when non-nil, sees every
 // stake y→z of weight w as it is counted toward z, with took reporting
 // whether that stake brought z into the set; returning false stops the
@@ -43,14 +43,12 @@ func ControlledSet(g graph.Ownership, s graph.NodeID) graph.NodeSet {
 // acc[v] is the monotonic sum msum of the ownership of v held by already
 // controlled companies, each counted once: a company y contributes its label
 // exactly once, when y itself enters the controlled set.
-func expand(g graph.Ownership, seeds []graph.NodeID, hook func(y, z graph.NodeID, w float64, took bool) bool) graph.NodeSet {
+func expand(g graph.Ownership, s graph.NodeID, hook func(y, z graph.NodeID, w float64, took bool) bool) graph.NodeSet {
 	controlled := graph.NewNodeSet()
-	queue := make([]graph.NodeID, 0, len(seeds))
-	for _, s := range seeds {
-		if g.Alive(s) && !controlled.Has(s) {
-			controlled.Add(s)
-			queue = append(queue, s)
-		}
+	var queue []graph.NodeID
+	if g.Alive(s) {
+		controlled.Add(s)
+		queue = append(queue, s)
 	}
 	acc := make(map[graph.NodeID]float64)
 	var y graph.NodeID

@@ -1,8 +1,10 @@
 package control
 
 import (
+	"math/rand"
 	"testing"
 
+	"ccp/internal/gen"
 	"ccp/internal/graph"
 )
 
@@ -194,5 +196,47 @@ func TestAnswerBoolAndString(t *testing.T) {
 func TestQueryString(t *testing.T) {
 	if s := (Query{3, 9}).String(); s != "q_c(3,9)" {
 		t.Fatalf("String = %s", s)
+	}
+}
+
+// TestControlledSetMatchesLiteral200Seeds: over 200 seeded graphs, the
+// worklist controlled set and CBE's answer for every target, on the live
+// graph and on a frozen snapshot, agree with the literal rescan formulation
+// (SerialBaselineSet), which shares no code with the worklist.
+func TestControlledSetMatchesLiteral200Seeds(t *testing.T) {
+	sameSet := func(a, b graph.NodeSet) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for v := range a {
+			if !b.Has(v) {
+				return false
+			}
+		}
+		return true
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(60)
+		g := gen.Random(n, rng.Intn(4*n), rng.Int63())
+		fz := graph.Freeze(g)
+		for q := 0; q < 4; q++ {
+			s := graph.NodeID(rng.Intn(n + 2)) // ids ≥ n are not live
+			want := SerialBaselineSet(g, s)
+			for name, got := range map[string]graph.NodeSet{
+				"controlled-set": ControlledSet(g, s),
+				"frozen":         ControlledSet(fz, s),
+			} {
+				if !sameSet(got, want) {
+					t.Fatalf("seed %d source %d: %s = %v, literal Algorithm 1 = %v", seed, s, name, got, want)
+				}
+			}
+			for v := graph.NodeID(0); int(v) < n+2; v++ {
+				if v != s && (CBE(g, Query{s, v}) != want.Has(v) || CBE(fz, Query{s, v}) != want.Has(v)) {
+					t.Fatalf("seed %d: CBE(%d,%d) live %v frozen %v, literal Algorithm 1 %v",
+						seed, s, v, CBE(g, Query{s, v}), CBE(fz, Query{s, v}), want.Has(v))
+				}
+			}
+		}
 	}
 }

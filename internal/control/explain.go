@@ -35,7 +35,7 @@ func Explain(g *graph.Graph, q Query) ([]WitnessStep, bool) {
 	// companies came under control.
 	var stakes []graph.Edge
 	var order []graph.NodeID
-	expand(g, []graph.NodeID{q.S}, func(y, z graph.NodeID, w float64, took bool) bool {
+	expand(g, q.S, func(y, z graph.NodeID, w float64, took bool) bool {
 		stakes = append(stakes, graph.Edge{From: y, To: z, Weight: w})
 		if took {
 			order = append(order, z)

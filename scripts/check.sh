@@ -3,7 +3,9 @@
 #
 # Runs formatting, vet, build, the full test suite (shuffled, with an
 # explicit timeout so a hung transport test fails fast instead of stalling
-# CI), and the race detector over the packages that do parallel graph
+# CI), every program under examples/ built and run to a zero exit (the
+# "examples" step), and the
+# race detector over the packages that do parallel graph
 # surgery or concurrent transport work and over the commands (whose doctor
 # test drives a live concurrent coordinator behind real HTTP handlers),
 # five race-detector runs of the
@@ -43,6 +45,22 @@ go build ./...
 
 echo "== go test =="
 go test -shuffle=on -timeout 10m ./...
+
+# The tests only compile the examples; run each to completion so one that
+# panics or exits non-zero fails here. All six take about a second together.
+echo "== examples =="
+exdir=$(mktemp -d)
+trap 'rm -rf "$exdir"' EXIT
+go build -o "$exdir/" ./examples/...
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    echo "-- $name"
+    if ! "$exdir/$name" > "$exdir/$name.out" 2>&1; then
+        cat "$exdir/$name.out" >&2
+        echo "example $name exited non-zero" >&2
+        exit 1
+    fi
+done
 
 # The reduction's Workers: 0 tests take the inline mutator mode at
 # GOMAXPROCS=1 and the sharded mode otherwise; run both whatever the runner,
