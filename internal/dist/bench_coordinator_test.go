@@ -206,31 +206,88 @@ func TestCoordinatorMergeWorkFollowsBoundary(t *testing.T) {
 // benchmarks — the payload a remote site ships for a merge-path query.
 func benchPartialResponse(tb testing.TB) *response {
 	tb.Helper()
-	in := benchMergeInputs(tb)
-	resp, err := encodePartial(&PartialAnswer{SiteID: 0, Ans: control.Unknown, Reduced: in.live[0]})
-	if err != nil {
-		tb.Fatal(err)
+	return encodeBenchPartial(benchMergeInputs(tb).live[0])
+}
+
+func encodeBenchPartial(g *graph.Graph) *response {
+	return encodePartial(&PartialAnswer{SiteID: 0, Ans: control.Unknown, Reduced: g})
+}
+
+// spreadSpace is the id space the "spread" codec cases renumber a partial
+// into: a partial's virtual nodes are foreign companies, numbered near the
+// top of the global id space.
+const spreadSpace = 32000
+
+// spreadPartial returns g renumbered to the top of a spreadSpace-id space:
+// the same companies and stakes, company v renamed v + spreadSpace - g.Cap().
+func spreadPartial(tb testing.TB, g *graph.Graph) *graph.Graph {
+	tb.Helper()
+	shift := graph.NodeID(spreadSpace - g.Cap())
+	h := graph.New(spreadSpace)
+	for v := graph.NodeID(0); v < spreadSpace; v++ {
+		if v < shift || !g.Alive(v-shift) {
+			h.RemoveNode(v)
+		}
 	}
-	return resp
+	for _, e := range g.Edges() {
+		if err := h.AddEdge(e.From+shift, e.To+shift, e.Weight); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return h
+}
+
+// codecCase is one partial of the codec benchmarks.
+type codecCase struct {
+	name string
+	g    *graph.Graph
+}
+
+// codecCases are the benchmark partial as its site numbers it ("dense") and
+// renumbered near the top of a 32 000-id space ("spread").
+func codecCases(b *testing.B) []codecCase {
+	live := benchMergeInputs(b).live[0]
+	return []codecCase{{"dense", live}, {"spread", spreadPartial(b, live)}}
 }
 
 // BenchmarkPartialDecode measures turning a wire response back into a
 // partial answer: the graph decodes into recycled scratch that is released
-// again, the steady state of the concurrent batch path.
+// again, the steady state of the concurrent batch path. The "spread" case
+// costs the same as "dense": decoding follows the payload, not the id space.
 func BenchmarkPartialDecode(b *testing.B) {
-	resp := benchPartialResponse(b)
-	b.Run("pooled", func(b *testing.B) {
-		var pool sync.Pool
-		b.ReportAllocs()
-		b.SetBytes(int64(len(resp.GraphBytes)))
-		for i := 0; i < b.N; i++ {
-			pa, err := decodePartial(resp, &pool)
-			if err != nil {
-				b.Fatal(err)
+	for _, c := range codecCases(b) {
+		resp := encodeBenchPartial(c.g)
+		b.Run(c.name, func(b *testing.B) {
+			var pool sync.Pool
+			b.ReportAllocs()
+			b.SetBytes(int64(len(resp.GraphBytes)))
+			for i := 0; i < b.N; i++ {
+				pa, err := decodePartial(resp, &pool)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pa.Release()
 			}
-			pa.Release()
-		}
-	})
+		})
+	}
+}
+
+// encodeSink keeps BenchmarkPartialEncode's result live.
+var encodeSink *response
+
+// BenchmarkPartialEncode measures a site turning its reduced partial into a
+// wire response; like decoding, its cost follows the payload.
+func BenchmarkPartialEncode(b *testing.B) {
+	for _, c := range codecCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			pa := &PartialAnswer{SiteID: 0, Ans: control.Unknown, Reduced: c.g}
+			b.ReportAllocs()
+			b.SetBytes(c.g.BinarySize())
+			for i := 0; i < b.N; i++ {
+				encodeSink = encodePartial(pa)
+			}
+		})
+	}
 }
 
 // TestPartialDecodePooledSteadyStateAllocs pins the copy-free decode: once

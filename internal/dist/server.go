@@ -299,13 +299,10 @@ func (s *Server) serve(ctx context.Context, req *request) *response {
 		if err != nil {
 			return errResponse(siteID, err)
 		}
-		resp, err := encodePartial(pa)
-		// The reduced graph is serialized (or unusable); either way its
-		// pooled scratch is free for the site's next evaluation.
+		resp := encodePartial(pa)
+		// The reduced graph is serialized, so its pooled scratch is free for
+		// the site's next evaluation.
 		pa.Release()
-		if err != nil {
-			return errResponse(siteID, err)
-		}
 		return resp
 	case opApply:
 		rec := req.Record

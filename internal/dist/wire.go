@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -135,7 +134,7 @@ func errResponse(siteID int, err error) *response {
 }
 
 // encodePartial converts a PartialAnswer for the wire.
-func encodePartial(pa *PartialAnswer) (*response, error) {
+func encodePartial(pa *PartialAnswer) *response {
 	resp := &response{
 		SiteID:      pa.SiteID,
 		Ans:         int8(pa.Ans),
@@ -147,13 +146,11 @@ func encodePartial(pa *PartialAnswer) (*response, error) {
 		Events:      pa.Events,
 	}
 	if pa.Reduced != nil {
-		var buf bytes.Buffer
-		if err := pa.Reduced.WriteBinary(&buf); err != nil {
-			return nil, fmt.Errorf("dist: encoding reduced graph: %w", err)
-		}
-		resp.GraphBytes = buf.Bytes()
+		// One allocation of exactly the payload's size: BinarySize is the
+		// encoding's length.
+		resp.GraphBytes = pa.Reduced.AppendBinary(make([]byte, 0, pa.Reduced.BinarySize()))
 	}
-	return resp, nil
+	return resp
 }
 
 // decodePartial converts a wire response back to a PartialAnswer. A shipped

@@ -59,6 +59,30 @@ func checkAggregates(g *Graph) error {
 	return nil
 }
 
+// checkDeadIDs checks the dead-id invariant that lets a graph be emptied by
+// visiting its live nodes only: every dead id in [0, Cap) holds no edges and
+// has reset aggregates. It also checks NumNodes against the live flags.
+func checkDeadIDs(g *Graph) error {
+	live := 0
+	for i, ok := range g.alive {
+		if ok {
+			live++
+			continue
+		}
+		if len(g.out[i]) != 0 || len(g.in[i]) != 0 {
+			return fmt.Errorf("dead id %d holds %d out- and %d in-edges", i, len(g.out[i]), len(g.in[i]))
+		}
+		if g.inSum[i] != 0 || g.inBig[i] != 0 || g.outBig[i] != 0 || g.bigIn[i] != None {
+			return fmt.Errorf("dead id %d has aggregates inSum %g inBig %d outBig %d bigIn %d",
+				i, g.inSum[i], g.inBig[i], g.outBig[i], g.bigIn[i])
+		}
+	}
+	if live != g.nAlive {
+		return fmt.Errorf("NumNodes %d, %d ids alive", g.nAlive, live)
+	}
+	return nil
+}
+
 // TestAggregatesUnderRandomMutations drives every mutator — including the
 // batch ones in both application modes — with random operations and
 // validates the cached aggregates against a from-scratch recomputation after
@@ -106,8 +130,8 @@ func TestAggregatesUnderRandomMutations(t *testing.T) {
 				g.RemoveBatchMetered(randomMeter(rng), victimsOf(dead), dead, 1+rng.Intn(4), nil)
 				check("RemoveBatchMetered")
 			default:
-				g.AddNode()
-				check("AddNode")
+				g.Revive(NodeID(g.Cap()))
+				check("Revive")
 			}
 		}
 		// Contract every directly-controlled node into its controller once.

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -36,14 +37,8 @@ func FuzzReadBinary(f *testing.F) {
 		if !Equal(g, d, 0) {
 			t.Fatal("ReadBinary and DecodeBinary decoded different graphs")
 		}
-		live := 0
-		for v := 0; v < g.Cap(); v++ {
-			if g.Alive(NodeID(v)) {
-				live++
-			}
-		}
-		if g.NumNodes() != live {
-			t.Fatalf("NumNodes() = %d, %d ids alive", g.NumNodes(), live)
+		if err := checkDeadIDs(g); err != nil {
+			t.Fatal(err)
 		}
 		// Accepted graphs must round-trip.
 		var buf bytes.Buffer
@@ -113,12 +108,12 @@ func fuzzSeedPayloads(f *testing.F) [][]byte {
 	}
 }
 
-// FuzzDecodeBinaryIntoReused decodes payload a into a scratch graph, then
-// payload b into the same scratch — the pooled decode path of the wire
-// client. Whatever a left behind (a larger or smaller graph, or the debris
-// of a failed decode), b must decode exactly as it does into a fresh graph:
-// the same error-or-success, and on success an Equal graph with consistent
-// aggregates.
+// FuzzDecodeBinaryIntoReused gives a scratch graph a CloneInto of a larger
+// random graph, decodes payload a into it, then payload b — the pooled
+// decode path of the wire client. Whatever the scratch held before b (a
+// larger or smaller graph, or the debris of a failed decode), b must decode
+// exactly as it does into a fresh graph: the same error-or-success, and on
+// success an Equal graph with consistent aggregates and clean dead ids.
 func FuzzDecodeBinaryIntoReused(f *testing.F) {
 	seeds := fuzzSeedPayloads(f)
 	for _, a := range seeds {
@@ -130,7 +125,9 @@ func FuzzDecodeBinaryIntoReused(f *testing.F) {
 		if largestLiveID(a) > fuzzMaxID || largestLiveID(b) > fuzzMaxID {
 			t.Skip("live id over the fuzzing bound")
 		}
-		scratch := New(0)
+		rng := rand.New(rand.NewSource(int64(len(a))<<32 | int64(len(b))))
+		n := int(max(largestLiveID(a), largestLiveID(b))) + 2 + rng.Intn(64)
+		scratch := randomGraph(rng, n, rng.Intn(256)).CloneInto(New(0))
 		if _, err := DecodeBinaryInto(scratch, a); err != nil {
 			t.Logf("first payload rejected: %v", err)
 		}
@@ -147,6 +144,9 @@ func FuzzDecodeBinaryIntoReused(f *testing.F) {
 		}
 		if err := checkAggregates(got); err != nil {
 			t.Fatalf("reused scratch aggregates: %v", err)
+		}
+		if err := checkDeadIDs(got); err != nil {
+			t.Fatalf("reused scratch: %v", err)
 		}
 	})
 }

@@ -37,7 +37,11 @@ const sumSlack = 1e-9
 // Invariants maintained by the mutators:
 //   - no self loops,
 //   - no parallel edges (AddEdge rejects duplicates, MergeEdge sums labels),
-//   - every label is in (0, 1].
+//   - every label is in (0, 1],
+//   - a dead id holds no edges and has reset aggregates: its edge maps are
+//     nil or empty, its in-sum and counts zero, its controlling predecessor
+//     None. Emptying a graph for reuse (Reset, ResetTo, InducedInto,
+//     DecodeBinaryInto) therefore visits its live nodes only.
 //
 // The incoming-label sum of a node may transiently exceed 1 during R3 label
 // transfer; CheckOwnership verifies the input-data invariant sum <= 1.
@@ -96,10 +100,20 @@ func newShell(capacity int) *Graph {
 		bigIn:  make([]NodeID, capacity),
 		outBig: make([]int32, capacity),
 	}
-	for i := range g.bigIn {
-		g.bigIn[i] = None
-	}
+	fillNone(g.bigIn)
 	return g
+}
+
+// fillNone sets every entry of s to None, doubling the filled prefix with
+// copy so a long slice is filled at memmove speed.
+func fillNone(s []NodeID) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = None
+	for k := 1; k < len(s); k *= 2 {
+		copy(s[k:], s[:k])
+	}
 }
 
 // accountIn folds a label change of edge (u, v) — old to w, either of which
@@ -165,20 +179,6 @@ func (g *Graph) NumEdges() int { return g.nEdges }
 // Alive reports whether v is a live node of the graph.
 func (g *Graph) Alive(v NodeID) bool {
 	return v >= 0 && int(v) < len(g.alive) && g.alive[v]
-}
-
-// AddNode appends one live node and returns its id.
-func (g *Graph) AddNode() NodeID {
-	id := NodeID(len(g.alive))
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	g.alive = append(g.alive, true)
-	g.inSum = append(g.inSum, 0)
-	g.inBig = append(g.inBig, 0)
-	g.bigIn = append(g.bigIn, None)
-	g.outBig = append(g.outBig, 0)
-	g.nAlive++
-	return id
 }
 
 // Revive marks id as live, extending the id space if necessary. It is used
@@ -565,42 +565,56 @@ func copyMapInto(dst, src map[NodeID]float64) map[NodeID]float64 {
 	return dst
 }
 
-// Reset empties the graph — every node dead, no edges, aggregates zeroed —
-// while keeping its id-space length and the allocated per-node edge maps,
-// cleared in place, so a pooled scratch graph can be rebuilt without
-// allocating.
-func (g *Graph) Reset() {
-	for i := range g.alive {
-		clear(g.out[i])
-		clear(g.in[i])
-	}
-	clear(g.alive)
-	clear(g.inSum)
-	clear(g.inBig)
-	clear(g.outBig)
-	for i := range g.bigIn {
-		g.bigIn[i] = None
-	}
-	g.nAlive, g.nEdges = 0, 0
-}
+// Reset empties the graph — every node dead, no edges, aggregates reset —
+// keeping its id-space length and its edge maps, cleared in place, so a
+// pooled scratch graph can be rebuilt without allocating. It visits the
+// live nodes only.
+func (g *Graph) Reset() { g.emptyTo(len(g.alive)) }
 
 // ResetTo empties the graph into n live nodes, ids 0..n-1, and no edges. Like
 // Reset it keeps the backing slices and the edge maps, cleared in place, so a
 // pooled scratch graph rebuilt at a similar size allocates nothing.
 func (g *Graph) ResetTo(n int) {
-	g.sizeTo(n)
-	g.Reset()
+	g.emptyTo(n)
 	for i := range g.alive {
 		g.alive[i] = true
 	}
 	g.nAlive = n
 }
 
+// emptyTo empties g into n dead ids and no edges, keeping its slices and
+// edge maps. By the dead-id invariant only the live nodes g held need
+// clearing, so the cost is those nodes plus any growth, not the id space.
+// Ids a growth reveals are cleaned too: a shrinking sizeTo (CloneInto of a
+// smaller graph) leaves the entries past the length as they were, live ones
+// included, and a backing array's spare capacity has no None in bigIn.
+func (g *Graph) emptyTo(n int) {
+	old := len(g.alive)
+	g.clearLive(0, old)
+	g.sizeTo(n)
+	if n > old {
+		g.clearLive(old, n)
+		fillNone(g.bigIn[old:])
+	}
+	g.nAlive, g.nEdges = 0, 0
+}
+
+// clearLive kills the live ids in [lo, hi), emptying their edge maps and
+// resetting their aggregates without touching any other node: it serves
+// emptyTo, which clears every live node of the graph.
+func (g *Graph) clearLive(lo, hi int) {
+	for i := g.nextLive(lo, hi); i < hi; i = g.nextLive(i+1, hi) {
+		clear(g.out[i])
+		clear(g.in[i])
+		g.alive[i] = false
+		g.resetAggregates(NodeID(i))
+	}
+}
+
 // sizeTo resizes the parallel per-node slices to n entries, reusing backing
 // arrays (and any edge maps they still hold) when capacity allows. Entries
-// revealed by regrowth carry stale values; every caller overwrites the full
-// index range afterwards (CloneInto by copying, DecodeBinaryInto and ResetTo
-// via Reset).
+// revealed by regrowth carry stale values: CloneInto overwrites the full
+// index range afterwards, and emptyTo cleans the revealed ids.
 func (g *Graph) sizeTo(n int) {
 	g.out = resize(g.out, n)
 	g.in = resize(g.in, n)

@@ -158,19 +158,16 @@ func TestMaxInLabelDeterministicTie(t *testing.T) {
 	}
 }
 
-func TestAddNodeAndRevive(t *testing.T) {
+// TestReviveExtendsIdSpace: Revive past the end appends live ids one by one
+// or several at once (the skipped ids dead), revives a removed id, and is a
+// no-op on a live one.
+func TestReviveExtendsIdSpace(t *testing.T) {
 	g := New(1)
-	id := g.AddNode()
-	if id != 1 || g.NumNodes() != 2 {
-		t.Fatalf("AddNode = %d, nodes = %d", id, g.NumNodes())
-	}
-	for want := NodeID(2); want < 5; want++ {
-		if id := g.AddNode(); id != want {
-			t.Fatalf("AddNode = %d, want %d", id, want)
+	for v := NodeID(1); v < 5; v++ {
+		g.Revive(v)
+		if g.Cap() != int(v)+1 || g.NumNodes() != int(v)+1 {
+			t.Fatalf("Revive(%d): cap %d, nodes %d", v, g.Cap(), g.NumNodes())
 		}
-	}
-	if g.NumNodes() != 5 {
-		t.Fatalf("nodes = %d, want 5", g.NumNodes())
 	}
 	g.RemoveNode(1)
 	g.Revive(1)
@@ -178,14 +175,18 @@ func TestAddNodeAndRevive(t *testing.T) {
 		t.Fatal("Revive(1) failed")
 	}
 	g.Revive(9)
-	if !g.Alive(9) || g.Cap() != 10 {
-		t.Fatalf("Revive(9): alive=%v cap=%d", g.Alive(9), g.Cap())
+	if !g.Alive(9) || g.Cap() != 10 || g.Alive(7) {
+		t.Fatalf("Revive(9): alive=%v cap=%d, 7 alive=%v", g.Alive(9), g.Cap(), g.Alive(7))
 	}
 	// Revive of an already-live node is a no-op.
 	g.Revive(9)
 	if g.NumNodes() != 6 {
 		t.Fatalf("nodes = %d, want 6", g.NumNodes())
 	}
+	if err := g.AddEdge(9, 4, 0.6); err != nil || g.DirectController(4) != 9 {
+		t.Fatalf("edge into a revived id: err %v, controller %d", err, g.DirectController(4))
+	}
+	mustAggregates(t, g)
 }
 
 func TestCheckOwnership(t *testing.T) {

@@ -2,12 +2,13 @@ package graph
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -20,22 +21,21 @@ type Edge struct {
 }
 
 // Edges returns all live edges. The order is deterministic (sorted by
-// (From, To)) so that serialized forms are reproducible.
+// (From, To)) so that serialized forms are reproducible. Its cost follows the
+// live nodes and their edges, not the id space (see nextLive).
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.nEdges)
-	for i, m := range g.out {
-		if !g.alive[i] {
-			continue
-		}
-		for v, w := range m {
+	n := len(g.alive)
+	for i := g.nextLive(0, n); i < n; i = g.nextLive(i+1, n) {
+		for v, w := range g.out[i] {
 			es = append(es, Edge{NodeID(i), v, w})
 		}
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].From != es[j].From {
-			return es[i].From < es[j].From
+	slices.SortFunc(es, func(a, b Edge) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
-		return es[i].To < es[j].To
+		return cmp.Compare(a.To, b.To)
 	})
 	return es
 }
@@ -58,48 +58,39 @@ const binaryMagic = "CCPG1\n"
 // WriteBinary serializes the graph in a compact binary format that preserves
 // node ids (including dead ids, which are simply absent from the node list).
 // The format is: magic, capacity, live-node count, sorted live ids, edge
-// count, edges as (from, to, weight) triples.
+// count, edges as (from, to, weight) triples sorted by (from, to). It makes
+// one Write of the whole payload, built by AppendBinary.
 func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
+	_, err := w.Write(g.AppendBinary(make([]byte, 0, g.BinarySize())))
+	return err
+}
+
+// AppendBinary appends the WriteBinary encoding of g to b and returns the
+// extended slice. It walks the live ids only, so
+// encoding a partial that holds a few nodes of a large id space costs those
+// nodes and their edges. A b with BinarySize spare capacity is not regrown.
+func (g *Graph) AppendBinary(b []byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(append(b, binaryMagic...), uint32(len(g.alive)))
+	b = le.AppendUint32(b, uint32(g.nAlive))
+	n := len(g.alive)
+	for i := g.nextLive(0, n); i < n; i = g.nextLive(i+1, n) {
+		b = le.AppendUint32(b, uint32(i))
 	}
-	var buf [8]byte
-	writeU32 := func(x uint32) error {
-		binary.LittleEndian.PutUint32(buf[:4], x)
-		_, err := bw.Write(buf[:4])
-		return err
-	}
-	if err := writeU32(uint32(len(g.alive))); err != nil {
-		return err
-	}
-	if err := writeU32(uint32(g.nAlive)); err != nil {
-		return err
-	}
-	for i, ok := range g.alive {
-		if !ok {
-			continue
+	b = le.AppendUint32(b, uint32(g.nEdges))
+	succ := make([]NodeID, 0, 64) // on the stack unless a node has more successors
+	for i := g.nextLive(0, n); i < n; i = g.nextLive(i+1, n) {
+		succ = succ[:0]
+		for v := range g.out[i] {
+			succ = append(succ, v)
 		}
-		if err := writeU32(uint32(i)); err != nil {
-			return err
-		}
-	}
-	if err := writeU32(uint32(g.nEdges)); err != nil {
-		return err
-	}
-	for _, e := range g.Edges() {
-		if err := writeU32(uint32(e.From)); err != nil {
-			return err
-		}
-		if err := writeU32(uint32(e.To)); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(e.Weight))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
+		slices.Sort(succ)
+		for _, v := range succ {
+			b = le.AppendUint32(le.AppendUint32(b, uint32(i)), uint32(v))
+			b = le.AppendUint64(b, math.Float64bits(g.out[i][v]))
 		}
 	}
-	return bw.Flush()
+	return b
 }
 
 // BinarySize returns the number of bytes WriteBinary emits for g: the
@@ -128,7 +119,10 @@ func DecodeBinary(data []byte) (*Graph, error) {
 // DecodeBinaryInto parses a CCPG1 payload into dst, reusing dst's slices and
 // edge maps; a nil dst allocates a fresh graph. The header's capacity only
 // bounds the ids: the decoded graph's Cap is one past its largest live id,
-// so a header cannot size a graph beyond the ids the payload lists.
+// so a header cannot size a graph beyond the ids the payload lists. Emptying
+// dst visits only the live nodes it held and the ids a growth reveals (see
+// emptyTo), so a pooled decode costs the previous contents, the payload and
+// any growth, not the id space its ids are numbered in.
 // Trailing bytes are ignored; a live-id list that is not strictly ascending
 // is rejected. On error the destination's contents are unspecified and it
 // must not be returned to a pool. A pooled dst cycling through same-shaped
@@ -180,8 +174,7 @@ func DecodeBinaryInto(dst *Graph, data []byte) (*Graph, error) {
 	if g == nil {
 		g = newShell(int(size))
 	} else {
-		g.sizeTo(int(size))
-		g.Reset()
+		g.emptyTo(int(size))
 	}
 	for i := uint32(0); i < nAlive; i++ {
 		g.alive[binary.LittleEndian.Uint32(data[ids+4*int(i):])] = true

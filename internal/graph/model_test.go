@@ -141,6 +141,9 @@ func TestModelBasedMutations(t *testing.T) {
 				}
 			}
 			m.check(t, g, step)
+			if err := checkDeadIDs(g); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
 		}
 	}
 }

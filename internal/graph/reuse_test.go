@@ -246,6 +246,61 @@ func TestDecodeBinaryIntoSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDecodeIntoShrunkScratch decodes a payload spanning 30 000 ids into
+// scratch that once held a 30 000-id graph and was then shrunk to 100 ids. A
+// shrinking CloneInto leaves the scratch's entries past the new length as
+// they were, live nodes and edges included, so the decode's growth must
+// clean the ids it reveals; emptying only the live nodes below the length is
+// not enough.
+func TestDecodeIntoShrunkScratch(t *testing.T) {
+	const n = 30000
+	rng := rand.New(rand.NewSource(47))
+	large := randomGraph(rng, n, 3*n)
+	small := randomGraph(rng, 100, 300)
+	// The payload: a few hundred nodes spread up to id n-1.
+	wide := New(n)
+	for v := NodeID(0); v < n; v++ {
+		if rng.Intn(100) != 0 && v != n-1 {
+			wide.RemoveNode(v)
+		}
+	}
+	live := wide.AppendLive(nil)
+	for i := 0; i < 2*len(live); i++ {
+		u, v := live[rng.Intn(len(live))], live[rng.Intn(len(live))]
+		if u != v && wide.InSum(v) < 0.5 {
+			wide.MergeEdge(u, v, 0.2+0.3*rng.Float64())
+		}
+	}
+	var buf bytes.Buffer
+	if err := wide.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeBinary(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, shrink := range map[string]func(dst *Graph) *Graph{
+		"CloneInto":   func(dst *Graph) *Graph { return small.CloneInto(dst) },
+		"InducedInto": func(dst *Graph) *Graph { return small.InducedInto(dst, small.AppendLive(nil)) },
+	} {
+		scratch := shrink(large.CloneInto(New(0)))
+		if scratch.Cap() != 100 {
+			t.Fatalf("%s: shrunk scratch has Cap %d, want 100", name, scratch.Cap())
+		}
+		got, err := DecodeBinaryInto(scratch, buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Cap() != n || !Equal(got, want, 0) || !Equal(want, got, 0) {
+			t.Fatalf("%s: decode into shrunk scratch gave %v, fresh decode %v", name, got, want)
+		}
+		mustAggregates(t, got)
+		if err := checkDeadIDs(got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestDecodeBinaryRejectsGarbage(t *testing.T) {
 	if _, err := DecodeBinary([]byte("not a graph at all")); err == nil {
 		t.Fatal("garbage accepted")

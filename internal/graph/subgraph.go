@@ -43,19 +43,14 @@ func (g *Graph) Induced(keep NodeSet) *Graph {
 // keep lists that are live in g and every edge of g between two of them. Ids
 // and the id capacity are preserved, and keep may repeat a node. dst's
 // slices and edge maps are reused as CloneInto reuses them, and emptying dst
-// visits its live nodes only: a graph's dead nodes hold no edges and no
-// aggregates, so only its live ones need clearing. A pooled destination
-// reduced between two calls therefore allocates nothing once warm. A nil dst,
-// or g itself, gets a fresh graph.
+// visits only the live nodes it held and the ids a growth reveals (see
+// emptyTo). A pooled destination reduced between two calls therefore
+// allocates nothing once warm. A nil dst, or g itself, gets a fresh graph.
 func (g *Graph) InducedInto(dst *Graph, keep []NodeID) *Graph {
-	switch {
-	case dst == nil || dst == g:
+	if dst == nil || dst == g {
 		dst = newShell(len(g.alive))
-	case len(dst.alive) != len(g.alive):
-		dst.sizeTo(len(g.alive))
-		dst.Reset()
-	default:
-		dst.clearLive()
+	} else {
+		dst.emptyTo(len(g.alive))
 	}
 	for _, v := range keep {
 		if g.Alive(v) && !dst.alive[v] {
@@ -76,19 +71,6 @@ func (g *Graph) InducedInto(dst *Graph, keep []NodeID) *Graph {
 		}
 	}
 	return dst
-}
-
-// clearLive empties g by visiting its live nodes only: removal already
-// cleared a dead node's edge maps and aggregates.
-func (g *Graph) clearLive() {
-	n := len(g.alive)
-	for i := g.nextLive(0, n); i < n; i = g.nextLive(i+1, n) {
-		clear(g.out[i])
-		clear(g.in[i])
-		g.alive[i] = false
-		g.resetAggregates(NodeID(i))
-	}
-	g.nAlive, g.nEdges = 0, 0
 }
 
 // Merge adds every live node and edge of other into g, extending the id

@@ -102,10 +102,11 @@ go test -race -count=20 -timeout 10m \
     ./internal/dist
 
 # The site and coordinator benchmarks the docs cite (EXPERIMENTS.md,
-# abl-slice and abl-cache-core, and the coordinator's no-work answer): one
-# iteration each, so they keep building and running. No timing is checked.
+# abl-slice and abl-cache-core, the coordinator's no-work answer, and the
+# partial codec DESIGN.md's decode arenas cite): one iteration each, so they
+# keep building and running. No timing is checked.
 echo "== go test -bench (cited benchmarks, one iteration) =="
-go test -run '^$' -bench 'LiveEvaluate|Precompute|CoordinatorAnswer' -benchtime 1x ./internal/dist
+go test -run '^$' -bench 'LiveEvaluate|Precompute|CoordinatorAnswer|PartialDecode|PartialEncode' -benchtime 1x ./internal/dist
 
 # The WAL has one committer: an append writes, flushes and fsyncs under the
 # lock a checkpoint's segment rotation takes, and a failed fsync poisons the
@@ -119,8 +120,8 @@ go test -race -count=5 -timeout 10m \
 # The one write path every record feeds, the request decoder every site
 # runs on its socket, the WAL segment scan recovery runs on every segment it
 # finds on disk, the checkpoint loader recovery runs beside it, the CCPG1
-# decoder's pooled form (a payload decoded into scratch another payload left
-# behind), the coordinator's partial decode into its dense merge, the
+# decoder's pooled form (a payload decoded into scratch that a larger graph's
+# CloneInto and another payload left behind), the coordinator's partial decode into its dense merge, the
 # CCPP1 decoder checkpoint load runs, and the Datalog loader that reads
 # `ccpctl datalog -program` files: 15 s of new inputs each, on two fuzz
 # workers.
