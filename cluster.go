@@ -39,14 +39,16 @@ type ClusterOptions struct {
 	// Observer, when non-nil, instruments the whole cluster-side query
 	// path: coordinator latency/phase histograms and cache counters,
 	// per-site transport metrics (remote clusters), site evaluation and
-	// reduction metrics (in-process clusters), and — when the observer's
-	// slow-query log is enabled — per-query stitched traces. Nil runs
-	// uninstrumented at the cost of pointer checks.
+	// reduction histograms (in-process clusters), the flight ring, and —
+	// with the observer's SlowQueryThreshold set — one slow.query event per
+	// query that reaches it. No query is traced unless AnswerTraced asks.
+	// Nil runs uninstrumented at the cost of pointer checks.
 	Observer *Observer
 	// Logger receives the cluster's structured diagnostics: coordinator
-	// warnings (failed queries, failed updates, slow-query promotions),
+	// warnings (failed queries, failed updates) and slow.query events,
 	// transport events (dial failures, redials), and — at debug level
-	// — per-reduction summaries from in-process sites. Nil discards them.
+	// — every other event, per-reduction ones from in-process sites
+	// included. Nil discards them.
 	Logger *slog.Logger
 }
 

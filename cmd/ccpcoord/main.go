@@ -49,7 +49,7 @@ func main() {
 	concurrency := flag.Int("concurrency", 1, "batch queries kept in flight at once (>1 answers the trailing queries as one concurrent batch)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline, enforced at the sites (0 = none)")
 	opsAddr := flag.String("ops-addr", "", "ops HTTP address serving "+cli.OpsPaths+" (empty = disabled)")
-	slowQuery := flag.Duration("slow-query", 0, "record stitched traces of queries slower than this in /varz (0 = disabled)")
+	slowQuery := flag.Duration("slow-query", 0, "mark queries at least this slow with a slow.query event, listed by query id in /varz's slow_queries (0 = disabled)")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: queries running at once before new ones queue (0 = unlimited, no admission control)")
 	maxQueue := flag.Int("max-queue", 0, "admission control: queries waiting beyond -max-inflight before shedding (0 = 2x max-inflight)")
 	maxQueueWait := flag.Duration("max-queue-wait", 0, "admission control: longest a queued query waits before shedding (0 = 50ms)")
@@ -69,7 +69,7 @@ func main() {
 	defer stop()
 
 	// The observer (and its flight recorder) is always on; the ops HTTP
-	// surface and the slow-query log remain opt-in.
+	// surface and the slow-query threshold remain opt-in.
 	observer := ccp.NewObserver(ccp.ObserverConfig{SlowQueryThreshold: *slowQuery, Process: "coord"})
 	ccp.RegisterBuildInfo(observer.Registry(), "coordinator")
 	defer cli.DumpFlightOnQuit(observer)()

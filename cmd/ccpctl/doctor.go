@@ -15,18 +15,24 @@ import (
 	"ccp/internal/obs"
 )
 
-// varzDoc is the /varz payload shape (the slow-query fields are ignored).
+// varzDoc is the /varz payload shape (the slow_queries list is ignored).
 type varzDoc struct {
 	Metrics []obs.VarSnapshot `json:"metrics"`
 }
 
-// sum totals a (possibly labeled) counter/gauge family.
+// sum totals a (possibly labeled) family: the values of counters and
+// gauges, the observation counts of histograms.
 func (d varzDoc) sum(name string) (total float64, found bool) {
 	for _, v := range d.Metrics {
-		if v.Name == name && v.Hist == nil {
-			total += v.Value
-			found = true
+		if v.Name != name {
+			continue
 		}
+		if v.Hist != nil {
+			total += float64(v.Hist.Count)
+		} else {
+			total += v.Value
+		}
+		found = true
 	}
 	return total, found
 }

@@ -32,7 +32,7 @@ func cmdFlight(args []string) error {
 	fs := flag.NewFlagSet("flight", flag.ExitOnError)
 	opsList := fs.String("ops", "", "comma-separated ops addresses (host:port or URL) to fetch /debug/flight from")
 	inList := fs.String("in", "", "comma-separated flight-dump JSON files")
-	trace := fs.String("trace", "", "only events of the query with this id (hex), as traces and slow-query logs print it")
+	trace := fs.String("trace", "", "only events of the query with this id, in hex as traces print it (/varz's slow_queries prints ids in decimal)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-fetch HTTP timeout")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -228,7 +228,7 @@ func fmtAge(sec float64) string {
 }
 
 // viewTop prints each endpoint's query throughput and latency quantiles,
-// cache hit rates, site connections, and reduction-round rates.
+// cache hit rates, site connections, and site reduction rates.
 // Rates are per-second deltas against the previous -watch round ("-" on
 // the first).
 func viewTop(docs, prev []doctorDoc, asJSON bool) error {
@@ -275,7 +275,7 @@ func viewTop(docs, prev []doctorDoc, asJSON bool) error {
 			fmt.Printf("  coord-cache  %.1f%% (%.0f/%.0f) hit\n", 100*hits/(hits+misses), hits, hits+misses)
 		}
 		counter("site-cache", "ccp_site_cache_hits_total", "hits")
-		counter("reduce", "ccp_reduce_rounds_total", "rounds")
+		counter("reduce", "ccp_site_reduce_seconds", "reductions")
 		counter("served", "ccp_server_requests_total", "reqs")
 		if _, coord := classifyFleet(cur.Addr, cur.Varz); coord != nil && len(coord.Sites) > 0 {
 			n := map[string]int{}

@@ -155,7 +155,7 @@ func TestDoctorViewsRenderFixture(t *testing.T) {
 	t.Run("top", func(t *testing.T) {
 		out := doctorOut(t, "-view", "top")
 		wantLines(t, out, "ccp top — 3 endpoint(s)",
-			"== site0:8001 ==", "served 120 reqs -", "site-cache 7 hits -", "reduce 30 rounds -",
+			"== site0:8001 ==", "served 120 reqs -", "site-cache 7 hits -", "reduce 30 reductions -",
 			"== coord:8003 ==", "queries 200 total -", "latency   p50=", "p95=", "p99=", "(n=200)",
 			"coord-cache  75.0% (30/40) hit", "sites 2 connected, 1 down")
 		if err := cmdDoctor([]string{"-in", fixture, "-view", "top", "-json"}); err == nil {

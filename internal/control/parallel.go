@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"ccp/internal/graph"
-	"ccp/internal/obs"
 	"ccp/internal/par"
 )
 
@@ -44,11 +43,6 @@ type Options struct {
 	// step, letting par.Meter.SimulatedElapsed estimate the wall clock of
 	// the same run on a machine with one core per worker.
 	Meter *par.Meter
-
-	// Obs, when non-nil, streams reduction telemetry — rounds, nodes
-	// removed by R1/R2, nodes contracted by R3, frontier widths — into an
-	// obs metrics registry. Nil costs one pointer check per round.
-	Obs *obs.ReducerObs
 }
 
 // Result is the outcome of ParallelReduction: the answer to q_c(s, t) if the

@@ -171,17 +171,6 @@ func (r *Reducer) Reduce(ctx context.Context, g *graph.Graph, q Query, x graph.N
 				for _, v := range victims {
 					r.isVictim[v] = false
 				}
-				if opt.Obs != nil {
-					// Victims keep their pre-removal labels: removed nodes are
-					// never in the touched set, so remark does not rewrite them.
-					r1 := 0
-					for _, v := range victims {
-						if r.labels[v] == graph.C1 {
-							r1++
-						}
-					}
-					opt.Obs.RemoveRound(r1, removed-r1, len(victims))
-				}
 				r.c12n -= removed
 				res.Stats.Removed += removed
 				res.Stats.Iterations++
@@ -204,7 +193,6 @@ func (r *Reducer) Reduce(ctx context.Context, g *graph.Graph, q Query, x graph.N
 		}
 		victims := r.resolveFrontier(g, opt.NaiveContraction)
 		contracted, touched := g.ContractBatchMetered(opt.Meter, victims, r.rep, workers, &r.sc)
-		opt.Obs.ContractRound(contracted, len(victims))
 		r.c3n -= contracted
 		res.Stats.Contracted += contracted
 		res.Stats.Iterations++

@@ -82,9 +82,9 @@ type Options struct {
 	AdmissionGate AdmissionGate
 	// Observer, when non-nil, streams coordinator metrics (latency
 	// histograms, per-phase timings, cache hit/miss counters) into its
-	// registry, receives the coordinator's events for every query, and, when
-	// its slow-query log is enabled, traces every query so slow ones can be
-	// captured. Nil runs uninstrumented.
+	// registry and receives the coordinator's events for every query; with
+	// its SlowQueryThreshold set, a query that reaches it adds a slow.query
+	// event. Nil runs uninstrumented.
 	Observer *obs.Observer
 	// Logger receives the coordinator's structured diagnostics (query
 	// failures, update errors, and its events as slog lines). Nil discards
@@ -199,7 +199,6 @@ type coordMetrics struct {
 	cacheHits, cacheMisses        *obs.Counter
 	coordCacheHits, mergedQueries *obs.Counter
 	batchInflight                 *obs.Gauge
-	reduceObs                     *obs.ReducerObs
 }
 
 // observe registers the coordinator's series on o's registry and binds each
@@ -222,7 +221,6 @@ func (c *Coordinator) observe(o *obs.Observer) {
 		mergedQueries: reg.Counter("ccp_coord_merged_queries_total",
 			"Queries that reached the coordinator merge path (no site decided them early)."),
 		batchInflight: reg.Gauge("ccp_batch_inflight_queries", "Batch queries currently in flight."),
-		reduceObs:     obs.NewReducerObs(reg, "coord"),
 	}
 	c.ev.Attach(o)
 	c.ev.SetLogger(c.opts.Logger)
@@ -232,6 +230,7 @@ func (c *Coordinator) observe(o *obs.Observer) {
 		ByA2:    []*obs.Counter{1: reg.Counter("ccp_query_errors_total", "Distributed queries that failed.")},
 	})
 	c.ev.Bind(flight.QueryShed, obs.Series{Count: reg.Counter("ccp_queries_shed_total", "Queries rejected by the admission gate before starting.")})
+	c.ev.Bind(flight.SlowQuery, obs.Series{Count: reg.Counter("ccp_slow_queries_total", "Queries whose latency reached the slow-query threshold.")})
 	c.ev.Bind(flight.WireRPC, obs.Series{Sum: reg.Counter("ccp_coord_payload_bytes_total", "Payload bytes returned by sites.")})
 	c.ev.Bind(flight.GraphMerge, obs.Series{Seconds: phase("merge")})
 	c.ev.Bind(flight.MergeReduce, obs.Series{Seconds: phase("reduce")})
@@ -457,9 +456,10 @@ func (c *Coordinator) AnswerTraced(ctx context.Context, q control.Query) (bool, 
 }
 
 // answer wraps one query evaluation with the coordinator's observability: a
-// query id (every query gets one, traced or not), a trace (when explicitly
-// requested or needed by the slow-query log), the query.start and
-// coord.answer events, the per-query cache totals, and slow-log promotion.
+// query id (every query gets one, traced or not), a trace (only when
+// requested), the query.start and coord.answer events — the latter followed
+// by slow.query when the Observer's threshold is reached — and the per-query
+// cache totals.
 func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace bool) (bool, *Metrics, *obs.Trace, error) {
 	// Admission runs before anything is allocated or timed: a shed query
 	// costs one event, and never pollutes the latency histograms with
@@ -474,10 +474,8 @@ func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace boo
 	}
 	start := time.Now()
 	// The id goes to the sites with every request, so one query's events
-	// correlate across the flight rings of every process it touched. A
-	// slow-query log can only threshold on what was kept, so with one
-	// configured every query is traced, not just the ones asked for.
-	sc := c.ev.Query(obs.NewTraceID(), wantTrace || c.opts.Observer.SlowLog() != nil, time.Time{})
+	// correlate across the flight rings of every process it touched.
+	sc := c.ev.Query(obs.NewTraceID(), wantTrace, time.Time{})
 	sc.Emit(flight.QueryStart, -1, int64(q.S), int64(q.T))
 	ans, m, err := c.eval(ctx, q, start, &sc)
 	dur := time.Since(start)
@@ -491,17 +489,13 @@ func (c *Coordinator) answer(ctx context.Context, q control.Query, wantTrace boo
 	c.met.cacheHits.Add(int64(m.CacheHits))
 	c.met.cacheMisses.Add(int64(m.SitesQueried - m.CacheHits))
 	c.met.coordCacheHits.Add(int64(m.CoordCacheHits))
-	if !sc.Traced {
+	if !wantTrace {
 		return ans, m, nil, err
 	}
 	tr := &obs.Trace{TraceID: sc.ID, Query: fmt.Sprintf("controls(%d,%d)", q.S, q.T),
 		Start: start, DurNS: dur.Nanoseconds(), Events: sc.Events}
 	if err != nil {
 		tr.Err = err.Error()
-	}
-	c.ev.Promote(tr)
-	if !wantTrace {
-		tr = nil
 	}
 	return ans, m, tr, err
 }
@@ -689,7 +683,6 @@ func (c *Coordinator) eval(ctx context.Context, q control.Query, qstart time.Tim
 	res, err := ms.reduce(ctx, q, control.Options{
 		Workers: c.reduceWorkers(),
 		Trust:   control.FullTrust,
-		Obs:     c.met.reduceObs,
 	})
 	c.merges.Put(ms)
 	m.CoordElapsed = time.Since(start)

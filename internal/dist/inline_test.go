@@ -8,10 +8,12 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"ccp/internal/control"
 	"ccp/internal/gen"
 	"ccp/internal/graph"
+	"ccp/internal/obs"
 	"ccp/internal/obs/flight"
 	"ccp/internal/partition"
 )
@@ -177,12 +179,18 @@ func TestInlineRepliesWithFailingSite(t *testing.T) {
 // xborder workload (see BenchmarkLiveEvaluate) with its coordinator's copies
 // warm, and queries no site needs to work for: every site either
 // revalidates the coordinator's copy or decides the query by T1–T3.
-func noWorkCluster(tb testing.TB) (*Coordinator, []SiteClient, []control.Query) {
+func noWorkCluster(tb testing.TB, o *obs.Observer) (*Coordinator, []SiteClient, []control.Query) {
 	tb.Helper()
 	eu := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 8000, InterconnectRate: 0.01,
 		AvgOutDegree: 3, Seed: 2021})
-	clients := localClients(inlineSites(tb, eu), false)
-	coord := NewCoordinator(clients, Options{UseCache: true, Workers: 1})
+	sites := inlineSites(tb, eu)
+	if o != nil {
+		for _, s := range sites {
+			s.Observe(o)
+		}
+	}
+	clients := localClients(sites, false)
+	coord := NewCoordinator(clients, Options{UseCache: true, Workers: 1, Observer: o})
 	rng := rand.New(rand.NewSource(1))
 	var qs []control.Query
 	for try := 0; try < 20000 && len(qs) < 32; try++ {
@@ -219,7 +227,7 @@ func freeAt(c *Coordinator, cl SiteClient, q control.Query) bool {
 // same site calls made one after another, straight at the clients. The
 // difference is the coordinator's fan-out and fan-in.
 func BenchmarkCoordinatorAnswer(b *testing.B) {
-	coord, clients, qs := noWorkCluster(b)
+	coord, clients, qs := noWorkCluster(b, nil)
 	ctx := context.Background()
 	b.Run("answer", func(b *testing.B) {
 		b.ReportAllocs()
@@ -248,7 +256,7 @@ func TestNoWorkAnswerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc pins do not hold under -race")
 	}
-	coord, _, qs := noWorkCluster(t)
+	coord, _, qs := noWorkCluster(t, nil)
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, _, err := coord.Answer(context.Background(), qs[i%len(qs)]); err != nil {
@@ -259,5 +267,29 @@ func TestNoWorkAnswerAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per no-work answer", allocs)
 	if allocs > 13 {
 		t.Fatalf("a no-work answer allocated %.1f times, want at most 13", allocs)
+	}
+}
+
+// TestSlowQueryThresholdAllocs pins that a slow-query threshold no query
+// reaches costs an observed no-work answer nothing: it traces no query, so
+// the answer allocates the same as with no threshold.
+func TestSlowQueryThresholdAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc pins do not hold under -race")
+	}
+	allocs := func(threshold time.Duration) float64 {
+		coord, _, qs := noWorkCluster(t, obs.NewObserver(obs.ObserverConfig{SlowQueryThreshold: threshold}))
+		i := 0
+		return testing.AllocsPerRun(200, func() {
+			if _, _, err := coord.Answer(context.Background(), qs[i%len(qs)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	without, with := allocs(0), allocs(time.Hour)
+	t.Logf("%.1f allocations per observed no-work answer, %.1f with a threshold", without, with)
+	if with != without {
+		t.Fatalf("a slow-query threshold moved an observed answer from %.1f to %.1f allocations", without, with)
 	}
 }

@@ -119,7 +119,7 @@ func TestStitchedTraceOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.NewObserver(obs.ObserverConfig{FlightEvents: 1 << 16})
+	o := obs.NewObserver(obs.ObserverConfig{})
 	clients := make([]SiteClient, len(pi.Parts))
 	for i, p := range pi.Parts {
 		site := NewSite(p, 1)
@@ -137,19 +137,23 @@ func TestStitchedTraceOverTCP(t *testing.T) {
 	histCount := func(name string, labels ...obs.Label) int {
 		return int(reg.Histogram(name, "", obs.DefaultLatencyBuckets, labels...).Snapshot().Count)
 	}
+	perSite := func(name string) func() int {
+		return func() int {
+			n := 0
+			for i := range pi.Parts {
+				n += histCount(name, obs.Label{Key: "site", Value: strconv.Itoa(i)})
+			}
+			return n
+		}
+	}
 	// The series each timed layer feeds; layers with no /metrics series
 	// today are checked ring against traces only.
 	series := map[flight.Type]func() int{
-		flight.CoordAnswer: func() int { return histCount(MetricQuerySeconds) },
-		flight.GraphMerge:  func() int { return histCount(MetricQueryPhaseSeconds, obs.Label{Key: "phase", Value: "merge"}) },
-		flight.MergeReduce: func() int { return histCount(MetricQueryPhaseSeconds, obs.Label{Key: "phase", Value: "reduce"}) },
-		flight.SiteEvaluate: func() int {
-			n := 0
-			for i := range pi.Parts {
-				n += histCount("ccp_site_evaluate_seconds", obs.Label{Key: "site", Value: strconv.Itoa(i)})
-			}
-			return n
-		},
+		flight.CoordAnswer:  func() int { return histCount(MetricQuerySeconds) },
+		flight.GraphMerge:   func() int { return histCount(MetricQueryPhaseSeconds, obs.Label{Key: "phase", Value: "merge"}) },
+		flight.MergeReduce:  func() int { return histCount(MetricQueryPhaseSeconds, obs.Label{Key: "phase", Value: "reduce"}) },
+		flight.SiteEvaluate: perSite("ccp_site_evaluate_seconds"),
+		flight.SiteReduce:   perSite("ccp_site_reduce_seconds"),
 	}
 
 	inTraces := map[flight.Type]int{}
@@ -269,30 +273,52 @@ func TestFailedQueryTraceHoldsFailingSiteEnvelope(t *testing.T) {
 	}
 }
 
+// untracedOnly fails the test if a site is asked to send its events back or
+// sends some anyway.
+type untracedOnly struct {
+	SiteClient
+	t *testing.T
+}
+
+func (c untracedOnly) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) (*PartialAnswer, int64, error) {
+	pa, n, err := c.SiteClient.Evaluate(ctx, q, opts)
+	if opts.Trace || (pa != nil && pa.Events != nil) {
+		c.t.Errorf("site %d: traced request (%v) or reply with %d events", c.SiteID(), opts.Trace, len(pa.Events))
+	}
+	return pa, n, err
+}
+
+// TestSlowQueryLogCapturesDistributedQueries: a slow-query threshold traces
+// nothing. Every query beats a 1ns threshold, and each leaves one slow.query
+// event in the ring with the id and duration of its coord.answer; the
+// query's other events are in the ring under that id.
 func TestSlowQueryLogCapturesDistributedQueries(t *testing.T) {
-	o := obs.NewObserver(obs.ObserverConfig{SlowQueryThreshold: time.Nanosecond, SlowLogCapacity: 8})
-	coord := NewCoordinator(traceTestCluster(t), Options{Observer: o})
-	// The plain Answer API: tracing happens because the slow log demands
-	// it, and every query beats a 1ns threshold.
+	o := obs.NewObserver(obs.ObserverConfig{SlowQueryThreshold: time.Nanosecond})
+	clients := traceTestCluster(t)
+	for i, cl := range clients {
+		clients[i] = untracedOnly{cl, t}
+	}
+	coord := NewCoordinator(clients, Options{Observer: o})
 	if _, _, err := coord.Answer(context.Background(), control.Query{S: 0, T: 6}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(o.SlowLog().Snapshot()); got != 1 {
-		t.Fatalf("slow log holds %d traces, want 1", got)
-	}
-	tr := o.SlowLog().Snapshot()[0]
-	if tr.Query != "controls(0,6)" {
-		t.Errorf("slow trace query = %q", tr.Query)
-	}
-	// The stored trace is the stitched one: both sites' events are in it.
-	sites := map[int32]bool{}
-	for _, e := range tr.Events {
-		if e.Type == flight.SiteEvaluate {
-			sites[e.Site] = true
+	var answers, slow []flight.Event
+	for _, e := range o.Flight().Snapshot().Events {
+		switch e.Type {
+		case flight.CoordAnswer:
+			answers = append(answers, e)
+		case flight.SlowQuery:
+			slow = append(slow, e)
 		}
 	}
-	if len(sites) != 2 {
-		t.Errorf("slow trace holds site.evaluate events of sites %v, want both", sites)
+	if len(answers) != 1 || len(slow) != 1 {
+		t.Fatalf("ring holds %d coord.answer and %d slow.query events, want 1 each", len(answers), len(slow))
+	}
+	if slow[0].Trace == 0 || slow[0].Trace != answers[0].Trace || slow[0].A1 != answers[0].A1 {
+		t.Errorf("slow.query %+v does not carry coord.answer's id and duration %+v", slow[0], answers[0])
+	}
+	if got := o.Registry().Counter("ccp_slow_queries_total", "").Value(); got != 1 {
+		t.Errorf("ccp_slow_queries_total = %d, want 1", got)
 	}
 }
 

@@ -132,8 +132,7 @@ type Site struct {
 	reachEpoch atomic.Uint64
 	slicers    sync.Pool
 
-	robs *obs.ReducerObs
-	ev   obs.Emitter
+	ev obs.Emitter
 }
 
 // takeBoundary copies the boundary V^in ∪ V^virt into a pooled set, the
@@ -158,8 +157,8 @@ func (s *Site) takeScratch() *graph.Graph {
 	return g
 }
 
-// Observe registers the site's metrics — evaluation latency, cache
-// hits/misses, reduction-engine telemetry — on o's registry, labeled with
+// Observe registers the site's metrics — evaluation and reduction latency,
+// cache hits/misses — on o's registry, labeled with
 // the partition id, and points the site's events at o. Call once, before the
 // site starts serving.
 func (s *Site) Observe(o *obs.Observer) {
@@ -177,7 +176,10 @@ func (s *Site) Observe(o *obs.Observer) {
 		ByA2: []*obs.Counter{flight.EvalLive: misses, flight.EvalCached: hits,
 			flight.EvalDecided: misses, flight.EvalRevalidated: hits},
 	})
-	s.robs = obs.NewReducerObs(reg, "site-"+id)
+	s.ev.Bind(flight.SiteReduce, obs.Series{
+		Seconds: reg.Histogram("ccp_site_reduce_seconds",
+			"Site-side reduction latency in seconds (control.site_reduce).", obs.DefaultLatencyBuckets, l),
+	})
 	reg.GaugeFunc("ccp_site_epoch",
 		"The site's data epoch (the durable WAL sequence number when a store is attached).",
 		func() float64 { return float64(s.epoch.Load()) }, l)
@@ -289,26 +291,23 @@ func (s *Site) StoreStats() (store.Stats, bool) {
 // number when a store is attached).
 func (s *Site) Epoch() uint64 { return s.epoch.Load() }
 
-// reduce reduces g, the scratch copy an evaluation that began at start made
-// under the read lock, and reports the copy and the reduction on sc as the
-// graph.clone and control.site_reduce spans. x, the exclusion set, goes back
-// to its pool, and so does g on an error. It runs on the control layer's
+// reduce reduces g, the scratch copy an evaluation made under the read lock,
+// and reports the reduction, which began at reduceStart, as sc's
+// control.site_reduce span. x, the exclusion set, goes back to its pool, and
+// so does g on an error. It runs on the control layer's
 // pooled Reducers (sites and the coordinator's batch workers draw from one
 // scratch surface). A cancelled context stops the reduction at the next
 // round boundary; the Reducer goes back to the pool either way (its next
 // use resets all scratch state), so a cancelled query never poisons the
 // site for the queries after it.
-func (s *Site) reduce(ctx context.Context, sc *obs.Scope, start time.Time, g *graph.Graph, q control.Query, x graph.NodeSet, opt control.Options) (control.Result, error) {
-	id := int32(s.part.ID)
-	reduceStart := sc.Span(flight.GraphClone, id, start, int64(g.NumNodes()))
-	opt.Obs = s.robs
+func (s *Site) reduce(ctx context.Context, sc *obs.Scope, reduceStart time.Time, g *graph.Graph, q control.Query, x graph.NodeSet, opt control.Options) (control.Result, error) {
 	res, err := control.ParallelReduction(ctx, g, q, x, opt)
 	s.exclusions.Put(x)
 	if err != nil {
 		s.scratch.Put(g)
 		return res, err
 	}
-	sc.Span(flight.SiteReduce, id, reduceStart,
+	sc.Span(flight.SiteReduce, int32(s.part.ID), reduceStart,
 		flight.PackReduce(res.Stats.Iterations, res.Stats.Removed+res.Stats.Contracted))
 	return res, nil
 }
@@ -370,10 +369,11 @@ func (s *Site) cached(ctx context.Context, sc *obs.Scope, start time.Time) (*gra
 	x := s.takeBoundary()
 	g := s.slice(epoch, q)
 	s.mu.RUnlock()
+	reduceStart := sc.Span(flight.GraphClone, int32(s.part.ID), start, int64(g.NumNodes()))
 
 	// The cache keeps a compact Clone of the result (no table for a removed
 	// node) and the scratch, which keeps every table, goes back to the pool.
-	res, err := s.reduce(ctx, sc, start, g, q, x, control.Options{
+	res, err := s.reduce(ctx, sc, reduceStart, g, q, x, control.Options{
 		Workers:            s.workers,
 		DisableTermination: true, // there is no query yet
 	})
@@ -493,7 +493,13 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 		g = s.slice(epoch, q)
 	}
 	s.mu.RUnlock()
-	res, err := s.reduce(ctx, &sc, start, g, q, x, control.Options{
+	reduceStart := sc.Span(flight.GraphClone, int32(s.part.ID), start, int64(g.NumNodes()))
+	if opts.ForcePartial {
+		// Elapsed, the site's share of T_D, leaves the whole-partition copy
+		// out, as timeReduction's T_C does; graph.clone still reports it.
+		start = time.Now()
+	}
+	res, err := s.reduce(ctx, &sc, reduceStart, g, q, x, control.Options{
 		Workers:            s.workers,
 		Trust:              trust,
 		DisableTermination: opts.ForcePartial,

@@ -3,10 +3,12 @@ package dist
 import (
 	"context"
 	"testing"
+	"time"
 
 	"ccp/internal/control"
 	"ccp/internal/gen"
 	"ccp/internal/graph"
+	"ccp/internal/obs/flight"
 	"ccp/internal/partition"
 	"ccp/internal/store"
 )
@@ -313,5 +315,38 @@ func TestLiveEvaluateSteadyStateAllocs(t *testing.T) {
 					s.Members(), opts.ForcePartial, allocs, liveEvalAllocs)
 			}
 		}
+	}
+}
+
+// TestForcePartialElapsedLeavesCopyOut: under ForcePartial a site copies its
+// whole partition, and Elapsed, its share of Fig. 8.g's T_D, starts after
+// the copy, as T_C's clock does. The copy is still reported, as the traced
+// evaluation's graph.clone event, and the two never overlap: together they
+// fit inside the wall time around the call.
+func TestForcePartialElapsedLeavesCopyOut(t *testing.T) {
+	g := gen.EU(gen.EUConfig{Countries: 2, NodesPerCountry: 8000, InterconnectRate: 0.01, Seed: 9}).G
+	pi, err := partition.ByContiguous(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSite(pi.Parts[0], 1)
+	q := control.Query{S: 5, T: graph.NodeID(g.Cap() - 5)}
+	for run := 0; run < 3; run++ {
+		start := time.Now()
+		pa, err := s.Evaluate(context.Background(), q, EvalOptions{ForcePartial: true, QueryID: 1, Trace: true})
+		wall := time.Since(start)
+		if err != nil || pa.Reduced == nil {
+			t.Fatalf("not a live reduction: partial %+v, err %v", pa, err)
+		}
+		var clone time.Duration
+		for _, e := range pa.Events {
+			if e.Type == flight.GraphClone {
+				clone += time.Duration(e.A1)
+			}
+		}
+		if clone == 0 || pa.Elapsed+clone > wall {
+			t.Fatalf("run %d: Elapsed %v + graph.clone %v exceeds the wall time %v", run, pa.Elapsed, clone, wall)
+		}
+		pa.Release()
 	}
 }

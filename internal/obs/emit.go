@@ -30,13 +30,13 @@ type Series struct {
 type Emitter struct {
 	observed bool
 	ring     *flight.Recorder
-	slow     *SlowLog
+	slow     time.Duration
 	log      *slog.Logger
 	series   [flight.NumTypes]Series
 }
 
-// Attach points the emitter at o's flight ring and slow-query log. Call
-// before the component serves; a nil o leaves the emitter as it was.
+// Attach points the emitter at o's flight ring and slow-query threshold.
+// Call before the component serves; a nil o leaves the emitter as it was.
 func (em *Emitter) Attach(o *Observer) {
 	if o != nil {
 		em.observed, em.ring, em.slow = true, o.flight, o.slow
@@ -62,7 +62,9 @@ func (em *Emitter) Emit(t flight.Type, site int32, trace uint64, a1, a2 int64) {
 	q.Emit(t, site, a1, a2)
 }
 
-// sink fans one stamped event out to the series, the ring and the log.
+// sink fans one stamped event out to the series, the ring and the log. A
+// coord.answer at or over the slow-query threshold is followed by one
+// slow.query event with the same query id and duration.
 func (em *Emitter) sink(e flight.Event) {
 	if e.Type < flight.NumTypes {
 		s := &em.series[e.Type]
@@ -74,12 +76,12 @@ func (em *Emitter) sink(e flight.Event) {
 		}
 	}
 	em.ring.Record(e)
-	if em.log == nil {
-		return
-	}
-	if lvl := eventLevel(e.Type); em.log.Enabled(context.Background(), lvl) {
+	if lvl := eventLevel(e.Type); em.log != nil && em.log.Enabled(context.Background(), lvl) {
 		em.log.LogAttrs(context.Background(), lvl, e.Type.String(),
 			slog.Int("site", int(e.Site)), TraceIDAttr(e.Trace), slog.String("detail", e.Detail()))
+	}
+	if e.Type == flight.CoordAnswer && em.slow > 0 && e.A1 >= int64(em.slow) {
+		em.sink(flight.Event{TS: e.TS, Trace: e.Trace, A1: e.A1, Site: e.Site, Type: flight.SlowQuery})
 	}
 }
 
@@ -91,17 +93,6 @@ func eventLevel(t flight.Type) slog.Level {
 		return slog.LevelInfo
 	}
 	return slog.LevelDebug
-}
-
-// Promote offers a finished trace to the slow-query log; when it is over
-// threshold the log keeps a copy and the promotion is emitted as slow.query.
-// The caller keeps ownership of t.
-func (em *Emitter) Promote(t *Trace) bool {
-	if !em.slow.Record(t) {
-		return false
-	}
-	em.Emit(flight.SlowQuery, -1, t.TraceID, t.DurNS, 0)
-	return true
 }
 
 // Scope is one query's view of an Emitter: what is emitted through it

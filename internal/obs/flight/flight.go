@@ -6,7 +6,7 @@
 // on every significant step: query start, the timed layers of a query
 // (coord.answer, wire.rpc, site.evaluate, graph.clone, control.site_reduce,
 // graph.merge, control.merge_reduce), redials, updates, WAL activity,
-// slow-query promotions. The same
+// slow queries. The same
 // events feed the metrics series, make up a traced query's Trace, and land
 // in the Recorder: a bounded ring of the last events that, when a query goes
 // slow or a site drops, holds what every process involved was just doing
@@ -58,8 +58,10 @@ const (
 	SiteReduce Type = iota + 3
 	// Update is one stake update applied; A1/A2 carry owner and owned.
 	Update
-	// SlowQuery marks a trace promoted into the slow-query log; A1 is the
-	// traced latency in nanoseconds.
+	// SlowQuery marks a query whose coord.answer reached the Observer's
+	// slow-query threshold; Trace is the query's id, A1 its latency in
+	// nanoseconds. The query's own events are in each process's ring under
+	// the same id.
 	SlowQuery
 	// WALAppend is one record appended to a site's durable WAL; A1 is the
 	// record's sequence number, A2 the framed record bytes. The six numbers
@@ -176,8 +178,7 @@ func (t *Type) UnmarshalJSON(data []byte) error {
 }
 
 // Event is one recorded step — the only per-query event type: the flight
-// ring, a query's trace, the slow-query log and the slog lines all hold or
-// print these. The struct is fixed-size (no pointers, no strings) so
+// ring, a query's trace and the slog lines all hold or print these. The struct is fixed-size (no pointers, no strings) so
 // emitting never allocates and a ring of them is one flat block of memory.
 type Event struct {
 	// TS is the event time in nanoseconds since the Unix epoch, on the

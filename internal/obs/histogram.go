@@ -13,17 +13,6 @@ var DefaultLatencyBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
-// DefaultSizeBuckets covers payload sizes from 256B to 16MB, in bytes.
-var DefaultSizeBuckets = []float64{
-	256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20,
-}
-
-// DefaultCountBuckets covers small cardinalities (frontier sizes, batch
-// widths): 1 to 1M, ×4 per step.
-var DefaultCountBuckets = []float64{
-	1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576,
-}
-
 // Histogram is a fixed-bucket histogram with a lock-free Observe: one
 // atomic increment for the bucket, one for the total count, and a CAS loop
 // for the float sum. Observing on a nil Histogram is a no-op. Snapshots are

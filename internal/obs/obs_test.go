@@ -92,7 +92,7 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var o *Observer
-	if o.Registry() != nil || o.SlowLog() != nil || o.Flight() != nil {
+	if o.Registry() != nil || o.Flight() != nil {
 		t.Fatal("nil observer should expose nil parts and no tracing")
 	}
 	var em Emitter // the zero emitter, attached to nothing
@@ -104,20 +104,7 @@ func TestNilSafety(t *testing.T) {
 	if !sc.Span(flight.GraphMerge, -1, time.Now(), 0).IsZero() || sc.Events != nil {
 		t.Fatal("a scope with nothing listening must read no clock and keep nothing")
 	}
-	if em.Promote(&Trace{DurNS: int64(time.Hour)}) {
-		t.Fatal("promotion without a slow log")
-	}
 	em.Log().Info("discarded")
-
-	var l *SlowLog
-	l.Record(&Trace{DurNS: int64(time.Hour)})
-	if l.Total() != 0 || l.Snapshot() != nil {
-		t.Fatal("nil slow log should be empty")
-	}
-
-	var ro *ReducerObs
-	ro.RemoveRound(1, 2, 3)
-	ro.ContractRound(4, 5)
 }
 
 // promLine matches one sample line of the Prometheus text exposition format
@@ -201,43 +188,6 @@ func TestEscapeLabel(t *testing.T) {
 	}
 }
 
-func TestSlowLogBoundedCapacity(t *testing.T) {
-	l := NewSlowLog(4, time.Millisecond)
-	l.Record(&Trace{TraceID: 99, DurNS: int64(time.Microsecond)}) // under threshold
-	if len(l.Snapshot()) != 0 {
-		t.Fatal("under-threshold trace must not be recorded")
-	}
-	for i := 1; i <= 10; i++ {
-		l.Record(&Trace{TraceID: uint64(i), DurNS: int64(time.Second)})
-	}
-	if got := len(l.Snapshot()); got != 4 {
-		t.Fatalf("Len = %d, want capacity 4", got)
-	}
-	if got := l.Total(); got != 10 {
-		t.Fatalf("Total = %d, want 10", got)
-	}
-	snap := l.Snapshot()
-	for i, want := range []uint64{10, 9, 8, 7} {
-		if snap[i].TraceID != want {
-			t.Fatalf("snapshot[%d].TraceID = %d, want %d (newest first)", i, snap[i].TraceID, want)
-		}
-	}
-}
-
-func TestSlowLogCopiesTraces(t *testing.T) {
-	l := NewSlowLog(2, 0)
-	tr := &Trace{TraceID: 1, DurNS: 10, Events: []flight.Event{{Type: flight.WireRPC}}}
-	l.Record(tr)
-	// The recorder keeps ownership: mutating (or pooling) the original must
-	// not reach the log's copy.
-	tr.Events[0].Type = flight.Redial
-	tr.TraceID = 42
-	got := l.Snapshot()[0]
-	if got.TraceID != 1 || got.Events[0].Type != flight.WireRPC {
-		t.Fatalf("slow log shares memory with the recorded trace: %+v", got)
-	}
-}
-
 func TestTraceWriteTimeline(t *testing.T) {
 	ms := int64(time.Millisecond)
 	tr := &Trace{
@@ -282,51 +232,30 @@ func TestNewTraceIDNeverZeroAndUnique(t *testing.T) {
 	}
 }
 
-func TestReducerObsCounts(t *testing.T) {
-	r := NewRegistry()
-	ro := NewReducerObs(r, "coord")
-	ro.RemoveRound(3, 2, 10)
-	ro.RemoveRound(1, 0, 4)
-	ro.ContractRound(5, 4)
-	if got := ro.Rounds.Value(); got != 3 {
-		t.Errorf("rounds = %d, want 3", got)
-	}
-	if got := ro.RemovedR1.Value(); got != 4 {
-		t.Errorf("removed r1 = %d, want 4", got)
-	}
-	if got := ro.RemovedR2.Value(); got != 2 {
-		t.Errorf("removed r2 = %d, want 2", got)
-	}
-	if got := ro.Contracted.Value(); got != 5 {
-		t.Errorf("contracted = %d, want 5", got)
-	}
-	if got := ro.FrontierSize.Snapshot().Count; got != 3 {
-		t.Errorf("frontier observations = %d, want 3", got)
-	}
-	// A nil registry yields a usable no-op bundle.
-	noop := NewReducerObs(nil, "x")
-	noop.RemoveRound(1, 1, 1)
-	noop.ContractRound(1, 1)
-}
-
 func TestObserverTraceEnabled(t *testing.T) {
-	// A configured slow log is what makes the coordinator trace every query.
-	if NewObserver(ObserverConfig{}).SlowLog() != nil {
-		t.Fatal("no slow log configured: always-on tracing should be off")
-	}
-	o := NewObserver(ObserverConfig{SlowQueryThreshold: time.Nanosecond, SlowLogCapacity: 2})
-	if o.SlowLog() == nil {
-		t.Fatal("slow log configured: tracing should be on")
-	}
-	var em Emitter
-	em.Attach(o)
-	if !em.Promote(&Trace{TraceID: 1, DurNS: int64(time.Second)}) || o.SlowLog().Total() != 1 {
-		t.Fatal("over-threshold trace should land in the slow log")
-	}
-	// The call that promotes is the call that reports the promotion.
-	evs := o.Flight().Snapshot().Events
-	if len(evs) != 1 || evs[0].Type != flight.SlowQuery || evs[0].Trace != 1 || evs[0].A1 != int64(time.Second) {
-		t.Fatalf("promotion left %+v in the ring, want one slow.query", evs)
+	// A slow-query threshold traces nothing: it marks a coord.answer at or
+	// over it with one untraced slow.query event in the ring.
+	for _, tc := range []struct {
+		threshold time.Duration
+		want      int
+	}{{0, 0}, {time.Hour, 0}, {time.Second, 1}, {time.Nanosecond, 1}} {
+		o := NewObserver(ObserverConfig{SlowQueryThreshold: tc.threshold})
+		var em Emitter
+		em.Attach(o)
+		slow := o.Registry().Counter("slow_queries_total", "")
+		em.Bind(flight.SlowQuery, Series{Count: slow})
+		sc := em.Query(5, false, time.Time{})
+		sc.Emit(flight.CoordAnswer, -1, int64(time.Second), 0)
+		if sc.Traced || sc.Events != nil {
+			t.Fatalf("threshold %v: the query was traced", tc.threshold)
+		}
+		evs := slowQueries(o.Flight().Snapshot())
+		if len(evs) != tc.want || slow.Value() != int64(tc.want) {
+			t.Fatalf("threshold %v: %d slow.query events, counter %d; want %d", tc.threshold, len(evs), slow.Value(), tc.want)
+		}
+		if tc.want == 1 && (evs[0].Trace != 5 || evs[0].A1 != int64(time.Second)) {
+			t.Fatalf("slow.query = %+v, want the query's id and duration", evs[0])
+		}
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"time"
+
+	"ccp/internal/obs/flight"
 )
 
 // HealthFunc reports a component's liveness: ok selects the HTTP status
@@ -18,7 +20,7 @@ type HealthFunc func() (ok bool, detail any)
 //
 //	/metrics      Prometheus text exposition of the registry
 //	/healthz      200/503 + JSON detail from the HealthFunc
-//	/varz         JSON snapshot of every series (+ slow-query traces)
+//	/varz         JSON snapshot of every series (+ the ring's slow.query events)
 //	/debug/flight the flight ring's snapshot
 //	/debug/pprof  the standard Go profiling handlers
 //
@@ -32,7 +34,7 @@ type OpsServer struct {
 
 // StartOps binds addr and serves the operational endpoints in a background
 // goroutine until Shutdown. health may be nil (always healthy, no detail);
-// o may be nil (empty metrics, no slow log).
+// o may be nil (empty metrics, empty ring).
 func StartOps(addr string, o *Observer, health HealthFunc) (*OpsServer, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -90,8 +92,7 @@ func Handler(o *Observer, health HealthFunc) http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(map[string]any{
 			"metrics":      o.Registry().Snapshot(),
-			"slow_queries": o.SlowLog().Snapshot(),
-			"slow_total":   o.SlowLog().Total(),
+			"slow_queries": slowQueries(o.Flight().Snapshot()),
 		})
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
@@ -106,4 +107,16 @@ func Handler(o *Observer, health HealthFunc) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// slowQueries lists the slow.query events of a flight dump, newest first. A
+// busy ring may have overwritten some; the dump's Dropped says when.
+func slowQueries(d flight.Dump) []flight.Event {
+	out := []flight.Event{}
+	for i := len(d.Events) - 1; i >= 0; i-- {
+		if d.Events[i].Type == flight.SlowQuery {
+			out = append(out, d.Events[i])
+		}
+	}
+	return out
 }

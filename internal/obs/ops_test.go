@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ccp/internal/obs/flight"
 )
 
 // startTestOps spins up an ops server on a free port and tears it down with
@@ -98,7 +100,11 @@ func TestOpsHealthzEndpoint(t *testing.T) {
 func TestOpsVarzEndpoint(t *testing.T) {
 	o := NewObserver(ObserverConfig{SlowQueryThreshold: time.Nanosecond})
 	o.Registry().Gauge("ccp_inflight", "In flight.").Set(2)
-	o.SlowLog().Record(&Trace{TraceID: 7, Query: "controls(1,2)", DurNS: int64(time.Second)})
+	var em Emitter
+	em.Attach(o)
+	for id := uint64(7); id <= 8; id++ {
+		em.Emit(flight.CoordAnswer, -1, id, int64(time.Second), 0)
+	}
 	base := startTestOps(t, o, nil)
 
 	resp, body := get(t, base+"/varz")
@@ -106,9 +112,8 @@ func TestOpsVarzEndpoint(t *testing.T) {
 		t.Fatalf("/varz status = %d", resp.StatusCode)
 	}
 	var payload struct {
-		Metrics     []VarSnapshot `json:"metrics"`
-		SlowQueries []*Trace      `json:"slow_queries"`
-		SlowTotal   int64         `json:"slow_total"`
+		Metrics     []VarSnapshot  `json:"metrics"`
+		SlowQueries []flight.Event `json:"slow_queries"`
 	}
 	if err := json.Unmarshal([]byte(body), &payload); err != nil {
 		t.Fatalf("varz body not JSON: %v\n%s", err, body)
@@ -116,8 +121,9 @@ func TestOpsVarzEndpoint(t *testing.T) {
 	if len(payload.Metrics) != 1 || payload.Metrics[0].Name != "ccp_inflight" || payload.Metrics[0].Value != 2 {
 		t.Errorf("unexpected varz metrics: %s", body)
 	}
-	if payload.SlowTotal != 1 || len(payload.SlowQueries) != 1 || payload.SlowQueries[0].TraceID != 7 {
-		t.Errorf("unexpected varz slow log: %s", body)
+	// The ring's slow.query events, newest first.
+	if sq := payload.SlowQueries; len(sq) != 2 || sq[0].Trace != 8 || sq[1].Trace != 7 || sq[0].Type != flight.SlowQuery {
+		t.Errorf("unexpected varz slow queries: %s", body)
 	}
 }
 

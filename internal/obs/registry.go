@@ -1,12 +1,13 @@
 // Package obs is the repo's stdlib-only observability subsystem: a
 // concurrent metrics registry (counters, gauges, fixed-bucket histograms
-// with lock-free hot paths and mergeable snapshots), distributed query
-// traces stitched from per-site spans, a bounded slow-query log, and an
-// operational HTTP server exposing /metrics (Prometheus text format),
-// /healthz, /varz and /debug/pprof.
+// with lock-free hot paths and mergeable snapshots), the Emitter that hands
+// each flight.Event to the series, the flight ring and slog, distributed
+// query traces stitched from per-site events, and an operational HTTP
+// server exposing /metrics (Prometheus text format), /healthz, /varz,
+// /debug/flight and /debug/pprof.
 //
 // Instrumentation is nil-safe throughout: every method on a nil *Counter,
-// *Gauge, *Histogram, *Registry, *Observer or *SlowLog is a no-op, so
+// *Gauge, *Histogram, *Registry or *Observer is a no-op, so
 // library users who pass no registry pay only a nil check on the hot path.
 package obs
 

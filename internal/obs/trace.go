@@ -63,45 +63,33 @@ func NewTraceID() uint64 {
 
 // ObserverConfig configures an Observer.
 type ObserverConfig struct {
-	// SlowQueryThreshold is the stitched-trace duration above which a query
-	// lands in the slow-query log. 0 disables the slow log — and with it
-	// the per-query tracing the coordinator would otherwise do for every
-	// query (explicitly requested traces still work).
+	// SlowQueryThreshold marks a query whose coord.answer duration reaches
+	// it with one slow.query event in the flight ring, carrying the query's
+	// id and duration. 0 marks none. No query is traced for it: the query's
+	// events are already in the ring of every process it touched, under its
+	// id.
 	SlowQueryThreshold time.Duration
-	// SlowLogCapacity bounds the slow-query ring buffer. Default 64.
-	SlowLogCapacity int
-	// FlightEvents bounds the flight recorder's event ring. 0 selects
-	// flight.DefaultEvents; negative disables the recorder entirely.
-	FlightEvents int
 	// Process attributes flight-recorder events in merged cross-process
 	// timelines ("coord", "site-3").
 	Process string
 }
 
-// Observer is where a process's events land: the metrics registry, the
-// flight ring and the slow-query log. One Observer is shared by a whole
-// process (coordinator + clients, or server + site); components reach it
-// through the Emitter they attach to it. All methods are nil-safe, so a
-// component holding a nil Observer runs uninstrumented at the cost of a nil
-// check.
+// Observer is where a process's events land: the metrics registry and the
+// flight ring of its last flight.DefaultEvents events. One Observer is
+// shared by a whole process (coordinator + clients, or server + site);
+// components reach it through the Emitter they attach to it. All methods are
+// nil-safe, so a component holding a nil Observer runs uninstrumented at the
+// cost of a nil check.
 type Observer struct {
 	reg    *Registry
-	slow   *SlowLog
 	flight *flight.Recorder
+	slow   time.Duration
 }
 
-// NewObserver builds an observer with a fresh registry, a flight recorder
-// (unless cfg.FlightEvents < 0), and, when cfg.SlowQueryThreshold > 0, a
-// slow-query log.
+// NewObserver builds an observer with a fresh registry and flight ring.
 func NewObserver(cfg ObserverConfig) *Observer {
-	o := &Observer{reg: NewRegistry()}
-	if cfg.SlowQueryThreshold > 0 {
-		o.slow = NewSlowLog(cfg.SlowLogCapacity, cfg.SlowQueryThreshold)
-	}
-	if cfg.FlightEvents >= 0 {
-		o.flight = flight.New(cfg.Process, cfg.FlightEvents)
-	}
-	return o
+	return &Observer{reg: NewRegistry(), flight: flight.New(cfg.Process, flight.DefaultEvents),
+		slow: cfg.SlowQueryThreshold}
 }
 
 // Registry returns the observer's metrics registry (nil for a nil
@@ -113,73 +101,12 @@ func (o *Observer) Registry() *Registry {
 	return o.reg
 }
 
-// Flight returns the observer's flight recorder — nil for a nil observer or
-// when recording was disabled, which downstream instrumentation tolerates
-// (a nil *flight.Recorder records nothing).
+// Flight returns the observer's flight recorder — nil for a nil observer,
+// which downstream instrumentation tolerates (a nil *flight.Recorder records
+// nothing).
 func (o *Observer) Flight() *flight.Recorder {
 	if o == nil {
 		return nil
 	}
 	return o.flight
-}
-
-// SlowLog returns the slow-query log, nil when disabled.
-func (o *Observer) SlowLog() *SlowLog {
-	if o == nil {
-		return nil
-	}
-	return o.slow
-}
-
-// ReducerObs is the reduction engine's telemetry bundle: built once by the
-// component that owns the reducer (site or coordinator) and threaded
-// through control.Options. All fields may be nil; a nil *ReducerObs is a
-// no-op recorder, so the reducer hot loop pays one nil check per round.
-type ReducerObs struct {
-	// Rounds counts reduction rounds (R1/R2 removal and R3 contraction
-	// rounds both).
-	Rounds *Counter
-	// RemovedR1 / RemovedR2 count nodes removed by rule R1 (no controlling
-	// out-edges) and R2 (cannot be controlled); Contracted counts nodes
-	// contracted by rule R3.
-	RemovedR1, RemovedR2 *Counter
-	Contracted           *Counter
-	// FrontierSize observes the per-round dirty-frontier width.
-	FrontierSize *Histogram
-}
-
-// RemoveRound records one R1/R2 round.
-func (o *ReducerObs) RemoveRound(r1, r2, frontier int) {
-	if o == nil {
-		return
-	}
-	o.Rounds.Inc()
-	o.RemovedR1.Add(int64(r1))
-	o.RemovedR2.Add(int64(r2))
-	o.FrontierSize.Observe(float64(frontier))
-}
-
-// ContractRound records one R3 round.
-func (o *ReducerObs) ContractRound(contracted, frontier int) {
-	if o == nil {
-		return
-	}
-	o.Rounds.Inc()
-	o.Contracted.Add(int64(contracted))
-	o.FrontierSize.Observe(float64(frontier))
-}
-
-// NewReducerObs registers the reduction-engine series on reg under the
-// given component label ("site-3", "coord") and returns the bundle. A nil
-// registry yields a usable all-no-op bundle.
-func NewReducerObs(reg *Registry, component string) *ReducerObs {
-	l := Label{Key: "component", Value: component}
-	return &ReducerObs{
-		Rounds:     reg.Counter("ccp_reduce_rounds_total", "Reduction rounds run (R1/R2 removal and R3 contraction rounds).", l),
-		RemovedR1:  reg.Counter("ccp_reduce_removed_total", "Nodes removed by reduction rules R1/R2, by rule.", l, Label{Key: "rule", Value: "r1"}),
-		RemovedR2:  reg.Counter("ccp_reduce_removed_total", "Nodes removed by reduction rules R1/R2, by rule.", l, Label{Key: "rule", Value: "r2"}),
-		Contracted: reg.Counter("ccp_reduce_contracted_total", "Nodes contracted by reduction rule R3.", l),
-		FrontierSize: reg.Histogram("ccp_reduce_frontier_size",
-			"Dirty-frontier width per reduction round.", DefaultCountBuckets, l),
-	}
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repo's tier-1+ verification gate.
 #
-# Runs formatting, vet, build, the full test suite (shuffled, with an
+# Runs formatting, vet, build, a layering guard (no algorithm package under
+# internal/ depends on internal/obs), the full test suite (shuffled, with an
 # explicit timeout so a hung transport test fails fast instead of stalling
 # CI), every program under examples/ built and run to a zero exit (the
 # "examples" step), and the
@@ -42,6 +43,17 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+# The paper's algorithm packages report through their results and the
+# flight events of the layers that call them, never through the
+# observability subsystem itself.
+echo "== layering: algorithm packages do not import internal/obs =="
+for pkg in graph control datalog partition par reach pathenum gen stats mcvp; do
+    if go list -deps "./internal/$pkg" | grep -qx 'ccp/internal/obs'; then
+        echo "internal/$pkg depends on ccp/internal/obs" >&2
+        exit 1
+    fi
+done
 
 echo "== go test =="
 go test -shuffle=on -timeout 10m ./...

@@ -63,7 +63,7 @@ for port in $site0_ops_port $site1_ops_port; do
     done
 done
 
-echo "== run queries through ccpcoord (ops + cache + admission + slow-query log + flight dump on) =="
+echo "== run queries through ccpcoord (ops + cache + admission + slow-query threshold + flight dump on) =="
 # A 200-query batch (rather than a handful) keeps the coordinator alive long
 # enough that the mid-run scrapes below are required, not best-effort. With
 # -cache the coordinator keeps a copy of the partial answer of a site that
@@ -78,16 +78,16 @@ queries=$(awk 'BEGIN{for(i=0;i<200;i++) printf "%d:%d ", (i*13)%2000, (i*7+100)%
     $queries >"$workdir/ccpcoord.log" 2>&1 &
 coord_pid=$!
 
-# The coordinator exits when its queries finish; scrape /metrics once and
-# /varz for as long as it runs. The last /varz that answered is the one the
+# The coordinator exits when its queries finish; scrape /metrics and /varz
+# for as long as it runs. The last scrapes that answered are the ones the
 # checks below read: the newest slow query (with a 1ns threshold every query
-# is one) for the event-model check, and the coordinator's cached epochs,
-# filled as the run goes on, for doctor.
+# is one) and the slow-query counter for the event-model check, and the
+# coordinator's cached epochs, filled as the run goes on, for doctor.
 coord_metrics=""
 coord_varz=""
 for i in $(seq 1 200); do
-    if [ -z "$coord_metrics" ]; then
-        coord_metrics=$(curl -sf "http://127.0.0.1:$coord_ops_port/metrics" 2>/dev/null) || coord_metrics=""
+    if metrics=$(curl -sf "http://127.0.0.1:$coord_ops_port/metrics" 2>/dev/null); then
+        coord_metrics=$metrics
     fi
     if varz=$(curl -sf "http://127.0.0.1:$coord_ops_port/varz" 2>/dev/null); then
         coord_varz=$varz
@@ -187,25 +187,25 @@ done
 grep -q "query.start" "$workdir/timeline.txt" \
     || { echo "merged timeline has no query.start event:" >&2; cat "$workdir/timeline.txt" >&2; exit 1; }
 
-echo "== one event model: a /varz slow query and its flight timeline name the same layers =="
-# The newest slow query /varz served mid-run, and the same query filtered out
-# of the merged flight rings by its id, are two views of the same events.
-layers='coord\.answer|wire\.rpc|site\.evaluate|control\.site_reduce|graph\.clone|graph\.merge|control\.merge_reduce'
-slow_id=$(printf '%s\n' "$coord_varz" | awk '/"TraceID":/ {gsub(/[^0-9]/, "", $2); print $2; exit}')
+echo "== one event model: a /varz slow query is found by its id in the merged flight rings =="
+# /varz lists the coordinator ring's slow.query events, newest first; the
+# query they name is traced nowhere, so its layers are read back out of the
+# coordinator's dump and both sites' rings by its id.
+slow_id=$(printf '%s\n' "$coord_varz" | awk '/"trace":/ {gsub(/[^0-9]/, "", $2); print $2; exit}')
 [ -n "$slow_id" ] \
-    || { echo "the coordinator /varz never served a slow query" >&2; exit 1; }
-printf '%s\n' "$coord_varz" \
-    | awk -v id="$slow_id" '$1 == "\"trace\":" { on = ($2 == id ",") } on && $1 == "\"type\":" { print $2 }' \
-    | grep -oE "$layers" | sort -u >"$workdir/varz_layers.txt"
+    || { echo "the coordinator /varz never listed a slow query" >&2; exit 1; }
 "$workdir/ccpctl" flight -trace "$(printf '%x' "$slow_id")" \
     -ops "127.0.0.1:$site0_ops_port,127.0.0.1:$site1_ops_port" \
-    -in "$workdir/coord_flight.json" \
-    | grep -oE "$layers" | sort -u >"$workdir/flight_layers.txt"
-[ -s "$workdir/varz_layers.txt" ] && cmp -s "$workdir/varz_layers.txt" "$workdir/flight_layers.txt" \
-    || { echo "slow query $slow_id: /varz and ccpctl flight -trace disagree on its layers:" >&2
-         echo "/varz:" >&2; cat "$workdir/varz_layers.txt" >&2
-         echo "flight:" >&2; cat "$workdir/flight_layers.txt" >&2; exit 1; }
-echo "slow query $(printf '%x' "$slow_id"): $(tr '\n' ' ' <"$workdir/varz_layers.txt")"
+    -in "$workdir/coord_flight.json" >"$workdir/slow_timeline.txt" 2>&1 \
+    || { echo "ccpctl flight -trace failed" >&2; cat "$workdir/slow_timeline.txt" >&2; exit 1; }
+for layer in coord.answer wire.rpc site.evaluate; do
+    grep -qF " $layer " "$workdir/slow_timeline.txt" \
+        || { echo "slow query $slow_id: merged timeline names no $layer:" >&2; cat "$workdir/slow_timeline.txt" >&2; exit 1; }
+done
+slow_count=$(awk '$1 == "ccp_slow_queries_total" {print $2}' "$workdir/coord_metrics.txt")
+[ "${slow_count:-0}" -gt 0 ] \
+    || { echo "coordinator /metrics ccp_slow_queries_total = ${slow_count:-missing}, want > 0" >&2; exit 1; }
+echo "slow query $(printf '%x' "$slow_id"): coord.answer wire.rpc site.evaluate; ccp_slow_queries_total $slow_count"
 
 echo "== ccpctl doctor -view fleet renders both sites =="
 "$workdir/ccpctl" doctor -view fleet -ops "127.0.0.1:$site0_ops_port,127.0.0.1:$site1_ops_port" \
