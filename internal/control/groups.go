@@ -6,7 +6,7 @@ import (
 	"ccp/internal/graph"
 )
 
-// UltimateControllers computes, for every company, its ultimate direct
+// ultimateControllers computes, for every company, its ultimate direct
 // controller: the end of the chain of >50% shareholders above it. Companies
 // with no majority shareholder are their own heads; mutual-majority cycles
 // collapse onto their minimum-id member (consistent with the reduction's
@@ -16,7 +16,7 @@ import (
 // Note this follows *direct* majority edges only; a head may still be
 // indirectly controlled by a coalition of minority shareholders. Use CBE or
 // the reduction for the full relation.
-func UltimateControllers(g *graph.Graph) map[graph.NodeID]graph.NodeID {
+func ultimateControllers(g *graph.Graph) map[graph.NodeID]graph.NodeID {
 	const (
 		unvisited = 0
 		inWalk    = 1
@@ -80,7 +80,7 @@ type Group struct {
 // groups with more than one member, largest first (ties by head id).
 // Members are sorted by id.
 func Groups(g *graph.Graph) []Group {
-	heads := UltimateControllers(g)
+	heads := ultimateControllers(g)
 	byHead := make(map[graph.NodeID][]graph.NodeID)
 	for v, h := range heads {
 		byHead[h] = append(byHead[h], v)

@@ -18,7 +18,7 @@ func TestUltimateControllersChain(t *testing.T) {
 		graph.Edge{From: 2, To: 3, Weight: 0.8},
 		graph.Edge{From: 0, To: 4, Weight: 0.3},
 	)
-	heads := UltimateControllers(g)
+	heads := ultimateControllers(g)
 	for v, want := range map[graph.NodeID]graph.NodeID{0: 0, 1: 0, 2: 0, 3: 0, 4: 4} {
 		if heads[v] != want {
 			t.Fatalf("head(%d) = %d, want %d", v, heads[v], want)
@@ -37,7 +37,7 @@ func TestUltimateControllersCycle(t *testing.T) {
 		graph.Edge{From: 2, To: 1, Weight: 0.6},
 		graph.Edge{From: 2, To: 3, Weight: 0.9},
 	)
-	heads := UltimateControllers(g)
+	heads := ultimateControllers(g)
 	if heads[1] != 1 || heads[2] != 1 || heads[3] != 1 {
 		t.Fatalf("heads = %v", heads)
 	}
@@ -78,7 +78,7 @@ func TestQuickUltimateControllersSound(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + int(nn%40)
 		g := gen.Random(n, int(mm)%(4*n), rng.Int63())
-		heads := UltimateControllers(g)
+		heads := ultimateControllers(g)
 		if len(heads) != g.NumNodes() {
 			return false
 		}

@@ -300,7 +300,7 @@ func TestAnswerBatchSerialIdentical(t *testing.T) {
 			t.Fatalf("%v: %v", q, err)
 		}
 		want[i] = ans
-		totalWant.AddQuery(m)
+		totalWant.addQuery(m)
 	}
 
 	for i := range qs {
@@ -365,7 +365,7 @@ func TestBatchMetricsAggregation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", q, err)
 		}
-		want.AddQuery(m)
+		want.addQuery(m)
 	}
 
 	if total.PartialNodes == 0 || total.PartialEdges == 0 {

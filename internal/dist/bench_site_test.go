@@ -8,7 +8,6 @@ import (
 	"ccp/internal/gen"
 	"ccp/internal/graph"
 	"ccp/internal/partition"
-	"ccp/internal/store"
 )
 
 // BenchmarkLiveEvaluate measures one live site evaluation on the graph shape
@@ -94,7 +93,7 @@ func BenchmarkLiveEvaluate(b *testing.B) {
 // BenchmarkPrecompute measures one rebuild of a site's query-independent
 // cache on the same graph and site as BenchmarkLiveEvaluate, as the first
 // cached query after an update pays it. "core" is the site's own rebuild:
-// a mark record moves the epoch, and Precompute rebuilds the reachability
+// invalidate moves the epoch, and Precompute rebuilds the reachability
 // sets, copies the core and reduces it. "partition" copies the whole
 // partition into reused scratch and reduces it with the same exclusion set
 // and options, then keeps a compact clone, as a cache build did before it
@@ -117,9 +116,7 @@ func BenchmarkPrecompute(b *testing.B) {
 		nodes := len(p.Slice(&r, graph.None, graph.None, &sc))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Apply(store.Record{Kind: store.KindMark}); err != nil {
-				b.Fatal(err)
-			}
+			invalidate(s)
 			if _, err := s.Precompute(ctx); err != nil {
 				b.Fatal(err)
 			}

@@ -134,10 +134,10 @@ type Metrics struct {
 	Stats control.Stats
 }
 
-// AddQuery accumulates one query's metrics into a batch total. Every
+// addQuery accumulates one query's metrics into a batch total. Every
 // additive field is summed; SiteElapsedMax takes the maximum; DecidedBy is
 // left as the total's own value (a batch has no single deciding site).
-func (m *Metrics) AddQuery(q *Metrics) {
+func (m *Metrics) addQuery(q *Metrics) {
 	m.SiteElapsedSum += q.SiteElapsedSum
 	if q.SiteElapsedMax > m.SiteElapsedMax {
 		m.SiteElapsedMax = q.SiteElapsedMax
@@ -179,6 +179,8 @@ type Coordinator struct {
 	// site stores and homeConflict for one that two sites claim. Fixed at
 	// construction.
 	homes []int32
+	// updates orders ApplyUpdate calls, whose two halves land at two sites.
+	updates sync.Mutex
 
 	// merges recycles per-query merge scratch (*mergeScratch): the merged
 	// graph and its id table, the parts list and the {s,t} exclusion set.
@@ -792,7 +794,7 @@ func (c *Coordinator) AnswerBatch(ctx context.Context, qs []control.Query) ([]bo
 				return nil, total, &QueryError{Index: i, Query: q, Err: err}
 			}
 			out[i] = ans
-			total.AddQuery(m)
+			total.addQuery(m)
 		}
 		return out, total, nil
 	}
@@ -825,7 +827,7 @@ func (c *Coordinator) AnswerBatch(ctx context.Context, qs []control.Query) ([]bo
 			// Never started: the ctx died before a worker claimed it.
 			return nil, total, &QueryError{Index: i, Query: qs[i], Err: ctxError(-1, "batch", ctx.Err())}
 		}
-		total.AddQuery(ms[i])
+		total.addQuery(ms[i])
 	}
 	return out, total, nil
 }

@@ -11,7 +11,6 @@ import (
 	"ccp/internal/gen"
 	"ccp/internal/graph"
 	"ccp/internal/partition"
-	"ccp/internal/store"
 )
 
 // localCluster builds an in-process coordinator over k hash partitions of g.
@@ -111,9 +110,7 @@ func TestCacheHitsAndInvalidate(t *testing.T) {
 		t.Fatalf("cache hits = %d, want 2 (metrics %+v)", m.CacheHits, m)
 	}
 	// After invalidation the site recomputes; answers stay correct.
-	if _, err := sites[1].Apply(store.Record{Kind: store.KindMark}); err != nil {
-		t.Fatal(err)
-	}
+	invalidate(sites[1])
 	got2, m2, err := coord.Answer(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)

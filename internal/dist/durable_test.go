@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sync"
@@ -78,45 +79,41 @@ func sameSiteState(t *testing.T, seedTag string, want, got *partition.Partition)
 			}
 		}
 	}
-	for v, c := range want.CrossIn {
-		if got.CrossIn[v] != c {
-			t.Fatalf("%s: CrossIn[%d] = %d, want %d", seedTag, v, got.CrossIn[v], c)
-		}
-	}
-	if len(want.CrossIn) != len(got.CrossIn) || want.CrossOut != got.CrossOut {
-		t.Fatalf("%s: cross bookkeeping differs", seedTag)
+	if !maps.EqualFunc(want.CrossIn, got.CrossIn, maps.Equal) {
+		t.Fatalf("%s: foreign owners %v, want %v", seedTag, got.CrossIn, want.CrossIn)
 	}
 }
 
-// randomRecord draws one record for the site of shard 0 of a 2-way hash
-// partitioning over nodes ids: mostly stakes (divesting a missing stake is
-// a no-op), then cross-in ticks (on an in-node already referenced they only
-// move a count; on a foreign id nothing acts), clamping stakes (every repeat
-// is a no-op), marks, and records Apply must reject — among them a stake
-// to a fresh foreign company, which must not leave a virtual stub behind.
-// valid is false for the rejected ones.
+// randomRecord draws one stake record for the site of shard 0 of a 2-way
+// hash partitioning over nodes ids (it stores the even ids): mostly stakes
+// of its members (divesting a missing stake is a no-op), then foreign
+// owners' stakes in its members (the owned half; recording an owner twice
+// or removing one never recorded is a no-op), stakes between two foreign
+// companies (not the site's), clamping stakes (every repeat is a no-op),
+// and records Apply must reject — among them a stake to a fresh foreign
+// company, which must not leave a virtual stub behind, and the retired
+// record kinds 2 and 3. valid is false for the rejected ones.
 func randomRecord(rng *rand.Rand, nodes int) (rec store.Record, valid bool) {
+	foreign := func() int32 { return int32(2*rng.Intn(nodes/2) + 1) }
 	switch r := rng.Intn(20); {
-	case r < 3:
-		delta := int32(1)
-		if rng.Intn(3) == 0 {
-			delta = -1
-		}
-		return store.Record{Kind: store.KindCrossIn, Owned: int32(rng.Intn(nodes)), Delta: delta}, true
 	case r < 4:
-		return store.Record{Kind: store.KindMark}, true
+		return store.Record{Kind: store.KindStake, Owner: foreign(), Owned: int32(2 * rng.Intn(nodes/2)),
+			Weight: 0.1, Remove: rng.Intn(3) == 0}, true
 	case r < 5:
+		return store.Record{Kind: store.KindStake, Owner: 1, Owned: 3, Weight: 0.2, Remove: rng.Intn(2) == 0}, true
+	case r < 6:
 		return store.Record{Kind: store.KindStake, Owner: 0, Owned: int32(2 + 2*rng.Intn(2)), Weight: 1}, true
-	case r < 7:
+	case r < 8:
 		fresh := int32(nodes + 1 + 2*rng.Intn(4))
 		return []store.Record{
 			{Kind: store.KindStake, Owner: 0, Owned: fresh, Weight: 1.5},
 			{Kind: store.KindStake, Owner: 0, Owned: fresh, Weight: math.NaN()},
 			{Kind: store.KindStake, Owner: 0, Owned: -1, Weight: 0.2},
 			{Kind: store.KindStake, Owner: 2, Owned: 2, Weight: 0.3},
-			{Kind: store.KindCrossIn, Owned: 2, Delta: 2},
-			{Kind: 9, Owned: 2},
-		}[rng.Intn(6)], false
+			{Kind: 2, Owned: 2},
+			{Kind: 3},
+			{Kind: 9, Owner: 1, Owned: 2, Weight: 0.1},
+		}[rng.Intn(7)], false
 	}
 	return randomStake(rng, nodes, 0).record(), true
 }
@@ -135,25 +132,23 @@ func partBytes(t *testing.T, s *Site) []byte {
 	return buf.Bytes()
 }
 
-// sameAsSite requires c, built from an image covering seq image (a
-// checkpoint; 0 for none) plus the records past it, to hold exactly the
-// original site's partition bytes and epoch. The one latitude is by design:
-// an image stamped past the original's last change (trailing count-only
-// ticks) starts c's epoch at the image's seq.
-func sameAsSite(t *testing.T, tag string, orig, c *Site, image uint64) {
+// sameAsSite requires c, recovered from disk, to hold exactly the original
+// site's partition bytes and epoch.
+func sameAsSite(t *testing.T, tag string, orig, c *Site) {
 	t.Helper()
 	if !bytes.Equal(partBytes(t, orig), partBytes(t, c)) {
 		t.Fatalf("%s: partition bytes differ from the original's", tag)
 	}
-	if want := max(orig.Epoch(), image); c.Epoch() != want {
-		t.Fatalf("%s: epoch %d, want %d (original epoch %d, image seq %d)", tag, c.Epoch(), want, orig.Epoch(), image)
+	if c.Epoch() != orig.Epoch() {
+		t.Fatalf("%s: epoch %d, want the original's %d", tag, c.Epoch(), orig.Epoch())
 	}
 }
 
 // TestDurableSiteRestartEquivalence is the differential for the one write
-// path. Each seed drives a durable site through a random record stream
-// (stakes, no-op stakes, count-only cross-in ticks, marks, rejected
-// records); every change must move the epoch to its WAL seq. Then the site
+// path. Each seed drives a durable site through a random stream of stake
+// records (its members' stakes, foreign owners' stakes in its members,
+// no-ops, rejected records); every change must be logged and move the epoch
+// to its WAL seq, and nothing else may do either. Then the site
 // is killed and recovered from disk — with and without an intervening
 // checkpoint — and the recovered site must equal both the original and an
 // in-memory twin that applied the same updates straight through the
@@ -180,11 +175,14 @@ func TestDurableSiteRestartEquivalence(t *testing.T) {
 		n := 5 + rng.Intn(25)
 		for i := 0; i < n; i++ {
 			rec, valid := randomRecord(rng, nodes)
-			before, epoch := partBytes(t, s), s.Epoch()
+			before, epoch, logged := partBytes(t, s), s.Epoch(), s.store.AppendedSeq()
 			res, err := s.Apply(rec)
-			if err == nil && res.Changed && (res.Seq != s.store.AppendedSeq() || s.Epoch() != res.Seq) {
-				t.Fatalf("%s: %+v moved the epoch to %d (reported %d), want its WAL seq %d",
-					seedTag, rec, s.Epoch(), res.Seq, s.store.AppendedSeq())
+			if err == nil && res.Changed && (s.store.AppendedSeq() != logged+1 || s.Epoch() != logged+1) {
+				t.Fatalf("%s: %+v moved the epoch to %d and the log to %d, want both at %d",
+					seedTag, rec, s.Epoch(), s.store.AppendedSeq(), logged+1)
+			}
+			if !res.Changed && (s.store.AppendedSeq() != logged || s.Epoch() != epoch) {
+				t.Fatalf("%s: unchanging %+v moved the epoch to %d or the log to %d", seedTag, rec, s.Epoch(), s.store.AppendedSeq())
 			}
 			switch {
 			case !valid && err == nil:
@@ -195,12 +193,10 @@ func TestDurableSiteRestartEquivalence(t *testing.T) {
 				}
 			case err != nil:
 				t.Fatalf("%s: Apply %+v: %v", seedTag, rec, err)
-			case rec.Kind == store.KindStake:
+			default:
 				if _, err := twin.ApplyStake(graph.NodeID(rec.Owner), graph.NodeID(rec.Owned), rec.Weight, rec.Remove); err != nil {
 					t.Fatalf("%s: twin ApplyStake: %v", seedTag, err)
 				}
-			case rec.Kind == store.KindCrossIn:
-				twin.AdjustCrossIn(graph.NodeID(rec.Owned), int(rec.Delta))
 			}
 			if i == n/2 && seed%3 == 0 {
 				if err := s.store.Checkpoint(); err != nil {
@@ -216,8 +212,7 @@ func TestDurableSiteRestartEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recovery: %v", seedTag, err)
 		}
-		st, _ := r.StoreStats()
-		sameAsSite(t, seedTag+": recovered site", s, r, st.CheckpointSeq)
+		sameAsSite(t, seedTag+": recovered site", s, r)
 		sameSiteState(t, seedTag, twin, r.part)
 		if err := r.CloseStore(); err != nil {
 			t.Fatalf("%s: CloseStore: %v", seedTag, err)
@@ -283,7 +278,7 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Stored || res.Changed || res.Seq != 0 {
+			if !res.Stored || res.Changed {
 				t.Fatalf("no-op merge: %+v", res)
 			}
 			// Divesting a stake that was never there: also a no-op.
@@ -291,7 +286,7 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Stored || res.Changed {
+			if !res.Stored || res.Changed {
 				t.Fatalf("no-op divest: %+v", res)
 			}
 			// A rejected stake to a fresh foreign company changes nothing
@@ -325,8 +320,81 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 	}
 }
 
+// TestFailedAppendNeverAliasesAnEpoch is the regression test for a durable
+// site whose WAL append fails. Its partition already holds that update,
+// which a restart loses, and it used to number that state with the
+// sequence number the reopened log then gave a different state, so a
+// coordinator copy taken before the restart revalidated against the wrong
+// partition. Every epoch a partial is served at must name one partition
+// state, across the restart too; the failed site serves nothing.
+func TestFailedAppendNeverAliasesAnEpoch(t *testing.T) {
+	dir := t.TempDir()
+	seed := durableSeed(7, 16, 0)
+	ctx := context.Background()
+	states := map[uint64][]byte{}
+	// serve asks s for a partial of the whole partition and records the
+	// partition bytes under the epoch it was served at; it reports whether
+	// s served.
+	serve := func(tag string, s *Site) bool {
+		t.Helper()
+		pa, err := s.Evaluate(ctx, control.Query{S: 0, T: 2}, EvalOptions{ForcePartial: true})
+		if err != nil {
+			return false
+		}
+		img := partBytes(t, s)
+		if prev, ok := states[pa.Epoch]; ok && !bytes.Equal(prev, img) {
+			t.Fatalf("%s: epoch %d names two partition states", tag, pa.Epoch)
+		}
+		states[pa.Epoch] = img
+		return true
+	}
+	apply := func(tag string, s *Site, owned graph.NodeID) {
+		t.Helper()
+		if res, err := s.ApplyEdgeUpdate(StakeUpdate{Owner: 0, Owned: owned, Weight: 0.3}); err != nil || !res.Changed {
+			t.Fatalf("%s: %+v, %v", tag, res, err)
+		}
+	}
+
+	s, err := OpenDurableSite(dir, seed, 1, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply("first update", s, 4)
+	if !serve("before the failure", s) {
+		t.Fatal("the site did not serve before its log failed")
+	}
+	if err := s.store.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ApplyEdgeUpdate(StakeUpdate{Owner: 0, Owned: 6, Weight: 0.3}); err == nil {
+		t.Fatal("an update was acknowledged without its WAL append")
+	}
+	if serve("after the failure", s) {
+		t.Error("the site served a state its log does not hold")
+	}
+	if pa, err := s.Evaluate(ctx, control.Query{S: 1, T: 3},
+		EvalOptions{UseCache: true, HasIfEpoch: true, IfEpoch: 1}); err == nil {
+		t.Errorf("the site revalidated epoch 1 after its log failed: %+v", pa)
+	}
+	if _, err := s.ApplyEdgeUpdate(StakeUpdate{Owner: 0, Owned: 8, Weight: 0.3}); err == nil {
+		t.Error("the site took an update after its log failed")
+	}
+
+	r, err := OpenDurableSite(dir, seed, 1, store.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.CloseStore()
+	if r.Epoch() != 1 {
+		t.Fatalf("recovered epoch %d, want 1", r.Epoch())
+	}
+	serve("after the restart", r)
+	apply("update after the restart", r, 8)
+	serve("after the next update", r)
+}
+
 // epochState is the partition as it stood at one epoch: a deep copy for the
-// reduction oracle and its CCPP1 bytes for the images.
+// reduction oracle and its CCPP2 bytes for the images.
 type epochState struct {
 	part *partition.Partition
 	img  []byte
@@ -445,7 +513,7 @@ func TestSnapshotsNeverMixEpochs(t *testing.T) {
 			mu.Lock()
 			res, err := s.ApplyEdgeUpdate(up)
 			if err == nil && res.Changed {
-				record(res.Seq)
+				record(s.Epoch())
 			}
 			mu.Unlock()
 			if err != nil {

@@ -26,12 +26,12 @@ const fuzzIDs = 40
 
 // FuzzApply's inputs are record batches in the WAL's frame layout: a
 // 16-byte header (payload length, CRC, seq) and a payload of kind, flags,
-// owner, owned, weight and delta. The CRC and seq are not read here —
+// owner, owned and weight. The CRC and seq are not read here —
 // FuzzScanSegment fuzzes the store's frame checks — so every mutated
 // payload reaches Apply.
 const (
 	fuzzFrameHeader = 16
-	fuzzPayload     = 22
+	fuzzPayload     = 18
 )
 
 // encodeFuzzRecords lays recs out as FuzzApply input.
@@ -48,7 +48,6 @@ func encodeFuzzRecords(recs []store.Record) []byte {
 		binary.LittleEndian.PutUint32(p[2:6], uint32(rec.Owner))
 		binary.LittleEndian.PutUint32(p[6:10], uint32(rec.Owned))
 		binary.LittleEndian.PutUint64(p[10:18], math.Float64bits(rec.Weight))
-		binary.LittleEndian.PutUint32(p[18:22], uint32(rec.Delta))
 		buf = append(buf, f[:]...)
 	}
 	return buf
@@ -69,7 +68,6 @@ func decodeFuzzRecords(data []byte) []store.Record {
 			Owner:  int32(binary.LittleEndian.Uint32(p[2:6])),
 			Owned:  int32(binary.LittleEndian.Uint32(p[6:10])),
 			Weight: math.Float64frombits(binary.LittleEndian.Uint64(p[10:18])),
-			Delta:  int32(binary.LittleEndian.Uint32(p[18:22])),
 		})
 		data = data[n:]
 	}
@@ -78,22 +76,23 @@ func decodeFuzzRecords(data []byte) []store.Record {
 
 // FuzzApply drives the one write path with arbitrary record batches, each
 // record applied as a new write to a small seeded site. Apply must never
-// panic; a rejected record must leave the partition bytes and the epoch
-// unchanged; and replaying the accepted records with the seqs they were
-// assigned into a fresh site must rebuild the same bytes and epoch, which
-// is what recovery relies on.
+// panic; a rejected or unchanging record must leave the partition bytes
+// and the epoch unchanged; the in-nodes must stay the keys of the foreign
+// owner sets; and replaying the changing records, each with the epoch it
+// moved the site to as its seq, into a fresh site must rebuild the same
+// bytes and epoch, which is what recovery relies on.
 func FuzzApply(f *testing.F) {
 	f.Add(encodeFuzzRecords([]store.Record{
 		{Kind: store.KindStake, Owner: 0, Owned: 5, Weight: 0.4},
 		{Kind: store.KindStake, Owner: 0, Owned: 33, Weight: 1.5},
 		{Kind: store.KindStake, Owner: 0, Owned: -1, Weight: 0.2},
-		{Kind: store.KindCrossIn, Owned: 2, Delta: 1},
-		{Kind: store.KindCrossIn, Owned: 2, Delta: -1},
-		{Kind: store.KindMark},
+		{Kind: store.KindStake, Owner: 9, Owned: 2, Weight: 0.1},
+		{Kind: store.KindStake, Owner: 9, Owned: 2, Remove: true},
+		{Kind: 2, Owned: 2},
 		{Kind: store.KindStake, Owner: 0, Owned: 5, Remove: true},
 	}))
 	// This batch gives the fuzzer members, foreign and fresh ids, clamps and
-	// in-node ticks to recombine.
+	// foreign owners added twice and removed to recombine.
 	f.Add(encodeFuzzRecords([]store.Record{
 		{Kind: store.KindStake, Owner: 2, Owned: 4, Weight: 1},
 		{Kind: store.KindStake, Owner: 2, Owned: 4, Weight: 1},
@@ -103,11 +102,11 @@ func FuzzApply(f *testing.F) {
 		{Kind: store.KindStake, Owner: 6, Owned: 39, Weight: 0.6, Remove: true},
 		{Kind: store.KindStake, Owner: 4, Owned: 4, Weight: 0.2},
 		{Kind: store.KindStake, Owner: 3, Owned: 4, Weight: 0.2},
-		{Kind: store.KindCrossIn, Owned: 4, Delta: 1},
-		{Kind: store.KindCrossIn, Owned: 4, Delta: 1},
-		{Kind: store.KindCrossIn, Owned: 4, Delta: -1},
-		{Kind: store.KindCrossIn, Owned: 5, Delta: 1},
-		{Kind: store.KindCrossIn, Owned: 6, Delta: 2},
+		{Kind: store.KindStake, Owner: 5, Owned: 4, Weight: 0.1},
+		{Kind: store.KindStake, Owner: 5, Owned: 4, Weight: 0.1},
+		{Kind: store.KindStake, Owner: 3, Owned: 4, Remove: true},
+		{Kind: store.KindStake, Owner: 7, Owned: 5, Weight: 0.1},
+		{Kind: store.KindStake, Owner: 7, Owned: 6, Weight: 0.1},
 	}))
 	seed := durableSeed(7, 16, 0)
 	site := func(t *testing.T) *Site {
@@ -130,13 +129,21 @@ func FuzzApply(f *testing.F) {
 			}
 			before, epoch := partBytes(t, s), s.Epoch()
 			res, err := s.Apply(rec)
-			if err != nil {
+			if err != nil || !res.Changed {
 				if !bytes.Equal(before, partBytes(t, s)) || s.Epoch() != epoch {
-					t.Fatalf("rejected %+v (%v) changed the site", rec, err)
+					t.Fatalf("rejected or unchanging %+v (%v) changed the site", rec, err)
 				}
 				continue
 			}
-			rec.Seq = res.Seq
+			if len(s.part.InNodes) != len(s.part.CrossIn) {
+				t.Fatalf("after %+v: in-nodes %v, foreign owners %v", rec, s.part.InNodes, s.part.CrossIn)
+			}
+			for v := range s.part.CrossIn {
+				if !s.part.InNodes.Has(v) || !s.part.Members.Has(v) {
+					t.Fatalf("after %+v: %d has foreign owners but is no in-node member", rec, v)
+				}
+			}
+			rec.Seq = s.Epoch()
 			accepted = append(accepted, rec)
 		}
 		r := site(t)

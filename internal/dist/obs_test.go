@@ -45,19 +45,19 @@ func fillNonZero(v reflect.Value) {
 
 // TestMetricsAddQueryCoversAllFields guards the batch accumulator against
 // new Metrics fields: every field of a fully non-zero query Metrics must
-// reach the batch total through AddQuery. Adding a field to Metrics without
-// teaching AddQuery about it fails here, not in a dashboard three weeks
+// reach the batch total through addQuery. Adding a field to Metrics without
+// teaching addQuery about it fails here, not in a dashboard three weeks
 // later.
 func TestMetricsAddQueryCoversAllFields(t *testing.T) {
 	// DecidedBy is deliberately not accumulated: a batch has no single
-	// deciding site (documented on AddQuery).
+	// deciding site (documented on addQuery).
 	exceptions := map[string]bool{"DecidedBy": true}
 
 	var q Metrics
 	fillNonZero(reflect.ValueOf(&q).Elem())
 
 	var total Metrics
-	total.AddQuery(&q)
+	total.addQuery(&q)
 
 	tv := reflect.ValueOf(total)
 	for i := 0; i < tv.NumField(); i++ {
@@ -66,7 +66,7 @@ func TestMetricsAddQueryCoversAllFields(t *testing.T) {
 			continue
 		}
 		if tv.Field(i).IsZero() {
-			t.Errorf("Metrics.%s is not accumulated by AddQuery — new field without accumulation?", name)
+			t.Errorf("Metrics.%s is not accumulated by addQuery — new field without accumulation?", name)
 		}
 	}
 }

@@ -107,7 +107,10 @@ type Site struct {
 	// store, when non-nil, is the durable WAL + checkpoint backing: every
 	// effective update is logged before it is acknowledged, and the epoch
 	// is the WAL sequence number — a version that survives restarts.
-	store *store.Store
+	// logErr is the append failure after which the site serves nothing
+	// (see Apply); readers check it under s.mu.
+	store  *store.Store
+	logErr error
 
 	// scratch pools the graphs live evaluations and cache builds copy a
 	// slice into and reduce (the whole partition under ForcePartial);
@@ -223,19 +226,13 @@ func OpenDurableSite(dir string, seed func() (*partition.Partition, error), work
 	}
 	s := NewSite(p, workers)
 	s.store = st
-	// The epoch starts at the image's sequence number and moves with every
-	// replayed record that changes observable state, exactly as it moved on
-	// the live site. An image that covers trailing count-only ticks may put
-	// it a few numbers past the pre-crash value; that costs one spurious
-	// cache refetch and can never alias two different states to one number.
-	replay := func(rec store.Record) error {
+	// The epoch starts at the image's sequence number and moves to each
+	// replayed record's, exactly as it moved on the live site.
+	s.epoch.Store(ckptSeq)
+	if err := st.Replay(func(rec store.Record) error {
 		_, err := s.Apply(rec)
 		return err
-	}
-	if ckptSeq > 0 {
-		_ = replay(store.Record{Kind: store.KindMark, Seq: ckptSeq}) // a replayed mark cannot be refused
-	}
-	if err := st.Replay(replay); err != nil {
+	}); err != nil {
 		st.Close()
 		return nil, fmt.Errorf("dist: site %d replaying wal: %w", p.ID, err)
 	}
@@ -244,10 +241,9 @@ func OpenDurableSite(dir string, seed func() (*partition.Partition, error), work
 }
 
 // checkpointImage is the store's checkpoint source. The image must cover
-// every record applied so far — including count-only ticks past the epoch —
-// or replay would double-apply them; appends happen under the exclusive
-// s.mu, so AppendedSeq is exact under the read lock. The image is a deep
-// copy, written out after the lock is released.
+// every record applied so far, or replay would double-apply them; appends
+// happen under the exclusive s.mu, so AppendedSeq is exact under the read
+// lock. The image is a deep copy, written out after the lock is released.
 func (s *Site) checkpointImage() (uint64, *partition.Partition) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -358,8 +354,10 @@ func (s *Site) Precompute(ctx context.Context) (control.Stats, error) {
 // node, which is the live slice's argument (see Evaluate) with s and t
 // outside the partition.
 func (s *Site) cached(ctx context.Context, sc *obs.Scope, start time.Time) (*graph.Graph, control.Stats, uint64, error) {
-	s.mu.RLock()
-	epoch := s.epoch.Load()
+	epoch, err := s.rlock()
+	if err != nil {
+		return nil, control.Stats{}, 0, err
+	}
 	if s.cache != nil && s.cacheEpoch == epoch {
 		g, st := s.cache, s.cacheStats
 		s.mu.RUnlock()
@@ -473,8 +471,10 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 	// conditions are trusted only where local knowledge is complete (see
 	// control.TerminationTrust). answerFree checked them already, but an
 	// update may have landed since.
-	s.mu.RLock()
-	epoch := s.epoch.Load()
+	epoch, err := s.rlock()
+	if err != nil {
+		return nil, err
+	}
 	trust := s.trust(q, holdsS, holdsT)
 	if !opts.ForcePartial {
 		if a := control.CheckTermination(s.part.Local, q, trust); a != control.Unknown {
@@ -553,8 +553,10 @@ func (s *Site) answerFree(sc *obs.Scope, q control.Query, opts EvalOptions, star
 				Epoch: opts.IfEpoch, NotModified: true}
 			return s.served(sc, pa, start, flight.EvalRevalidated)
 		}
-		s.mu.RLock()
-		epoch := s.epoch.Load()
+		epoch, err := s.rlock()
+		if err != nil {
+			return nil
+		}
 		if s.cache == nil || s.cacheEpoch != epoch {
 			s.mu.RUnlock()
 			return nil
@@ -567,14 +569,28 @@ func (s *Site) answerFree(sc *obs.Scope, q control.Query, opts EvalOptions, star
 	if opts.ForcePartial {
 		return nil
 	}
-	s.mu.RLock()
-	epoch := s.epoch.Load()
+	epoch, err := s.rlock()
+	if err != nil {
+		return nil
+	}
 	a := control.CheckTermination(s.part.Local, q, s.trust(q, holdsS, holdsT))
 	s.mu.RUnlock()
 	if a == control.Unknown {
 		return nil
 	}
 	return s.served(sc, &PartialAnswer{SiteID: s.part.ID, Ans: a, Epoch: epoch}, start, flight.EvalDecided)
+}
+
+// rlock takes s.mu shared and returns the epoch the partition stands at. A
+// site whose WAL append failed releases the lock again and returns the
+// failure instead: it serves nothing at any epoch (see Apply).
+func (s *Site) rlock() (uint64, error) {
+	s.mu.RLock()
+	if s.logErr != nil {
+		s.mu.RUnlock()
+		return 0, s.logErr
+	}
+	return s.epoch.Load(), nil
 }
 
 // trust is the termination trust of q at this site. Caller holds s.mu,

@@ -10,7 +10,6 @@ import (
 	"ccp/internal/graph"
 	"ccp/internal/obs/flight"
 	"ccp/internal/partition"
-	"ccp/internal/store"
 )
 
 func TestSiteAccessors(t *testing.T) {
@@ -74,10 +73,8 @@ func TestPrecomputeIsIdempotentAndEpochAware(t *testing.T) {
 	if !pa2.NotModified || pa2.Reduced != nil {
 		t.Fatalf("partial = %+v", pa2)
 	}
-	// Invalidation (a mark) bumps the epoch; the conditional fetch ships again.
-	if _, err := s.Apply(store.Record{Kind: store.KindMark}); err != nil {
-		t.Fatal(err)
-	}
+	// Invalidation bumps the epoch; the conditional fetch ships again.
+	invalidate(s)
 	pa3, err := s.Evaluate(context.Background(), control.Query{S: 900, T: 950},
 		EvalOptions{UseCache: true, HasIfEpoch: true, IfEpoch: epoch1})
 	if err != nil {
@@ -114,8 +111,8 @@ func TestEvaluateEndpointSitesNeverUseCache(t *testing.T) {
 }
 
 // TestUpdateUnknownOwnedCompanyRollsBack: a stake in a company no site
-// hosts is rejected by the coordinator and the provisionally stored edge is
-// rolled back.
+// hosts is rejected by the coordinator before any site stores an edge or
+// moves its epoch.
 func TestUpdateUnknownOwnedCompanyRollsBack(t *testing.T) {
 	g := graph.New(4)
 	if err := g.AddEdge(0, 1, 0.5); err != nil {
@@ -136,15 +133,21 @@ func TestUpdateUnknownOwnedCompanyRollsBack(t *testing.T) {
 	if err := coord.ApplyUpdate(context.Background(), StakeUpdate{Owner: 0, Owned: 3, Weight: 0.2}); err == nil {
 		t.Fatal("stake in an unknown company accepted")
 	}
-	// The provisional edge must be gone everywhere.
 	for i, s := range sites {
-		if s.part.Local.HasEdge(0, 3) {
-			t.Fatalf("site %d kept the dangling stake", i)
+		if s.part.Local.HasEdge(0, 3) || s.part.Virtual.Has(3) || s.Epoch() != 0 {
+			t.Fatalf("site %d stored part of the dangling stake", i)
 		}
 	}
-	if sites[0].part.CrossOut != 0 {
-		t.Fatalf("cross-out = %d after rollback", sites[0].part.CrossOut)
-	}
+}
+
+// invalidate forces s to a new epoch with no cache, as an update that
+// changes nothing a query reads would: under s.mu, the epoch moves and the
+// cache goes.
+func invalidate(s *Site) {
+	s.mu.Lock()
+	s.epoch.Add(1)
+	s.cache = nil
+	s.mu.Unlock()
 }
 
 // TestEvaluateEndpointEdgeCases evaluates, at one site of a two-site EU

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"ccp/internal/graph"
 	"ccp/internal/obs/flight"
@@ -18,7 +19,7 @@ type StakeUpdate struct {
 	Remove bool
 }
 
-// record is the update's edge half as the record every site applies.
+// record is the update as the stake record both its home sites apply.
 func (up StakeUpdate) record() store.Record {
 	return store.Record{Kind: store.KindStake, Owner: int32(up.Owner), Owned: int32(up.Owned),
 		Weight: up.Weight, Remove: up.Remove}
@@ -27,193 +28,163 @@ func (up StakeUpdate) record() store.Record {
 // UpdateResult reports what one applied record did at a site.
 type UpdateResult struct {
 	// Stored reports that the record was this site's to apply: the site
-	// holds the stake's owner or the adjusted cross-in member. A mark is
-	// always stored.
+	// holds the stake's owner or its owned company.
 	Stored bool
-	// EdgeCreated / EdgeRemoved report whether the physical edge appeared
-	// or disappeared (a merge into an existing stake creates nothing).
-	EdgeCreated, EdgeRemoved bool
-	// Cross reports that the stake crosses partitions, so the owned
-	// company's home site must adjust its in-node bookkeeping.
-	Cross bool
-	// Changed reports that the site's observable data actually moved. A
-	// stored record can still be a no-op — divesting a stake that does not
-	// exist, re-merging a stake to its current label, a cross-in count tick
-	// that leaves the in-node set alone — and then the site's epoch and
-	// caches stay put.
+	// Changed reports that the site's data actually moved. A stored record
+	// can still be a no-op — divesting a stake that does not exist,
+	// re-merging a stake to its current label, recording an owner already
+	// recorded — and then the site's epoch and caches stay put.
 	Changed bool
-	// Seq is the site's new epoch whenever the epoch moved, zero otherwise.
-	// On a site with a store it is the record's durable WAL sequence
-	// number, so a coordinator can version its caches with numbers that
-	// survive site restarts.
-	Seq uint64
 }
 
-// Apply is the one write path: every change to the site's partition or
-// epoch — a live update, a WAL record replayed at recovery, a forced
-// invalidation (a mark) — is a record applied here.
+// lostEpoch is the epoch of a site whose WAL append failed: its state is
+// ahead of its log, so the epoch leaves the range of sequence numbers a
+// reopened log can assign, and the site serves nothing at it (see Apply).
+const lostEpoch = 1 << 62
+
+// Apply is the one write path: every change to the site's partition — a
+// live update or a WAL record replayed at recovery — is a stake record
+// applied here, and the site applies the half it holds (see
+// partition.ApplyStake).
 //
 // The record is checked before the partition is touched, so a rejected
-// record changes nothing. A record without a Seq is a new write: when it is
-// the site's to apply and is not a no-op it is appended to the store and
-// takes the sequence number it is assigned there, or the next counter value
-// on a site without a store. A record with a Seq comes from WAL replay and
-// is already logged; the site adopts its Seq. Either way the epoch moves
-// only when observable state changed: a cross-in count tick that leaves the
-// in-node set alone is logged (recovery needs the count) but keeps the
-// epoch.
+// record changes nothing. A record that changes the site's state is logged
+// and moves the epoch to its sequence number; a record that changes nothing
+// is neither logged nor moves the epoch. A record without a Seq is a new
+// write, appended to the store, or numbered by the next epoch on a site
+// without a store. A record with a Seq comes from WAL replay and is already
+// logged.
+//
+// A failed append leaves the partition holding a change the log lacks,
+// which a restart would lose and a later record could renumber. The site
+// then moves to lostEpoch and refuses every later evaluation and update
+// with the append's error, so no reader ever holds a copy of the lost
+// state; a restart recovers what the log holds.
 func (s *Site) Apply(rec store.Record) (UpdateResult, error) {
-	live := rec.Seq == 0
 	if err := checkRecord(rec); err != nil {
 		return UpdateResult{}, fmt.Errorf("dist: site %d: %w", s.part.ID, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := s.mutate(rec)
+	if s.logErr != nil {
+		return UpdateResult{}, s.logErr
+	}
+	sr, err := s.part.ApplyStake(graph.NodeID(rec.Owner), graph.NodeID(rec.Owned), rec.Weight, rec.Remove)
+	res := UpdateResult{Stored: sr.Stored, Changed: sr.Changed}
 	if err != nil {
-		return UpdateResult{}, fmt.Errorf("dist: site %d: %w", s.part.ID, err)
+		return res, fmt.Errorf("dist: site %d: %w", s.part.ID, err)
 	}
-	logged := res.Stored && (res.Changed || rec.Kind == store.KindCrossIn)
+	if !res.Changed {
+		return res, nil
+	}
+	s.cache = nil
 	seq := rec.Seq
-	if live && logged && s.store != nil {
+	switch {
+	case seq != 0:
+	case s.store == nil:
+		seq = s.epoch.Load() + 1
+	default:
 		if seq, err = s.store.Append(rec); err != nil {
-			// The in-memory state already moved, so readers still need a
-			// fresh epoch: the counter below, with the durability loss
-			// surfaced to the writer.
-			err = fmt.Errorf("dist: site %d wal append: %w", s.part.ID, err)
+			s.logErr = fmt.Errorf("dist: site %d wal append: %w", s.part.ID, err)
+			s.epoch.Store(lostEpoch)
+			return res, s.logErr
 		}
 	}
-	if res.Changed {
-		s.cache = nil
-		if seq == 0 {
-			seq = s.epoch.Add(1)
-		} else {
-			s.epoch.Store(seq)
-		}
-		res.Seq = seq
-	}
-	if live && logged && err == nil && rec.Kind == store.KindStake {
+	s.epoch.Store(seq)
+	if rec.Seq == 0 {
 		s.ev.Emit(flight.Update, int32(s.part.ID), 0, int64(rec.Owner), int64(rec.Owned))
 	}
-	return res, err
+	return res, nil
 }
 
 // checkRecord rejects a record that Apply must not let near the partition.
 func checkRecord(rec store.Record) error {
-	switch rec.Kind {
-	case store.KindStake:
-		if rec.Owner < 0 || rec.Owned < 0 {
-			return fmt.Errorf("stake (%d,%d) names a negative company id", rec.Owner, rec.Owned)
-		}
-		if !rec.Remove && !(rec.Weight > 0 && rec.Weight <= 1) {
-			return fmt.Errorf("stake (%d,%d) weight %g outside (0,1]", rec.Owner, rec.Owned, rec.Weight)
-		}
-	case store.KindCrossIn:
-		if rec.Owned < 0 {
-			return fmt.Errorf("cross-in names a negative company id %d", rec.Owned)
-		}
-		if rec.Delta != 1 && rec.Delta != -1 {
-			return fmt.Errorf("cross-in delta %d is not ±1", rec.Delta)
-		}
-	case store.KindMark:
-	default:
+	switch {
+	case rec.Kind != store.KindStake:
 		return fmt.Errorf("unknown record kind %d", rec.Kind)
+	case rec.Owner < 0 || rec.Owned < 0:
+		return fmt.Errorf("stake (%d,%d) names a negative company id", rec.Owner, rec.Owned)
+	case !rec.Remove && !(rec.Weight > 0 && rec.Weight <= 1):
+		return fmt.Errorf("stake (%d,%d) weight %g outside (0,1]", rec.Owner, rec.Owned, rec.Weight)
 	}
 	return nil
 }
 
-// mutate applies a checked record to the partition. Caller holds s.mu.
-func (s *Site) mutate(rec store.Record) (UpdateResult, error) {
-	switch rec.Kind {
-	case store.KindStake:
-		sr, err := s.part.ApplyStake(graph.NodeID(rec.Owner), graph.NodeID(rec.Owned), rec.Weight, rec.Remove)
-		return UpdateResult{Stored: sr.Stored, EdgeCreated: sr.EdgeCreated, EdgeRemoved: sr.EdgeRemoved,
-			Cross: sr.Cross, Changed: sr.Changed}, err
-	case store.KindCrossIn:
-		acted, changed := s.part.AdjustCrossIn(graph.NodeID(rec.Owned), int(rec.Delta))
-		return UpdateResult{Stored: acted, Changed: changed}, nil
-	}
-	return UpdateResult{Stored: true, Changed: true}, nil // a mark
-}
-
-// ApplyEdgeUpdate applies the edge half of up: Apply of its stake record.
-// Only the owner's home site stores it.
+// ApplyEdgeUpdate applies up's stake record at this site: Apply, which
+// applies the half of it the site holds.
 func (s *Site) ApplyEdgeUpdate(up StakeUpdate) (UpdateResult, error) { return s.Apply(up.record()) }
 
 // ApplyUpdate routes one stake update to the sites it concerns, found in the
 // directory NewCoordinator built from the sites' member lists: the stake
-// record goes to the owner's home site, and if a cross-partition edge
-// appeared or disappeared there, the cross-in record goes to the owned
-// company's home site. No other site is contacted. Sites whose data actually
+// record goes to the owner's home site and, when that is another site, to
+// the owned company's home site, both at once. Each applies the half it
+// holds: the owner's home the edge, the owned company's home its set of
+// foreign owners. No other site is contacted. Sites whose data actually
 // changed drop their cached partial answers; a no-op update (re-merging an
 // identical stake, divesting nothing) invalidates nothing anywhere.
 //
 // An owner or owned company no site stores fails the update before any
-// site is contacted. A home site that does not store its record disagrees
-// with the directory, which is an error too — except a divestment of a
-// stake the owner does not hold, which is "not found". ctx bounds the whole
-// routing. A failure between the two records can leave the edge applied but
-// the in-node bookkeeping not yet adjusted.
+// site is contacted. A home site that holds neither company disagrees with
+// the directory, which is an error, and a divestment the owner's home finds
+// nothing to remove is "not found". ctx bounds the whole routing.
+//
+// Updates serialize on c.updates: the two halves of one update land at two
+// sites, and without an order an add and a remove of the same stake could
+// land in opposite orders there, leaving an edge whose owned company is no
+// in-node. A failure at one home site while the other applied its half
+// leaves the edge and the owner set out of step, and fails the update.
 func (c *Coordinator) ApplyUpdate(ctx context.Context, up StakeUpdate) error {
 	c.ev.Emit(flight.Update, -1, 0, int64(up.Owner), int64(up.Owned))
-	owner, err := c.home(up.Owner)
-	if err != nil {
-		return err
-	}
-	owned, err := c.home(up.Owned)
-	if err != nil {
-		return err
-	}
-	stake := up.record()
-	res, err := c.send(ctx, owner, stake)
-	if err != nil {
-		return err
-	}
-	if !res.Stored {
-		if up.Remove {
-			return fmt.Errorf("dist: stake (%d,%d) not found", up.Owner, up.Owned)
+	sites := make([]int, 0, 2) // the owner's home, then the owned company's if another
+	for _, v := range []graph.NodeID{up.Owner, up.Owned} {
+		h := int32(0)
+		if v >= 0 && int(v) < len(c.homes) {
+			h = c.homes[v]
 		}
-		return fmt.Errorf("dist: site %d did not store the stake of company %d, which the directory homes there",
-			owner.SiteID(), up.Owner)
+		switch {
+		case h == homeConflict:
+			return fmt.Errorf("dist: company %d is stored at two sites", v)
+		case h == 0:
+			return fmt.Errorf("dist: no site stores company %d", v)
+		case len(sites) == 0 || sites[0] != int(h-1):
+			sites = append(sites, int(h-1))
+		}
 	}
-	if !res.Cross || !(res.EdgeCreated || res.EdgeRemoved) {
-		return nil
+	rec := up.record()
+	c.updates.Lock()
+	defer c.updates.Unlock()
+	var res [2]UpdateResult
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, h := range sites[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i+1], errs[i+1] = c.send(ctx, c.clients[h], rec)
+		}()
 	}
-	delta := int32(1)
-	if res.EdgeRemoved {
-		delta = -1
+	res[0], errs[0] = c.send(ctx, c.clients[sites[0]], rec)
+	wg.Wait()
+	for i, h := range sites {
+		if errs[i] != nil {
+			return errs[i]
+		}
+		if !res[i].Stored {
+			return fmt.Errorf("dist: site %d holds neither company of stake (%d,%d), which the directory homes there",
+				c.clients[h].SiteID(), up.Owner, up.Owned)
+		}
 	}
-	in, err := c.send(ctx, owned, store.Record{Kind: store.KindCrossIn, Owned: stake.Owned, Delta: delta})
-	if err != nil {
-		return err
-	}
-	if !in.Stored {
-		return fmt.Errorf("dist: site %d did not store the cross-in of company %d, which the directory homes there",
-			owned.SiteID(), up.Owned)
+	if up.Remove && !res[0].Changed {
+		return fmt.Errorf("dist: stake (%d,%d) not found", up.Owner, up.Owned)
 	}
 	return nil
-}
-
-// home returns the client of company v's home site.
-func (c *Coordinator) home(v graph.NodeID) (SiteClient, error) {
-	h := int32(0)
-	if v >= 0 && int(v) < len(c.homes) {
-		h = c.homes[v]
-	}
-	switch {
-	case h == homeConflict:
-		return nil, fmt.Errorf("dist: company %d is stored at two sites", v)
-	case h == 0:
-		return nil, fmt.Errorf("dist: no site stores company %d", v)
-	}
-	return c.clients[h-1], nil
 }
 
 // send applies rec at one site, logging a failure.
 func (c *Coordinator) send(ctx context.Context, cl SiteClient, rec store.Record) (UpdateResult, error) {
 	res, err := cl.Apply(ctx, rec)
 	if err != nil {
-		c.ev.Log().Warn("update failed", "kind", rec.Kind, "owner", rec.Owner, "owned", rec.Owned,
+		c.ev.Log().Warn("update failed", "owner", rec.Owner, "owned", rec.Owned, "remove", rec.Remove,
 			"site", cl.SiteID(), "err", err)
 	}
 	return res, err

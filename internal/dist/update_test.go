@@ -78,10 +78,10 @@ func TestApplyUpdateCrossEdgeAndRemove(t *testing.T) {
 	if err := mirror.AddEdge(1, 3, 0.8); err != nil {
 		t.Fatal(err)
 	}
-	if !sites[1].part.InNodes.Has(3) {
+	if !sites[1].part.InNodes.Has(3) || !sites[1].part.CrossIn[3].Has(1) {
 		t.Fatal("in-node bookkeeping not updated")
 	}
-	if sites[0].part.CrossOut != 1 || !sites[0].part.Virtual.Has(3) {
+	if !sites[0].part.Virtual.Has(3) {
 		t.Fatal("owner-side cross bookkeeping not updated")
 	}
 	for _, q := range []control.Query{{S: 0, T: 4}, {S: 1, T: 4}, {S: 0, T: 3}} {
@@ -99,11 +99,11 @@ func TestApplyUpdateCrossEdgeAndRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	mirror.RemoveEdge(1, 3)
-	if sites[1].part.InNodes.Has(3) {
+	if sites[1].part.InNodes.Has(3) || len(sites[1].part.CrossIn) != 0 {
 		t.Fatal("in-node not dropped after divestment")
 	}
-	if sites[0].part.CrossOut != 0 {
-		t.Fatalf("cross-out = %d after divestment", sites[0].part.CrossOut)
+	if sites[0].part.Local.HasEdge(1, 3) {
+		t.Fatal("edge kept after divestment")
 	}
 	got, _, err := coord.Answer(context.Background(), control.Query{S: 0, T: 4})
 	if err != nil {
@@ -116,15 +116,17 @@ func TestApplyUpdateCrossEdgeAndRemove(t *testing.T) {
 
 func TestApplyUpdateMergeDoesNotDoubleCountInNode(t *testing.T) {
 	coord, sites, _ := updateCluster(t, false)
-	// Two increments of the same cross stake: only one in-node reference.
+	// Two increments of the same cross stake: the owned company's home
+	// records its owner once, and the second leaves its epoch alone.
 	if err := coord.ApplyUpdate(context.Background(), StakeUpdate{Owner: 1, Owned: 3, Weight: 0.2}); err != nil {
 		t.Fatal(err)
 	}
+	epoch := sites[1].Epoch()
 	if err := coord.ApplyUpdate(context.Background(), StakeUpdate{Owner: 1, Owned: 3, Weight: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	if sites[1].part.CrossIn[3] != 1 {
-		t.Fatalf("cross-in refcount = %d, want 1", sites[1].part.CrossIn[3])
+	if owners := sites[1].part.CrossIn[3]; len(owners) != 1 || !owners.Has(1) || sites[1].Epoch() != epoch {
+		t.Fatalf("owners of 3 = %v, epoch %d -> %d", owners, epoch, sites[1].Epoch())
 	}
 	// One divestment clears it.
 	if err := coord.ApplyUpdate(context.Background(), StakeUpdate{Owner: 1, Owned: 3, Remove: true}); err != nil {
@@ -160,11 +162,11 @@ func TestApplyUpdateErrors(t *testing.T) {
 // applyCounter counts the Apply calls that reach its client.
 type applyCounter struct {
 	SiteClient
-	calls int
+	calls atomic.Int64
 }
 
 func (c *applyCounter) Apply(ctx context.Context, rec store.Record) (UpdateResult, error) {
-	c.calls++
+	c.calls.Add(1)
 	return c.SiteClient.Apply(ctx, rec)
 }
 
@@ -178,10 +180,9 @@ func (c claimant) Members() []graph.NodeID { return append(c.SiteClient.Members(
 
 // TestApplyUpdateRoutesToHomeSites counts the Apply calls each site of a
 // three-site cluster receives: a domestic stake reaches its owner's site
-// only, a stake that creates or removes a cross edge also the owned
-// company's site, and an update naming a company no site stores reaches no
-// site at all. A site whose directory entry claims a company it does not
-// store fails the update.
+// only, every cross stake both home sites, and an update naming a company
+// no site stores reaches no site at all. A site whose directory entry
+// claims a company it does not store fails the update.
 func TestApplyUpdateRoutesToHomeSites(t *testing.T) {
 	g := graph.New(9)
 	pi, err := partition.Split(g, []int{0, 0, 0, 1, 1, 1, 2, 2, 2}, 3)
@@ -204,22 +205,26 @@ func TestApplyUpdateRoutesToHomeSites(t *testing.T) {
 	}{
 		{"domestic", StakeUpdate{Owner: 0, Owned: 2, Weight: 0.2}, [3]int{1, 0, 0}, false},
 		{"cross", StakeUpdate{Owner: 0, Owned: 4, Weight: 0.2}, [3]int{1, 1, 0}, false},
-		{"cross merge", StakeUpdate{Owner: 0, Owned: 4, Weight: 0.1}, [3]int{1, 0, 0}, false},
+		{"cross merge", StakeUpdate{Owner: 0, Owned: 4, Weight: 0.1}, [3]int{1, 1, 0}, false},
 		{"cross removal", StakeUpdate{Owner: 0, Owned: 4, Remove: true}, [3]int{1, 1, 0}, false},
-		{"missing stake", StakeUpdate{Owner: 7, Owned: 4, Remove: true}, [3]int{0, 0, 1}, true},
+		{"missing stake", StakeUpdate{Owner: 7, Owned: 4, Remove: true}, [3]int{0, 1, 1}, true},
 		{"unknown owner", StakeUpdate{Owner: 99, Owned: 4, Weight: 0.2}, [3]int{}, true},
 		{"unknown owned", StakeUpdate{Owner: 4, Owned: 99, Weight: 0.2}, [3]int{}, true},
 		{"negative owned", StakeUpdate{Owner: 4, Owned: -1, Weight: 0.2}, [3]int{}, true},
-		{"misdirected", StakeUpdate{Owner: 50, Owned: 4, Weight: 0.2}, [3]int{1, 0, 0}, true},
+		{"misdirected", StakeUpdate{Owner: 50, Owned: 4, Weight: 0.2}, [3]int{1, 1, 0}, true},
 	} {
 		for _, c := range counters {
-			c.calls = 0
+			c.calls.Store(0)
 		}
 		err := coord.ApplyUpdate(context.Background(), tc.up)
 		if (err != nil) != tc.fails {
 			t.Fatalf("%s: err = %v, want failure %v", tc.name, err, tc.fails)
 		}
-		if got := [3]int{counters[0].calls, counters[1].calls, counters[2].calls}; got != tc.calls {
+		got := [3]int{}
+		for i, c := range counters {
+			got[i] = int(c.calls.Load())
+		}
+		if got != tc.calls {
 			t.Fatalf("%s: Apply calls per site %v, want %v", tc.name, got, tc.calls)
 		}
 	}
@@ -515,8 +520,9 @@ func boundaryGraph(t *testing.T) (*graph.Graph, []int) {
 // every live reply to reduce the slice of the partition as it stands: a
 // slice cut with the reachability sets of an older epoch would answer
 // controls(4, 2) false after 4 → 1 makes 1 an in-node, and controls(0, 7)
-// false after 3 → 6 makes 6 virtual. A count-only tick at A, a second cross
-// stake into in-node 1, moves neither A's epoch nor its sets.
+// false after 3 → 6 makes 6 virtual. Every step moves A's epoch, a second
+// foreign owner of in-node 1 too: it changes A's owner set, if not its
+// in-nodes.
 func TestSliceFollowsBoundaryUpdates(t *testing.T) {
 	for _, opts := range []Options{{}, {UseCache: true}} {
 		g, assign := boundaryGraph(t)
@@ -532,21 +538,17 @@ func TestSliceFollowsBoundaryUpdates(t *testing.T) {
 		for _, step := range []struct {
 			name string
 			up   StakeUpdate
-			tick bool
 		}{
-			{"4→1 makes 1 an in-node", StakeUpdate{Owner: 4, Owned: 1, Weight: 0.6}, false},
-			{"5→1 ticks 1's cross-in count", StakeUpdate{Owner: 5, Owned: 1, Weight: 0.1}, true},
-			{"5→1 removed ticks it back", StakeUpdate{Owner: 5, Owned: 1, Remove: true}, true},
-			{"4→1 removed drops the last cross edge into 1", StakeUpdate{Owner: 4, Owned: 1, Remove: true}, false},
-			{"3→6 makes 6 virtual", StakeUpdate{Owner: 3, Owned: 6, Weight: 0.6}, false},
+			{"4→1 makes 1 an in-node", StakeUpdate{Owner: 4, Owned: 1, Weight: 0.6}},
+			{"5→1 adds a second owner of 1", StakeUpdate{Owner: 5, Owned: 1, Weight: 0.1}},
+			{"5→1 removed takes it away", StakeUpdate{Owner: 5, Owned: 1, Remove: true}},
+			{"4→1 removed drops the last cross edge into 1", StakeUpdate{Owner: 4, Owned: 1, Remove: true}},
+			{"3→6 makes 6 virtual", StakeUpdate{Owner: 3, Owned: 6, Weight: 0.6}},
 		} {
 			epoch := siteA.Epoch()
 			c.update(t, step.up)
-			if moved := siteA.Epoch() != epoch; moved == step.tick {
-				t.Fatalf("%+v %s: site A's epoch moved %v", opts, step.name, moved)
-			}
-			if step.tick && siteA.reachEpoch.Load() != epoch {
-				t.Fatalf("%+v %s: a count-only tick invalidated A's slice sets", opts, step.name)
+			if siteA.Epoch() == epoch {
+				t.Fatalf("%+v %s: site A's epoch stayed at %d", opts, step.name, epoch)
 			}
 			ask(step.name)
 		}
@@ -558,7 +560,7 @@ func TestSliceFollowsBoundaryUpdates(t *testing.T) {
 }
 
 // TestSliceRacingBoundaryUpdates streams boundary moves at site A — an
-// in-node appearing and disappearing, a count-only tick on another, a new
+// in-node appearing and disappearing, a second owner of another, a new
 // virtual node — against live evaluations at A, from the coordinator and
 // from a second reader, and requires controls(4, 2), through in-node 1,
 // and controls(0, 7), through virtual node 6, to hold throughout. A reader
@@ -581,9 +583,9 @@ func TestSliceRacingBoundaryUpdates(t *testing.T) {
 	ctx := context.Background()
 	cycle := []StakeUpdate{
 		{Owner: 5, Owned: 0, Weight: 0.05}, // 0 becomes an in-node
-		{Owner: 5, Owned: 1, Weight: 0.05}, // a tick on in-node 1
+		{Owner: 5, Owned: 1, Weight: 0.05}, // in-node 1 gets a second owner
 		{Owner: 2, Owned: 5, Weight: 0.05}, // 5 becomes virtual
-		{Owner: 5, Owned: 1, Remove: true}, // the tick back
+		{Owner: 5, Owned: 1, Remove: true}, // and loses it again
 		{Owner: 5, Owned: 0, Remove: true}, // 0 is no in-node again
 		{Owner: 2, Owned: 5, Remove: true}, // 2's stake in 5 goes
 		{Owner: 3, Owned: 4, Weight: 0.05}, // 4 becomes virtual

@@ -352,9 +352,9 @@ func (g *Graph) HasControllingOut(v NodeID) bool {
 	return g.Alive(v) && g.outBig[v] > 0
 }
 
-// MaxInLabel returns the largest incoming label of v and the predecessor
+// maxInLabel returns the largest incoming label of v and the predecessor
 // holding it, or (None, 0) if v has no incoming edges.
-func (g *Graph) MaxInLabel(v NodeID) (NodeID, float64) {
+func (g *Graph) maxInLabel(v NodeID) (NodeID, float64) {
 	if !g.Alive(v) {
 		return None, 0
 	}
@@ -371,7 +371,7 @@ func (g *Graph) MaxInLabel(v NodeID) (NodeID, float64) {
 // half of v, or None. At most one such predecessor can exist because the
 // incoming labels of a node sum to at most 1, which makes this an O(1)
 // lookup of the cached controlling predecessor. If the invariant is broken
-// and several controlling stakes coexist, it falls back to the MaxInLabel
+// and several controlling stakes coexist, it falls back to the maxInLabel
 // scan to preserve the historical tie-break (largest label, then lowest id).
 func (g *Graph) DirectController(v NodeID) NodeID {
 	if !g.Alive(v) {
@@ -383,7 +383,7 @@ func (g *Graph) DirectController(v NodeID) NodeID {
 	case 1:
 		return g.bigIn[v]
 	}
-	u, w := g.MaxInLabel(v)
+	u, w := g.maxInLabel(v)
 	if u != None && ExceedsControl(w) {
 		return u
 	}

@@ -135,9 +135,9 @@ func TestDegreesAndSums(t *testing.T) {
 	if s := g.InSum(2); math.Abs(s-0.9) > 1e-12 {
 		t.Fatalf("InSum(2) = %g", s)
 	}
-	u, w := g.MaxInLabel(2)
+	u, w := g.maxInLabel(2)
 	if u != 1 || w != 0.4 {
-		t.Fatalf("MaxInLabel(2) = %d,%g", u, w)
+		t.Fatalf("maxInLabel(2) = %d,%g", u, w)
 	}
 	if got := g.DirectController(2); got != None {
 		t.Fatalf("DirectController(2) = %d, want None", got)
@@ -145,14 +145,14 @@ func TestDegreesAndSums(t *testing.T) {
 	if got := g.DirectController(0); got != 2 {
 		t.Fatalf("DirectController(0) = %d, want 2", got)
 	}
-	if u, w := g.MaxInLabel(3); u != None || w != 0 {
-		t.Fatalf("MaxInLabel(3) = %d,%g", u, w)
+	if u, w := g.maxInLabel(3); u != None || w != 0 {
+		t.Fatalf("maxInLabel(3) = %d,%g", u, w)
 	}
 }
 
 func TestMaxInLabelDeterministicTie(t *testing.T) {
 	g := build(t, 3, Edge{1, 0, 0.3}, Edge{2, 0, 0.3})
-	u, _ := g.MaxInLabel(0)
+	u, _ := g.maxInLabel(0)
 	if u != 1 {
 		t.Fatalf("tie should resolve to the smaller id, got %d", u)
 	}

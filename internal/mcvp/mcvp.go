@@ -54,8 +54,8 @@ type Circuit struct {
 	Output int
 }
 
-// Validate checks topological order and gate arities.
-func (c *Circuit) Validate() error {
+// validate checks topological order and gate arities.
+func (c *Circuit) validate() error {
 	if len(c.Gates) == 0 {
 		return fmt.Errorf("mcvp: empty circuit")
 	}
@@ -79,7 +79,7 @@ func (c *Circuit) Validate() error {
 // Eval computes the circuit value directly (the P-complete problem solved
 // the obvious sequential way).
 func (c *Circuit) Eval() (bool, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return false, err
 	}
 	val := make([]bool, len(c.Gates))
@@ -113,7 +113,7 @@ func (c *Circuit) Eval() (bool, error) {
 // Gates wired to the same input twice (a == b) get their edges merged by
 // label summing, which preserves the and/or semantics.
 func ToCCP(c *Circuit) (g *graph.Graph, s, t graph.NodeID, err error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, graph.None, graph.None, err
 	}
 	g = graph.New(len(c.Gates) + 1)

@@ -41,12 +41,12 @@ func TestValidate(t *testing.T) {
 		{Gates: []Gate{{Kind: Kind(9)}}, Output: 0},
 	}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("bad circuit %d accepted", i)
 		}
 	}
 	good := &Circuit{Gates: []Gate{{Kind: Input, Value: true}}, Output: 0}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Errorf("good circuit rejected: %v", err)
 	}
 }

@@ -18,19 +18,26 @@ import (
 const fuzzMaxCap = 1 << 16
 
 // graphCap reads the capacity field of the CCPG1 payload embedded in a
-// CCPP1 image, or 0 if the image ends before it.
+// CCPP2 image, or 0 if the image ends before it.
 func graphCap(data []byte) uint32 {
-	off := uint64(len(partitionMagic)) + 8 // id, cross-out
-	skip := func(width uint64) {
+	off := uint64(len(partitionMagic)) + 4 // id
+	skipList := func() {
 		if off+4 > uint64(len(data)) {
 			off = uint64(len(data)) + 1
 			return
 		}
-		off += 4 + width*uint64(binary.LittleEndian.Uint32(data[off:]))
+		off += 4 + 4*uint64(binary.LittleEndian.Uint32(data[off:]))
 	}
-	skip(4) // members
-	skip(4) // virtual nodes
-	skip(8) // cross-in (id, count) pairs
+	skipList() // members
+	skipList() // virtual nodes
+	if off+4 <= uint64(len(data)) {
+		n := binary.LittleEndian.Uint32(data[off:])
+		off += 4
+		for i := uint32(0); i < n && off <= uint64(len(data)); i++ {
+			off += 4   // in-node
+			skipList() // its foreign owners
+		}
+	}
 	off += uint64(len("CCPG1\n"))
 	if off+4 > uint64(len(data)) {
 		return 0
@@ -41,13 +48,13 @@ func graphCap(data []byte) uint32 {
 // samePartition reports whether a and b hold the same identity, boundary
 // bookkeeping and local graph.
 func samePartition(a, b *Partition) bool {
-	return a.ID == b.ID && a.CrossOut == b.CrossOut &&
+	return a.ID == b.ID &&
 		maps.Equal(a.Members, b.Members) && maps.Equal(a.Virtual, b.Virtual) &&
-		maps.Equal(a.InNodes, b.InNodes) && maps.Equal(a.CrossIn, b.CrossIn) &&
+		maps.Equal(a.InNodes, b.InNodes) && maps.EqualFunc(a.CrossIn, b.CrossIn, maps.Equal) &&
 		graph.Equal(a.Local, b.Local, 0) && graph.Equal(b.Local, a.Local, 0)
 }
 
-// FuzzReadPartition throws mutated CCPP1 images at ReadPartition, the
+// FuzzReadPartition throws mutated CCPP2 images at ReadPartition, the
 // decoder checkpoint load runs. It must reject
 // or accept, never panic, and an accepted image must re-encode to bytes
 // that decode to an equal partition.

@@ -6,13 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"ccp/internal/graph"
 )
 
 // partitionMagic identifies the binary partition format.
-const partitionMagic = "CCPP1\n"
+const partitionMagic = "CCPP2\n"
 
 // WriteBinary serializes the partition: its identity, boundary bookkeeping
 // and local graph. A site can load the result with ReadPartition and serve
@@ -33,19 +33,11 @@ func (p *Partition) WriteBinary(w io.Writer) error {
 	if err := writeU32(uint32(p.ID)); err != nil {
 		return err
 	}
-	if err := writeU32(uint32(p.CrossOut)); err != nil {
-		return err
-	}
 	writeSet := func(s graph.NodeSet) error {
 		if err := writeU32(uint32(len(s))); err != nil {
 			return err
 		}
-		ids := make([]graph.NodeID, 0, len(s))
-		for v := range s {
-			ids = append(ids, v)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, v := range ids {
+		for _, v := range sortedKeys(s) {
 			if err := writeU32(uint32(v)); err != nil {
 				return err
 			}
@@ -58,20 +50,15 @@ func (p *Partition) WriteBinary(w io.Writer) error {
 	if err := writeSet(p.Virtual); err != nil {
 		return err
 	}
-	// CrossIn refcounts (InNodes is implied by the keys).
+	// Each in-node with its foreign owners (InNodes is implied by the keys).
 	if err := writeU32(uint32(len(p.CrossIn))); err != nil {
 		return err
 	}
-	ids := make([]graph.NodeID, 0, len(p.CrossIn))
-	for v := range p.CrossIn {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, v := range ids {
+	for _, v := range sortedKeys(p.CrossIn) {
 		if err := writeU32(uint32(v)); err != nil {
 			return err
 		}
-		if err := writeU32(uint32(p.CrossIn[v])); err != nil {
+		if err := writeSet(p.CrossIn[v]); err != nil {
 			return err
 		}
 	}
@@ -79,6 +66,17 @@ func (p *Partition) WriteBinary(w io.Writer) error {
 		return err
 	}
 	return p.Local.WriteBinary(w)
+}
+
+// sortedKeys returns m's keys in ascending order, so an image's bytes do
+// not depend on map iteration.
+func sortedKeys[V any](m map[graph.NodeID]V) []graph.NodeID {
+	ids := make([]graph.NodeID, 0, len(m))
+	for v := range m {
+		ids = append(ids, v)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // ReadPartition deserializes a partition written by WriteBinary.
@@ -89,7 +87,7 @@ func ReadPartition(r io.Reader) (*Partition, error) {
 		return nil, fmt.Errorf("partition: reading magic: %w", err)
 	}
 	if string(magic) != partitionMagic {
-		return nil, errors.New("partition: bad magic, not a CCPP1 file")
+		return nil, errors.New("partition: bad magic, not a CCPP2 file")
 	}
 	var buf [4]byte
 	readU32 := func() (uint32, error) {
@@ -102,18 +100,13 @@ func ReadPartition(r io.Reader) (*Partition, error) {
 		Members: graph.NewNodeSet(),
 		Virtual: graph.NewNodeSet(),
 		InNodes: graph.NewNodeSet(),
-		CrossIn: make(map[graph.NodeID]int),
+		CrossIn: make(map[graph.NodeID]graph.NodeSet),
 	}
 	id, err := readU32()
 	if err != nil {
 		return nil, err
 	}
 	p.ID = int(id)
-	crossOut, err := readU32()
-	if err != nil {
-		return nil, err
-	}
-	p.CrossOut = int(crossOut)
 	readSet := func(s graph.NodeSet) error {
 		n, err := readU32()
 		if err != nil {
@@ -143,11 +136,11 @@ func ReadPartition(r io.Reader) (*Partition, error) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := readU32()
-		if err != nil {
+		owners := graph.NewNodeSet()
+		if err := readSet(owners); err != nil {
 			return nil, err
 		}
-		p.CrossIn[graph.NodeID(v)] = int(c)
+		p.CrossIn[graph.NodeID(v)] = owners
 		p.InNodes.Add(graph.NodeID(v))
 	}
 	g, err := graph.ReadBinary(br)

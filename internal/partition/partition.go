@@ -27,135 +27,117 @@ type Partition struct {
 	// present only as edge endpoints.
 	Virtual graph.NodeSet
 	// InNodes is V_i^in: members owned (in part) from other partitions.
-	// Their local in-edge knowledge is incomplete.
+	// Their local in-edge knowledge is incomplete. It holds exactly the
+	// keys of CrossIn.
 	InNodes graph.NodeSet
-	// CrossIn counts, per in-node, how many foreign cross edges point at
-	// it, so that updates can maintain InNodes incrementally.
-	CrossIn map[graph.NodeID]int
-	// CrossOut counts this partition's outgoing cross edges.
-	CrossOut int
-}
-
-// AddCrossIn records one more foreign cross edge into member v, adding v to
-// the in-nodes on first reference.
-func (p *Partition) AddCrossIn(v graph.NodeID) {
-	if p.CrossIn == nil {
-		p.CrossIn = make(map[graph.NodeID]int)
-	}
-	p.CrossIn[v]++
-	p.InNodes.Add(v)
+	// CrossIn maps each in-node to its foreign owners, so that updates
+	// maintain InNodes incrementally: a member is an in-node exactly while
+	// some company of another partition holds a stake in it.
+	CrossIn map[graph.NodeID]graph.NodeSet
 }
 
 // StakeResult reports what ApplyStake did to the partition.
 type StakeResult struct {
-	// Stored is true iff this partition holds the owner — the update's home.
+	// Stored is true iff this partition holds the owner or the owned
+	// company, so the stake is one of its to apply.
 	Stored bool
-	// EdgeCreated / EdgeRemoved report whether the physical edge appeared or
-	// disappeared (a merge into an existing stake creates nothing).
-	EdgeCreated, EdgeRemoved bool
-	// Cross reports that the stake crosses partitions.
-	Cross bool
-	// Changed reports that some observable state actually moved. A stored
-	// update can be a no-op — divesting nothing, or a merge whose clamped or
-	// rounded label equals the old one — and then nothing downstream (epoch,
-	// caches, WAL) needs to move either.
+	// Changed reports that the partition's state actually moved. A stored
+	// update can be a no-op — divesting nothing, a merge whose clamped or
+	// rounded label equals the old one, an owner already recorded — and
+	// then nothing downstream (epoch, caches, WAL) needs to move either.
 	Changed bool
 }
 
-// ApplyStake applies one stake update: owner takes (remove=false) the
-// fraction w of owned, merging with any existing stake, or divests the stake
-// entirely (remove=true). Only the partition holding the owner does
-// anything; every other partition returns a zero StakeResult.
+// ApplyStake applies the half of one stake update this partition holds:
+// owner takes (remove=false) the fraction w of owned, merging with any
+// existing stake, or divests the stake entirely (remove=true). The owner's
+// partition changes the edge. The owned company's partition, when the
+// owner lives elsewhere, adds owner to or removes it from owned's foreign
+// owners; that half is idempotent. Every other partition returns a zero
+// StakeResult.
 //
 // This is the single mutation path shared by live site updates and durable
 // WAL replay, so a replayed record reproduces exactly the state the live
 // update produced.
 func (p *Partition) ApplyStake(owner, owned graph.NodeID, w float64, remove bool) (StakeResult, error) {
-	var res StakeResult
-	if !p.Members.Has(owner) {
-		return res, nil
+	switch {
+	case p.Members.Has(owner):
+		changed, err := p.applyEdge(owner, owned, w, remove)
+		return StakeResult{Stored: true, Changed: changed}, err
+	case p.Members.Has(owned):
+		return StakeResult{Stored: true, Changed: p.setForeignOwner(owned, owner, !remove)}, nil
 	}
-	res.Cross = !p.Members.Has(owned)
+	return StakeResult{}, nil
+}
+
+// applyEdge is the owner's half of ApplyStake: it merges or divests the
+// edge (owner, owned) and reports whether the edge or its label changed.
+func (p *Partition) applyEdge(owner, owned graph.NodeID, w float64, remove bool) (bool, error) {
 	if remove {
-		if !p.Local.RemoveEdge(owner, owned) {
-			return res, nil // nothing to divest
-		}
-		res.Stored, res.EdgeRemoved, res.Changed = true, true, true
-		if res.Cross {
-			p.CrossOut--
-		}
-		return res, nil
+		return p.Local.RemoveEdge(owner, owned), nil
 	}
 	old, existed := p.Local.Label(owner, owned)
-	if res.Cross {
+	if !p.Members.Has(owned) {
 		// The owned company lives elsewhere; ensure its virtual stub.
 		p.Local.Revive(owned)
 		p.Virtual.Add(owned)
 	} else if !p.Local.Alive(owned) {
-		return res, fmt.Errorf("partition %d: owned company %d unknown", p.ID, owned)
+		return false, fmt.Errorf("partition %d: owned company %d unknown", p.ID, owned)
 	}
 	if err := p.Local.MergeEdge(owner, owned, w); err != nil {
-		return res, fmt.Errorf("partition %d applying stake: %w", p.ID, err)
+		return false, fmt.Errorf("partition %d applying stake: %w", p.ID, err)
 	}
-	res.Stored = true
-	res.EdgeCreated = !existed
 	nw, _ := p.Local.Label(owner, owned)
-	res.Changed = !existed || nw != old
-	if res.Cross && !existed {
-		p.CrossOut++
-	}
-	return res, nil
+	return !existed || nw != old, nil
 }
 
-// AdjustCrossIn folds delta new (+1) or removed (-1) foreign cross edges
-// into v's in-node bookkeeping, if v is a member. acted reports whether the
-// adjustment applied; changed reports whether the in-node *set* moved —
-// only membership changes affect evaluations and caches, a pure reference
-// count tick does not.
-func (p *Partition) AdjustCrossIn(v graph.NodeID, delta int) (acted, changed bool) {
-	if !p.Members.Has(v) {
-		return false, false
+// setForeignOwner adds (add) or removes owner from member v's foreign
+// owners, making v an in-node with its first owner and dropping it with its
+// last. It reports whether the owner set changed.
+func (p *Partition) setForeignOwner(v, owner graph.NodeID, add bool) bool {
+	owners := p.CrossIn[v]
+	if owners.Has(owner) == add {
+		return false
 	}
 	switch {
-	case delta > 0:
-		changed = !p.InNodes.Has(v)
-		p.AddCrossIn(v)
-		return true, changed
-	case delta < 0:
-		c, ok := p.CrossIn[v]
-		if !ok {
-			return false, false
+	case !add:
+		delete(owners, owner)
+		if len(owners) == 0 {
+			delete(p.CrossIn, v)
+			delete(p.InNodes, v)
 		}
-		if c > 1 {
-			p.CrossIn[v] = c - 1
-			return true, false
+	case owners == nil:
+		if p.CrossIn == nil {
+			p.CrossIn = make(map[graph.NodeID]graph.NodeSet)
 		}
-		delete(p.CrossIn, v)
-		delete(p.InNodes, v)
-		return true, true
+		p.CrossIn[v] = graph.NewNodeSet(owner)
+		p.InNodes.Add(v)
 	default:
-		return false, false
+		owners.Add(owner)
 	}
+	return true
 }
 
-// Snapshot returns a deep copy of the partition — graph, sets and counters —
+// Snapshot returns a deep copy of the partition — graph and sets —
 // that stays valid while the live partition keeps mutating. Taking it costs
 // O(nodes + edges) and must not run concurrently with a mutation: a site
 // takes it under its read lock, and checkpoint builds serialize the copy
 // after the lock is released.
 func (p *Partition) Snapshot() *Partition {
 	c := &Partition{
-		ID:       p.ID,
-		Local:    p.Local.Clone(),
-		Members:  graph.NewNodeSet(),
-		Virtual:  graph.NewNodeSet(),
-		InNodes:  graph.NewNodeSet(),
-		CrossIn:  maps.Clone(p.CrossIn),
-		CrossOut: p.CrossOut,
+		ID:      p.ID,
+		Local:   p.Local.Clone(),
+		Members: graph.NewNodeSet(),
+		Virtual: graph.NewNodeSet(),
+		InNodes: graph.NewNodeSet(),
+		CrossIn: make(map[graph.NodeID]graph.NodeSet, len(p.CrossIn)),
 	}
 	c.Members.AddAll(p.Members)
 	c.Virtual.AddAll(p.Virtual)
 	c.InNodes.AddAll(p.InNodes)
+	for v, owners := range p.CrossIn {
+		c.CrossIn[v] = maps.Clone(owners)
+	}
 	return c
 }
 
@@ -291,11 +273,10 @@ func Split(g *graph.Graph, assign []int, k int) (*Partitioning, error) {
 			// and u becomes an in-node of its home partition.
 			src.Local.Revive(u)
 			src.Virtual.Add(u)
-			src.CrossOut++
 			if e := src.Local.AddEdge(v, u, w); e != nil && err == nil {
 				err = e
 			}
-			pi.Parts[au].AddCrossIn(u)
+			pi.Parts[au].setForeignOwner(u, v, true)
 		})
 	})
 	if err != nil {

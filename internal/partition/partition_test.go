@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -73,9 +74,16 @@ func TestSplitStructure(t *testing.T) {
 	if len(b) != 3 || !b.Has(2) || !b.Has(3) || !b.Has(4) {
 		t.Fatalf("P1 boundary = %v", b)
 	}
-	// Cross-edge counts.
-	if p0.CrossOut != 2 || p1.CrossOut != 1 || p2.CrossOut != 1 {
-		t.Fatalf("cross counts: %d %d %d", p0.CrossOut, p1.CrossOut, p2.CrossOut)
+	// Foreign owners of each in-node.
+	want := []map[graph.NodeID]graph.NodeSet{
+		{},
+		{2: graph.NewNodeSet(0, 5), 3: graph.NewNodeSet(1)},
+		{4: graph.NewNodeSet(3)},
+	}
+	for i, p := range pi.Parts {
+		if !maps.EqualFunc(p.CrossIn, want[i], maps.Equal) {
+			t.Fatalf("P%d owners = %v, want %v", i, p.CrossIn, want[i])
+		}
 	}
 	// Local graphs hold internal + outgoing cross edges only.
 	if !p0.Local.HasEdge(0, 1) || !p0.Local.HasEdge(0, 2) || !p0.Local.HasEdge(1, 3) {
@@ -172,18 +180,61 @@ func TestContiguousHasFewerCrossEdgesOnEU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, hc := 0, 0
-	for _, p := range byCountry.Parts {
-		cc += p.CrossOut
-	}
-	for _, p := range byHash.Parts {
-		hc += p.CrossOut
-	}
+	cc, hc := crossEdges(byCountry), crossEdges(byHash)
 	if cc >= hc {
 		t.Fatalf("country partitioning has %d cross edges, hash %d", cc, hc)
 	}
 	if cc != eu.CrossEdges {
 		t.Fatalf("country cross edges = %d, generator reports %d", cc, eu.CrossEdges)
+	}
+}
+
+// crossEdges counts pi's cross edges from the owned side: one foreign owner
+// of an in-node per edge.
+func crossEdges(pi *Partitioning) int {
+	n := 0
+	for _, p := range pi.Parts {
+		for _, owners := range p.CrossIn {
+			n += len(owners)
+		}
+	}
+	return n
+}
+
+// TestApplyStakeHalves applies one cross stake's record at both of its home
+// partitions and at a third: the owner's home changes the edge, the owned
+// company's home its foreign owners, the third nothing, and applying the
+// record at the owned company's home twice changes nothing.
+func TestApplyStakeHalves(t *testing.T) {
+	_, pi := figure5(t)
+	p0, p1, p2 := pi.Parts[0], pi.Parts[1], pi.Parts[2]
+	apply := func(p *Partition, remove bool) StakeResult {
+		t.Helper()
+		res, err := p.ApplyStake(1, 5, 0.2, remove)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, remove := range []bool{false, true} {
+		if got := apply(p0, remove); got != (StakeResult{Stored: true, Changed: true}) {
+			t.Fatalf("remove=%v: owner's home %+v", remove, got)
+		}
+		for i := 0; i < 2; i++ {
+			if got := apply(p2, remove); got != (StakeResult{Stored: true, Changed: i == 0}) {
+				t.Fatalf("remove=%v: owned company's home, application %d: %+v", remove, i+1, got)
+			}
+		}
+		if got := apply(p1, remove); got != (StakeResult{}) {
+			t.Fatalf("remove=%v: third partition %+v", remove, got)
+		}
+		if p0.Local.HasEdge(1, 5) == remove || p2.InNodes.Has(5) == remove || p2.CrossIn[5].Has(1) == remove {
+			t.Fatalf("remove=%v: edge %v, in-node %v, owners %v", remove,
+				p0.Local.HasEdge(1, 5), p2.InNodes.Has(5), p2.CrossIn[5])
+		}
+	}
+	if got := apply(p0, true); got != (StakeResult{Stored: true}) {
+		t.Fatalf("divesting nothing: %+v", got)
 	}
 }
 
@@ -215,8 +266,13 @@ func TestQuickSplitMergeRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		for _, ce := range pi.PartitionGraph() {
-			if !pi.Parts[ce.ToPart].InNodes.Has(ce.Edge.To) {
+		gp := pi.PartitionGraph()
+		if crossEdges(pi) != len(gp) {
+			return false
+		}
+		for _, ce := range gp {
+			if !pi.Parts[ce.ToPart].InNodes.Has(ce.Edge.To) ||
+				!pi.Parts[ce.ToPart].CrossIn[ce.Edge.To].Has(ce.Edge.From) {
 				return false
 			}
 			if !pi.Parts[ce.FromPart].Virtual.Has(ce.Edge.To) {

@@ -19,7 +19,7 @@ import (
 // directory. A crash mid-checkpoint leaves at worst a stale .tmp (deleted on
 // the next open) — never a half-visible checkpoint.
 //
-// Format: magic, the covered sequence number, the CCPP1 partition payload,
+// Format: magic, the covered sequence number, the CCPP2 partition payload,
 // and a trailing CRC32 over everything after the magic. The CRC makes a
 // truncated or bit-rotted checkpoint detectably invalid, so recovery falls
 // back to the previous one plus a longer WAL tail.
@@ -94,7 +94,7 @@ func writeCheckpoint(dir string, seq uint64, p *partition.Partition) (int64, err
 
 // checkCheckpoint reads one checkpoint file and validates its magic and
 // trailing CRC, returning the CRC-covered body: the covered sequence number
-// followed by the CCPP1 payload. It proves the bytes recovery would read are
+// followed by the CCPP2 payload. It proves the bytes recovery would read are
 // intact without decoding them. A missing file is the bare os error.
 func checkCheckpoint(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)

@@ -19,8 +19,7 @@ func FuzzScanSegment(f *testing.F) {
 	for i, rec := range []Record{
 		{Kind: KindStake, Owner: 3, Owned: 7, Weight: 0.4},
 		{Kind: KindStake, Owner: 3, Owned: 7, Remove: true},
-		{Kind: KindCrossIn, Owned: 9, Delta: -1},
-		{Kind: KindMark},
+		{Kind: KindStake, Owner: 9, Owned: 2, Weight: 1},
 	} {
 		seg = appendFrame(seg, uint64(i+1), rec)
 	}
@@ -39,9 +38,7 @@ func FuzzScanSegment(f *testing.F) {
 			defer st.Kill()
 			var recs []Record
 			err = st.Replay(func(rec Record) error {
-				switch rec.Kind {
-				case KindStake, KindCrossIn, KindMark:
-				default:
+				if rec.Kind != KindStake {
 					t.Fatalf("replayed record %+v of unknown kind", rec)
 				}
 				if want := uint64(len(recs) + 1); rec.Seq != want {
@@ -84,21 +81,28 @@ func sameRecord(a, b Record) bool {
 const fuzzMaxCap = 1 << 16
 
 // ckptGraphCap reads the capacity field of the CCPG1 payload inside a
-// checkpoint file — magic, seq, then the CCPP1 image: its magic, id,
-// cross-out, member and virtual id lists, cross-in pairs, and the graph —
+// checkpoint file — magic, seq, then the CCPP2 image: its magic, id, member
+// and virtual id lists, in-nodes each with its owner list, and the graph —
 // or 0 if the file ends before it.
 func ckptGraphCap(data []byte) uint32 {
-	off := uint64(len(ckptMagic)) + 8 + uint64(len("CCPP1\n")) + 8
-	skip := func(width uint64) {
+	off := uint64(len(ckptMagic)) + 8 + uint64(len("CCPP2\n")) + 4
+	skipList := func() {
 		if off+4 > uint64(len(data)) {
 			off = uint64(len(data)) + 1
 			return
 		}
-		off += 4 + width*uint64(binary.LittleEndian.Uint32(data[off:]))
+		off += 4 + 4*uint64(binary.LittleEndian.Uint32(data[off:]))
 	}
-	skip(4) // members
-	skip(4) // virtual nodes
-	skip(8) // cross-in (id, count) pairs
+	skipList() // members
+	skipList() // virtual nodes
+	if off+4 <= uint64(len(data)) {
+		n := binary.LittleEndian.Uint32(data[off:])
+		off += 4
+		for i := uint32(0); i < n && off <= uint64(len(data)); i++ {
+			off += 4   // in-node
+			skipList() // its foreign owners
+		}
+	}
 	off += uint64(len("CCPG1\n"))
 	if off+4 > uint64(len(data)) {
 		return 0

@@ -22,16 +22,10 @@ import (
 // Kind classifies a WAL record.
 type Kind uint8
 
-const (
-	// KindStake merges (or, with Remove, divests) an ownership edge.
-	KindStake Kind = 1
-	// KindCrossIn adjusts a member's cross-in reference count by Delta.
-	KindCrossIn Kind = 2
-	// KindMark burns a sequence number without changing state. Sites append
-	// it on forced invalidations so the epoch (== durable seq) stays unique
-	// per observable state across restarts.
-	KindMark Kind = 3
-)
+// KindStake merges (or, with Remove, divests) an ownership edge. It is the
+// only kind: both home sites of a stake log the same record, each for the
+// half it holds.
+const KindStake Kind = 1
 
 // Record is one durable ownership update.
 type Record struct {
@@ -39,15 +33,12 @@ type Record struct {
 	// populated on replayed records.
 	Seq  uint64
 	Kind Kind
-	// Owner, Owned are the edge endpoints (KindStake) or Owned is the
-	// adjusted member (KindCrossIn).
+	// Owner, Owned are the stake's endpoints.
 	Owner, Owned int32
-	// Weight is the merged fraction (KindStake, Remove false).
+	// Weight is the merged fraction (Remove false).
 	Weight float64
 	// Remove divests the stake instead of merging Weight.
 	Remove bool
-	// Delta is the cross-in adjustment, +1 or -1 (KindCrossIn).
-	Delta int32
 }
 
 // Wire framing: every record is length-prefixed and CRC-guarded so a torn
@@ -58,11 +49,11 @@ type Record struct {
 //	[8:16)  sequence number (LE)
 //	[16:…)  payload
 //
-// The payload is fixed-size today (kind, flags, owner, owned, weight,
-// delta); the length prefix keeps the format extensible.
+// The payload is fixed-size today (kind, flags, owner, owned, weight); the
+// length prefix keeps the format extensible.
 const (
 	frameHeader = 16
-	payloadLen  = 22
+	payloadLen  = 18
 	frameLen    = frameHeader + payloadLen
 
 	// maxPayload bounds a decoded length prefix so a corrupt header cannot
@@ -82,7 +73,6 @@ func appendFrame(buf []byte, seq uint64, rec Record) []byte {
 	binary.LittleEndian.PutUint32(p[2:6], uint32(rec.Owner))
 	binary.LittleEndian.PutUint32(p[6:10], uint32(rec.Owned))
 	binary.LittleEndian.PutUint64(p[10:18], math.Float64bits(rec.Weight))
-	binary.LittleEndian.PutUint32(p[18:22], uint32(rec.Delta))
 
 	var h [frameHeader]byte
 	binary.LittleEndian.PutUint32(h[0:4], payloadLen)
@@ -127,11 +117,8 @@ func decodeFrame(data []byte) (Record, int, error) {
 		Owner:  int32(binary.LittleEndian.Uint32(p[2:6])),
 		Owned:  int32(binary.LittleEndian.Uint32(p[6:10])),
 		Weight: math.Float64frombits(binary.LittleEndian.Uint64(p[10:18])),
-		Delta:  int32(binary.LittleEndian.Uint32(p[18:22])),
 	}
-	switch rec.Kind {
-	case KindStake, KindCrossIn, KindMark:
-	default:
+	if rec.Kind != KindStake {
 		return Record{}, 0, fmt.Errorf("%w: kind %d", errBadFrame, rec.Kind)
 	}
 	return rec, total, nil

@@ -11,14 +11,17 @@
 # test drives a live concurrent coordinator behind real HTTP handlers),
 # five race-detector runs of the
 # coordinator's concurrency tests (live slices racing the boundary moves
-# that rebuild a site's per-epoch reachability sets among them), of the
+# that rebuild a site's per-epoch reachability sets among them, and
+# conflicting stake updates whose halves land at two sites), of the
 # site's epoch reads (live slices and cache builds racing on that rebuild
 # while updates stream in) and of the
 # WAL's commit tests (appends racing each other and checkpoints, a failed
 # fsync poisoning the log), twenty race-detector runs of the client's
 # transport-lifecycle tests (a stall's typed deadline, a broken connection
 # failing a call once and the redial after it, one call's write deadline
-# sparing another call's write), one iteration of the site and coordinator
+# sparing another call's write), 5 000 random monotone circuits (500 of them
+# under the race detector) checked against their circuit value through every
+# engine, the cluster and the update path, one iteration of the site and coordinator
 # benchmarks the docs cite, short fuzz runs over the write path,
 # the WAL segment scan, the site's socket decoder, the checkpoint loader,
 # the pooled graph decoder, the coordinator's partial decode and merge, the
@@ -98,11 +101,23 @@ go test -race -shuffle=on -timeout 10m \
 # in-flight queries with no lock, and a site's live evaluations and cache
 # builds share the reachability sets their slices and cores are cut from,
 # rebuilt by whichever reader first sees a new epoch; run the tests that race
-# queries against each other and against updates several times over.
-echo "== go test -race -count=5 (coordinator, slice and cache-build concurrency) =="
+# queries against each other and against updates several times over. A stake
+# update's two halves land at two sites at once, so run the test that races
+# conflicting updates of one stake, and the update path's differential
+# against partition.Split, as well.
+echo "== go test -race -count=5 (coordinator, slice, cache-build and update concurrency) =="
 go test -race -count=5 -timeout 10m \
-    -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates|TestSliceRacingBoundaryUpdates|TestSnapshotsNeverMixEpochs' \
+    -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates|TestSliceRacingBoundaryUpdates|TestSnapshotsNeverMixEpochs|TestConflictingUpdatesKeepInNodes|TestApplyUpdateMatchesSplit' \
     ./internal/dist
+
+# Theorem 2 as an oracle that shares no code with any engine: random
+# monotone circuits mapped to ownership graphs (mcvp.ToCCP), answered by CBE,
+# the Reducer, Datalog and the coordinator across input flips, and checked
+# against the circuit value. The plain test suite runs 500; run 5 000 here,
+# and 500 under the race detector.
+echo "== Theorem 2 circuit oracle (5 000 circuits, 500 under -race) =="
+go test -run '^TestCircuitOracle$' -timeout 10m ./internal/dist -circuits=5000
+go test -race -run '^TestCircuitOracle$' -timeout 10m ./internal/dist -circuits=500
 
 # A site call is made once on a connection every in-flight call shares: a
 # stall gives a typed deadline, a broken connection a typed transport error
@@ -134,7 +149,7 @@ go test -race -count=5 -timeout 10m \
 # finds on disk, the checkpoint loader recovery runs beside it, the CCPG1
 # decoder's pooled form (a payload decoded into scratch that a larger graph's
 # CloneInto and another payload left behind), the coordinator's partial decode into its dense merge, the
-# CCPP1 decoder checkpoint load runs, and the Datalog loader that reads
+# CCPP2 decoder checkpoint load runs, and the Datalog loader that reads
 # `ccpctl datalog -program` files: 15 s of new inputs each, on two fuzz
 # workers.
 echo "== go test -fuzz (write path + socket + WAL segment scan + checkpoint + pooled graph decode + partial merge + partition image + Datalog program) =="
