@@ -94,11 +94,11 @@ func BenchmarkLiveEvaluate(b *testing.B) {
 // cache on the same graph and site as BenchmarkLiveEvaluate, as the first
 // cached query after an update pays it. "core" is the site's own rebuild:
 // invalidate moves the epoch, and Precompute rebuilds the reachability
-// sets, copies the core and reduces it. "partition" copies the whole
-// partition into reused scratch and reduces it with the same exclusion set
-// and options, then keeps a compact clone, as a cache build did before it
-// was cut to the core; it is a test-side reference, not a production path.
-// nodes/op is the size of the copy.
+// sets, copies the core, reduces it and keeps its CCPG1 bytes.
+// "partition" copies the whole partition into reused scratch and reduces it
+// with the same exclusion set and options, then keeps a compact clone, as a
+// cache build did before it was cut to the core; it is a test-side
+// reference, not a production path. nodes/op is the size of the copy.
 func BenchmarkPrecompute(b *testing.B) {
 	eu := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 8000, InterconnectRate: 0.01,
 		AvgOutDegree: 3, Seed: 2021})

@@ -7,11 +7,11 @@ import (
 )
 
 // observeCache exports the coordinator's per-site cached-partial epochs as
-// ccp_coord_cached_epoch{site} gauges (-1 = no cached copy; a fresh site's
-// epoch is 0). `ccpctl doctor` cross-checks them against the serving sites'
-// ccp_site_epoch: a cached epoch ahead of its site's is a partial answer
-// from a future that never happened — corruption no single process can see
-// alone.
+// ccp_coord_cached_epoch{site} gauges (-1 = no cached copy; every epoch is
+// below 2^53, so a float64 holds it exactly). `ccpctl doctor` cross-checks
+// them against the serving sites' ccp_site_epoch: a cached epoch ahead of
+// its site's is a partial answer from a future that never happened —
+// corruption no single process can see alone.
 func (c *Coordinator) observeCache(o *obs.Observer) {
 	reg := o.Registry()
 	if reg == nil {

@@ -222,7 +222,10 @@ func TestDurableSiteRestartEquivalence(t *testing.T) {
 
 // TestNoOpUpdateKeepsEpoch is the regression test for the epoch-churn bug:
 // re-adding an identical edge, or divesting a stake that does not exist,
-// must not move the epoch or drop the cached partial answer.
+// must not move the epoch or drop the cached partial answer. A kept cache
+// is the same stored bytes, and fetching it copies no slice (no graph.clone
+// span); every served graph is a per-reply copy, so the graphs themselves
+// say nothing.
 func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		name := "memory"
@@ -246,15 +249,23 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 				s = NewSite(p, 1)
 			}
 			// The site is shard 0 of a hash split: it stores the even ids, so
-			// a query between odd ones is served from its cache.
-			cachedPartial := func() *graph.Graph {
+			// a query between odd ones is served from its cache. fetch returns
+			// the cache's bytes after the fetch and whether it built them.
+			fetch := func() (stored []byte, built bool) {
 				t.Helper()
-				pa, err := s.Evaluate(context.Background(), control.Query{S: 1, T: 3}, EvalOptions{UseCache: true})
+				pa, err := s.Evaluate(context.Background(), control.Query{S: 1, T: 3}, EvalOptions{UseCache: true, Trace: true})
 				if err != nil || !pa.FromCache || pa.Reduced == nil {
 					t.Fatalf("cached evaluation: %+v, %v", pa, err)
 				}
-				return pa.Reduced
+				pa.Release()
+				for _, e := range pa.Events {
+					built = built || e.Type == flight.GraphClone
+				}
+				s.mu.RLock()
+				defer s.mu.RUnlock()
+				return s.cache, built
 			}
+			same := func(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 			// Drive the stake to the clamp: labels merge additively and cap
 			// at 1, so the third merge below is a true no-op.
 			up := StakeUpdate{Owner: 0, Owned: 5, Weight: 0.8}
@@ -271,7 +282,7 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 				t.Fatal(err)
 			}
 			epoch := s.Epoch()
-			cached := cachedPartial()
+			cached, _ := fetch()
 
 			// Merging into an already-clamped label changes nothing.
 			res, err = s.ApplyEdgeUpdate(up)
@@ -301,8 +312,9 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 			if got := s.Epoch(); got != epoch {
 				t.Fatalf("epoch moved %d -> %d on no-op or rejected updates", epoch, got)
 			}
-			if cachedPartial() != cached {
-				t.Fatal("cached partial rebuilt after no-op or rejected updates")
+			if stored, built := fetch(); built || !same(stored, cached) {
+				t.Fatalf("cached partial rebuilt after no-op or rejected updates: graph.clone %v, same bytes %v",
+					built, same(stored, cached))
 			}
 
 			// A real change still moves everything.
@@ -313,8 +325,9 @@ func TestNoOpUpdateKeepsEpoch(t *testing.T) {
 			if !res.Changed || s.Epoch() == epoch {
 				t.Fatalf("effective update did not move the epoch: %+v", res)
 			}
-			if cachedPartial() == cached {
-				t.Fatal("cached partial not rebuilt after effective update")
+			if stored, built := fetch(); !built || same(stored, cached) {
+				t.Fatalf("cached partial not rebuilt after effective update: graph.clone %v, same bytes %v",
+					built, same(stored, cached))
 			}
 		})
 	}

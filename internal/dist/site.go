@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"slices"
 	"strconv"
 	"sync"
@@ -60,9 +61,9 @@ type PartialAnswer struct {
 	Events []flight.Event
 
 	// pool, when non-nil, owns Reduced: the graph is pooled scratch, valid
-	// until Release. A site's own cached partial (FromCache from a
-	// LocalClient) is never pooled — its graph is shared site state; over
-	// the wire every shipped graph, cached or live, is pooled.
+	// until Release. Every graph a site hands out, cached or live, is the
+	// receiver's own pooled copy, and so is every graph decoded off the
+	// wire.
 	pool *sync.Pool
 }
 
@@ -96,7 +97,7 @@ type Site struct {
 	part    *partition.Partition
 	workers int
 
-	cache      *graph.Graph // query-independent reduction of the core
+	cache      []byte // CCPG1 encoding of the core's query-independent reduction
 	cacheStats control.Stats
 	cacheEpoch uint64 // epoch the cache was computed at
 
@@ -117,8 +118,8 @@ type Site struct {
 	// exclusions pools the exclusion sets. Both reach zero steady-state
 	// allocations: reduction clears a scratch graph's tables instead of
 	// dropping them, so the next copy reuses every one. A scratch graph is
-	// never published as long-lived state (the cache is a compact Clone of
-	// one).
+	// never published as long-lived state: the cache keeps only the bytes of
+	// one, and a cached reply decodes them into another.
 	scratch    sync.Pool
 	exclusions sync.Pool
 
@@ -196,11 +197,24 @@ func (s *Site) Observe(o *obs.Observer) {
 func (s *Site) SetLogger(l *slog.Logger) { s.ev.SetLogger(l) }
 
 // NewSite wraps a partition. workers <= 0 means GOMAXPROCS.
+//
+// A site without a store numbers its states from bootEpoch, a base drawn
+// afresh for every site built: a coordinator that outlives a restart holds
+// copies numbered from the old base, and they must not revalidate against
+// states the restarted site numbers from its own.
 func NewSite(p *partition.Partition, workers int) *Site {
 	s := &Site{part: p, workers: workers, cacheEpoch: ^uint64(0)}
+	s.epoch.Store(bootEpoch())
 	s.reachEpoch.Store(^uint64(0))
 	return s
 }
+
+// bootEpoch draws a store-less site's first epoch from [2^51, 2^52). Every
+// epoch stays below 2^53 for 2^51 updates, so the float64 epoch gauges and
+// doctor's comparison of them are exact, and below lostEpoch; and every
+// epoch takes one gob length on the wire. Two boots collide with odds of
+// their update counts over 2^51.
+func bootEpoch() uint64 { return 1<<51 + rand.Uint64N(1<<51) }
 
 // OpenDurableSite builds a site backed by the durable store in dir:
 // recovery loads the newest valid checkpoint and replays the WAL tail
@@ -314,9 +328,6 @@ func (s *Site) ID() int { return s.part.ID }
 // Members returns the number of companies stored at the site.
 func (s *Site) Members() int { return len(s.part.Members) }
 
-// HoldsMember reports whether v is stored at this site (not just virtual).
-func (s *Site) HoldsMember(v graph.NodeID) bool { return s.part.Members.Has(v) }
-
 // MemberIDs returns the companies stored at the site in ascending order: the
 // site's entry in a coordinator's directory. A site's members never change.
 func (s *Site) MemberIDs() []graph.NodeID {
@@ -336,18 +347,24 @@ func (s *Site) MemberIDs() []graph.NodeID {
 func (s *Site) Precompute(ctx context.Context) (control.Stats, error) {
 	start := time.Now()
 	sc := s.ev.Query(0, false, start)
-	_, st, _, err := s.cached(ctx, &sc, start)
+	g, st, _, err := s.cached(ctx, &sc, start)
+	if err == nil {
+		s.scratch.Put(g)
+	}
 	return st, err
 }
 
-// cached returns the query-independent reduction with its stats and the
-// epoch of the partition it reduces, building it if the partition moved
-// since the last build. The build copies the partition's core — the slice
-// of a query with neither endpoint at the site — under the read lock, like a
-// live evaluation, and reduces the copy outside it, reporting both steps on
-// sc as an evaluation that began at start. It is installed as the cache
-// only if no update landed meanwhile, but it is served either way: it is
-// exact for the epoch it reports, and the next call rebuilds.
+// cached returns the query-independent reduction in pooled scratch, with
+// its stats and the epoch of the partition it reduces, building it if the
+// partition moved since the last build. The cache is the CCPG1 encoding of
+// the reduced core, and a warm call decodes it (see decodeCache). The build
+// copies the partition's core — the slice of a query with neither endpoint
+// at the site — under the read lock, like a live evaluation, and reduces
+// the copy outside it, reporting both steps on sc as an evaluation that
+// began at start. It serves the graph it reduced and keeps only its bytes,
+// which it installs as the cache only if no update landed meanwhile: the
+// graph is exact for the epoch it reports either way, and the next call
+// rebuilds.
 //
 // The core is all a query with no endpoint here can use: any path from s to
 // t through the partition enters at an in-node and leaves at a virtual
@@ -359,9 +376,10 @@ func (s *Site) cached(ctx context.Context, sc *obs.Scope, start time.Time) (*gra
 		return nil, control.Stats{}, 0, err
 	}
 	if s.cache != nil && s.cacheEpoch == epoch {
-		g, st := s.cache, s.cacheStats
+		b, st := s.cache, s.cacheStats
 		s.mu.RUnlock()
-		return g, st, epoch, nil
+		g, err := s.decodeCache(b)
+		return g, st, epoch, err
 	}
 	q := control.Query{S: graph.None, T: graph.None}
 	x := s.takeBoundary()
@@ -369,8 +387,6 @@ func (s *Site) cached(ctx context.Context, sc *obs.Scope, start time.Time) (*gra
 	s.mu.RUnlock()
 	reduceStart := sc.Span(flight.GraphClone, int32(s.part.ID), start, int64(g.NumNodes()))
 
-	// The cache keeps a compact Clone of the result (no table for a removed
-	// node) and the scratch, which keeps every table, goes back to the pool.
 	res, err := s.reduce(ctx, sc, reduceStart, g, q, x, control.Options{
 		Workers:            s.workers,
 		DisableTermination: true, // there is no query yet
@@ -378,15 +394,27 @@ func (s *Site) cached(ctx context.Context, sc *obs.Scope, start time.Time) (*gra
 	if err != nil {
 		return nil, control.Stats{}, 0, err
 	}
-	cache := g.Clone()
-	s.scratch.Put(g)
+	b := g.AppendBinary(make([]byte, 0, g.BinarySize()))
 
 	s.mu.Lock()
 	if s.epoch.Load() == epoch {
-		s.cache, s.cacheStats, s.cacheEpoch = cache, res.Stats, epoch
+		s.cache, s.cacheStats, s.cacheEpoch = b, res.Stats, epoch
 	}
 	s.mu.Unlock()
-	return cache, res.Stats, epoch, nil
+	return g, res.Stats, epoch, nil
+}
+
+// decodeCache decodes b, the cache's bytes, into pooled scratch. The bytes
+// are never written after they are installed, so the caller reads them
+// without s.mu. The decode costs the core, not the id space: the graph
+// spans the core's largest id, and emptying the scratch visits only what it
+// held. A scratch that failed to decode is not re-pooled.
+func (s *Site) decodeCache(b []byte) (*graph.Graph, error) {
+	g, err := graph.DecodeBinaryInto(s.takeScratch(), b)
+	if err != nil {
+		return nil, fmt.Errorf("dist: site %d decoding its cache: %w", s.part.ID, err)
+	}
+	return g, nil
 }
 
 // EvalOptions selects how a site evaluates a query.
@@ -461,6 +489,7 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 			Stats:     st,
 			FromCache: true,
 			Epoch:     epoch,
+			pool:      &s.scratch,
 		}
 		return s.served(&sc, pa, start, flight.EvalCached), nil
 	}
@@ -525,21 +554,22 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 	return s.served(&sc, pa, start, flight.EvalLive), nil
 }
 
-// evaluateFree is Evaluate for the calls that cost the site no work — no
-// copy, no reduction, no cache build — and nil for the rest, which only
-// Evaluate answers. A free call is answered exactly as Evaluate answers it,
-// events included.
+// evaluateFree is Evaluate for the calls that cost the site no work on its
+// partition — no slice, no reduction, no cache build — and nil for the
+// rest, which only Evaluate answers. A free call is answered exactly as
+// Evaluate answers it, events included.
 func (s *Site) evaluateFree(q control.Query, opts EvalOptions) *PartialAnswer {
 	start := time.Now()
 	sc := s.ev.Query(opts.QueryID, opts.Trace, start)
 	return s.answerFree(&sc, q, opts, start)
 }
 
-// answerFree serves the three replies that need no work: a revalidation of
-// the coordinator's copy, the warm cache, and a T1–T3 decision (the
-// conditions are O(1) on the cached aggregates, and the reducer would check
-// them before doing any work anyway; deciding here skips the copy, with the
-// same trust, answer and zero stats as the reducer's round-0 exit). It
+// answerFree serves the three replies that need no work on the partition: a
+// revalidation of the coordinator's copy, the warm cache (a decode of the
+// reduced core's bytes), and a T1–T3 decision (the conditions are O(1) on
+// the cached aggregates, and the reducer would check them before doing any
+// work anyway; deciding here skips the copy, with the same trust, answer
+// and zero stats as the reducer's round-0 exit). It
 // returns nil when q needs a live evaluation or a cache build.
 func (s *Site) answerFree(sc *obs.Scope, q control.Query, opts EvalOptions, start time.Time) *PartialAnswer {
 	holdsS := s.part.Members.Has(q.S)
@@ -561,9 +591,14 @@ func (s *Site) answerFree(sc *obs.Scope, q control.Query, opts EvalOptions, star
 			s.mu.RUnlock()
 			return nil
 		}
-		pa := &PartialAnswer{SiteID: s.part.ID, Ans: control.Unknown, Reduced: s.cache,
-			Stats: s.cacheStats, FromCache: true, Epoch: epoch}
+		b, st := s.cache, s.cacheStats
 		s.mu.RUnlock()
+		g, err := s.decodeCache(b)
+		if err != nil {
+			return nil // Evaluate reports it
+		}
+		pa := &PartialAnswer{SiteID: s.part.ID, Ans: control.Unknown, Reduced: g,
+			Stats: st, FromCache: true, Epoch: epoch, pool: &s.scratch}
 		return s.served(sc, pa, start, flight.EvalCached)
 	}
 	if opts.ForcePartial {

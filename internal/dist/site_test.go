@@ -2,6 +2,9 @@ package dist
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -26,16 +29,19 @@ func TestSiteAccessors(t *testing.T) {
 		t.Fatalf("members = %d", s.Members())
 	}
 	for v := range pi.Parts[1].Members {
-		if !s.HoldsMember(v) {
+		if !holdsMember(s, v) {
 			t.Fatalf("member %d not held", v)
 		}
 	}
 	for v := range pi.Parts[0].Members {
-		if s.HoldsMember(v) {
+		if holdsMember(s, v) {
 			t.Fatalf("foreign member %d held", v)
 		}
 	}
 }
+
+// holdsMember reports whether v is stored at s (not just virtual).
+func holdsMember(s *Site, v graph.NodeID) bool { return s.part.Members.Has(v) }
 
 func TestPrecomputeIsIdempotentAndEpochAware(t *testing.T) {
 	g := gen.ScaleFree(gen.ScaleFreeConfig{Nodes: 1000, AvgOutDegree: 2, Seed: 9})
@@ -130,13 +136,133 @@ func TestUpdateUnknownOwnedCompanyRollsBack(t *testing.T) {
 		clients[i] = &LocalClient{Site: sites[i]}
 	}
 	coord := NewCoordinator(clients, Options{Workers: 1})
+	epochs := []uint64{sites[0].Epoch(), sites[1].Epoch()}
 	if err := coord.ApplyUpdate(context.Background(), StakeUpdate{Owner: 0, Owned: 3, Weight: 0.2}); err == nil {
 		t.Fatal("stake in an unknown company accepted")
 	}
 	for i, s := range sites {
-		if s.part.Local.HasEdge(0, 3) || s.part.Virtual.Has(3) || s.Epoch() != 0 {
+		if s.part.Local.HasEdge(0, 3) || s.part.Virtual.Has(3) || s.Epoch() != epochs[i] {
 			t.Fatalf("site %d stored part of the dangling stake", i)
 		}
+	}
+}
+
+// TestStorelessRestartDoesNotRevalidate: a site without a store numbers its
+// states from a base drawn when it is built, so a coordinator's copy from
+// before a restart does not revalidate after it, not even once the
+// restarted site has taken as many updates as the copy's site had. Two
+// sites over one partition, with different histories of equal length,
+// stand in for the site before and after the restart.
+func TestStorelessRestartDoesNotRevalidate(t *testing.T) {
+	seed := durableSeed(3, 8, 0) // shard 0 stores the even ids
+	boot := func() *Site {
+		p, err := seed()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewSite(p, 1)
+	}
+	before, after := boot(), boot()
+	histories := [][]StakeUpdate{
+		{{Owner: 0, Owned: 5, Weight: 0.1}, {Owner: 2, Owned: 7, Weight: 0.1}},
+		{{Owner: 0, Owned: 3, Weight: 0.1}, {Owner: 4, Owned: 1, Weight: 0.1}},
+	}
+	for i, s := range []*Site{before, after} {
+		for _, up := range histories[i] {
+			if res, err := s.ApplyEdgeUpdate(up); err != nil || !res.Changed {
+				t.Fatalf("site %d: %+v: %+v, %v", i, up, res, err)
+			}
+		}
+	}
+	ctx := context.Background()
+	q := control.Query{S: 1, T: 3} // odd ids: served from the cache
+	pa, err := before.Evaluate(ctx, q, EvalOptions{UseCache: true})
+	if err != nil || !pa.FromCache || pa.Reduced == nil {
+		t.Fatalf("cached fetch before the restart: %+v, %v", pa, err)
+	}
+	copyEpoch := pa.Epoch
+	pa.Release()
+	pa, err = after.Evaluate(ctx, q, EvalOptions{UseCache: true, HasIfEpoch: true, IfEpoch: copyEpoch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa.NotModified || pa.Reduced == nil {
+		t.Fatalf("a copy at epoch %d from before the restart revalidated at epoch %d: %+v",
+			copyEpoch, after.Epoch(), pa)
+	}
+	pa.Release()
+	for _, s := range []*Site{before, after} {
+		if e := s.Epoch(); e >= 1<<53 {
+			t.Fatalf("epoch %d is not exact in a float64", e)
+		}
+	}
+}
+
+// TestCacheRebuildCostsTheCore: a stake into a foreign company with id 2^20
+// makes that id a virtual node of the site's core, so every cached partial
+// spans it. A cache rebuild after an update, and the cached fetch after it,
+// must still cost the core, not the id space: the cache is the reduced
+// core's bytes, and the graphs the rebuild reduces and the fetches decode
+// into are pooled scratch. A Clone of the reduced core would allocate the
+// 2^20 slots of its seven per-slot arrays, ≥ 37 MB, on every rebuild.
+func TestCacheRebuildCostsTheCore(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc pins do not hold under -race")
+	}
+	g := graph.New(4)
+	// 2 → 0 makes 0 an in-node of site 0 = {0, 1}.
+	for _, e := range []graph.Edge{{From: 2, To: 0, Weight: 0.6}, {From: 0, To: 1, Weight: 0.6}} {
+		if err := g.AddEdge(e.From, e.To, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pi, err := partition.Split(g, []int{0, 0, 1, 1}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSite(pi.Parts[0], 1)
+	const far = 1 << 20
+	if res, err := s.ApplyEdgeUpdate(StakeUpdate{Owner: 0, Owned: far, Weight: 0.3}); err != nil || !res.Changed {
+		t.Fatalf("stake into %d: %+v, %v", far, res, err)
+	}
+	// No collection for the whole test: it would empty the scratch pools
+	// the bound relies on.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	q := control.Query{S: 2, T: 3} // site 1's members: served from the cache
+	// Each step moves the epoch, so the first fetch rebuilds the cache and
+	// the second decodes it.
+	steps := []StakeUpdate{{Owner: 1, Owned: 0, Weight: 0.1}, {Owner: 1, Owned: 0, Remove: true}}
+	rebuild := func(i int) {
+		if res, err := s.ApplyEdgeUpdate(steps[i%len(steps)]); err != nil || !res.Changed {
+			t.Fatalf("step %d: %+v, %v", i, res, err)
+		}
+		for range 2 {
+			pa, err := s.Evaluate(ctx, q, EvalOptions{UseCache: true})
+			if err != nil || !pa.FromCache || pa.Reduced == nil || !pa.Reduced.Alive(far) {
+				t.Fatalf("step %d: cached fetch %+v, %v", i, pa, err)
+			}
+			pa.Release()
+		}
+	}
+	for i := range 4 { // fill the pools
+		rebuild(i)
+	}
+	// A goroutine that moves to another P between a Put and the next Get
+	// misses the pool once, so the bound holds for the median round.
+	perRound := make([]uint64, 15)
+	var before, after runtime.MemStats
+	for i := range perRound {
+		runtime.ReadMemStats(&before)
+		rebuild(i)
+		runtime.ReadMemStats(&after)
+		perRound[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(perRound)
+	t.Logf("a rebuild and two cached fetches allocate %d B (median of %d rounds; min %d, max %d)",
+		perRound[len(perRound)/2], len(perRound), perRound[0], perRound[len(perRound)-1])
+	if m := perRound[len(perRound)/2]; m >= 64<<10 {
+		t.Fatalf("a cache rebuild allocated %d B, want < 64 KiB: it costs the id space", m)
 	}
 }
 

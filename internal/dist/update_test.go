@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -497,6 +498,178 @@ func TestCoordinatorAnswersRacingUpdates(t *testing.T) {
 		if !got {
 			t.Fatalf("query %d: controls(1,3) answered false", i)
 		}
+	}
+}
+
+// checkedClient hands every reply of its site to check before the
+// coordinator consumes it, on the inline path too.
+type checkedClient struct {
+	*LocalClient
+	check func(*Site, *PartialAnswer)
+}
+
+func (c *checkedClient) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) (*PartialAnswer, int64, error) {
+	pa, n, err := c.LocalClient.Evaluate(ctx, q, opts)
+	if err == nil {
+		c.check(c.Site, pa)
+	}
+	return pa, n, err
+}
+
+func (c *checkedClient) evaluateInline(q control.Query, opts EvalOptions) (*PartialAnswer, int64, error, bool) {
+	pa, n, err, ok := c.LocalClient.evaluateInline(q, opts)
+	if ok && err == nil {
+		c.check(c.Site, pa)
+	}
+	return pa, n, err, ok
+}
+
+// TestCachedFetchesRacingUpdates races cached fetches against updates. Two
+// coordinators over the same two sites answer random queries, and a third
+// reader calls Site.Evaluate directly with no IfEpoch, while a writer
+// streams stakes through the first coordinator. Every cached reply is its
+// receiver's own copy in the site's scratch pool, released once consumed,
+// so a copy handed to two receivers, or reused while one still reads it,
+// shows up as a reply that is not the reduction of its site's core at the
+// reply's epoch.
+func TestCachedFetchesRacingUpdates(t *testing.T) {
+	const nodes = 16
+	sites := make([]*Site, 2)
+	for i := range sites {
+		p, err := durableSeed(11, nodes, i)() // site i stores the ids ≡ i mod 2
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites[i] = NewSite(p, 1)
+	}
+	// mu is held across each update and the recording of both sites'
+	// cores, so a reader that saw an epoch finds its core recorded.
+	var mu sync.Mutex
+	cores := []map[uint64]*graph.Graph{{}, {}}
+	record := func() {
+		for i, s := range sites {
+			p := s.part.Snapshot()
+			_, g, err := reduceAt(p, control.Query{S: graph.None, T: graph.None},
+				refSlice(p, graph.None, graph.None), control.Options{DisableTermination: true})
+			if err != nil {
+				t.Error(err)
+			}
+			cores[i][s.Epoch()] = g
+		}
+	}
+	record()
+
+	// Each reader counts the fresh cached replies it checked; the writer
+	// streams until every reader has checked enough.
+	const wantChecks = 50
+	var checks [3]atomic.Int64
+	var failed atomic.Bool
+	checker := func(r int) func(*Site, *PartialAnswer) {
+		return func(s *Site, pa *PartialAnswer) {
+			if !pa.FromCache || pa.NotModified {
+				return
+			}
+			mu.Lock()
+			want, ok := cores[s.ID()][pa.Epoch]
+			mu.Unlock()
+			if !ok || !graph.Equal(want, pa.Reduced, 1e-9) {
+				t.Errorf("reader %d: site %d's cached reply at epoch %d (recorded %v) is not its core's reduction",
+					r, s.ID(), pa.Epoch, ok)
+				failed.Store(true)
+			}
+			checks[r].Add(1)
+		}
+	}
+	coords := make([]*Coordinator, 2)
+	for r := range coords {
+		clients := make([]SiteClient, len(sites))
+		for i, s := range sites {
+			clients[i] = &checkedClient{&LocalClient{Site: s}, checker(r)}
+		}
+		coords[r] = NewCoordinator(clients, Options{UseCache: true, Workers: 1})
+	}
+	direct := checker(2)
+	enough := func() bool {
+		for i := range checks {
+			if checks[i].Load() < wantChecks {
+				return false
+			}
+		}
+		return true
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(99))
+		for i := 0; !enough() && !failed.Load() && i < 100000; i++ {
+			up := randomStake(rng, nodes, rng.Intn(2))
+			// The coordinator refuses to divest a stake that does not exist.
+			// Only this goroutine writes, so the owner's partition reads
+			// safely here.
+			if up.Remove && !sites[up.Owner%2].part.Local.HasEdge(up.Owner, up.Owned) {
+				up.Remove = false
+			}
+			mu.Lock()
+			err := coords[0].ApplyUpdate(context.Background(), up)
+			record()
+			mu.Unlock()
+			if err != nil {
+				t.Errorf("update %+v: %v", up, err)
+				failed.Store(true)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	read := func(r int, step func(*rand.Rand) error) {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(int64(r)))
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := step(rng); err != nil {
+				t.Errorf("reader %d: %v", r, err)
+				failed.Store(true)
+				return
+			}
+		}
+	}
+	for r, c := range coords {
+		wg.Add(1)
+		go read(r, func(rng *rand.Rand) error {
+			q := control.Query{S: graph.NodeID(rng.Intn(nodes)), T: graph.NodeID(rng.Intn(nodes))}
+			if q.S == q.T {
+				return nil
+			}
+			_, _, err := c.Answer(context.Background(), q)
+			return err
+		})
+	}
+	wg.Add(1)
+	go read(2, func(rng *rand.Rand) error {
+		// Two companies of the other site: this site serves its cache.
+		i := rng.Intn(2)
+		q := control.Query{S: graph.NodeID(2*rng.Intn(nodes/2) + 1 - i), T: graph.NodeID(2*rng.Intn(nodes/2) + 1 - i)}
+		pa, err := sites[i].Evaluate(context.Background(), q, EvalOptions{UseCache: true})
+		if err != nil {
+			return err
+		}
+		if !pa.FromCache || pa.NotModified || pa.Reduced == nil {
+			return fmt.Errorf("site %d: %v: not a cached copy: %+v", i, q, pa)
+		}
+		direct(sites[i], pa)
+		pa.Release()
+		return nil
+	})
+	<-done
+	wg.Wait()
+	if !failed.Load() && !enough() {
+		t.Fatalf("the writer gave up with %d, %d and %d checked replies, want %d each",
+			checks[0].Load(), checks[1].Load(), checks[2].Load(), wantChecks)
 	}
 }
 

@@ -27,15 +27,15 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))
-		d, derr := DecodeBinary(data)
+		d, derr := decodeBinary(data)
 		if (err == nil) != (derr == nil) {
-			t.Fatalf("ReadBinary err=%v, DecodeBinary err=%v", err, derr)
+			t.Fatalf("ReadBinary err=%v, decodeBinary err=%v", err, derr)
 		}
 		if err != nil {
 			return
 		}
 		if !Equal(g, d, 0) {
-			t.Fatal("ReadBinary and DecodeBinary decoded different graphs")
+			t.Fatal("ReadBinary and decodeBinary decoded different graphs")
 		}
 		if err := checkDeadIDs(g); err != nil {
 			t.Fatal(err)
@@ -132,7 +132,7 @@ func FuzzDecodeBinaryIntoReused(f *testing.F) {
 			t.Logf("first payload rejected: %v", err)
 		}
 		got, err := DecodeBinaryInto(scratch, b)
-		want, werr := DecodeBinary(b)
+		want, werr := decodeBinary(b)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("reused scratch err=%v, fresh decode err=%v", err, werr)
 		}

@@ -506,8 +506,7 @@ func (g *Graph) Clone() *Graph {
 // cloneMap copies one adjacency map for Clone. An empty map — a dead node's,
 // which removal clears but keeps — becomes nil, so a Clone of a reduced
 // graph is compact: it holds tables only for the nodes that still have
-// edges. Long-lived reduced graphs (a site's query-independent cache) are
-// published as such a Clone.
+// edges.
 func cloneMap(m map[NodeID]float64) map[NodeID]float64 {
 	if len(m) == 0 {
 		return nil

@@ -109,13 +109,6 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return DecodeBinaryInto(nil, data)
 }
 
-// DecodeBinary parses a CCPG1 payload held wholly in memory, as produced by
-// WriteBinary. It is the allocation-lean path for wire decoding: the payload
-// is indexed directly, with no reader or buffered copies.
-func DecodeBinary(data []byte) (*Graph, error) {
-	return DecodeBinaryInto(nil, data)
-}
-
 // DecodeBinaryInto parses a CCPG1 payload into dst, reusing dst's slices and
 // edge maps; a nil dst allocates a fresh graph. The header's capacity only
 // bounds the ids: the decoded graph's Cap is one past its largest live id,

@@ -192,12 +192,12 @@ func TestDecodeBinaryMatchesReadBinary(t *testing.T) {
 		if err := g.WriteBinary(&buf); err != nil {
 			t.Fatal(err)
 		}
-		h, err := DecodeBinary(buf.Bytes())
+		h, err := decodeBinary(buf.Bytes())
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
 		if !Equal(g, h, 0) {
-			t.Fatalf("trial %d: DecodeBinary diverged from source", trial)
+			t.Fatalf("trial %d: decodeBinary diverged from source", trial)
 		}
 		mustAggregates(t, h)
 	}
@@ -275,7 +275,7 @@ func TestDecodeIntoShrunkScratch(t *testing.T) {
 	if err := wide.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want, err := DecodeBinary(buf.Bytes())
+	want, err := decodeBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,10 +302,10 @@ func TestDecodeIntoShrunkScratch(t *testing.T) {
 }
 
 func TestDecodeBinaryRejectsGarbage(t *testing.T) {
-	if _, err := DecodeBinary([]byte("not a graph at all")); err == nil {
+	if _, err := decodeBinary([]byte("not a graph at all")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := DecodeBinary(nil); err == nil {
+	if _, err := decodeBinary(nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
 	g := New(3)
@@ -318,7 +318,7 @@ func TestDecodeBinaryRejectsGarbage(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := len(binaryMagic); cut < len(full); cut += 3 {
-		if _, err := DecodeBinary(full[:cut]); err == nil {
+		if _, err := decodeBinary(full[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}

@@ -253,17 +253,6 @@ func New(process string, capacity int) *Recorder {
 	return &Recorder{process: process, ring: make([]Event, 0, capacity)}
 }
 
-// SetProcess renames the recorder's process attribution (useful when the
-// site id is only known after the recorder was built).
-func (r *Recorder) SetProcess(name string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.process = name
-	r.mu.Unlock()
-}
-
 // Record adds one event to the ring, stamped now unless the caller already
 // stamped it, overwriting the oldest once the ring is full: one slot write
 // under the mutex. It never allocates, so always-on recording adds no

@@ -12,39 +12,6 @@ import (
 	"ccp/internal/partition"
 )
 
-// Reachable reports whether t can be reached from s along ownership edges
-// (plain BFS; edge labels are ignored). This is the centralized reference.
-func Reachable(g *graph.Graph, s, t graph.NodeID) bool {
-	if !g.Alive(s) || !g.Alive(t) {
-		return false
-	}
-	if s == t {
-		return true
-	}
-	seen := graph.NewNodeSet(s)
-	queue := []graph.NodeID{s}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		found := false
-		g.EachOut(v, func(u graph.NodeID, w float64) {
-			if found || seen.Has(u) {
-				return
-			}
-			if u == t {
-				found = true
-				return
-			}
-			seen.Add(u)
-			queue = append(queue, u)
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
 // PartialAnswer is one site's contribution: the reachability relation
 // restricted to the nodes the coordinator cares about — the partition's
 // boundary nodes plus, when stored here, the query endpoints. Unlike company

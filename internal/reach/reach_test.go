@@ -34,8 +34,8 @@ func TestReachableBasics(t *testing.T) {
 		{99, 0, false},
 	}
 	for _, c := range cases {
-		if got := Reachable(g, c.s, c.t); got != c.want {
-			t.Errorf("Reachable(%d,%d) = %v, want %v", c.s, c.t, got, c.want)
+		if got := reachable(g, c.s, c.t); got != c.want {
+			t.Errorf("reachable(%d,%d) = %v, want %v", c.s, c.t, got, c.want)
 		}
 	}
 }
@@ -104,9 +104,43 @@ func TestQuickDistributedMatchesBFS(t *testing.T) {
 		}
 		s := graph.NodeID(int(ss) % n)
 		tgt := graph.NodeID(int(tt) % n)
-		return Distributed(pi, s, tgt) == Reachable(g, s, tgt)
+		return Distributed(pi, s, tgt) == reachable(g, s, tgt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// reachable reports whether t can be reached from s along ownership edges
+// (plain BFS; edge labels are ignored): the centralized reference that the
+// distributed evaluation is checked against.
+func reachable(g *graph.Graph, s, t graph.NodeID) bool {
+	if !g.Alive(s) || !g.Alive(t) {
+		return false
+	}
+	if s == t {
+		return true
+	}
+	seen := graph.NewNodeSet(s)
+	queue := []graph.NodeID{s}
+	for len(queue) > 0 {
+		v := queue[0]
+		queue = queue[1:]
+		found := false
+		g.EachOut(v, func(u graph.NodeID, w float64) {
+			if found || seen.Has(u) {
+				return
+			}
+			if u == t {
+				found = true
+				return
+			}
+			seen.Add(u)
+			queue = append(queue, u)
+		})
+		if found {
+			return true
+		}
+	}
+	return false
 }

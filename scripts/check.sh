@@ -14,7 +14,9 @@
 # that rebuild a site's per-epoch reachability sets among them, and
 # conflicting stake updates whose halves land at two sites), of the
 # site's epoch reads (live slices and cache builds racing on that rebuild
-# while updates stream in) and of the
+# while updates stream in), of cached fetches racing updates (two
+# coordinators and direct calls, each releasing its own pooled copy of a
+# site's cache) and of the
 # WAL's commit tests (appends racing each other and checkpoints, a failed
 # fsync poisoning the log), twenty race-detector runs of the client's
 # transport-lifecycle tests (a stall's typed deadline, a broken connection
@@ -101,13 +103,16 @@ go test -race -shuffle=on -timeout 10m \
 # in-flight queries with no lock, and a site's live evaluations and cache
 # builds share the reachability sets their slices and cores are cut from,
 # rebuilt by whichever reader first sees a new epoch; run the tests that race
-# queries against each other and against updates several times over. A stake
+# queries against each other and against updates several times over. Every
+# cached reply is decoded into the site's scratch pool and released by its
+# receiver, so run the test that races cached fetches from two coordinators
+# and direct calls against updates. A stake
 # update's two halves land at two sites at once, so run the test that races
 # conflicting updates of one stake, and the update path's differential
 # against partition.Split, as well.
 echo "== go test -race -count=5 (coordinator, slice, cache-build and update concurrency) =="
 go test -race -count=5 -timeout 10m \
-    -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates|TestSliceRacingBoundaryUpdates|TestSnapshotsNeverMixEpochs|TestConflictingUpdatesKeepInNodes|TestApplyUpdateMatchesSplit' \
+    -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates|TestSliceRacingBoundaryUpdates|TestSnapshotsNeverMixEpochs|TestConflictingUpdatesKeepInNodes|TestApplyUpdateMatchesSplit|TestCachedFetchesRacingUpdates' \
     ./internal/dist
 
 # Theorem 2 as an oracle that shares no code with any engine: random
