@@ -2,7 +2,9 @@ package dist
 
 import (
 	"context"
+	"math/rand"
 	"testing"
+	"time"
 
 	"ccp/internal/control"
 	"ccp/internal/gen"
@@ -19,8 +21,9 @@ import (
 // company). "slice" copies and reduces the query's slice, as a live
 // evaluation does; "partition" copies and reduces the whole partition, as
 // one with ForcePartial does. nodes/op is the size of the copy. "reach"
-// rebuilds the per-epoch reachability sets the slices are cut from, which a
-// site does once per epoch it serves live queries at.
+// builds the reachability sets the slices are cut from, which a site does
+// once, in NewSite; Apply repairs them after that (see
+// partition.BenchmarkReachAfterStake).
 func BenchmarkLiveEvaluate(b *testing.B) {
 	eu := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 8000, InterconnectRate: 0.01,
 		AvgOutDegree: 3, Seed: 2021})
@@ -93,8 +96,9 @@ func BenchmarkLiveEvaluate(b *testing.B) {
 // BenchmarkPrecompute measures one rebuild of a site's query-independent
 // cache on the same graph and site as BenchmarkLiveEvaluate, as the first
 // cached query after an update pays it. "core" is the site's own rebuild:
-// invalidate moves the epoch, and Precompute rebuilds the reachability
-// sets, copies the core, reduces it and keeps its CCPG1 bytes.
+// invalidate moves the epoch, and Precompute copies the core, reduces it
+// and keeps its CCPG1 bytes. The reachability sets the core is cut from
+// are current already: Apply repairs them with the update.
 // "partition" copies the whole partition into reused scratch and reduces it
 // with the same exclusion set and options, then keeps a compact clone, as a
 // cache build did before it was cut to the core; it is a test-side
@@ -137,4 +141,70 @@ func BenchmarkPrecompute(b *testing.B) {
 		}
 		b.ReportMetric(float64(p.Local.NumNodes()), "nodes/op")
 	})
+}
+
+// BenchmarkAnswerAfterUpdate compares the first answer after a stake update
+// with a steady answer, on an in-process cluster of the xborder graph's four
+// sites with the cache on. Each op applies one update of the benchmark's
+// update-mix kind (a random stake of 0.1, three in four across a border,
+// divested by the op after it), then times one answer (after-us) and the
+// one after it (steady-us), of queries from a member with a stake across a
+// border to an in-node of another site. after/steady is their ratio: what
+// an update leaves to the query that follows it, the site's cache rebuild
+// included.
+func BenchmarkAnswerAfterUpdate(b *testing.B) {
+	eu := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 8000, InterconnectRate: 0.01,
+		AvgOutDegree: 3, Seed: 2021})
+	sites := inlineSites(b, eu)
+	coord := NewCoordinator(localClients(sites, false), Options{UseCache: true, Workers: 1})
+	ctx := context.Background()
+	var owners, targets []graph.NodeID
+	for _, s := range sites {
+		for _, v := range s.MemberIDs() {
+			cross := false
+			s.part.Local.EachOut(v, func(u graph.NodeID, _ float64) { cross = cross || s.part.Virtual.Has(u) })
+			if cross {
+				owners = append(owners, v)
+			}
+			if s.part.InNodes.Has(v) {
+				targets = append(targets, v)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	var qs []control.Query // an odd count, so each query takes both roles in turn
+	for len(qs) < 15 {
+		q := control.Query{S: owners[rng.Intn(len(owners))], T: targets[rng.Intn(len(targets))]}
+		if eu.Country[q.S] != eu.Country[q.T] {
+			qs = append(qs, q)
+		}
+	}
+	var ups []StakeUpdate
+	for len(ups) < 16 {
+		u, v := graph.NodeID(rng.Intn(eu.G.Cap())), graph.NodeID(rng.Intn(eu.G.Cap()))
+		domestic := len(ups)%8 == 6
+		if u != v && (eu.Country[u] == eu.Country[v]) == domestic &&
+			!eu.G.HasEdge(u, v) && !eu.G.HasEdge(v, u) && eu.G.InSum(v) <= 0.8 {
+			ups = append(ups, StakeUpdate{Owner: u, Owned: v, Weight: 0.1}, StakeUpdate{Owner: u, Owned: v, Remove: true})
+		}
+	}
+	var after, steady time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := coord.ApplyUpdate(ctx, ups[i%len(ups)]); err != nil {
+			b.Fatal(err)
+		}
+		for j, d := range []*time.Duration{&after, &steady} {
+			q := qs[(2*i+j)%len(qs)]
+			start := time.Now()
+			if _, _, err := coord.Answer(ctx, q); err != nil {
+				b.Fatalf("%v: %v", q, err)
+			}
+			*d += time.Since(start)
+		}
+	}
+	b.ReportMetric(float64(after.Microseconds())/float64(b.N), "after-us")
+	b.ReportMetric(float64(steady.Microseconds())/float64(b.N), "steady-us")
+	b.ReportMetric(float64(after)/float64(steady), "after/steady")
 }

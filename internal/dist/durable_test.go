@@ -467,9 +467,9 @@ func reduceAt(p *partition.Partition, q control.Query, keep graph.NodeSet, opt c
 // reduction of the recorded partition's copy that path takes — all of it,
 // the query's slice, or the core — with the slice and the core computed by
 // the test's own two BFS (refSlice); each image must decode to the recorded
-// partition. A slice read and a cache build after an update race to rebuild
-// the site's reachability sets. Run under -race this also checks the read
-// lock and the rebuild's lock against Apply.
+// partition. Slice reads and cache builds cut from the reachability sets
+// that each Apply repairs. Run under -race this also checks the read lock
+// against Apply and its repair.
 func TestSnapshotsNeverMixEpochs(t *testing.T) {
 	s, err := OpenDurableSite(t.TempDir(), durableSeed(11, 16, 0), 2, store.Options{NoSync: true})
 	if err != nil {

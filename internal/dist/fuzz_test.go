@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -78,10 +79,11 @@ func decodeFuzzRecords(data []byte) []store.Record {
 // record applied as a new write to a small seeded site. Apply must never
 // panic; a rejected or unchanging record must leave the partition bytes
 // and the epoch unchanged; the in-nodes must stay the keys of the foreign
-// owner sets; and replaying the changing records, each with the epoch it
-// moved the site to as its seq, into a fresh site that starts at the
-// original's first epoch must rebuild the same bytes and epoch, which is
-// what recovery relies on.
+// owner sets; the reachability sets Apply repairs must equal a fresh
+// BuildReach after every accepted record; and replaying the changing
+// records, each with the epoch it moved the site to as its seq, into a
+// fresh site that starts at the original's first epoch must rebuild the
+// same bytes and epoch, which is what recovery relies on.
 func FuzzApply(f *testing.F) {
 	f.Add(encodeFuzzRecords([]store.Record{
 		{Kind: store.KindStake, Owner: 0, Owned: 5, Weight: 0.4},
@@ -145,6 +147,7 @@ func FuzzApply(f *testing.F) {
 					t.Fatalf("after %+v: %d has foreign owners but is no in-node member", rec, v)
 				}
 			}
+			sameReach(t, fmt.Sprintf("after %+v", rec), s)
 			rec.Seq = s.Epoch()
 			accepted = append(accepted, rec)
 		}

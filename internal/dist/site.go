@@ -84,7 +84,9 @@ func (pa *PartialAnswer) Release() {
 // Algorithm 2. A Site is safe for concurrent use.
 //
 // Concurrency model: s.mu guards the one live partition, the epoch that
-// versions it, and the query-independent cache. Apply holds it exclusively.
+// versions it, the partition's reachability sets and the query-independent
+// cache. Apply holds it exclusively, and repairs the sets as it changes the
+// partition.
 // A live evaluation holds it shared only while it reads the termination
 // aggregates and copies its slice of the partition and the boundary into
 // pooled scratch, then reduces the copy with the lock released; a cache
@@ -123,18 +125,13 @@ type Site struct {
 	scratch    sync.Pool
 	exclusions sync.Pool
 
-	// reach is the per-epoch half of a live evaluation's slice and the
-	// whole of a cache build's core, built for the epoch reachEpoch holds.
-	// Every reader under s.mu sees one epoch, so reach is written only by
-	// the first of them to find it stale:
-	// reachMu serializes that rebuild, and storing reachEpoch after it
-	// publishes the sets to readers that skip the lock. The next rebuild
-	// needs a new epoch, which waits for every such reader to leave s.mu.
-	// slicers pools the per-query walk scratch.
-	reachMu    sync.Mutex
-	reach      partition.Reach
-	reachEpoch atomic.Uint64
-	slicers    sync.Pool
+	// reach is the query-independent half of a live evaluation's slice and
+	// the whole of a cache build's core. NewSite builds it, and Apply
+	// repairs it under the exclusive s.mu with every record that changes
+	// the partition, so every reader under s.mu finds it current. slicers
+	// pools the per-query walk scratch.
+	reach   partition.Reach
+	slicers sync.Pool
 
 	ev obs.Emitter
 }
@@ -205,7 +202,7 @@ func (s *Site) SetLogger(l *slog.Logger) { s.ev.SetLogger(l) }
 func NewSite(p *partition.Partition, workers int) *Site {
 	s := &Site{part: p, workers: workers, cacheEpoch: ^uint64(0)}
 	s.epoch.Store(bootEpoch())
-	s.reachEpoch.Store(^uint64(0))
+	p.BuildReach(&s.reach)
 	return s
 }
 
@@ -383,7 +380,7 @@ func (s *Site) cached(ctx context.Context, sc *obs.Scope, start time.Time) (*gra
 	}
 	q := control.Query{S: graph.None, T: graph.None}
 	x := s.takeBoundary()
-	g := s.slice(epoch, q)
+	g := s.slice(q)
 	s.mu.RUnlock()
 	reduceStart := sc.Span(flight.GraphClone, int32(s.part.ID), start, int64(g.NumNodes()))
 
@@ -519,7 +516,7 @@ func (s *Site) Evaluate(ctx context.Context, q control.Query, opts EvalOptions) 
 	if opts.ForcePartial {
 		g = s.part.Local.CloneInto(s.takeScratch())
 	} else {
-		g = s.slice(epoch, q)
+		g = s.slice(q)
 	}
 	s.mu.RUnlock()
 	reduceStart := sc.Span(flight.GraphClone, int32(s.part.ID), start, int64(g.NumNodes()))
@@ -637,18 +634,9 @@ func (s *Site) trust(q control.Query, holdsS, holdsT bool) control.TerminationTr
 	}
 }
 
-// slice copies q's slice of the partition into pooled scratch, first
-// rebuilding the per-epoch reachability sets if the partition moved since
-// they were built. Caller holds s.mu shared, at epoch.
-func (s *Site) slice(epoch uint64, q control.Query) *graph.Graph {
-	if s.reachEpoch.Load() != epoch {
-		s.reachMu.Lock()
-		if s.reachEpoch.Load() != epoch {
-			s.part.BuildReach(&s.reach)
-			s.reachEpoch.Store(epoch)
-		}
-		s.reachMu.Unlock()
-	}
+// slice copies q's slice of the partition into pooled scratch. Caller holds
+// s.mu shared.
+func (s *Site) slice(q control.Query) *graph.Graph {
 	sc, _ := s.slicers.Get().(*partition.SliceScratch)
 	if sc == nil {
 		sc = new(partition.SliceScratch)

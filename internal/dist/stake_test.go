@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,8 +101,9 @@ func TestCrossStakeIsOneRound(t *testing.T) {
 	}
 }
 
-// sameBoundary fails unless every site holds the in-nodes and foreign
-// owner sets that partition.Split gives g under assign.
+// sameBoundary fails unless every site holds the in-nodes, foreign owner
+// sets, virtual nodes and live nodes that partition.Split gives g under
+// assign.
 func sameBoundary(t *testing.T, tag string, sites []*Site, g *graph.Graph, assign []int) {
 	t.Helper()
 	want, err := partition.Split(g, assign, len(sites))
@@ -111,11 +113,16 @@ func sameBoundary(t *testing.T, tag string, sites []*Site, g *graph.Graph, assig
 	for i, s := range sites {
 		s.mu.RLock()
 		in, owners := maps.Clone(s.part.InNodes), maps.Clone(s.part.CrossIn)
+		virt, live := maps.Clone(s.part.Virtual), s.part.Local.AppendLive(nil)
 		s.mu.RUnlock()
 		w := want.Parts[i]
 		if !maps.Equal(in, w.InNodes) || !maps.EqualFunc(owners, w.CrossIn, maps.Equal) {
 			t.Fatalf("%s: site %d holds in-nodes %v with owners %v, Split gives %v with %v",
 				tag, i, in, owners, w.InNodes, w.CrossIn)
+		}
+		if wantLive := w.Local.AppendLive(nil); !maps.Equal(virt, w.Virtual) || !slices.Equal(live, wantLive) {
+			t.Fatalf("%s: site %d holds virtual nodes %v and live nodes %v, Split gives %v and %v",
+				tag, i, virt, live, w.Virtual, wantLive)
 		}
 	}
 }

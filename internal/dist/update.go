@@ -48,8 +48,9 @@ const lostEpoch = 1 << 62
 // partition.ApplyStake).
 //
 // The record is checked before the partition is touched, so a rejected
-// record changes nothing. A record that changes the site's state is logged
-// and moves the epoch to its sequence number; a record that changes nothing
+// record changes nothing. A record that changes the site's state repairs
+// the partition's reachability sets (partition.RepairReach), is logged and
+// moves the epoch to its sequence number; a record that changes nothing
 // is neither logged nor moves the epoch. A record without a Seq is a new
 // write, appended to the store, or numbered by the next epoch on a site
 // without a store. A record with a Seq comes from WAL replay and is already
@@ -77,6 +78,7 @@ func (s *Site) Apply(rec store.Record) (UpdateResult, error) {
 	if !res.Changed {
 		return res, nil
 	}
+	s.part.RepairReach(&s.reach, graph.NodeID(rec.Owner), graph.NodeID(rec.Owned), rec.Remove)
 	s.cache = nil
 	seq := rec.Seq
 	switch {

@@ -691,7 +691,7 @@ func boundaryGraph(t *testing.T) (*graph.Graph, []int) {
 // TestSliceFollowsBoundaryUpdates moves site A's boundary between queries
 // whose answers depend on it, and requires every answer to equal CBE and
 // every live reply to reduce the slice of the partition as it stands: a
-// slice cut with the reachability sets of an older epoch would answer
+// slice cut with reachability sets the update did not repair would answer
 // controls(4, 2) false after 4 → 1 makes 1 an in-node, and controls(0, 7)
 // false after 3 → 6 makes 6 virtual. Every step moves A's epoch, a second
 // foreign owner of in-node 1 too: it changes A's owner set, if not its
@@ -737,8 +737,8 @@ func TestSliceFollowsBoundaryUpdates(t *testing.T) {
 // virtual node — against live evaluations at A, from the coordinator and
 // from a second reader, and requires controls(4, 2), through in-node 1,
 // and controls(0, 7), through virtual node 6, to hold throughout. A reader
-// that cut its slice from sets another reader was rebuilding would lose the
-// path and answer false.
+// that cut its slice from sets Apply was repairing would lose the path and
+// answer false.
 func TestSliceRacingBoundaryUpdates(t *testing.T) {
 	g, assign := boundaryGraph(t)
 	for _, e := range []graph.Edge{{From: 4, To: 1, Weight: 0.6}, {From: 3, To: 6, Weight: 0.6}} {

@@ -72,9 +72,18 @@ func (p *Partition) ApplyStake(owner, owned graph.NodeID, w float64, remove bool
 
 // applyEdge is the owner's half of ApplyStake: it merges or divests the
 // edge (owner, owned) and reports whether the edge or its label changed.
+// A foreign company's virtual stub goes with its last in-edge, as Split
+// never makes one without.
 func (p *Partition) applyEdge(owner, owned graph.NodeID, w float64, remove bool) (bool, error) {
 	if remove {
-		return p.Local.RemoveEdge(owner, owned), nil
+		if !p.Local.RemoveEdge(owner, owned) {
+			return false, nil
+		}
+		if p.Virtual.Has(owned) && p.Local.InDegree(owned) == 0 {
+			p.Local.RemoveNode(owned)
+			delete(p.Virtual, owned)
+		}
+		return true, nil
 	}
 	old, existed := p.Local.Label(owner, owned)
 	if !p.Members.Has(owned) {

@@ -2,19 +2,21 @@ package partition
 
 import (
 	"math/bits"
+	"slices"
 
 	"ccp/internal/graph"
 )
 
 // Reach is the query-independent half of a partition's slice (see Slice):
 // R(V^in), the nodes of Local reachable from an in-node; C(V^virt), the nodes
-// of Local that reach a virtual node; and their intersection, the core. It
-// describes the partition as it stood when BuildReach ran, so rebuild it
-// whenever the partition changes.
+// of Local that reach a virtual node; and their intersection, the core.
+// BuildReach computes them from scratch, and RepairReach keeps them equal to
+// that after each stake record the partition applies.
 type Reach struct {
 	fwd, bwd bitset         // R(V^in) and C(V^virt), over Local's id space
 	core     []graph.NodeID // R(V^in) ∩ C(V^virt), ascending
 	queue    []graph.NodeID
+	cut      []graph.NodeID // the nodes a removal's repair cleared
 }
 
 // BuildReach fills r with p's reachability sets, reusing r's memory.
@@ -24,6 +26,109 @@ func (p *Partition) BuildReach(r *Reach) {
 	r.bwd = r.bwd.reset(g.Cap())
 	r.queue = flood(g, r.queue, p.InNodes, r.fwd, false)
 	r.queue = flood(g, r.queue, p.Virtual, r.bwd, true)
+	r.intersect()
+}
+
+// RepairReach brings r, p's sets as they stood before p applied the stake
+// record (owner, owned, remove), up to p as it stands after it: r then
+// equals what BuildReach would build. Call it after every ApplyStake that
+// reports Changed, in order.
+//
+// An added edge or boundary node only grows the sets, by a flood from its
+// end that stops at marked nodes. A removal that can cut a set (x is v on
+// the forward side, u on the backward side) clears x's closure inside the
+// set, then floods again from every cleared node that is a seed or has a
+// neighbour still marked: every node that leaves the set lies in that
+// closure, and every node outside it keeps its path. Either way a repair
+// visits the nodes it changes or clears at most twice, with their edges,
+// and then recomputes the core from the bitsets.
+func (p *Partition) RepairReach(r *Reach, owner, owned graph.NodeID, remove bool) {
+	g := p.Local
+	r.fwd = r.fwd.grow(g.Cap())
+	r.bwd = r.bwd.grow(g.Cap())
+	u, v := owner, owned
+	switch {
+	case p.Members.Has(u) && !remove: // the owner's home takes the stake
+		if p.Virtual.Has(v) && !r.bwd.has(v) {
+			r.extend(g, v, r.bwd, true)
+		}
+		if r.fwd.has(u) && !r.fwd.has(v) {
+			r.extend(g, v, r.fwd, false)
+		}
+		if r.bwd.has(v) && !r.bwd.has(u) {
+			r.extend(g, u, r.bwd, true)
+		}
+	case p.Members.Has(u): // the owner's home divests it
+		if r.fwd.has(u) && r.fwd.has(v) && !p.InNodes.Has(v) {
+			r.shrink(g, v, r.fwd, p.InNodes, false)
+		}
+		if r.bwd.has(u) && r.bwd.has(v) {
+			if !g.Alive(v) {
+				r.bwd.clear(v) // its stub went with its last in-edge
+			}
+			r.shrink(g, u, r.bwd, p.Virtual, true)
+		}
+	case !remove: // the owned company's home records a foreign owner
+		if p.InNodes.Has(v) && !r.fwd.has(v) {
+			r.extend(g, v, r.fwd, false)
+		}
+	case r.fwd.has(v) && !p.InNodes.Has(v): // ... and drops its last one
+		r.shrink(g, v, r.fwd, p.InNodes, false)
+	}
+	r.intersect()
+}
+
+// Equal reports whether r and o hold the same three sets.
+func (r *Reach) Equal(o *Reach) bool {
+	return r.fwd.equal(o.fwd) && r.bwd.equal(o.bwd) && slices.Equal(r.core, o.core)
+}
+
+// extend marks in seen x and everything reachable from it, along out-edges,
+// or along in-edges when back is set.
+func (r *Reach) extend(g *graph.Graph, x graph.NodeID, seen bitset, back bool) {
+	if g.Alive(x) && !seen.has(x) {
+		seen.set(x)
+		r.queue = spread(g, append(r.queue[:0], x), seen, back)
+	}
+}
+
+// shrink repairs seen after a removal that may have cut x, a node of seen,
+// off from its seeds: it clears x's closure inside seen, along out-edges,
+// or along in-edges when back is set, then floods seen again from every
+// cleared node that is a live seed or has a neighbour still in seen on the
+// seeds' side. The cleared nodes are taken in the order they were cleared,
+// nearest x first, and each flood runs at once: a node it marks again is
+// not looked at, so the neighbours of a holding company a flood reaches
+// are never scanned.
+func (r *Reach) shrink(g *graph.Graph, x graph.NodeID, seen bitset, seeds graph.NodeSet, back bool) {
+	seen.clear(x)
+	cut := append(r.cut[:0], x)
+	for i := 0; i < len(cut); i++ {
+		step(g, cut[i], back, func(w graph.NodeID, _ float64) {
+			if seen.has(w) {
+				seen.clear(w)
+				cut = append(cut, w)
+			}
+		})
+	}
+	r.cut = cut
+	for _, c := range cut {
+		if seen.has(c) {
+			continue // marked by an earlier node's flood
+		}
+		kept := g.Alive(c) && seeds.Has(c)
+		if !kept {
+			step(g, c, !back, func(w graph.NodeID, _ float64) { kept = kept || seen.has(w) })
+		}
+		if kept {
+			seen.set(c)
+			r.queue = spread(g, append(r.queue[:0], c), seen, back)
+		}
+	}
+}
+
+// intersect recomputes the core from the two bitsets.
+func (r *Reach) intersect() {
 	r.core = r.core[:0]
 	for i, w := range r.fwd {
 		for w &= r.bwd[i]; w != 0; w &= w - 1 {
@@ -37,25 +142,37 @@ func (p *Partition) BuildReach(r *Reach) {
 // emptied, for reuse.
 func flood(g *graph.Graph, queue []graph.NodeID, from graph.NodeSet, seen bitset, back bool) []graph.NodeID {
 	queue = queue[:0]
-	visit := func(u graph.NodeID, _ float64) {
-		if !seen.has(u) {
-			seen.set(u)
-			queue = append(queue, u)
-		}
-	}
 	for v := range from {
-		if g.Alive(v) {
-			visit(v, 0)
+		if g.Alive(v) && !seen.has(v) {
+			seen.set(v)
+			queue = append(queue, v)
 		}
 	}
+	return spread(g, queue, seen, back)
+}
+
+// spread marks in seen every node of g reachable from queue's nodes, which
+// seen holds already, along out-edges, or along in-edges when back is set.
+// It returns queue emptied, for reuse.
+func spread(g *graph.Graph, queue []graph.NodeID, seen bitset, back bool) []graph.NodeID {
 	for i := 0; i < len(queue); i++ {
-		if back {
-			g.EachIn(queue[i], visit)
-		} else {
-			g.EachOut(queue[i], visit)
-		}
+		step(g, queue[i], back, func(u graph.NodeID, _ float64) {
+			if !seen.has(u) {
+				seen.set(u)
+				queue = append(queue, u)
+			}
+		})
 	}
 	return queue[:0]
+}
+
+// step calls fn for every out-edge of v, or every in-edge when back is set.
+func step(g *graph.Graph, v graph.NodeID, back bool, fn func(u graph.NodeID, w float64)) {
+	if back {
+		g.EachIn(v, fn)
+	} else {
+		g.EachOut(v, fn)
+	}
 }
 
 // SliceScratch is Slice's per-query memory: generation-stamped walk marks
@@ -106,10 +223,10 @@ func (sc *SliceScratch) set(v graph.NodeID, f uint32) {
 //	keep = (R(V^in) ∪ R(s)) ∩ (C(V^virt) ∪ C(t))
 //
 // where R is forward and C backward reachability in Local, and R(s), C(t) are
-// empty unless s, t are live in Local. r must be p's Reach, built since p
-// last changed. The core comes first, then the nodes the query's own walks
-// add, with no node twice. The result aliases sc and is valid until its next
-// use.
+// empty unless s, t are live in Local. r must be p's Reach, current for p
+// as it stands (see RepairReach). The core comes first, then the nodes the
+// query's own walks add, with no node twice. The result aliases sc and is
+// valid until its next use.
 //
 // Two walks do the per-query work. The walk back from t is unclipped, and is
 // skipped when t reaches V^virt, since C(t) ⊆ C(V^virt) then. The walk
@@ -177,5 +294,22 @@ func (b bitset) reset(n int) bitset {
 	return b
 }
 
+// grow returns b extended to hold n ids, the new ones clear.
+func (b bitset) grow(n int) bitset {
+	if words := (n + 63) >> 6; words > len(b) {
+		return append(b, make(bitset, words-len(b))...)
+	}
+	return b
+}
+
+// equal reports whether b and c hold the same ids, whatever their lengths.
+func (b bitset) equal(c bitset) bool {
+	if len(b) > len(c) {
+		b, c = c, b
+	}
+	return slices.Equal(b, c[:len(b)]) && !slices.ContainsFunc(c[len(b):], func(w uint64) bool { return w != 0 })
+}
+
 func (b bitset) has(v graph.NodeID) bool { return int(v>>6) < len(b) && b[v>>6]&(1<<(v&63)) != 0 }
 func (b bitset) set(v graph.NodeID)      { b[v>>6] |= 1 << (v & 63) }
+func (b bitset) clear(v graph.NodeID)    { b[v>>6] &^= 1 << (v & 63) }

@@ -11,10 +11,11 @@
 # test drives a live concurrent coordinator behind real HTTP handlers),
 # five race-detector runs of the
 # coordinator's concurrency tests (live slices racing the boundary moves
-# that rebuild a site's per-epoch reachability sets among them, and
+# whose Apply repairs a site's reachability sets among them, and
 # conflicting stake updates whose halves land at two sites), of the
-# site's epoch reads (live slices and cache builds racing on that rebuild
-# while updates stream in), of cached fetches racing updates (two
+# site's epoch reads (live slices and cache builds cut from those sets
+# while updates stream in), of the reach repair's differential against a
+# fresh build, of cached fetches racing updates (two
 # coordinators and direct calls, each releasing its own pooled copy of a
 # site's cache) and of the
 # WAL's commit tests (appends racing each other and checkpoints, a failed
@@ -23,8 +24,9 @@
 # failing a call once and the redial after it, one call's write deadline
 # sparing another call's write), 5 000 random monotone circuits (500 of them
 # under the race detector) checked against their circuit value through every
-# engine, the cluster and the update path, one iteration of the site and coordinator
-# benchmarks the docs cite, short fuzz runs over the write path,
+# engine, the cluster and the update path, one iteration of the site,
+# coordinator and reach-repair benchmarks the docs cite, short fuzz runs
+# over the write path,
 # the WAL segment scan, the site's socket decoder, the checkpoint loader,
 # the pooled graph decoder, the coordinator's partial decode and merge, the
 # partition image decoder, and the Datalog program loader, then the benchmark
@@ -102,17 +104,18 @@ go test -race -shuffle=on -timeout 10m \
 # The coordinator shares its per-site copies and pooled merge scratch across
 # in-flight queries with no lock, and a site's live evaluations and cache
 # builds share the reachability sets their slices and cores are cut from,
-# rebuilt by whichever reader first sees a new epoch; run the tests that race
-# queries against each other and against updates several times over. Every
+# which Apply repairs under the site's write lock; run the tests that race
+# queries against each other and against updates several times over, and
+# the repair's differential against a fresh BuildReach. Every
 # cached reply is decoded into the site's scratch pool and released by its
 # receiver, so run the test that races cached fetches from two coordinators
 # and direct calls against updates. A stake
 # update's two halves land at two sites at once, so run the test that races
 # conflicting updates of one stake, and the update path's differential
 # against partition.Split, as well.
-echo "== go test -race -count=5 (coordinator, slice, cache-build and update concurrency) =="
+echo "== go test -race -count=5 (coordinator, slice, cache-build, update concurrency and reach repair) =="
 go test -race -count=5 -timeout 10m \
-    -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates|TestSliceRacingBoundaryUpdates|TestSnapshotsNeverMixEpochs|TestConflictingUpdatesKeepInNodes|TestApplyUpdateMatchesSplit|TestCachedFetchesRacingUpdates' \
+    -run 'TestAnswerBatchConcurrentStress|TestConcurrentBatchMixedTransports|TestCoordinatorAnswersRacingUpdates|TestSliceRacingBoundaryUpdates|TestSnapshotsNeverMixEpochs|TestConflictingUpdatesKeepInNodes|TestApplyUpdateMatchesSplit|TestCachedFetchesRacingUpdates|TestReachRepairMatchesBuild' \
     ./internal/dist
 
 # Theorem 2 as an oracle that shares no code with any engine: random
@@ -134,11 +137,13 @@ go test -race -count=20 -timeout 10m \
     ./internal/dist
 
 # The site and coordinator benchmarks the docs cite (EXPERIMENTS.md,
-# abl-slice and abl-cache-core, the coordinator's no-work answer, and the
-# partial codec DESIGN.md's decode arenas cite): one iteration each, so they
-# keep building and running. No timing is checked.
+# abl-slice and abl-cache-core, the coordinator's no-work answer, the
+# partial codec DESIGN.md's decode arenas cite, and the answer after an
+# update against a steady one) and the reach repair against a rebuild: one
+# iteration each, so they keep building and running. No timing is checked.
 echo "== go test -bench (cited benchmarks, one iteration) =="
-go test -run '^$' -bench 'LiveEvaluate|Precompute|CoordinatorAnswer|PartialDecode|PartialEncode' -benchtime 1x ./internal/dist
+go test -run '^$' -bench 'LiveEvaluate|Precompute|CoordinatorAnswer|PartialDecode|PartialEncode|AnswerAfterUpdate' -benchtime 1x ./internal/dist
+go test -run '^$' -bench 'ReachAfterStake' -benchtime 1x ./internal/partition
 
 # The WAL has one committer: an append writes, flushes and fsyncs under the
 # lock a checkpoint's segment rotation takes, and a failed fsync poisons the
