@@ -232,7 +232,7 @@ func cmdQuery(args []string) error {
 	solver := fs.String("solver", "cbe", "cbe|reduce|datalog|dist")
 	parts := fs.Int("parts", 2, "partitions for -solver dist (in-process sites)")
 	verbose := fs.Bool("verbose", false, "print the stitched query trace (-solver dist only)")
-	explain := fs.Bool("explain", false, "print the program's join orders and per-rule counts (-solver datalog only)")
+	explain := fs.Bool("explain", false, "print the rounds and per-rule counts (-solver datalog only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -258,7 +258,7 @@ func cmdQuery(args []string) error {
 	}
 	start := time.Now()
 	var ans bool
-	var plan *datalog.Explain
+	var report *datalog.Explain
 	switch *solver {
 	case "cbe":
 		ans = ccp.Controls(g, src, tgt)
@@ -269,7 +269,7 @@ func cmdQuery(args []string) error {
 		}
 		ans = res.Controls
 	case "datalog":
-		ans, plan, err = datalog.ControlsExplain(g, src, tgt)
+		ans, report, err = datalog.ControlsExplain(g, src, tgt)
 		if err != nil {
 			return err
 		}
@@ -277,8 +277,8 @@ func cmdQuery(args []string) error {
 		return fmt.Errorf("query: unknown solver %q", *solver)
 	}
 	fmt.Printf("q_c(%d,%d) = %v  [%s, %v]\n", *s, *t, ans, *solver, time.Since(start))
-	if *explain && plan != nil {
-		fmt.Print(plan.String())
+	if *explain && report != nil {
+		fmt.Print(report.String())
 	}
 	return nil
 }
@@ -392,7 +392,7 @@ func cmdDatalog(args []string) error {
 	s := fs.Int("s", -1, "source company (seeds source/1)")
 	t := fs.Int("t", -1, "optional target; omit to print the controlled count")
 	program := fs.String("program", "", "program file (default: the company control program)")
-	explain := fs.Bool("explain", false, "print the plan and per-rule counts")
+	explain := fs.Bool("explain", false, "print the rounds and per-rule counts")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -420,7 +420,7 @@ func cmdDatalog(args []string) error {
 		return err
 	}
 	start := time.Now()
-	iters, plan := e.Run()
+	iters, report := e.Run()
 	elapsed := time.Since(start)
 	if *t >= 0 {
 		fmt.Printf("control(%d,%d) = %v  [%d iterations, %v]\n",
@@ -430,7 +430,7 @@ func cmdDatalog(args []string) error {
 			*s, e.Count("control"), iters, elapsed)
 	}
 	if *explain {
-		fmt.Print(plan.String())
+		fmt.Print(report.String())
 	}
 	return nil
 }

@@ -50,17 +50,3 @@ func ControlsExplain(g *graph.Graph, s, t graph.NodeID) (bool, *Explain, error) 
 	x.Goal = goal
 	return e.Has("control", Value(s), Value(t)), x, nil
 }
-
-// ControlledSet computes the full Control(s, ·) relation declaratively.
-func ControlledSet(g *graph.Graph, s graph.NodeID) (graph.NodeSet, error) {
-	e, err := NewProgram(g, ProgramText(), s)
-	if err != nil {
-		return nil, err
-	}
-	e.Run()
-	set := graph.NewNodeSet()
-	for _, tup := range e.Facts("control") {
-		set.Add(graph.NodeID(tup[1]))
-	}
-	return set, nil
-}

@@ -5,21 +5,16 @@
 //	Control(x,z) :- Control(x,y), Own(y,z,w),
 //	                v = msum(w, <y>), v > 0.5.                   (2)
 //
-// The engine evaluates stratified-recursion-free programs of Horn rules by
-// semi-naive fixpoint iteration, with one extension: a rule may carry a
-// monotonic-sum aggregate (msum) that accumulates a weight over distinct
-// contributor bindings per head tuple and fires the head only when the sum
-// crosses a threshold. msum is monotone, so the semi-naive strategy stays
-// sound: every (group, contributor) pair is counted exactly once, and fired
-// heads are never retracted.
+// The engine evaluates recursive programs of Horn rules to a fixpoint as
+// relational algebra (eval.go). A rule may carry a monotonic-sum aggregate
+// (msum), which sums a weight over distinct contributors per head tuple and
+// fires the head once the sum passes a threshold. msum is monotone, so
+// semi-naive evaluation stays sound: every (group, contributor) pair is
+// counted once, and a derived head is never retracted.
 //
-// There is one evaluator and one way into it: Run compiles the rules as
-// written to slot plans (plan.go) and one streaming fixpoint loop evaluates
-// them bottom-up (eval.go). The program is the executable specification, so
-// there is no goal-directed rewrite: a control query seeds source(s) with
-// its one source, which already restricts the fixpoint to what s reaches.
-// Run compiles and builds fresh evaluation state on every call; the engine
-// holds no cache.
+// The program is the executable specification: there is no goal-directed
+// rewrite and no join planner. A control query seeds source(s) with its one
+// source, which already restricts the fixpoint to what s reaches.
 //
 // A relation is either stored (tuples asserted with AddFact or derived by
 // rules) or a read-only view over a *graph.Graph bound with BindGraph: the
@@ -81,25 +76,9 @@ type relation struct {
 	weighted bool
 	g        *graph.Graph
 
-	tuples  map[string]int // encoded tuple -> index into list/weights
-	list    [][]Value      // insertion order, for scans and deltas
-	weights []float64      // weight per tuple (0 when unweighted)
-	// index[pos][value] lists tuple indices with that value at pos, in
-	// ascending order (tuples are only ever appended).
-	index []map[Value][]int
-}
-
-func newRelation(arity int, weighted bool) *relation {
-	r := &relation{
-		arity:    arity,
-		weighted: weighted,
-		tuples:   make(map[string]int),
-		index:    make([]map[Value][]int, arity),
-	}
-	for i := range r.index {
-		r.index[i] = make(map[Value][]int)
-	}
-	return r
+	tuples  map[string]bool // encoded tuples, for set semantics
+	list    [][]Value       // insertion order, for scans and windows
+	weights []float64       // weight per tuple (0 when unweighted)
 }
 
 func encode(t []Value) string {
@@ -113,18 +92,12 @@ func encode(t []Value) string {
 // insert adds a tuple if new; it reports whether it was added.
 func (r *relation) insert(t []Value, w float64) bool {
 	k := encode(t)
-	if _, ok := r.tuples[k]; ok {
+	if r.tuples[k] {
 		return false
 	}
-	idx := len(r.list)
-	r.tuples[k] = idx
-	own := make([]Value, len(t))
-	copy(own, t)
-	r.list = append(r.list, own)
+	r.tuples[k] = true
+	r.list = append(r.list, append([]Value(nil), t...))
 	r.weights = append(r.weights, w)
-	for pos, v := range own {
-		r.index[pos][v] = append(r.index[pos][v], idx)
-	}
 	return true
 }
 
@@ -134,12 +107,11 @@ func (r *relation) has(t []Value) bool {
 		z, ok2 := node(t[1])
 		return ok1 && ok2 && r.g.HasEdge(y, z)
 	}
-	_, ok := r.tuples[encode(t)]
-	return ok
+	return r.tuples[encode(t)]
 }
 
-// size is the tuple count, the upper end of the relation's delta windows. A
-// view never grows, so its first window is all of it and every later one is
+// size is the tuple count, the upper end of the relation's windows. A view
+// never grows, so its first window is all of it and every later one is
 // empty.
 func (r *relation) size() int {
 	if r.g != nil {
@@ -148,21 +120,15 @@ func (r *relation) size() int {
 	return len(r.list)
 }
 
-// match is the one read operation of the evaluator: it calls fn for every
-// tuple in the window [lo, hi) whose value at pos is v, or for every tuple
-// in the window when pos < 0. A stored relation clips its index postings to
-// the window; a view answers a position-0 probe with the company's stakes
-// (EachOut), a position-1 probe with its shareholders (EachIn), and a scan
-// with every stake of every company. fn must not keep the tuple.
-func (r *relation) match(pos int, v Value, lo, hi int, fn func(t []Value, w float64)) {
+// each is the one read of the evaluator: it calls fn for the tuples in the
+// window [lo, hi), of which the caller's σ keeps those whose value at pos
+// is v. A stored relation scans its window. A view reads only what can
+// match: with pos 0 the company's stakes (EachOut), with pos 1 its
+// shareholders (EachIn), and with pos < 0 every stake of every company. fn
+// must not keep the tuple.
+func (r *relation) each(pos int, v Value, lo, hi int, fn func(t []Value, w float64)) {
 	if r.g == nil {
-		if pos < 0 {
-			for ti := lo; ti < hi; ti++ {
-				fn(r.list[ti], r.weights[ti])
-			}
-			return
-		}
-		for _, ti := range clipRange(r.index[pos][v], lo, hi) {
+		for ti := lo; ti < hi; ti++ {
 			fn(r.list[ti], r.weights[ti])
 		}
 		return
@@ -223,7 +189,7 @@ func (e *Engine) Relation(name string, arity int, weighted bool) error {
 	if arity < 1 {
 		return fmt.Errorf("datalog: relation %s must have positive arity", name)
 	}
-	e.rels[name] = newRelation(arity, weighted)
+	e.rels[name] = &relation{arity: arity, weighted: weighted, tuples: map[string]bool{}}
 	return nil
 }
 
@@ -320,16 +286,6 @@ func (e *Engine) validateRule(rule Rule) error {
 		}
 	}
 	return nil
-}
-
-// Facts returns a copy of the tuples of a relation, sorted lexicographically
-// (deterministic for tests and output).
-func (e *Engine) Facts(name string) [][]Value {
-	r, ok := e.rels[name]
-	if !ok {
-		return nil
-	}
-	return sortedTuples(r)
 }
 
 // Has reports whether a tuple has been derived.

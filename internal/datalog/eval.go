@@ -1,245 +1,259 @@
-// eval.go — the streaming semi-naive evaluator for compiled plans. Joins
-// compose as nested iterations over relation.match, which clips stored
-// postings to the delta window by binary search and reads a bound graph in
-// place; no per-round candidate slices are materialized, and bindings live
-// in flat slot buffers reused across the whole run.
+// eval.go — the evaluator, as relational algebra over the relations' tuple
+// lists. A rule's body is joined atom by atom: σ keeps a tuple whose
+// constants and already-bound variables agree with it, and ⋈ extends the
+// row with its free variables. A plain head is π of the joined rows. An
+// msum head is γ grouped by the head, summing one weight per distinct
+// contributor, then σ on the threshold the program states.
 //
-// Every Run compiles its plan and builds its planEval afresh.
+// Evaluation is semi-naive. A relation only ever appends, so the tuples a
+// round appended are a window of its list. Round one joins every rule over
+// whole relations in written order; after it a rule is joined once per
+// body atom whose relation grew in the round before: that atom leads and
+// reads only its window, and the others follow in written order and read
+// their whole relation. A derivation new in a round uses a tuple new in the
+// round before, so none is missed.
 package datalog
 
 import (
-	"encoding/binary"
-	"sort"
+	"fmt"
+	"strconv"
+	"strings"
 )
 
-// planEval is the mutable state of one evaluation of a planProgram.
-type planEval struct {
-	prog   *planProgram
-	delta  [][2]int
-	before []int
-
-	slots   []Value
-	wslots  []float64
-	headBuf []Value
-
-	aggSum  []map[string]float64
-	aggSeen []map[string]bool
-
-	ruleMatches []int // complete body bindings per rule
-	ruleDerived []int // new tuples asserted per rule
-
-	iterations int
+// Explain reports what an evaluation did: the goal it answered, the rounds
+// to the fixpoint, and per rule the tuples its joins read, the rows they
+// produced and the tuples its head derived.
+type Explain struct {
+	Goal       string        `json:"goal"`
+	Iterations int           `json:"iterations"`
+	Derived    int           `json:"derived"`
+	Rules      []RuleExplain `json:"rules,omitempty"`
 }
 
-func newPlanEval(p *planProgram) *planEval {
-	ev := &planEval{prog: p}
-	ev.delta = make([][2]int, len(p.rels))
-	ev.before = make([]int, len(p.rels))
-	ev.slots = make([]Value, p.maxSlots)
-	ev.wslots = make([]float64, p.maxWeights)
-	ev.headBuf = make([]Value, p.maxHead)
-	ev.aggSum = make([]map[string]float64, len(p.rules))
-	ev.aggSeen = make([]map[string]bool, len(p.rules))
-	for i := range p.rules {
-		ev.aggSum[i] = make(map[string]float64)
-		ev.aggSeen[i] = make(map[string]bool)
-	}
-	ev.ruleMatches = make([]int, len(p.rules))
-	ev.ruleDerived = make([]int, len(p.rules))
-	return ev
+// RuleExplain counts one rule's work over a Run.
+type RuleExplain struct {
+	Rule    string `json:"rule"`
+	Reads   int    `json:"reads"`   // tuples its joins read, σ's input
+	Matches int    `json:"matches"` // complete body rows
+	Derived int    `json:"derived"` // new tuples asserted
 }
 
-// run evaluates the program to fixpoint and returns the number of
-// semi-naive rounds.
-func (ev *planEval) run() int {
-	for i, r := range ev.prog.rels {
-		ev.delta[i] = [2]int{0, r.size()}
+// ruleEval is one rule during a Run: its relations, looked up once, the
+// msum state it keeps across rounds, and its counters.
+type ruleEval struct {
+	Rule
+	head *relation
+	body []*relation
+	buf  []Value            // the head tuple, then the msum contributor
+	sum  map[string]float64 // γ: the weight summed per group (encoded head)
+	seen map[string]bool    // the (group, contributor) pairs already summed
+	x    *RuleExplain
+}
+
+// row is a partial row of a body's join: the variables bound so far, in
+// binding order. Weight variables are a namespace of their own, as in
+// validateRule.
+type row struct {
+	vars  []string
+	vals  []Value
+	wvars []string
+	wvals []float64
+}
+
+// Run evaluates the rules bottom-up to a fixpoint, deriving into the
+// engine's own relations, and returns the number of rounds and the
+// evaluation report.
+func (e *Engine) Run() (int, *Explain) {
+	x := &Explain{Goal: "fixpoint", Rules: make([]RuleExplain, len(e.rules))}
+	rules := make([]*ruleEval, len(e.rules))
+	for i, r := range e.rules {
+		re := &ruleEval{Rule: r, head: e.rels[r.Head.Pred], buf: make([]Value, len(r.Head.Terms)+1), x: &x.Rules[i]}
+		re.x.Rule = ruleText(r)
+		for _, a := range r.Body {
+			re.body = append(re.body, e.rels[a.Pred])
+		}
+		if r.Agg != nil {
+			re.sum, re.seen = map[string]float64{}, map[string]bool{}
+		}
+		rules[i] = re
 	}
-	for {
-		ev.iterations++
-		for i, r := range ev.prog.rels {
-			ev.before[i] = r.size()
-		}
-		for ri, rp := range ev.prog.rules {
-			ev.evalRule(ri, rp)
-		}
-		changed := false
-		for i, r := range ev.prog.rels {
-			ev.delta[i] = [2]int{ev.before[i], r.size()}
-			if r.size() > ev.before[i] {
-				changed = true
+	// win[rel] is the window of tuples rel gained in the round before; only
+	// its upper end, the size rel began this round at, is set before round 2.
+	win := make(map[*relation][2]int, len(e.rels))
+	for _, rel := range e.rels {
+		win[rel] = [2]int{0, rel.size()}
+	}
+	var rw row
+	for grew := true; grew; {
+		x.Iterations++
+		for _, r := range rules {
+			if x.Iterations == 1 {
+				r.join(&rw, 0, [2]int{0, r.body[0].size()}, 0)
+				continue
+			}
+			for lead, rel := range r.body {
+				if w := win[rel]; w[0] < w[1] {
+					r.join(&rw, lead, w, 0)
+				}
 			}
 		}
-		if !changed {
-			return ev.iterations
+		grew = false
+		for _, rel := range e.rels {
+			w := [2]int{win[rel][1], rel.size()}
+			win[rel], grew = w, grew || w[0] < w[1]
 		}
 	}
+	for _, r := range x.Rules {
+		x.Derived += r.Derived
+	}
+	return x.Iterations, x
 }
 
-// evalRule runs every delta configuration of one rule: orders[d] leads with
-// body atom d restricted to its delta window. Round one is the exception:
-// every window then starts at the first tuple, so any single order — with
-// the later rounds' deltas — finds every binding, and only the order with
-// the narrowest lead runs. A rule never scans a whole graph view only
-// because the view is new.
-func (ev *planEval) evalRule(ri int, rp *rulePlan) {
-	orders := rp.orders
-	if ev.iterations == 1 {
-		width := func(order []atomStep) int {
-			dr := ev.delta[order[0].relID]
-			return dr[1] - dr[0]
-		}
-		best := 0
-		for d := range orders {
-			if width(orders[d]) < width(orders[best]) {
-				best = d
-			}
-		}
-		orders = orders[best : best+1]
-	}
-	for _, order := range orders {
-		dr := ev.delta[order[0].relID]
-		if dr[0] == dr[1] {
-			continue
-		}
-		ev.step(ri, rp, order, 0, dr)
-	}
-}
-
-// step extends the current slot bindings over order[i]; i==0 is the delta
-// atom, restricted to [dr[0], dr[1]).
-func (ev *planEval) step(ri int, rp *rulePlan, order []atomStep, i int, dr [2]int) {
-	if i == len(order) {
-		ev.fire(ri, rp)
+// join extends rw over the body from step i on. Step 0 is the lead atom,
+// which reads only the window w; the other atoms follow in written order
+// and read their whole relation.
+func (r *ruleEval) join(rw *row, lead int, w [2]int, i int) {
+	if i == len(r.Body) {
+		r.fire(rw)
 		return
 	}
-	st := &order[i]
-	rel := ev.prog.rels[st.relID]
+	ai := i
+	switch {
+	case i == 0:
+		ai = lead
+	case i <= lead:
+		ai = i - 1
+	}
+	a, rel := r.Body[ai], r.body[ai]
 	lo, hi := 0, rel.size()
 	if i == 0 {
-		lo, hi = dr[0], dr[1]
+		lo, hi = w[0], w[1]
 	}
-	var v Value
-	if st.indexPos >= 0 {
-		op := &st.ops[st.indexPos]
-		v = op.val
-		if op.kind == opCheck {
-			v = ev.slots[op.slot]
+	// The first position the row already knows lets a view read one
+	// company's adjacency instead of every stake.
+	pos, v := -1, Value(0)
+	for p, t := range a.Terms {
+		if val, ok := rw.value(t); ok {
+			pos, v = p, val
+			break
 		}
 	}
-	rel.match(st.indexPos, v, lo, hi, func(t []Value, w float64) {
-		ev.tryTuple(ri, rp, order, i, t, w, dr)
+	n, nw := len(rw.vars), len(rw.wvars)
+	rel.each(pos, v, lo, hi, func(t []Value, wt float64) {
+		r.x.Reads++
+		if rw.bind(a, t, wt) {
+			r.join(rw, lead, w, i+1)
+		}
+		rw.vars, rw.vals = rw.vars[:n], rw.vals[:n]
+		rw.wvars, rw.wvals = rw.wvars[:nw], rw.wvals[:nw]
 	})
 }
 
-// clipRange restricts an ascending postings slice to tuple indices in
-// [lo, hi) by binary search, returning a subslice of the original — index
-// postings are appended in ascending tuple order, so the delta window is
-// never a filtered copy.
-func clipRange(idxs []int, lo, hi int) []int {
-	if len(idxs) == 0 {
-		return idxs
+// fire projects a complete row onto the head (π). An msum rule first folds
+// the row into its group (γ, one weight per distinct contributor) and
+// asserts the head only once the group's sum passes the threshold (σ).
+func (r *ruleEval) fire(rw *row) {
+	r.x.Matches++
+	head := r.buf[:len(r.Head.Terms)]
+	for i, t := range r.Head.Terms {
+		head[i], _ = rw.value(t)
 	}
-	if lo <= idxs[0] && idxs[len(idxs)-1] < hi {
-		return idxs
+	if r.Agg != nil {
+		r.buf[len(head)], _ = rw.value(V(r.Agg.ContribVar))
+		key := encode(r.buf)
+		if r.seen[key] {
+			return
+		}
+		r.seen[key] = true
+		group := key[:8*len(head)]
+		w, _ := rw.weight(r.Agg.WeightVar)
+		if r.sum[group] += w; r.sum[group] <= r.Agg.Threshold {
+			return
+		}
 	}
-	from := sort.SearchInts(idxs, lo)
-	to := sort.SearchInts(idxs, hi)
-	return idxs[from:to]
+	if r.head.insert(head, 0) {
+		r.x.Derived++
+	}
 }
 
-// tryTuple matches one tuple against order[i]'s ops, binding slots on first
-// occurrences. Stale slot values from backtracking are harmless: a slot is
-// only ever read (opCheck, head, agg) at points that come strictly after its
-// opBind in the same order, so every read sees the current iteration's value.
-func (ev *planEval) tryTuple(ri int, rp *rulePlan, order []atomStep, i int, tuple []Value, w float64, dr [2]int) {
-	st := &order[i]
-	for pos := range st.ops {
-		op := &st.ops[pos]
-		switch op.kind {
-		case opConst:
-			if tuple[pos] != op.val {
-				return
+// bind is σ and ⋈ for one tuple of atom a: its constants and bound
+// variables must agree with the tuple, and its free variables, and weight,
+// extend the row.
+func (rw *row) bind(a Atom, t []Value, w float64) bool {
+	for i, term := range a.Terms {
+		if v, ok := rw.value(term); ok {
+			if v != t[i] {
+				return false
 			}
-		case opCheck:
-			if tuple[pos] != ev.slots[op.slot] {
-				return
-			}
-		default: // opBind
-			ev.slots[op.slot] = tuple[pos]
+			continue
 		}
+		rw.vars, rw.vals = append(rw.vars, term.Var), append(rw.vals, t[i])
 	}
-	if st.weightSlot >= 0 {
-		ev.wslots[st.weightSlot] = w
+	if a.WeightVar == "" {
+		return true
 	}
-	ev.step(ri, rp, order, i+1, dr)
+	if v, ok := rw.weight(a.WeightVar); ok {
+		return v == w
+	}
+	rw.wvars, rw.wvals = append(rw.wvars, a.WeightVar), append(rw.wvals, w)
+	return true
 }
 
-// fire processes one complete body binding: plain rules assert the head,
-// msum rules accumulate per-group state and assert on threshold crossing.
-func (ev *planEval) fire(ri int, rp *rulePlan) {
-	ev.ruleMatches[ri]++
-	head := ev.headBuf[:len(rp.headOps)]
-	for i := range rp.headOps {
-		op := &rp.headOps[i]
-		if op.kind == opConst {
-			head[i] = op.val
-		} else {
-			head[i] = ev.slots[op.slot]
+// value is t's value in the row: a constant's own, or a bound variable's.
+func (rw *row) value(t Term) (Value, bool) {
+	if t.Var == "" {
+		return t.Const, true
+	}
+	for i, v := range rw.vars {
+		if v == t.Var {
+			return rw.vals[i], true
 		}
 	}
-	rel := ev.prog.rels[rp.headRelID]
-	if rp.agg == nil {
-		if rel.insert(head, 0) {
-			ev.ruleDerived[ri]++
-		}
-		return
-	}
-	group := encode(head)
-	key := group + "\x00" + encodeOne(ev.slots[rp.agg.contribSlot])
-	if ev.aggSeen[ri][key] {
-		return // msum counts each contributor once
-	}
-	ev.aggSeen[ri][key] = true
-	ev.aggSum[ri][group] += ev.wslots[rp.agg.weightSlot]
-	if ev.aggSum[ri][group] > rp.agg.threshold {
-		if rel.insert(head, 0) {
-			ev.ruleDerived[ri]++
-		}
-	}
+	return 0, false
 }
 
-func encodeOne(v Value) string {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	return string(buf[:])
-}
-
-// Run evaluates all rules to fixpoint bottom-up, deriving into the engine's
-// own relations, and returns the number of semi-naive rounds and the
-// evaluation explain record. The program is compiled as written — this is
-// the executable specification.
-func (e *Engine) Run() (int, *Explain) {
-	ev := newPlanEval(compile(e))
-	iters := ev.run()
-	x := buildExplain(ev)
-	x.Goal = "fixpoint"
-	return iters, x
-}
-
-// sortedTuples copies rel's tuples, sorted lexicographically.
-func sortedTuples(rel *relation) [][]Value {
-	var out [][]Value
-	rel.match(-1, 0, 0, rel.size(), func(t []Value, _ float64) {
-		out = append(out, append([]Value(nil), t...))
-	})
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
+// weight is the value of the weight variable name in the row.
+func (rw *row) weight(name string) (float64, bool) {
+	for i, v := range rw.wvars {
+		if v == name {
+			return rw.wvals[i], true
 		}
-		return false
-	})
-	return out
+	}
+	return 0, false
+}
+
+func (x *Explain) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "goal: %s\nrounds: %d  derived: %d\n", x.Goal, x.Iterations, x.Derived)
+	for _, r := range x.Rules {
+		fmt.Fprintf(&b, "rule: %s\n  reads: %d  matches: %d  derived: %d\n", r.Rule, r.Reads, r.Matches, r.Derived)
+	}
+	return b.String()
+}
+
+func atomText(a Atom) string {
+	parts := make([]string, len(a.Terms))
+	for i, t := range a.Terms {
+		parts[i] = t.Var
+		if t.Var == "" {
+			parts[i] = strconv.FormatInt(t.Const, 10)
+		}
+	}
+	s := a.Pred + "(" + strings.Join(parts, ",") + ")"
+	if a.WeightVar != "" {
+		s += "@" + a.WeightVar
+	}
+	return s
+}
+
+func ruleText(r Rule) string {
+	parts := make([]string, len(r.Body))
+	for i, a := range r.Body {
+		parts[i] = atomText(a)
+	}
+	s := atomText(r.Head) + " :- " + strings.Join(parts, ", ")
+	if r.Agg != nil {
+		s += fmt.Sprintf(", msum(%s,<%s>) > %g", r.Agg.WeightVar, r.Agg.ContribVar, r.Agg.Threshold)
+	}
+	return s + "."
 }

@@ -105,10 +105,11 @@ func TestLoadSyntaxErrors(t *testing.T) {
 		`p(x,y) :- q(x). p(x) :- q(x).`, // arity conflict
 		`p(1.5).`,                       // non-integer constant
 		`p(x) :- q(x), msum(w, <y>) > 0.5, msum(w, <y>) > 0.5.`, // two aggregates
-		`p(x) q(x).`,               // missing operator
-		`p(x) :- msum(w y) > 0.5.`, // malformed msum
-		`p(x) :- q(x) @ .`,         // missing weight var
-		`?(x).`,                    // bad predicate
+		`p(x) q(x).`,                  // missing operator
+		`p(x) :- msum(w y) > 0.5.`,    // malformed msum
+		`p(x) :- q(x) @ .`,            // missing weight var
+		`?(x).`,                       // bad predicate
+		`p(1) :- msum(w, <y>) > 0.5.`, // an aggregate with no body atom
 	}
 	for i, src := range bad {
 		e := NewEngine()

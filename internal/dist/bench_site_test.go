@@ -10,6 +10,7 @@ import (
 	"ccp/internal/gen"
 	"ccp/internal/graph"
 	"ccp/internal/partition"
+	"ccp/internal/store"
 )
 
 // BenchmarkLiveEvaluate measures one live site evaluation on the graph shape
@@ -207,4 +208,73 @@ func BenchmarkAnswerAfterUpdate(b *testing.B) {
 	b.ReportMetric(float64(after.Microseconds())/float64(b.N), "after-us")
 	b.ReportMetric(float64(steady.Microseconds())/float64(b.N), "steady-us")
 	b.ReportMetric(float64(after)/float64(steady), "after/steady")
+}
+
+// BenchmarkRecover times a durable site's recovery from a WAL of 10⁴ stake
+// records on partition 2 of the xborder graph (partition's
+// BenchmarkReachAfterStake partition), drawn as the update-mix workload
+// draws its updates: a member takes a stake in a company that holds at most
+// 0.6 already, three in four across the border, each followed by its
+// divestment. One op is OpenDurableSite: load the seed partition, replay
+// the log into it, and build the reachability sets.
+func BenchmarkRecover(b *testing.B) {
+	eu := gen.EU(gen.EUConfig{Countries: 4, NodesPerCountry: 8000, InterconnectRate: 0.01,
+		AvgOutDegree: 3, Seed: 2021})
+	pi, err := partition.Split(eu.G, eu.Country, eu.Countries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := pi.Parts[2]
+	var members []graph.NodeID
+	for v, c := range eu.Country {
+		if c == p.ID {
+			members = append(members, graph.NodeID(v))
+		}
+	}
+	rng := rand.New(rand.NewSource(64))
+	var recs []store.Record
+	for len(recs) < 10_000 {
+		u, v := members[rng.Intn(len(members))], graph.NodeID(rng.Intn(eu.G.Cap()))
+		domestic := len(recs)%8 == 6
+		if u != v && (eu.Country[v] == p.ID) == domestic && !eu.G.HasEdge(u, v) && !eu.G.HasEdge(v, u) && eu.G.InSum(v) <= 0.6 {
+			rec := store.Record{Kind: store.KindStake, Owner: int32(u), Owned: int32(v), Weight: 0.2}
+			recs = append(recs, rec)
+			rec.Remove = true
+			recs = append(recs, rec)
+		}
+	}
+	dir := b.TempDir()
+	opts := store.Options{NoSync: true, CheckpointEvery: -1, CheckpointBytes: -1}
+	seed := p.Snapshot()
+	s, err := OpenDurableSite(dir, func() (*partition.Partition, error) { return seed, nil }, 1, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rec := range recs {
+		if res, err := s.Apply(rec); err != nil || !res.Changed {
+			b.Fatalf("%+v: %+v, %v", rec, res, err)
+		}
+	}
+	if err := s.store.Kill(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		seed := p.Snapshot()
+		b.StartTimer()
+		r, err := OpenDurableSite(dir, func() (*partition.Partition, error) { return seed, nil }, 1, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if st, _ := r.StoreStats(); st.RecoveredRecords != len(recs) {
+			b.Fatalf("replayed %d records, want %d", st.RecoveredRecords, len(recs))
+		}
+		if err := r.store.Kill(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
 }

@@ -214,6 +214,7 @@ func TestDurableSiteRestartEquivalence(t *testing.T) {
 		}
 		sameAsSite(t, seedTag+": recovered site", s, r)
 		sameSiteState(t, seedTag, twin, r.part)
+		sameReach(t, seedTag+": recovered site", r)
 		if err := r.CloseStore(); err != nil {
 			t.Fatalf("%s: CloseStore: %v", seedTag, err)
 		}

@@ -305,9 +305,7 @@ func (s *Server) serve(ctx context.Context, req *request) *response {
 		pa.Release()
 		return resp
 	case opApply:
-		rec := req.Record
-		rec.Seq = 0
-		res, err := s.site.Apply(rec)
+		res, err := s.site.Apply(req.Record)
 		if err != nil {
 			return errResponse(siteID, err)
 		}

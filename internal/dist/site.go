@@ -214,11 +214,12 @@ func NewSite(p *partition.Partition, workers int) *Site {
 func bootEpoch() uint64 { return 1<<51 + rand.Uint64N(1<<51) }
 
 // OpenDurableSite builds a site backed by the durable store in dir:
-// recovery loads the newest valid checkpoint and replays the WAL tail
-// through Apply, the path live writes take; then the site logs every
-// effective update and checkpoints in the background. On a fresh (or empty)
-// directory the partition comes from seed — typically the partition file
-// the deployment was provisioned with.
+// recovery loads the newest valid checkpoint and replays the WAL tail into
+// the partition, each record checked and applied as Apply does it, and the
+// site's reachability sets are built once, after the last record; then the
+// site logs every effective update and checkpoints in the background. On a
+// fresh (or empty) directory the partition comes from seed — typically the
+// partition file the deployment was provisioned with.
 //
 // After recovery the site's epoch is the durable WAL sequence number it had
 // before the restart, so coordinator caches versioned by epoch vectors
@@ -235,18 +236,17 @@ func OpenDurableSite(dir string, seed func() (*partition.Partition, error), work
 			return nil, err
 		}
 	}
-	s := NewSite(p, workers)
-	s.store = st
 	// The epoch starts at the image's sequence number and moves to each
-	// replayed record's, exactly as it moved on the live site.
-	s.epoch.Store(ckptSeq)
-	if err := st.Replay(func(rec store.Record) error {
-		_, err := s.Apply(rec)
-		return err
-	}); err != nil {
+	// replayed record's that changes the partition, exactly as it moved on
+	// the live site.
+	epoch := ckptSeq
+	if err := st.Replay(func(rec store.Record) error { return replay(p, rec, &epoch) }); err != nil {
 		st.Close()
 		return nil, fmt.Errorf("dist: site %d replaying wal: %w", p.ID, err)
 	}
+	s := NewSite(p, workers)
+	s.store = st
+	s.epoch.Store(epoch)
 	st.Start(s.checkpointImage)
 	return s, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"ccp/internal/graph"
 	"ccp/internal/obs/flight"
+	"ccp/internal/partition"
 	"ccp/internal/store"
 )
 
@@ -42,19 +43,18 @@ type UpdateResult struct {
 // reopened log can assign, and the site serves nothing at it (see Apply).
 const lostEpoch = 1 << 62
 
-// Apply is the one write path: every change to the site's partition — a
-// live update or a WAL record replayed at recovery — is a stake record
-// applied here, and the site applies the half it holds (see
-// partition.ApplyStake).
+// Apply is the one write path of a running site: every change to its
+// partition is a stake record applied here, and the site applies the half
+// it holds (see partition.ApplyStake). Recovery replays the WAL into the
+// partition before the site exists (replay).
 //
 // The record is checked before the partition is touched, so a rejected
 // record changes nothing. A record that changes the site's state repairs
-// the partition's reachability sets (partition.RepairReach), is logged and
-// moves the epoch to its sequence number; a record that changes nothing
-// is neither logged nor moves the epoch. A record without a Seq is a new
-// write, appended to the store, or numbered by the next epoch on a site
-// without a store. A record with a Seq comes from WAL replay and is already
-// logged.
+// the partition's reachability sets (partition.RepairReach), is appended
+// to the store, and moves the epoch to the sequence number the store gives
+// it, or to the next epoch on a site without a store; rec.Seq is never
+// read. A record that changes nothing is neither logged nor moves the
+// epoch.
 //
 // A failed append leaves the partition holding a change the log lacks,
 // which a restart would lose and a later record could renumber. The site
@@ -80,12 +80,8 @@ func (s *Site) Apply(rec store.Record) (UpdateResult, error) {
 	}
 	s.part.RepairReach(&s.reach, graph.NodeID(rec.Owner), graph.NodeID(rec.Owned), rec.Remove)
 	s.cache = nil
-	seq := rec.Seq
-	switch {
-	case seq != 0:
-	case s.store == nil:
-		seq = s.epoch.Load() + 1
-	default:
+	seq := s.epoch.Load() + 1
+	if s.store != nil {
 		if seq, err = s.store.Append(rec); err != nil {
 			s.logErr = fmt.Errorf("dist: site %d wal append: %w", s.part.ID, err)
 			s.epoch.Store(lostEpoch)
@@ -93,10 +89,23 @@ func (s *Site) Apply(rec store.Record) (UpdateResult, error) {
 		}
 	}
 	s.epoch.Store(seq)
-	if rec.Seq == 0 {
-		s.ev.Emit(flight.Update, int32(s.part.ID), 0, int64(rec.Owner), int64(rec.Owned))
-	}
+	s.ev.Emit(flight.Update, int32(s.part.ID), 0, int64(rec.Owner), int64(rec.Owned))
 	return res, nil
+}
+
+// replay applies one logged record to a partition no site holds yet, as
+// recovery does (OpenDurableSite). The record is disk input, so it is
+// checked as Apply checks it; one that changes the partition moves *epoch
+// to its sequence number, as it moved the live site's.
+func replay(p *partition.Partition, rec store.Record, epoch *uint64) error {
+	if err := checkRecord(rec); err != nil {
+		return err
+	}
+	res, err := p.ApplyStake(graph.NodeID(rec.Owner), graph.NodeID(rec.Owned), rec.Weight, rec.Remove)
+	if err == nil && res.Changed {
+		*epoch = rec.Seq
+	}
+	return err
 }
 
 // checkRecord rejects a record that Apply must not let near the partition.

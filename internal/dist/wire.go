@@ -236,12 +236,10 @@ func (c *LocalClient) payload(pa *PartialAnswer) int64 {
 	return 0
 }
 
-// Apply implements SiteClient: rec is offered as a new write, whatever its
-// Seq.
+// Apply implements SiteClient.
 func (c *LocalClient) Apply(ctx context.Context, rec store.Record) (UpdateResult, error) {
 	if err := ctx.Err(); err != nil {
 		return UpdateResult{}, ctxError(c.Site.ID(), "apply", err)
 	}
-	rec.Seq = 0
 	return c.Site.Apply(rec)
 }

@@ -47,16 +47,16 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
-// Discard returns a logger that drops everything with Enabled reporting
+// discard returns a logger that drops everything with Enabled reporting
 // false, so guarded call sites skip attribute construction too.
-func Discard() *slog.Logger { return slog.New(discardHandler{}) }
+func discard() *slog.Logger { return slog.New(discardHandler{}) }
 
 // LoggerOr returns l, or a discard logger when l is nil — the normalization
 // every component applies once at construction so its hot paths call a
 // non-nil logger unconditionally.
 func LoggerOr(l *slog.Logger) *slog.Logger {
 	if l == nil {
-		return Discard()
+		return discard()
 	}
 	return l
 }

@@ -54,7 +54,7 @@ func TestNewLoggerFormats(t *testing.T) {
 }
 
 func TestDiscardAndLoggerOr(t *testing.T) {
-	d := Discard()
+	d := discard()
 	if d.Enabled(nil, slog.LevelError) {
 		t.Fatalf("discard logger claims enabled")
 	}

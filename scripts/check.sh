@@ -4,8 +4,10 @@
 # Runs formatting, vet, build, a layering guard (no algorithm package under
 # internal/ depends on internal/obs), the full test suite (shuffled, with an
 # explicit timeout so a hung transport test fails fast instead of stalling
-# CI), every program under examples/ built and run to a zero exit (the
-# "examples" step), and the
+# CI) with every 4-company quarter-stake graph asked of CBE, the Reducer,
+# the Datalog program and an integer oracle (the full small scope), every
+# program under examples/ built and run to a zero exit (the "examples"
+# step), and the
 # race detector over the packages that do parallel graph
 # surgery or concurrent transport work and over the commands (whose doctor
 # test drives a live concurrent coordinator behind real HTTP handlers),
@@ -25,9 +27,8 @@
 # sparing another call's write), 5 000 random monotone circuits (500 of them
 # under the race detector) checked against their circuit value through every
 # engine, the cluster and the update path, one iteration of the site,
-# coordinator and reach-repair benchmarks the docs cite, short fuzz runs
-# over the write path,
-# the WAL segment scan, the site's socket decoder, the checkpoint loader,
+# coordinator, recovery and reach-repair benchmarks the docs cite, short
+# fuzz runs over the write path, the WAL segment scan, the site's socket decoder, the checkpoint loader,
 # the pooled graph decoder, the coordinator's partial decode and merge, the
 # partition image decoder, and the Datalog program loader, then the benchmark
 # module's own vet/tests and a quick, answers-only benchmark run. CI and
@@ -64,6 +65,9 @@ done
 
 echo "== go test =="
 go test -shuffle=on -timeout 10m ./...
+# ROADMAP item 22's small scope: go test above asks every 64th graph; ask
+# all 32^4 of them (about 40 s).
+go test -run '^TestSmallScope$' -timeout 10m ./internal/dist -smallscope
 
 # The tests only compile the examples; run each to completion so one that
 # panics or exits non-zero fails here. All six take about a second together.
@@ -138,11 +142,12 @@ go test -race -count=20 -timeout 10m \
 
 # The site and coordinator benchmarks the docs cite (EXPERIMENTS.md,
 # abl-slice and abl-cache-core, the coordinator's no-work answer, the
-# partial codec DESIGN.md's decode arenas cite, and the answer after an
-# update against a steady one) and the reach repair against a rebuild: one
-# iteration each, so they keep building and running. No timing is checked.
+# partial codec DESIGN.md's decode arenas cite, the answer after an update
+# against a steady one, and a durable site's recovery from 10^4 WAL records)
+# and the reach repair against a rebuild: one iteration each, so they keep
+# building and running. No timing is checked.
 echo "== go test -bench (cited benchmarks, one iteration) =="
-go test -run '^$' -bench 'LiveEvaluate|Precompute|CoordinatorAnswer|PartialDecode|PartialEncode|AnswerAfterUpdate' -benchtime 1x ./internal/dist
+go test -run '^$' -bench 'LiveEvaluate|Precompute|CoordinatorAnswer|PartialDecode|PartialEncode|AnswerAfterUpdate|Recover' -benchtime 1x ./internal/dist
 go test -run '^$' -bench 'ReachAfterStake' -benchtime 1x ./internal/partition
 
 # The WAL has one committer: an append writes, flushes and fsyncs under the
